@@ -147,7 +147,7 @@ let run_table1 () =
 let setup_ycsb ?(regions = regions5) ?(max_offset = 250_000)
     ?(autopilot = false) variant ~keyspace =
   let config =
-    { Cluster.default_config with Cluster.max_offset; Cluster.autopilot }
+    { Cluster.default with Cluster.max_offset; Cluster.autopilot }
   in
   let t = Crdb.start ~config ~regions () in
   Crdb.exec t
@@ -720,89 +720,6 @@ let run_conflicts () =
     ~push_delay:Cluster.default.Cluster.push_delay
 
 (* ------------------------------------------------------------------ *)
-(* Concurrency-control backends: wound-wait vs epoch-grouped OCC       *)
-
-let run_cc_modes () =
-  section "Concurrency control: wound-wait locks vs epoch-grouped OCC";
-  printf
-    "The same conflict-heavy workload (6 clients, two-key transactions@.\
-     over 4 hot keys, random acquisition order) under both Cc backends.@.\
-     Wound-wait takes locks as it goes and resolves deadlocks by pushing;@.\
-     epoch OCC runs lock-free bodies, parks committers until the next@.\
-     epoch boundary (25ms ticker) and validates reads there, so conflicts@.\
-     cost a restart instead of a lock wait.@.";
-  let run_one ~label ~cc_mode =
-    let regions = regions3 in
-    let topology = Crdb.Topology.symmetric ~regions ~nodes_per_region:3 in
-    let config = { Cluster.default with Cluster.cc_mode } in
-    let cl = Cluster.create ~config ~topology ~latency:Latency.table1 () in
-    let zone =
-      Crdb.Zoneconfig.derive ~regions ~home:(List.hd regions)
-        ~survival:Crdb.Zoneconfig.Zone ~placement:Crdb.Zoneconfig.Default
-    in
-    let _rid =
-      Cluster.add_range cl ~span:("hot", "hot~") ~zone
-        ~policy:(Cluster.Lag 3_000_000)
-    in
-    Cluster.settle cl;
-    let mgr = Txn.create_manager cl in
-    let sim = Cluster.sim cl in
-    let rng = Crdb_stdx.Rng.create ~seed:11 in
-    let lat = Hist.create () in
-    let key i = Printf.sprintf "hot%02d" i in
-    let nclients = 6 and ops = 8 and hot = 4 in
-    let ok = ref 0 and failed = ref 0 in
-    let home_nodes =
-      Crdb.Topology.nodes_in_region (Cluster.topology cl) (List.hd regions)
-    in
-    Cluster.run cl (fun () ->
-        let clients =
-          List.init nclients (fun c ->
-              let crng = Crdb_stdx.Rng.split rng in
-              Crdb_sim.Proc.async sim (fun () ->
-                  let gw =
-                    (List.nth home_nodes (c mod List.length home_nodes))
-                      .Crdb.Topology.id
-                  in
-                  for _ = 1 to ops do
-                    Crdb_sim.Proc.sleep sim
-                      (50_000 + Crdb_stdx.Rng.int crng 100_000);
-                    let a = Crdb_stdx.Rng.int crng hot in
-                    let b = (a + 1 + Crdb_stdx.Rng.int crng (hot - 1)) mod hot in
-                    let t0 = Crdb_sim.Sim.now sim in
-                    (match
-                       Txn.run mgr ~gateway:gw (fun t ->
-                           let _ = Txn.get t (key a) in
-                           Txn.put t (key a) "x";
-                           Crdb_sim.Proc.sleep sim 20_000;
-                           Txn.put t (key b) "y")
-                     with
-                    | Ok () -> incr ok
-                    | Error _ -> incr failed);
-                    Hist.add lat (Crdb_sim.Sim.now sim - t0)
-                  done))
-        in
-        List.iter Crdb_sim.Proc.await clients);
-    subsection label;
-    row "  txn latency" lat;
-    let m = Crdb.Obs.metrics (Cluster.obs cl) in
-    let s = Txn.stats mgr in
-    printf
-      "  %d ok, %d failed; %d restarts (%d wounds); %d pushes, %d conflict \
-       timeouts@."
-      !ok !failed s.Txn.restarts s.Txn.wounds
-      (Crdb.Metrics.total m "kv.txn_pushes")
-      (Crdb.Metrics.total m "kv.conflict_timeouts");
-    if cc_mode = `Epoch_occ then
-      printf "  %d epoch ticks, %d epoch commits, %d validation failures@."
-        (Crdb.Metrics.total m "txn.epoch_ticks")
-        (Crdb.Metrics.total m "txn.epoch_commits")
-        (Crdb.Metrics.total m "txn.epoch_validation_failures")
-  in
-  run_one ~label:"wound-wait" ~cc_mode:`Wound_wait;
-  run_one ~label:"epoch OCC (25ms epochs)" ~cc_mode:`Epoch_occ
-
-(* ------------------------------------------------------------------ *)
 (* Latency audit: measured WAN round trips vs the §6 model             *)
 
 let run_latency_audit () =
@@ -1280,7 +1197,6 @@ let experiments =
     ("table2", run_table2);
     ("ablations", run_ablations);
     ("conflicts", run_conflicts);
-    ("cc-modes", run_cc_modes);
     ("splits", run_splits);
     ("latency-audit", run_latency_audit);
     ("commit-path", run_commit_path);

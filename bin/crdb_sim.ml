@@ -202,16 +202,6 @@ let checker_conv =
           | `Linearizability -> "linearizability"
           | `Serializability -> "serializability") )
 
-let cc_mode_conv =
-  Arg.conv
-    ( (function
-      | "wound-wait" | "ww" -> Ok `Wound_wait
-      | "epoch" | "epoch-occ" -> Ok `Epoch_occ
-      | s -> Error (`Msg (Printf.sprintf "unknown concurrency-control mode %S" s))),
-      fun ppf c ->
-        Format.pp_print_string ppf
-          (match c with `Wound_wait -> "wound-wait" | `Epoch_occ -> "epoch") )
-
 let fault_kind_of_string = function
   | "kill-node" -> Ok Nemesis.K_kill_node
   | "kill-zone" -> Ok Nemesis.K_kill_zone
@@ -251,7 +241,7 @@ let survival_conv =
 
 let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
     ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys
-    ~write_ratio ~accounts ~unsafe_stale ~checker ~cc_mode ~txn
+    ~write_ratio ~accounts ~unsafe_stale ~checker ~txn
     ~unsafe_no_refresh ~unsafe_no_recovery ~max_conflict_timeouts ~autopilot
     ~min_auto_splits ~dump_history ~show_history ~report ~trace ~metrics =
   (* [--checker serializability] implies the transactional workload. *)
@@ -296,7 +286,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
           };
       workload;
       cluster_config =
-        Some { Cluster.default with Cluster.autopilot; cc_mode };
+        Some { Cluster.default with Cluster.autopilot };
     }
   in
   (* The autopilot races its background queues against the nemesis for the
@@ -422,7 +412,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
 
 let run_chaos seed seeds nregions survival global duration faults fault_interval
     fault_duration no_quorum_guard clients ops keys write_ratio accounts
-    unsafe_stale checker cc_mode txn_clients txn_ops txn_keys txn_ranges
+    unsafe_stale checker txn_clients txn_ops txn_keys txn_ranges
     txn_hot_keys unsafe_no_refresh unsafe_no_recovery max_conflict_timeouts
     autopilot min_auto_splits dump_history show_history report trace metrics =
   (* The five --txn-* flags assemble the one workload record. *)
@@ -446,7 +436,7 @@ let run_chaos seed seeds nregions survival global duration faults fault_interval
       not
         (run_chaos_one ~seed:s ~nregions ~survival ~global ~duration ~faults
            ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys
-           ~write_ratio ~accounts ~unsafe_stale ~checker ~cc_mode ~txn
+           ~write_ratio ~accounts ~unsafe_stale ~checker ~txn
            ~unsafe_no_refresh ~unsafe_no_recovery ~max_conflict_timeouts
            ~autopilot ~min_auto_splits ~dump_history ~show_history ~report
            ~trace ~metrics)
@@ -506,15 +496,6 @@ let chaos_cmd =
                 history, the default) or serializability (enables the \
                 multi-key transactional workload and the dependency-graph \
                 cycle checker)")
-  in
-  let cc_mode =
-    Arg.(value & opt cc_mode_conv `Wound_wait
-         & info [ "cc-mode" ]
-             ~doc:
-               "Concurrency-control backend: wound-wait (pessimistic lock \
-                tables, the default) or epoch (epoch-grouped optimistic \
-                concurrency control: lock-free bodies, commit-time \
-                validation at epoch boundaries)")
   in
   let txn_clients =
     Arg.(value & opt int 0
@@ -596,7 +577,7 @@ let chaos_cmd =
     Term.(
       const run_chaos $ seed $ seeds $ nregions $ survival $ global $ duration
       $ faults $ fault_interval $ fault_duration $ no_quorum_guard $ clients
-      $ ops $ keys $ write_ratio $ accounts $ unsafe_stale $ checker $ cc_mode
+      $ ops $ keys $ write_ratio $ accounts $ unsafe_stale $ checker
       $ txn_clients $ txn_ops $ txn_keys $ txn_ranges $ txn_hot_keys
       $ unsafe_no_refresh $ unsafe_no_recovery $ max_conflict_timeouts
       $ autopilot $ min_auto_splits $ dump_history $ show_history $ report

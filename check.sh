@@ -73,38 +73,6 @@ dune exec bin/crdb_sim.exe -- chaos --seed 501 --seeds 3 --survival region \
   --checker serializability --txn-clients 6 --txn-hot-keys 4 \
   --faults kill-node,lease-transfer --max-conflict-timeouts 0
 
-# Epoch-OCC gate: the same conflict-heavy workload under the optimistic
-# backend (--cc-mode=epoch): lock-free transaction bodies, commits grouped
-# and validated at 25ms epoch boundaries. Within-epoch conflicts resolve by
-# validation order (restarts, not lock waits), so the run must stay clean
-# with zero 10s conflict timeouts.
-echo "== epoch-OCC conflict gate (seeds 501-503)"
-dune exec bin/crdb_sim.exe -- chaos --seed 501 --seeds 3 --survival region \
-  --checker serializability --cc-mode epoch --txn-clients 6 --txn-hot-keys 4 \
-  --faults kill-node,lease-transfer --max-conflict-timeouts 0
-
-# Epoch validation IS the commit-time read refresh, so the broken mode that
-# skips refreshes guts the whole validation step: the serializability
-# checker must catch the resulting cycles and the run must exit nonzero.
-echo "== serializability catches epoch --unsafe-no-refresh (seed 501)"
-if out=$(dune exec bin/crdb_sim.exe -- chaos --seed 501 --survival region \
-  --checker serializability --cc-mode epoch --txn-clients 6 --txn-hot-keys 4 \
-  --faults kill-node,lease-transfer --unsafe-no-refresh 2>&1); then
-  echo "$out"
-  echo "BUG NOT CAUGHT: epoch --unsafe-no-refresh exited zero"
-  exit 1
-fi
-echo "$out" | grep -q "cycle:" || {
-  echo "$out"
-  echo "expected a witness cycle from epoch --unsafe-no-refresh"
-  exit 1
-}
-
-# Backend comparison evidence (wound-wait vs epoch-OCC p50/p99 on the
-# hot-key workload) lands in BENCH_results.json.
-echo "== bench cc-modes (wound-wait vs epoch OCC)"
-dune exec bench/main.exe -- cc-modes
-
 # Parallel-commit recovery gate: the same conflict-heavy workload, now with
 # coordinators dying between staging a parallel commit and resolving it.
 # Pushers must finish commit-status recovery on the stranded STAGING

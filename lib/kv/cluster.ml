@@ -42,15 +42,6 @@ type config = {
   autopilot_merge_bytes : int;
   autopilot_cooldown : int;
   autopilot_min_improvement : float;
-  cc_mode : [ `Wound_wait | `Epoch_occ ];
-      (* which concurrency-control backend Txn.create_manager wires up: the
-         pessimistic lock-table/wound-wait protocol (default) or
-         epoch-grouped OCC (writes buffered at the gateway, validated and
-         flushed at an epoch boundary). The KV layer itself is mode-agnostic;
-         the knob lives here so one config value describes the cluster. *)
-  epoch_interval : int;
-      (* Epoch_occ only: period of the cluster-wide epoch ticker that
-         advances the commit boundary (default 25 ms) *)
   unsafe_no_recovery : bool;
       (* deliberately broken mode: pushes treat every STAGING record as
          recoverable immediately (no liveness grace) and recovery aborts
@@ -84,12 +75,8 @@ let default =
     autopilot_merge_bytes = 128_000;
     autopilot_cooldown = 3_000_000;
     autopilot_min_improvement = 0.25;
-    cc_mode = `Wound_wait;
-    epoch_interval = 25_000;
     unsafe_no_recovery = false;
   }
-
-let default_config = default
 
 type range_id = int
 
@@ -207,7 +194,7 @@ and diag = {
 
 let lease_duration = 4_500_000
 
-let create ?(config = default_config) ~topology ~latency () =
+let create ?(config = default) ~topology ~latency () =
   let sim = Sim.create () in
   let obs = Obs.create ~now:(fun () -> Sim.now sim) () in
   let rng = Rng.create ~seed:config.seed in

@@ -69,16 +69,6 @@ type config = {
   autopilot_min_improvement : float;
       (** fraction by which a lease move must reduce the losing store's
           leaseholder load before the rebalance queue acts *)
-  cc_mode : [ `Wound_wait | `Epoch_occ ];
-      (** which concurrency-control backend [Txn.create_manager] wires up:
-          the pessimistic lock-table/wound-wait protocol (the default) or
-          epoch-grouped OCC, where writes are buffered at the gateway and
-          validated/flushed at an epoch boundary. The KV layer itself is
-          mode-agnostic; the knob lives here so one config value describes
-          the whole cluster. *)
-  epoch_interval : int;
-      (** [`Epoch_occ] only: period of the cluster-wide epoch ticker that
-          advances the commit boundary (default 25 ms) *)
   unsafe_no_recovery : bool;
       (** deliberately broken mode for checker validation: pushes treat
           every STAGING record as immediately recoverable (no liveness
@@ -98,10 +88,6 @@ val default : config
     {[
       Cluster.create ~config:{ Cluster.default with seed = 42; push_delay = 50_000 } ...
     ]} *)
-
-val default_config : config
-(** Alias of {!default}, kept for existing callers; prefer
-    [{ Cluster.default with ... }]. *)
 
 type t
 

@@ -32,8 +32,9 @@ type phase =
           STAGING record: querying declared in-flight writes and finalizing
           the record *)
   | Epoch_wait
-      (** [`Epoch_occ] only: a committing transaction waiting for the next
-          epoch boundary before validating and flushing its write buffer *)
+      (** Never recorded: the epoch-OCC backend that charged it is gone.
+          Kept only because the perf harness ([bench/perf]) still names it;
+          the next change to that harness removes it. *)
 
 val all_phases : phase list
 val name : phase -> string

@@ -1,3 +1,7 @@
+(* Shared types of the transaction layer: the coordinator's manager, one
+   attempt's state and the exceptions that drive [Txn.run]'s retry loop.
+   The machinery that operates on them is [Cc_base]. *)
+
 module Cluster = Crdb_kv.Cluster
 module Lock_table = Crdb_kv.Lock_table
 module Ts = Crdb_hlc.Timestamp
@@ -8,7 +12,6 @@ module Phase = Crdb_obs.Phase
 module Hist = Crdb_stats.Hist
 module Ivar = Crdb_sim.Ivar
 
-type mode = [ `Wound_wait | `Epoch_occ ]
 type strength = Lock_table.strength = Shared | Exclusive
 
 module Options = struct
@@ -45,7 +48,6 @@ type stats = {
 
 type manager = {
   cl : Cluster.t;
-  mode : mode;
   mutable next_txn_id : int;
   stats : stats;
   mutable opts : Options.t;
@@ -57,17 +59,6 @@ type manager = {
   c_refreshes : Metrics.counter array;
   c_reader_waits : Metrics.counter array;
   h_commit_wait : Hist.t;
-  (* Epoch_occ state: the recurring ticker that advances the commit
-     boundary, and the committing transactions parked on the next tick.
-     The ticker only runs while someone is waiting — an idle tick shuts it
-     down and the next [await_epoch] respawns it — so a drained cluster
-     does not keep the simulator's event queue warm. *)
-  epoch_interval : int;
-  mutable epoch_waiters : Ts.t Ivar.t list; (* newest-first *)
-  mutable epoch_running : bool;
-  c_epoch_ticks : Metrics.counter;
-  c_epoch_commits : Metrics.counter array;
-  c_epoch_validation_failures : Metrics.counter array;
 }
 
 type read_span = Point of string | Span of string * string
@@ -101,9 +92,6 @@ type attempt = {
       (* phase-latency accumulator shared by every attempt of one [run];
          KV ops charge Routing/Lease_wait/Lock_wait/Replication into it,
          the coordinator charges Refresh/Commit_wait/Retry_backoff *)
-  mutable wbuf : (string * string option) list;
-      (* Epoch_occ: locally buffered writes, newest first; flushed as
-         intents only at commit, after the epoch boundary *)
   mutable rlocks : string list;
       (* keys this attempt explicitly locked (FOR UPDATE / FOR SHARE)
          without writing; released alongside the write intents *)
@@ -125,49 +113,3 @@ exception Indeterminate of string
    committed, so neither rolling back its intents nor retrying the body is
    sound. Internal: [Txn.run] converts it into an [Unavailable] error and an
    [Attempt_indeterminate] outcome without touching the intents. *)
-
-(* The concurrency-control backend interface: everything [Txn.run] and the
-   SQL engine need from a protocol. Backends share the [attempt] state and
-   the generic machinery in [Cc_base]; they differ in when conflicts are
-   detected (lock acquisition at write time vs validation at commit) and in
-   what commit must do first (nothing vs epoch wait + write-buffer flush).
-   Each operation may raise [Restart]/[Wounded] (restartable),
-   [Indeterminate] (ambiguous commit) or [Fatal]. *)
-module type S = sig
-  val mode : mode
-
-  val begin_attempt :
-    ?priority:Ts.t -> ?phases:Phase.ctx -> manager -> gateway:int -> attempt
-  (* One physical attempt: fresh id and read timestamp, heartbeat loop
-     started. [priority] carries the first attempt's birth timestamp across
-     retries (wound-wait aging). *)
-
-  val get : attempt -> string -> string option
-  val scan :
-    attempt -> start_key:string -> end_key:string -> ?limit:int -> unit ->
-    (string * string) list
-
-  val get_locked : attempt -> strength -> string -> string option
-  (* SELECT FOR UPDATE ([Exclusive]) / FOR SHARE ([Shared]): read the key
-     while protecting it against conflicting writers until commit. The
-     pessimistic backend takes a lock-table lock (conflicts resolve by
-     wound-wait, upgrades included); the OCC backend reads optimistically
-     and relies on commit-time validation instead. *)
-
-  val write : attempt -> string -> string option -> unit
-  (* [None] deletes. The pessimistic backend lays a replicated intent
-     immediately; the OCC backend buffers locally until commit. *)
-
-  val commit : attempt -> unit
-  (* Reach the commit point (parallel or sequential), resolve intents and
-     commit-wait as needed. For [`Epoch_occ] this first waits out the epoch
-     boundary, flushes the write buffer as intents and validates every read
-     at the boundary (a failed validation raises [Restart] — the
-     validation-order loser of the epoch retries). Recovery of an ambiguous
-     commit runs the same record-based commit-status recovery in both
-     modes. *)
-
-  val abort : attempt -> Ts.t option
-  (* Roll back; [Some cts] when a racing recovery had already committed the
-     attempt (first-decision-wins) and the rollback turned into a commit. *)
-end

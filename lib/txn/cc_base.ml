@@ -1,9 +1,9 @@
-(* Protocol-independent transaction machinery shared by both concurrency
-   control backends: reads with uncertainty restarts, intent writes, read
-   refreshes, the parallel/sequential commit protocol, commit-status
-   recovery and record heartbeats. [Cc_wound_wait] is a thin veneer over
-   this module; [Cc_epoch_occ] reuses it for everything after its
-   write-buffer flush. *)
+(* The paper's concurrency control: pessimistic per-range lock tables with
+   wound-wait deadlock resolution, pipelined intent writes and parallel
+   commits. This module is the machinery behind [Txn]: reads with
+   uncertainty restarts, locking reads, intent writes, read refreshes, the
+   parallel/sequential commit protocol, commit-status recovery and record
+   heartbeats. *)
 
 open Cc
 module Cluster = Crdb_kv.Cluster
@@ -44,11 +44,7 @@ let refresh_all t ~to_ts =
   in
   let ok = List.for_all Proc.await_catch results in
   Phase.add t.phases Phase.Refresh (Sim.now sim - start);
-  if not ok then begin
-    if t.mgr.mode = `Epoch_occ then
-      Metrics.inc t.mgr.c_epoch_validation_failures.(t.gw);
-    raise (Restart "read refresh failed")
-  end
+  if not ok then raise (Restart "read refresh failed")
   end
 
 let bump_and_refresh t new_ts =
@@ -347,18 +343,17 @@ let resolve_keys t =
   List.rev t.writes
   @ List.filter (fun k -> not (List.mem k t.writes)) (List.rev t.rlocks)
 
-let commit ?(min_commit_ts = Ts.zero) t =
+let commit t =
   let sim = Cluster.sim t.mgr.cl in
-  let commit_ts = Ts.max (Ts.max t.read_ts t.write_ts) min_commit_ts in
+  let commit_ts = Ts.max t.read_ts t.write_ts in
   (match t.fate_ with
   | `Wounded reason -> raise (Wounded reason)
   | `Aborted -> raise (Restart "transaction aborted")
   | `Live -> ());
   if t.writes <> [] && Ts.(commit_ts > t.read_ts) then begin
     (* The provisional timestamp was pushed (timestamp cache, closed
-       timestamp target, or newer committed version — or, under Epoch_occ,
-       the epoch boundary): validate reads at the commit timestamp before
-       committing. *)
+       timestamp target, or newer committed version): validate reads at the
+       commit timestamp before committing. *)
     refresh_all t ~to_ts:commit_ts;
     t.read_ts <- commit_ts
   end;
@@ -603,7 +598,6 @@ let fresh_txn ?priority ?(phases = Phase.nil) mgr ~gateway =
       commit_initiated = false;
       sp = Trace.nil;
       phases;
-      wbuf = [];
       rlocks = [];
     }
   in

@@ -8,12 +8,9 @@ module Metrics = Crdb_obs.Metrics
 module Phase = Crdb_obs.Phase
 module Hist = Crdb_stats.Hist
 
-(* The public transaction API is a thin dispatcher over the
-   concurrency-control interface ({!Cc.S}): the backend is chosen
-   per-cluster by [Cluster.config.cc_mode] at manager creation, and every
-   per-transaction operation routes through it. [run]'s retry loop, the
-   read-only transaction paths and the statistics are protocol-independent
-   and live here. *)
+(* The public transaction API over [Cc_base]'s machinery: [run]'s retry
+   loop, the blind-put fast path, the read-only transaction paths and the
+   statistics live here. *)
 
 module Options = Cc.Options
 
@@ -32,10 +29,8 @@ let create_manager cl =
   let m = Obs.metrics obs in
   let n = Crdb_net.Topology.num_nodes (Cluster.topology cl) in
   let per_node name = Array.init n (fun node -> Metrics.counter m ~node name) in
-  let cfg = Cluster.config cl in
   {
     cl;
-    mode = cfg.Cluster.cc_mode;
     next_txn_id = 1;
     opts = Options.default;
     stats =
@@ -54,27 +49,12 @@ let create_manager cl =
     c_refreshes = per_node "txn.refreshes";
     c_reader_waits = per_node "txn.reader_waits";
     h_commit_wait = Metrics.histogram m "txn.commit_wait";
-    epoch_interval = cfg.Cluster.epoch_interval;
-    epoch_waiters = [];
-    epoch_running = false;
-    c_epoch_ticks = Metrics.counter m "txn.epoch_ticks";
-    c_epoch_commits = per_node "txn.epoch_commits";
-    c_epoch_validation_failures = per_node "txn.epoch_validation_failures";
   }
 
 let cluster mgr = mgr.cl
-let cc_mode mgr = mgr.mode
 let stats mgr = mgr.stats
 let set_options mgr opts = mgr.opts <- opts
 let options mgr = mgr.opts
-
-(* Backend dispatch: both backends share all [Cc.attempt] state, so
-   resolving the first-class module per call is pure control flow — no
-   allocation of per-transaction closures, no simulated time. *)
-let backend mgr : (module Cc.S) =
-  match mgr.mode with
-  | `Wound_wait -> (module Cc_wound_wait)
-  | `Epoch_occ -> (module Cc_epoch_occ)
 
 type t = Cc.attempt
 
@@ -93,29 +73,17 @@ let read_ts (t : t) = t.read_ts
 let txn_id (t : t) = t.id
 let gateway (t : t) = t.gw
 
-let get (t : t) key =
-  let (module B : Cc.S) = backend t.mgr in
-  B.get t key
+let get = Cc_base.get
+let scan = Cc_base.scan
+let put t key value = Cc_base.write_value t key (Some value)
+let delete t key = Cc_base.write_value t key None
 
-let scan (t : t) ~start_key ~end_key ?limit () =
-  let (module B : Cc.S) = backend t.mgr in
-  B.scan t ~start_key ~end_key ?limit ()
+let get_locked t strength key =
+  Cc_base.acquire_lock t strength key;
+  Cc_base.get t key
 
-let put (t : t) key value =
-  let (module B : Cc.S) = backend t.mgr in
-  B.write t key (Some value)
-
-let delete (t : t) key =
-  let (module B : Cc.S) = backend t.mgr in
-  B.write t key None
-
-let get_for_update (t : t) key =
-  let (module B : Cc.S) = backend t.mgr in
-  B.get_locked t Exclusive key
-
-let get_for_share (t : t) key =
-  let (module B : Cc.S) = backend t.mgr in
-  B.get_locked t Shared key
+let get_for_update t key = get_locked t Exclusive key
+let get_for_share t key = get_locked t Shared key
 
 type attempt_outcome =
   | Attempt_committed of Ts.t
@@ -135,7 +103,6 @@ let report on_attempt t outcome =
   match on_attempt with None -> () | Some f -> f t outcome
 
 let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
-  let (module B : Cc.S) = backend mgr in
   let sim = Cluster.sim mgr.cl in
   let tr = Obs.trace mgr.obs in
   (* A caller-supplied phase context is accumulated into but never flushed
@@ -166,7 +133,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
     (n, Error (Unavailable ("committed by recovery: " ^ reason)))
   in
   let rec attempt n ~pri =
-    let t = B.begin_attempt ?priority:pri ~phases mgr ~gateway in
+    let t = Cc_base.fresh_txn ?priority:pri ~phases mgr ~gateway in
     (* Retries inherit the first attempt's birth timestamp as their
        wound-wait priority, so a restarted transaction keeps aging instead
        of being reborn young and re-wounded (starvation freedom). *)
@@ -174,7 +141,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
     t.sp <- Trace.span tr ~parent:root ~node:gateway ~txn:t.id "txn.attempt";
     match
       let result = body t in
-      B.commit t;
+      Cc_base.commit t;
       result
     with
     | result ->
@@ -182,7 +149,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
         Trace.finish tr t.sp;
         (n, Ok result)
     | exception Restart reason -> (
-        match B.abort t with
+        match Cc_base.abort t with
         | Some cts -> recovered_committed t n reason cts
         | None ->
             report on_attempt t (failed_attempt_outcome t reason);
@@ -198,7 +165,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
               attempt (n + 1) ~pri
             end)
     | exception Wounded reason -> (
-        match B.abort t with
+        match Cc_base.abort t with
         | Some cts -> recovered_committed t n reason cts
         | None ->
             report on_attempt t (failed_attempt_outcome t reason);
@@ -225,7 +192,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
         Trace.finish tr t.sp;
         (n, Error (Unavailable reason))
     | exception Fatal reason -> (
-        match B.abort t with
+        match Cc_base.abort t with
         | Some cts -> recovered_committed t n reason cts
         | None ->
             report on_attempt t (failed_attempt_outcome t reason);
@@ -233,7 +200,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
             Trace.finish tr t.sp;
             (n, Error (Unavailable reason)))
     | exception e ->
-        ignore (B.abort t : Ts.t option);
+        ignore (Cc_base.abort t : Ts.t option);
         Trace.finish tr t.sp;
         Trace.finish tr root;
         raise e

@@ -1,20 +1,9 @@
 (** Transaction coordination.
 
-    The public transaction API. Everything here programs against the
-    concurrency-control interface {!Cc.S}; the backend is selected
-    per-cluster by [Cluster.config.cc_mode] at {!create_manager} time:
-
-    - [`Wound_wait] ({!Cc_wound_wait}) — the paper's protocol, described
-      below: pessimistic lock tables, pipelined intents, wound-wait;
-    - [`Epoch_occ] ({!Cc_epoch_occ}) — epoch-grouped optimistic concurrency
-      control: the body buffers writes locally and takes no locks; commit
-      waits for the next epoch boundary (a recurring per-cluster ticker),
-      flushes the buffer as intents and validates every read against the
-      boundary via the ordinary read-refresh machinery. Conflicting
-      transactions within an epoch are resolved by validation order.
-
-    Under [`Wound_wait], implements CRDB's transaction model on top of
-    {!Crdb_kv.Cluster}:
+    The public transaction API. Implements CRDB's transaction model on top
+    of {!Crdb_kv.Cluster} with the paper's concurrency control: pessimistic
+    per-range lock tables, pipelined intents, parallel commits and
+    wound-wait deadlock resolution (machinery in {!Cc_base}):
 
     - {b Serializable read-write transactions} with uncertainty intervals and
       read refreshes (§6.1, [60 §3]). Reads go to leaseholders; reads of
@@ -49,14 +38,10 @@ module Ts = Crdb_hlc.Timestamp
 type manager
 
 val create_manager : Cluster.t -> manager
-(** Reads the cluster's [cc_mode] (and, for [`Epoch_occ], the
-    [epoch_interval]) once; all transactions of this manager run under that
-    backend. *)
+(** A transaction coordinator over the cluster: allocates transaction ids
+    and registers the [txn.*] metrics in the cluster's registry. *)
 
 val cluster : manager -> Cluster.t
-
-val cc_mode : manager -> Cc.mode
-(** The concurrency-control backend this manager dispatches to. *)
 
 (** {2 Options} *)
 
@@ -160,11 +145,9 @@ val delete : t -> string -> unit
 
 val get_for_update : t -> string -> string option
 (** SELECT FOR UPDATE: read the key and protect it against concurrent
-    writers until commit. Under [`Wound_wait] this takes an [Exclusive]
-    lock-table lock (conflicts with readers' locks and other writers
-    resolve by wound-wait; upgrading an own [Shared] grip is supported);
-    under [`Epoch_occ] it is an ordinary optimistic read — commit-time
-    validation provides the protection instead. *)
+    writers until commit: takes an [Exclusive] lock-table lock ahead of
+    the read (conflicts with readers' locks and other writers resolve by
+    wound-wait; upgrading an own [Shared] grip is supported). *)
 
 val get_for_share : t -> string -> string option
 (** SELECT FOR SHARE: like {!get_for_update} with a [Shared] lock, which

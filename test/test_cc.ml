@@ -1,8 +1,7 @@
-(* Tests of the concurrency-control interface: the same conflict fixtures
-   run against both Cc backends (wound-wait locks and epoch-grouped OCC),
-   plus epoch-specific behavior — buffered reads, boundary validation,
-   validation-failure retries, and the broken mode whose lost updates the
-   validation step exists to prevent. *)
+(* Conflict fixtures for wound-wait concurrency control, driven through the
+   public [Txn] API: opposite-order writers, read-your-writes, serialized
+   read-modify-write increments and locking reads. The teeth of the
+   unsafe_no_refresh broken mode are covered by the chaos tests. *)
 
 module Sim = Crdb_sim.Sim
 module Proc = Crdb_sim.Proc
@@ -11,7 +10,6 @@ module Latency = Crdb_net.Latency
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txn = Crdb_txn.Txn
-module Cc = Crdb_txn.Cc
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
 
@@ -24,9 +22,8 @@ let zone () =
   Zoneconfig.derive ~regions:regions5 ~home ~survival:Zoneconfig.Zone
     ~placement:Zoneconfig.Default
 
-let make ~mode () =
-  let config = { Cluster.default with Cluster.cc_mode = mode } in
-  let cl = Cluster.create ~config ~topology:topo5 ~latency:Latency.table1 () in
+let make () =
+  let cl = Cluster.create ~topology:topo5 ~latency:Latency.table1 () in
   ignore
     (Cluster.add_range cl ~span:("a", "zzzz") ~zone:(zone ())
        ~policy:(Cluster.Lag 3_000_000));
@@ -46,27 +43,12 @@ let expect_ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "txn failed: %a" Txn.pp_error e
 
-let backends = [ ("wound-wait", `Wound_wait); ("epoch", `Epoch_occ) ]
-
-(* ------------------------------------------------------------------ *)
-(* Fixtures shared by both backends                                    *)
-
-(* The manager reports the backend the cluster config selected. *)
-let test_mode_dispatch () =
-  List.iter
-    (fun (_, mode) ->
-      let _, mgr = make ~mode () in
-      check Alcotest.bool "manager runs the configured backend" true
-        (Txn.cc_mode mgr = mode))
-    backends
-
 (* The deadlock-prone interleaving: two transactions touch the same two
    keys in opposite order with a sleep in between. Wound-wait breaks the
-   lock cycle by wounding; epoch OCC never builds one (bodies are
-   lock-free) and resolves the conflict at validation. Both must finish
-   fast with zero conflict timeouts. *)
-let test_opposite_order_commits mode () =
-  let cl, mgr = make ~mode () in
+   lock cycle by wounding; both must finish fast with zero conflict
+   timeouts. *)
+let test_opposite_order_commits () =
+  let cl, mgr = make () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
@@ -88,10 +70,9 @@ let test_opposite_order_commits mode () =
   no_conflict_timeouts cl
 
 (* Read-your-writes inside one attempt: a put must be visible to later gets
-   and scans of the same transaction, and a delete must hide the key — even
-   under epoch OCC where nothing has been flushed to MVCC yet. *)
-let test_read_your_writes mode () =
-  let cl, mgr = make ~mode () in
+   and scans of the same transaction, and a delete must hide the key. *)
+let test_read_your_writes () =
+  let cl, mgr = make () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       expect_ok
@@ -107,7 +88,7 @@ let test_read_your_writes mode () =
              let rows = Txn.scan t ~start_key:"k" ~end_key:"kz" () in
              check
                Alcotest.(list (pair string string))
-               "scan sees the buffered state" [ ("kb", "2'") ] rows));
+               "scan sees own writes" [ ("kb", "2'") ] rows));
       (* Committed state agrees with what the transaction observed. *)
       expect_ok
         (Txn.run mgr ~gateway:gw (fun t ->
@@ -117,12 +98,11 @@ let test_read_your_writes mode () =
                (Txn.get t "kb"))));
   no_conflict_timeouts cl
 
-(* Six concurrent read-modify-write increments of one counter: whatever the
-   backend does with the conflicts (lock queues and wounds, or epoch
-   validation failures and retries), the committed history must serialize —
-   the counter ends at exactly 6. *)
-let test_serialized_increments mode () =
-  let cl, mgr = make ~mode () in
+(* Six concurrent read-modify-write increments of one counter: through lock
+   queues, wounds and retries, the committed history must serialize — the
+   counter ends at exactly 6. *)
+let test_serialized_increments () =
+  let cl, mgr = make () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
   let n = 6 in
@@ -148,12 +128,11 @@ let test_serialized_increments mode () =
         (Some (string_of_int n)) final);
   no_conflict_timeouts cl
 
-(* The locking-read API works under both backends: FOR SHARE / FOR UPDATE
-   reads return the current value and the transaction still commits. (What
-   the lock actually pins down is backend-specific and covered by the
-   lock-table tests; here we pin the interface.) *)
-let test_locking_reads_commit mode () =
-  let cl, mgr = make ~mode () in
+(* FOR SHARE / FOR UPDATE reads return the current value, the own-lock
+   upgrade succeeds and the transaction still commits. (What the lock pins
+   down is covered by the lock-table tests; here we pin the API.) *)
+let test_locking_reads_commit () =
+  let cl, mgr = make () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "ka" "v0"));
@@ -171,118 +150,14 @@ let test_locking_reads_commit mode () =
                (Some "v1") (Txn.get t "ka"))));
   no_conflict_timeouts cl
 
-(* ------------------------------------------------------------------ *)
-(* Epoch-specific behavior                                             *)
-
-(* A conflicting pair inside one epoch: the loser's boundary validation
-   fails (counted in txn.epoch_validation_failures), it restarts, and both
-   increments still land. *)
-let test_epoch_validation_failure_retries () =
-  let cl, mgr = make ~mode:`Epoch_occ () in
-  let sim = Cluster.sim cl in
-  let gw = node_in cl home 0 in
-  Cluster.run cl (fun () ->
-      let incr_once () =
-        Txn.run mgr ~gateway:gw (fun t ->
-            let v =
-              match Txn.get t "ctr" with Some s -> int_of_string s | None -> 0
-            in
-            Proc.sleep sim 2_000;
-            Txn.put t "ctr" (string_of_int (v + 1)))
-      in
-      let a = Proc.async sim incr_once in
-      let b = Proc.async sim incr_once in
-      List.iter (fun r -> expect_ok (Proc.await r)) [ a; b ];
-      let final =
-        expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.get t "ctr"))
-      in
-      check Alcotest.(option string) "both increments landed" (Some "2") final);
-  check Alcotest.bool "the loser failed validation" true
-    (metric cl "txn.epoch_validation_failures" >= 1);
-  check Alcotest.bool "epochs ticked" true (metric cl "txn.epoch_ticks" >= 1);
-  check Alcotest.bool "writers validated at boundaries" true
-    (metric cl "txn.epoch_commits" >= 2);
-  no_conflict_timeouts cl
-
-(* Read-only transactions are valid at their snapshot and skip epoch
-   coordination entirely: no boundary wait, no epoch commit counted. *)
-let test_epoch_read_only_skips_boundary () =
-  let cl, mgr = make ~mode:`Epoch_occ () in
-  let sim = Cluster.sim cl in
-  let gw = node_in cl home 0 in
-  Cluster.run cl (fun () ->
-      expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "ka" "v"));
-      let writes = metric cl "txn.epoch_commits" in
-      let t0 = Sim.now sim in
-      expect_ok
-        (Txn.run mgr ~gateway:gw (fun t ->
-             check Alcotest.(option string) "reads the committed value"
-               (Some "v") (Txn.get t "ka")));
-      check Alcotest.bool "read-only commit did not wait for an epoch" true
-        (Sim.now sim - t0
-        < (Cluster.config cl).Cluster.epoch_interval);
-      check Alcotest.int "no epoch commit for a read-only txn" writes
-        (metric cl "txn.epoch_commits"));
-  no_conflict_timeouts cl
-
-(* Teeth: epoch validation is exactly the commit-time read refresh, so the
-   deliberately broken unsafe_no_refresh mode turns concurrent increments
-   into lost updates. If this fixture ever reaches 6, the broken mode
-   stopped biting and the chaos gate that relies on it is vacuous. *)
-let test_epoch_broken_mode_loses_updates () =
-  let cl, mgr = make ~mode:`Epoch_occ () in
-  let sim = Cluster.sim cl in
-  let gw = node_in cl home 0 in
-  Txn.set_options mgr
-    { (Txn.options mgr) with Txn.Options.unsafe_no_refresh = true };
-  let n = 6 in
-  Cluster.run cl (fun () ->
-      let clients =
-        List.init n (fun i ->
-            Proc.async sim (fun () ->
-                Proc.sleep sim (1_000 * i);
-                Txn.run mgr ~gateway:gw (fun t ->
-                    let v =
-                      match Txn.get t "ctr" with
-                      | Some s -> int_of_string s
-                      | None -> 0
-                    in
-                    Proc.sleep sim 5_000;
-                    Txn.put t "ctr" (string_of_int (v + 1)))))
-      in
-      List.iter (fun r -> expect_ok (Proc.await r)) clients;
-      let final =
-        match expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.get t "ctr")) with
-        | Some s -> int_of_string s
-        | None -> 0
-      in
-      check Alcotest.bool
-        (Printf.sprintf "updates lost without validation (counter = %d)" final)
-        true
-        (final < n));
-  check Alcotest.int "validation was skipped, so no failures counted" 0
-    (metric cl "txn.epoch_validation_failures")
-
-let backend_cases name f =
-  List.map
-    (fun (label, mode) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name label) `Quick (f mode))
-    backends
-
 let suite =
   [
-    Alcotest.test_case "manager dispatches the configured backend" `Quick
-      test_mode_dispatch;
+    Alcotest.test_case "opposite-order conflict commits [wound-wait]" `Quick
+      test_opposite_order_commits;
+    Alcotest.test_case "read-your-writes in one attempt [wound-wait]" `Quick
+      test_read_your_writes;
+    Alcotest.test_case "concurrent increments serialize [wound-wait]" `Quick
+      test_serialized_increments;
+    Alcotest.test_case "locking reads commit [wound-wait]" `Quick
+      test_locking_reads_commit;
   ]
-  @ backend_cases "opposite-order conflict commits" test_opposite_order_commits
-  @ backend_cases "read-your-writes in one attempt" test_read_your_writes
-  @ backend_cases "concurrent increments serialize" test_serialized_increments
-  @ backend_cases "locking reads commit" test_locking_reads_commit
-  @ [
-      Alcotest.test_case "epoch validation failure retries and converges"
-        `Quick test_epoch_validation_failure_retries;
-      Alcotest.test_case "epoch read-only txns skip the boundary" `Quick
-        test_epoch_read_only_skips_boundary;
-      Alcotest.test_case "epoch unsafe_no_refresh loses updates" `Quick
-        test_epoch_broken_mode_loses_updates;
-    ]

@@ -396,8 +396,6 @@ let test_config_default_idiom () =
   check Alcotest.int "other fields inherited"
     Cluster.default.Cluster.conflict_wait_timeout
     cfg.Cluster.conflict_wait_timeout;
-  check Alcotest.bool "default_config is an alias" true
-    (Cluster.default_config = Cluster.default);
   (* A faster push delay breaks the two-txn deadlock proportionally
      sooner. *)
   let cl = Cluster.create ~config:cfg ~topology:topo5 ~latency:Latency.table1 () in
