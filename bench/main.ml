@@ -1140,7 +1140,6 @@ let run_micro () =
   done;
   let rng = Crdb_stdx.Rng.create ~seed:42 in
   let zipf = Crdb_stdx.Rng.Zipf.create ~n:100_000 () in
-  let heap = Crdb_stdx.Heap.create ~cmp:Int.compare in
   let sim = Crdb_sim.Sim.create () in
   let tests =
     [
@@ -1156,10 +1155,6 @@ let run_micro () =
       Test.make ~name:"zipf_sample"
         (Staged.stage (fun () ->
              ignore (Crdb_stdx.Rng.Zipf.scrambled_sample zipf rng)));
-      Test.make ~name:"heap_push_pop"
-        (Staged.stage (fun () ->
-             Crdb_stdx.Heap.push heap (Crdb_stdx.Rng.int rng 100000);
-             ignore (Crdb_stdx.Heap.pop heap)));
       Test.make ~name:"sim_event"
         (Staged.stage (fun () ->
              Crdb_sim.Sim.schedule sim ~after:1 (fun () -> ());

@@ -15,7 +15,14 @@ type t = {
   (* Liveness epoch: bumped on every dead->alive transition (a process
      restart is a new incarnation, per CRDB's epoch-based node liveness). *)
   epochs : (Topology.node_id, int) Hashtbl.t;
-  mutable partitions : (string * string) list;
+  (* Regions as ints: [region.(node)] indexes [Topology.regions], and
+     [cut.(ra * nregions + rb)] says whether traffic between regions [ra]
+     and [rb] is partitioned. *)
+  region : int array;
+  nregions : int;
+  cut : bool array;
+  (* One-way base delay of each node pair, [-1] until first used. *)
+  base_delays : int array;
   mutable messages_sent : int;
   obs : Obs.t;
   (* Per-node counters, cached so the per-message cost is an array index. *)
@@ -27,10 +34,14 @@ type t = {
   h_delay : Crdb_stats.Hist.t;
 }
 
+let region_index topology r =
+  List.find_index (String.equal r) (Topology.regions topology)
+
 let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
   let rng = match rng with Some r -> r | None -> Rng.create ~seed:0x5eed in
   let m = Obs.metrics obs in
   let n = Topology.num_nodes topology in
+  let nregions = List.length (Topology.regions topology) in
   {
     sim;
     topology;
@@ -39,7 +50,12 @@ let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
     rng;
     dead_since = Hashtbl.create 16;
     epochs = Hashtbl.create 16;
-    partitions = [];
+    region =
+      Array.init n (fun i ->
+          Option.get (region_index topology (Topology.region_of topology i)));
+    nregions;
+    cut = Array.make (nregions * nregions) false;
+    base_delays = Array.make (n * n) (-1);
     messages_sent = 0;
     obs;
     c_sent = Array.init n (fun i -> Metrics.counter m ~node:i "net.msgs_sent");
@@ -58,7 +74,7 @@ let is_alive t id = not (Hashtbl.mem t.dead_since id)
 let dead_since t id = Hashtbl.find_opt t.dead_since id
 let epoch t id = Option.value ~default:0 (Hashtbl.find_opt t.epochs id)
 
-let base_delay t src dst =
+let compute_base_delay t src dst =
   if src = dst then 25
   else
     let a = Topology.node t.topology src and b = Topology.node t.topology dst in
@@ -68,26 +84,27 @@ let base_delay t src dst =
       else Latency.intra_region_rtt t.latency / 2
     else Latency.one_way t.latency a.Topology.region b.Topology.region
 
+(* Filled on first use, so a latency profile that does not know some region
+   pair only fails when a message actually crosses it. *)
+let base_delay t src dst =
+  let i = (src * Array.length t.region) + dst in
+  let d = t.base_delays.(i) in
+  if d >= 0 then d
+  else begin
+    let d = compute_base_delay t src dst in
+    t.base_delays.(i) <- d;
+    d
+  end
+
 let delay t src dst =
   let base = base_delay t src dst in
   if t.jitter <= 0.0 then base
   else base + int_of_float (Rng.float t.rng (t.jitter *. float_of_int base))
 
-let cross_region t src dst =
-  src <> dst
-  && not
-       (String.equal
-          (Topology.region_of t.topology src)
-          (Topology.region_of t.topology dst))
+let cross_region t src dst = t.region.(src) <> t.region.(dst)
 
 let partitioned t src dst =
-  let ra = Topology.region_of t.topology src
-  and rb = Topology.region_of t.topology dst in
-  List.exists
-    (fun (a, b) ->
-      (String.equal a ra && String.equal b rb)
-      || (String.equal a rb && String.equal b ra))
-    t.partitions
+  t.cut.((t.region.(src) * t.nregions) + t.region.(dst))
 
 let send t ~src ~dst fn =
   if is_alive t src && not (partitioned t src dst) then begin
@@ -162,14 +179,15 @@ let revive_zone t ~region ~zone =
     (fun n -> revive_node t n.Topology.id)
     (Topology.nodes_in_zone t.topology region zone)
 
-let same_pair a b (x, y) =
-  (String.equal x a && String.equal y b) || (String.equal x b && String.equal y a)
+(* A region outside the topology has no nodes, so cutting it off changes
+   nothing. *)
+let set_cut t a b v =
+  match (region_index t.topology a, region_index t.topology b) with
+  | Some ra, Some rb ->
+      t.cut.((ra * t.nregions) + rb) <- v;
+      t.cut.((rb * t.nregions) + ra) <- v
+  | _ -> ()
 
-let partition_regions t a b =
-  if not (List.exists (same_pair a b) t.partitions) then
-    t.partitions <- (a, b) :: t.partitions
-
-let heal_partition t a b =
-  t.partitions <- List.filter (fun p -> not (same_pair a b p)) t.partitions
-
-let heal_partitions t = t.partitions <- []
+let partition_regions t a b = set_cut t a b true
+let heal_partition t a b = set_cut t a b false
+let heal_partitions t = Array.fill t.cut 0 (Array.length t.cut) false

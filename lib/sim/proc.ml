@@ -47,9 +47,15 @@ let yield sim = sleep sim 0
 
 let await_timeout sim ivar ~timeout =
   let wrapped = Ivar.create () in
-  Ivar.on_fill ivar (fun v -> ignore (Ivar.try_fill wrapped (Some v)));
-  Sim.schedule sim ~after:timeout (fun () ->
-      ignore (Ivar.try_fill wrapped None));
+  let deadline = ref None in
+  Ivar.on_fill ivar (fun v ->
+      ignore (Ivar.try_fill wrapped (Some v));
+      Option.iter Sim.cancel !deadline);
+  if not (Ivar.is_full wrapped) then
+    deadline :=
+      Some
+        (Sim.timer sim ~after:timeout (fun () ->
+             ignore (Ivar.try_fill wrapped None)));
   await wrapped
 
 let await_all ivars = List.map await ivars

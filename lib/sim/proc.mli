@@ -29,7 +29,9 @@ val await : 'a Ivar.t -> 'a
 (** Block until the ivar is filled and return its value. *)
 
 val await_timeout : Sim.t -> 'a Ivar.t -> timeout:int -> 'a option
-(** Block until the ivar fills or [timeout] microseconds elapse. *)
+(** Block until the ivar fills or [timeout] microseconds elapse. The timeout
+    is a {!Sim.timer} cancelled when the ivar fills, so an answered wait
+    leaves nothing in the event queue. *)
 
 val await_all : 'a Ivar.t list -> 'a list
 (** Block until every ivar is filled; results in input order. *)

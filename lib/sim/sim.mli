@@ -23,7 +23,8 @@ type timer
 
 val timer : t -> after:int -> (unit -> unit) -> timer
 val cancel : timer -> unit
-(** Cancelling an already-fired or already-cancelled timer is a no-op. *)
+(** Remove the timer from the queue at once, in [O(log n)]. Cancelling an
+    already-fired or already-cancelled timer is a no-op. *)
 
 val timer_pending : timer -> bool
 
@@ -39,4 +40,5 @@ val run_for : t -> int -> unit
 (** [run_for t d] is [run t ~until:(now t + d)]. *)
 
 val pending : t -> int
-(** Number of queued events (including cancelled timers not yet reaped). *)
+(** Number of queued events. Every queued event will fire: a cancelled timer
+    leaves the queue when it is cancelled. *)

@@ -204,6 +204,65 @@ let test_jitter_bounded () =
       (!arrival >= 31_500 && !arrival < 34_650 + 1)
   done
 
+(* The delay each message pays, worked out from the localities as a
+   reference for the transport's per-pair table. *)
+let reference_delay topology latency src dst =
+  let a = Topology.node topology src and b = Topology.node topology dst in
+  if src = dst then 25
+  else if not (String.equal a.Topology.region b.Topology.region) then
+    Latency.one_way latency a.Topology.region b.Topology.region
+  else if String.equal a.Topology.zone b.Topology.zone then
+    Latency.intra_zone_rtt latency / 2
+  else Latency.intra_region_rtt latency / 2
+
+let test_delay_table () =
+  let check_all name topology latency =
+    let net =
+      Transport.create ~jitter:0.0 ~sim:(Sim.create ()) ~topology ~latency ()
+    in
+    let n = Topology.num_nodes topology in
+    (* Twice over: the first pass fills the table, the second reads it. *)
+    for _ = 1 to 2 do
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          check Alcotest.int
+            (Printf.sprintf "%s %d->%d" name src dst)
+            (reference_delay topology latency src dst)
+            (Transport.delay net src dst)
+        done
+      done
+    done
+  in
+  (* Two nodes share each zone, so every kind of pair occurs. *)
+  let shared_zones regions =
+    Topology.create
+      (List.concat_map
+         (fun r -> [ (r, r ^ "-a"); (r, r ^ "-a"); (r, r ^ "-b") ])
+         regions)
+  in
+  check_all "table1" (shared_zones Latency.table1_regions) Latency.table1;
+  check_all "gcp" (shared_zones Latency.gcp_region_names) Latency.gcp
+
+let test_unknown_pair_fails_on_use () =
+  (* us-central1 is not in Table 1: building the transport and talking
+     within Table-1 regions works; only a message to it fails. *)
+  let sim = Sim.create () in
+  let topology =
+    Topology.symmetric ~regions:[ "us-east1"; "us-west1"; "us-central1" ]
+      ~nodes_per_region:3
+  in
+  let net =
+    Transport.create ~jitter:0.0 ~sim ~topology ~latency:Latency.table1 ()
+  in
+  let delivered = ref 0 in
+  Transport.send net ~src:0 ~dst:3 (fun () -> incr delivered);
+  Transport.send net ~src:6 ~dst:7 (fun () -> incr delivered);
+  Sim.run sim;
+  check Alcotest.int "known pairs deliver" 2 !delivered;
+  Alcotest.check_raises "unknown pair"
+    (Invalid_argument "Latency.table1: unknown region pair us-east1/us-central1")
+    (fun () -> Transport.send net ~src:0 ~dst:6 ignore)
+
 let suite =
   [
     Alcotest.test_case "topology" `Quick test_topology;
@@ -219,4 +278,7 @@ let suite =
     Alcotest.test_case "kill/revive zone" `Quick test_kill_revive_zone;
     Alcotest.test_case "kill region" `Quick test_kill_region;
     Alcotest.test_case "jitter bounded" `Quick test_jitter_bounded;
+    Alcotest.test_case "delay table matches localities" `Quick test_delay_table;
+    Alcotest.test_case "unknown region pair fails on use" `Quick
+      test_unknown_pair_fails_on_use;
   ]

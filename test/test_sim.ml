@@ -39,6 +39,130 @@ let test_timer_cancel () =
   Sim.run sim;
   check Alcotest.bool "cancelled timer does not fire" false !fired
 
+let test_cancel_drops_pending () =
+  let sim = Sim.create () in
+  let timers = List.init 5 (fun i -> Sim.timer sim ~after:(10 * (i + 1)) ignore) in
+  Sim.schedule sim ~after:25 ignore;
+  check Alcotest.int "queued" 6 (Sim.pending sim);
+  Sim.cancel (List.nth timers 2);
+  check Alcotest.int "cancel removes at once" 5 (Sim.pending sim);
+  Sim.cancel (List.hd timers);
+  check Alcotest.int "cancelling the head" 4 (Sim.pending sim);
+  Sim.run sim;
+  check Alcotest.int "last live event" 50 (Sim.now sim)
+
+let test_cancel_noop () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let tm = Sim.timer sim ~after:10 (fun () -> incr fired) in
+  Sim.schedule sim ~after:20 ignore;
+  Sim.run ~until:15 sim;
+  check Alcotest.int "fired once" 1 !fired;
+  check Alcotest.bool "no longer pending" false (Sim.timer_pending tm);
+  Sim.cancel tm;
+  check Alcotest.int "cancelling a fired timer" 1 (Sim.pending sim);
+  let tm2 = Sim.timer sim ~after:10 (fun () -> incr fired) in
+  Sim.cancel tm2;
+  Sim.cancel tm2;
+  check Alcotest.int "cancelling twice" 1 (Sim.pending sim);
+  Sim.run sim;
+  check Alcotest.int "cancelled timer never fired" 1 !fired;
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* Events fire in [(time, seq)] order: by time, ties in scheduling order. *)
+let prop_drain_order =
+  QCheck.Test.make ~name:"events fire in (time, seq) order" ~count:200
+    QCheck.(list small_nat)
+    (fun delays ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      List.iteri
+        (fun i d -> Sim.schedule sim ~after:d (fun () -> fired := i :: !fired))
+        delays;
+      Sim.run sim;
+      let expected =
+        List.mapi (fun i d -> (d, i)) delays |> List.sort compare |> List.map snd
+      in
+      List.rev !fired = expected)
+
+(* A sorted-list reference for the queue: random interleavings of
+   [schedule], [timer], [cancel] (of any timer, so also from the middle of
+   the heap) and [step] fire the same events in the same order, with the
+   same clock and the same [pending] count after every operation. *)
+type op = Schedule of int | Timer of int | Cancel of int | Step
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Schedule d) (int_bound 40));
+        (3, map (fun d -> Timer d) (int_bound 40));
+        (2, map (fun k -> Cancel k) nat);
+        (2, return Step);
+      ])
+
+let show_op = function
+  | Schedule d -> Printf.sprintf "schedule %d" d
+  | Timer d -> Printf.sprintf "timer %d" d
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Step -> "step"
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"queue matches a sorted-list model" ~count:300
+    QCheck.(
+      make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        Gen.(list_size (int_bound 300) op_gen))
+    (fun ops ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      (* Model: pending [(time, seq)] keys, sorted; clock; firing log. *)
+      let model = ref [] and clock = ref 0 and next = ref 0 in
+      let log = ref [] in
+      let timers = ref [||] in
+      let add d =
+        let key = (!clock + d, !next) in
+        incr next;
+        model := List.merge compare [ key ] !model;
+        key
+      in
+      let fire key () = fired := key :: !fired in
+      let model_step () =
+        match !model with
+        | [] -> ()
+        | ((time, _) as key) :: rest ->
+            model := rest;
+            clock := time;
+            log := key :: !log
+      in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Schedule d -> Sim.schedule sim ~after:d (fire (add d))
+          | Timer d ->
+              let key = add d in
+              let tm = Sim.timer sim ~after:d (fire key) in
+              timers := Array.append !timers [| (key, tm) |]
+          | Cancel k ->
+              let n = Array.length !timers in
+              if n > 0 then begin
+                let key, tm = !timers.(k mod n) in
+                if Sim.timer_pending tm <> List.mem key !model then ok := false;
+                Sim.cancel tm;
+                model := List.filter (( <> ) key) !model
+              end
+          | Step ->
+              ignore (Sim.step sim);
+              model_step ());
+          if Sim.pending sim <> List.length !model || Sim.now sim <> !clock then
+            ok := false)
+        ops;
+      while !model <> [] do
+        ignore (Sim.step sim);
+        model_step ()
+      done;
+      !ok && (not (Sim.step sim)) && !fired = !log && Sim.now sim = !clock)
+
 let test_nested_schedule () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -107,7 +231,11 @@ let test_proc_await_timeout () =
   let r2 =
     Proc.run_main sim2 (fun () -> Proc.await_timeout sim2 iv2 ~timeout:100)
   in
-  check Alcotest.(option int) "filled first" (Some 5) r2
+  check Alcotest.(option int) "filled first" (Some 5) r2;
+  (* The answered wait cancelled its timeout: nothing is left to run, and
+     draining the queue leaves the clock at the reply. *)
+  check Alcotest.int "timeout cancelled" 0 (Sim.pending sim2);
+  check Alcotest.int "clock at reply" 10 (Sim.now sim2)
 
 let test_proc_parallel_rpcs () =
   let sim = Sim.create () in
@@ -156,6 +284,11 @@ let suite =
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
     Alcotest.test_case "run until" `Quick test_run_until;
     Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
+    Alcotest.test_case "cancel drops pending" `Quick test_cancel_drops_pending;
+    Alcotest.test_case "cancel fired or cancelled is a no-op" `Quick
+      test_cancel_noop;
+    QCheck_alcotest.to_alcotest prop_drain_order;
+    QCheck_alcotest.to_alcotest prop_queue_model;
     Alcotest.test_case "nested schedule" `Quick test_nested_schedule;
     Alcotest.test_case "ivar" `Quick test_ivar;
     Alcotest.test_case "proc sleep" `Quick test_proc_sleep_sequencing;

@@ -1,35 +1,10 @@
-(* Unit and property tests for the stdx substrate: heap, vec, rng, zipf. *)
+(* Unit and property tests for the stdx substrate: vec, rng, zipf. *)
 
-module Heap = Crdb_stdx.Heap
 module Vec = Crdb_stdx.Vec
 module Rng = Crdb_stdx.Rng
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  check Alcotest.int "size" 5 (Heap.size h);
-  check Alcotest.(option int) "peek" (Some 1) (Heap.peek h);
-  let drained = List.init 5 (fun _ -> Heap.pop_exn h) in
-  check Alcotest.(list int) "sorted drain" [ 1; 1; 3; 4; 5 ] drained;
-  check Alcotest.(option int) "pop empty" None (Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "raises" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Heap.pop_exn h) in
-      drained = List.sort Int.compare xs)
 
 let test_vec () =
   let v = Vec.create () in
@@ -124,9 +99,6 @@ let test_shuffle_permutation () =
 
 let suite =
   [
-    Alcotest.test_case "heap basic" `Quick test_heap_basic;
-    Alcotest.test_case "heap pop_exn empty" `Quick test_heap_pop_exn_empty;
-    qcheck prop_heap_sorts;
     Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;

@@ -9,6 +9,7 @@ module Hist = Crdb_stats.Hist
 module Ycsb = Crdb_workload.Ycsb
 module Tpcc = Crdb_workload.Tpcc
 module Movr = Crdb_workload.Movr
+module Sim = Crdb_sim.Sim
 
 let check = Alcotest.check
 let regions3 = [ "us-east1"; "us-west1"; "europe-west2" ]
@@ -109,6 +110,33 @@ let test_ycsb_hot_shift_determinism () =
   check Alcotest.int "all ops accounted" 270 ops;
   check Alcotest.int "no errors while the hot set drifts" 0 errors;
   check Alcotest.bool "identical results across same-seed runs" true (a = b)
+
+(* The event queue holds only events that will fire: cancelled timers and
+   answered RPC timeouts leave it at once. A small YCSB run samples its
+   depth every 10 ms of simulated time; the depth is a function of the
+   seed, so the bound cannot flake. The maximum is 387; when cancelled
+   timers and answered timeouts stayed queued until their deadline, it was
+   5,622. *)
+let test_queue_holds_live_events () =
+  let t, db = ycsb_cluster Ycsb.Rbr_default in
+  let sim = Crdb.Cluster.sim (Crdb.cluster t) in
+  let deepest = ref 0 and active = ref true in
+  let rec probe () =
+    if !active then begin
+      deepest := max !deepest (Sim.pending sim);
+      Sim.schedule sim ~after:10_000 probe
+    end
+  in
+  Sim.schedule sim ~after:10_000 probe;
+  let r =
+    Ycsb.run t db ~clients_per_region:3 ~ops_per_client:30 ~workload:Ycsb.A
+      ~keyspace:300 ()
+  in
+  active := false;
+  check Alcotest.int "all ops accounted" 270 r.Ycsb.ops;
+  check Alcotest.bool
+    (Printf.sprintf "queue depth %d under 1,000" !deepest)
+    true (!deepest < 1_000)
 
 let test_tpcc_smoke () =
   let regions = regions3 in
@@ -236,6 +264,8 @@ let suite =
     Alcotest.test_case "ycsb locality split" `Quick test_ycsb_locality_split;
     Alcotest.test_case "ycsb hot shift determinism" `Quick
       test_ycsb_hot_shift_determinism;
+    Alcotest.test_case "event queue holds live events only" `Quick
+      test_queue_holds_live_events;
     Alcotest.test_case "tpcc smoke" `Quick test_tpcc_smoke;
     Alcotest.test_case "tpcc items global" `Quick test_tpcc_items_global;
     Alcotest.test_case "tpcc warehouse regions" `Quick test_tpcc_warehouse_regions;
