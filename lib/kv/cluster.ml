@@ -154,7 +154,6 @@ type t = {
   mutable routing : range_id Smap.t; (* start_key -> range id *)
   mutable next_range_id : int;
   load : int array; (* replicas per node *)
-  diag : diag;
   obs : Obs.t;
   mutable waiting : int; (* parked conflict waiters, mirrors g_waiters *)
   mutable bg_pending : int; (* background tasks {!run} drains before exiting *)
@@ -177,17 +176,6 @@ type t = {
 }
 
 and key_samples = { ring : string array; mutable seen : int }
-
-and diag = {
-  mutable d_conflict_timeouts : int;
-  mutable d_lh_misses : int;
-  mutable d_rpc_timeouts : int;
-  mutable d_not_leader : int;
-  mutable d_lock_waits : int;
-  mutable d_intent_waits : int;
-  mutable d_pushes : int;
-  mutable d_wounds : int;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -226,17 +214,6 @@ let create ?(config = default) ~topology ~latency () =
     routing = Smap.empty;
     next_range_id = 1;
     load = Array.make n 0;
-    diag =
-      {
-        d_conflict_timeouts = 0;
-        d_lh_misses = 0;
-        d_rpc_timeouts = 0;
-        d_not_leader = 0;
-        d_lock_waits = 0;
-        d_intent_waits = 0;
-        d_pushes = 0;
-        d_wounds = 0;
-      };
     obs;
     waiting = 0;
     bg_pending = 0;
@@ -262,8 +239,6 @@ let obs t = t.obs
 let topology t = t.topo
 let config t = t.cfg
 let clock t node = t.clocks.(node)
-let liveness t = t.live
-let rng t = t.rng
 let now_ts t node = Clock.now t.clocks.(node)
 let set_clock_skew t node skew = Clock.set_skew t.clocks.(node) skew
 
@@ -316,8 +291,9 @@ let range_of_key t key =
 
 let replica_at rg node = Hashtbl.find_opt rg.rg_replicas node
 
-let replica_nodes t rid =
-  let rg = range t rid in
+(* The range's current placement: each replica's node and peer kind, as its
+   own Raft group sees it. *)
+let current_placement rg =
   Hashtbl.fold
     (fun node r acc ->
       match r.r_raft with
@@ -327,7 +303,8 @@ let replica_nodes t rid =
           | None -> acc)
       | None -> acc)
     rg.rg_replicas []
-  |> List.sort compare
+
+let replica_nodes t rid = List.sort compare (current_placement (range t rid))
 
 (* ------------------------------------------------------------------ *)
 (* Closed timestamps                                                   *)
@@ -339,17 +316,7 @@ let lead_components t rg =
     | h :: _ -> h
     | [] -> List.hd (Topology.regions t.topo)
   in
-  let placements =
-    Hashtbl.fold
-      (fun node r acc ->
-        match r.r_raft with
-        | Some raft -> (
-            match List.assoc_opt node (Raft.peers raft) with
-            | Some kind -> (node, kind) :: acc
-            | None -> acc)
-        | None -> acc)
-      rg.rg_replicas []
-  in
+  let placements = current_placement rg in
   let rtt_to node = Latency.rtt t.latency home (Topology.region_of t.topo node) in
   let voters = List.filter (fun (_, k) -> k = Raft.Voter) placements in
   let quorum = (List.length voters / 2) + 1 in
@@ -417,13 +384,6 @@ let promote_side r =
 (* ------------------------------------------------------------------ *)
 (* Conflict resolution: lock table waits plus the push/wound protocol  *)
 
-(* Bound on waiting for a proposed command to apply locally. A proposal can
-   be lost forever when its leader is deposed or crash-restarts before the
-   entry commits (a restart wipes the volatile log tail's completion ivars);
-   the waiter must not hang — it errors out and the transaction retries,
-   with the outcome reported as ambiguous if retries are exhausted. *)
-let propose_timeout = 8_000_000
-
 let in_span rg key =
   let s, e = rg.rg_span in
   String.compare key s >= 0 && String.compare key e < 0
@@ -436,29 +396,6 @@ let in_span rg key =
 type fate = [ `Live | `Wounded of string | `Aborted ]
 
 let live_fate : unit -> fate = fun () -> `Live
-
-(* Fire-and-forget resolution of a finished (wounded / aborted / committed /
-   abandoned) blocker's intent on one key. The apply of the Op_resolve both
-   removes the intent and wakes the key's waiters, so the pusher simply goes
-   back to waiting for that wakeup. Proposing is idempotent: resolving an
-   already-resolved intent is a no-op, and a duplicate only occupies one log
-   slot. Not proposable when this replica lost leadership — the next wait
-   tick notices and re-routes instead. *)
-let propose_cleanup t r ~key ~blocker ~commit =
-  match r.r_raft with
-  | Some raft when Raft.is_leader raft ->
-      let target = next_closed_target t r.r_range r.r_node in
-      let cmd =
-        {
-          closed = target;
-          proposer = r.r_node;
-          op = Op_resolve { txn = blocker; keys = [ key ]; commit };
-          done_ = Ivar.create ();
-          fate = `Applied;
-        }
-      in
-      ignore (Raft.propose raft cmd : int option)
-  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Command application (the replicated state machine)                  *)
@@ -552,26 +489,18 @@ let leaseholder_region t rid =
   Option.map (Topology.region_of t.topo) (leaseholder t rid)
 
 let preferred_leaseholder_node t rg =
-  let placement =
-    Hashtbl.fold
-      (fun node r acc ->
-        match r.r_raft with
-        | Some raft -> (
-            match List.assoc_opt node (Raft.peers raft) with
-            | Some kind -> (node, kind) :: acc
-            | None -> acc)
-        | None -> acc)
-      rg.rg_replicas []
-  in
   Allocator.preferred_leaseholder ~topology:t.topo
-    ~live:(Transport.is_alive t.net) ~zone:rg.rg_zone placement
+    ~live:(Transport.is_alive t.net) ~zone:rg.rg_zone (current_placement rg)
 
-let note_lease_transfer t ~node ~range ~target =
+(* Hand [r]'s lease (Raft leadership) to [target], noting the transfer. *)
+let hand_off_lease t r raft ~target =
+  let node = r.r_node and range = r.r_range.rg_id in
   Metrics.inc
     (Metrics.counter (Obs.metrics t.obs) ~node ~range "kv.lease_transfers");
   Obs.log_event t.obs ~node ~range
     ~attrs:[ ("target", string_of_int target) ]
-    Events.Lease_transfer
+    Events.Lease_transfer;
+  Raft.transfer_leadership raft target
 
 let rec make_replica t rg node =
   let r =
@@ -661,11 +590,8 @@ and raft_callbacks t rg r =
                       (* Defer: transferring synchronously inside the role
                          callback would re-enter Raft. *)
                       Sim.schedule t.sim ~after:1_000 (fun () ->
-                          if Raft.is_leader raft then begin
-                            note_lease_transfer t ~node:r.r_node
-                              ~range:rg.rg_id ~target;
-                            Raft.transfer_leadership raft target
-                          end)
+                          if Raft.is_leader raft then
+                            hand_off_lease t r raft ~target)
                   | None -> ())
               | Some _ | None -> ()
             end
@@ -719,6 +645,18 @@ and raft_callbacks t rg r =
         end);
   }
 
+(* Create [r]'s Raft group over [peers]. Draws the group's RNG stream from
+   the cluster's, so callers must construct groups in a fixed order. *)
+and create_raft t rg r ~peers ?boundary () =
+  let raft =
+    Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:r.r_node ~peers
+      ~callbacks:(raft_callbacks t rg r) ~obs:t.obs ~range:rg.rg_id
+      ~election_timeout:t.cfg.raft_election_timeout
+      ~heartbeat_interval:t.cfg.raft_heartbeat_interval ?boundary ()
+  in
+  r.r_raft <- Some raft;
+  raft
+
 and add_replica t rg node ~preferred =
   let r = make_replica t rg node in
   let peers =
@@ -741,16 +679,7 @@ and add_replica t rg node ~preferred =
   let peers =
     if List.mem_assoc node peers then peers else (node, Raft.Learner) :: peers
   in
-  let raft =
-    Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:node ~peers
-      ~callbacks:(raft_callbacks t rg r) ~obs:t.obs ~range:rg.rg_id
-      ~election_timeout:t.cfg.raft_election_timeout
-      ~heartbeat_interval:t.cfg.raft_heartbeat_interval ()
-  in
-  r.r_raft <- Some raft;
-  match preferred with
-  | Some p -> Raft.start ~preferred:p raft
-  | None -> Raft.start raft
+  Raft.start ?preferred (create_raft t rg r ~peers ())
 
 (* ------------------------------------------------------------------ *)
 (* Range administration                                                *)
@@ -802,31 +731,18 @@ let add_range t ~span ~zone ~policy =
       ~live:(Transport.is_alive t.net) ~zone placement
   in
   List.iter (fun (node, _) -> ignore (make_replica t rg node : replica)) placement;
-  List.iter
-    (fun (node, _) ->
-      let r = Hashtbl.find rg.rg_replicas node in
-      let raft =
-        (* The boundary places the group's (possibly out-of-band seeded)
-           initial state behind a snapshot index, so replicas added later
-           are seeded with a store snapshot rather than replaying a log
-           that does not contain it (bulk loads, split forks). *)
-        Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:node ~peers:placement
-          ~callbacks:(raft_callbacks t rg r) ~obs:t.obs ~range:rg.rg_id
-          ~election_timeout:t.cfg.raft_election_timeout
-          ~heartbeat_interval:t.cfg.raft_heartbeat_interval ~boundary:(1, 0) ()
-      in
-      r.r_raft <- Some raft)
-    placement;
-  List.iter
-    (fun (node, _) ->
-      let r = Hashtbl.find rg.rg_replicas node in
-      match r.r_raft with
-      | Some raft -> (
-          match preferred with
-          | Some p -> Raft.start ~preferred:p raft
-          | None -> Raft.start raft)
-      | None -> ())
-    placement;
+  (* The boundary places the group's (possibly out-of-band seeded) initial
+     state behind a snapshot index, so replicas added later are seeded with
+     a store snapshot rather than replaying a log that does not contain it
+     (bulk loads, split forks). *)
+  let rafts =
+    List.map
+      (fun (node, _) ->
+        create_raft t rg (Hashtbl.find rg.rg_replicas node) ~peers:placement
+          ~boundary:(1, 0) ())
+      placement
+  in
+  List.iter (Raft.start ?preferred) rafts;
   note_range_count t;
   rid
 
@@ -852,18 +768,9 @@ let alter_range t rid ~zone ~policy =
   let rg = range t rid in
   rg.rg_zone <- zone;
   rg.rg_policy <- policy;
-  let current =
-    Hashtbl.fold
-      (fun node r acc ->
-        match r.r_raft with
-        | Some raft -> (
-            match List.assoc_opt node (Raft.peers raft) with
-            | Some kind -> (node, kind) :: acc
-            | None -> acc)
-        | None -> acc)
-      rg.rg_replicas []
+  let needs_move =
+    not (Allocator.satisfies ~topology:t.topo ~zone (current_placement rg))
   in
-  let needs_move = not (Allocator.satisfies ~topology:t.topo ~zone current) in
   if needs_move then begin
     (* Bias the allocator towards nodes that already host a replica so the
        reconfiguration moves as little data as possible. *)
@@ -902,9 +809,7 @@ let alter_range t rid ~zone ~policy =
     match (leader_replica t rid, preferred_leaseholder_node t rg) with
     | Some r, Some target when r.r_node <> target -> (
         match (r.r_raft, replica_at rg target) with
-        | Some raft, Some _ ->
-            note_lease_transfer t ~node:r.r_node ~range:rid ~target;
-            Raft.transfer_leadership raft target
+        | Some raft, Some _ -> hand_off_lease t r raft ~target
         | (Some _ | None), (Some _ | None) ->
             if attempts > 0 then
               Sim.schedule t.sim ~after:500_000 (fun () -> try_lease (attempts - 1)))
@@ -1003,21 +908,14 @@ let split_range t rid ~at =
           end)
         rg.rg_replicas;
       Hashtbl.iter
-        (fun node rrep ->
-          let raft =
-            Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:node ~peers
-              ~callbacks:(raft_callbacks t right rrep) ~obs:t.obs
-              ~range:new_rid ~election_timeout:t.cfg.raft_election_timeout
-              ~heartbeat_interval:t.cfg.raft_heartbeat_interval
-              ~boundary:(1, 0) ()
-          in
-          rrep.r_raft <- Some raft)
+        (fun _ rrep ->
+          ignore
+            (create_raft t right rrep ~peers ~boundary:(1, 0) ()
+              : (cmd, snap) Raft.t))
         right.rg_replicas;
       Hashtbl.iter
         (fun _ rrep ->
-          match rrep.r_raft with
-          | Some raft -> Raft.start ~preferred:lr.r_node raft
-          | None -> ())
+          Option.iter (Raft.start ~preferred:lr.r_node) rrep.r_raft)
         right.rg_replicas;
       Metrics.inc t.c_splits;
       (* Pre-split samples straddle both halves; restart sampling so the
@@ -1210,9 +1108,7 @@ let rebalance_step t rid =
                     with
                     | None -> false
                     | Some (target, _) ->
-                        note_lease_transfer t ~node:lr.r_node ~range:rid
-                          ~target;
-                        Raft.transfer_leadership raft target;
+                        hand_off_lease t lr raft ~target;
                         true
                   end
                   else begin
@@ -1290,12 +1186,8 @@ let rebalance_leases t =
     (fun _ rg ->
       if not rg.rg_dropped then
         match (leader_replica t rg.rg_id, preferred_leaseholder_node t rg) with
-        | Some r, Some target when r.r_node <> target -> (
-            match r.r_raft with
-            | Some raft ->
-                note_lease_transfer t ~node:r.r_node ~range:rg.rg_id ~target;
-                Raft.transfer_leadership raft target
-            | None -> ())
+        | Some r, Some target when r.r_node <> target ->
+            Option.iter (fun raft -> hand_off_lease t r raft ~target) r.r_raft
         | (Some _ | None), (Some _ | None) -> ())
     t.ranges_tbl
 
@@ -1303,9 +1195,7 @@ let transfer_lease t rid ~target =
   match leader_replica t rid with
   | Some r when r.r_node <> target -> (
       match (r.r_raft, replica_at (range t rid) target) with
-      | Some raft, Some _ ->
-          note_lease_transfer t ~node:r.r_node ~range:rid ~target;
-          Raft.transfer_leadership raft target
+      | Some raft, Some _ -> hand_off_lease t r raft ~target
       | (Some _ | None), (Some _ | None) -> ())
   | Some _ | None -> ()
 
@@ -1386,25 +1276,6 @@ let bulk_load t ?ts kvs =
       | exception Not_found ->
           invalid_arg (Printf.sprintf "Cluster.bulk_load: no range for %s" key))
     kvs
-
-let nearest_replica t rid ~from =
-  let rg = range t rid in
-  let from_region = Topology.region_of t.topo from in
-  let score node =
-    if node = from then -1
-    else if Transport.is_alive t.net node then
-      Latency.rtt t.latency from_region (Topology.region_of t.topo node)
-    else max_int
-  in
-  let best =
-    Hashtbl.fold
-      (fun node _ acc ->
-        match acc with
-        | None -> if score node < max_int then Some node else None
-        | Some b -> if score node < score b then Some node else acc)
-      rg.rg_replicas None
-  in
-  best
 
 (* ------------------------------------------------------------------ *)
 (* Closed-timestamp side channel (node-level transport)                *)
@@ -1540,7 +1411,6 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
       | rid -> (
           match leaseholder t rid with
           | None ->
-              t.diag.d_lh_misses <- t.diag.d_lh_misses + 1;
               Proc.sleep t.sim 250_000;
               Phase.add phases Phase.Lease_wait 250_000;
               go ()
@@ -1578,13 +1448,11 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
                       note_routing ();
                       go ()
                   | Some `Not_leader ->
-                      t.diag.d_not_leader <- t.diag.d_not_leader + 1;
                       note_routing ();
                       Proc.sleep t.sim 100_000;
                       Phase.add phases Phase.Lease_wait 100_000;
                       go ()
                   | None ->
-                      t.diag.d_rpc_timeouts <- t.diag.d_rpc_timeouts + 1;
                       note_routing ();
                       go ())))
   in
@@ -1593,13 +1461,93 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
 let is_leader_now r =
   match r.r_raft with Some raft -> Raft.is_leader raft | None -> false
 
-(* Time one conflict wait and charge it to the operation's lock_wait
-   phase. *)
-let timed_wait t ~phases f =
-  let t0 = Sim.now t.sim in
-  let out = f () in
-  Phase.add phases Phase.Lock_wait (Sim.now t.sim - t0);
-  out
+(* The guard at the head of every leaseholder evaluation: the replica must
+   still own [key] — a split, merge or drop may have moved it while the
+   request was in flight — and must still lead its range. *)
+let guard r ~key eval =
+  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
+  else if not (is_leader_now r) then `Not_leader
+  else eval ()
+
+(* ------------------------------------------------------------------ *)
+(* Proposals                                                           *)
+
+(* Bound on waiting for a proposed command to apply locally. A proposal can
+   be lost forever when its leader is deposed or crash-restarts before the
+   entry commits (a restart wipes the volatile log tail's completion ivars);
+   the waiter must not hang — it errors out and the transaction retries,
+   with the outcome reported as ambiguous if retries are exhausted. *)
+let propose_timeout = 8_000_000
+
+(* Whether one consensus round on this replica's group must leave the
+   leader's region: the leader acks itself, so a quorum is WAN-free exactly
+   when enough voters are co-located with it. Computed from the live
+   placement at proposal time — after a rebalance or failover the same range
+   can flip between answers, which is the point: the measurement tracks the
+   actual placement, not the static model. *)
+let replication_needs_wan t r =
+  match r.r_raft with
+  | None -> false
+  | Some raft ->
+      let voters =
+        List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers raft)
+      in
+      let quorum = (List.length voters / 2) + 1 in
+      let leader_region = Topology.region_of t.topo r.r_node in
+      let local =
+        List.length
+          (List.filter
+             (fun (n, _) ->
+               String.equal (Topology.region_of t.topo n) leader_region)
+             voters)
+      in
+      local < quorum
+
+(* Propose [op] through [r]'s Raft log, carrying the closed timestamp
+   [closed] the caller computed for it; [None] when [r] no longer leads.
+   With [span], the round is traced as a [raft.replicate] child span, counts
+   as a WAN round trip when its quorum leaves the leader's region, and is
+   charged to the replication phase of [phases] once it applies locally
+   (with write pipelining the quorum wait overlaps the transaction's other
+   work, so the phase is attributed at apply time). *)
+let propose t r ?span ?(phases = Phase.nil) ~closed op =
+  match r.r_raft with
+  | None -> None
+  | Some raft -> (
+      let cmd =
+        {
+          closed;
+          proposer = r.r_node;
+          op;
+          done_ = Ivar.create ();
+          fate = `Applied;
+        }
+      in
+      match span with
+      | None -> Option.map (fun _ -> cmd) (Raft.propose raft cmd)
+      | Some span -> (
+          let tr = Obs.trace t.obs in
+          let rsp =
+            Trace.span tr ~parent:span ~node:r.r_node ~range:r.r_range.rg_id
+              "raft.replicate"
+          in
+          let propose_at = Sim.now t.sim in
+          match Raft.propose raft cmd with
+          | None ->
+              Trace.annotate rsp "error" "not leader";
+              Trace.finish tr rsp;
+              None
+          | Some _ ->
+              Ivar.on_fill cmd.done_ (fun () -> Trace.finish tr rsp);
+              if replication_needs_wan t r then Phase.add_wan phases;
+              Ivar.on_fill cmd.done_ (fun () ->
+                  Phase.add phases Phase.Replication
+                    (Sim.now t.sim - propose_at));
+              Some cmd))
+
+(* Await [cmd]'s local apply; [None] when the proposal was lost. *)
+let await_applied t cmd =
+  Proc.await_timeout t.sim cmd.done_ ~timeout:propose_timeout
 
 (* ------------------------------------------------------------------ *)
 (* Transaction-record transitions, pushes, commit-status recovery      *)
@@ -1609,35 +1557,23 @@ let timed_wait t ~phases f =
    caller must re-read the applied record to learn which decision actually
    won — its own proposal may have lost the race. *)
 let propose_txn_update t r ~txn ~key upd =
-  match r.r_raft with
-  | Some raft when Raft.is_leader raft -> (
-      let target = next_closed_target t r.r_range r.r_node in
-      let done_ = Ivar.create () in
-      let cmd =
-        {
-          closed = target;
-          proposer = r.r_node;
-          op = Op_txn { txn; tkey = key; upd };
-          done_;
-          fate = `Applied;
-        }
-      in
-      match Raft.propose raft cmd with
-      | None -> `Not_leader
-      | Some _ -> (
-          match Proc.await_timeout t.sim done_ ~timeout:propose_timeout with
-          | Some () -> `Applied
-          | None -> `Lost))
-  | Some _ | None -> `Not_leader
+  if not (is_leader_now r) then `Not_leader
+  else
+    match
+      propose t r
+        ~closed:(next_closed_target t r.r_range r.r_node)
+        (Op_txn { txn; tkey = key; upd })
+    with
+    | None -> `Not_leader
+    | Some cmd -> (
+        match await_applied t cmd with Some () -> `Applied | None -> `Lost)
 
 let eval_txn_update t r ~txn ~key upd =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else
-    match propose_txn_update t r ~txn ~key upd with
-    | `Applied -> `Done (Txnrec.status r.r_txns ~txn)
-    | `Lost -> `Done None
-    | `Not_leader -> `Not_leader
+  guard r ~key @@ fun () ->
+  match propose_txn_update t r ~txn ~key upd with
+  | `Applied -> `Done (Txnrec.status r.r_txns ~txn)
+  | `Lost -> `Done None
+  | `Not_leader -> `Not_leader
 
 (* One record transition as an ordinary routed RPC: resolve the anchor
    key's leaseholder, propose, await apply, return the applied status. *)
@@ -1647,32 +1583,19 @@ let txn_update t ~gateway ?span ?(phases = Phase.nil) ~op ~txn ~key upd =
     (fun r _sp -> eval_txn_update t r ~txn ~key upd)
 
 let eval_query_intent t r ~txn ~key ~ts =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else
-    match r.r_raft with
-    | None -> `Not_leader
-    | Some raft -> (
-        let target = next_closed_target t r.r_range r.r_node in
-        let done_ = Ivar.create () in
-        let cmd =
-          {
-            closed = target;
-            proposer = r.r_node;
-            op = Op_prevent { txn; key; ts };
-            done_;
-            fate = `Applied;
-          }
-        in
-        match Raft.propose raft cmd with
-        | None -> `Not_leader
-        | Some _ -> (
-            match Proc.await_timeout t.sim done_ ~timeout:propose_timeout with
-            | None -> `Done `Unknown
-            | Some () ->
-                if Mvcc.is_prevented r.r_store ~key ~txn_id:txn then
-                  `Done `Missing
-                else `Done `Found))
+  guard r ~key @@ fun () ->
+  match
+    propose t r
+      ~closed:(next_closed_target t r.r_range r.r_node)
+      (Op_prevent { txn; key; ts })
+  with
+  | None -> `Not_leader
+  | Some cmd -> (
+      match await_applied t cmd with
+      | None -> `Done `Unknown
+      | Some () ->
+          if Mvcc.is_prevented r.r_store ~key ~txn_id:txn then `Done `Missing
+          else `Done `Found)
 
 (* QueryIntent with prevention (parallel-commit recovery, CRDB §3): did the
    staged transaction's declared write on [key] replicate? The probe goes
@@ -1747,71 +1670,68 @@ type push_verdict =
    transitions (wound, abandon, stub registration) go through the anchor
    log; the applied record decides. *)
 let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
-  if r.r_range.rg_dropped || not (in_span r.r_range anchor_key) then
-    `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else
-    let now = Sim.now t.sim in
-    let liveness = 3 * t.cfg.txn_heartbeat_interval in
-    let reread () =
-      match Txnrec.status r.r_txns ~txn:blocker with
-      | Some (Txnrec.Committed ts) -> Push_cleanup (Some ts)
-      | Some (Txnrec.Aborted { reason; wound = true }) -> Push_wound reason
-      | Some (Txnrec.Aborted _) -> Push_cleanup None
-      | Some (Txnrec.Pending | Txnrec.Staging _) | None -> Push_wait
-    in
-    match Txnrec.find r.r_txns ~txn:blocker with
-    | None ->
-        (* No record yet: the blocker left an intent (or lock) but its
-           registering write hasn't applied here, or it never registers
-           (raw writer). Create an unwoundable stub so abandonment can
-           reclaim the key if no coordinator ever shows up. *)
-        ignore
-          (propose_txn_update t r ~txn:blocker ~key:anchor_key
-             (Txnrec.U_register { pri = blocker_pri; hb = now })
-            : [ `Applied | `Lost | `Not_leader ]);
-        `Done Push_wait
-    | Some rec_ -> (
-        match rec_.Txnrec.tr_status with
-        | Txnrec.Committed ts -> `Done (Push_cleanup (Some ts))
-        | Txnrec.Aborted { reason; wound = true } -> `Done (Push_wound reason)
-        | Txnrec.Aborted _ -> `Done (Push_cleanup None)
-        | Txnrec.Staging { ts; inflight } ->
-            (* A staging record is never wounded: the transaction holds no
-               future lock acquisitions, so waiting for it is deadlock-free.
-               Recovery only fires once the coordinator looks dead (or
-               immediately in the deliberately broken mode). *)
-            if t.cfg.unsafe_no_recovery || now - rec_.Txnrec.tr_hb > liveness
-            then `Done (Push_recover { ts; inflight })
-            else `Done Push_wait
-        | Txnrec.Pending ->
-            if now - rec_.Txnrec.tr_hb > liveness then begin
+  guard r ~key:anchor_key @@ fun () ->
+  let now = Sim.now t.sim in
+  let liveness = 3 * t.cfg.txn_heartbeat_interval in
+  let reread () =
+    match Txnrec.status r.r_txns ~txn:blocker with
+    | Some (Txnrec.Committed ts) -> Push_cleanup (Some ts)
+    | Some (Txnrec.Aborted { reason; wound = true }) -> Push_wound reason
+    | Some (Txnrec.Aborted _) -> Push_cleanup None
+    | Some (Txnrec.Pending | Txnrec.Staging _) | None -> Push_wait
+  in
+  match Txnrec.find r.r_txns ~txn:blocker with
+  | None ->
+      (* No record yet: the blocker left an intent (or lock) but its
+         registering write hasn't applied here, or it never registers
+         (raw writer). Create an unwoundable stub so abandonment can
+         reclaim the key if no coordinator ever shows up. *)
+      ignore
+        (propose_txn_update t r ~txn:blocker ~key:anchor_key
+           (Txnrec.U_register { pri = blocker_pri; hb = now })
+          : [ `Applied | `Lost | `Not_leader ]);
+      `Done Push_wait
+  | Some rec_ -> (
+      match rec_.Txnrec.tr_status with
+      | Txnrec.Committed ts -> `Done (Push_cleanup (Some ts))
+      | Txnrec.Aborted { reason; wound = true } -> `Done (Push_wound reason)
+      | Txnrec.Aborted _ -> `Done (Push_cleanup None)
+      | Txnrec.Staging { ts; inflight } ->
+          (* A staging record is never wounded: the transaction holds no
+             future lock acquisitions, so waiting for it is deadlock-free.
+             Recovery only fires once the coordinator looks dead (or
+             immediately in the deliberately broken mode). *)
+          if t.cfg.unsafe_no_recovery || now - rec_.Txnrec.tr_hb > liveness
+          then `Done (Push_recover { ts; inflight })
+          else `Done Push_wait
+      | Txnrec.Pending ->
+          if now - rec_.Txnrec.tr_hb > liveness then begin
+            ignore
+              (propose_txn_update t r ~txn:blocker ~key:anchor_key
+                 (Txnrec.U_abandon
+                    {
+                      reason = "abandoned (stale heartbeat)";
+                      if_hb_before = rec_.Txnrec.tr_hb;
+                    })
+                : [ `Applied | `Lost | `Not_leader ]);
+            `Done (reread ())
+          end
+          else
+            let wound =
+              match pusher with
+              | Some (p_pri, p_id) ->
+                  Txnrec.older (p_pri, p_id)
+                    (rec_.Txnrec.tr_pri, rec_.Txnrec.tr_id)
+              | None -> false
+            in
+            if wound then begin
               ignore
                 (propose_txn_update t r ~txn:blocker ~key:anchor_key
-                   (Txnrec.U_abandon
-                      {
-                        reason = "abandoned (stale heartbeat)";
-                        if_hb_before = rec_.Txnrec.tr_hb;
-                      })
+                   (Txnrec.U_wound { reason = "wounded by older txn" })
                   : [ `Applied | `Lost | `Not_leader ]);
               `Done (reread ())
             end
-            else
-              let wound =
-                match pusher with
-                | Some (p_pri, p_id) ->
-                    Txnrec.older (p_pri, p_id)
-                      (rec_.Txnrec.tr_pri, rec_.Txnrec.tr_id)
-                | None -> false
-              in
-              if wound then begin
-                ignore
-                  (propose_txn_update t r ~txn:blocker ~key:anchor_key
-                     (Txnrec.U_wound { reason = "wounded by older txn" })
-                    : [ `Applied | `Lost | `Not_leader ]);
-                `Done (reread ())
-              end
-              else `Done Push_wait)
+            else `Done Push_wait)
 
 (* Pushes are latency-bound, not reliability-bound: a push that cannot
    reach the anchor leaseholder right now simply reports Wait and the next
@@ -1852,11 +1772,13 @@ let push_once t ~src ~blocker ~anchor_key ~blocker_pri ~pusher =
    anchor key rather than in a cluster-global table. The wait ends when the
    key's waiters are woken (intent resolved / lock released), when routing
    moves, or when a push verdict lets this waiter clean up the blocker. *)
-let wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
-    ~blocker_anchor ~waiter ~waiter_pri ~fate =
-  (match kind with
-  | `Lock -> t.diag.d_lock_waits <- t.diag.d_lock_waits + 1
-  | `Intent -> t.diag.d_intent_waits <- t.diag.d_intent_waits + 1);
+let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
+  let blocker, blocker_pri, blocker_anchor =
+    match blocker with
+    | `Lock l ->
+        (Lock_table.holder l, Lock_table.lock_pri l, Lock_table.lock_anchor l)
+    | `Intent i -> (i.Mvcc.txn_id, i.Mvcc.pri, i.Mvcc.anchor)
+  in
   let iv = Lock_table.park r.r_lt ~key in
   t.waiting <- t.waiting + 1;
   Metrics.set t.g_waiters t.waiting;
@@ -1877,16 +1799,25 @@ let wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
     t.waiting <- t.waiting - 1;
     Metrics.set t.g_waiters t.waiting;
     (match outcome with
-    | Lock_table.Timed_out ->
-        t.diag.d_conflict_timeouts <- t.diag.d_conflict_timeouts + 1;
-        Metrics.inc t.c_conflict_timeout.(r.r_node)
+    | Lock_table.Timed_out -> Metrics.inc t.c_conflict_timeout.(r.r_node)
     | Lock_table.Acquired | Lock_table.Wounded _ | Lock_table.Pusher_aborted ->
         ());
     outcome
   in
+  (* Fire-and-forget resolution of a finished (wounded / aborted /
+     committed / abandoned) blocker's intent on [key]. Its apply both
+     removes the intent and wakes the key's waiters, so the pusher simply
+     goes back to waiting for that wakeup. Idempotent: resolving an
+     already-resolved intent is a no-op. Not proposable once this replica
+     lost leadership — the next wait tick notices and re-routes instead. *)
   let cleanup commit =
     Metrics.inc t.c_cleanup.(r.r_node);
-    propose_cleanup t r ~key ~blocker ~commit
+    if is_leader_now r then
+      ignore
+        (propose t r
+           ~closed:(next_closed_target t r.r_range r.r_node)
+           (Op_resolve { txn = blocker; keys = [ key ]; commit })
+          : cmd option)
   in
   let rec loop () =
     let now = Sim.now t.sim in
@@ -1909,7 +1840,6 @@ let wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
             | `Wounded reason -> finish (Lock_table.Wounded reason)
             | `Aborted -> finish Lock_table.Pusher_aborted
             | `Live -> (
-                t.diag.d_pushes <- t.diag.d_pushes + 1;
                 Metrics.inc t.c_push.(r.r_node);
                 match
                   push_once t ~src:r.r_node ~blocker ~anchor_key ~blocker_pri
@@ -1918,7 +1848,6 @@ let wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
                 | Push_wait -> loop ()
                 | Push_wound _reason ->
                     progressed ();
-                    t.diag.d_wounds <- t.diag.d_wounds + 1;
                     Metrics.inc t.c_wound.(r.r_node);
                     Obs.log_event t.obs ~node:r.r_node ~range:r.r_range.rg_id
                       ~txn:blocker
@@ -1959,61 +1888,89 @@ let wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
   in
   loop ()
 
+(* How the requesting transaction's own fate, and a conflict wait that ends
+   without the key, finish an operation — per result type. *)
+type 'a ends = { wounded : string -> 'a; failed : string -> 'a }
+
+let read_ends =
+  { wounded = (fun e -> Read_wounded e); failed = (fun e -> Read_err e) }
+
+let scan_ends =
+  { wounded = (fun e -> Scan_wounded e); failed = (fun e -> Scan_err e) }
+
+let write_ends =
+  { wounded = (fun e -> Write_wounded e); failed = (fun e -> Write_err e) }
+
+(* Evaluate [live] unless the transaction was wounded or aborted meanwhile. *)
+let when_live ~fate ends live =
+  match (fate () : fate) with
+  | `Wounded reason -> `Done (ends.wounded reason)
+  | `Aborted -> `Done (ends.failed "transaction aborted")
+  | `Live -> live ()
+
+(* Park on [blocker] (a lock or intent on [key]), charging the wait to the
+   operation's lock_wait phase, and [retry] the evaluation once the key is
+   free or routing moved. *)
+let conflict_wait t r ~phases ~key ~txn ~pri ~fate ends ~retry blocker =
+  let t0 = Sim.now t.sim in
+  let outcome =
+    wait_on_conflict t r ~phases ~key ~blocker ~waiter:txn ~waiter_pri:pri
+      ~fate
+  in
+  Phase.add phases Phase.Lock_wait (Sim.now t.sim - t0);
+  match outcome with
+  | Lock_table.Acquired -> retry ()
+  | Lock_table.Wounded reason -> `Done (ends.wounded reason)
+  | Lock_table.Pusher_aborted -> `Done (ends.failed "transaction aborted")
+  | Lock_table.Timed_out -> `Done (ends.failed "conflict timeout")
+
+(* The lock or foreign intent a writer (or locker) of [key] must wait on. *)
+let write_blocker r ~key ~txn ~strength =
+  match Lock_table.foreign_for r.r_lt ~key ~txn ~strength with
+  | Some l -> Some (`Lock l)
+  | None -> (
+      match Mvcc.intent_on r.r_store ~key with
+      | Some i when i.Mvcc.txn_id <> txn -> Some (`Intent i)
+      | Some _ | None -> None)
+
+(* Observed timestamps: values above the leaseholder's own clock cannot have
+   committed before this request arrived, so they are outside the real-time
+   ordering obligation and the uncertainty window shrinks to the
+   leaseholder's now. Sound only because of the HLC receive rule: replicas
+   ratchet their clock over every write timestamp they evaluate or apply,
+   so an acked write is never above the serving clock (a write can carry a
+   faster gateway clock's timestamp). Future-time (Lead) ranges are exempt:
+   their committed writes are synthetic timestamps that legitimately sit
+   above every clock (§6.2). *)
+let observed_max_ts t r ~ts ~max_ts =
+  match r.r_range.rg_policy with
+  | Lag _ -> Ts.max ts (Ts.min max_ts (Clock.now t.clocks.(r.r_node)))
+  | Lead -> max_ts
+
 let rec eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else
-    match (fate () : fate) with
-    | `Wounded reason -> `Done (Read_wounded reason)
-    | `Aborted -> `Done (Read_err "transaction aborted")
-    | `Live ->
-    (* Observed timestamps: values above the leaseholder's own clock cannot
-       have committed before this request arrived, so they are outside the
-       real-time ordering obligation and the uncertainty window shrinks to
-       the leaseholder's now. Sound only because of the HLC receive rule:
-       replicas ratchet their clock over every write timestamp they evaluate
-       or apply, so an acked write is never above the serving clock (a write
-       can carry a faster gateway clock's timestamp). Future-time (Lead)
-       ranges are exempt: their committed writes are synthetic timestamps
-       that legitimately sit above every clock (§6.2). *)
-    let max_ts =
-      match r.r_range.rg_policy with
-      | Lag _ -> Ts.max ts (Ts.min max_ts (Clock.now t.clocks.(r.r_node)))
-      | Lead -> max_ts
-    in
-    let wait ~kind ~blocker ~blocker_pri ~blocker_anchor =
-      match
-        timed_wait t ~phases (fun () ->
-            wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
-              ~blocker_anchor ~waiter:txn ~waiter_pri:pri ~fate)
-      with
-      | Lock_table.Acquired ->
-          eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts
-      | Lock_table.Wounded reason -> `Done (Read_wounded reason)
-      | Lock_table.Pusher_aborted -> `Done (Read_err "transaction aborted")
-      | Lock_table.Timed_out -> `Done (Read_err "conflict timeout")
-    in
-    match Lock_table.foreign r.r_lt ~key ~txn ~max_ts with
-    | Some l ->
-        wait ~kind:`Lock ~blocker:(Lock_table.holder l)
-          ~blocker_pri:(Lock_table.lock_pri l)
-          ~blocker_anchor:(Lock_table.lock_anchor l)
-    | None -> (
-        match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
-        | Mvcc.Intent_blocked i ->
-            wait ~kind:`Intent ~blocker:i.Mvcc.txn_id ~blocker_pri:i.Mvcc.pri
-              ~blocker_anchor:i.Mvcc.anchor
-        | Mvcc.Value { value; ts = vts } ->
-            Tscache.record_read r.r_range.rg_tscache ~txn ~key ~ts;
-            `Done (Read_value { value; ts = vts })
-        | Mvcc.Uncertain { value_ts } ->
-            (* Server-side retry: when the transaction has no prior reads to
-               refresh, ratchet the timestamp in place instead of bouncing
-               the uncertainty error back across the network. *)
-            if inline_bump then
-              eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key
-                ~ts:value_ts ~max_ts
-            else `Done (Read_uncertain { value_ts }))
+  guard r ~key @@ fun () ->
+  when_live ~fate read_ends @@ fun () ->
+  let max_ts = observed_max_ts t r ~ts ~max_ts in
+  let wait =
+    conflict_wait t r ~phases ~key ~txn ~pri ~fate read_ends ~retry:(fun () ->
+        eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts)
+  in
+  match Lock_table.foreign r.r_lt ~key ~txn ~max_ts with
+  | Some l -> wait (`Lock l)
+  | None -> (
+      match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
+      | Mvcc.Intent_blocked i -> wait (`Intent i)
+      | Mvcc.Value { value; ts = vts } ->
+          Tscache.record_read r.r_range.rg_tscache ~txn ~key ~ts;
+          `Done (Read_value { value; ts = vts })
+      | Mvcc.Uncertain { value_ts } ->
+          (* Server-side retry: when the transaction has no prior reads to
+             refresh, ratchet the timestamp in place instead of bouncing the
+             uncertainty error back across the network. *)
+          if inline_bump then
+            eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key
+              ~ts:value_ts ~max_ts
+          else `Done (Read_uncertain { value_ts }))
 
 let read t ?(inline_bump = false) ?span ?(phases = Phase.nil) ?pri
     ?(fate = live_fate) ~gateway ~txn ~key ~ts ~max_ts () =
@@ -2022,64 +1979,88 @@ let read t ?(inline_bump = false) ?span ?(phases = Phase.nil) ?pri
     (fun r _sp ->
       eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts)
 
+(* The follower path (§5): serve [eval] at [at]'s own replica of [rg] —
+   after [local_sleep], the cost of the local storage access — or else at
+   the live replica nearest to [at], over an RPC traced under [span],
+   charged to [phases] and bounded by [rpc_timeout]. *)
+let follower_serve t rg ~at ?local_sleep ?span ?phases eval =
+  match replica_at rg at with
+  | Some r ->
+      Option.iter (Proc.sleep t.sim) local_sleep;
+      `Served (eval r)
+  | None -> (
+      let from_region = Topology.region_of t.topo at in
+      let score node =
+        if Transport.is_alive t.net node then
+          Latency.rtt t.latency from_region (Topology.region_of t.topo node)
+        else max_int
+      in
+      let nearest =
+        Hashtbl.fold
+          (fun node r acc ->
+            match acc with
+            | None -> if score node < max_int then Some (node, r) else None
+            | Some (b, _) ->
+                if score node < score b then Some (node, r) else acc)
+          rg.rg_replicas None
+      in
+      match nearest with
+      | None -> `No_replica
+      | Some (node, r) -> (
+          let reply =
+            Transport.rpc ?span ?phases t.net ~src:at ~dst:node (fun out ->
+                Ivar.fill out (eval r))
+          in
+          match Proc.await_timeout t.sim reply ~timeout:rpc_timeout with
+          | Some res -> `Served res
+          | None -> `Timed_out))
+
 let read_follower t ?(span = Trace.nil) ?(phases = Phase.nil) ~at ~txn ~key
     ~ts ~max_ts () =
   match range_of_key t key with
   | exception Not_found -> Read_err ("no range for key " ^ key)
-  | rid -> (
+  | rid ->
       let tr = Obs.trace t.obs in
       let sp =
         Trace.span tr ~parent:span ~node:at ~range:rid "kv.follower_read"
       in
       let fr_start = Sim.now t.sim in
-      let note res =
-        (match res with
-        | Read_value _ | Read_uncertain _ ->
-            Metrics.inc t.c_fr_hit.(at);
-            let ts = Obs.timeseries t.obs in
-            Timeseries.observe ts ~range:rid "kv.range.qps" 1;
-            Timeseries.record_sample ts ~range:rid "kv.range.latency"
-              (Sim.now t.sim - fr_start)
-        | Read_redirect ->
-            Trace.annotate sp "redirect" "true";
-            Metrics.inc t.c_fr_miss.(at)
-        | Read_wounded _ | Read_err _ -> ());
-        Trace.finish tr sp;
-        res
-      in
-      let rg = range t rid in
       let eval r =
         (* A split or merge may land between resolution and evaluation;
            redirect to the gateway path, which re-resolves the key. *)
-        if r.r_range.rg_dropped || not (in_span r.r_range key) then
-          Read_redirect
-        else if Ts.(replica_closed r >= max_ts) then
+        if
+          r.r_range.rg_dropped
+          || (not (in_span r.r_range key))
+          || not Ts.(replica_closed r >= max_ts)
+        then Read_redirect
+        else
           match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
           | Mvcc.Value { value; ts = vts } -> Read_value { value; ts = vts }
           | Mvcc.Uncertain { value_ts } -> Read_uncertain { value_ts }
           | Mvcc.Intent_blocked _ -> Read_redirect
-        else Read_redirect
       in
-      match replica_at rg at with
-      | Some r ->
-          (* Collocated replica: local storage access. *)
-          Proc.sleep t.sim 50;
-          note (eval r)
-      | None -> (
-          match nearest_replica t rid ~from:at with
-          | None -> note (Read_err "no live replica")
-          | Some node -> (
-              let rg = range t rid in
-              match replica_at rg node with
-              | None -> note (Read_err "no live replica")
-              | Some r -> (
-                  let reply =
-                    Transport.rpc ~span:sp ~phases t.net ~src:at ~dst:node
-                      (fun out -> Ivar.fill out (eval r))
-                  in
-                  match Proc.await_timeout t.sim reply ~timeout:rpc_timeout with
-                  | Some res -> note res
-                  | None -> note (Read_err "follower read timeout")))))
+      let res =
+        match
+          follower_serve t (range t rid) ~at ~local_sleep:50 ~span:sp ~phases
+            eval
+        with
+        | `Served res -> res
+        | `No_replica -> Read_err "no live replica"
+        | `Timed_out -> Read_err "follower read timeout"
+      in
+      (match res with
+      | Read_value _ | Read_uncertain _ ->
+          Metrics.inc t.c_fr_hit.(at);
+          let ts = Obs.timeseries t.obs in
+          Timeseries.observe ts ~range:rid "kv.range.qps" 1;
+          Timeseries.record_sample ts ~range:rid "kv.range.latency"
+            (Sim.now t.sim - fr_start)
+      | Read_redirect ->
+          Trace.annotate sp "redirect" "true";
+          Metrics.inc t.c_fr_miss.(at)
+      | Read_wounded _ | Read_err _ -> ());
+      Trace.finish tr sp;
+      res
 
 let clamp_span rg ~start_key ~end_key =
   let s, e = rg.rg_span in
@@ -2087,406 +2068,258 @@ let clamp_span rg ~start_key ~end_key =
   let hi = if String.compare end_key e < 0 then end_key else e in
   (lo, hi)
 
+(* One fragment's MVCC rows, classified: the first intent blocking the scan,
+   else the highest uncertain value, else the visible rows in key order. *)
+let classify_rows rows =
+  match
+    List.find_map
+      (fun (key, o) ->
+        match o with Mvcc.Intent_blocked i -> Some (key, i) | _ -> None)
+      rows
+  with
+  | Some blocked -> `Blocked blocked
+  | None -> (
+      let uncertain =
+        List.fold_left
+          (fun acc (_, o) ->
+            match o with
+            | Mvcc.Uncertain { value_ts } -> (
+                match acc with
+                | None -> Some value_ts
+                | Some best -> Some (Ts.max best value_ts))
+            | Mvcc.Value _ | Mvcc.Intent_blocked _ -> acc)
+          None rows
+      in
+      match uncertain with
+      | Some value_ts -> `Uncertain value_ts
+      | None ->
+          `Rows
+            (List.filter_map
+               (fun (key, o) ->
+                 match o with
+                 | Mvcc.Value { value = Some v; _ } -> Some (key, v)
+                 | Mvcc.Value { value = None; _ }
+                 | Mvcc.Uncertain _ | Mvcc.Intent_blocked _ ->
+                     None)
+               rows))
+
 let rec eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
     ~limit =
-  if r.r_range.rg_dropped || not (in_span r.r_range start_key) then
-    `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else begin
-    match (fate () : fate) with
-    | `Wounded reason -> `Done (Scan_wounded reason)
-    | `Aborted -> `Done (Scan_err "transaction aborted")
-    | `Live ->
-    (* A scan covers at most one range: clamp to the replica's current span
-       (re-clamped on every retry, since a split may have shrunk it). *)
-    let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
-    let max_ts =
-      match r.r_range.rg_policy with
-      | Lag _ -> Ts.max ts (Ts.min max_ts (Clock.now t.clocks.(r.r_node)))
-      | Lead -> max_ts
-    in
-    let rows =
-      Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn ~limit
-    in
-    let blocked =
-      List.find_opt
-        (fun (_, o) -> match o with Mvcc.Intent_blocked _ -> true | _ -> false)
-        rows
-    in
-    let locked =
-      (* A scan must also respect locks on keys it covers. *)
-      Lock_table.foreign_in_span r.r_lt ~start_key ~end_key ~txn ~max_ts
-    in
-    let wait ~key ~kind ~blocker ~blocker_pri ~blocker_anchor =
-      match
-        timed_wait t ~phases (fun () ->
-            wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
-              ~blocker_anchor ~waiter:txn ~waiter_pri:pri ~fate)
-      with
-      | Lock_table.Acquired ->
-          eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts
-            ~max_ts ~limit
-      | Lock_table.Wounded reason -> `Done (Scan_wounded reason)
-      | Lock_table.Pusher_aborted -> `Done (Scan_err "transaction aborted")
-      | Lock_table.Timed_out -> `Done (Scan_err "conflict timeout")
-    in
-    match (locked, blocked) with
-    | Some (key, l), _ ->
-        wait ~key ~kind:`Lock ~blocker:(Lock_table.holder l)
-          ~blocker_pri:(Lock_table.lock_pri l)
-          ~blocker_anchor:(Lock_table.lock_anchor l)
-    | None, Some (key, Mvcc.Intent_blocked i) ->
-        wait ~key ~kind:`Intent ~blocker:i.Mvcc.txn_id ~blocker_pri:i.Mvcc.pri
-          ~blocker_anchor:i.Mvcc.anchor
-    | None, Some _ -> assert false
-    | None, None -> (
-        let uncertain =
-          List.fold_left
-            (fun acc (_, o) ->
-              match o with
-              | Mvcc.Uncertain { value_ts } -> (
-                  match acc with
-                  | None -> Some value_ts
-                  | Some best -> Some (Ts.max best value_ts))
-              | Mvcc.Value _ | Mvcc.Intent_blocked _ -> acc)
-            None rows
-        in
-        match uncertain with
-        | Some value_ts -> `Done (Scan_uncertain { value_ts })
-        | None ->
-            Tscache.record_read_span r.r_range.rg_tscache ~txn ~start_key
-              ~end_key ~ts;
-            let out =
-              List.filter_map
-                (fun (key, o) ->
-                  match o with
-                  | Mvcc.Value { value = Some v; _ } -> Some (key, v)
-                  | Mvcc.Value { value = None; _ }
-                  | Mvcc.Uncertain _ | Mvcc.Intent_blocked _ -> None)
-                rows
-            in
-            `Done (Scan_rows out))
-  end
+  guard r ~key:start_key @@ fun () ->
+  when_live ~fate scan_ends @@ fun () ->
+  (* A scan covers at most one range: clamp to the replica's current span
+     (re-clamped on every retry, since a split may have shrunk it). *)
+  let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
+  let max_ts = observed_max_ts t r ~ts ~max_ts in
+  let rows =
+    Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn ~limit
+  in
+  let wait ~key =
+    conflict_wait t r ~phases ~key ~txn ~pri ~fate scan_ends ~retry:(fun () ->
+        eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
+          ~limit)
+  in
+  (* A scan must also respect locks on keys it covers. *)
+  match Lock_table.foreign_in_span r.r_lt ~start_key ~end_key ~txn ~max_ts with
+  | Some (key, l) -> wait ~key (`Lock l)
+  | None -> (
+      match classify_rows rows with
+      | `Blocked (key, i) -> wait ~key (`Intent i)
+      | `Uncertain value_ts -> `Done (Scan_uncertain { value_ts })
+      | `Rows out ->
+          Tscache.record_read_span r.r_range.rg_tscache ~txn ~start_key
+            ~end_key ~ts;
+          `Done (Scan_rows out))
 
-(* Position [cursor] on a key some live range owns: [cursor] itself, the
-   start of the next range if [cursor] falls in a routing gap and that
-   start is still below [end_key], or [None] when the rest of the request
-   span is uncovered. *)
-let next_covered t ~cursor ~end_key =
-  match range_of_key t cursor with
-  | _ -> Some cursor
-  | exception Not_found -> (
-      match
-        Smap.find_first_opt (fun s -> String.compare s cursor > 0) t.routing
-      with
-      | Some (s, _) when String.compare s end_key < 0 -> Some s
-      | Some _ | None -> None)
+(* Tag a fragment's result with the end of the range that served it: where
+   the next fragment starts under the routing in force at evaluation time. *)
+let with_range_end r = function
+  | (`Not_leader | `Range_mismatch) as other -> other
+  | `Done res -> `Done (res, snd r.r_range.rg_span)
+
+(* The fragment-stitch loop behind every span request. The span may cover
+   several ranges (splits land at any time), so it is served left to right,
+   one covering range at a time: [step acc ~cursor rid] serves the part of
+   the span from [cursor] that range [rid] owns and answers [Ok (acc, next)]
+   to go on at [next], or [Error res] to stop with [res]. [finish ~gap acc]
+   ends the walk, [gap] naming the first key of an uncovered remainder. *)
+let stitch t ~start_key ~end_key ~init ~step ~finish =
+  let rec go acc cursor =
+    if String.compare cursor end_key >= 0 then finish ~gap:None acc
+    else
+      let covering =
+        match range_of_key t cursor with
+        | rid -> Some (cursor, rid)
+        | exception Not_found -> (
+            (* A routing gap: go on at the next range's start, if it is
+               still inside the span. *)
+            match
+              Smap.find_first_opt
+                (fun s -> String.compare s cursor > 0)
+                t.routing
+            with
+            | Some (s, rid) when String.compare s end_key < 0 -> Some (s, rid)
+            | Some _ | None -> None)
+      in
+      match covering with
+      | None -> finish ~gap:(Some cursor) acc
+      | Some (cursor, rid) -> (
+          match step acc ~cursor rid with
+          | Ok (acc, next) -> go acc next
+          | Error res -> res)
+  in
+  go init start_key
+
+(* Stitch a scan: rows in key order, [limit] counting down across fragments.
+   [fragment ~cursor ~limit rid] scans one range's part of the span. *)
+let stitch_rows t ~start_key ~end_key ~limit fragment =
+  let full = function Some n -> n <= 0 | None -> false in
+  stitch t ~start_key ~end_key ~init:([], limit)
+    ~finish:(fun ~gap (acc, remaining) ->
+      match gap with
+      | Some cursor when acc = [] && not (full remaining) ->
+          Scan_err ("no range for key " ^ cursor)
+      | Some _ | None -> Scan_rows (List.rev acc))
+    ~step:(fun (acc, remaining) ~cursor rid ->
+      if full remaining then Error (Scan_rows (List.rev acc))
+      else
+        match fragment ~cursor ~limit:remaining rid with
+        | Scan_rows rows, next ->
+            let remaining =
+              Option.map (fun n -> n - List.length rows) remaining
+            in
+            Ok ((List.rev_append rows acc, remaining), next)
+        | ( (Scan_uncertain _ | Scan_redirect | Scan_wounded _ | Scan_err _) as
+            res ),
+            _ ->
+            (* Propagate; the transaction restarts the whole scan. *)
+            Error res)
 
 let scan t ?span ?(phases = Phase.nil) ?pri ?(fate = live_fate) ~gateway ~txn
     ~start_key ~end_key ~ts ~max_ts ~limit () =
-  (* The request span may cover several ranges (splits land at any time):
-     scan left to right, one leaseholder fragment at a time. Each fragment's
-     eval reports the range end it was clamped to, which is where the next
-     fragment starts under the routing in force at evaluation time. *)
-  let rec go acc cursor remaining =
-    let finished () = Scan_rows (List.rev acc) in
-    if String.compare cursor end_key >= 0 then finished ()
-    else if match remaining with Some n -> n <= 0 | None -> false then
-      finished ()
-    else
-      match next_covered t ~cursor ~end_key with
-      | None ->
-          if acc = [] then Scan_err ("no range for key " ^ cursor)
-          else finished ()
-      | Some cursor -> (
-          match
-            with_leaseholder t ~gateway ?span ~phases ~op:"kv.scan" ~key:cursor
-              ~on_fail:(fun msg -> (Scan_err msg, end_key))
-              (fun r _sp ->
-                match
-                  eval_scan t r ~phases ~txn ~pri ~fate ~start_key:cursor
-                    ~end_key ~ts ~max_ts ~limit:remaining
-                with
-                | (`Not_leader | `Range_mismatch) as other -> other
-                | `Done res -> `Done (res, snd r.r_range.rg_span))
-          with
-          | Scan_rows rows, next ->
-              let remaining =
-                Option.map (fun n -> n - List.length rows) remaining
-              in
-              go (List.rev_append rows acc) next remaining
-          | ((Scan_uncertain _ | Scan_redirect | Scan_wounded _ | Scan_err _) as res), _
-            ->
-              (* Propagate; the transaction restarts the whole scan. *)
-              res)
-  in
-  go [] start_key limit
+  stitch_rows t ~start_key ~end_key ~limit (fun ~cursor ~limit _ ->
+      with_leaseholder t ~gateway ?span ~phases ~op:"kv.scan" ~key:cursor
+        ~on_fail:(fun msg -> (Scan_err msg, end_key))
+        (fun r _sp ->
+          with_range_end r
+            (eval_scan t r ~phases ~txn ~pri ~fate ~start_key:cursor ~end_key
+               ~ts ~max_ts ~limit)))
 
 let scan_follower t ?(span = Trace.nil) ?(phases = Phase.nil) ~at ~txn
     ~start_key ~end_key ~ts ~max_ts ~limit () =
-  match range_of_key t start_key with
-  | exception Not_found -> Scan_err ("no range for key " ^ start_key)
-  | _ ->
-      (* Stitched like {!scan}: one fragment per covering range, each served
-         by the local (or nearest) replica, redirecting the whole request if
-         any fragment cannot be served locally. *)
-      let one_fragment ~cursor =
-        match range_of_key t cursor with
-        | exception Not_found -> (Scan_err ("no range for key " ^ cursor), end_key)
-        | rid -> (
-            let tr = Obs.trace t.obs in
-            let sp =
-              Trace.span tr ~parent:span ~node:at ~range:rid
-                "kv.follower_scan"
-            in
-            let note ((res, _) as out) =
-              (match res with
-              | Scan_rows _ | Scan_uncertain _ -> Metrics.inc t.c_fr_hit.(at)
-              | Scan_redirect ->
-                  Trace.annotate sp "redirect" "true";
-                  Metrics.inc t.c_fr_miss.(at)
-              | Scan_wounded _ | Scan_err _ -> ());
-              Trace.finish tr sp;
-              out
-            in
-            let rg = range t rid in
-            let eval r =
-              if r.r_range.rg_dropped || not (in_span r.r_range cursor) then
-                (Scan_redirect, end_key)
-              else if not Ts.(replica_closed r >= max_ts) then
-                (Scan_redirect, end_key)
-              else begin
-                let start_key, end_key =
-                  clamp_span r.r_range ~start_key:cursor ~end_key
-                in
-                let rows =
-                  Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts
-                    ~for_txn:txn ~limit
-                in
-                let has_block =
-                  List.exists
-                    (fun (_, o) ->
-                      match o with Mvcc.Intent_blocked _ -> true | _ -> false)
-                    rows
-                in
-                let next = snd r.r_range.rg_span in
-                if has_block then (Scan_redirect, next)
-                else
-                  let uncertain =
-                    List.fold_left
-                      (fun acc (_, o) ->
-                        match o with
-                        | Mvcc.Uncertain { value_ts } -> (
-                            match acc with
-                            | None -> Some value_ts
-                            | Some best -> Some (Ts.max best value_ts))
-                        | Mvcc.Value _ | Mvcc.Intent_blocked _ -> acc)
-                      None rows
-                  in
-                  match uncertain with
-                  | Some value_ts -> (Scan_uncertain { value_ts }, next)
-                  | None ->
-                      ( Scan_rows
-                          (List.filter_map
-                             (fun (key, o) ->
-                               match o with
-                               | Mvcc.Value { value = Some v; _ } ->
-                                   Some (key, v)
-                               | Mvcc.Value { value = None; _ }
-                               | Mvcc.Uncertain _ | Mvcc.Intent_blocked _ ->
-                                   None)
-                             rows),
-                        next )
-              end
-            in
-            match replica_at rg at with
-            | Some r ->
-                Proc.sleep t.sim 50;
-                note (eval r)
-            | None -> (
-                match nearest_replica t rid ~from:at with
-                | None -> note (Scan_err "no live replica", end_key)
-                | Some node -> (
-                    match replica_at rg node with
-                    | None -> note (Scan_err "no live replica", end_key)
-                    | Some r -> (
-                        let reply =
-                          Transport.rpc ~span:sp ~phases t.net ~src:at
-                            ~dst:node (fun out -> Ivar.fill out (eval r))
-                        in
-                        match
-                          Proc.await_timeout t.sim reply ~timeout:rpc_timeout
-                        with
-                        | Some res -> note res
-                        | None -> note (Scan_err "follower scan timeout", end_key)
-                        ))))
+  (* Each fragment is served by the local (or nearest) replica; one that
+     cannot be served there redirects the whole request. *)
+  stitch_rows t ~start_key ~end_key ~limit (fun ~cursor ~limit rid ->
+      let tr = Obs.trace t.obs in
+      let sp =
+        Trace.span tr ~parent:span ~node:at ~range:rid "kv.follower_scan"
       in
-      let rec go acc cursor =
-        if String.compare cursor end_key >= 0 then Scan_rows (List.rev acc)
+      let eval r =
+        if
+          r.r_range.rg_dropped
+          || (not (in_span r.r_range cursor))
+          || not Ts.(replica_closed r >= max_ts)
+        then (Scan_redirect, end_key)
         else
-          match next_covered t ~cursor ~end_key with
-          | None -> Scan_rows (List.rev acc)
-          | Some cursor -> (
-              match one_fragment ~cursor with
-              | Scan_rows rows, next -> go (List.rev_append rows acc) next
-              | ( (Scan_uncertain _ | Scan_redirect | Scan_wounded _ | Scan_err _) as
-                  res ),
-                  _ ->
-                  res)
+          let start_key, end_key =
+            clamp_span r.r_range ~start_key:cursor ~end_key
+          in
+          let rows =
+            Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn
+              ~limit
+          in
+          let next = snd r.r_range.rg_span in
+          match classify_rows rows with
+          | `Blocked _ -> (Scan_redirect, next)
+          | `Uncertain value_ts -> (Scan_uncertain { value_ts }, next)
+          | `Rows out -> (Scan_rows out, next)
       in
-      go [] start_key
-
-(* Whether one consensus round on this replica's group must leave the
-   leader's region: the leader acks itself, so a quorum is WAN-free exactly
-   when enough voters are co-located with it. Computed from the live
-   placement at proposal time — after a rebalance or failover the same range
-   can flip between answers, which is the point: the measurement tracks the
-   actual placement, not the static model. *)
-let replication_needs_wan t r =
-  match r.r_raft with
-  | None -> false
-  | Some raft ->
-      let voters =
-        List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers raft)
+      let ((res, _) as out) =
+        match
+          follower_serve t (range t rid) ~at ~local_sleep:50 ~span:sp ~phases
+            eval
+        with
+        | `Served out -> out
+        | `No_replica -> (Scan_err "no live replica", end_key)
+        | `Timed_out -> (Scan_err "follower scan timeout", end_key)
       in
-      let quorum = (List.length voters / 2) + 1 in
-      let leader_region = Topology.region_of t.topo r.r_node in
-      let local =
-        List.length
-          (List.filter
-             (fun (n, _) ->
-               String.equal (Topology.region_of t.topo n) leader_region)
-             voters)
-      in
-      local < quorum
+      (match res with
+      | Scan_rows _ | Scan_uncertain _ -> Metrics.inc t.c_fr_hit.(at)
+      | Scan_redirect ->
+          Trace.annotate sp "redirect" "true";
+          Metrics.inc t.c_fr_miss.(at)
+      | Scan_wounded _ | Scan_err _ -> ());
+      Trace.finish tr sp;
+      out)
 
 let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
     ~value ~ts ~span =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else
-    (* A wounded or aborted writer must not lay new intents: a pusher may
-       already have cleaned up its old ones, and nothing would remove a
-       late-laid intent until abandonment kicked in. *)
-    match (fate () : fate) with
-    | `Wounded reason -> `Done (Write_wounded reason)
-    | `Aborted -> `Done (Write_err "transaction aborted")
-    | `Live -> (
-        let wait ~kind ~blocker ~blocker_pri ~blocker_anchor =
-          match
-            timed_wait t ~phases (fun () ->
-                wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
-                  ~blocker_anchor ~waiter:(Some txn) ~waiter_pri:pri ~fate)
-          with
-          | Lock_table.Acquired ->
-              eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate
-                ~key ~value ~ts ~span
-          | Lock_table.Wounded reason -> `Done (Write_wounded reason)
-          | Lock_table.Pusher_aborted -> `Done (Write_err "transaction aborted")
-          | Lock_table.Timed_out -> `Done (Write_err "conflict timeout")
-        in
-        match
-          Lock_table.foreign_for r.r_lt ~key ~txn
-            ~strength:Lock_table.Exclusive
-        with
-        | Some l ->
-            wait ~kind:`Lock ~blocker:(Lock_table.holder l)
-              ~blocker_pri:(Lock_table.lock_pri l)
-              ~blocker_anchor:(Lock_table.lock_anchor l)
-        | None -> (
-            match Mvcc.intent_on r.r_store ~key with
-            | Some i when i.Mvcc.txn_id <> txn ->
-                wait ~kind:`Intent ~blocker:i.Mvcc.txn_id
-                  ~blocker_pri:i.Mvcc.pri ~blocker_anchor:i.Mvcc.anchor
-            | Some _ | None -> (
-                match r.r_raft with
-                | None -> `Not_leader
-                | Some raft ->
-                    let rg = r.r_range in
-                    let target = next_closed_target t rg r.r_node in
-                    let ts =
-                      Ts.max ts
-                        (Ts.next
-                           (Tscache.max_read rg.rg_tscache ~for_txn:(Some txn)
-                              ~key))
-                    in
-                    let ts =
-                      let latest = Mvcc.latest_ts r.r_store ~key in
-                      if Ts.(latest >= ts) then Ts.next latest else ts
-                    in
-                    let ts = Ts.max ts (Ts.next target) in
-                    (* HLC receive rule at request receipt: the leaseholder's
-                       clock must not lag a timestamp it is about to write, or
-                       the observed-timestamp clamp would hide the value from
-                       reads arriving after the writer's commit ack. *)
-                    (match rg.rg_policy with
-                    | Lag _ -> Clock.update t.clocks.(r.r_node) ts
-                    | Lead -> ());
-                    let wpri = Option.value pri ~default:Ts.zero in
-                    let created =
-                      Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~key ~txn
-                        ~ts ()
-                    in
-                let done_ = Ivar.create () in
-                let cmd =
-                  {
-                    closed = target;
-                    proposer = r.r_node;
-                    op = Op_put { txn; ts; key; value; pri = wpri; anchor };
-                    done_;
-                    fate = `Applied;
-                  }
-                in
-                let tr = Obs.trace t.obs in
-                let rsp =
-                  Trace.span tr ~parent:span ~node:r.r_node ~range:rg.rg_id
-                    "raft.replicate"
-                in
-                let propose_at = Sim.now t.sim in
-                (match Raft.propose raft cmd with
-                | None ->
-                    Trace.annotate rsp "error" "not leader";
-                    Trace.finish tr rsp;
-                    if created then Lock_table.release r.r_lt ~key ~txn;
-                    `Not_leader
-                | Some _ -> (
-                    Ivar.on_fill done_ (fun () -> Trace.finish tr rsp);
-                    if replication_needs_wan t r then Phase.add_wan phases;
-                    Timeseries.observe (Obs.timeseries t.obs) ~range:rg.rg_id
-                      "kv.range.write_bytes"
-                      (String.length key
-                      + match value with Some v -> String.length v | None -> 0);
-                    (* One replication round; with pipelining the quorum wait
-                       overlaps the transaction's other work, so the phase is
-                       attributed when the local apply lands. *)
-                    Ivar.on_fill done_ (fun () ->
-                        Phase.add phases Phase.Replication
-                          (Sim.now t.sim - propose_at));
-                    match applied with
-                    | Some ack ->
-                        (* Pipelined write (CRDB write pipelining): reply as
-                           soon as the intent is in the log; confirm its
-                           application — and its fate — to the gateway
-                           asynchronously. The transaction awaits all
-                           confirmations at commit. *)
-                        Ivar.on_fill done_ (fun () ->
-                            Transport.send t.net ~src:r.r_node ~dst:gateway
-                              (fun () ->
-                                ignore (Ivar.try_fill ack cmd.fate : bool)));
-                        `Done (Write_ok ts)
-                    | None -> (
-                        match
-                          Proc.await_timeout t.sim done_ ~timeout:propose_timeout
-                        with
-                        | Some () -> (
-                            match cmd.fate with
-                            | `Applied -> `Done (Write_ok ts)
-                            | `Prevented ->
-                                `Done (Write_err "write prevented by recovery")
-                            | `Dropped ->
-                                `Done (Write_err "proposal lost (leader gone)"))
-                        | None ->
-                            `Done (Write_err "proposal lost (leader gone)")))))))
+  guard r ~key @@ fun () ->
+  (* A wounded or aborted writer must not lay new intents: a pusher may
+     already have cleaned up its old ones, and nothing would remove a
+     late-laid intent until abandonment kicked in. *)
+  when_live ~fate write_ends @@ fun () ->
+  match write_blocker r ~key ~txn ~strength:Lock_table.Exclusive with
+  | Some blocker ->
+      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate write_ends
+        ~retry:(fun () ->
+          eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
+            ~value ~ts ~span)
+        blocker
+  | None -> (
+      let rg = r.r_range in
+      let target = next_closed_target t rg r.r_node in
+      let ts =
+        Ts.max ts
+          (Ts.next (Tscache.max_read rg.rg_tscache ~for_txn:(Some txn) ~key))
+      in
+      let ts =
+        let latest = Mvcc.latest_ts r.r_store ~key in
+        if Ts.(latest >= ts) then Ts.next latest else ts
+      in
+      let ts = Ts.max ts (Ts.next target) in
+      (* HLC receive rule at request receipt: the leaseholder's clock must
+         not lag a timestamp it is about to write, or the observed-timestamp
+         clamp would hide the value from reads arriving after the writer's
+         commit ack. *)
+      (match rg.rg_policy with
+      | Lag _ -> Clock.update t.clocks.(r.r_node) ts
+      | Lead -> ());
+      let wpri = Option.value pri ~default:Ts.zero in
+      let created =
+        Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~key ~txn ~ts ()
+      in
+      match
+        propose t r ~span ~phases ~closed:target
+          (Op_put { txn; ts; key; value; pri = wpri; anchor })
+      with
+      | None ->
+          if created then Lock_table.release r.r_lt ~key ~txn;
+          `Not_leader
+      | Some cmd -> (
+          Timeseries.observe (Obs.timeseries t.obs) ~range:rg.rg_id
+            "kv.range.write_bytes"
+            (String.length key
+            + match value with Some v -> String.length v | None -> 0);
+          match applied with
+          | Some ack ->
+              (* Pipelined write (CRDB write pipelining): reply as soon as
+                 the intent is in the log; confirm its application — and its
+                 fate — to the gateway asynchronously. The transaction
+                 awaits all confirmations at commit. *)
+              Ivar.on_fill cmd.done_ (fun () ->
+                  Transport.send t.net ~src:r.r_node ~dst:gateway (fun () ->
+                      ignore (Ivar.try_fill ack cmd.fate : bool)));
+              `Done (Write_ok ts)
+          | None -> (
+              match await_applied t cmd with
+              | Some () -> (
+                  match cmd.fate with
+                  | `Applied -> `Done (Write_ok ts)
+                  | `Prevented ->
+                      `Done (Write_err "write prevented by recovery")
+                  | `Dropped -> `Done (Write_err "proposal lost (leader gone)"))
+              | None -> `Done (Write_err "proposal lost (leader gone)"))))
 
 (* One-phase commit: evaluate, then propose the intent and its commit
    resolution back to back in the same Raft log. The lock exists only
@@ -2503,42 +2336,18 @@ let eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value ~ts
   | `Done (Write_wounded reason) -> `Done (Error reason)
   | `Done (Write_err e) -> `Done (Error e)
   | `Done (Write_ok final_ts) -> (
-      match r.r_raft with
-      | None -> `Not_leader
-      | Some raft -> (
-          let rg = r.r_range in
-          let target = next_closed_target t rg r.r_node in
-          let done_ = Ivar.create () in
-          let cmd =
-            {
-              closed = target;
-              proposer = r.r_node;
-              op = Op_resolve { txn; keys = [ key ]; commit = Some final_ts };
-              done_;
-              fate = `Applied;
-            }
-          in
-          let tr = Obs.trace t.obs in
-          let rsp =
-            Trace.span tr ~parent:span ~node:r.r_node ~range:rg.rg_id
-              "raft.replicate"
-          in
-          let propose_at = Sim.now t.sim in
-          match Raft.propose raft cmd with
-          | None ->
-              Trace.annotate rsp "error" "not leader";
-              Trace.finish tr rsp;
-              Lock_table.release r.r_lt ~key ~txn;
-              `Not_leader
-          | Some _ ->
-              Ivar.on_fill done_ (fun () -> Trace.finish tr rsp);
-              if replication_needs_wan t r then Phase.add_wan phases;
-              Ivar.on_fill done_ (fun () ->
-                  Phase.add phases Phase.Replication
-                    (Sim.now t.sim - propose_at));
-              match Proc.await_timeout t.sim done_ ~timeout:propose_timeout with
-              | Some () -> `Done (Ok final_ts)
-              | None -> `Done (Error "proposal lost (leader gone)")))
+      match
+        propose t r ~span ~phases
+          ~closed:(next_closed_target t r.r_range r.r_node)
+          (Op_resolve { txn; keys = [ key ]; commit = Some final_ts })
+      with
+      | None ->
+          Lock_table.release r.r_lt ~key ~txn;
+          `Not_leader
+      | Some cmd -> (
+          match await_applied t cmd with
+          | Some () -> `Done (Ok final_ts)
+          | None -> `Done (Error "proposal lost (leader gone)")))
 
 let write_and_commit t ?span ?(phases = Phase.nil) ?pri ?(fate = live_fate)
     ~gateway ~txn ~key ~value ~ts () =
@@ -2565,42 +2374,20 @@ let write t ?applied ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
    write-write conflicts (the waiter pushes the holder's record at its
    anchor). *)
 let rec eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else
-    match (fate () : fate) with
-    | `Wounded reason -> `Done (Write_wounded reason)
-    | `Aborted -> `Done (Write_err "transaction aborted")
-    | `Live -> (
-        let wait ~kind ~blocker ~blocker_pri ~blocker_anchor =
-          match
-            timed_wait t ~phases (fun () ->
-                wait_on_conflict t r ~phases ~key ~kind ~blocker ~blocker_pri
-                  ~blocker_anchor ~waiter:(Some txn) ~waiter_pri:pri ~fate)
-          with
-          | Lock_table.Acquired ->
-              eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts
-          | Lock_table.Wounded reason -> `Done (Write_wounded reason)
-          | Lock_table.Pusher_aborted -> `Done (Write_err "transaction aborted")
-          | Lock_table.Timed_out -> `Done (Write_err "conflict timeout")
-        in
-        match Lock_table.foreign_for r.r_lt ~key ~txn ~strength with
-        | Some l ->
-            wait ~kind:`Lock ~blocker:(Lock_table.holder l)
-              ~blocker_pri:(Lock_table.lock_pri l)
-              ~blocker_anchor:(Lock_table.lock_anchor l)
-        | None -> (
-            match Mvcc.intent_on r.r_store ~key with
-            | Some i when i.Mvcc.txn_id <> txn ->
-                wait ~kind:`Intent ~blocker:i.Mvcc.txn_id ~blocker_pri:i.Mvcc.pri
-                  ~blocker_anchor:i.Mvcc.anchor
-            | Some _ | None ->
-                let wpri = Option.value pri ~default:Ts.zero in
-                ignore
-                  (Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~strength ~key
-                     ~txn ~ts ()
-                    : bool);
-                `Done (Write_ok ts)))
+  guard r ~key @@ fun () ->
+  when_live ~fate write_ends @@ fun () ->
+  match write_blocker r ~key ~txn ~strength with
+  | Some blocker ->
+      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate write_ends
+        ~retry:(fun () ->
+          eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts)
+        blocker
+  | None ->
+      let wpri = Option.value pri ~default:Ts.zero in
+      ignore
+        (Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~strength ~key ~txn ~ts ()
+          : bool);
+      `Done (Write_ok ts)
 
 let lock_key t ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
     ?(fate = live_fate) ~gateway ~txn ~key ~ts ~strength () =
@@ -2618,44 +2405,17 @@ let eval_resolve t r ~phases ~txn ~keys ~commit ~span =
     if mine = [] then `Range_mismatch
     else if not (is_leader_now r) then `Not_leader
     else
-      match r.r_raft with
+      match
+        propose t r ~span ~phases
+          ~closed:(next_closed_target t r.r_range r.r_node)
+          (Op_resolve { txn; keys = mine; commit })
+      with
       | None -> `Not_leader
-      | Some raft -> (
-          let rg = r.r_range in
-          let target = next_closed_target t rg r.r_node in
-          let done_ = Ivar.create () in
-          let cmd =
-            {
-              closed = target;
-              proposer = r.r_node;
-              op = Op_resolve { txn; keys = mine; commit };
-              done_;
-              fate = `Applied;
-            }
-          in
-          let tr = Obs.trace t.obs in
-          let rsp =
-            Trace.span tr ~parent:span ~node:r.r_node ~range:rg.rg_id
-              "raft.replicate"
-          in
-          let propose_at = Sim.now t.sim in
-          match Raft.propose raft cmd with
-          | None ->
-              Trace.annotate rsp "error" "not leader";
-              Trace.finish tr rsp;
-              `Not_leader
-          | Some _ ->
-              Ivar.on_fill done_ (fun () -> Trace.finish tr rsp);
-              if replication_needs_wan t r then Phase.add_wan phases;
-              Ivar.on_fill done_ (fun () ->
-                  Phase.add phases Phase.Replication
-                    (Sim.now t.sim - propose_at));
-              (* Resolution has no error channel: on a lost proposal, give up
-                 and let readers clean up the orphaned intents lazily. *)
-              ignore
-                (Proc.await_timeout t.sim done_ ~timeout:propose_timeout
-                  : unit option);
-              `Done leftover)
+      | Some cmd ->
+          (* Resolution has no error channel: on a lost proposal, give up
+             and let readers clean up the orphaned intents lazily. *)
+          ignore (await_applied t cmd : unit option);
+          `Done leftover
 
 let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
     ~sync_all () =
@@ -2719,58 +2479,49 @@ let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
           if rid = anchor_rid || sync_all then ignore (Proc.await iv))
         results
 
-let eval_refresh t r ~txn ~key ~from_ts ~to_ts =
-  ignore t;
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
+let eval_refresh r ~txn ~key ~from_ts ~to_ts =
+  guard r ~key @@ fun () ->
+  let lock_conflict =
+    match Lock_table.foreign r.r_lt ~key ~txn:(Some txn) ~max_ts:to_ts with
+    | Some _ -> true
+    | None -> false
+  in
+  let intent_conflict =
+    match Mvcc.intent_on r.r_store ~key with
+    | Some i when i.Mvcc.txn_id <> txn && Ts.(i.Mvcc.ts <= to_ts) -> true
+    | Some _ | None -> false
+  in
+  if lock_conflict || intent_conflict then `Done false
+  else if Mvcc.has_committed_after r.r_store ~key ~after:from_ts ~upto:to_ts
+  then `Done false
   else begin
-    let lock_conflict =
-      match Lock_table.foreign r.r_lt ~key ~txn:(Some txn) ~max_ts:to_ts with
-      | Some _ -> true
-      | None -> false
-    in
-    let intent_conflict =
-      match Mvcc.intent_on r.r_store ~key with
-      | Some i when i.Mvcc.txn_id <> txn && Ts.(i.Mvcc.ts <= to_ts) -> true
-      | Some _ | None -> false
-    in
-    if lock_conflict || intent_conflict then `Done false
-    else if Mvcc.has_committed_after r.r_store ~key ~after:from_ts ~upto:to_ts
-    then `Done false
-    else begin
-      Tscache.record_read r.r_range.rg_tscache ~txn:(Some txn) ~key ~ts:to_ts;
-      `Done true
-    end
+    Tscache.record_read r.r_range.rg_tscache ~txn:(Some txn) ~key ~ts:to_ts;
+    `Done true
   end
 
 let refresh t ?span ?(phases = Phase.nil) ~gateway ~txn ~key ~from_ts ~to_ts
     () =
   with_leaseholder t ~gateway ?span ~phases ~op:"kv.refresh" ~key
     ~on_fail:(fun _ -> false)
-    (fun r _sp -> eval_refresh t r ~txn ~key ~from_ts ~to_ts)
+    (fun r _sp -> eval_refresh r ~txn ~key ~from_ts ~to_ts)
 
-let eval_refresh_span t r ~txn ~start_key ~end_key ~from_ts ~to_ts =
-  ignore t;
-  if r.r_range.rg_dropped || not (in_span r.r_range start_key) then
-    `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
+let eval_refresh_span r ~txn ~start_key ~end_key ~from_ts ~to_ts =
+  guard r ~key:start_key @@ fun () ->
+  let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
+  let lock_conflict =
+    Lock_table.foreign_in_span r.r_lt ~start_key ~end_key ~txn:(Some txn)
+      ~max_ts:to_ts
+    <> None
+  in
+  let version_conflict =
+    Mvcc.span_has_writes_in_window r.r_store ~start_key ~end_key
+      ~after:from_ts ~upto:to_ts ~ignore_txn:(Some txn)
+  in
+  if lock_conflict || version_conflict then `Done false
   else begin
-    let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
-    let lock_conflict =
-      Lock_table.foreign_in_span r.r_lt ~start_key ~end_key ~txn:(Some txn)
-        ~max_ts:to_ts
-      <> None
-    in
-    let version_conflict =
-      Mvcc.span_has_writes_in_window r.r_store ~start_key ~end_key
-        ~after:from_ts ~upto:to_ts ~ignore_txn:(Some txn)
-    in
-    if lock_conflict || version_conflict then `Done false
-    else begin
-      Tscache.record_read_span r.r_range.rg_tscache ~txn:(Some txn) ~start_key
-        ~end_key ~ts:to_ts;
-      `Done true
-    end
+    Tscache.record_read_span r.r_range.rg_tscache ~txn:(Some txn) ~start_key
+      ~end_key ~ts:to_ts;
+    `Done true
   end
 
 let refresh_span t ?span ?(phases = Phase.nil) ~gateway ~txn ~start_key
@@ -2778,27 +2529,19 @@ let refresh_span t ?span ?(phases = Phase.nil) ~gateway ~txn ~start_key
   (* Stitched like {!scan}: every range covering part of the request span
      must confirm the absence of conflicting writes in the window, however
      the span is carved up at validation time. *)
-  let rec go cursor =
-    if String.compare cursor end_key >= 0 then true
-    else
-      match next_covered t ~cursor ~end_key with
-      | None -> true
-      | Some cursor ->
-          let ok, next =
-            with_leaseholder t ~gateway ?span ~phases ~op:"kv.refresh_span"
-              ~key:cursor
-              ~on_fail:(fun _ -> (false, end_key))
-              (fun r _sp ->
-                match
-                  eval_refresh_span t r ~txn ~start_key:cursor ~end_key
-                    ~from_ts ~to_ts
-                with
-                | (`Not_leader | `Range_mismatch) as other -> other
-                | `Done ok -> `Done (ok, snd r.r_range.rg_span))
-          in
-          if ok then go next else false
-  in
-  go start_key
+  stitch t ~start_key ~end_key ~init:()
+    ~finish:(fun ~gap:_ () -> true)
+    ~step:(fun () ~cursor _ ->
+      let ok, next =
+        with_leaseholder t ~gateway ?span ~phases ~op:"kv.refresh_span"
+          ~key:cursor
+          ~on_fail:(fun _ -> (false, end_key))
+          (fun r _sp ->
+            with_range_end r
+              (eval_refresh_span r ~txn ~start_key:cursor ~end_key ~from_ts
+                 ~to_ts))
+      in
+      if ok then Ok ((), next) else Error false)
 
 let local_closed t ~at rid =
   let rg = range t rid in
@@ -2820,7 +2563,6 @@ let negotiate t ~at ~keys =
     keys;
   Hashtbl.fold
     (fun rid ks acc ->
-      let rg = range t rid in
       let eval r =
         (* A valid leaseholder can serve any timestamp up to the present;
            followers are bounded by their closed timestamp. *)
@@ -2836,23 +2578,9 @@ let negotiate t ~at ~keys =
             | Some _ | None -> safe)
           base !ks
       in
-      let result =
-        match replica_at rg at with
-        | Some r -> Some (eval r)
-        | None -> (
-            match nearest_replica t rid ~from:at with
-            | None -> None
-            | Some node -> (
-                match replica_at rg node with
-                | None -> None
-                | Some r -> (
-                    let reply =
-                      Transport.rpc t.net ~src:at ~dst:node (fun out ->
-                          Ivar.fill out (eval r))
-                    in
-                    Proc.await_timeout t.sim reply ~timeout:rpc_timeout)))
-      in
-      match result with None -> Ts.zero | Some ts -> Ts.min acc ts)
+      match follower_serve t (range t rid) ~at eval with
+      | `Served ts -> Ts.min acc ts
+      | `No_replica | `Timed_out -> Ts.zero)
     groups Ts.max_value
 
 (* ------------------------------------------------------------------ *)
@@ -2893,65 +2621,17 @@ let txn_status t ?span ?phases ~gateway ~txn ~key () =
     ~phases:(Option.value phases ~default:Phase.nil)
     ~op:"kv.txn_status" ~key
     ~on_fail:(fun _ -> None)
-    (fun r _sp ->
-      if r.r_range.rg_dropped || not (in_span r.r_range key) then
-        `Range_mismatch
-      else if not (is_leader_now r) then `Not_leader
-      else `Done (Txnrec.status r.r_txns ~txn))
+    (fun r _sp -> guard r ~key (fun () -> `Done (Txnrec.status r.r_txns ~txn)))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let messages_sent t = Transport.messages_sent t.net
-
-let diagnostics t =
-  Printf.sprintf
-    "lock_waits=%d intent_waits=%d pushes=%d wounds=%d conflict_timeouts=%d      lh_misses=%d rpc_timeouts=%d not_leader=%d"
-    t.diag.d_lock_waits t.diag.d_intent_waits t.diag.d_pushes t.diag.d_wounds
-    t.diag.d_conflict_timeouts t.diag.d_lh_misses t.diag.d_rpc_timeouts
-    t.diag.d_not_leader
-
 let storage_of t rid node =
   let rg = range t rid in
   Option.map (fun r -> r.r_store) (replica_at rg node)
-
-let raft_of t rid node =
-  let rg = range t rid in
-  match replica_at rg node with
-  | Some r -> (
-      match r.r_raft with
-      | Some raft -> Some (fun () -> Raft.applied_index raft)
-      | None -> None)
-  | None -> None
 
 (* Shadow [create] so every cluster starts its closed-timestamp publishers. *)
 let create ?config ~topology ~latency () =
   let t = create ?config ~topology ~latency () in
   start_publishers t;
   t
-
-let debug_dump t rid =
-  let rg = range t rid in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "range %d now=%d\n" rid (Sim.now t.sim));
-  Hashtbl.iter
-    (fun node r ->
-      match r.r_raft with
-      | None -> Buffer.add_string buf (Printf.sprintf "  n%d: no raft\n" node)
-      | Some raft ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  n%d(%s) role=%s term=%d quiesced=%b alive=%b contact=%d                 lease_valid=%b commit=%d applied=%d\n"
-               node
-               (Topology.region_of t.topo node)
-               (match Raft.role raft with
-               | Raft.Leader -> "L"
-               | Raft.Follower -> "F"
-               | Raft.Candidate -> "C")
-               (Raft.term raft) (Raft.quiesced raft)
-               (Transport.is_alive t.net node)
-               (Raft.last_quorum_contact raft)
-               (lease_valid t r) (Raft.commit_index raft)
-               (Raft.applied_index raft)))
-    rg.rg_replicas;
-  Buffer.contents buf

@@ -109,8 +109,6 @@ val obs : t -> Crdb_obs.Obs.t
 val topology : t -> Crdb_net.Topology.t
 val config : t -> config
 val clock : t -> Crdb_net.Topology.node_id -> Crdb_hlc.Clock.t
-val liveness : t -> Liveness.t
-val rng : t -> Crdb_stdx.Rng.t
 val now_ts : t -> Crdb_net.Topology.node_id -> Ts.t
 (** Current HLC reading at a node. *)
 
@@ -221,11 +219,6 @@ val leaseholder : t -> range_id -> Crdb_net.Topology.node_id option
 
 val leaseholder_region : t -> range_id -> string option
 
-val nearest_replica :
-  t -> range_id -> from:Crdb_net.Topology.node_id -> Crdb_net.Topology.node_id option
-(** Replica with the lowest RTT from [from] ([from] itself if it holds
-    one); used for follower reads. Dead nodes are skipped. *)
-
 val rebalance_leases : t -> unit
 (** Transfer leadership of every range back to its preferred region when a
     live voter exists there (run after failures heal). *)
@@ -271,9 +264,6 @@ type fate = [ `Live | `Wounded of string | `Aborted ]
     and cancels its in-flight requests by answering [`Wounded]/[`Aborted]
     from the [fate] closure it threads into its operations. Checked at the
     head of every evaluation and on every conflict-wait tick. *)
-
-val live_fate : unit -> fate
-(** The default: the requester considers itself alive. *)
 
 type write_ack = [ `Applied | `Prevented | `Dropped ]
 (** Resolution of a pipelined write, delivered through the [applied] ivar:
@@ -368,6 +358,10 @@ val scan_follower :
   limit:int option ->
   unit ->
   scan_result
+(** Follower scan: stitched like {!scan}, with [limit] counting down across
+    the fragments, but each fragment is served by [at]'s own replica or the
+    nearest live one. [Scan_redirect] when any fragment lies above that
+    replica's closed timestamp or meets an intent. *)
 
 type write_result =
   | Write_ok of Ts.t
@@ -651,16 +645,4 @@ val recover_txn :
 
 (** {2 Introspection for tests and benchmarks} *)
 
-val messages_sent : t -> int
-
-(** Counters of conflict waits/timeouts, leaseholder misses and RPC
-    timeouts, for debugging workloads. *)
-val diagnostics : t -> string
 val storage_of : t -> range_id -> Crdb_net.Topology.node_id -> Crdb_storage.Mvcc.t option
-val debug_dump : t -> range_id -> string
-(** Human-readable per-replica Raft/lease state (debugging aid). *)
-
-val raft_of :
-  t -> range_id -> Crdb_net.Topology.node_id ->
-  (unit -> int) option
-(** Returns a function giving that replica's applied Raft index. *)

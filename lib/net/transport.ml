@@ -23,7 +23,6 @@ type t = {
   cut : bool array;
   (* One-way base delay of each node pair, [-1] until first used. *)
   base_delays : int array;
-  mutable messages_sent : int;
   obs : Obs.t;
   (* Per-node counters, cached so the per-message cost is an array index. *)
   c_sent : Metrics.counter array;
@@ -56,7 +55,6 @@ let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
     nregions;
     cut = Array.make (nregions * nregions) false;
     base_delays = Array.make (n * n) (-1);
-    messages_sent = 0;
     obs;
     c_sent = Array.init n (fun i -> Metrics.counter m ~node:i "net.msgs_sent");
     c_dropped = Array.init n (fun i -> Metrics.counter m ~node:i "net.msgs_dropped");
@@ -108,7 +106,6 @@ let partitioned t src dst =
 
 let send t ~src ~dst fn =
   if is_alive t src && not (partitioned t src dst) then begin
-    t.messages_sent <- t.messages_sent + 1;
     Metrics.inc t.c_sent.(src);
     if cross_region t src dst then Metrics.inc t.c_wan_msgs.(src);
     let d = delay t src dst in
@@ -151,7 +148,6 @@ let rpc ?span ?(phases = Crdb_obs.Phase.nil) t ~src ~dst handler =
       handler inner);
   outer
 
-let messages_sent t = t.messages_sent
 let kill_node t id = if is_alive t id then Hashtbl.replace t.dead_since id (Sim.now t.sim)
 let revive_node t id =
   if not (is_alive t id) then begin

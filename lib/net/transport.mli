@@ -55,8 +55,6 @@ val rpc :
     charges one WAN round trip to [phases] (and the per-node [net.wan_rpcs]
     counter) at issue time. *)
 
-val messages_sent : t -> int
-
 (** {2 Failure injection} *)
 
 val kill_node : t -> Topology.node_id -> unit

@@ -148,35 +148,26 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
         report on_attempt t (Attempt_committed (Ts.max t.read_ts t.write_ts));
         Trace.finish tr t.sp;
         (n, Ok result)
-    | exception Restart reason -> (
+    | exception ((Restart reason | Wounded reason) as e) -> (
         match Cc_base.abort t with
         | Some cts -> recovered_committed t n reason cts
         | None ->
+            let wounded = match e with Wounded _ -> true | _ -> false in
             report on_attempt t (failed_attempt_outcome t reason);
             mgr.stats.restarts <- mgr.stats.restarts + 1;
             Metrics.inc mgr.c_restarts.(gateway);
-            Trace.annotate t.sp "restart" reason;
+            if wounded then begin
+              mgr.stats.wounds <- mgr.stats.wounds + 1;
+              Metrics.inc mgr.c_wounds.(gateway)
+            end;
+            Trace.annotate t.sp
+              (if wounded then "wounded" else "restart")
+              reason;
             Trace.finish tr t.sp;
             if n >= max_attempts then (n, Error (Unavailable reason))
             else begin
               (* Small randomized backoff to break livelocks between
                  retries. *)
-              backoff n;
-              attempt (n + 1) ~pri
-            end)
-    | exception Wounded reason -> (
-        match Cc_base.abort t with
-        | Some cts -> recovered_committed t n reason cts
-        | None ->
-            report on_attempt t (failed_attempt_outcome t reason);
-            mgr.stats.restarts <- mgr.stats.restarts + 1;
-            mgr.stats.wounds <- mgr.stats.wounds + 1;
-            Metrics.inc mgr.c_restarts.(gateway);
-            Metrics.inc mgr.c_wounds.(gateway);
-            Trace.annotate t.sp "wounded" reason;
-            Trace.finish tr t.sp;
-            if n >= max_attempts then (n, Error (Unavailable reason))
-            else begin
               backoff n;
               attempt (n + 1) ~pri
             end)

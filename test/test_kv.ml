@@ -10,6 +10,8 @@ module Raft = Crdb_raft.Raft
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Allocator = Crdb_kv.Allocator
 module Cluster = Crdb_kv.Cluster
+module Obs = Crdb_obs.Obs
+module Metrics = Crdb_obs.Metrics
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -577,6 +579,131 @@ let test_negotiate () =
       Cluster.resolve cl ~gateway:gw ~txn:7 ~commit:None ~keys:[ "k" ]
         ~sync_all:true ())
 
+(* Four committed keys in one Lag range, split at "k3" so a follower scan
+   over [k, l) crosses a range boundary. *)
+let follower_scan_fixture () =
+  let cl = make_cluster () in
+  let rid =
+    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
+      ~policy:(Cluster.Lag 3_000_000)
+  in
+  Cluster.settle cl;
+  let gw = node_in cl home 0 in
+  Cluster.run cl (fun () ->
+      List.iteri
+        (fun i k -> ignore (put cl ~gateway:gw ~txn:(i + 1) k ("v" ^ k)))
+        [ "k1"; "k2"; "k3"; "k4" ]);
+  ignore (Cluster.split_range cl rid ~at:"k3" : Cluster.range_id option);
+  (cl, gw)
+
+let follower_scan cl ~at ?(end_key = "l") ?limit ts =
+  Cluster.scan_follower cl ~at ~txn:None ~start_key:"k" ~end_key ~ts
+    ~max_ts:ts ~limit ()
+
+(* A timestamp the Lag range has closed on every replica, above the
+   fixture's writes once the close lag has passed. *)
+let closed_ts cl = Ts.of_wall (Sim.now (Cluster.sim cl) - 3_500_000)
+
+let scan_rows = function
+  | Cluster.Scan_rows rows -> rows
+  | Cluster.Scan_uncertain _ -> Alcotest.fail "unexpected uncertainty"
+  | Cluster.Scan_redirect -> Alcotest.fail "unexpected redirect"
+  | Cluster.Scan_wounded e | Cluster.Scan_err e -> Alcotest.failf "scan: %s" e
+
+let expect_redirect what = function
+  | Cluster.Scan_redirect -> ()
+  | Cluster.Scan_rows _ | Cluster.Scan_uncertain _ | Cluster.Scan_wounded _
+  | Cluster.Scan_err _ ->
+      Alcotest.failf "%s: expected a redirect" what
+
+let all_rows = [ ("k1", "vk1"); ("k2", "vk2"); ("k3", "vk3"); ("k4", "vk4") ]
+let rows_t = Alcotest.(list (pair string string))
+
+let fr_counter cl node name =
+  Metrics.value (Metrics.counter (Obs.metrics (Cluster.obs cl)) ~node name)
+
+(* The gateway's own replica serves locally; a gateway without one asks the
+   nearest replica over the network. Both count as follower-read hits of the
+   gateway, one per fragment. *)
+let test_follower_scan_local_vs_remote () =
+  let cl, _ = follower_scan_fixture () in
+  let region = "europe-west2" in
+  let holders =
+    List.map fst (Cluster.replica_nodes cl (Cluster.range_of_key cl "k1"))
+  in
+  let in_region =
+    List.map
+      (fun n -> n.Topology.id)
+      (Topology.nodes_in_region (Cluster.topology cl) region)
+  in
+  let local = List.find (fun n -> List.mem n holders) in_region in
+  let remote = List.find (fun n -> not (List.mem n holders)) in_region in
+  let sim = Cluster.sim cl in
+  Cluster.run cl (fun () ->
+      Crdb_sim.Proc.sleep sim 4_000_000;
+      let ts = closed_ts cl in
+      let timed at =
+        let hits = fr_counter cl at "kv.follower_read_hits" in
+        let t0 = Sim.now sim in
+        check rows_t "all rows" all_rows (scan_rows (follower_scan cl ~at ts));
+        check Alcotest.int "one hit per fragment" (hits + 2)
+          (fr_counter cl at "kv.follower_read_hits");
+        Sim.now sim - t0
+      in
+      let local_elapsed = timed local in
+      let remote_elapsed = timed remote in
+      check Alcotest.bool
+        (Printf.sprintf "local scan is storage-only (was %dus)" local_elapsed)
+        true (local_elapsed < 1_000);
+      check Alcotest.bool
+        (Printf.sprintf "remote scan pays a round trip (%dus vs %dus)"
+           remote_elapsed local_elapsed)
+        true
+        (remote_elapsed > local_elapsed))
+
+(* A fragment above the replica's closed timestamp, or blocked by a foreign
+   intent, redirects the whole scan to the leaseholder path. *)
+let test_follower_scan_redirects () =
+  let cl, gw = follower_scan_fixture () in
+  let at = node_in cl "us-west1" 1 in
+  let sim = Cluster.sim cl in
+  Cluster.run cl (fun () ->
+      Crdb_sim.Proc.sleep sim 4_000_000;
+      let misses = fr_counter cl at "kv.follower_read_misses" in
+      expect_redirect "present time"
+        (follower_scan cl ~at (Cluster.now_ts cl at));
+      check Alcotest.int "miss counted" (misses + 1)
+        (fr_counter cl at "kv.follower_read_misses");
+      (match
+         Cluster.write cl ~gateway:gw ~txn:9 ~key:"k4" ~value:(Some "x")
+           ~ts:(Cluster.now_ts cl gw) ()
+       with
+      | Cluster.Write_ok _ -> ()
+      | Cluster.Write_wounded e | Cluster.Write_err e ->
+          Alcotest.failf "write: %s" e);
+      Crdb_sim.Proc.sleep sim 5_000_000;
+      let ts = closed_ts cl in
+      expect_redirect "intent in the right fragment" (follower_scan cl ~at ts);
+      check rows_t "left fragment alone serves"
+        [ ("k1", "vk1"); ("k2", "vk2") ]
+        (scan_rows (follower_scan cl ~at ~end_key:"k3" ts));
+      Cluster.resolve cl ~gateway:gw ~txn:9 ~commit:None ~keys:[ "k4" ]
+        ~sync_all:true ())
+
+(* Rows from both sides of the split come back in key order, and a limit
+   counts down across the fragments. *)
+let test_follower_scan_stitches_split () =
+  let cl, _ = follower_scan_fixture () in
+  let at = node_in cl "asia-northeast1" 0 in
+  Cluster.run cl (fun () ->
+      Crdb_sim.Proc.sleep (Cluster.sim cl) 4_000_000;
+      let ts = closed_ts cl in
+      check rows_t "stitched in order" all_rows
+        (scan_rows (follower_scan cl ~at ts));
+      check rows_t "limit spans fragments"
+        [ ("k1", "vk1"); ("k2", "vk2"); ("k3", "vk3") ]
+        (scan_rows (follower_scan cl ~at ~limit:3 ts)))
+
 let test_bulk_load_visible () =
   let cl = make_cluster () in
   ignore
@@ -639,6 +766,12 @@ let suite =
       test_region_survival_survives_region;
     Alcotest.test_case "zone failure tolerated" `Quick test_zone_failure_tolerated;
     Alcotest.test_case "negotiate" `Quick test_negotiate;
+    Alcotest.test_case "follower scan local vs remote" `Quick
+      test_follower_scan_local_vs_remote;
+    Alcotest.test_case "follower scan redirects" `Quick
+      test_follower_scan_redirects;
+    Alcotest.test_case "follower scan stitches split" `Quick
+      test_follower_scan_stitches_split;
     Alcotest.test_case "bulk load" `Quick test_bulk_load_visible;
     Alcotest.test_case "multi-range routing" `Quick test_multi_range_routing;
   ]

@@ -23,4 +23,5 @@ let () =
       ("check", Test_check.suite);
       ("chaos", Test_chaos.suite);
       ("integration", Test_integration.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -411,6 +411,30 @@ let test_commit_wait_metrics () =
   check Alcotest.bool "global write waited out the lead" true
     (Crdb_stats.Hist.max_value h > 0)
 
+(* A stale scan crossing a range boundary stops at its row limit: the limit
+   counts down across fragments instead of applying to each one. *)
+let test_stale_scan_limit_across_split () =
+  let cl, mgr = make () in
+  let gw = node_in cl home 0 in
+  let remote = node_in cl "europe-west2" 1 in
+  Cluster.run cl (fun () ->
+      expect_ok
+        (Txn.run mgr ~gateway:gw (fun t ->
+             List.iter (fun k -> Txn.put t k ("v" ^ k)) [ "k1"; "k2"; "k3"; "k4" ])));
+  ignore
+    (Cluster.split_range cl (Cluster.range_of_key cl "k1") ~at:"k3"
+      : Cluster.range_id option);
+  Cluster.run cl (fun () ->
+      Proc.sleep (Cluster.sim cl) 4_000_000;
+      let ts = Ts.of_wall (Sim.now (Cluster.sim cl) - 3_500_000) in
+      let rows =
+        Txn.run_stale_exact mgr ~gateway:remote ~ts (fun ro ->
+            Txn.ro_scan ro ~start_key:"k" ~end_key:"l" ~limit:2 ())
+      in
+      check
+        Alcotest.(list (pair string string))
+        "first two keys" [ ("k1", "vk1"); ("k2", "vk2") ] rows)
+
 let suite =
   [
     Alcotest.test_case "basic txn" `Quick test_basic_txn;
@@ -428,4 +452,6 @@ let suite =
     Alcotest.test_case "stale bounded" `Quick test_stale_bounded_read;
     Alcotest.test_case "conflict restart" `Quick test_conflict_restart_counted;
     Alcotest.test_case "commit wait metrics" `Quick test_commit_wait_metrics;
+    Alcotest.test_case "stale scan limit across split" `Quick
+      test_stale_scan_limit_across_split;
   ]
