@@ -1,11 +1,11 @@
 (* Benchmark harness: one experiment per table and figure of the paper's
-   evaluation (§7), plus ablations of design choices and Bechamel
-   microbenchmarks of the core data structures.
+   evaluation (§7), plus ablations of design choices. The microbenchmarks
+   of the core data structures live in bench/perf/micro.ml.
 
    Usage:   dune exec bench/main.exe [-- EXPERIMENT...]
    where EXPERIMENT is any of: table1 fig3 fig4a fig4b fig4c fig5 fig6
    table2 ablations conflicts splits latency-audit commit-path autopilot
-   chaos micro.
+   chaos.
    With no arguments, everything runs.
 
    Workload volumes are scaled down from the paper's GCP runs (the paper's
@@ -444,12 +444,6 @@ let run_table2 () =
         (Ddl.count (Movr.legacy_ddl ~db:"movr" ~regions:movr_regions op))
         (Ddl.count (Movr.ddl ~db:"movr" ~regions:movr_regions op)))
     ops;
-  let legacy_of = function
-    | Movr.New_schema -> Crdb.Legacy.New_schema
-    | Movr.Convert_schema -> Crdb.Legacy.Convert_schema
-    | Movr.Add_region r -> Crdb.Legacy.Add_region r
-    | Movr.Drop_region r -> Crdb.Legacy.Drop_region r
-  in
   let tpcc_tables = Tpcc.tables ~regions:movr_regions ~warehouses_per_region:10 in
   let tpcc_after = function
     | Movr.New_schema ->
@@ -463,7 +457,7 @@ let run_table2 () =
       printf "%-36s %8d %8d@." label
         (Ddl.count
            (Crdb.Legacy.statements ~db:"tpcc" ~regions:movr_regions
-              ~tables:tpcc_tables (legacy_of op)))
+              ~tables:tpcc_tables op))
         (tpcc_after op))
     ops;
   let ycsb_tables = [ Ycsb.schema Ycsb.Rbr_default ~regions:movr_regions ] in
@@ -473,7 +467,7 @@ let run_table2 () =
       printf "%-36s %8d %8d@." label
         (Ddl.count
            (Crdb.Legacy.statements ~db:"ycsb" ~regions:movr_regions
-              ~tables:ycsb_tables (legacy_of op)))
+              ~tables:ycsb_tables op))
         1)
     ops;
   printf "@.Sample of the legacy statements replaced by a single ALTER:@.";
@@ -514,24 +508,6 @@ let run_ablations () =
       printf "  max_offset=%3dms: lead=%a ms, measured GLOBAL write p50=%a ms@."
         (max_offset / 1000) Hist.pp_ms lead Hist.pp_ms (Hist.percentile lat 50.0))
     [ 250_000; 50_000; 10_000 ];
-  subsection "commit-wait lock release (CRDB early-release vs Spanner-style)";
-  List.iter
-    (fun (label, hold) ->
-      let keyspace = 50 in
-      let t, db = setup_ycsb Ycsb.Global_table ~keyspace in
-      let mgr = Engine.txn_manager (Crdb.engine t) in
-      Txn.set_options mgr
-        { (Txn.options mgr) with
-          Txn.Options.hold_locks_during_commit_wait = hold };
-      let r =
-        Ycsb.run t db ~clients_per_region:5 ~ops_per_client:60 ~workload:Ycsb.A
-          ~keyspace ()
-      in
-      let reads = Ycsb.reads r in
-      printf "  %-34s read p50=%a p99=%a max=%a@." label Hist.pp_ms
-        (Hist.percentile reads 50.0) Hist.pp_ms (Hist.percentile reads 99.0)
-        Hist.pp_ms (Hist.max_value reads))
-    [ ("release during commit wait", false); ("hold through commit wait", true) ];
   subsection "write pipelining (multi-statement TPC-C new-order)";
   List.iter
     (fun (label, pipelined) ->
@@ -884,8 +860,7 @@ let run_commit_path () =
          ~policy:(Cluster.Lag 3_000_000));
     Cluster.settle cl;
     let mgr = Txn.create_manager cl in
-    Txn.set_options mgr
-      { Txn.Options.default with pipelined_writes; parallel_commits };
+    Txn.set_options mgr { Txn.Options.pipelined_writes; parallel_commits };
     let sim = Cluster.sim cl in
     let m = Crdb.Obs.metrics (Cluster.obs cl) in
     let gw =
@@ -1118,67 +1093,6 @@ let run_chaos () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-
-let run_micro () =
-  section "Microbenchmarks (Bechamel): core data structures";
-  let open Bechamel in
-  let clock_time = ref 0 in
-  let clock =
-    Crdb_hlc.Clock.create
-      ~now_micros:(fun () ->
-        incr clock_time;
-        !clock_time)
-      ()
-  in
-  let mvcc = Crdb_storage.Mvcc.create () in
-  for i = 0 to 999 do
-    Crdb_storage.Mvcc.put_version mvcc
-      ~key:(Printf.sprintf "key%04d" i)
-      ~ts:(Crdb_hlc.Timestamp.of_wall (i + 1))
-      ~value:(Some "v")
-  done;
-  let rng = Crdb_stdx.Rng.create ~seed:42 in
-  let zipf = Crdb_stdx.Rng.Zipf.create ~n:100_000 () in
-  let sim = Crdb_sim.Sim.create () in
-  let tests =
-    [
-      Test.make ~name:"hlc_now"
-        (Staged.stage (fun () -> ignore (Crdb_hlc.Clock.now clock)));
-      Test.make ~name:"mvcc_read"
-        (Staged.stage (fun () ->
-             ignore
-               (Crdb_storage.Mvcc.read mvcc ~key:"key0500"
-                  ~ts:(Crdb_hlc.Timestamp.of_wall 2000)
-                  ~max_ts:(Crdb_hlc.Timestamp.of_wall 2000)
-                  ~for_txn:None)));
-      Test.make ~name:"zipf_sample"
-        (Staged.stage (fun () ->
-             ignore (Crdb_stdx.Rng.Zipf.scrambled_sample zipf rng)));
-      Test.make ~name:"sim_event"
-        (Staged.stage (fun () ->
-             Crdb_sim.Sim.schedule sim ~after:1 (fun () -> ());
-             ignore (Crdb_sim.Sim.step sim)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> printf "  %-24s %10.1f ns/op@." name est
-          | Some [] | None -> printf "  %-24s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1197,7 +1111,6 @@ let experiments =
     ("commit-path", run_commit_path);
     ("autopilot", run_autopilot);
     ("chaos", run_chaos);
-    ("micro", run_micro);
   ]
 
 let () =

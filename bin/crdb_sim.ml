@@ -241,9 +241,9 @@ let survival_conv =
 
 let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
     ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys
-    ~write_ratio ~accounts ~unsafe_stale ~checker ~txn
-    ~unsafe_no_refresh ~unsafe_no_recovery ~max_conflict_timeouts ~autopilot
-    ~min_auto_splits ~dump_history ~show_history ~report ~trace ~metrics =
+    ~write_ratio ~accounts ~broken ~checker ~txn ~max_conflict_timeouts
+    ~autopilot ~min_auto_splits ~dump_history ~show_history ~report ~trace
+    ~metrics =
   (* [--checker serializability] implies the transactional workload. *)
   let txn =
     if checker = `Serializability && txn.Chaos_workload.Txn_config.clients = 0
@@ -260,10 +260,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
       keys;
       write_ratio;
       accounts;
-      unsafe_stale_reads = unsafe_stale;
       txn;
-      unsafe_no_refresh;
-      unsafe_no_recovery;
     }
   in
   let setup =
@@ -285,8 +282,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
             enforce_quorum = not no_quorum_guard;
           };
       workload;
-      cluster_config =
-        Some { Cluster.default with Cluster.autopilot };
+      cluster_config = Some { Cluster.default with Cluster.autopilot; broken };
     }
   in
   (* The autopilot races its background queues against the nemesis for the
@@ -412,9 +408,9 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
 
 let run_chaos seed seeds nregions survival global duration faults fault_interval
     fault_duration no_quorum_guard clients ops keys write_ratio accounts
-    unsafe_stale checker txn_clients txn_ops txn_keys txn_ranges
-    txn_hot_keys unsafe_no_refresh unsafe_no_recovery max_conflict_timeouts
-    autopilot min_auto_splits dump_history show_history report trace metrics =
+    broken checker txn_clients txn_ops txn_keys txn_ranges txn_hot_keys
+    max_conflict_timeouts autopilot min_auto_splits dump_history show_history
+    report trace metrics =
   (* The five --txn-* flags assemble the one workload record. *)
   let txn =
     {
@@ -436,8 +432,7 @@ let run_chaos seed seeds nregions survival global duration faults fault_interval
       not
         (run_chaos_one ~seed:s ~nregions ~survival ~global ~duration ~faults
            ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys
-           ~write_ratio ~accounts ~unsafe_stale ~checker ~txn
-           ~unsafe_no_refresh ~unsafe_no_recovery ~max_conflict_timeouts
+           ~write_ratio ~accounts ~broken ~checker ~txn ~max_conflict_timeouts
            ~autopilot ~min_auto_splits ~dump_history ~show_history ~report
            ~trace ~metrics)
     then all_ok := false
@@ -483,10 +478,32 @@ let chaos_cmd =
     Arg.(value & opt float 0.5 & info [ "write-ratio" ] ~doc:"Register write fraction (YCSB-A = 0.5)")
   in
   let accounts = Arg.(value & opt int 8 & info [ "accounts" ] ~doc:"Bank accounts (< 2 disables the bank workload)") in
-  let unsafe_stale =
-    Arg.(value & flag
-         & info [ "unsafe-stale-reads" ]
-             ~doc:"Deliberately broken mode: record bounded-stale reads as fresh; the checker must object")
+  (* At most one deliberately broken mode per run: giving two is a usage
+     error. *)
+  let broken =
+    Arg.(value
+         & vflag None
+             [
+               ( Some Cluster.Stale_reads,
+                 info [ "unsafe-stale-reads" ]
+                   ~doc:
+                     "Deliberately broken mode: record bounded-stale reads \
+                      as fresh; the checker must object" );
+               ( Some Cluster.No_refresh,
+                 info [ "unsafe-no-refresh" ]
+                   ~doc:
+                     "Deliberately broken mode: skip read-span refreshes on \
+                      timestamp pushes; the serializability checker must \
+                      object" );
+               ( Some Cluster.No_recovery,
+                 info [ "unsafe-no-recovery" ]
+                   ~doc:
+                     "Deliberately broken mode: pushers abort STAGING \
+                      records without probing their declared in-flight \
+                      writes, tearing down implicitly committed \
+                      transactions; the serializability checker must \
+                      object" );
+             ])
   in
   let checker =
     Arg.(value & opt checker_conv `Linearizability
@@ -521,22 +538,6 @@ let chaos_cmd =
              ~doc:
                "Fail the run if kv.conflict_timeouts exceeds this bound \
                 (-1 disables the gate); healthy wound-wait runs expect 0")
-  in
-  let unsafe_no_refresh =
-    Arg.(value & flag
-         & info [ "unsafe-no-refresh" ]
-             ~doc:
-               "Deliberately broken mode: skip read-span refreshes on \
-                timestamp pushes; the serializability checker must object")
-  in
-  let unsafe_no_recovery =
-    Arg.(value & flag
-         & info [ "unsafe-no-recovery" ]
-             ~doc:
-               "Deliberately broken mode: pushers abort STAGING records \
-                without probing their declared in-flight writes, tearing \
-                down implicitly committed transactions; the serializability \
-                checker must object")
   in
   let autopilot =
     Arg.(value & flag
@@ -577,11 +578,10 @@ let chaos_cmd =
     Term.(
       const run_chaos $ seed $ seeds $ nregions $ survival $ global $ duration
       $ faults $ fault_interval $ fault_duration $ no_quorum_guard $ clients
-      $ ops $ keys $ write_ratio $ accounts $ unsafe_stale $ checker
+      $ ops $ keys $ write_ratio $ accounts $ broken $ checker
       $ txn_clients $ txn_ops $ txn_keys $ txn_ranges $ txn_hot_keys
-      $ unsafe_no_refresh $ unsafe_no_recovery $ max_conflict_timeouts
-      $ autopilot $ min_auto_splits $ dump_history $ show_history $ report
-      $ trace_arg $ metrics_arg)
+      $ max_conflict_timeouts $ autopilot $ min_auto_splits $ dump_history
+      $ show_history $ report $ trace_arg $ metrics_arg)
 
 (* ---------------- check (offline) ---------------- *)
 
@@ -641,15 +641,8 @@ let run_ddl schema op =
           Movr.legacy_ddl ~db:"movr" ~regions movr_op )
     | "tpcc" ->
         let tables = Tpcc.tables ~regions ~warehouses_per_region:10 in
-        let lop =
-          match movr_op with
-          | Movr.New_schema -> Crdb.Legacy.New_schema
-          | Movr.Convert_schema -> Crdb.Legacy.Convert_schema
-          | Movr.Add_region r -> Crdb.Legacy.Add_region r
-          | Movr.Drop_region r -> Crdb.Legacy.Drop_region r
-        in
         ( Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region:10,
-          Crdb.Legacy.statements ~db:"tpcc" ~regions ~tables lop )
+          Crdb.Legacy.statements ~db:"tpcc" ~regions ~tables movr_op )
     | other -> failwith ("unknown schema " ^ other)
   in
   Format.printf "--- new declarative syntax (%d statements) ---@."

@@ -114,6 +114,13 @@ dune exec bin/crdb_sim.exe -- chaos --seed 601 --seeds 3 \
 echo "== bench autopilot (off vs on)"
 dune exec bench/main.exe -- autopilot
 
+# Commit-path gate: sequential, pipelined and parallel commits on the same
+# two-range transaction. The bench exits nonzero unless parallel commits
+# ack within 1.5 WAN round trips at p50, sequential commits take at least
+# 2.5, and parallel < pipelined < sequential.
+echo "== bench commit-path (parallel < pipelined < sequential)"
+dune exec bench/main.exe -- commit-path
+
 # Observability determinism gate: the end-of-run report and the timeseries
 # snapshot must be byte-identical across two runs of the same seed — the
 # report is a regression artifact, like the trace export.

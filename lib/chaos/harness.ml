@@ -54,11 +54,6 @@ let run ?(arm = fun (_ : Cluster.t) -> ()) s =
   let regions = List.filteri (fun i _ -> i < s.regions) Latency.table1_regions in
   let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
   let base = Option.value s.cluster_config ~default:Cluster.default in
-  let base =
-    if s.workload.Workload.unsafe_no_recovery then
-      { base with Cluster.unsafe_no_recovery = true }
-    else base
-  in
   let cl =
     Cluster.create
       ~config:{ base with Cluster.seed = s.cluster_seed }
@@ -67,9 +62,6 @@ let run ?(arm = fun (_ : Cluster.t) -> ()) s =
   Workload.setup ~policy:s.policy cl ~survival:s.survival s.workload;
   arm cl;
   let mgr = Txn.create_manager cl in
-  if s.workload.Workload.unsafe_no_refresh then
-    Txn.set_options mgr
-      { (Txn.options mgr) with Txn.Options.unsafe_no_refresh = true };
   let result, fault_log =
     Cluster.run cl (fun () ->
         let nem =

@@ -32,10 +32,7 @@ type config = {
   bank_clients : int;
   bank_ops_per_client : int;
   initial_balance : int;
-  unsafe_stale_reads : bool;
   txn : Txn_config.t;
-  unsafe_no_refresh : bool;
-  unsafe_no_recovery : bool;
 }
 
 let default =
@@ -51,10 +48,7 @@ let default =
     bank_clients = 3;
     bank_ops_per_client = 12;
     initial_balance = 100;
-    unsafe_stale_reads = false;
     txn = Txn_config.default;
-    unsafe_no_refresh = false;
-    unsafe_no_recovery = false;
   }
 
 let key_of i = Printf.sprintf "key%03d" i
@@ -155,7 +149,7 @@ let register_client cl mgr cfg r ~client ~region rng zipf =
     else begin
       let e = History.invoke h ~client ~now:(Sim.now sim) (History.Read { key }) in
       let outcome =
-        if cfg.unsafe_stale_reads then
+        if (Cluster.config cl).Cluster.broken = Some Cluster.Stale_reads then
           (* Deliberately broken mode for checker validation: serve the read
              at a bounded-stale timestamp but record it as a fresh read. *)
           match

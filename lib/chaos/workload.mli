@@ -53,20 +53,7 @@ type config = {
   bank_clients : int;
   bank_ops_per_client : int;
   initial_balance : int;
-  unsafe_stale_reads : bool;
-      (** deliberately broken mode: serve register reads at a bounded-stale
-          timestamp but record them as fresh — the linearizability checker
-          must catch this *)
   txn : Txn_config.t;  (** the multi-key transactional workload *)
-  unsafe_no_refresh : bool;
-      (** deliberately broken mode: transactions skip read-span refreshes on
-          timestamp pushes (see {!Crdb_txn.Txn.Options}) — the
-          serializability checker must catch this *)
-  unsafe_no_recovery : bool;
-      (** deliberately broken mode: pushers finding a STAGING record abort
-          it immediately without probing the declared in-flight writes (see
-          {!Cluster.config}) — implicitly committed transactions get torn
-          down and the serializability checker must catch it *)
 }
 
 val default : config

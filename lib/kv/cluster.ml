@@ -20,6 +20,9 @@ module Smap = Map.Make (String)
 
 type policy = Lag of int | Lead
 
+(* Deliberately broken modes, each of which the checkers must catch. *)
+type broken = No_refresh | No_recovery | Stale_reads
+
 type config = {
   max_offset : int;
   close_lag : int;
@@ -42,12 +45,7 @@ type config = {
   autopilot_merge_bytes : int;
   autopilot_cooldown : int;
   autopilot_min_improvement : float;
-  unsafe_no_recovery : bool;
-      (* deliberately broken mode: pushes treat every STAGING record as
-         recoverable immediately (no liveness grace) and recovery aborts
-         without verifying the declared in-flight writes — so a transaction
-         whose implicit commit already completed can have its writes
-         vanish. The serializability checker must catch the fallout. *)
+  broken : broken option;
 }
 
 let default =
@@ -75,7 +73,7 @@ let default =
     autopilot_merge_bytes = 128_000;
     autopilot_cooldown = 3_000_000;
     autopilot_min_improvement = 0.25;
-    unsafe_no_recovery = false;
+    broken = None;
   }
 
 type range_id = int
@@ -1622,7 +1620,7 @@ let recover_txn t ~gateway ?span ?(phases = Phase.nil) ~txn ~anchor_key ~ts
     ~inflight () =
   let t0 = Sim.now t.sim in
   let verdict =
-    if t.cfg.unsafe_no_recovery then `Abort
+    if t.cfg.broken = Some No_recovery then `Abort
     else
       let rec probe = function
         | [] -> `Commit
@@ -1701,7 +1699,7 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
              future lock acquisitions, so waiting for it is deadlock-free.
              Recovery only fires once the coordinator looks dead (or
              immediately in the deliberately broken mode). *)
-          if t.cfg.unsafe_no_recovery || now - rec_.Txnrec.tr_hb > liveness
+          if t.cfg.broken = Some No_recovery || now - rec_.Txnrec.tr_hb > liveness
           then `Done (Push_recover { ts; inflight })
           else `Done Push_wait
       | Txnrec.Pending ->

@@ -24,6 +24,24 @@ module Ts = Crdb_hlc.Timestamp
 
 type policy = Lag of int | Lead
 
+(** Deliberately broken modes for checker validation; each must be caught.
+    One value, set once at {!create}, read where it acts. *)
+type broken =
+  | No_refresh
+      (** timestamp pushes skip read-span refreshes, silently advancing
+          [read_ts] without validating reads: the serializability checker
+          must flag the resulting anti-dependency cycles *)
+  | No_recovery
+      (** pushes treat every STAGING record as immediately recoverable (no
+          liveness grace) and recovery aborts without verifying the
+          declared in-flight writes, so an implicitly committed transaction
+          can have its acked writes vanish: the serializability checker must
+          catch the fallout *)
+  | Stale_reads
+      (** the chaos register workload serves reads at a bounded-stale
+          timestamp but records them as fresh: the linearizability checker
+          must catch this *)
+
 type config = {
   max_offset : int;  (** uncertainty interval / max tolerated clock skew *)
   close_lag : int;  (** [Lag] policy duration, default 3 s *)
@@ -69,13 +87,8 @@ type config = {
   autopilot_min_improvement : float;
       (** fraction by which a lease move must reduce the losing store's
           leaseholder load before the rebalance queue acts *)
-  unsafe_no_recovery : bool;
-      (** deliberately broken mode for checker validation: pushes treat
-          every STAGING record as immediately recoverable (no liveness
-          grace) and recovery aborts without verifying the declared
-          in-flight writes, so an implicitly committed transaction can have
-          its acked writes vanish. The serializability checker must catch
-          the fallout. *)
+  broken : broken option;
+      (** a deliberately broken mode, or [None] (the default) *)
 }
 
 val default : config

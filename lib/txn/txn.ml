@@ -1,28 +1,118 @@
-open Cc
+(* The paper's concurrency control and the public transaction API:
+   pessimistic per-range lock tables with wound-wait deadlock resolution,
+   pipelined intent writes and parallel commits. Reads with uncertainty
+   restarts, locking reads, intent writes, read refreshes, the
+   parallel/sequential commit protocol, commit-status recovery and record
+   heartbeats sit under [run]'s retry loop, the blind-put fast path and the
+   read-only transaction paths. *)
+
 module Cluster = Crdb_kv.Cluster
+module Lock_table = Crdb_kv.Lock_table
+module Txnrec = Crdb_kv.Txnrec
 module Ts = Crdb_hlc.Timestamp
+module Clock = Crdb_hlc.Clock
 module Proc = Crdb_sim.Proc
+module Sim = Crdb_sim.Sim
+module Ivar = Crdb_sim.Ivar
 module Obs = Crdb_obs.Obs
 module Trace = Crdb_obs.Trace
 module Metrics = Crdb_obs.Metrics
 module Phase = Crdb_obs.Phase
 module Hist = Crdb_stats.Hist
 
-(* The public transaction API over [Cc_base]'s machinery: [run]'s retry
-   loop, the blind-put fast path, the read-only transaction paths and the
-   statistics live here. *)
+module Options = struct
+  type t = {
+    pipelined_writes : bool;
+    parallel_commits : bool;
+        (* stage the commit record concurrently with the in-flight intent
+           writes' replication (CRDB parallel commits); off, the commit
+           record is only written after every intent has replicated *)
+  }
 
-module Options = Cc.Options
+  let default = { pipelined_writes = true; parallel_commits = true }
+end
 
-type manager = Cc.manager
-
-type stats = Cc.stats = {
+type stats = {
   mutable commits : int;
   mutable restarts : int;
   mutable wounds : int;
   mutable reader_commit_waits : int;
   mutable writer_commit_wait_micros : int;
 }
+
+type manager = {
+  cl : Cluster.t;
+  mutable next_txn_id : int;
+  stats : stats;
+  mutable opts : Options.t;
+  obs : Obs.t;
+  c_attempts : Metrics.counter array;
+  c_commits : Metrics.counter array;
+  c_restarts : Metrics.counter array;
+  c_wounds : Metrics.counter array;
+  c_refreshes : Metrics.counter array;
+  c_reader_waits : Metrics.counter array;
+  h_commit_wait : Hist.t;
+}
+
+type read_span = Point of string | Span of string * string
+
+type t = {
+  mgr : manager;
+  id : int;
+  gw : int;
+  pri : Ts.t; (* wound-wait priority: first-attempt birth timestamp *)
+  mutable read_ts : Ts.t;
+  max_ts : Ts.t; (* uncertainty upper bound; never changes (§6.1) *)
+  mutable write_ts : Ts.t;
+  mutable reads : read_span list;
+  mutable writes : string list; (* newest first; the anchor is the oldest *)
+  mutable anchor : string option;
+      (* first written key: where the transaction record lives; [None]
+         until the first write succeeds (read-only txns have no record) *)
+  mutable outstanding : (string * Cluster.write_ack Ivar.t) list;
+      (* pipelined write acks, keyed for read-your-own-writes *)
+  mutable fate_ : Cluster.fate;
+      (* the coordinator's own view of its fate, fed by heartbeat RPC
+         responses; threaded as a closure into every KV op so a wounded
+         transaction cancels its in-flight requests *)
+  mutable finished : bool; (* stops the heartbeat loop *)
+  mutable observed_future : bool;
+  mutable commit_initiated : bool;
+      (* the commit record may have been proposed: a failure after this
+         point leaves the outcome indeterminate, not aborted *)
+  mutable sp : Trace.span;  (* this attempt's span; KV ops parent under it *)
+  phases : Phase.ctx;
+      (* phase-latency accumulator shared by every attempt of one [run];
+         KV ops charge Routing/Lease_wait/Lock_wait/Replication into it,
+         the coordinator charges Refresh/Commit_wait/Retry_backoff *)
+  mutable rlocks : string list;
+      (* keys this attempt explicitly locked (FOR UPDATE / FOR SHARE)
+         without writing; released alongside the write intents *)
+}
+
+let fate_of t () = t.fate_
+
+type error = Aborted of string | Unavailable of string
+
+let pp_error ppf = function
+  | Aborted m -> Format.fprintf ppf "aborted: %s" m
+  | Unavailable m -> Format.fprintf ppf "unavailable: %s" m
+
+exception Restart of string
+
+exception Wounded of string
+(* wound-wait: an older transaction aborted this one to break a deadlock;
+   restartable like [Restart], but counted separately *)
+
+exception Fatal of string
+
+exception Indeterminate of string
+(* raised only after the commit record may have been proposed, when its
+   fate could not be learned from the record either: the attempt may have
+   committed, so neither rolling back its intents nor retrying the body is
+   sound. Internal: [run] converts it into an [Unavailable] error and an
+   [Attempt_indeterminate] outcome without touching the intents. *)
 
 let create_manager cl =
   let obs = Cluster.obs cl in
@@ -55,35 +145,594 @@ let cluster mgr = mgr.cl
 let stats mgr = mgr.stats
 let set_options mgr opts = mgr.opts <- opts
 let options mgr = mgr.opts
+let read_ts t = t.read_ts
+let txn_id t = t.id
+let gateway t = t.gw
 
-type t = Cc.attempt
+(* ------------------------------------------------------------------ *)
+(* Read refresh (§5.1)                                                 *)
 
-type error = Aborted of string | Unavailable of string
+let refresh_all t ~to_ts =
+  if (Cluster.config t.mgr.cl).Cluster.broken = Some Cluster.No_refresh then ()
+  else begin
+  (* Validate every read span in parallel (CRDB batches the refresh). *)
+  let sim = Cluster.sim t.mgr.cl in
+  Metrics.inc t.mgr.c_refreshes.(t.gw);
+  let start = Sim.now sim in
+  let results =
+    List.map
+      (fun span ->
+        Proc.async_catch sim (fun () ->
+            match span with
+            | Point key ->
+                Cluster.refresh t.mgr.cl ~span:t.sp ~phases:t.phases
+                  ~gateway:t.gw ~txn:t.id ~key ~from_ts:t.read_ts ~to_ts ()
+            | Span (start_key, end_key) ->
+                Cluster.refresh_span t.mgr.cl ~span:t.sp ~phases:t.phases
+                  ~gateway:t.gw ~txn:t.id ~start_key ~end_key
+                  ~from_ts:t.read_ts ~to_ts ()))
+      t.reads
+  in
+  let ok = List.for_all Proc.await_catch results in
+  Phase.add t.phases Phase.Refresh (Sim.now sim - start);
+  if not ok then raise (Restart "read refresh failed")
+  end
 
-let pp_error ppf = function
-  | Aborted m -> Format.fprintf ppf "aborted: %s" m
-  | Unavailable m -> Format.fprintf ppf "unavailable: %s" m
+let bump_and_refresh t new_ts =
+  if Ts.(new_ts > t.read_ts) then begin
+    if t.reads <> [] then refresh_all t ~to_ts:new_ts;
+    t.read_ts <- new_ts;
+    (* A value above the local hybrid clock is a future-time (synthetic)
+       write: the reader must commit-wait before completing (§6.2).
+       Present-time (Lag) values were already folded into the clock by the
+       HLC receive rule at the call site, so they never trip this. *)
+    let clock = Cluster.clock t.mgr.cl t.gw in
+    if
+      Ts.(new_ts > Clock.last clock)
+      && Ts.wall new_ts > Clock.physical_now clock
+    then t.observed_future <- true
+  end
 
-exception Restart = Cc.Restart
-exception Wounded = Cc.Wounded
-exception Fatal = Cc.Fatal
-exception Indeterminate = Cc.Indeterminate
+(* ------------------------------------------------------------------ *)
+(* Reads                                                               *)
 
-let read_ts (t : t) = t.read_ts
-let txn_id (t : t) = t.id
-let gateway (t : t) = t.gw
+let is_global t key =
+  match Cluster.range_of_key t.mgr.cl key with
+  | rid -> (
+      match Cluster.policy_of t.mgr.cl rid with
+      | Cluster.Lead -> true
+      | Cluster.Lag _ -> false)
+  | exception Not_found -> raise (Fatal ("no range for key " ^ key))
 
-let get = Cc_base.get
-let scan = Cc_base.scan
-let put t key value = Cc_base.write_value t key (Some value)
-let delete t key = Cc_base.write_value t key None
+let restartable_read_error e =
+  (* Conflict timeouts and unavailability are worth a fresh attempt. *)
+  raise (Restart e)
+
+(* Await one pipelined write's confirmation. A prevented write means
+   commit-status recovery decided against us (restart, same priority); a
+   dropped or silent one leaves the write's fate — and hence the commit's —
+   indeterminate. *)
+let await_ack t (key, ack) =
+  match Proc.await_timeout (Cluster.sim t.mgr.cl) ack ~timeout:8_000_000 with
+  | Some `Applied -> ()
+  | Some `Prevented -> raise (Wounded ("write prevented by recovery on " ^ key))
+  | Some `Dropped | None -> raise (Restart "pipelined write lost")
+
+let get t key =
+  let rec go attempts =
+    if attempts > 20 then raise (Restart "uncertainty loop");
+    let own_write = List.mem key t.writes in
+    (* Read-your-own-writes under pipelining: wait for in-flight intents on
+       this key to apply before reading it. *)
+    if own_write then
+      List.iter
+        (fun ((k, _) as w) -> if String.equal k key then await_ack t w)
+        t.outstanding;
+    let leaseholder_read () =
+      Cluster.read t.mgr.cl ~inline_bump:(t.reads = []) ~span:t.sp
+        ~phases:t.phases ~pri:t.pri ~fate:(fate_of t) ~gateway:t.gw
+        ~txn:(Some t.id) ~key ~ts:t.read_ts ~max_ts:t.max_ts ()
+    in
+    let result =
+      if is_global t key && not own_write then
+        match
+          Cluster.read_follower t.mgr.cl ~span:t.sp ~phases:t.phases ~at:t.gw
+            ~txn:(Some t.id) ~key ~ts:t.read_ts ~max_ts:t.max_ts ()
+        with
+        | Cluster.Read_redirect -> leaseholder_read ()
+        | r -> r
+      else leaseholder_read ()
+    in
+    match result with
+    | Cluster.Read_value { value; _ } ->
+        t.reads <- Point key :: t.reads;
+        value
+    | Cluster.Read_uncertain { value_ts } ->
+        (* HLC receive rule on the response: a present-time uncertain value
+           ratchets the gateway clock. Synthetic (future-time) timestamps
+           from global tables must not — they force a real commit-wait. *)
+        if not (is_global t key) then
+          Clock.update (Cluster.clock t.mgr.cl t.gw) value_ts;
+        bump_and_refresh t value_ts;
+        go (attempts + 1)
+    | Cluster.Read_redirect -> go (attempts + 1)
+    | Cluster.Read_wounded reason -> raise (Wounded reason)
+    | Cluster.Read_err e -> restartable_read_error e
+  in
+  go 0
+
+let scan t ~start_key ~end_key ?limit () =
+  let rec go attempts =
+    if attempts > 20 then raise (Restart "uncertainty loop");
+    let range_is_global = is_global t start_key in
+    let leaseholder_scan () =
+      Cluster.scan t.mgr.cl ~span:t.sp ~phases:t.phases ~pri:t.pri
+        ~fate:(fate_of t) ~gateway:t.gw ~txn:(Some t.id) ~start_key ~end_key
+        ~ts:t.read_ts ~max_ts:t.max_ts ~limit ()
+    in
+    let result =
+      if range_is_global && t.writes = [] then
+        match
+          Cluster.scan_follower t.mgr.cl ~span:t.sp ~phases:t.phases ~at:t.gw
+            ~txn:(Some t.id) ~start_key ~end_key ~ts:t.read_ts ~max_ts:t.max_ts
+            ~limit ()
+        with
+        | Cluster.Scan_redirect -> leaseholder_scan ()
+        | r -> r
+      else leaseholder_scan ()
+    in
+    match result with
+    | Cluster.Scan_rows rows ->
+        t.reads <- Span (start_key, end_key) :: t.reads;
+        rows
+    | Cluster.Scan_uncertain { value_ts } ->
+        if not range_is_global then
+          Clock.update (Cluster.clock t.mgr.cl t.gw) value_ts;
+        bump_and_refresh t value_ts;
+        go (attempts + 1)
+    | Cluster.Scan_redirect -> go (attempts + 1)
+    | Cluster.Scan_wounded reason -> raise (Wounded reason)
+    | Cluster.Scan_err e -> restartable_read_error e
+  in
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* Locking reads (SELECT FOR UPDATE / FOR SHARE)                       *)
 
 let get_locked t strength key =
-  Cc_base.acquire_lock t strength key;
-  Cc_base.get t key
+  (match
+     Cluster.lock_key t.mgr.cl ~span:t.sp ~phases:t.phases ~pri:t.pri
+       ~anchor:(Option.value t.anchor ~default:"")
+       ~fate:(fate_of t) ~gateway:t.gw ~txn:t.id ~key ~ts:t.read_ts ~strength ()
+   with
+  | Cluster.Write_ok _ ->
+      if not (List.mem key t.rlocks) then t.rlocks <- key :: t.rlocks
+  | Cluster.Write_wounded reason -> raise (Wounded reason)
+  | Cluster.Write_err e -> raise (Restart e));
+  get t key
 
-let get_for_update t key = get_locked t Exclusive key
-let get_for_share t key = get_locked t Shared key
+let get_for_update t key = get_locked t Lock_table.Exclusive key
+let get_for_share t key = get_locked t Lock_table.Shared key
+
+(* ------------------------------------------------------------------ *)
+(* Writes                                                              *)
+
+(* HLC receive rule on the write response: the gateway folds a present-time
+   pushed timestamp into its clock, so commit-wait (which waits on the
+   hybrid clock) is a no-op for it. Future-time (Lead) writes stay
+   synthetic and commit-wait for real. *)
+let observe_pushed t key pushed =
+  if not (is_global t key) then
+    Clock.update (Cluster.clock t.mgr.cl t.gw) pushed
+
+let write_value t key value =
+  let provisional = Ts.max t.read_ts t.write_ts in
+  (* The first write's key becomes the anchor: its apply registers the
+     transaction record in that key's range. *)
+  let anchor = match t.anchor with Some a -> a | None -> key in
+  (* Pipelined, the write returns once evaluated and [applied] fills when it
+     replicates; unpipelined, it returns only after replication. *)
+  let applied =
+    if t.mgr.opts.Options.pipelined_writes then Some (Ivar.create ()) else None
+  in
+  match
+    Cluster.write t.mgr.cl ?applied ~span:t.sp ~phases:t.phases ~pri:t.pri
+      ~anchor ~fate:(fate_of t) ~gateway:t.gw ~txn:t.id ~key ~value
+      ~ts:provisional ()
+  with
+  | Cluster.Write_ok pushed ->
+      t.write_ts <- Ts.max t.write_ts pushed;
+      observe_pushed t key pushed;
+      if t.anchor = None then t.anchor <- Some anchor;
+      if not (List.mem key t.writes) then t.writes <- key :: t.writes;
+      Option.iter (fun a -> t.outstanding <- (key, a) :: t.outstanding) applied
+  | Cluster.Write_wounded reason -> raise (Wounded reason)
+  | Cluster.Write_err e -> raise (Restart e)
+
+let put t key value = write_value t key (Some value)
+let delete t key = write_value t key None
+
+(* ------------------------------------------------------------------ *)
+(* Commit protocol                                                     *)
+
+(* Wait until the gateway's hybrid clock passes [ts], under a
+   [txn.commit_wait] span; charges the wait to [phases] and the commit-wait
+   histogram and returns it in µs. CRDB waits on the hybrid clock, not the
+   physical one: a timestamp the gateway has already observed (HLC receive
+   rule, e.g. from a write response) needs no physical wait. Only synthetic
+   future-time timestamps — which never ratchet clocks — force a real
+   wait. *)
+let commit_wait mgr ~parent ~gw ~txn ~phases ts =
+  let tr = Obs.trace mgr.obs in
+  let wsp = Trace.span tr ~parent ~node:gw ~txn "txn.commit_wait" in
+  let clock = Cluster.clock mgr.cl gw in
+  let rec loop waited =
+    if Ts.(Clock.last clock >= ts) then waited
+    else
+      let now = Clock.physical_now clock in
+      if now < Ts.wall ts then begin
+        let d = Ts.wall ts - now + 1 in
+        Proc.sleep (Cluster.sim mgr.cl) d;
+        loop (waited + d)
+      end
+      else waited
+  in
+  let waited = loop 0 in
+  Trace.annotate wsp "waited_us" (string_of_int waited);
+  Trace.finish tr wsp;
+  Phase.add phases Phase.Commit_wait waited;
+  Hist.add mgr.h_commit_wait waited;
+  waited
+
+(* Await every outstanding pipelined write confirmation; all must have
+   applied for the commit to be valid. *)
+let await_acks t =
+  List.iter (await_ack t) t.outstanding;
+  t.outstanding <- []
+
+(* Commit-time variant of {!await_acks}: once the record may be STAGING, a
+   lost ack no longer implies a lost write — the write may have applied
+   with only its confirmation dropped, and a concurrent recovery may
+   finalize the implicit commit. Classify rather than raise, so the caller
+   can learn the fate from the record. A prevention is still decisive: the
+   write provably never applied and never will, so the commit is dead. *)
+let await_acks_classified t =
+  let sim = Cluster.sim t.mgr.cl in
+  let out =
+    List.fold_left
+      (fun acc (key, ack) ->
+        match (acc, Proc.await_timeout sim ack ~timeout:8_000_000) with
+        | (`Prevented _ as p), _ -> p
+        | _, Some `Prevented ->
+            `Prevented ("write prevented by recovery on " ^ key)
+        | `Lost, _ -> `Lost
+        | `Ok, Some `Applied -> `Ok
+        | `Ok, (Some `Dropped | None) -> `Lost)
+      `Ok t.outstanding
+  in
+  t.outstanding <- [];
+  out
+
+(* Learn the fate of an attempt whose commit became ambiguous (a staging or
+   commit reply was lost, or a pipelined write's ack was): run the same
+   commit-status recovery a pusher would, against our own record. The
+   anchor range's log totally orders our probes and finalization against
+   any concurrent recovery, so whatever decision applies first is the one
+   we report. A record stuck Pending (the stage proposal itself was lost)
+   is aborted in place — first-decision-wins bars a late stage from
+   resurrecting it. Only if the anchor range stays unreachable throughout
+   do we give up and surface indeterminacy. *)
+let determine_fate t ~akey ~commit_ts ~inflight reason =
+  let sim = Cluster.sim t.mgr.cl in
+  let rec go n =
+    if n > 6 then raise (Indeterminate reason)
+    else
+      match
+        Cluster.recover_txn t.mgr.cl ~gateway:t.gw ~span:t.sp ~phases:t.phases
+          ~txn:t.id ~anchor_key:akey ~ts:commit_ts ~inflight ()
+      with
+      | Some (Some cts) -> `Committed cts
+      | Some None -> `Aborted
+      | None -> (
+          match
+            Cluster.txn_status t.mgr.cl ~span:t.sp ~phases:t.phases
+              ~gateway:t.gw ~txn:t.id ~key:akey ()
+          with
+          | Some (Txnrec.Committed cts) -> `Committed cts
+          | Some (Txnrec.Aborted _) -> `Aborted
+          | Some Txnrec.Pending | None -> (
+              match
+                Cluster.abort_txn t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id
+                  ~key:akey ~reason:"ambiguous commit" ()
+              with
+              | Some (Txnrec.Aborted _) -> `Aborted
+              | Some (Txnrec.Committed cts) -> `Committed cts
+              | Some (Txnrec.Pending | Txnrec.Staging _) | None ->
+                  Proc.sleep sim (200_000 * n);
+                  go (n + 1))
+          | Some (Txnrec.Staging _) ->
+              Proc.sleep sim (200_000 * n);
+              go (n + 1))
+  in
+  go 1
+
+(* Intent resolution covers explicitly locked keys too: [Op_resolve]'s
+   apply releases the lock-table grip and intent resolution on a key the
+   transaction never wrote is a no-op. *)
+let resolve_keys t =
+  List.rev t.writes
+  @ List.filter (fun k -> not (List.mem k t.writes)) (List.rev t.rlocks)
+
+let count_commit mgr gw =
+  mgr.stats.commits <- mgr.stats.commits + 1;
+  Metrics.inc mgr.c_commits.(gw)
+
+let commit t =
+  let sim = Cluster.sim t.mgr.cl in
+  let commit_ts = Ts.max t.read_ts t.write_ts in
+  (match t.fate_ with
+  | `Wounded reason -> raise (Wounded reason)
+  | `Aborted -> raise (Restart "transaction aborted")
+  | `Live -> ());
+  if t.writes <> [] && Ts.(commit_ts > t.read_ts) then begin
+    (* The provisional timestamp was pushed (timestamp cache, closed
+       timestamp target, or newer committed version): validate reads at the
+       commit timestamp before committing. *)
+    refresh_all t ~to_ts:commit_ts;
+    t.read_ts <- commit_ts
+  end;
+  if t.writes <> [] then begin
+    let akey = match t.anchor with Some a -> a | None -> assert false in
+    (* Reach the commit point. The record transition races concurrent
+       wound-wait pushes in the anchor range's log, and whichever side
+       applies first is authoritative: [Aborted] here means an older
+       transaction (or a recovery) got there first. *)
+    let explicitly_committed =
+      if t.mgr.opts.Options.parallel_commits then begin
+        (* Parallel commit: write the record as STAGING — declaring the
+           still-unacknowledged writes — concurrently with those writes'
+           replication. Implicit commit = staging applied ∧ every declared
+           write applied; only then may the client be acked. *)
+        let tr = Obs.trace t.mgr.obs in
+        let ssp = Trace.span tr ~parent:t.sp ~node:t.gw ~txn:t.id "txn.stage" in
+        let stage_start = Sim.now sim in
+        let inflight =
+          List.sort_uniq String.compare
+            (List.filter_map
+               (fun (k, ack) ->
+                 if Ivar.peek ack = Some `Applied then None else Some k)
+               t.outstanding)
+        in
+        t.commit_initiated <- true;
+        let staged =
+          Proc.async sim (fun () ->
+              Cluster.stage_txn t.mgr.cl ~span:ssp ~phases:t.phases
+                ~gateway:t.gw ~txn:t.id ~key:akey ~pri:t.pri ~ts:commit_ts
+                ~inflight ())
+        in
+        let acks = await_acks_classified t in
+        let st = Proc.await staged in
+        Phase.add t.phases Phase.Staging (Sim.now sim - stage_start);
+        Trace.finish tr ssp;
+        match (st, acks) with
+        | Some (Txnrec.Committed _), _ -> true (* a recovery finalized us *)
+        | Some (Txnrec.Aborted { reason; _ }), _ -> raise (Wounded reason)
+        | Some (Txnrec.Staging _), `Ok -> false (* implicitly committed *)
+        | _, `Prevented reason -> raise (Wounded reason)
+        | (Some (Txnrec.Staging _ | Txnrec.Pending) | None), (`Ok | `Lost)
+          -> (
+            (* The staging reply or a pipelined write's confirmation was
+               lost: the implicit commit may have gone through, and a
+               concurrent recovery may already have finalized — and
+               resolved — it. A blind restart here would re-run a possibly
+               committed body (a duplicate write); the fate must come from
+               the record. *)
+            match
+              determine_fate t ~akey ~commit_ts ~inflight
+                "commit status indeterminate"
+            with
+            | `Committed _ -> true
+            | `Aborted -> raise (Wounded "ambiguous commit aborted"))
+      end
+      else begin
+        (* Sequential commit: every intent replicates first, then the
+           record flips to Committed in its own consensus round. *)
+        await_acks t;
+        t.commit_initiated <- true;
+        match
+          Cluster.commit_txn t.mgr.cl ~span:t.sp ~phases:t.phases
+            ~gateway:t.gw ~txn:t.id ~key:akey ~ts:commit_ts ()
+        with
+        | Some (Txnrec.Committed _) -> true
+        | Some (Txnrec.Aborted { reason; _ }) -> raise (Wounded reason)
+        | Some (Txnrec.Pending | Txnrec.Staging _) | None -> (
+            (* The commit reply was lost; the record may have flipped to
+               Committed. With no in-flight writes declared, recovery
+               degenerates to re-issuing the (idempotent) commit decision. *)
+            match
+              determine_fate t ~akey ~commit_ts ~inflight:[]
+                "commit status indeterminate"
+            with
+            | `Committed _ -> true
+            | `Aborted -> raise (Wounded "ambiguous commit aborted"))
+      end
+    in
+    (* The client is acked at the commit point — the implicit commit under
+       parallel commits, the record's consensus round otherwise. Making the
+       commit explicit (so pushers stop running recovery against the
+       staging record) and resolving intents is cleanup the coordinator
+       runs after the ack, unattributed to the attempt's span and phases
+       (§6.2 releases locks concurrently with the commit wait, minimizing
+       how long readers observe them). *)
+    Cluster.spawn_background t.mgr.cl (fun () ->
+        t.finished <- true;
+        if not explicitly_committed then
+          ignore
+            (Cluster.commit_txn t.mgr.cl ~gateway:t.gw ~txn:t.id ~key:akey
+               ~ts:commit_ts ()
+              : Txnrec.status option);
+        Cluster.resolve t.mgr.cl ~gateway:t.gw ~txn:t.id
+          ~commit:(Some commit_ts) ~keys:(resolve_keys t) ~sync_all:false ())
+  end
+  else if t.rlocks <> [] then
+    (* Read-only but explicitly locked: nothing to commit, but the
+       lock-table grips must go. *)
+    Cluster.spawn_background t.mgr.cl (fun () ->
+        Cluster.resolve t.mgr.cl ~gateway:t.gw ~txn:t.id ~commit:None
+          ~keys:(List.rev t.rlocks) ~sync_all:false ());
+  if t.writes <> [] || t.observed_future then begin
+    let waited =
+      commit_wait t.mgr ~parent:t.sp ~gw:t.gw ~txn:t.id ~phases:t.phases
+        commit_ts
+    in
+    if t.writes <> [] then
+      t.mgr.stats.writer_commit_wait_micros <-
+        t.mgr.stats.writer_commit_wait_micros + waited
+    else if waited > 0 then begin
+      t.mgr.stats.reader_commit_waits <- t.mgr.stats.reader_commit_waits + 1;
+      Metrics.inc t.mgr.c_reader_waits.(t.gw)
+    end
+  end;
+  t.finished <- true;
+  count_commit t.mgr t.gw
+
+let abort t =
+  t.finished <- true;
+  (* Finalize the record first so concurrent pushers see Aborted; no-op if
+     a wound already aborted it. The applied status is authoritative: a
+     racing recovery may already have committed a staged attempt
+     (first-decision-wins), in which case the intents must resolve as
+     committed — removing them would erase a commit concurrent readers may
+     have observed. Read-only transactions (no anchor) never had a
+     record. *)
+  let committed_at =
+    match t.anchor with
+    | Some key -> (
+        match
+          Cluster.abort_txn t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id ~key
+            ~reason:"client abort" ()
+        with
+        | Some (Txnrec.Committed cts) -> Some cts
+        | Some (Txnrec.Aborted _ | Txnrec.Pending | Txnrec.Staging _) | None
+          ->
+            None)
+    | None -> None
+  in
+  if t.writes <> [] || t.rlocks <> [] then
+    Cluster.resolve t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id
+      ~commit:committed_at ~keys:(resolve_keys t) ~sync_all:false ();
+  committed_at
+
+(* Keep the transaction record live while the coordinator (gateway node) is
+   up: pushers treat a record whose heartbeat is stale as abandoned (or, for
+   STAGING records, as recoverable) and clean up its intents. Heartbeats
+   only start once the first write establishes the anchor — before that
+   there is no record to maintain. The responses double as the coordinator's
+   wound notifications: an [Aborted] status cancels the transaction's
+   in-flight requests through its [fate] closure. The loop stops
+   heartbeating while the gateway is down — exactly the abandonment signal
+   wound-wait relies on — and exits once the transaction finishes. *)
+let start_heartbeat t =
+  let mgr = t.mgr in
+  let sim = Cluster.sim mgr.cl in
+  let interval = (Cluster.config mgr.cl).Cluster.txn_heartbeat_interval in
+  Proc.spawn sim (fun () ->
+      let rec loop () =
+        Proc.sleep sim interval;
+        if t.finished then ()
+        else
+          match t.anchor with
+          | None -> loop ()
+          | Some key ->
+              if Crdb_net.Transport.is_alive (Cluster.net mgr.cl) t.gw then
+                match
+                  Cluster.heartbeat_txn mgr.cl ~gateway:t.gw ~txn:t.id ~key ()
+                with
+                | Some (Txnrec.Aborted { reason; wound = true }) ->
+                    t.fate_ <- `Wounded reason
+                | Some (Txnrec.Aborted _) -> t.fate_ <- `Aborted
+                | Some (Txnrec.Committed _) -> ()
+                | Some (Txnrec.Pending | Txnrec.Staging _) | None -> loop ()
+              else loop ()
+      in
+      loop ())
+
+(* ------------------------------------------------------------------ *)
+(* Retry loops                                                         *)
+
+let next_attempt_id mgr ~gateway =
+  let id = mgr.next_txn_id in
+  mgr.next_txn_id <- id + 1;
+  Metrics.inc mgr.c_attempts.(gateway);
+  id
+
+let fresh_txn ~priority ~phases mgr ~gateway =
+  let id = next_attempt_id mgr ~gateway in
+  let read_ts = Cluster.now_ts mgr.cl gateway in
+  (* Wound-wait priority: the first attempt's birth timestamp, carried
+     across retries so a transaction only ever gets older. The record
+     itself is registered by the first write's apply at the anchor range —
+     no upfront registration RPC. *)
+  let pri = match priority with Some p -> p | None -> read_ts in
+  let t =
+    {
+      mgr;
+      id;
+      gw = gateway;
+      pri;
+      read_ts;
+      max_ts = Ts.add_wall read_ts (Cluster.config mgr.cl).Cluster.max_offset;
+      write_ts = Ts.zero;
+      reads = [];
+      writes = [];
+      anchor = None;
+      outstanding = [];
+      fate_ = `Live;
+      finished = false;
+      observed_future = false;
+      commit_initiated = false;
+      sp = Trace.nil;
+      phases;
+      rlocks = [];
+    }
+  in
+  start_heartbeat t;
+  t
+
+(* Run [f ~root ~phases] under a root span named [name]. A caller-supplied
+   phase context is accumulated into but never flushed here (the caller owns
+   its lifetime, e.g. to aggregate several transactions into one op class);
+   a self-created one is flushed into the [phase.txn.*] histograms when the
+   run completes. *)
+let with_root mgr ~gateway ?phases name f =
+  let tr = Obs.trace mgr.obs in
+  let own_ctx = Option.is_none phases in
+  let phases = match phases with Some p -> p | None -> Phase.make () in
+  let root = Trace.span tr ~node:gateway name in
+  let result = f ~root ~phases in
+  Phase.annotate phases root;
+  Trace.finish tr root;
+  if own_ctx then Phase.flush phases ~cls:"txn" (Obs.metrics mgr.obs);
+  result
+
+(* Attempt [n] failed restartably: count the restart, close the attempt's
+   span [sp], and tell the caller whether to retry — after a small backoff
+   that breaks livelocks between retries — or give up. *)
+let note_restart mgr ~gateway ~phases ~max_attempts ~wounded sp n reason =
+  mgr.stats.restarts <- mgr.stats.restarts + 1;
+  Metrics.inc mgr.c_restarts.(gateway);
+  if wounded then begin
+    mgr.stats.wounds <- mgr.stats.wounds + 1;
+    Metrics.inc mgr.c_wounds.(gateway)
+  end;
+  Trace.annotate sp (if wounded then "wounded" else "restart") reason;
+  Trace.finish (Obs.trace mgr.obs) sp;
+  if n >= max_attempts then false
+  else begin
+    Phase.add phases Phase.Retry_backoff (1_000 * n);
+    Proc.sleep (Cluster.sim mgr.cl) (1_000 * n);
+    true
+  end
 
 type attempt_outcome =
   | Attempt_committed of Ts.t
@@ -94,46 +743,30 @@ type attempt_outcome =
    record could have been proposed the abort is authoritative; after, the
    transaction may have committed at the timestamp the commit was initiated
    with. *)
-let failed_attempt_outcome (t : t) reason =
+let failed_attempt_outcome t reason =
   if t.commit_initiated then
     Attempt_indeterminate (reason, Ts.max t.read_ts t.write_ts)
   else Attempt_aborted reason
 
-let report on_attempt t outcome =
-  match on_attempt with None -> () | Some f -> f t outcome
-
 let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
-  let sim = Cluster.sim mgr.cl in
   let tr = Obs.trace mgr.obs in
-  (* A caller-supplied phase context is accumulated into but never flushed
-     here (the caller owns its lifetime, e.g. to aggregate several
-     transactions into one op class); a self-created one is flushed into the
-     [phase.txn.*] histograms when the run completes. *)
-  let own_ctx = Option.is_none phases in
-  let phases =
-    match phases with Some p -> p | None -> Phase.make ()
-  in
-  let backoff n =
-    let d = 1_000 * n in
-    Phase.add phases Phase.Retry_backoff d;
-    Proc.sleep sim d
-  in
-  let root = Trace.span tr ~node:gateway "txn.run" in
+  let report t outcome = Option.iter (fun f -> f t outcome) on_attempt in
+  with_root mgr ~gateway ?phases "txn.run" @@ fun ~root ~phases ->
   (* The rollback of a failed attempt uncovered a racing recovery that had
      already committed it: its intents were just resolved as committed, and
      retrying the body would write them a second time. The body's result
      was lost with the exception, so report the commit to the attempt
      observer and fail the call as ambiguous rather than fabricate a
      success. *)
-  let recovered_committed (t : t) n reason cts =
-    report on_attempt t (Attempt_committed cts);
+  let recovered_committed t n reason cts =
+    report t (Attempt_committed cts);
     Trace.annotate t.sp "committed_by_recovery" (Ts.to_string cts);
     Trace.annotate t.sp "restart" reason;
     Trace.finish tr t.sp;
     (n, Error (Unavailable ("committed by recovery: " ^ reason)))
   in
   let rec attempt n ~pri =
-    let t = Cc_base.fresh_txn ?priority:pri ~phases mgr ~gateway in
+    let t = fresh_txn ~priority:pri ~phases mgr ~gateway in
     (* Retries inherit the first attempt's birth timestamp as their
        wound-wait priority, so a restarted transaction keeps aging instead
        of being reborn young and re-wounded (starvation freedom). *)
@@ -141,36 +774,24 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
     t.sp <- Trace.span tr ~parent:root ~node:gateway ~txn:t.id "txn.attempt";
     match
       let result = body t in
-      Cc_base.commit t;
+      commit t;
       result
     with
     | result ->
-        report on_attempt t (Attempt_committed (Ts.max t.read_ts t.write_ts));
+        report t (Attempt_committed (Ts.max t.read_ts t.write_ts));
         Trace.finish tr t.sp;
         (n, Ok result)
     | exception ((Restart reason | Wounded reason) as e) -> (
-        match Cc_base.abort t with
+        match abort t with
         | Some cts -> recovered_committed t n reason cts
         | None ->
+            report t (failed_attempt_outcome t reason);
             let wounded = match e with Wounded _ -> true | _ -> false in
-            report on_attempt t (failed_attempt_outcome t reason);
-            mgr.stats.restarts <- mgr.stats.restarts + 1;
-            Metrics.inc mgr.c_restarts.(gateway);
-            if wounded then begin
-              mgr.stats.wounds <- mgr.stats.wounds + 1;
-              Metrics.inc mgr.c_wounds.(gateway)
-            end;
-            Trace.annotate t.sp
-              (if wounded then "wounded" else "restart")
-              reason;
-            Trace.finish tr t.sp;
-            if n >= max_attempts then (n, Error (Unavailable reason))
-            else begin
-              (* Small randomized backoff to break livelocks between
-                 retries. *)
-              backoff n;
-              attempt (n + 1) ~pri
-            end)
+            if
+              note_restart mgr ~gateway ~phases ~max_attempts ~wounded t.sp n
+                reason
+            then attempt (n + 1) ~pri
+            else (n, Error (Unavailable reason)))
     | exception Indeterminate reason ->
         (* The commit's fate could not be learned (the anchor range stayed
            unreachable): the attempt may have committed, so neither
@@ -178,20 +799,20 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
            sound. Leave the record and intents alone — pushers will
            eventually recover them — and surface the ambiguity. *)
         t.finished <- true;
-        report on_attempt t (failed_attempt_outcome t reason);
+        report t (failed_attempt_outcome t reason);
         Trace.annotate t.sp "indeterminate" reason;
         Trace.finish tr t.sp;
         (n, Error (Unavailable reason))
     | exception Fatal reason -> (
-        match Cc_base.abort t with
+        match abort t with
         | Some cts -> recovered_committed t n reason cts
         | None ->
-            report on_attempt t (failed_attempt_outcome t reason);
+            report t (failed_attempt_outcome t reason);
             Trace.annotate t.sp "fatal" reason;
             Trace.finish tr t.sp;
             (n, Error (Unavailable reason)))
     | exception e ->
-        ignore (Cc_base.abort t : Ts.t option);
+        ignore (abort t : Ts.t option);
         Trace.finish tr t.sp;
         Trace.finish tr root;
         raise e
@@ -200,20 +821,13 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
   Trace.annotate root "attempts" (string_of_int attempts);
   Trace.annotate root "result"
     (match result with Ok _ -> "committed" | Error _ -> "failed");
-  Phase.annotate phases root;
-  Trace.finish tr root;
-  if own_ctx then Phase.flush phases ~cls:"txn" (Obs.metrics mgr.obs);
   result
 
 let run_blind_put mgr ~gateway ?(max_attempts = 25) ?phases key value =
   let tr = Obs.trace mgr.obs in
-  let own_ctx = Option.is_none phases in
-  let phases = match phases with Some p -> p | None -> Phase.make () in
-  let root = Trace.span tr ~node:gateway "txn.blind_put" in
+  with_root mgr ~gateway ?phases "txn.blind_put" @@ fun ~root ~phases ->
   let rec attempt n =
-    let id = mgr.next_txn_id in
-    mgr.next_txn_id <- id + 1;
-    Metrics.inc mgr.c_attempts.(gateway);
+    let id = next_attempt_id mgr ~gateway in
     let asp = Trace.span tr ~parent:root ~node:gateway ~txn:id "txn.attempt" in
     let ts = Cluster.now_ts mgr.cl gateway in
     match
@@ -221,37 +835,22 @@ let run_blind_put mgr ~gateway ?(max_attempts = 25) ?phases key value =
         ~value:(Some value) ~ts ()
     with
     | Ok commit_ts ->
-        let wsp =
-          Trace.span tr ~parent:asp ~node:gateway ~txn:id "txn.commit_wait"
+        let waited =
+          commit_wait mgr ~parent:asp ~gw:gateway ~txn:id ~phases commit_ts
         in
-        let waited = Cc_base.commit_wait mgr ~gw:gateway commit_ts in
-        Trace.annotate wsp "waited_us" (string_of_int waited);
-        Trace.finish tr wsp;
-        Phase.add phases Phase.Commit_wait waited;
-        Hist.add mgr.h_commit_wait waited;
         mgr.stats.writer_commit_wait_micros <-
           mgr.stats.writer_commit_wait_micros + waited;
-        mgr.stats.commits <- mgr.stats.commits + 1;
-        Metrics.inc mgr.c_commits.(gateway);
+        count_commit mgr gateway;
         Trace.finish tr asp;
         Ok ()
     | Error reason ->
-        mgr.stats.restarts <- mgr.stats.restarts + 1;
-        Metrics.inc mgr.c_restarts.(gateway);
-        Trace.annotate asp "restart" reason;
-        Trace.finish tr asp;
-        if n >= max_attempts then Error (Unavailable reason)
-        else begin
-          Phase.add phases Phase.Retry_backoff (1_000 * n);
-          Proc.sleep (Cluster.sim mgr.cl) (1_000 * n);
-          attempt (n + 1)
-        end
+        if
+          note_restart mgr ~gateway ~phases ~max_attempts ~wounded:false asp n
+            reason
+        then attempt (n + 1)
+        else Error (Unavailable reason)
   in
-  let result = attempt 1 in
-  Phase.annotate phases root;
-  Trace.finish tr root;
-  if own_ctx then Phase.flush phases ~cls:"txn" (Obs.metrics mgr.obs);
-  result
+  attempt 1
 
 (* ------------------------------------------------------------------ *)
 (* Read-only transactions                                              *)

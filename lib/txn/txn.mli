@@ -3,7 +3,7 @@
     The public transaction API. Implements CRDB's transaction model on top
     of {!Crdb_kv.Cluster} with the paper's concurrency control: pessimistic
     per-range lock tables, pipelined intents, parallel commits and
-    wound-wait deadlock resolution (machinery in {!Cc_base}):
+    wound-wait deadlock resolution:
 
     - {b Serializable read-write transactions} with uncertainty intervals and
       read refreshes (§6.1, [60 §3]). Reads go to leaseholders; reads of
@@ -47,10 +47,6 @@ val cluster : manager -> Cluster.t
 
 module Options : sig
   type t = {
-    hold_locks_during_commit_wait : bool;
-        (** Ablation: Spanner-style commit waits that hold locks for their
-            duration (§6.2 contrasts CRDB's concurrent lock release).
-            Default [false]. *)
     pipelined_writes : bool;
         (** Disable to make every intent write await its consensus round
             (ablation of CRDB-style write pipelining). Default [true]. *)
@@ -61,12 +57,6 @@ module Options : sig
             client-visible commit latency). Disable to flip the record to
             COMMITTED only after every intent has replicated (ablation of
             CRDB-style parallel commits). Default [true]. *)
-    unsafe_no_refresh : bool;
-        (** Deliberately broken mode for checker validation: skip read-span
-            refreshes when a transaction's timestamp is pushed, silently
-            advancing [read_ts] without validating reads. The
-            serializability checker must flag the resulting anti-dependency
-            cycles. Default [false]. *)
   }
 
   val default : t

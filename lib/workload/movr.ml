@@ -118,7 +118,7 @@ let tables ~regions =
       ~pkey:[ "code" ] ~locality:Schema.Global ();
   ]
 
-type operation =
+type operation = Legacy.operation =
   | New_schema
   | Convert_schema
   | Add_region of string
@@ -176,15 +176,7 @@ let ddl ~db ~regions op =
   | Drop_region r -> [ Ddl.N_drop_region { db; region = r } ]
 
 let legacy_ddl ~db ~regions op =
-  let tables = tables ~regions in
-  let lop =
-    match op with
-    | New_schema -> Legacy.New_schema
-    | Convert_schema -> Legacy.Convert_schema
-    | Add_region r -> Legacy.Add_region r
-    | Drop_region r -> Legacy.Drop_region r
-  in
-  Legacy.statements ~db ~regions ~tables lop
+  Legacy.statements ~db ~regions ~tables:(tables ~regions) op
 
 let load t db ~users_per_city ~vehicles_per_city =
   let regions = Engine.regions db in

@@ -16,7 +16,8 @@ val region_of_city : regions:string list -> string -> string
 val tables : regions:string list -> Crdb.Schema.table list
 val table_names : string list
 
-type operation =
+(** The Table 2 schema operations, shared with the legacy recipes. *)
+type operation = Crdb.Legacy.operation =
   | New_schema
   | Convert_schema
   | Add_region of string

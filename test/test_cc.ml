@@ -1,7 +1,7 @@
 (* Conflict fixtures for wound-wait concurrency control, driven through the
    public [Txn] API: opposite-order writers, read-your-writes, serialized
    read-modify-write increments and locking reads. The teeth of the
-   unsafe_no_refresh broken mode are covered by the chaos tests. *)
+   [No_refresh] broken mode are covered by the chaos tests. *)
 
 module Sim = Crdb_sim.Sim
 module Proc = Crdb_sim.Proc

@@ -116,6 +116,14 @@ let harness_setup ~survival ~seed =
     workload = { Workload.default with Workload.seed };
   }
 
+(* The same setup with one deliberately broken mode armed. *)
+let with_broken mode s =
+  {
+    s with
+    Harness.cluster_config =
+      Some { Cluster.default with Cluster.broken = Some mode };
+  }
+
 let run_seeds ~survival seeds =
   List.iter
     (fun seed ->
@@ -221,13 +229,7 @@ let test_unsafe_no_refresh_caught () =
   (* Deliberately broken transaction layer: timestamp pushes skip the
      read-span refresh, so transactions commit on stale reads. The
      dependency-graph checker must find a cycle. *)
-  let setup = serializability_setup ~seed:303 in
-  let setup =
-    {
-      setup with
-      Harness.workload = { setup.Harness.workload with Workload.unsafe_no_refresh = true };
-    }
-  in
+  let setup = with_broken Cluster.No_refresh (serializability_setup ~seed:303) in
   let o = Harness.run setup in
   match o.Harness.txn_verdict with
   | Checker.Violation { message; counterexample } ->
@@ -295,18 +297,9 @@ let test_unsafe_no_recovery_caught () =
   let caught =
     List.exists
       (fun seed ->
-        let setup = recovery_race_setup ~seed in
-        let setup =
-          {
-            setup with
-            Harness.workload =
-              {
-                setup.Harness.workload with
-                Workload.unsafe_no_recovery = true;
-              };
-          }
+        let o =
+          Harness.run (with_broken Cluster.No_recovery (recovery_race_setup ~seed))
         in
-        let o = Harness.run setup in
         not (Harness.passed o))
       [ 701; 702; 703; 704 ]
   in
@@ -331,8 +324,7 @@ let test_serializability_deterministic () =
     (Checker.verdict_to_string (Checker.check_serializable h1));
   (* Also on a violating history: same counterexample, byte for byte. *)
   let broken_setup =
-    let s = serializability_setup ~seed:303 in
-    { s with Harness.workload = { s.Harness.workload with Workload.unsafe_no_refresh = true } }
+    with_broken Cluster.No_refresh (serializability_setup ~seed:303)
   in
   let v1 = (Harness.run broken_setup).Harness.txn_verdict in
   let v2 = (Harness.run broken_setup).Harness.txn_verdict in
@@ -381,13 +373,9 @@ let test_dump_roundtrip () =
 let test_unsafe_stale_reads_caught () =
   (* Deliberately broken config: bounded-stale reads recorded as fresh.
      The linearizability checker must produce a counterexample. *)
-  let setup = harness_setup ~survival:Zoneconfig.Region ~seed:42 in
   let setup =
-    {
-      setup with
-      Harness.workload =
-        { setup.Harness.workload with Workload.unsafe_stale_reads = true };
-    }
+    with_broken Cluster.Stale_reads
+      (harness_setup ~survival:Zoneconfig.Region ~seed:42)
   in
   let o = Harness.run setup in
   match o.Harness.register_verdict with

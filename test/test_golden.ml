@@ -29,7 +29,7 @@ let node_in cl region i =
   (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
     .Topology.id
 
-let scenario () =
+let scenario ?(opts = Txn.Options.default) () =
   let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
   let cl =
     Cluster.create
@@ -49,6 +49,7 @@ let scenario () =
   Cluster.settle cl;
   Obs.enable_tracing (Cluster.obs cl);
   let mgr = Txn.create_manager cl in
+  Txn.set_options mgr opts;
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
   let remote = node_in cl "europe-west2" 1 in
@@ -125,5 +126,27 @@ let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
     "d4201dbff71c187a5babb5e148faad7b" (scenario ())
 
+(* The same scenario on the two commit paths the default options skip:
+   sequential commits with and without write pipelining. *)
+let test_sequential_digest () =
+  check Alcotest.string "metrics + trace digest"
+    "447566f15d92ff7f2014ee256c1e73e4"
+    (scenario
+       ~opts:{ Txn.Options.pipelined_writes = false; parallel_commits = false }
+       ())
+
+let test_pipelined_digest () =
+  check Alcotest.string "metrics + trace digest"
+    "ac45ebeb4c249f0c814ebdd273b081ec"
+    (scenario
+       ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
+       ())
+
 let suite =
-  [ Alcotest.test_case "request paths digest pinned" `Quick test_golden_digest ]
+  [
+    Alcotest.test_case "request paths digest pinned" `Quick test_golden_digest;
+    Alcotest.test_case "sequential commit digest pinned" `Quick
+      test_sequential_digest;
+    Alcotest.test_case "pipelined commit digest pinned" `Quick
+      test_pipelined_digest;
+  ]

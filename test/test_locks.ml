@@ -375,20 +375,16 @@ let test_options_roundtrip () =
     (Txn.options mgr).Txn.Options.pipelined_writes;
   (* Single-field tweaks go through read-modify-write record updates. *)
   Txn.set_options mgr
-    { (Txn.options mgr) with Txn.Options.unsafe_no_refresh = true };
+    { (Txn.options mgr) with Txn.Options.parallel_commits = false };
   let o = Txn.options mgr in
-  check Alcotest.bool "update set its field" true o.Txn.Options.unsafe_no_refresh;
+  check Alcotest.bool "update set its field" false o.Txn.Options.parallel_commits;
   check Alcotest.bool "update preserved others" false
     o.Txn.Options.pipelined_writes;
   Txn.set_options mgr
     { (Txn.options mgr) with Txn.Options.pipelined_writes = true };
-  Txn.set_options mgr
-    { (Txn.options mgr) with Txn.Options.hold_locks_during_commit_wait = true };
   let o = Txn.options mgr in
   check Alcotest.bool "updates compose" true
-    (o.Txn.Options.pipelined_writes
-    && o.Txn.Options.hold_locks_during_commit_wait
-    && o.Txn.Options.unsafe_no_refresh)
+    (o.Txn.Options.pipelined_writes && not o.Txn.Options.parallel_commits)
 
 let test_config_default_idiom () =
   let cfg = { Cluster.default with Cluster.push_delay = 50_000; seed = 7 } in
