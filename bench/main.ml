@@ -780,14 +780,14 @@ let run_latency_audit () =
         (fun (cls, _, _, body) ->
           (* One unmeasured warmup op per class to warm routing caches. *)
           (match body scratch 0 with Ok _ -> () | Error _ -> ());
-          let phases = Crdb.Phase.make () in
+          let phases = Crdb.Phase.make () and sink = Crdb.Phase.sink m ~cls in
           let h = List.assoc cls e2e in
           for i = 1 to ops do
             Crdb_sim.Proc.sleep sim 100_000;
             let t0 = Crdb_sim.Sim.now sim in
             (match body phases i with Ok _ -> () | Error _ -> ());
             Hist.add h (Crdb_sim.Sim.now sim - t0);
-            Crdb.Phase.flush phases ~cls m;
+            Crdb.Phase.flush phases sink;
             Crdb.Phase.reset phases
           done)
         classes);
@@ -869,7 +869,7 @@ let run_commit_path () =
     in
     let lat = Hist.create () in
     let failed = ref 0 in
-    let phases = Crdb.Phase.make () in
+    let phases = Crdb.Phase.make () and sink = Crdb.Phase.sink m ~cls:label in
     Cluster.run cl (fun () ->
         (* One unmeasured warmup transaction to warm the routing caches. *)
         (match
@@ -891,7 +891,7 @@ let run_commit_path () =
           | Ok () -> ()
           | Error _ -> incr failed);
           Hist.add lat (Crdb_sim.Sim.now sim - t0);
-          Crdb.Phase.flush phases ~cls:label m;
+          Crdb.Phase.flush phases sink;
           Crdb.Phase.reset phases
         done);
     subsection

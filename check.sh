@@ -140,6 +140,22 @@ diff "$tmprep/ts1.json" "$tmprep/ts2.json" || {
   exit 1
 }
 
+# Simulated-result pins: performance work must not change what the
+# simulator computes. Each line of test/determinism.md5 is the MD5 of one
+# crdb_sim invocation's output followed by that invocation's arguments. A
+# change that alters simulated behaviour on purpose re-records the line.
+echo "== simulated-result pins (test/determinism.md5)"
+pins_ok=1
+while read -r want args; do
+  # shellcheck disable=SC2086 # the pinned arguments are meant to split
+  got=$(dune exec bin/crdb_sim.exe -- $args </dev/null | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "pin moved: crdb_sim $args (pinned $want, got $got)"
+    pins_ok=0
+  fi
+done <test/determinism.md5
+[ "$pins_ok" = 1 ] || exit 1
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt (check only)"
   dune build @fmt

@@ -72,19 +72,26 @@ let is_nil ctx = ctx = Nil
    flushed operation, micros spent in that phase — zero-time phases are
    recorded too so per-class sample counts line up across phases) and a
    [wan_rtts.<class>] histogram holding the operation's WAN round-trip
-   count. *)
+   count. A sink resolves them once; [phases.(index p)] is phase [p]'s. *)
 
-let flush ctx ~cls metrics =
+type sink = { phases : Crdb_stats.Hist.t array; wan_hist : Crdb_stats.Hist.t }
+
+let sink metrics ~cls =
+  {
+    phases =
+      Array.of_list
+        (List.map
+           (fun p -> Metrics.histogram metrics ("phase." ^ cls ^ "." ^ name p))
+           all_phases);
+    wan_hist = Metrics.histogram metrics ("wan_rtts." ^ cls);
+  }
+
+let flush ctx sink =
   match ctx with
   | Nil -> ()
   | Ctx c ->
-      List.iter
-        (fun p ->
-          let h = Metrics.histogram metrics ("phase." ^ cls ^ "." ^ name p) in
-          Crdb_stats.Hist.add h c.acc.(index p))
-        all_phases;
-      let h = Metrics.histogram metrics ("wan_rtts." ^ cls) in
-      Crdb_stats.Hist.add h c.wan
+      Array.iteri (fun i h -> Crdb_stats.Hist.add h c.acc.(i)) sink.phases;
+      Crdb_stats.Hist.add sink.wan_hist c.wan
 
 let annotate ctx span =
   match ctx with

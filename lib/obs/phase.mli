@@ -58,10 +58,17 @@ val wan_rtts : ctx -> int
 val reset : ctx -> unit
 val is_nil : ctx -> bool
 
-val flush : ctx -> cls:string -> Metrics.t -> unit
-(** Record one sample per phase into the [phase.<cls>.<phase>] histograms
-    (including zero-time phases, so per-class counts agree) and the WAN
-    round-trip count into [wan_rtts.<cls>]. Call once per completed
+type sink
+(** One op class's histograms in one registry, resolved once. *)
+
+val sink : Metrics.t -> cls:string -> sink
+(** Registers (or finds) the [phase.<cls>.<phase>] histograms, one per
+    phase, and the [wan_rtts.<cls>] histogram. *)
+
+val flush : ctx -> sink -> unit
+(** Record one sample per phase into the sink's [phase.<cls>.<phase>]
+    histograms (including zero-time phases, so per-class counts agree) and
+    the WAN round-trip count into [wan_rtts.<cls>]. Call once per completed
     operation; pair with {!reset} to reuse the context. No-op on {!nil}. *)
 
 val annotate : ctx -> Trace.span -> unit

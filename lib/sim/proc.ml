@@ -4,7 +4,7 @@ open Effect.Deep
 type _ Effect.t += Await : 'a Ivar.t -> 'a Effect.t
 type _ Effect.t += Sleep : (Sim.t * int) -> unit Effect.t
 
-let spawn sim f =
+let spawn_now sim f =
   let handler =
     {
       retc = (fun () -> ());
@@ -24,7 +24,9 @@ let spawn sim f =
           | _ -> None);
     }
   in
-  Sim.schedule sim ~after:0 (fun () -> match_with f () handler)
+  match_with f () handler
+
+let spawn sim f = Sim.schedule sim ~after:0 (fun () -> spawn_now sim f)
 
 let async sim f =
   let result = Ivar.create () in

@@ -7,11 +7,17 @@
     instead of as callback state machines.
 
     Blocking operations must only be performed from inside a process started
-    with {!spawn}, {!async} or {!run_main}. *)
+    with {!spawn}, {!spawn_now}, {!async} or {!run_main}. *)
 
 val spawn : Sim.t -> (unit -> unit) -> unit
 (** Start a process; it begins running at the current simulated instant
     (after already-queued events for that instant). *)
+
+val spawn_now : Sim.t -> (unit -> unit) -> unit
+(** Like {!spawn} but runs the process inside the current event, up to its
+    first suspension, before returning. For a process started by an event
+    that already fires at the right moment, such as a {!Sim.timer}: {!spawn}
+    would queue one more event for the same instant. *)
 
 val async : Sim.t -> (unit -> 'a) -> 'a Ivar.t
 (** Like {!spawn} but the process's result fills the returned ivar. An

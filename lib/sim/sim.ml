@@ -1,86 +1,121 @@
-(* The queue is a binary min-heap of events ordered by [(time, seq)]. Each
-   event records its slot in the heap ([-1] once it has fired or been
-   cancelled), so [cancel] removes it on the spot and the heap only ever
-   holds events that will fire. *)
+(* The queue is a 4-ary min-heap of events ordered by [(time, seq)]. The
+   keys live inline in one int array ([keys.(2i)] is slot [i]'s time and
+   [keys.(2i+1)] its seq), so sifting compares ints without touching an
+   event record. Each event records its slot in the heap ([-1] once it has
+   fired or been cancelled), so [cancel] removes it on the spot and the heap
+   only ever holds events that will fire. *)
 
-type event = {
-  time : int;
-  seq : int;
-  fn : unit -> unit;
-  mutable slot : int;
-}
+type event = { fn : unit -> unit; mutable slot : int }
 
 type t = {
   mutable now : int;
   mutable seq : int;
-  mutable heap : event array;
+  mutable keys : int array;
+  mutable evs : event array;
   mutable len : int;
 }
 
 (* A timer remembers its queue so that [cancel] can take it out. *)
 type timer = { q : t; ev : event }
 
-let dummy = { time = 0; seq = 0; fn = ignore; slot = -1 }
-let create () = { now = 0; seq = 0; heap = [||]; len = 0 }
+let dummy = { fn = ignore; slot = -1 }
+let create () = { now = 0; seq = 0; keys = [||]; evs = [||]; len = 0 }
 let now t = t.now
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Does slot [i] fire before [(time, seq)]? *)
+let slot_before (keys : int array) i (time : int) (seq : int) =
+  let it = Array.unsafe_get keys (2 * i) in
+  it < time || (it = time && Array.unsafe_get keys ((2 * i) + 1) < seq)
 
-let set t i ev =
-  t.heap.(i) <- ev;
+let set t i time seq ev =
+  let keys = t.keys in
+  Array.unsafe_set keys (2 * i) time;
+  Array.unsafe_set keys ((2 * i) + 1) seq;
+  Array.unsafe_set t.evs i ev;
   ev.slot <- i
 
-(* Move [ev] up from the hole at [i] until its parent precedes it. *)
-let rec sift_up t i ev =
-  if i = 0 then set t 0 ev
-  else
-    let parent = (i - 1) / 2 in
-    let p = t.heap.(parent) in
-    if before ev p then begin
-      set t i p;
-      sift_up t parent ev
-    end
-    else set t i ev
+(* Move the event in slot [j] to slot [i]. *)
+let move t ~src:j ~dst:i =
+  let keys = t.keys in
+  set t i
+    (Array.unsafe_get keys (2 * j))
+    (Array.unsafe_get keys ((2 * j) + 1))
+    (Array.unsafe_get t.evs j)
 
-(* Move [ev] down from the hole at [i] until it precedes both children. *)
-let rec sift_down t i ev =
-  let l = (2 * i) + 1 in
-  if l >= t.len then set t i ev
+(* Move [(time, seq, ev)] up from the hole at [i] until its parent precedes
+   it. Every slot index passed here and below is below [t.len]. *)
+let rec sift_up t i time seq ev =
+  if i = 0 then set t 0 time seq ev
   else
-    let r = l + 1 in
-    let c = if r < t.len && before t.heap.(r) t.heap.(l) then r else l in
-    let child = t.heap.(c) in
-    if before child ev then begin
-      set t i child;
-      sift_down t c ev
+    let parent = (i - 1) / 4 in
+    if slot_before t.keys parent time seq then set t i time seq ev
+    else begin
+      move t ~src:parent ~dst:i;
+      sift_up t parent time seq ev
     end
-    else set t i ev
+
+(* Move [(time, seq, ev)] down from the hole at [i] until it precedes every
+   child. *)
+let rec sift_down t i time seq ev =
+  let first = (4 * i) + 1 and len = t.len in
+  if first >= len then set t i time seq ev
+  else begin
+    (* The earliest child [c], keyed [(ct, cs)]. *)
+    let keys = t.keys in
+    let c = ref first in
+    let ct = ref (Array.unsafe_get keys (2 * first)) in
+    let cs = ref (Array.unsafe_get keys ((2 * first) + 1)) in
+    let last = if first + 3 < len then first + 3 else len - 1 in
+    for j = first + 1 to last do
+      let jt = Array.unsafe_get keys (2 * j) in
+      if jt <= !ct then begin
+        let js = Array.unsafe_get keys ((2 * j) + 1) in
+        if jt < !ct || js < !cs then begin
+          c := j;
+          ct := jt;
+          cs := js
+        end
+      end
+    done;
+    if !ct < time || (!ct = time && !cs < seq) then begin
+      set t i !ct !cs (Array.unsafe_get t.evs !c);
+      sift_down t !c time seq ev
+    end
+    else set t i time seq ev
+  end
 
 (* Take the event at slot [i] out of the heap, filling the hole with the last
    event. *)
 let remove t i =
-  let ev = t.heap.(i) in
+  let ev = t.evs.(i) in
   ev.slot <- -1;
   t.len <- t.len - 1;
-  if i < t.len then begin
-    let last = t.heap.(t.len) in
-    if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t i last
-    else sift_down t i last
+  let n = t.len in
+  if i < n then begin
+    let time = t.keys.(2 * n) and seq = t.keys.((2 * n) + 1) in
+    let last = t.evs.(n) in
+    if i > 0 && not (slot_before t.keys ((i - 1) / 4) time seq) then
+      sift_up t i time seq last
+    else sift_down t i time seq last
   end;
-  t.heap.(t.len) <- dummy;
+  t.evs.(n) <- dummy;
   ev
 
 let enqueue t ~at fn =
   let at = if at < t.now then t.now else at in
-  let ev = { time = at; seq = t.seq; fn; slot = -1 } in
-  t.seq <- t.seq + 1;
-  if t.len = Array.length t.heap then begin
-    let heap = Array.make (max 16 (2 * t.len)) dummy in
-    Array.blit t.heap 0 heap 0 t.len;
-    t.heap <- heap
+  let ev = { fn; slot = -1 } in
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  if t.len = Array.length t.evs then begin
+    let cap = max 16 (2 * t.len) in
+    let keys = Array.make (2 * cap) 0 and evs = Array.make cap dummy in
+    Array.blit t.keys 0 keys 0 (2 * t.len);
+    Array.blit t.evs 0 evs 0 t.len;
+    t.keys <- keys;
+    t.evs <- evs
   end;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1) ev;
+  sift_up t (t.len - 1) at seq ev;
   ev
 
 let schedule t ~after fn =
@@ -99,8 +134,9 @@ let timer_pending { ev; _ } = ev.slot >= 0
 let step t =
   if t.len = 0 then false
   else begin
+    let time = t.keys.(0) in
     let ev = remove t 0 in
-    t.now <- ev.time;
+    t.now <- time;
     ev.fn ();
     true
   end
@@ -109,7 +145,7 @@ let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-      while t.len > 0 && t.heap.(0).time <= limit do
+      while t.len > 0 && t.keys.(0) <= limit do
         ignore (step t)
       done;
       if t.now < limit then t.now <- limit

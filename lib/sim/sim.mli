@@ -3,7 +3,11 @@
     Simulated time is an integer number of microseconds starting at 0. Events
     scheduled for the same instant fire in scheduling order (FIFO), which,
     together with the explicit {!Crdb_stdx.Rng} streams, makes every run
-    reproducible from its seed. *)
+    reproducible from its seed.
+
+    The queue is a 4-ary heap keyed by [(time, seq)], with the keys stored
+    inline in an int array; scheduling, stepping and cancelling each cost
+    O(log n) in the number of queued events. *)
 
 type t
 
@@ -22,6 +26,11 @@ val schedule_at : t -> at:int -> (unit -> unit) -> unit
 type timer
 
 val timer : t -> after:int -> (unit -> unit) -> timer
+(** [timer t ~after f] is [schedule t ~after f] that can be cancelled. A
+    cancelled timer never runs and leaves every other event's order as it
+    was: apart from {!pending}, arming a timer and cancelling it before it
+    fires is invisible to the rest of the run. *)
+
 val cancel : timer -> unit
 (** Remove the timer from the queue at once, in [O(log n)]. Cancelling an
     already-fired or already-cancelled timer is a no-op. *)

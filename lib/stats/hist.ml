@@ -13,10 +13,7 @@ let is_empty t = count t = 0
 
 let ensure_sorted t =
   if not t.sorted then begin
-    let arr = Array.of_list (Vec.to_list t.samples) in
-    Array.sort Int.compare arr;
-    Vec.clear t.samples;
-    Array.iter (Vec.push t.samples) arr;
+    Vec.sort Int.compare t.samples;
     t.sorted <- true
   end
 

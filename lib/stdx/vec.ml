@@ -44,6 +44,10 @@ let sub_list t ~pos =
   let rec loop i acc = if i < pos then acc else loop (i - 1) (t.arr.(i) :: acc) in
   loop (t.len - 1) []
 
+let sort cmp t =
+  if Array.length t.arr > t.len then t.arr <- Array.sub t.arr 0 t.len;
+  Array.sort cmp t.arr
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.arr.(i)

@@ -41,6 +41,15 @@ let find_or_add t key =
       t.records <- Smap.add key r t.records;
       r
 
+(* A newest-first list stays sorted when a new version goes before the
+   first version at or below its timestamp: where a stable newest-first
+   sort of [v :: versions] puts it. A new commit is usually the newest, so
+   this stops at the head. *)
+let rec insert_version ((ts, _) as v) = function
+  | (vts, _) :: _ as rest when Ts.(vts <= ts) -> v :: rest
+  | newer :: rest -> newer :: insert_version v rest
+  | [] -> [ v ]
+
 let version_at versions ts =
   List.find_opt (fun (vts, _) -> Ts.(vts <= ts)) versions
 
@@ -116,11 +125,8 @@ let resolve_intent t ~key ~txn_id ~commit =
           record.intent <- None;
           (match commit with
           | Some commit_ts ->
-              let versions =
-                (commit_ts, i.value) :: record.versions
-                |> List.stable_sort (fun (a, _) (b, _) -> Ts.compare b a)
-              in
-              record.versions <- versions
+              record.versions <-
+                insert_version (commit_ts, i.value) record.versions
           | None -> ())
       | Some _ | None -> ())
 
@@ -236,6 +242,4 @@ let replace_with t src = t.records <- (copy src).records
 
 let put_version t ~key ~ts ~value =
   let record = find_or_add t key in
-  record.versions <-
-    (ts, value) :: record.versions
-    |> List.stable_sort (fun (a, _) (b, _) -> Ts.compare b a)
+  record.versions <- insert_version (ts, value) record.versions

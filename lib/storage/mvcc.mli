@@ -152,3 +152,8 @@ val replace_with : t -> t -> unit
 val put_version : t -> key:string -> ts:ts -> value:string option -> unit
 (** Install a committed version directly, bypassing the intent protocol.
     Used only for administrative bulk loading of benchmark datasets. *)
+
+val insert_version : ts * 'a -> (ts * 'a) list -> (ts * 'a) list
+(** [insert_version v versions] adds [v] to a newest-first version list,
+    before the first version whose timestamp is at or below [v]'s — the
+    place a stable newest-first sort of [v :: versions] gives it. *)

@@ -53,6 +53,8 @@ type manager = {
   c_refreshes : Metrics.counter array;
   c_reader_waits : Metrics.counter array;
   h_commit_wait : Hist.t;
+  phase_sink : Phase.sink Lazy.t;
+      (* the [phase.txn.*] histograms, registered at the first flush *)
 }
 
 type read_span = Point of string | Span of string * string
@@ -77,6 +79,8 @@ type t = {
          responses; threaded as a closure into every KV op so a wounded
          transaction cancels its in-flight requests *)
   mutable finished : bool; (* stops the heartbeat loop *)
+  mutable first_beat : Sim.timer option;
+      (* the armed first heartbeat; [finish] cancels it *)
   mutable observed_future : bool;
   mutable commit_initiated : bool;
       (* the commit record may have been proposed: a failure after this
@@ -139,6 +143,7 @@ let create_manager cl =
     c_refreshes = per_node "txn.refreshes";
     c_reader_waits = per_node "txn.reader_waits";
     h_commit_wait = Metrics.histogram m "txn.commit_wait";
+    phase_sink = lazy (Phase.sink m ~cls:"txn");
   }
 
 let cluster mgr = mgr.cl
@@ -467,6 +472,13 @@ let count_commit mgr gw =
   mgr.stats.commits <- mgr.stats.commits + 1;
   Metrics.inc mgr.c_commits.(gw)
 
+(* The attempt is over: its heartbeat stops. A first heartbeat still
+   armed leaves the event queue at once; a running loop exits when it next
+   wakes. *)
+let finish t =
+  t.finished <- true;
+  Option.iter Sim.cancel t.first_beat
+
 let commit t =
   let sim = Cluster.sim t.mgr.cl in
   let commit_ts = Ts.max t.read_ts t.write_ts in
@@ -565,7 +577,7 @@ let commit t =
        (§6.2 releases locks concurrently with the commit wait, minimizing
        how long readers observe them). *)
     Cluster.spawn_background t.mgr.cl (fun () ->
-        t.finished <- true;
+        finish t;
         if not explicitly_committed then
           ignore
             (Cluster.commit_txn t.mgr.cl ~gateway:t.gw ~txn:t.id ~key:akey
@@ -593,11 +605,11 @@ let commit t =
       Metrics.inc t.mgr.c_reader_waits.(t.gw)
     end
   end;
-  t.finished <- true;
+  finish t;
   count_commit t.mgr t.gw
 
 let abort t =
-  t.finished <- true;
+  finish t;
   (* Finalize the record first so concurrent pushers see Aborted; no-op if
      a wound already aborted it. The applied status is authoritative: a
      racing recovery may already have committed a staged attempt
@@ -631,31 +643,41 @@ let abort t =
    wound notifications: an [Aborted] status cancels the transaction's
    in-flight requests through its [fate] closure. The loop stops
    heartbeating while the gateway is down — exactly the abandonment signal
-   wound-wait relies on — and exits once the transaction finishes. *)
+   wound-wait relies on — and exits once the transaction finishes.
+
+   Most transactions finish long before their first heartbeat is due, so
+   the first one is a timer, armed in the attempt's first event and
+   cancelled by [finish]; only a transaction still running when it fires
+   starts the loop, in that same event. *)
 let start_heartbeat t =
   let mgr = t.mgr in
   let sim = Cluster.sim mgr.cl in
   let interval = (Cluster.config mgr.cl).Cluster.txn_heartbeat_interval in
-  Proc.spawn sim (fun () ->
-      let rec loop () =
-        Proc.sleep sim interval;
-        if t.finished then ()
-        else
-          match t.anchor with
-          | None -> loop ()
-          | Some key ->
-              if Crdb_net.Transport.is_alive (Cluster.net mgr.cl) t.gw then
-                match
-                  Cluster.heartbeat_txn mgr.cl ~gateway:t.gw ~txn:t.id ~key ()
-                with
-                | Some (Txnrec.Aborted { reason; wound = true }) ->
-                    t.fate_ <- `Wounded reason
-                | Some (Txnrec.Aborted _) -> t.fate_ <- `Aborted
-                | Some (Txnrec.Committed _) -> ()
-                | Some (Txnrec.Pending | Txnrec.Staging _) | None -> loop ()
-              else loop ()
-      in
-      loop ())
+  let rec beat () =
+    if t.finished then ()
+    else
+      match t.anchor with
+      | None -> next ()
+      | Some key ->
+          if Crdb_net.Transport.is_alive (Cluster.net mgr.cl) t.gw then
+            match
+              Cluster.heartbeat_txn mgr.cl ~gateway:t.gw ~txn:t.id ~key ()
+            with
+            | Some (Txnrec.Aborted { reason; wound = true }) ->
+                t.fate_ <- `Wounded reason
+            | Some (Txnrec.Aborted _) -> t.fate_ <- `Aborted
+            | Some (Txnrec.Committed _) -> ()
+            | Some (Txnrec.Pending | Txnrec.Staging _) | None -> next ()
+          else next ()
+  and next () =
+    Proc.sleep sim interval;
+    beat ()
+  in
+  Sim.schedule sim ~after:0 (fun () ->
+      if not t.finished then
+        t.first_beat <-
+          Some
+            (Sim.timer sim ~after:interval (fun () -> Proc.spawn_now sim beat)))
 
 (* ------------------------------------------------------------------ *)
 (* Retry loops                                                         *)
@@ -689,6 +711,7 @@ let fresh_txn ~priority ~phases mgr ~gateway =
       outstanding = [];
       fate_ = `Live;
       finished = false;
+      first_beat = None;
       observed_future = false;
       commit_initiated = false;
       sp = Trace.nil;
@@ -712,7 +735,7 @@ let with_root mgr ~gateway ?phases name f =
   let result = f ~root ~phases in
   Phase.annotate phases root;
   Trace.finish tr root;
-  if own_ctx then Phase.flush phases ~cls:"txn" (Obs.metrics mgr.obs);
+  if own_ctx then Phase.flush phases (Lazy.force mgr.phase_sink);
   result
 
 (* Attempt [n] failed restartably: count the restart, close the attempt's
@@ -798,7 +821,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
            resolving its intents as aborted nor retrying the body is
            sound. Leave the record and intents alone — pushers will
            eventually recover them — and surface the ambiguity. *)
-        t.finished <- true;
+        finish t;
         report t (failed_attempt_outcome t reason);
         Trace.annotate t.sp "indeterminate" reason;
         Trace.finish tr t.sp;

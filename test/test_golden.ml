@@ -29,6 +29,13 @@ let node_in cl region i =
   (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
     .Topology.id
 
+(* The MD5 of the metrics registry and the Chrome trace export. *)
+let digest obs =
+  Digest.to_hex
+    (Digest.string
+       (Metrics.to_json (Obs.metrics obs)
+       ^ Trace.to_chrome_json (Obs.trace obs)))
+
 let scenario ?(opts = Txn.Options.default) () =
   let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
   let cl =
@@ -117,10 +124,7 @@ let scenario ?(opts = Txn.Options.default) () =
   check Alcotest.bool "a follower read hit" true
     (total "kv.follower_read_hits" > 0);
   check Alcotest.int "split happened" 3 (List.length (Cluster.ranges cl));
-  Digest.to_hex
-    (Digest.string
-       (Metrics.to_json (Obs.metrics obs)
-       ^ Trace.to_chrome_json (Obs.trace obs)))
+  digest obs
 
 let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
@@ -142,6 +146,59 @@ let test_pipelined_digest () =
        ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
        ())
 
+(* A transaction that outlives three heartbeat intervals while a younger
+   pusher waits on its intent: the record must stay live through its
+   heartbeats (no abandonment), the pusher must wait rather than wound, and
+   both must commit. Pins the heartbeat loop's messages and timing. *)
+let heartbeat_scenario () =
+  let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
+  let cl =
+    Cluster.create
+      ~config:{ Cluster.default with seed = 1717 }
+      ~topology ~latency:Latency.table1 ()
+  in
+  let zone =
+    Zoneconfig.derive ~regions ~home ~survival:Zoneconfig.Zone
+      ~placement:Zoneconfig.Default
+  in
+  ignore
+    (Cluster.add_range cl ~span:("a", "zzzz") ~zone
+       ~policy:(Cluster.Lag 3_000_000)
+      : Cluster.range_id);
+  Cluster.settle cl;
+  Obs.enable_tracing (Cluster.obs cl);
+  let mgr = Txn.create_manager cl in
+  let sim = Cluster.sim cl in
+  let gw = node_in cl home 0 in
+  let interval = (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  let attempts = ref [] in
+  let on_attempt name _ _ = attempts := name :: !attempts in
+  Cluster.run cl (fun () ->
+      let old =
+        Proc.async sim (fun () ->
+            Txn.run mgr ~gateway:gw ~on_attempt:(on_attempt "old") (fun t ->
+                Txn.put t "k" "old";
+                Proc.sleep sim ((3 * interval) + (interval / 2));
+                Txn.put t "l" "old"))
+      in
+      Proc.sleep sim 100_000;
+      let young =
+        Proc.async sim (fun () ->
+            Txn.run mgr ~gateway:gw ~on_attempt:(on_attempt "young") (fun t ->
+                Txn.put t "k" "young"))
+      in
+      List.iter (fun r -> expect_ok (Proc.await r)) [ old; young ]);
+  let obs = Cluster.obs cl in
+  let total name = Metrics.total (Obs.metrics obs) name in
+  check Alcotest.(list string) "one attempt each" [ "young"; "old" ] !attempts;
+  check Alcotest.bool "the pusher pushed" true (total "kv.txn_pushes" > 0);
+  check Alcotest.int "nobody wounded" 0 (total "kv.txn_wounds");
+  digest obs
+
+let test_heartbeat_digest () =
+  check Alcotest.string "metrics + trace digest"
+    "521b7984763f5fbca896aabb37aad462" (heartbeat_scenario ())
+
 let suite =
   [
     Alcotest.test_case "request paths digest pinned" `Quick test_golden_digest;
@@ -149,4 +206,6 @@ let suite =
       test_sequential_digest;
     Alcotest.test_case "pipelined commit digest pinned" `Quick
       test_pipelined_digest;
+    Alcotest.test_case "long transaction heartbeat digest pinned" `Quick
+      test_heartbeat_digest;
   ]

@@ -187,6 +187,26 @@ let test_ivar () =
   Alcotest.check_raises "double fill" (Invalid_argument "Ivar.fill: already full")
     (fun () -> Ivar.fill iv 0)
 
+(* [spawn_now] runs its body inside the calling event, up to the body's
+   first suspension; [spawn] defers its body by one event. *)
+let test_proc_spawn_now () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Sim.schedule sim ~after:5 (fun () ->
+      Proc.spawn sim (fun () -> note "spawned");
+      Proc.spawn_now sim (fun () ->
+          note "now";
+          Proc.sleep sim 10;
+          note (Printf.sprintf "woke at %d" (Sim.now sim)));
+      note "event done");
+  Sim.run sim;
+  check
+    Alcotest.(list string)
+    "order"
+    [ "now"; "event done"; "spawned"; "woke at 15" ]
+    (List.rev !log)
+
 let test_proc_sleep_sequencing () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -291,6 +311,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_queue_model;
     Alcotest.test_case "nested schedule" `Quick test_nested_schedule;
     Alcotest.test_case "ivar" `Quick test_ivar;
+    Alcotest.test_case "proc spawn_now" `Quick test_proc_spawn_now;
     Alcotest.test_case "proc sleep" `Quick test_proc_sleep_sequencing;
     Alcotest.test_case "proc await" `Quick test_proc_await;
     Alcotest.test_case "proc await_timeout" `Quick test_proc_await_timeout;

@@ -23,6 +23,22 @@ let test_vec () =
     (Invalid_argument "Vec.get: index 10 out of bounds (len 10)") (fun () ->
       ignore (Vec.get v 10))
 
+(* [Vec.sort] sorts the live prefix only: elements dropped by [truncate]
+   stay dropped, and the vector keeps growing afterwards. *)
+let prop_vec_sort =
+  QCheck.Test.make ~name:"vec sort matches List.sort" ~count:200
+    QCheck.(pair (list small_int) small_nat)
+    (fun (xs, dropped) ->
+      let v = Vec.create () in
+      List.iter (Vec.push v) xs;
+      let kept = max 0 (List.length xs - dropped) in
+      Vec.truncate v kept;
+      Vec.sort Int.compare v;
+      let sorted = List.sort Int.compare (List.filteri (fun i _ -> i < kept) xs) in
+      let ok = Vec.to_list v = sorted in
+      Vec.push v (-1);
+      ok && Vec.to_list v = sorted @ [ -1 ])
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
   let xs = List.init 50 (fun _ -> Rng.int a 1000) in
@@ -100,6 +116,7 @@ let test_shuffle_permutation () =
 let suite =
   [
     Alcotest.test_case "vec" `Quick test_vec;
+    qcheck prop_vec_sort;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     qcheck prop_rng_int_bounds;

@@ -134,6 +134,38 @@ let prop_read_latest_below =
       in
       read_value s ~key:"k" ~at:read_at = expected)
 
+(* Inserting a version into a newest-first list puts it where the stable
+   sort it replaces did, equal timestamps included: before the versions at
+   its timestamp, after the newer ones. *)
+let prop_insert_version_is_stable_sort =
+  let ts_gen =
+    QCheck.Gen.(
+      map2
+        (fun wall logical -> Ts.make ~wall ~logical)
+        (int_range 1 6) (int_range 0 2))
+  in
+  let newest_first (a, _) (b, _) = Ts.compare b a in
+  (* Versions are tagged with their position so equal timestamps stay
+     distinguishable; the inserted one is tagged -1. *)
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun t ts -> ((t, -1), List.mapi (fun i t -> (t, i)) ts))
+        ts_gen
+        (map (List.stable_sort (fun a b -> Ts.compare b a))
+           (list_size (int_bound 12) ts_gen)))
+  in
+  let print (v, versions) =
+    String.concat " "
+      (List.map
+         (fun (t, i) -> Printf.sprintf "%s#%d" (Ts.to_string t) i)
+         (v :: versions))
+  in
+  QCheck.Test.make ~name:"mvcc version insert matches a stable sort"
+    ~count:500 (QCheck.make ~print gen) (fun (v, versions) ->
+      Mvcc.insert_version v versions
+      = List.stable_sort newest_first (v :: versions))
+
 let test_tscache () =
   let none = None in
   let c = Tscache.create ~low_water:(ts 10) in
@@ -195,6 +227,7 @@ let suite =
     Alcotest.test_case "has_committed_after" `Quick test_has_committed_after;
     Alcotest.test_case "scan" `Quick test_scan;
     qcheck prop_read_latest_below;
+    qcheck prop_insert_version_is_stable_sort;
     Alcotest.test_case "tscache" `Quick test_tscache;
     Alcotest.test_case "tscache self exclusion" `Quick test_tscache_self_exclusion;
   ]

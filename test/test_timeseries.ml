@@ -209,7 +209,7 @@ let test_phase_ctx () =
   check Alcotest.int "nil discards" 0 (Phase.total Phase.nil Phase.Routing);
   (* Flush: one sample per phase (zeros included) + the WAN count. *)
   let m = Metrics.create () in
-  Phase.flush ctx ~cls:"op" m;
+  Phase.flush ctx (Phase.sink m ~cls:"op");
   List.iter
     (fun p ->
       check Alcotest.int

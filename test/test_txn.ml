@@ -393,6 +393,66 @@ let test_conflict_restart_counted () =
              check Alcotest.(option string) "both increments applied" (Some "2")
                (Txn.ro_get ro "k"))))
 
+(* Heartbeats cost nothing once a transaction finishes, and keep a long
+   one alive. Fifty short writes finish inside one heartbeat interval: the
+   event queue must not grow by a parked heartbeat for each of them (it
+   grew by 50 when every attempt parked one; without that it stays within
+   a couple of events). A
+   transaction that then outlives three intervals (the abandonment bound)
+   while a younger writer pushes it must keep a Pending record and commit
+   in its first attempt. *)
+let test_heartbeat_lifecycle () =
+  let cl, mgr = make () in
+  let sim = Cluster.sim cl in
+  let gw = node_in cl home 0 in
+  let interval = (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  Cluster.run cl (fun () ->
+      let short i =
+        expect_ok
+          (Txn.run mgr ~gateway:gw (fun t ->
+               Txn.put t (Printf.sprintf "short%02d" i) "v"))
+      in
+      (* Warm up: the first writes start the range's steady background
+         traffic. *)
+      for i = 1 to 5 do
+        short i
+      done;
+      let t0 = Sim.now sim and queued = Sim.pending sim in
+      for i = 6 to 55 do
+        short i
+      done;
+      check Alcotest.bool "the short transactions fit in one interval" true
+        (Sim.now sim - t0 < interval);
+      let growth = Sim.pending sim - queued in
+      check Alcotest.bool
+        (Printf.sprintf "queue grew by %d, under 10" growth)
+        true (growth < 10);
+      let attempts = ref 0 in
+      let long =
+        Proc.async sim (fun () ->
+            Txn.run mgr ~gateway:gw
+              ~on_attempt:(fun _ _ -> incr attempts)
+              (fun t ->
+                Txn.put t "long" "old";
+                Proc.sleep sim ((3 * interval) + (interval / 2));
+                (match
+                   Cluster.txn_status cl ~gateway:gw ~txn:(Txn.txn_id t)
+                     ~key:"long" ()
+                 with
+                | Some Crdb_kv.Txnrec.Pending -> ()
+                | _ -> Alcotest.fail "the long transaction's record is not live");
+                Txn.put t "long2" "old"))
+      in
+      Proc.sleep sim 100_000;
+      expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "long" "young"));
+      expect_ok (Proc.await long);
+      check Alcotest.int "the long transaction committed first time" 1
+        !attempts;
+      expect_ok
+        (Txn.run_fresh_read mgr ~gateway:gw (fun ro ->
+             check Alcotest.(option string) "the pusher wrote last"
+               (Some "young") (Txn.ro_get ro "long"))))
+
 (* The same GLOBAL-table commit wait, observed through lib/obs: the manager
    feeds per-gateway counters and a commit-wait histogram into the cluster's
    metrics registry. *)
@@ -452,6 +512,7 @@ let suite =
     Alcotest.test_case "stale bounded" `Quick test_stale_bounded_read;
     Alcotest.test_case "conflict restart" `Quick test_conflict_restart_counted;
     Alcotest.test_case "commit wait metrics" `Quick test_commit_wait_metrics;
+    Alcotest.test_case "heartbeat lifecycle" `Quick test_heartbeat_lifecycle;
     Alcotest.test_case "stale scan limit across split" `Quick
       test_stale_scan_limit_across_split;
   ]

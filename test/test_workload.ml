@@ -111,14 +111,11 @@ let test_ycsb_hot_shift_determinism () =
   check Alcotest.int "no errors while the hot set drifts" 0 errors;
   check Alcotest.bool "identical results across same-seed runs" true (a = b)
 
-(* The event queue holds only events that will fire: cancelled timers and
-   answered RPC timeouts leave it at once. A small YCSB run samples its
-   depth every 10 ms of simulated time; the depth is a function of the
-   seed, so the bound cannot flake. The maximum is 387; when cancelled
-   timers and answered timeouts stayed queued until their deadline, it was
-   5,622. *)
-let test_queue_holds_live_events () =
-  let t, db = ycsb_cluster Ycsb.Rbr_default in
+(* Runs [f] while sampling the event-queue depth every 10 ms of simulated
+   time and returns [f]'s result with the deepest sample. The probe only
+   reads [Sim.pending], and the depth is a function of the seed, so a bound
+   on it cannot flake. *)
+let peak_pending t f =
   let sim = Crdb.Cluster.sim (Crdb.cluster t) in
   let deepest = ref 0 and active = ref true in
   let rec probe () =
@@ -128,15 +125,42 @@ let test_queue_holds_live_events () =
     end
   in
   Sim.schedule sim ~after:10_000 probe;
-  let r =
-    Ycsb.run t db ~clients_per_region:3 ~ops_per_client:30 ~workload:Ycsb.A
-      ~keyspace:300 ()
-  in
+  let r = f () in
   active := false;
+  (r, !deepest)
+
+(* The event queue holds only events that will fire: cancelled timers and
+   answered RPC timeouts leave it at once. The maximum is 387; when
+   cancelled timers and answered timeouts stayed queued until their
+   deadline, it was 5,622. *)
+let test_queue_holds_live_events () =
+  let t, db = ycsb_cluster Ycsb.Rbr_default in
+  let r, deepest =
+    peak_pending t (fun () ->
+        Ycsb.run t db ~clients_per_region:3 ~ops_per_client:30
+          ~workload:Ycsb.A ~keyspace:300 ())
+  in
   check Alcotest.int "all ops accounted" 270 r.Ycsb.ops;
   check Alcotest.bool
-    (Printf.sprintf "queue depth %d under 1,000" !deepest)
-    true (!deepest < 1_000)
+    (Printf.sprintf "queue depth %d under 1,000" deepest)
+    true (deepest < 1_000)
+
+(* A finished transaction leaves nothing queued for its heartbeat: on a
+   read-mostly run of short transactions the queue holds the clients' live
+   work, not one parked heartbeat per transaction begun in the last
+   heartbeat interval. The maximum is 124; when every attempt parked a
+   1 s heartbeat sleep, it was 959. *)
+let test_queue_holds_no_finished_heartbeats () =
+  let t, db = ycsb_cluster Ycsb.Rbr_default in
+  let r, deepest =
+    peak_pending t (fun () ->
+        Ycsb.run t db ~clients_per_region:3 ~ops_per_client:100
+          ~distribution:`Uniform ~workload:Ycsb.B ~keyspace:300 ())
+  in
+  check Alcotest.int "all ops accounted" 900 r.Ycsb.ops;
+  check Alcotest.bool
+    (Printf.sprintf "queue depth %d under 300" deepest)
+    true (deepest < 300)
 
 let test_tpcc_smoke () =
   let regions = regions3 in
@@ -266,6 +290,8 @@ let suite =
       test_ycsb_hot_shift_determinism;
     Alcotest.test_case "event queue holds live events only" `Quick
       test_queue_holds_live_events;
+    Alcotest.test_case "finished transactions leave no heartbeat queued" `Quick
+      test_queue_holds_no_finished_heartbeats;
     Alcotest.test_case "tpcc smoke" `Quick test_tpcc_smoke;
     Alcotest.test_case "tpcc items global" `Quick test_tpcc_items_global;
     Alcotest.test_case "tpcc warehouse regions" `Quick test_tpcc_warehouse_regions;
