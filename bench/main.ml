@@ -4,9 +4,9 @@
 
    Usage:   dune exec bench/main.exe [-- EXPERIMENT...]
    where EXPERIMENT is any of: table1 fig3 fig4a fig4b fig4c fig5 fig6
-   table2 ablations conflicts splits latency-audit commit-path autopilot
-   chaos.
-   With no arguments, everything runs.
+   table2 ablations conflicts latency-audit commit-path autopilot.
+   With no arguments, everything runs; an unknown name runs nothing and
+   exits 2.
 
    Workload volumes are scaled down from the paper's GCP runs (the paper's
    absolute numbers come from 3-node-per-region clusters and millions of
@@ -74,6 +74,7 @@ let json_escape s =
   Buffer.contents b
 
 let write_bench_results file =
+  (* The bench's only file write, streamed entry by entry. *)
   let oc = open_out file in
   output_string oc "{\n";
   let entries = List.rev !bench_results in
@@ -144,20 +145,6 @@ let run_table1 () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 3: transaction latency for REGIONAL and GLOBAL tables          *)
 
-let setup_ycsb ?(regions = regions5) ?(max_offset = 250_000)
-    ?(autopilot = false) variant ~keyspace =
-  let config =
-    { Cluster.default with Cluster.max_offset; Cluster.autopilot }
-  in
-  let t = Crdb.start ~config ~regions () in
-  Crdb.exec t
-    (Ddl.N_create_database
-       { db = "ycsb"; primary = List.hd regions; regions = List.tl regions });
-  Crdb.exec_all t (Ycsb.ddl variant ~db:"ycsb" ~regions);
-  let db = Crdb.database t "ycsb" in
-  Ycsb.load t db variant ~keyspace;
-  (t, db)
-
 let split_primary results ~primary =
   let pick per_region want_primary =
     merge
@@ -187,7 +174,7 @@ let run_fig3 () =
   in
   List.iter
     (fun (label, variant, read_mode) ->
-      let t, db = setup_ycsb variant ~keyspace in
+      let t, db = Ycsb.setup ~regions:regions5 variant ~keyspace in
       let r =
         Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
           ~workload:Ycsb.A ~keyspace ~read_mode ()
@@ -227,7 +214,7 @@ let run_fig4a () =
       subsection (Printf.sprintf "locality of access = %.0f%%" (locality *. 100.));
       List.iter
         (fun (label, variant, los, ops) ->
-          let t, db = setup_ycsb ~regions:regions3 variant ~keyspace in
+          let t, db = Ycsb.setup ~regions:regions3 variant ~keyspace in
           Engine.set_locality_optimized_search db los;
           let r =
             Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
@@ -261,7 +248,7 @@ let run_fig4b () =
   in
   List.iter
     (fun (label, variant) ->
-      let t, db = setup_ycsb ~regions:regions3 variant ~keyspace in
+      let t, db = Ycsb.setup ~regions:regions3 variant ~keyspace in
       let r =
         Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
           ~distribution:`Uniform ~locality:1.0 ~workload:Ycsb.D ~keyspace ()
@@ -287,7 +274,7 @@ let run_fig4c () =
      thrash and approach the non-rehoming Default.@.";
   let keyspace = 3_000 and ops = 400 in
   let run_one label variant ~contending =
-    let t, db = setup_ycsb ~regions:regions3 variant ~keyspace in
+    let t, db = Ycsb.setup ~regions:regions3 variant ~keyspace in
     let r =
       Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
         ~distribution:`Uniform ~locality:0.5 ~remote_pool:10
@@ -317,7 +304,10 @@ let run_fig5 () =
      duplicate-index writes spike into the seconds under contention.@.";
   let keyspace = 2_000 and ops = 150 in
   let run_one label variant ~max_offset ~read_mode =
-    let t, db = setup_ycsb variant ~max_offset ~keyspace in
+    let t, db =
+      Ycsb.setup ~config:{ Cluster.default with max_offset } ~regions:regions5
+        variant ~keyspace
+    in
     let r =
       Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops ~workload:Ycsb.A
         ~keyspace ~read_mode ()
@@ -353,14 +343,6 @@ let fig6_regions = function
       ]
   | n -> List.filteri (fun i _ -> i < n) Latency.gcp_region_names
 
-let setup_tpcc ~regions ~warehouses_per_region =
-  let t = Crdb.start ~regions () in
-  Crdb.exec_all t (Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region);
-  let db = Crdb.database t "tpcc" in
-  Tpcc.load t db ~warehouses_per_region ~districts_per_warehouse:10
-    ~customers_per_district:20 ~items:100 ();
-  (t, db)
-
 let pp_region_latencies r =
   List.iter
     (fun (region, h) ->
@@ -382,7 +364,10 @@ let run_fig6 () =
   List.iter
     (fun nregions ->
       let regions = fig6_regions nregions in
-      let t, db = setup_tpcc ~regions ~warehouses_per_region in
+      let t, db =
+        Tpcc.setup ~regions ~warehouses_per_region ~districts_per_warehouse:10
+          ~customers_per_district:20 ()
+      in
       let r =
         Tpcc.run t db ~warehouses_per_region ~duration:60_000_000
           ~districts_per_warehouse:10 ~customers_per_district:20 ()
@@ -408,7 +393,10 @@ let run_fig6 () =
     [ 4; 10; 26 ];
   subsection "10 regions, PLACEMENT RESTRICTED";
   let regions = fig6_regions 10 in
-  let t, db = setup_tpcc ~regions ~warehouses_per_region in
+  let t, db =
+    Tpcc.setup ~regions ~warehouses_per_region ~districts_per_warehouse:10
+      ~customers_per_district:20 ()
+  in
   Crdb.exec t (Ddl.N_placement { db = "tpcc"; restricted = true });
   let r =
     Tpcc.run t db ~warehouses_per_region ~duration:60_000_000
@@ -486,7 +474,10 @@ let run_ablations () =
   subsection "closed-timestamp lead for GLOBAL tables (§6.2.1)";
   List.iter
     (fun max_offset ->
-      let t, db = setup_ycsb Ycsb.Global_table ~max_offset ~keyspace:100 in
+      let t, db =
+        Ycsb.setup ~config:{ Cluster.default with max_offset }
+          ~regions:regions5 Ycsb.Global_table ~keyspace:100
+      in
       let rid = List.hd (Engine.ranges_of_table db Ycsb.table_name) in
       let lead = Cluster.closed_lead_duration (Crdb.cluster t) rid in
       let gw = Crdb.gateway t ~region:"us-east1" () in
@@ -511,7 +502,10 @@ let run_ablations () =
   subsection "write pipelining (multi-statement TPC-C new-order)";
   List.iter
     (fun (label, pipelined) ->
-      let t, db = setup_tpcc ~regions:regions3 ~warehouses_per_region:2 in
+      let t, db =
+        Tpcc.setup ~regions:regions3 ~warehouses_per_region:2
+          ~districts_per_warehouse:10 ~customers_per_district:20 ()
+      in
       let mgr = Engine.txn_manager (Crdb.engine t) in
       Txn.set_options mgr
         { (Txn.options mgr) with Txn.Options.pipelined_writes = pipelined };
@@ -526,91 +520,6 @@ let run_ablations () =
     [ ("pipelined (CRDB)", true); ("unpipelined", false) ]
 
 (* ------------------------------------------------------------------ *)
-(* Range lifecycle: latency before vs after 100+ splits                *)
-
-let run_splits () =
-  section "Range lifecycle: read/write latency, 1 range vs 120 ranges";
-  printf
-    "3 regions, one table span, uniform keys. Every request re-resolves@.\
-     its key through the ordered span map, so splitting the span into@.\
-     120 ranges must not change the latency structure (routing is a@.\
-     binary search, not a scan of the range list).@.";
-  let n_keys = 256 and ops = 240 in
-  let run_phase ~label ~target_ranges =
-    let regions = regions3 in
-    let topology =
-      Crdb.Topology.symmetric ~regions ~nodes_per_region:3
-    in
-    let cl = Cluster.create ~topology ~latency:Latency.table1 () in
-    let zone =
-      Crdb.Zoneconfig.derive ~regions ~home:(List.hd regions)
-        ~survival:Crdb.Zoneconfig.Zone ~placement:Crdb.Zoneconfig.Default
-    in
-    ignore
-      (Cluster.add_range cl ~span:("user", "user~") ~zone
-         ~policy:(Cluster.Lag 3_000_000));
-    Cluster.settle cl;
-    let key i = Printf.sprintf "user%04d" i in
-    Cluster.bulk_load cl
-      (List.init n_keys (fun i -> (key i, "v" ^ string_of_int i)));
-    let rec split_loop rounds =
-      if rounds > 0 && List.length (Cluster.ranges cl) < target_ranges then begin
-        List.iter
-          (fun r ->
-            if List.length (Cluster.ranges cl) < target_ranges then
-              match Cluster.split_point cl r with
-              | Some at -> ignore (Cluster.split_range cl r ~at)
-              | None -> ())
-          (Cluster.ranges cl);
-        Cluster.run_for cl 2_000_000;
-        split_loop (rounds - 1)
-      end
-    in
-    split_loop 16;
-    Cluster.run_for cl 5_000_000;
-    let read_h = Hist.create () and write_h = Hist.create () in
-    let gw = 0 in
-    let errors = ref 0 in
-    let sim = Cluster.sim cl in
-    Cluster.run cl (fun () ->
-        for i = 1 to ops do
-          let k = key (i * 7 mod n_keys) in
-          let t0 = Crdb_sim.Sim.now sim in
-          if i mod 2 = 0 then begin
-            let ts = Cluster.now_ts cl gw in
-            (match
-               Cluster.write_and_commit cl ~gateway:gw ~txn:(1000 + i) ~key:k
-                 ~value:(Some "w") ~ts ()
-             with
-            | Ok _ -> ()
-            | Error _ -> incr errors);
-            Hist.add write_h (Crdb_sim.Sim.now sim - t0)
-          end
-          else begin
-            let ts = Cluster.now_ts cl gw in
-            let max_ts =
-              Crdb.Timestamp.add_wall ts (Cluster.config cl).Cluster.max_offset
-            in
-            (match
-               Cluster.read cl ~gateway:gw ~txn:None ~key:k ~ts ~max_ts ()
-             with
-            | Cluster.Read_value _ | Cluster.Read_uncertain _ -> ()
-            | Cluster.Read_redirect | Cluster.Read_wounded _
-            | Cluster.Read_err _ ->
-                incr errors);
-            Hist.add read_h (Crdb_sim.Sim.now sim - t0)
-          end
-        done);
-    subsection
-      (Printf.sprintf "%s (%d ranges)" label (List.length (Cluster.ranges cl)));
-    row "  read" read_h;
-    row "  write" write_h;
-    if !errors > 0 then printf "  (%d errors)@." !errors
-  in
-  run_phase ~label:"single range" ~target_ranges:1;
-  run_phase ~label:"after splits" ~target_ranges:120
-
-(* ------------------------------------------------------------------ *)
 (* Wound-wait vs timeout-only conflict resolution                      *)
 
 let run_conflicts () =
@@ -623,19 +532,14 @@ let run_conflicts () =
      and orphaned intent costs the full 10s timeout. Wound-wait pushes@.\
      after 100ms and wounds the younger transaction instead.@.";
   let run_one ~label ~push_delay =
-    let regions = regions3 in
-    let topology = Crdb.Topology.symmetric ~regions ~nodes_per_region:3 in
-    let config = { Cluster.default with Cluster.push_delay } in
-    let cl = Cluster.create ~config ~topology ~latency:Latency.table1 () in
-    let zone =
-      Crdb.Zoneconfig.derive ~regions ~home:(List.hd regions)
-        ~survival:Crdb.Zoneconfig.Zone ~placement:Crdb.Zoneconfig.Default
+    let home = List.hd regions3 in
+    let cl, rids =
+      Crdb.kv_cluster ~config:{ Cluster.default with push_delay }
+        ~regions:regions3 ~home ~survival:Crdb.Zoneconfig.Zone
+        ~ranges:[ (("hot", "hot~"), Cluster.Lag 3_000_000) ]
+        ()
     in
-    let rid =
-      Cluster.add_range cl ~span:("hot", "hot~") ~zone
-        ~policy:(Cluster.Lag 3_000_000)
-    in
-    Cluster.settle cl;
+    let rid = List.hd rids in
     let mgr = Txn.create_manager cl in
     let sim = Cluster.sim cl in
     let rng = Crdb_stdx.Rng.create ~seed:7 in
@@ -643,9 +547,6 @@ let run_conflicts () =
     let key i = Printf.sprintf "hot%02d" i in
     let nclients = 6 and ops = 8 and hot = 4 in
     let ok = ref 0 and failed = ref 0 in
-    let home_nodes =
-      Crdb.Topology.nodes_in_region (Cluster.topology cl) (List.hd regions)
-    in
     Cluster.run cl (fun () ->
         Crdb_sim.Proc.spawn sim (fun () ->
             Crdb_sim.Proc.sleep sim 2_000_000;
@@ -660,8 +561,8 @@ let run_conflicts () =
               let crng = Crdb_stdx.Rng.split rng in
               Crdb_sim.Proc.async sim (fun () ->
                   let gw =
-                    (List.nth home_nodes (c mod List.length home_nodes))
-                      .Crdb.Topology.id
+                    Crdb.Topology.gateway (Cluster.topology cl) ~region:home
+                      ~index:c ()
                   in
                   for _ = 1 to ops do
                     Crdb_sim.Proc.sleep sim
@@ -707,26 +608,20 @@ let run_latency_audit () =
      prices each op class in WAN round trips (one cross-region RPC, or a@.\
      consensus round whose quorum needs a remote voter). Measured p50 WAN@.\
      RTTs must match the prediction within +/-1.@.";
-  let regions = regions5 in
-  let home = List.hd regions (* us-east1 *) and remote = "europe-west2" in
-  let topology = Crdb.Topology.symmetric ~regions ~nodes_per_region:3 in
-  let cl = Cluster.create ~topology ~latency:Latency.table1 () in
-  let zone =
-    Crdb.Zoneconfig.derive ~regions ~home ~survival:Crdb.Zoneconfig.Zone
-      ~placement:Crdb.Zoneconfig.Default
+  let home = List.hd regions5 (* us-east1 *) and remote = "europe-west2" in
+  let cl, _ =
+    Crdb.kv_cluster ~regions:regions5 ~home ~survival:Crdb.Zoneconfig.Zone
+      ~ranges:
+        [
+          (("reg", "reg~"), Cluster.Lag 3_000_000);
+          (("glob", "glob~"), Cluster.Lead);
+        ]
+      ()
   in
-  ignore
-    (Cluster.add_range cl ~span:("reg", "reg~") ~zone
-       ~policy:(Cluster.Lag 3_000_000));
-  ignore (Cluster.add_range cl ~span:("glob", "glob~") ~zone ~policy:Cluster.Lead);
-  Cluster.settle cl;
   let mgr = Txn.create_manager cl in
   let sim = Cluster.sim cl in
   let m = Crdb.Obs.metrics (Cluster.obs cl) in
-  let gw r =
-    (List.hd (Crdb.Topology.nodes_in_region (Cluster.topology cl) r))
-      .Crdb.Topology.id
-  in
+  let gw region = Crdb.Topology.gateway (Cluster.topology cl) ~region () in
   let gw_home = gw home and gw_remote = gw remote in
   let key p i = Printf.sprintf "%s%02d" p (i mod 10) in
   (* Op classes: (name, predicted WAN RTTs, gateway, body). The txn_commit
@@ -844,29 +739,20 @@ let run_commit_path () =
   let rtt = Latency.rtt Latency.table1 home "europe-west2" in
   let ops = 24 in
   let run_one ~label ~pipelined_writes ~parallel_commits =
-    let topology =
-      Crdb.Topology.symmetric ~regions:regions3 ~nodes_per_region:3
+    let cl, _ =
+      Crdb.kv_cluster ~regions:regions3 ~home ~survival:Crdb.Zoneconfig.Region
+        ~ranges:
+          [
+            (("a", "a~"), Cluster.Lag 3_000_000);
+            (("b", "b~"), Cluster.Lag 3_000_000);
+          ]
+        ()
     in
-    let cl = Cluster.create ~topology ~latency:Latency.table1 () in
-    let zone =
-      Crdb.Zoneconfig.derive ~regions:regions3 ~home
-        ~survival:Crdb.Zoneconfig.Region ~placement:Crdb.Zoneconfig.Default
-    in
-    ignore
-      (Cluster.add_range cl ~span:("a", "a~") ~zone
-         ~policy:(Cluster.Lag 3_000_000));
-    ignore
-      (Cluster.add_range cl ~span:("b", "b~") ~zone
-         ~policy:(Cluster.Lag 3_000_000));
-    Cluster.settle cl;
     let mgr = Txn.create_manager cl in
     Txn.set_options mgr { Txn.Options.pipelined_writes; parallel_commits };
     let sim = Cluster.sim cl in
     let m = Crdb.Obs.metrics (Cluster.obs cl) in
-    let gw =
-      (List.hd (Crdb.Topology.nodes_in_region (Cluster.topology cl) home))
-        .Crdb.Topology.id
-    in
+    let gw = Crdb.Topology.gateway (Cluster.topology cl) ~region:home () in
     let lat = Hist.create () in
     let failed = ref 0 in
     let phases = Crdb.Phase.make () and sink = Crdb.Phase.sink m ~cls:label in
@@ -945,7 +831,7 @@ let run_autopilot () =
   let keyspace = 5_000 and ops = 150 in
   let sample_every = 2_000_000 in
   let run_phase ~autopilot =
-    let t, db = setup_ycsb ~autopilot Ycsb.Regional_table ~keyspace in
+    let t, db = Ycsb.setup ~regions:regions5 Ycsb.Regional_table ~keyspace in
     let cl = Crdb.cluster t in
     let sim = Cluster.sim cl in
     let ts = Crdb_obs.Obs.timeseries (Cluster.obs cl) in
@@ -1041,58 +927,6 @@ let run_autopilot () =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Chaos smoke: nemesis schedule + history checking                    *)
-
-let run_chaos () =
-  section "Chaos smoke: random nemesis + Jepsen-style history checking";
-  printf
-    "3 regions, register (YCSB-A style) + bank + multi-key transactional@.\
-     workloads, random fault schedule (kills, partitions, bounded clock@.\
-     jumps, lease transfers) respecting the survivability goal's quorum@.\
-     invariant. Histories are checked offline: per-key linearizability,@.\
-     bank-balance conservation, and multi-key serializability (dependency-@.\
-     graph cycle detection).@.";
-  List.iter
-    (fun (label, survival, seed) ->
-      let setup =
-        {
-          Crdb_chaos.Harness.default with
-          Crdb_chaos.Harness.survival;
-          cluster_seed = seed;
-          nemesis_seed = seed;
-          workload =
-            {
-              Crdb_chaos.Workload.default with
-              txn =
-                {
-                  Crdb_chaos.Workload.Txn_config.default with
-                  Crdb_chaos.Workload.Txn_config.clients = 2;
-                };
-            };
-        }
-      in
-      let o = Crdb_chaos.Harness.run setup in
-      let r = o.Crdb_chaos.Harness.result in
-      subsection (Printf.sprintf "%s, seed %d" label seed);
-      printf "  faults injected:@.";
-      List.iter
-        (fun line -> printf "    %s@." line)
-        (String.split_on_char '\n' o.Crdb_chaos.Harness.fault_log);
-      printf "  ops: %d ok, %d failed, %d indeterminate@."
-        r.Crdb_chaos.Workload.ok r.Crdb_chaos.Workload.failed
-        r.Crdb_chaos.Workload.info;
-      printf "  registers: %s@."
-        (Crdb_check.Checker.verdict_to_string o.Crdb_chaos.Harness.register_verdict);
-      printf "  bank:      %s@."
-        (Crdb_check.Checker.verdict_to_string o.Crdb_chaos.Harness.bank_verdict);
-      printf "  txns:      %s@."
-        (Crdb_check.Checker.verdict_to_string o.Crdb_chaos.Harness.txn_verdict))
-    [
-      ("SURVIVE ZONE", Crdb.Zoneconfig.Zone, 11);
-      ("SURVIVE REGION", Crdb.Zoneconfig.Region, 42);
-    ]
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1106,11 +940,9 @@ let experiments =
     ("table2", run_table2);
     ("ablations", run_ablations);
     ("conflicts", run_conflicts);
-    ("splits", run_splits);
     ("latency-audit", run_latency_audit);
     ("commit-path", run_commit_path);
     ("autopilot", run_autopilot);
-    ("chaos", run_chaos);
   ]
 
 let () =
@@ -1119,16 +951,20 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in
+  (* Reject a typo before spending minutes on the experiments ahead of it. *)
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          printf "@.[%s completed in %.1fs wall clock]@." name
-            (Unix.gettimeofday () -. t0)
-      | None ->
-          printf "unknown experiment %S (available: %s)@." name
-            (String.concat ", " (List.map fst experiments)))
+      if not (List.mem_assoc name experiments) then begin
+        Format.eprintf "unknown experiment %S (available: %s)@." name
+          (String.concat ", " (List.map fst experiments));
+        exit 2
+      end)
+    requested;
+  List.iter
+    (fun name ->
+      let t0 = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      printf "@.[%s completed in %.1fs wall clock]@." name
+        (Unix.gettimeofday () -. t0))
     requested;
   write_bench_results "BENCH_results.json"

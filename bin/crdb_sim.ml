@@ -45,25 +45,27 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:"Print the metrics registry (counters and histograms) on exit.")
 
-(* Call before the workload so spans are recorded. *)
-let arm_obs t ~trace =
-  if trace <> None then Crdb.Obs.enable_tracing (Crdb.obs t)
+(* Every file the CLI writes goes through here: a path that cannot be
+   written fails the run. *)
+let write_output file text =
+  match open_out file with
+  | oc ->
+      output_string oc text;
+      close_out oc
+  | exception Sys_error msg ->
+      Format.eprintf "crdb_sim: cannot write %s@." msg;
+      exit 1
 
-let finish_obs t ~trace ~metrics =
-  let obs = Crdb.obs t in
-  (match trace with
-  | Some file -> (
-      let tr = Crdb.Obs.trace obs in
-      match open_out file with
-      | oc ->
-          output_string oc (Crdb.Trace.to_chrome_json tr);
-          close_out oc;
-          Format.printf "trace: %d records -> %s@." (Crdb.Trace.num_records tr)
-            file
-      | exception Sys_error msg ->
-          Format.eprintf "crdb_sim: cannot write trace: %s@." msg;
-          exit 1)
-  | None -> ());
+let write_trace obs file =
+  let tr = Crdb.Obs.trace obs in
+  write_output file (Crdb.Trace.to_chrome_json tr);
+  Format.printf "trace: %d records -> %s@." (Crdb.Trace.num_records tr) file
+
+(* Call before the workload so spans are recorded. *)
+let arm_obs obs ~trace = if trace <> None then Crdb.Obs.enable_tracing obs
+
+let finish_obs obs ~trace ~metrics =
+  Option.iter (write_trace obs) trace;
   if metrics then Format.printf "%a" Crdb.Metrics.pp (Crdb.Obs.metrics obs)
 
 (* ---------------- ycsb ---------------- *)
@@ -104,14 +106,8 @@ let workload_conv =
 let run_ycsb variant workload nregions clients ops keyspace locality stale
     trace metrics =
   let regions = List.filteri (fun i _ -> i < nregions) regions5 in
-  let t = Crdb.start ~regions () in
-  Crdb.exec t
-    (Ddl.N_create_database
-       { db = "ycsb"; primary = List.hd regions; regions = List.tl regions });
-  Crdb.exec_all t (Ycsb.ddl variant ~db:"ycsb" ~regions);
-  let db = Crdb.database t "ycsb" in
-  Ycsb.load t db variant ~keyspace;
-  arm_obs t ~trace;
+  let t, db = Ycsb.setup ~regions variant ~keyspace in
+  arm_obs (Crdb.obs t) ~trace;
   let read_mode =
     if stale then Ycsb.Bounded_stale 10_000_000 else Ycsb.Latest
   in
@@ -125,7 +121,7 @@ let run_ycsb variant workload nregions clients ops keyspace locality stale
   Format.printf "%a@." (Hist.pp_row ~label:"read  remote") r.Ycsb.read_remote;
   Format.printf "%a@." (Hist.pp_row ~label:"write local") r.Ycsb.write_local;
   Format.printf "%a@." (Hist.pp_row ~label:"write remote") r.Ycsb.write_remote;
-  finish_obs t ~trace ~metrics
+  finish_obs (Crdb.obs t) ~trace ~metrics
 
 let ycsb_cmd =
   let variant =
@@ -152,12 +148,11 @@ let ycsb_cmd =
 
 let run_tpcc nregions warehouses duration trace metrics =
   let regions = List.filteri (fun i _ -> i < nregions) Crdb.Latency.gcp_region_names in
-  let t = Crdb.start ~regions () in
-  Crdb.exec_all t (Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region:warehouses);
-  let db = Crdb.database t "tpcc" in
-  Tpcc.load t db ~warehouses_per_region:warehouses ~districts_per_warehouse:10
-    ~customers_per_district:20 ();
-  arm_obs t ~trace;
+  let t, db =
+    Tpcc.setup ~regions ~warehouses_per_region:warehouses
+      ~districts_per_warehouse:10 ~customers_per_district:20 ()
+  in
+  arm_obs (Crdb.obs t) ~trace;
   let r =
     Tpcc.run t db ~warehouses_per_region:warehouses
       ~duration:(duration * 1_000_000) ~districts_per_warehouse:10
@@ -168,7 +163,7 @@ let run_tpcc nregions warehouses duration trace metrics =
     r.Tpcc.errors;
   Format.printf "%a@." (Hist.pp_row ~label:"new_order") r.Tpcc.new_order;
   Format.printf "%a@." (Hist.pp_row ~label:"payment") r.Tpcc.payment;
-  finish_obs t ~trace ~metrics
+  finish_obs (Crdb.obs t) ~trace ~metrics
 
 let tpcc_cmd =
   let nregions = Arg.(value & opt int 4 & info [ "regions" ] ~doc:"Number of regions") in
@@ -282,7 +277,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
             enforce_quorum = not no_quorum_guard;
           };
       workload;
-      cluster_config = Some { Cluster.default with Cluster.autopilot; broken };
+      cluster_config = Some { Cluster.default with broken };
     }
   in
   (* The autopilot races its background queues against the nemesis for the
@@ -290,7 +285,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
      workload and fault injection begin. *)
   let ap = ref None in
   let arm cl =
-    if trace <> None then Crdb.Obs.enable_tracing (Cluster.obs cl);
+    arm_obs (Cluster.obs cl) ~trace;
     if autopilot then ap := Some (Autopilot.start cl)
   in
   let o = Harness.run ~arm setup in
@@ -316,34 +311,16 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
   if txn_clients > 0 then
     Format.printf "txns serializable: %s@."
       (Checker.verdict_to_string o.Harness.txn_verdict);
-  (match dump_history with
-  | Some file -> (
+  Option.iter
+    (fun file ->
       let d =
         Dump.of_result ~bank_total:(Chaos_workload.bank_total workload) r
       in
-      match open_out file with
-      | oc ->
-          output_string oc (Dump.serialize d);
-          close_out oc;
-          Format.printf "history dump -> %s@." file
-      | exception Sys_error msg ->
-          Format.eprintf "crdb_sim: cannot write history dump: %s@." msg;
-          exit 2)
-  | None -> ());
+      write_output file (Dump.serialize d);
+      Format.printf "history dump -> %s@." file)
+    dump_history;
   let obs = Cluster.obs o.Harness.cluster in
-  (match trace with
-  | Some file -> (
-      let tr = Crdb.Obs.trace obs in
-      match open_out file with
-      | oc ->
-          output_string oc (Crdb.Trace.to_chrome_json tr);
-          close_out oc;
-          Format.printf "trace: %d records -> %s@." (Crdb.Trace.num_records tr) file
-      | exception Sys_error msg ->
-          Format.eprintf "crdb_sim: cannot write trace: %s@." msg;
-          exit 1)
-  | None -> ());
-  if metrics then Format.printf "%a" Crdb.Metrics.pp (Crdb.Obs.metrics obs);
+  finish_obs obs ~trace ~metrics;
   let m = Crdb.Obs.metrics obs in
   let conflict_timeouts = Crdb.Metrics.total m "kv.conflict_timeouts" in
   Format.printf "conflicts: %d pushes, %d wounds, %d cleanups, %d timeouts@."
@@ -679,17 +656,17 @@ let regions_cmd =
    through the ordered span map, then merge pairs back down. *)
 let run_splits target_ranges n_keys ops trace metrics =
   let regions = List.filteri (fun i _ -> i < 3) regions5 in
+  (* Not Crdb.kv_cluster: the trace must cover the range's first election. *)
   let topology = Crdb.Topology.symmetric ~regions ~nodes_per_region:3 in
   let cl = Cluster.create ~topology ~latency:Crdb.Latency.table1 () in
-  if trace <> None then Crdb.Obs.enable_tracing (Cluster.obs cl);
+  arm_obs (Cluster.obs cl) ~trace;
   let zone =
     Crdb.Zoneconfig.derive ~regions ~home:(List.hd regions)
       ~survival:Crdb.Zoneconfig.Zone ~placement:Crdb.Zoneconfig.Default
   in
-  let rid =
-    Cluster.add_range cl ~span:("user", "user~") ~zone
-      ~policy:(Cluster.Lag 3_000_000)
-  in
+  ignore
+    (Cluster.add_range cl ~span:("user", "user~") ~zone
+       ~policy:(Cluster.Lag 3_000_000));
   Cluster.settle cl;
   let key i = Printf.sprintf "user%04d" i in
   Cluster.bulk_load cl (List.init n_keys (fun i -> (key i, "v" ^ string_of_int i)));
@@ -715,12 +692,15 @@ let run_splits target_ranges n_keys ops trace metrics =
     target_ranges;
   (* Every key must route to a range whose span contains it. *)
   let distinct = Hashtbl.create 64 in
+  let bad_routes = ref 0 in
   for i = 0 to n_keys - 1 do
     let k = key i in
     let r = Cluster.range_of_key cl k in
     let s, e = Cluster.span_of cl r in
-    if not (s <= k && k < e) then
+    if not (s <= k && k < e) then begin
       Format.printf "BAD ROUTE: %s -> r%d [%s,%s)@." k r s e;
+      incr bad_routes
+    end;
     Hashtbl.replace distinct r ()
   done;
   Format.printf "routing: %d keys resolve onto %d distinct ranges@." n_keys
@@ -767,20 +747,9 @@ let run_splits target_ranges n_keys ops trace metrics =
     (Crdb.Metrics.total m "kv.splits")
     (Crdb.Metrics.total m "kv.merges")
     (Crdb.Metrics.total m "kv.rebalances");
-  (match trace with
-  | Some file -> (
-      let tr = Crdb.Obs.trace (Cluster.obs cl) in
-      match open_out file with
-      | oc ->
-          output_string oc (Crdb.Trace.to_chrome_json tr);
-          close_out oc;
-          Format.printf "trace: %d records -> %s@." (Crdb.Trace.num_records tr)
-            file
-      | exception Sys_error msg -> Format.eprintf "trace: %s@." msg)
-  | None -> ());
+  Option.iter (write_trace (Cluster.obs cl)) trace;
   if metrics then Format.printf "%a@." Crdb.Metrics.pp m;
-  ignore rid;
-  if !errors > 0 then exit 1
+  if !errors > 0 || !bad_routes > 0 then exit 1
 
 let splits_cmd =
   let ranges =
@@ -807,26 +776,19 @@ let splits_cmd =
 let run_report seed out dump_ts =
   let regions = List.filteri (fun i _ -> i < 3) regions5 in
   let home = List.hd regions in
-  let topology = Crdb.Topology.symmetric ~regions ~nodes_per_region:3 in
-  let cl = Cluster.create ~topology ~latency:Crdb.Latency.table1 () in
-  let zone =
-    Crdb.Zoneconfig.derive ~regions ~home ~survival:Crdb.Zoneconfig.Zone
-      ~placement:Crdb.Zoneconfig.Default
+  let cl, rids =
+    Crdb.kv_cluster ~regions ~home ~survival:Crdb.Zoneconfig.Zone
+      ~ranges:
+        [ (("k", "k~"), Cluster.Lag 3_000_000); (("g", "g~"), Cluster.Lead) ]
+      ()
   in
-  let reg =
-    Cluster.add_range cl ~span:("k", "k~") ~zone ~policy:(Cluster.Lag 3_000_000)
-  in
-  ignore (Cluster.add_range cl ~span:("g", "g~") ~zone ~policy:Cluster.Lead);
-  Cluster.settle cl;
+  let reg = List.hd rids in
   let mgr = Crdb.Txn.create_manager cl in
   let sim = Cluster.sim cl in
   let rng = Crdb_stdx.Rng.create ~seed in
   let key i = Printf.sprintf "k%02d" i in
   let gkey i = Printf.sprintf "g%02d" i in
-  let gw r =
-    (List.hd (Crdb.Topology.nodes_in_region (Cluster.topology cl) r))
-      .Crdb.Topology.id
-  in
+  let gw region = Crdb.Topology.gateway (Cluster.topology cl) ~region () in
   Cluster.run cl (fun () ->
       (* Seed both keyspaces. *)
       for i = 0 to 15 do
@@ -892,27 +854,15 @@ let run_report seed out dump_ts =
   let obs = Cluster.obs cl in
   let text = Crdb.Report.to_string obs in
   (match out with
-  | Some file -> (
-      match open_out file with
-      | oc ->
-          output_string oc text;
-          close_out oc;
-          Format.printf "report -> %s@." file
-      | exception Sys_error msg ->
-          Format.eprintf "crdb_sim: cannot write report: %s@." msg;
-          exit 1)
+  | Some file ->
+      write_output file text;
+      Format.printf "report -> %s@." file
   | None -> print_string text);
-  match dump_ts with
-  | Some file -> (
-      match open_out file with
-      | oc ->
-          output_string oc (Crdb.Timeseries.to_json (Crdb.Obs.timeseries obs));
-          close_out oc;
-          Format.printf "timeseries -> %s@." file
-      | exception Sys_error msg ->
-          Format.eprintf "crdb_sim: cannot write timeseries: %s@." msg;
-          exit 1)
-  | None -> ()
+  Option.iter
+    (fun file ->
+      write_output file (Crdb.Timeseries.to_json (Crdb.Obs.timeseries obs));
+      Format.printf "timeseries -> %s@." file)
+    dump_ts
 
 let report_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed") in
@@ -944,14 +894,8 @@ let report_cmd =
    subcommand. *)
 let run_default trace metrics =
   let regions = List.filteri (fun i _ -> i < 3) regions5 in
-  let t = Crdb.start ~regions () in
-  Crdb.exec t
-    (Ddl.N_create_database
-       { db = "demo"; primary = List.hd regions; regions = List.tl regions });
-  Crdb.exec_all t (Ycsb.ddl Ycsb.Global_table ~db:"demo" ~regions);
-  let db = Crdb.database t "demo" in
-  Ycsb.load t db Ycsb.Global_table ~keyspace:60;
-  arm_obs t ~trace;
+  let t, db = Ycsb.setup ~db:"demo" ~regions Ycsb.Global_table ~keyspace:60 in
+  arm_obs (Crdb.obs t) ~trace;
   let r =
     Ycsb.run t db ~clients_per_region:2 ~ops_per_client:10 ~locality:1.0
       ~workload:Ycsb.A ~keyspace:60 ~read_mode:Ycsb.Latest ()
@@ -959,7 +903,7 @@ let run_default trace metrics =
   Format.printf "default scenario: %d ops, %d errors, %d ms simulated@."
     r.Ycsb.ops r.Ycsb.errors
     (r.Ycsb.elapsed / 1000);
-  finish_obs t ~trace ~metrics
+  finish_obs (Crdb.obs t) ~trace ~metrics
 
 let () =
   let default =

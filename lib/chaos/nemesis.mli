@@ -28,21 +28,9 @@ type fault =
   | Rebalance of Cluster.range_id
       (** one allocator-driven replica move (add-then-remove) *)
 
-val fault_to_string : fault -> string
-
-val is_heal : fault -> bool
-(** Revivals and partition heals count as heals; a clock jump or lease
-    transfer is always an injection. *)
-
 val apply : Cluster.t -> fault -> unit
 (** Apply one fault immediately, without recording it. Revivals use
     {!Cluster.restart_node} (crash-restart semantics). *)
-
-val kill_is_safe : Cluster.t -> int list -> bool
-(** Would every range keep a live voter quorum if these nodes also died?
-    The min-healthy invariant used by random schedules: under SURVIVE ZONE
-    it forbids killing the home region, under SURVIVE REGION a second
-    concurrent region failure. *)
 
 type t
 (** A running (or finished) schedule: handle to its fault log. *)
@@ -78,7 +66,8 @@ type random_config = {
   mean_duration : int;  (** µs a fault stays active before healing *)
   kinds : kind list;  (** enabled fault kinds *)
   max_clock_skew : int;  (** bound for [Clock_jump] draws *)
-  enforce_quorum : bool;  (** apply {!kill_is_safe} before any kill *)
+  enforce_quorum : bool;  (** refuse kills that would cost a range its
+                             live voter quorum *)
 }
 
 val default_random : random_config

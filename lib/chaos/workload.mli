@@ -59,8 +59,6 @@ type config = {
 val default : config
 
 val key_of : int -> string
-val account_of : int -> string
-val txn_key_of : int -> string
 
 val bank_total : config -> int
 (** The conserved quantity: [accounts * initial_balance]. *)

@@ -91,7 +91,6 @@ val txns : t -> txn list
 (** In recording order (deterministic under the simulator). *)
 
 val num_txns : t -> int
-val txn_op_to_string : txn_op -> string
 val txn_to_string : txn -> string
 val txns_to_string : t -> string
 

@@ -44,11 +44,23 @@ let exec t stmt = Engine.exec t.eng stmt
 let exec_all t stmts = Engine.exec_all t.eng stmts
 let database t name = Engine.database t.eng name
 
-let gateway t ~region ?(index = 0) () =
-  match Topology.nodes_in_region (topology t) region with
-  | [] -> invalid_arg (Printf.sprintf "Crdb.gateway: no nodes in %s" region)
-  | nodes -> (List.nth nodes (index mod List.length nodes)).Topology.id
+let gateway t ~region ?index () =
+  Topology.gateway (topology t) ~region ?index ()
 
 let run t f = Cluster.run t.cl f
 let run_for t d = Cluster.run_for t.cl d
 let settle t = Cluster.settle t.cl
+
+let kv_cluster ?config ~regions ~home ~survival ~ranges () =
+  let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
+  let cl = Cluster.create ?config ~topology ~latency:Latency.table1 () in
+  let zone =
+    Zoneconfig.derive ~regions ~home ~survival ~placement:Zoneconfig.Default
+  in
+  let rids =
+    List.map
+      (fun (span, policy) -> Cluster.add_range cl ~span ~zone ~policy)
+      ranges
+  in
+  Cluster.settle cl;
+  (cl, rids)

@@ -69,8 +69,7 @@ val exec_all : t -> Ddl.stmt list -> unit
 val database : t -> string -> Engine.db
 
 val gateway : t -> region:string -> ?index:int -> unit -> Topology.node_id
-(** The [index]-th node (default 0) of a region, to use as a client
-    gateway. *)
+(** {!Topology.gateway} on the cluster's topology. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** Run a client workload (a {!Crdb_sim.Proc} process) to completion. *)
@@ -79,3 +78,17 @@ val run_for : t -> int -> unit
 (** Advance simulated time (microseconds). *)
 
 val settle : t -> unit
+
+val kv_cluster :
+  ?config:Cluster.config ->
+  regions:string list ->
+  home:string ->
+  survival:Zoneconfig.survival ->
+  ranges:((string * string) * Cluster.policy) list ->
+  unit ->
+  Cluster.t * Cluster.range_id list
+(** A bare KV cluster without the SQL layer: 3 nodes per region over the
+    Table 1 latency matrix, one range per [(span, policy)] in list order,
+    all placed by the same zone config (homed in [home], [survival],
+    default placement), then settled so leaseholders are elected. The
+    range ids come back in [ranges] order. *)

@@ -19,17 +19,6 @@ val place :
 (** @raise Failure if the topology cannot satisfy the configuration (for
     example, a voter constraint on a region with no nodes). *)
 
-val placement_score :
-  topology:Crdb_net.Topology.t ->
-  live:(Crdb_net.Topology.node_id -> bool) ->
-  load:(Crdb_net.Topology.node_id -> int) ->
-  zone:Zoneconfig.t ->
-  placement ->
-  int * int * int
-(** [(constraint violations, diversity penalty, total load)] — lexicographic,
-    lower is better. Violations include dead replicas; the diversity penalty
-    is pairwise, with a shared zone costing more than a shared region. *)
-
 type move = {
   victim : Crdb_net.Topology.node_id;
   replacement : Crdb_net.Topology.node_id;
@@ -43,8 +32,10 @@ val rebalance_move :
   zone:Zoneconfig.t ->
   placement ->
   move option
-(** The best single-replica substitution that strictly improves
-    {!placement_score}, or [None] when the placement is locally optimal.
+(** The best single-replica substitution that strictly improves the
+    placement's score (constraint violations, then diversity penalty, then
+    total load; lower is better), or [None] when the placement is locally
+    optimal.
     The replacement keeps the victim's peer kind; only live nodes not
     already holding a replica are considered. One replica moves at a time
     (add-then-remove), matching CRDB's rebalancer. *)

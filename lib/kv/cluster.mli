@@ -66,9 +66,10 @@ type config = {
   jitter : float;
   seed : int;
   autopilot : bool;
-      (** whether chaos/bench harnesses should start the background queues
-          ([Crdb_autopilot.Autopilot], which lives above this layer); the
-          knobs below configure them *)
+      (** read by nothing: callers start [Crdb_autopilot.Autopilot] (which
+          lives above this layer) themselves. Only [bench/perf] still sets
+          it; delete it together with that use. The knobs below configure
+          the queues. *)
   autopilot_scan_interval : int;
       (** period of each store's autopilot scan loop (default 500 ms) *)
   autopilot_split_qps : float;

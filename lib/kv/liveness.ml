@@ -10,6 +10,5 @@ let believed_live t node =
   | None -> true
   | Some died_at -> Sim.now (Transport.sim t.net) - died_at < t.expiry
 
-let actually_alive t node = Transport.is_alive t.net node
 let epoch t node = Transport.epoch t.net node
 let expiry t = t.expiry

@@ -14,8 +14,6 @@ val create : ?expiry:int -> Crdb_net.Transport.t -> t
 val believed_live : t -> Crdb_net.Topology.node_id -> bool
 (** True while the node is up, and for [expiry] after it goes down. *)
 
-val actually_alive : t -> Crdb_net.Topology.node_id -> bool
-
 val epoch : t -> Crdb_net.Topology.node_id -> int
 (** The node's liveness epoch (incarnation counter): bumped by each restart.
     A quiesced follower must stop trusting a leader whose epoch has moved on

@@ -13,10 +13,8 @@ type lock = {
 }
 
 let holder l = l.lk_txn
-let lock_ts l = l.lk_ts
 let lock_pri l = l.lk_pri
 let lock_anchor l = l.lk_anchor
-let lock_strength l = l.lk_strength
 
 (* Invariant per key: either one Exclusive holder, or any number of Shared
    holders. Upgrades mutate [lk_strength] in place once the upgrader is the

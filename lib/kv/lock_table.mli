@@ -42,7 +42,6 @@ type strength =
 type lock
 
 val holder : lock -> int
-val lock_ts : lock -> Ts.t
 
 val lock_pri : lock -> Ts.t
 (** The holder's wound-wait priority timestamp, stamped at {!acquire} so a
@@ -51,8 +50,6 @@ val lock_pri : lock -> Ts.t
 val lock_anchor : lock -> string
 (** The holder's anchor key (where its transaction record lives); [""] for
     recordless writers. *)
-
-val lock_strength : lock -> strength
 
 type t
 

@@ -39,6 +39,11 @@ let regions t = t.regions
 let nodes_in_region t region =
   Array.to_list t.nodes |> List.filter (fun n -> String.equal n.region region)
 
+let gateway t ~region ?(index = 0) () =
+  match nodes_in_region t region with
+  | [] -> invalid_arg (Printf.sprintf "Topology.gateway: no nodes in %s" region)
+  | nodes -> (List.nth nodes (index mod List.length nodes)).id
+
 let zones_in_region t region =
   nodes_in_region t region
   |> List.fold_left

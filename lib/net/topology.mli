@@ -27,6 +27,12 @@ val regions : t -> string list
 
 val zones_in_region : t -> string -> string list
 val nodes_in_region : t -> string -> node list
+
+val gateway : t -> region:string -> ?index:int -> unit -> node_id
+(** The [index]-th node (default 0, taken modulo the region's size) of a
+    region, to use as a client gateway.
+    @raise Invalid_argument if the region has no nodes. *)
+
 val nodes_in_zone : t -> string -> string -> node list
 val region_of : t -> node_id -> string
 val zone_of : t -> node_id -> string

@@ -36,10 +36,6 @@ val delay : t -> Topology.node_id -> Topology.node_id -> int
 val send : t -> src:Topology.node_id -> dst:Topology.node_id -> (unit -> unit) -> unit
 (** Deliver the closure at [dst] after the one-way delay, unless dropped. *)
 
-val cross_region : t -> Topology.node_id -> Topology.node_id -> bool
-(** Whether the two nodes live in different regions — i.e. whether a message
-    between them traverses the WAN. *)
-
 val rpc :
   ?span:Crdb_obs.Trace.span ->
   ?phases:Crdb_obs.Phase.ctx ->

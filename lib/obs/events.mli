@@ -64,7 +64,6 @@ val of_kind : t -> kind -> event list
 val count : t -> kind -> int
 val clear : t -> unit
 
-val pp_event : Format.formatter -> event -> unit
 val pp_timeline : Format.formatter -> t -> unit
 (** One line per event: time, kind, scope, attributes. *)
 

@@ -18,8 +18,6 @@ let metrics t = t.metrics
 let events t = t.events
 let timeseries t = t.timeseries
 let enable_tracing t = Trace.enable t.trace
-let disable_tracing t = Trace.disable t.trace
-let tracing_enabled t = Trace.is_enabled t.trace
 
 (* The pre-existing ad-hoc trace event name for each structured kind, kept
    so enabling tracing still yields the familiar instants alongside the

@@ -15,8 +15,6 @@ val metrics : t -> Metrics.t
 val events : t -> Events.t
 val timeseries : t -> Timeseries.t
 val enable_tracing : t -> unit
-val disable_tracing : t -> unit
-val tracing_enabled : t -> bool
 
 val log_event :
   t ->

@@ -40,9 +40,3 @@ val to_string :
 val pp_phase_table : Format.formatter -> Metrics.t -> unit
 val pp_wan_table :
   ?predicted:(string * int) list -> Format.formatter -> Metrics.t -> unit
-val pp_hot_ranges : ?top:int -> Format.formatter -> Timeseries.t -> unit
-
-val phase_classes : Metrics.t -> string list
-(** Op classes discovered from the [phase.*] registry entries, sorted. *)
-
-val wan_classes : Metrics.t -> string list

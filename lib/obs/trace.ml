@@ -111,25 +111,6 @@ let event t ?parent ?node ?range ?txn ?(attrs = []) name =
       }
   end
 
-let count_events t name =
-  let n = ref 0 in
-  Vec.iter
-    (fun r ->
-      match r.rec_kind with
-      | K_instant when String.equal r.rec_name name -> incr n
-      | K_instant | K_span _ -> ())
-    t.records;
-  !n
-
-let events_named t name =
-  List.filter_map
-    (fun r ->
-      match r.rec_kind with
-      | K_instant when String.equal r.rec_name name ->
-          Some (r.rec_ts, r.rec_attrs)
-      | K_instant | K_span _ -> None)
-    (Vec.to_list t.records)
-
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 

@@ -49,14 +49,6 @@ val span_id : span -> int option
 val clear : t -> unit
 val num_records : t -> int
 
-val count_events : t -> string -> int
-(** Number of recorded instant events with this name (e.g. a chaos suite
-    asserting that every injected fault left a [chaos.inject] record). *)
-
-val events_named : t -> string -> (int * (string * string) list) list
-(** The [(timestamp, attrs)] of every instant event with this name, in
-    recording order. *)
-
 val to_chrome_json : t -> string
 (** Chrome trace-event JSON ([{"traceEvents": [...]}]); load the file in
     about://tracing or {{:https://ui.perfetto.dev}Perfetto}. Nodes appear as

@@ -122,8 +122,6 @@ let schedule t ~after fn =
   let after = if after < 0 then 0 else after in
   ignore (enqueue t ~at:(t.now + after) fn)
 
-let schedule_at t ~at fn = ignore (enqueue t ~at fn)
-
 let timer t ~after fn =
   let after = if after < 0 then 0 else after in
   { q = t; ev = enqueue t ~at:(t.now + after) fn }

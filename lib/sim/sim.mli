@@ -19,9 +19,6 @@ val now : t -> int
 val schedule : t -> after:int -> (unit -> unit) -> unit
 (** [schedule t ~after f] runs [f] at [now t + max 0 after]. *)
 
-val schedule_at : t -> at:int -> (unit -> unit) -> unit
-(** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to now). *)
-
 (** Cancellable timers. *)
 type timer
 

@@ -46,7 +46,6 @@ and t = {
   mgr : Txn.manager;
   dbs : (string, db) Hashtbl.t;
   mutable next_table_id : int;
-  mutable stmts : int;
   rng : Rng.t;
 }
 
@@ -61,7 +60,6 @@ let create cl =
     mgr = Txn.create_manager cl;
     dbs = Hashtbl.create 4;
     next_table_id = 1;
-    stmts = 0;
     rng = Rng.create ~seed:0x5a1;
   }
 
@@ -73,7 +71,6 @@ let database t name =
   | Some db -> db
   | None -> sql_error "unknown database %s" name
 
-let db_name db = db.d_name
 let primary_region db = db.d_primary
 
 let regions db =
@@ -91,7 +88,6 @@ let phys_table db name =
   | None -> sql_error "unknown table %s.%s" db.d_name name
 
 let table_schema db name = (phys_table db name).pt_schema
-let statements_executed t = t.stmts
 let set_locality_optimized_search db v = db.d_los <- v
 let set_auto_rehome_override db v = db.d_rehome_override <- v
 
@@ -629,8 +625,6 @@ let delete_row_keys txn pt ~partition row =
 
 type txn_ctx = { tc_db : db; tc_txn : Txn.t; tc_ctx : fetch_ctx }
 
-let t_gateway_region c = c.tc_ctx.fc_region
-
 let t_insert_inner ?(check = true) c ~table (row : row) =
   let db = c.tc_db in
   let pt = phys_table db table in
@@ -1150,7 +1144,6 @@ let exec_new t stmt =
         "legacy imperative statements are counted (Table 2) but not executable"
 
 let exec t stmt =
-  t.stmts <- t.stmts + 1;
   try exec_new t stmt
   with Invalid_argument m -> raise (Sql_error m)
 

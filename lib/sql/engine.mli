@@ -43,7 +43,6 @@ val exec_all : t -> Ddl.stmt list -> unit
 val database : t -> string -> db
 (** @raise Sql_error if unknown. *)
 
-val db_name : db -> string
 val primary_region : db -> string
 val regions : db -> string list
 (** Public (readable-writable) regions, in addition order. *)
@@ -51,7 +50,6 @@ val regions : db -> string list
 val survival : db -> Crdb_kv.Zoneconfig.survival
 val table_names : db -> string list
 val table_schema : db -> string -> Schema.table
-val statements_executed : t -> int
 
 (** Cluster settings for the §7.2 experiments. *)
 
@@ -142,7 +140,6 @@ val t_select_by_pk : txn_ctx -> table:string -> Value.t list -> row option
 val t_update_by_pk : txn_ctx -> table:string -> Value.t list -> set:row -> bool
 val t_select_prefix :
   txn_ctx -> table:string -> prefix:Value.t list -> ?limit:int -> unit -> row list
-val t_gateway_region : txn_ctx -> string
 
 (** {2 Introspection} *)
 

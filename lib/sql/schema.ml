@@ -116,6 +116,3 @@ let compute_region t row =
       Some (f args)
   | Some _ | None -> None
 
-let all_unique_indexes t =
-  { idx_name = "primary"; idx_cols = t.tbl_pkey; idx_unique = true }
-  :: List.filter (fun i -> i.idx_unique) t.tbl_indexes

@@ -84,6 +84,3 @@ val region_computed_from : table -> string list option
 val compute_region : table -> (string * Value.t) list -> Value.t option
 (** Evaluate the computed region for a row, if computed. *)
 
-val all_unique_indexes : table -> index list
-(** The primary key (as an index named ["primary"]) plus declared unique
-    secondary indexes. *)

@@ -35,8 +35,6 @@ let exponential t ~mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u
 
-let uniform_in t lo hi = lo +. (unit_float t *. (hi -. lo))
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))

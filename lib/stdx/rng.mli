@@ -28,9 +28,6 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val uniform_in : t -> float -> float -> float
-(** [uniform_in t lo hi] is uniform in [\[lo, hi)]. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniformly random element. @raise Invalid_argument on empty array. *)
 

@@ -189,15 +189,6 @@ let scan t ~start_key ~end_key ~ts ~max_ts ~for_txn ~limit =
     List.rev acc
   with Done acc -> List.rev acc
 
-let keys_with_intents t =
-  Smap.fold
-    (fun key record acc ->
-      match record.intent with Some _ -> key :: acc | None -> acc)
-    t.records []
-  |> List.rev
-
-let num_keys t = Smap.cardinal t.records
-
 let live_bytes t =
   Smap.fold
     (fun key record acc ->

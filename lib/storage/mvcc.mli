@@ -119,9 +119,6 @@ val scan :
     scan stops after [limit] live rows if given. Uncertain / blocked
     outcomes are returned in place so the caller can react. *)
 
-val keys_with_intents : t -> string list
-val num_keys : t -> int
-
 val live_bytes : t -> int
 (** Key + value bytes of the latest live committed version of every key
     (tombstoned and never-written keys contribute nothing). Computed by a

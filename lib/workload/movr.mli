@@ -8,11 +8,6 @@
 
 module Crdb = Crdb_core.Crdb
 
-val cities : (string * string) list
-(** (city, region) assignments used by the computed-region columns. *)
-
-val region_of_city : regions:string list -> string -> string
-
 val tables : regions:string list -> Crdb.Schema.table list
 val table_names : string list
 

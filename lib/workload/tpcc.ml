@@ -187,6 +187,15 @@ let load t db ~warehouses_per_region ?(districts_per_warehouse = 3)
   done;
   Crdb.settle t
 
+let setup ~regions ~warehouses_per_region ?districts_per_warehouse
+    ?customers_per_district ?items () =
+  let t = Crdb.start ~regions () in
+  Crdb.exec_all t (ddl ~db:"tpcc" ~regions ~warehouses_per_region);
+  let db = Crdb.database t "tpcc" in
+  load t db ~warehouses_per_region ?districts_per_warehouse
+    ?customers_per_district ?items ();
+  (t, db)
+
 type results = {
   new_order : Hist.t;
   payment : Hist.t;

@@ -39,6 +39,17 @@ val load :
   unit ->
   unit
 
+val setup :
+  regions:string list ->
+  warehouses_per_region:int ->
+  ?districts_per_warehouse:int ->
+  ?customers_per_district:int ->
+  ?items:int ->
+  unit ->
+  Crdb.t * Crdb.Engine.db
+(** Boot a cluster over [regions], run {!ddl} for database ["tpcc"] and
+    {!load} it (same defaults as {!load}). *)
+
 val time_scale : int
 (** Keying/think times are the spec's divided by this (5), so a warehouse's
     ceiling is [12.86 * time_scale] tpmC. Scaling shortens the simulation

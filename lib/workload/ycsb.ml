@@ -87,6 +87,16 @@ let load t db variant ~keyspace =
       ());
   Crdb.settle t
 
+let setup ?config ?(db = "ycsb") ~regions variant ~keyspace =
+  let t = Crdb.start ?config ~regions () in
+  Crdb.exec t
+    (Ddl.N_create_database
+       { db; primary = List.hd regions; regions = List.tl regions });
+  Crdb.exec_all t (ddl variant ~db ~regions);
+  let d = Crdb.database t db in
+  load t d variant ~keyspace;
+  (t, d)
+
 type workload = A | B | D
 type read_mode = Latest | Bounded_stale of int
 

@@ -27,11 +27,21 @@ val ddl : variant -> db:string -> regions:string list -> Crdb.Ddl.stmt list
     Table 2's YCSB "after" column. *)
 
 val key_of : int -> Crdb.Value.t
-val home_region : regions:string list -> int -> string
 
 val load : Crdb.t -> Crdb.Engine.db -> variant -> keyspace:int -> unit
 (** Populate [keyspace] keys, round-robin homed across the database
     regions (administrative load). *)
+
+val setup :
+  ?config:Crdb.Cluster.config ->
+  ?db:string ->
+  regions:string list ->
+  variant ->
+  keyspace:int ->
+  Crdb.t * Crdb.Engine.db
+(** Boot a cluster over [regions], create database [db] (default
+    ["ycsb"]) with the head of [regions] as its primary region, create the
+    usertable for [variant] and {!load} [keyspace] keys. *)
 
 type workload = A | B | D
 (** A = 50/50 read/update; B = 95/5 read/update; D = 95/5 read/insert. *)

@@ -9,6 +9,7 @@ module Transport = Crdb_net.Transport
 module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
+module Crdb = Crdb_core.Crdb
 module Autopilot = Crdb_autopilot.Autopilot
 module Obs = Crdb_obs.Obs
 module Events = Crdb_obs.Events
@@ -26,8 +27,7 @@ let zone_config ?(survival = Zoneconfig.Zone) ?(home = home) () =
 let autopilot_config ?(split_qps = 25.0) ?(cooldown = 1_000_000) () =
   {
     Cluster.default with
-    Cluster.autopilot = true;
-    autopilot_scan_interval = 200_000;
+    Cluster.autopilot_scan_interval = 200_000;
     autopilot_split_qps = split_qps;
     autopilot_cooldown = cooldown;
   }
@@ -35,9 +35,19 @@ let autopilot_config ?(split_qps = 25.0) ?(cooldown = 1_000_000) () =
 let make_cluster ?config () =
   Cluster.create ?config ~topology:topo5 ~latency:Latency.table1 ()
 
+(* A settled cluster with ranges over [spans], all placed by one zone config
+   homed in [home]. *)
+let make ?config ?(survival = Zoneconfig.Zone) spans =
+  Crdb.kv_cluster ?config ~regions:regions5 ~home ~survival
+    ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+    ()
+
+let one_range ?config ?survival () =
+  let cl, rids = make ?config ?survival [ ("a", "z") ] in
+  (cl, List.hd rids)
+
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
-    .Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let get cl ~gateway key =
   let ts = Cluster.now_ts cl gateway in
@@ -71,12 +81,7 @@ let traffic cl ~gateway ~ops =
       done)
 
 let test_split_queue_splits_hot_range () =
-  let cl = make_cluster ~config:(autopilot_config ()) () in
-  let _rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, _ = one_range ~config:(autopilot_config ()) () in
   load_keys cl;
   let ap = Autopilot.start cl in
   let gw = node_in cl home 0 in
@@ -109,12 +114,8 @@ let test_split_queue_splits_hot_range () =
 let test_cooldown_suppresses_thrash () =
   (* A cooldown longer than the run: after the first split the queue keeps
      finding the (still hot) range but must skip it, logging the decision. *)
-  let cl = make_cluster ~config:(autopilot_config ~cooldown:600_000_000 ()) () in
-  let _rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let config = autopilot_config ~cooldown:600_000_000 () in
+  let cl, _ = one_range ~config () in
   load_keys cl;
   let ap = Autopilot.start cl in
   let gw = node_in cl home 0 in
@@ -133,12 +134,7 @@ let test_cooldown_suppresses_thrash () =
   Autopilot.stop ap
 
 let test_merge_queue_subsumes_cold_pair () =
-  let cl = make_cluster ~config:(autopilot_config ()) () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range ~config:(autopilot_config ()) () in
   Cluster.bulk_load cl [ ("b", "1"); ("p", "2") ];
   let right = Option.get (Cluster.split_range cl rid ~at:"m") in
   Cluster.run_for cl 3_000_000;
@@ -170,16 +166,8 @@ let test_lease_queue_spreads_load_without_pingpong () =
       Cluster.autopilot_merge_bytes = 0;
     }
   in
-  let cl = make_cluster ~config () in
-  let r1 =
-    Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  let r2 =
-    Cluster.add_range cl ~span:("m", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rids = make ~config [ ("a", "m"); ("m", "z") ] in
+  let r1 = List.hd rids and r2 = List.nth rids 1 in
   Cluster.bulk_load cl [ ("b", "1"); ("c", "2"); ("n", "3"); ("o", "4") ];
   let n0 = node_in cl home 0 in
   Cluster.transfer_lease cl r1 ~target:n0;
@@ -254,13 +242,9 @@ let test_idle_cluster_queues_are_noops () =
   Autopilot.stop ap
 
 let test_killed_node_does_not_wedge_queues () =
-  let cl = make_cluster ~config:(autopilot_config ()) () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z")
-      ~zone:(zone_config ~survival:Zoneconfig.Region ())
-      ~policy:(Cluster.Lag 3_000_000)
+  let cl, rid =
+    one_range ~config:(autopilot_config ()) ~survival:Zoneconfig.Region ()
   in
-  Cluster.settle cl;
   load_keys cl;
   let ap = Autopilot.start cl in
   let gw = node_in cl home 0 in

@@ -10,29 +10,24 @@ module Latency = Crdb_net.Latency
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txn = Crdb_txn.Txn
+module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
 let home = "us-east1"
-let topo5 = Topology.symmetric ~regions:regions5 ~nodes_per_region:3
-
-let zone () =
-  Zoneconfig.derive ~regions:regions5 ~home ~survival:Zoneconfig.Zone
-    ~placement:Zoneconfig.Default
 
 let make () =
-  let cl = Cluster.create ~topology:topo5 ~latency:Latency.table1 () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "zzzz") ~zone:(zone ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ =
+    Crdb.kv_cluster ~regions:regions5 ~home ~survival:Zoneconfig.Zone
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ()
+  in
   (cl, Txn.create_manager cl)
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
-    .Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let metric cl name = Metrics.total (Obs.metrics (Cluster.obs cl)) name
 

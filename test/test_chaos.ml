@@ -7,7 +7,6 @@
 module Sim = Crdb_sim.Sim
 module Proc = Crdb_sim.Proc
 module Topology = Crdb_net.Topology
-module Latency = Crdb_net.Latency
 module Transport = Crdb_net.Transport
 module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
@@ -18,6 +17,7 @@ module Checker = Crdb_check.Checker
 module Nemesis = Crdb_chaos.Nemesis
 module Workload = Crdb_chaos.Workload
 module Harness = Crdb_chaos.Harness
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let regions3 = [ "us-east1"; "us-west1"; "europe-west2" ]
@@ -427,19 +427,17 @@ let test_clock_skew_script_linearizable () =
 (* ------------------------------------------------------------------ *)
 (* Crash-restart semantics (kill + revive as process restart)          *)
 
-let make_cluster () =
-  let topology = Topology.symmetric ~regions:regions3 ~nodes_per_region:3 in
-  Cluster.create ~topology ~latency:Latency.table1 ()
-
-let zone_range ?(survival = Zoneconfig.Zone) cl =
-  let zone = Zoneconfig.derive ~regions:regions3 ~home ~survival ~placement:Zoneconfig.Default in
-  let rid = Cluster.add_range cl ~span:("a", "z") ~zone ~policy:(Cluster.Lag 3_000_000) in
-  Cluster.settle cl;
-  rid
+(* A settled 3-region cluster with one range over [a, z). *)
+let make_cluster ?(survival = Zoneconfig.Zone) () =
+  let cl, rids =
+    Crdb.kv_cluster ~regions:regions3 ~home ~survival
+      ~ranges:[ (("a", "z"), Cluster.Lag 3_000_000) ]
+      ()
+  in
+  (cl, List.hd rids)
 
 let test_restart_catches_up () =
-  let cl = make_cluster () in
-  let rid = zone_range cl in
+  let cl, rid = make_cluster () in
   let mgr = Txn.create_manager cl in
   let lh = Option.get (Cluster.leaseholder cl rid) in
   (* Kill a home-region follower replica (not the leaseholder). *)
@@ -477,8 +475,7 @@ let test_restart_catches_up () =
       check Alcotest.(option string) "follower read after restart" (Some "v2") v)
 
 let test_restart_leaseholder_recovers () =
-  let cl = make_cluster () in
-  let rid = zone_range cl in
+  let cl, rid = make_cluster () in
   let mgr = Txn.create_manager cl in
   let lh = Option.get (Cluster.leaseholder cl rid) in
   Cluster.run cl (fun () ->
@@ -504,8 +501,7 @@ let test_restart_leaseholder_recovers () =
    still leader (the oracle reports the node live again) and suppress
    elections forever — the range stays leaderless until the horizon. *)
 let test_quiesced_leader_restart () =
-  let cl = make_cluster () in
-  let rid = zone_range cl in
+  let cl, rid = make_cluster () in
   let mgr = Txn.create_manager cl in
   let lh = Option.get (Cluster.leaseholder cl rid) in
   Cluster.run cl (fun () ->
@@ -536,10 +532,9 @@ let write_ok cl mgr ~gateway =
       | Error _ -> false)
 
 let test_zone_survival_outages () =
-  let cl = make_cluster () in
-  let rid = zone_range cl ~survival:Zoneconfig.Zone in
+  let cl, rid = make_cluster ~survival:Zoneconfig.Zone () in
   let mgr = Txn.create_manager cl in
-  let gw = (List.hd (Topology.nodes_in_region (Cluster.topology cl) "us-west1")).Topology.id in
+  let gw = Topology.gateway (Cluster.topology cl) ~region:"us-west1" () in
   check Alcotest.bool "healthy" true (write_ok cl mgr ~gateway:gw);
   (* Zone outage in the home region: quorum of 3 voters survives. *)
   Transport.kill_zone (Cluster.net cl) ~region:home ~zone:(home ^ "-a");
@@ -557,10 +552,9 @@ let test_zone_survival_outages () =
     (write_ok cl mgr ~gateway:gw)
 
 let test_region_survival_outages () =
-  let cl = make_cluster () in
-  let rid = zone_range cl ~survival:Zoneconfig.Region in
+  let cl, rid = make_cluster ~survival:Zoneconfig.Region () in
   let mgr = Txn.create_manager cl in
-  let gw = (List.hd (Topology.nodes_in_region (Cluster.topology cl) "us-west1")).Topology.id in
+  let gw = Topology.gateway (Cluster.topology cl) ~region:"us-west1" () in
   check Alcotest.bool "healthy" true (write_ok cl mgr ~gateway:gw);
   (* Losing the whole home region keeps a 3/5 voter quorum. *)
   Transport.kill_region (Cluster.net cl) home;

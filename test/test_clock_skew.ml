@@ -15,24 +15,19 @@ module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txn = Crdb_txn.Txn
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
-let topo5 = Topology.symmetric ~regions:regions5 ~nodes_per_region:3
-
 let make ~policy =
-  let cl = Cluster.create ~topology:topo5 ~latency:Latency.table1 () in
-  let zone =
-    Zoneconfig.derive ~regions:regions5 ~home:"us-east1"
-      ~survival:Zoneconfig.Zone ~placement:Zoneconfig.Default
+  let cl, _ =
+    Crdb.kv_cluster ~regions:regions5 ~home:"us-east1"
+      ~survival:Zoneconfig.Zone ~ranges:[ (("a", "z"), policy) ] ()
   in
-  ignore (Cluster.add_range cl ~span:("a", "z") ~zone ~policy);
-  Cluster.settle cl;
   (cl, Txn.create_manager cl)
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
-    .Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let expect_ok = function
   | Ok v -> v

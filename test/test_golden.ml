@@ -8,7 +8,6 @@
 
 module Proc = Crdb_sim.Proc
 module Topology = Crdb_net.Topology
-module Latency = Crdb_net.Latency
 module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
@@ -16,6 +15,7 @@ module Txn = Crdb_txn.Txn
 module Obs = Crdb_obs.Obs
 module Trace = Crdb_obs.Trace
 module Metrics = Crdb_obs.Metrics
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let regions = [ "us-east1"; "us-west1"; "europe-west2" ]
@@ -26,8 +26,7 @@ let expect_ok = function
   | Error e -> Alcotest.failf "txn failed: %a" Txn.pp_error e
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
-    .Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 (* The MD5 of the metrics registry and the Chrome trace export. *)
 let digest obs =
@@ -37,23 +36,15 @@ let digest obs =
        ^ Trace.to_chrome_json (Obs.trace obs)))
 
 let scenario ?(opts = Txn.Options.default) () =
-  let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
-  let cl =
-    Cluster.create
+  let cl, rids =
+    Crdb.kv_cluster
       ~config:{ Cluster.default with seed = 1414 }
-      ~topology ~latency:Latency.table1 ()
+      ~regions ~home ~survival:Zoneconfig.Zone
+      ~ranges:
+        [ (("a", "m"), Cluster.Lag 3_000_000); (("m", "zzzz"), Cluster.Lead) ]
+      ()
   in
-  let zone =
-    Zoneconfig.derive ~regions ~home ~survival:Zoneconfig.Zone
-      ~placement:Zoneconfig.Default
-  in
-  let local =
-    Cluster.add_range cl ~span:("a", "m") ~zone ~policy:(Cluster.Lag 3_000_000)
-  in
-  let global =
-    Cluster.add_range cl ~span:("m", "zzzz") ~zone ~policy:Cluster.Lead
-  in
-  Cluster.settle cl;
+  let local = List.hd rids and global = List.nth rids 1 in
   Obs.enable_tracing (Cluster.obs cl);
   let mgr = Txn.create_manager cl in
   Txn.set_options mgr opts;
@@ -151,21 +142,13 @@ let test_pipelined_digest () =
    heartbeats (no abandonment), the pusher must wait rather than wound, and
    both must commit. Pins the heartbeat loop's messages and timing. *)
 let heartbeat_scenario () =
-  let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
-  let cl =
-    Cluster.create
+  let cl, _ =
+    Crdb.kv_cluster
       ~config:{ Cluster.default with seed = 1717 }
-      ~topology ~latency:Latency.table1 ()
+      ~regions ~home ~survival:Zoneconfig.Zone
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ()
   in
-  let zone =
-    Zoneconfig.derive ~regions ~home ~survival:Zoneconfig.Zone
-      ~placement:Zoneconfig.Default
-  in
-  ignore
-    (Cluster.add_range cl ~span:("a", "zzzz") ~zone
-       ~policy:(Cluster.Lag 3_000_000)
-      : Cluster.range_id);
-  Cluster.settle cl;
   Obs.enable_tracing (Cluster.obs cl);
   let mgr = Txn.create_manager cl in
   let sim = Cluster.sim cl in

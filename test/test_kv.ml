@@ -10,6 +10,7 @@ module Raft = Crdb_raft.Raft
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Allocator = Crdb_kv.Allocator
 module Cluster = Crdb_kv.Cluster
+module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
 
@@ -206,14 +207,21 @@ let zone_config ?(survival = Zoneconfig.Zone) ?(placement = Zoneconfig.Default)
     ?(home = home) () =
   Zoneconfig.derive ~regions:regions5 ~home ~survival ~placement
 
-let make_cluster ?config () =
-  let cl =
-    Cluster.create ?config ~topology:topo5 ~latency:Latency.table1 ()
+let make_cluster () =
+  Cluster.create ~topology:topo5 ~latency:Latency.table1 ()
+
+(* A settled cluster with one range over [a, z), homed in [home]. *)
+let one_range ?(survival = Zoneconfig.Zone) ?(policy = Cluster.Lag 3_000_000)
+    () =
+  let cl, rids =
+    Crdb.kv_cluster ~regions:regions5 ~home ~survival
+      ~ranges:[ (("a", "z"), policy) ]
+      ()
   in
-  cl
+  (cl, List.hd rids)
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i).Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 (* Write then commit a single key as one mini transaction. *)
 let put cl ~gateway ~txn key value =
@@ -244,12 +252,7 @@ let get cl ~gateway ?txn key =
   go ts 0
 
 let test_cluster_basic_write_read () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   (match Cluster.leaseholder_region cl rid with
   | Some r -> check Alcotest.string "leaseholder in home" home r
   | None -> Alcotest.fail "no leaseholder");
@@ -260,11 +263,7 @@ let test_cluster_basic_write_read () =
       check Alcotest.(option string) "missing key" None (get cl ~gateway "nope"))
 
 let test_cluster_local_latency () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   let sim = Cluster.sim cl in
   let local_gw = node_in cl home 0 in
   let remote_gw = node_in cl "australia-southeast1" 0 in
@@ -285,11 +284,7 @@ let test_cluster_local_latency () =
         (remote_elapsed > 180_000 && remote_elapsed < 260_000))
 
 let test_follower_stale_read () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   let gw = node_in cl home 0 in
   let remote = node_in cl "asia-northeast1" 1 in
   Cluster.run cl (fun () ->
@@ -323,12 +318,7 @@ let test_follower_stale_read () =
           Alcotest.fail "fresh read should redirect on Lag range")
 
 let test_global_range_future_writes () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:Cluster.Lead
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range ~policy:Cluster.Lead () in
   let gw = node_in cl home 0 in
   let remote = node_in cl "europe-west2" 2 in
   let lead = Cluster.closed_lead_duration cl rid in
@@ -361,11 +351,7 @@ let test_global_range_future_writes () =
         true (elapsed < 3_000))
 
 let test_global_read_uncertainty () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:Cluster.Lead);
-  Cluster.settle cl;
+  let cl, _ = one_range ~policy:Cluster.Lead () in
   let gw = node_in cl home 0 in
   let remote = node_in cl "us-west1" 0 in
   Cluster.run cl (fun () ->
@@ -390,11 +376,7 @@ let test_global_read_uncertainty () =
           Alcotest.fail "expected uncertainty restart")
 
 let test_tscache_pushes_writer () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       ignore (put cl ~gateway:gw ~txn:1 "k" "v1");
@@ -416,11 +398,7 @@ let test_tscache_pushes_writer () =
           Alcotest.failf "write failed: %s" e)
 
 let test_write_write_conflict_queues () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   let gw = node_in cl home 0 in
   let sim = Cluster.sim cl in
   Cluster.run cl (fun () ->
@@ -458,11 +436,7 @@ let test_write_write_conflict_queues () =
       check Alcotest.(option string) "latest wins" (Some "b") (get cl ~gateway:gw "k"))
 
 let test_refresh () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       let t0 = Cluster.now_ts cl gw in
@@ -475,12 +449,7 @@ let test_refresh () =
            ~to_ts:(Ts.add_wall t1 1000) ()))
 
 let test_zone_survival_loses_region () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let gw = node_in cl "us-west1" 0 in
   Cluster.run cl (fun () -> ignore (put cl ~gateway:gw ~txn:1 "k" "v"));
   (* Let the write's timestamp get closed and propagate before the outage. *)
@@ -504,13 +473,7 @@ let test_zone_survival_loses_region () =
           Alcotest.fail "stale read should survive region loss")
 
 let test_region_survival_survives_region () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z")
-      ~zone:(zone_config ~survival:Zoneconfig.Region ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range ~survival:Zoneconfig.Region () in
   let gw = node_in cl "us-west1" 0 in
   Cluster.run cl (fun () -> ignore (put cl ~gateway:gw ~txn:1 "k" "before"));
   Transport.kill_region (Cluster.net cl) home;
@@ -533,12 +496,7 @@ let test_region_survival_survives_region () =
   | None -> Alcotest.fail "no leaseholder after heal"
 
 let test_zone_failure_tolerated () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let lh = Option.get (Cluster.leaseholder cl rid) in
   let zone = Topology.zone_of (Cluster.topology cl) lh in
   Transport.kill_zone (Cluster.net cl) ~region:home ~zone;
@@ -553,11 +511,7 @@ let test_zone_failure_tolerated () =
         (get cl ~gateway:gw "k"))
 
 let test_negotiate () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   let gw = node_in cl home 0 in
   let remote = node_in cl "europe-west2" 0 in
   Cluster.run cl (fun () ->
@@ -582,12 +536,7 @@ let test_negotiate () =
 (* Four committed keys in one Lag range, split at "k3" so a follower scan
    over [k, l) crosses a range boundary. *)
 let follower_scan_fixture () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       List.iteri
@@ -705,11 +654,7 @@ let test_follower_scan_stitches_split () =
         (scan_rows (follower_scan cl ~at ~limit:3 ts)))
 
 let test_bulk_load_visible () =
-  let cl = make_cluster () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ = one_range () in
   Cluster.bulk_load cl [ ("k1", "v1"); ("k2", "v2") ];
   let gw = node_in cl home 2 in
   Cluster.run cl (fun () ->

@@ -10,6 +10,7 @@ module Raft = Crdb_raft.Raft
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Allocator = Crdb_kv.Allocator
 module Cluster = Crdb_kv.Cluster
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -20,11 +21,22 @@ let zone_config ?(survival = Zoneconfig.Zone) ?(placement = Zoneconfig.Default)
     ?(home = home) () =
   Zoneconfig.derive ~regions:regions5 ~home ~survival ~placement
 
-let make_cluster ?config () =
-  Cluster.create ?config ~topology:topo5 ~latency:Latency.table1 ()
+let make_cluster () =
+  Cluster.create ~topology:topo5 ~latency:Latency.table1 ()
+
+(* A settled cluster with ranges over [spans], all placed by one zone config
+   homed in [home]. *)
+let make ?(survival = Zoneconfig.Zone) ?(home = home) spans =
+  Crdb.kv_cluster ~regions:regions5 ~home ~survival
+    ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+    ()
+
+let one_range ?survival ?home () =
+  let cl, rids = make ?survival ?home [ ("a", "z") ] in
+  (cl, List.hd rids)
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i).Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let put cl ~gateway ~txn key value =
   let ts = Cluster.now_ts cl gateway in
@@ -68,12 +80,7 @@ let scan_keys cl ~gateway ~start_key ~end_key =
 (* Split                                                               *)
 
 let test_split_preserves_data () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       ignore (put cl ~gateway:gw ~txn:1 "apple" "red");
@@ -111,12 +118,7 @@ let test_split_preserves_data () =
       ignore (Cluster.split_range cl rid ~at:"zz"))
 
 let test_merge_subsumes_right () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       ignore (put cl ~gateway:gw ~txn:1 "apple" "red");
@@ -162,16 +164,8 @@ let test_merge_requires_adjacency () =
   (* A range whose right edge is not another range's left edge has no merge
      partner: merging must be refused cleanly, leaving spans and routing
      untouched. Exercises both a keyspace gap and the rightmost range. *)
-  let cl = make_cluster () in
-  let r1 =
-    Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  let r2 =
-    Cluster.add_range cl ~span:("q", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rids = make [ ("a", "m"); ("q", "z") ] in
+  let r1 = List.hd rids and r2 = List.nth rids 1 in
   check Alcotest.bool "gap on the right refuses to merge" false
     (Cluster.merge_range cl r1);
   check Alcotest.bool "rightmost range refuses to merge" false
@@ -194,12 +188,8 @@ let test_merge_requires_adjacency () =
         (get cl ~gateway:gw "rhubarb"))
 
 let test_hundred_splits_route () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("k", "k~") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rids = make [ ("k", "k~") ] in
+  let rid = List.hd rids in
   let n_keys = 150 in
   let key i = Printf.sprintf "k%03d" i in
   Cluster.bulk_load cl
@@ -252,12 +242,7 @@ let test_hundred_splits_route () =
 (* Live-size accounting and load-based split points                    *)
 
 let test_live_bytes_through_split_merge () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->
       ignore (put cl ~gateway:gw ~txn:1 "apple" "red");
@@ -289,12 +274,7 @@ let test_live_bytes_through_split_merge () =
     (Cluster.live_bytes cl rid)
 
 let test_load_split_point_tracks_traffic () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   Cluster.bulk_load cl [ ("b", "1"); ("c", "2"); ("t", "3"); ("u", "4") ];
   (* No requests yet: falls back to the keyspace median. *)
   check
@@ -361,16 +341,10 @@ let test_allocator_skewed_diversity () =
     (List.length (List.sort_uniq String.compare unpinned_regions))
 
 let test_lease_preference_pinning () =
-  let cl = make_cluster () in
   let pref = "europe-west2" in
   (* Region survival spreads voters across regions, so there is always a
      voter outside the preferred region to push the lease to. *)
-  let rid =
-    Cluster.add_range cl ~span:("a", "z")
-      ~zone:(zone_config ~survival:Zoneconfig.Region ~home:pref ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range ~survival:Zoneconfig.Region ~home:pref () in
   (match Cluster.leaseholder_region cl rid with
   | Some r -> check Alcotest.string "lease starts in preferred region" pref r
   | None -> Alcotest.fail "no leaseholder after settle");
@@ -394,12 +368,7 @@ let test_lease_preference_pinning () =
   | None -> Alcotest.fail "no leaseholder after rebalance"
 
 let test_rebalance_convergence () =
-  let cl = make_cluster () in
-  let rid =
-    Cluster.add_range cl ~span:("a", "z") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let cl, rid = one_range () in
   let lh = Option.get (Cluster.leaseholder cl rid) in
   (* Kill a home-region voter that is not the leaseholder; the allocator
      must walk the replica off the dead node, one move at a time. *)

@@ -12,33 +12,28 @@ module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txnrec = Crdb_kv.Txnrec
 module Txn = Crdb_txn.Txn
+module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
 let home = "us-east1"
-let topo5 = Topology.symmetric ~regions:regions5 ~nodes_per_region:3
-
-let zone () =
-  Zoneconfig.derive ~regions:regions5 ~home ~survival:Zoneconfig.Zone
-    ~placement:Zoneconfig.Default
 
 (* One or two ranges over the test keyspace, leaseholders settled. *)
 let make ?(two_ranges = false) () =
-  let cl = Cluster.create ~topology:topo5 ~latency:Latency.table1 () in
-  let policy = Cluster.Lag 3_000_000 in
-  if two_ranges then begin
-    ignore (Cluster.add_range cl ~span:("a", "m") ~zone:(zone ()) ~policy);
-    ignore (Cluster.add_range cl ~span:("m", "zzzz") ~zone:(zone ()) ~policy)
-  end
-  else ignore (Cluster.add_range cl ~span:("a", "zzzz") ~zone:(zone ()) ~policy);
-  Cluster.settle cl;
+  let spans =
+    if two_ranges then [ ("a", "m"); ("m", "zzzz") ] else [ ("a", "zzzz") ]
+  in
+  let cl, _ =
+    Crdb.kv_cluster ~regions:regions5 ~home ~survival:Zoneconfig.Zone
+      ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+      ()
+  in
   (cl, Txn.create_manager cl)
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
-    .Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let no_conflict_timeouts cl =
   check Alcotest.int "no conflict timeouts" 0
@@ -394,11 +389,12 @@ let test_config_default_idiom () =
     cfg.Cluster.conflict_wait_timeout;
   (* A faster push delay breaks the two-txn deadlock proportionally
      sooner. *)
-  let cl = Cluster.create ~config:cfg ~topology:topo5 ~latency:Latency.table1 () in
-  ignore
-    (Cluster.add_range cl ~span:("a", "zzzz") ~zone:(zone ())
-       ~policy:(Cluster.Lag 3_000_000));
-  Cluster.settle cl;
+  let cl, _ =
+    Crdb.kv_cluster ~config:cfg ~regions:regions5 ~home
+      ~survival:Zoneconfig.Zone
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ()
+  in
   let mgr = Txn.create_manager cl in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in

@@ -10,6 +10,7 @@ module Txn = Crdb_txn.Txn
 module Obs = Crdb_obs.Obs
 module Trace = Crdb_obs.Trace
 module Metrics = Crdb_obs.Metrics
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let regions = Latency.table1_regions
@@ -24,20 +25,14 @@ let contains ~needle hay =
    transactions from the home region. Everything is seeded, so two calls
    must observe the exact same history. *)
 let run_workload () =
-  let topo = Topology.symmetric ~regions ~nodes_per_region:3 in
-  let cl = Cluster.create ~topology:topo ~latency:Latency.table1 () in
-  let zone =
-    Zoneconfig.derive ~regions ~home ~survival:Zoneconfig.Zone
-      ~placement:Zoneconfig.Default
+  let cl, _ =
+    Crdb.kv_cluster ~regions ~home ~survival:Zoneconfig.Zone
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ()
   in
-  ignore
-    (Cluster.add_range cl ~span:("a", "zzzz") ~zone
-       ~policy:(Cluster.Lag 3_000_000)
-      : int);
-  Cluster.settle cl;
   Obs.enable_tracing (Cluster.obs cl);
   let mgr = Txn.create_manager cl in
-  let gw = (List.hd (Topology.nodes_in_region topo home)).Topology.id in
+  let gw = Topology.gateway (Cluster.topology cl) ~region:home () in
   Cluster.run cl (fun () ->
       for i = 0 to 3 do
         match

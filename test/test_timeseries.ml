@@ -16,6 +16,7 @@ module Events = Crdb_obs.Events
 module Phase = Crdb_obs.Phase
 module Report = Crdb_obs.Report
 module Trace = Crdb_obs.Trace
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let feq = Alcotest.(float 1e-9)
@@ -235,21 +236,16 @@ let regions = Latency.table1_regions
 let home = "us-east1"
 
 let run_workload () =
-  let topo = Topology.symmetric ~regions ~nodes_per_region:3 in
-  let cl = Cluster.create ~topology:topo ~latency:Latency.table1 () in
-  let zone =
-    Zoneconfig.derive ~regions ~home ~survival:Zoneconfig.Zone
-      ~placement:Zoneconfig.Default
+  let cl, rids =
+    Crdb.kv_cluster ~regions ~home ~survival:Zoneconfig.Zone
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ()
   in
-  let rid =
-    Cluster.add_range cl ~span:("a", "zzzz") ~zone ~policy:(Cluster.Lag 3_000_000)
-  in
-  Cluster.settle cl;
+  let rid = List.hd rids in
   let mgr = Txn.create_manager cl in
-  let gw = (List.hd (Topology.nodes_in_region topo home)).Topology.id in
-  let remote_gw =
-    (List.hd (Topology.nodes_in_region topo "europe-west2")).Topology.id
-  in
+  let topo = Cluster.topology cl in
+  let gw = Topology.gateway topo ~region:home () in
+  let remote_gw = Topology.gateway topo ~region:"europe-west2" () in
   Cluster.run cl (fun () ->
       for i = 0 to 3 do
         match

@@ -9,27 +9,21 @@ module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txn = Crdb_txn.Txn
+module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
 let home = "us-east1"
-let topo5 = Topology.symmetric ~regions:regions5 ~nodes_per_region:3
-
-let make ?(policy = Cluster.Lag 3_000_000) ?survival () =
-  let cl = Cluster.create ~topology:topo5 ~latency:Latency.table1 () in
-  let zone =
-    Zoneconfig.derive ~regions:regions5 ~home
-      ~survival:(Option.value survival ~default:Zoneconfig.Zone)
-      ~placement:Zoneconfig.Default
+let make ?(policy = Cluster.Lag 3_000_000) ?(survival = Zoneconfig.Zone) () =
+  let cl, _ =
+    Crdb.kv_cluster ~regions:regions5 ~home ~survival
+      ~ranges:[ (("a", "zzzz"), policy) ]
+      ()
   in
-  let rid = Cluster.add_range cl ~span:("a", "zzzz") ~zone ~policy in
-  Cluster.settle cl;
-  ignore rid;
   (cl, Txn.create_manager cl)
 
 let node_in cl region i =
-  (List.nth (Topology.nodes_in_region (Cluster.topology cl) region) i)
-    .Topology.id
+  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let expect_ok = function
   | Ok v -> v

@@ -14,15 +14,7 @@ module Sim = Crdb_sim.Sim
 let check = Alcotest.check
 let regions3 = [ "us-east1"; "us-west1"; "europe-west2" ]
 
-let ycsb_cluster variant =
-  let t = Crdb.start ~regions:regions3 () in
-  Crdb.exec t
-    (Ddl.N_create_database
-       { db = "ycsb"; primary = "us-east1"; regions = List.tl regions3 });
-  Crdb.exec_all t (Ycsb.ddl variant ~db:"ycsb" ~regions:regions3);
-  let db = Crdb.database t "ycsb" in
-  Ycsb.load t db variant ~keyspace:300;
-  (t, db)
+let ycsb_cluster variant = Ycsb.setup ~regions:regions3 variant ~keyspace:300
 
 let test_ycsb_load_homes_keys () =
   let _t, db = ycsb_cluster Ycsb.Rbr_default in
@@ -163,12 +155,10 @@ let test_queue_holds_no_finished_heartbeats () =
     true (deepest < 300)
 
 let test_tpcc_smoke () =
-  let regions = regions3 in
-  let t = Crdb.start ~regions () in
-  Crdb.exec_all t (Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region:1);
-  let db = Crdb.database t "tpcc" in
-  Tpcc.load t db ~warehouses_per_region:1 ~districts_per_warehouse:3
-    ~customers_per_district:5 ~items:30 ();
+  let t, db =
+    Tpcc.setup ~regions:regions3 ~warehouses_per_region:1
+      ~districts_per_warehouse:3 ~customers_per_district:5 ~items:30 ()
+  in
   check Alcotest.int "items" 30 (Engine.row_count db "item");
   check Alcotest.int "warehouses" 3 (Engine.row_count db "warehouse");
   check Alcotest.int "stock" (3 * 30) (Engine.row_count db "stock");
@@ -201,12 +191,10 @@ let test_tpcc_items_global () =
     [ "warehouse"; "district"; "customer"; "orders"; "orderline"; "stock" ]
 
 let test_tpcc_warehouse_regions () =
-  let regions = regions3 in
-  let t = Crdb.start ~regions () in
-  Crdb.exec_all t (Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region:2);
-  let db = Crdb.database t "tpcc" in
-  Tpcc.load t db ~warehouses_per_region:2 ~districts_per_warehouse:2
-    ~customers_per_district:2 ~items:10 ();
+  let _, db =
+    Tpcc.setup ~regions:regions3 ~warehouses_per_region:2
+      ~districts_per_warehouse:2 ~customers_per_district:2 ~items:10 ()
+  in
   (* Warehouses 0-1 in region 0, 2-3 in region 1, 4-5 in region 2. *)
   check Alcotest.(option string) "wh0" (Some "us-east1")
     (Engine.region_of_row db ~table:"warehouse" [ Value.V_int 0 ]);
