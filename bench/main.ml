@@ -59,20 +59,6 @@ let record label hist =
     bench_results := (key, hist) :: !bench_results
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_bench_results file =
   (* The bench's only file write, streamed entry by entry. *)
   let oc = open_out file in
@@ -80,7 +66,7 @@ let write_bench_results file =
   let entries = List.rev !bench_results in
   List.iteri
     (fun i (key, hist) ->
-      Printf.fprintf oc "  \"%s\": %s%s\n" (json_escape key)
+      Printf.fprintf oc "  \"%s\": %s%s\n" (Crdb.Trace.json_escape key)
         (Hist.to_json hist)
         (if i = List.length entries - 1 then "" else ","))
     entries;
@@ -584,11 +570,12 @@ let run_conflicts () =
         List.iter Crdb_sim.Proc.await clients);
     subsection label;
     row "  txn latency" lat;
-    let m = Crdb.Obs.metrics (Cluster.obs cl) in
+    let obs = Cluster.obs cl in
+    let m = Crdb.Obs.metrics obs in
     printf "  %d ok, %d failed; %d pushes, %d wounds, %d conflict timeouts@."
       !ok !failed
       (Crdb.Metrics.total m "kv.txn_pushes")
-      (Crdb.Metrics.total m "kv.txn_wounds")
+      (Crdb.Events.count (Crdb.Obs.events obs) Crdb.Events.Wound)
       (Crdb.Metrics.total m "kv.conflict_timeouts")
   in
   run_one ~label:"timeout-only baseline (pushes disabled)"

@@ -62,7 +62,8 @@ let write_trace obs file =
   Format.printf "trace: %d records -> %s@." (Crdb.Trace.num_records tr) file
 
 (* Call before the workload so spans are recorded. *)
-let arm_obs obs ~trace = if trace <> None then Crdb.Obs.enable_tracing obs
+let arm_obs obs ~trace =
+  if trace <> None then Crdb.Trace.enable (Crdb.Obs.trace obs)
 
 let finish_obs obs ~trace ~metrics =
   Option.iter (write_trace obs) trace;
@@ -322,10 +323,11 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
   let obs = Cluster.obs o.Harness.cluster in
   finish_obs obs ~trace ~metrics;
   let m = Crdb.Obs.metrics obs in
+  let events = Crdb.Obs.events obs in
   let conflict_timeouts = Crdb.Metrics.total m "kv.conflict_timeouts" in
   Format.printf "conflicts: %d pushes, %d wounds, %d cleanups, %d timeouts@."
     (Crdb.Metrics.total m "kv.txn_pushes")
-    (Crdb.Metrics.total m "kv.txn_wounds")
+    (Crdb.Events.count events Crdb.Events.Wound)
     (Crdb.Metrics.total m "kv.intent_cleanups")
     conflict_timeouts;
   let timeouts_ok =
@@ -346,7 +348,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
         min_auto_splits <= 0
     | Some ap ->
         let s = Autopilot.stats ap in
-        let total_splits = Crdb.Metrics.total m "kv.splits" in
+        let total_splits = Crdb.Events.count events Crdb.Events.Split in
         let manual_splits = total_splits - s.Autopilot.auto_splits in
         Format.printf
           "autopilot: %d splits, %d merges, %d lease moves, %d replica \
@@ -742,13 +744,13 @@ let run_splits target_ranges n_keys ops trace metrics =
   Cluster.run_for cl 2_000_000;
   Format.printf "merged %d pairs; %d ranges remain@." !merged
     (List.length (Cluster.ranges cl));
-  let m = Crdb.Obs.metrics (Cluster.obs cl) in
+  let obs = Cluster.obs cl in
+  let count = Crdb.Events.count (Crdb.Obs.events obs) in
   Format.printf "counters: kv.splits=%d kv.merges=%d kv.rebalances=%d@."
-    (Crdb.Metrics.total m "kv.splits")
-    (Crdb.Metrics.total m "kv.merges")
-    (Crdb.Metrics.total m "kv.rebalances");
-  Option.iter (write_trace (Cluster.obs cl)) trace;
-  if metrics then Format.printf "%a@." Crdb.Metrics.pp m;
+    (count Crdb.Events.Split) (count Crdb.Events.Merge)
+    (count Crdb.Events.Rebalance);
+  Option.iter (write_trace obs) trace;
+  if metrics then Format.printf "%a@." Crdb.Metrics.pp (Crdb.Obs.metrics obs);
   if !errors > 0 || !bad_routes > 0 then exit 1
 
 let splits_cmd =

@@ -60,7 +60,7 @@ let arm_cooldown t now rid = Hashtbl.replace t.last_action rid now
 
 let skip t ~node ~rid ~queue =
   t.stats.skips <- t.stats.skips + 1;
-  Obs.log_event (Cluster.obs t.cl) ~node ~range:rid
+  Events.log (Obs.events (Cluster.obs t.cl)) ~node ~range:rid
     ~attrs:[ ("queue", queue); ("reason", "cooldown") ]
     Events.Queue_skipped
 
@@ -92,7 +92,7 @@ let split_check t ~node ~now rid =
               t.stats.auto_splits <- t.stats.auto_splits + 1;
               arm_cooldown t now rid;
               arm_cooldown t now new_rid;
-              Obs.log_event (Cluster.obs t.cl) ~node ~range:rid
+              Events.log (Obs.events (Cluster.obs t.cl)) ~node ~range:rid
                 ~attrs:
                   [ ("at", at); ("reason", reason); ("qps", f1 q);
                     ("bytes", string_of_int bytes) ]
@@ -130,7 +130,7 @@ let merge_check t ~node ~now rid =
       else if Cluster.merge_range t.cl rid then begin
         t.stats.auto_merges <- t.stats.auto_merges + 1;
         arm_cooldown t now rid;
-        Obs.log_event (Cluster.obs t.cl) ~node ~range:rid
+        Events.log (Obs.events (Cluster.obs t.cl)) ~node ~range:rid
           ~attrs:
             [ ("right", string_of_int right_rid); ("qps", f1 combined_qps) ]
           Events.Merge_queued;
@@ -175,7 +175,7 @@ let lease_check t ~node ~now ~load rid =
         Cluster.transfer_lease cl rid ~target:tgt;
         t.stats.lease_moves <- t.stats.lease_moves + 1;
         arm_cooldown t now rid;
-        Obs.log_event (Cluster.obs cl) ~node ~range:rid
+        Events.log (Obs.events (Cluster.obs cl)) ~node ~range:rid
           ~attrs:[ ("target", string_of_int tgt); ("reason", "load") ]
           Events.Lease_moved;
         Some (tgt, q)

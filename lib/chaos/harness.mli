@@ -45,4 +45,4 @@ val passed : outcome -> bool
 
 val run : ?arm:(Cluster.t -> unit) -> setup -> outcome
 (** Execute the run. [arm] is called after range setup and before the
-    workload (e.g. [Obs.enable_tracing]). *)
+    workload (e.g. to [Trace.enable] the cluster's trace). *)

@@ -8,7 +8,7 @@ module Cluster = Crdb_kv.Cluster
 module Clock = Crdb_hlc.Clock
 module Raft = Crdb_raft.Raft
 module Obs = Crdb_obs.Obs
-module Trace = Crdb_obs.Trace
+module Events = Crdb_obs.Events
 module Metrics = Crdb_obs.Metrics
 
 type fault =
@@ -118,51 +118,48 @@ let kill_is_safe cl extra_dead =
 
 type t = {
   cl : Cluster.t;
-  mutable log : (int * fault) list; (* newest first *)
   mutable stopped : bool;
   base_skews : int array;
   done_ : unit Ivar.t;
   c_injected : Metrics.counter;
-  c_healed : Metrics.counter;
 }
 
 let make cl =
   let topo = Cluster.topology cl in
-  let m = Obs.metrics (Cluster.obs cl) in
   {
     cl;
-    log = [];
     stopped = false;
     base_skews =
       Array.init (Topology.num_nodes topo) (fun n -> Clock.skew (Cluster.clock cl n));
     done_ = Ivar.create ();
-    c_injected = Metrics.counter m "chaos.injected";
-    c_healed = Metrics.counter m "chaos.healed";
+    c_injected =
+      Metrics.counter (Obs.metrics (Cluster.obs cl)) "chaos.injected";
   }
 
+(* The cluster's event log is the fault log: one Fault or Heal event per
+   injection, carrying the fault's rendering. *)
 let inject t fault =
-  let now = Sim.now (Cluster.sim t.cl) in
-  t.log <- (now, fault) :: t.log;
   let heal = is_heal fault in
-  Metrics.inc (if heal then t.c_healed else t.c_injected);
-  (* Structured event (mirrored to the legacy chaos.inject/heal trace
-     instants by [Obs.log_event]). *)
-  Obs.log_event (Cluster.obs t.cl)
+  if not heal then Metrics.inc t.c_injected;
+  Events.log (Obs.events (Cluster.obs t.cl))
     ~attrs:[ ("fault", fault_to_string fault) ]
-    (if heal then Crdb_obs.Events.Heal else Crdb_obs.Events.Fault);
+    (if heal then Events.Heal else Events.Fault);
   apply t.cl fault
 
 let stop t = t.stopped <- true
-let log t = List.rev t.log
 
 let log_to_string t =
+  let line (e : Events.event) verb =
+    Printf.sprintf "%10d %-6s %s" e.ts verb (List.assoc "fault" e.attrs)
+  in
   String.concat "\n"
-    (List.map
-       (fun (at, fault) ->
-         Printf.sprintf "%10d %-6s %s" at
-           (if is_heal fault then "heal" else "inject")
-           (fault_to_string fault))
-       (log t))
+    (List.filter_map
+       (fun (e : Events.event) ->
+         match e.kind with
+         | Events.Fault -> Some (line e "inject")
+         | Events.Heal -> Some (line e "heal")
+         | _ -> None)
+       (Events.all (Obs.events (Cluster.obs t.cl))))
 
 let await t = Proc.await t.done_
 

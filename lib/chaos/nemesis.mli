@@ -3,9 +3,9 @@
     A nemesis drives the cluster's failure-injection surfaces — transport
     kills and partitions, clock skew, lease transfers — either from a timed
     script or from a seeded random schedule, as a {!Crdb_sim.Proc} coroutine
-    inside the simulator. Every injected or healed fault is appended to a
-    deterministic fault log and emitted as a [chaos.inject]/[chaos.heal]
-    trace event plus a [chaos.injected]/[chaos.healed] metric, so one seed
+    inside the simulator. Every injected or healed fault is recorded once, as
+    a [Fault]/[Heal] entry in the cluster's {!Crdb_obs.Events} log (each
+    injection also bumps the [chaos.injected] counter), so one seed
     reproduces one byte-identical schedule. *)
 
 module Cluster = Crdb_kv.Cluster
@@ -33,7 +33,7 @@ val apply : Cluster.t -> fault -> unit
     {!Cluster.restart_node} (crash-restart semantics). *)
 
 type t
-(** A running (or finished) schedule: handle to its fault log. *)
+(** A running (or finished) schedule. *)
 
 val run_script : Cluster.t -> (int * fault) list -> t
 (** Spawn a coroutine that injects each fault at its offset (microseconds
@@ -90,11 +90,8 @@ val await : t -> unit
 
 val heal_all : t -> unit
 (** Revive every dead node (restart semantics), heal all partitions, and
-    restore every clock to its baseline skew. Recorded in the fault log. *)
-
-val log : t -> (int * fault) list
-(** The [(simulated time, fault)] log, oldest first. *)
+    restore every clock to its baseline skew. Recorded in the event log. *)
 
 val log_to_string : t -> string
-(** Deterministic rendering, one line per fault — byte-identical for a
-    given seed and workload. *)
+(** The fault log: one line per [Fault]/[Heal] event in the cluster's event
+    log, oldest first — byte-identical for a given seed and workload. *)

@@ -58,8 +58,8 @@ val engine : t -> Engine.t
 
 val obs : t -> Obs.t
 (** The cluster's observability context ({!Cluster.obs}): metrics are always
-    collected; call [Obs.enable_tracing (Crdb.obs t)] before the workload to
-    also record spans, then export with [Trace.to_chrome_json]. *)
+    collected; call [Trace.enable (Obs.trace (Crdb.obs t))] before the
+    workload to also record spans, then export with [Trace.to_chrome_json]. *)
 
 val topology : t -> Topology.t
 val sim_now : t -> int

@@ -164,11 +164,7 @@ type t = {
   c_ct_publish : Metrics.counter array;
   c_conflict_timeout : Metrics.counter array;
   c_push : Metrics.counter array;
-  c_wound : Metrics.counter array;
   c_cleanup : Metrics.counter array;
-  c_splits : Metrics.counter;
-  c_merges : Metrics.counter;
-  c_rebalances : Metrics.counter;
   g_ranges : Metrics.gauge;
   g_waiters : Metrics.gauge;
 }
@@ -222,11 +218,7 @@ let create ?(config = default) ~topology ~latency () =
     c_conflict_timeout =
       Array.init n (fun i -> Metrics.counter m ~node:i "kv.conflict_timeouts");
     c_push = Array.init n (fun i -> Metrics.counter m ~node:i "kv.txn_pushes");
-    c_wound = Array.init n (fun i -> Metrics.counter m ~node:i "kv.txn_wounds");
     c_cleanup = Array.init n (fun i -> Metrics.counter m ~node:i "kv.intent_cleanups");
-    c_splits = Metrics.counter m "kv.splits";
-    c_merges = Metrics.counter m "kv.merges";
-    c_rebalances = Metrics.counter m "kv.rebalances";
     g_ranges = Metrics.gauge m "kv.ranges";
     g_waiters = Metrics.gauge m "kv.conflict_waiters";
   }
@@ -493,9 +485,7 @@ let preferred_leaseholder_node t rg =
 (* Hand [r]'s lease (Raft leadership) to [target], noting the transfer. *)
 let hand_off_lease t r raft ~target =
   let node = r.r_node and range = r.r_range.rg_id in
-  Metrics.inc
-    (Metrics.counter (Obs.metrics t.obs) ~node ~range "kv.lease_transfers");
-  Obs.log_event t.obs ~node ~range
+  Events.log (Obs.events t.obs) ~node ~range
     ~attrs:[ ("target", string_of_int target) ]
     Events.Lease_transfer;
   Raft.transfer_leadership raft target
@@ -554,10 +544,7 @@ and raft_callbacks t rg r =
       (fun role ->
         match role with
         | Raft.Leader ->
-            Metrics.inc
-              (Metrics.counter (Obs.metrics t.obs) ~node:r.r_node
-                 ~range:rg.rg_id "kv.lease_acquired");
-            Obs.log_event t.obs ~node:r.r_node ~range:rg.rg_id
+            Events.log (Obs.events t.obs) ~node:r.r_node ~range:rg.rg_id
               ~attrs:[ ("region", Topology.region_of t.topo r.r_node) ]
               Events.Lease_acquired;
             (* New leaseholder: no write may land below the lease start.
@@ -915,11 +902,10 @@ let split_range t rid ~at =
         (fun _ rrep ->
           Option.iter (Raft.start ~preferred:lr.r_node) rrep.r_raft)
         right.rg_replicas;
-      Metrics.inc t.c_splits;
       (* Pre-split samples straddle both halves; restart sampling so the
          next load-based split point reflects post-split traffic only. *)
       clear_samples t rid;
-      Obs.log_event t.obs ~node:lr.r_node ~range:rid
+      Events.log (Obs.events t.obs) ~node:lr.r_node ~range:rid
         ~attrs:[ ("at", at); ("right", string_of_int new_rid) ]
         Events.Split;
       note_range_count t;
@@ -990,8 +976,7 @@ let merge_range t rid =
                     Hashtbl.remove t.ranges_tbl right_rid;
                     rg.rg_span <- (s, re);
                     clear_samples t right_rid;
-                    Metrics.inc t.c_merges;
-                    Obs.log_event t.obs ~node:ll.r_node ~range:rid
+                    Events.log (Obs.events t.obs) ~node:ll.r_node ~range:rid
                       ~attrs:[ ("subsumed", string_of_int right_rid) ]
                       Events.Merge;
                     note_range_count t;
@@ -1113,9 +1098,8 @@ let rebalance_step t rid =
                     match Raft.add_peer raft replacement kind with
                     | None -> false
                     | Some _ ->
-                        Metrics.inc t.c_rebalances;
-                        Obs.log_event t.obs ~node:lr.r_node ~range:rid
-                          ~attrs:
+                        Events.log (Obs.events t.obs) ~node:lr.r_node
+                          ~range:rid ~attrs:
                             [
                               ("victim", string_of_int victim);
                               ("replacement", string_of_int replacement);
@@ -1651,7 +1635,7 @@ let recover_txn t ~gateway ?span ?(phases = Phase.nil) ~txn ~anchor_key ~ts
   Phase.add phases Phase.Recovery (Sim.now t.sim - t0);
   (match out with
   | Some commit ->
-      Obs.log_event t.obs ~node:gateway ~txn
+      Events.log (Obs.events t.obs) ~node:gateway ~txn
         ~attrs:
           [ ("result", match commit with Some _ -> "committed" | None -> "aborted") ]
         Events.Txn_recovered
@@ -1846,9 +1830,8 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
                 | Push_wait -> loop ()
                 | Push_wound _reason ->
                     progressed ();
-                    Metrics.inc t.c_wound.(r.r_node);
-                    Obs.log_event t.obs ~node:r.r_node ~range:r.r_range.rg_id
-                      ~txn:blocker
+                    Events.log (Obs.events t.obs) ~node:r.r_node
+                      ~range:r.r_range.rg_id ~txn:blocker
                       ~attrs:
                         [
                           ("blocker", string_of_int blocker);
@@ -1865,7 +1848,7 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
                     progressed ();
                     (match commit with
                     | None ->
-                        Obs.log_event t.obs ~node:r.r_node
+                        Events.log (Obs.events t.obs) ~node:r.r_node
                           ~range:r.r_range.rg_id ~txn:blocker
                           ~attrs:[ ("key", key) ]
                           Events.Abandoned_cleanup
@@ -2600,7 +2583,7 @@ let stage_txn t ?span ?phases ~gateway ~txn ~key ~pri ~ts ~inflight () =
   in
   (match st with
   | Some (Txnrec.Staging _) ->
-      Obs.log_event t.obs ~node:gateway ~txn
+      Events.log (Obs.events t.obs) ~node:gateway ~txn
         ~attrs:[ ("inflight", string_of_int (List.length inflight)) ]
         Events.Txn_staged
   | Some _ | None -> ());

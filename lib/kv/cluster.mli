@@ -117,8 +117,8 @@ val net : t -> Crdb_net.Transport.t
 
 val obs : t -> Crdb_obs.Obs.t
 (** The cluster-wide observability context: [kv.*], [raft.*] and [net.*]
-    metrics accumulate here unconditionally; enable tracing via
-    [Crdb_obs.Obs.enable_tracing] to also record spans. *)
+    metrics and cluster events accumulate here unconditionally; enable
+    tracing via [Crdb_obs.Trace.enable] to also record spans. *)
 
 val topology : t -> Crdb_net.Topology.t
 val config : t -> config

@@ -114,17 +114,9 @@ let send t ~src ~dst fn =
         (* Re-check at delivery time: the destination may have died, or a
            partition may have formed, while the message was in flight. *)
         if is_alive t dst && not (partitioned t src dst) then fn ()
-        else begin
-          Metrics.inc t.c_dropped.(src);
-          Trace.event (Obs.trace t.obs) ~node:src "net.drop"
-            ~attrs:[ ("dst", string_of_int dst); ("at", "delivery") ]
-        end)
+        else Metrics.inc t.c_dropped.(src))
   end
-  else begin
-    Metrics.inc t.c_dropped.(src);
-    Trace.event (Obs.trace t.obs) ~node:src "net.drop"
-      ~attrs:[ ("dst", string_of_int dst); ("at", "send") ]
-  end
+  else Metrics.inc t.c_dropped.(src)
 
 let rpc ?span ?(phases = Crdb_obs.Phase.nil) t ~src ~dst handler =
   Metrics.inc t.c_rpcs.(src);

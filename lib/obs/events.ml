@@ -76,18 +76,6 @@ let pp_timeline ppf t =
   if evs = [] then Format.fprintf ppf "(no events)@."
   else List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) evs
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "[";
@@ -112,7 +100,8 @@ let to_json t =
           (fun j (k, v) ->
             if j > 0 then Buffer.add_string buf ",";
             Buffer.add_string buf
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+              (Printf.sprintf "\"%s\":\"%s\"" (Trace.json_escape k)
+                 (Trace.json_escape v)))
           e.attrs;
         Buffer.add_string buf "}"
       end;

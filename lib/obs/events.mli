@@ -4,8 +4,9 @@
     with simulated time and scoped to a node/range/transaction.
 
     Where the {!Trace} layer answers "where did this request's time go",
-    this log answers "what did the cluster do and when" — and unlike trace
-    events it is always on, typed, and cheap to query. Events are appended
+    this log answers "what did the cluster do and when": it is the only
+    record of these events, always on, typed, and cheap to query (count
+    them with {!count} rather than a parallel counter). Events are appended
     in simulated-time order, so the timeline and JSON renderings are
     deterministic per seed. *)
 

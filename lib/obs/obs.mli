@@ -1,7 +1,10 @@
 (** The observability context: one {!Trace} recorder, one {!Metrics}
     registry, one structured {!Events} log and one windowed {!Timeseries}
     store, created by the cluster and threaded through the transport, Raft,
-    KV, and transaction layers. *)
+    KV, and transaction layers. Each fact lives in one store: spans in the
+    trace (switch it on with [Trace.enable (Obs.trace obs)]), discrete
+    cluster events in the event log, and counts the log cannot give in the
+    metrics registry. *)
 
 type t
 
@@ -14,19 +17,6 @@ val trace : t -> Trace.t
 val metrics : t -> Metrics.t
 val events : t -> Events.t
 val timeseries : t -> Timeseries.t
-val enable_tracing : t -> unit
-
-val log_event :
-  t ->
-  ?node:int ->
-  ?range:int ->
-  ?txn:int ->
-  ?attrs:(string * string) list ->
-  Events.kind ->
-  unit
-(** Append to the structured event log, and mirror the event into the trace
-    (under the historical instant-event name, e.g. [kv.split]) when tracing
-    is enabled. *)
 
 val null : t
 (** Shared default context for components built without one: counters work

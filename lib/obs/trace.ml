@@ -1,13 +1,11 @@
 module Vec = Crdb_stdx.Vec
 
-type kind = K_span of { dur : int } | K_instant
-
 type record = {
   rec_id : int;
   rec_parent : int option;
   rec_name : string;
   rec_ts : int;
-  rec_kind : kind;
+  rec_dur : int;
   rec_node : int option;
   rec_range : int option;
   rec_txn : int option;
@@ -85,31 +83,13 @@ let finish t sp =
             rec_parent = s.sp_parent;
             rec_name = s.sp_name;
             rec_ts = s.sp_start;
-            rec_kind = K_span { dur = t.now () - s.sp_start };
+            rec_dur = t.now () - s.sp_start;
             rec_node = s.sp_node;
             rec_range = s.sp_range;
             rec_txn = s.sp_txn;
             rec_attrs = List.rev s.sp_attrs;
           }
       end
-
-let event t ?parent ?node ?range ?txn ?(attrs = []) name =
-  if t.enabled then begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    Vec.push t.records
-      {
-        rec_id = id;
-        rec_parent = (match parent with Some p -> span_id p | None -> None);
-        rec_name = name;
-        rec_ts = t.now ();
-        rec_kind = K_instant;
-        rec_node = node;
-        rec_range = range;
-        rec_txn = txn;
-        rec_attrs = attrs;
-      }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -150,9 +130,9 @@ let record_args buf r =
   Buffer.add_string buf "}"
 
 (* Chrome trace-event format (loadable in about://tracing and Perfetto):
-   spans are "X" complete events, instants are "i" events. The pid carries
-   the node id so each node renders as its own process track; the tid
-   carries the transaction id when one is attached. *)
+   every span is an "X" complete event. The pid carries the node id so each
+   node renders as its own process track; the tid carries the transaction
+   id when one is attached. *)
 let to_chrome_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -164,10 +144,7 @@ let to_chrome_json t =
       Buffer.add_string buf "\n{";
       Buffer.add_string buf
         (Printf.sprintf "\"name\":\"%s\",\"cat\":\"crdb\"" (json_escape r.rec_name));
-      (match r.rec_kind with
-      | K_span { dur } ->
-          Buffer.add_string buf (Printf.sprintf ",\"ph\":\"X\",\"dur\":%d" dur)
-      | K_instant -> Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"t\"");
+      Buffer.add_string buf (Printf.sprintf ",\"ph\":\"X\",\"dur\":%d" r.rec_dur);
       Buffer.add_string buf (Printf.sprintf ",\"ts\":%d" r.rec_ts);
       Buffer.add_string buf
         (Printf.sprintf ",\"pid\":%d"
@@ -212,17 +189,11 @@ let pp_tree ppf t =
   in
   let rec pp_rec depth r =
     let indent = String.make (2 * depth) ' ' in
-    (match r.rec_kind with
-    | K_span { dur } ->
-        Format.fprintf ppf "%s%s%s [%d +%dus]@." indent r.rec_name (scope r)
-          r.rec_ts dur
-    | K_instant ->
-        Format.fprintf ppf "%s%s%s [%d]@." indent r.rec_name (scope r) r.rec_ts);
+    Format.fprintf ppf "%s%s%s [%d +%dus]@." indent r.rec_name (scope r)
+      r.rec_ts r.rec_dur;
     List.iter
-      (fun (k, v) ->
-        Format.fprintf ppf "%s  · %s=%s@." (String.make (2 * depth) ' ') k v)
+      (fun (k, v) -> Format.fprintf ppf "%s  · %s=%s@." indent k v)
       r.rec_attrs;
-    ignore indent;
     match Hashtbl.find_opt children r.rec_id with
     | Some l -> List.iter (pp_rec (depth + 1)) (List.rev !l)
     | None -> ()

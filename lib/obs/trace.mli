@@ -1,10 +1,11 @@
 (** Deterministic hierarchical tracing keyed to simulated time.
 
-    Spans and instant events are recorded at the resolution of the supplied
-    [now] clock (the discrete-event simulator's microsecond counter), so two
-    runs of the same seed produce byte-identical exports — traces double as
-    regression artifacts. Recording is off by default and costs one branch
-    per call site when disabled. *)
+    Spans are recorded at the resolution of the supplied [now] clock (the
+    discrete-event simulator's microsecond counter), so two runs of the same
+    seed produce byte-identical exports — traces double as regression
+    artifacts. Recording is off by default and costs one branch
+    per call site when disabled. The trace holds spans only: discrete cluster
+    events (splits, lease moves, faults) live in {!Events}. *)
 
 type t
 
@@ -34,17 +35,6 @@ val finish : t -> span -> unit
 val annotate : span -> string -> string -> unit
 (** Attach a key/value attribute to an open span. *)
 
-val event :
-  t ->
-  ?parent:span ->
-  ?node:int ->
-  ?range:int ->
-  ?txn:int ->
-  ?attrs:(string * string) list ->
-  string ->
-  unit
-(** Record an instantaneous event. *)
-
 val span_id : span -> int option
 val clear : t -> unit
 val num_records : t -> int
@@ -53,6 +43,11 @@ val to_chrome_json : t -> string
 (** Chrome trace-event JSON ([{"traceEvents": [...]}]); load the file in
     about://tracing or {{:https://ui.perfetto.dev}Perfetto}. Nodes appear as
     processes (pid), transactions as threads (tid). *)
+
+val json_escape : string -> string
+(** Escape a string for the body of a JSON string literal: quote, backslash,
+    newline and tab get their short escapes, other control characters
+    [\u00XX]. Shared with {!Events.to_json} and the bench's results writer. *)
 
 val pp_tree : Format.formatter -> t -> unit
 (** Compact indented text rendering of the span forest. *)

@@ -308,8 +308,6 @@ and become_leader t =
   Trace.annotate t.election_span "won" "true";
   Trace.finish (Obs.trace t.obs) t.election_span;
   t.election_span <- Trace.nil;
-  Trace.event (Obs.trace t.obs) ~node:t.id ?range:t.range "raft.leader_elected"
-    ~attrs:[ ("term", string_of_int t.term) ];
   t.pending_transfer <- None;
   t.leader <- Some t.id;
   t.quiesced <- false;
@@ -519,8 +517,6 @@ and step_down t new_term =
   t.election_span <- Trace.nil;
   if was_leader then begin
     Metrics.inc t.c_stepdowns;
-    Trace.event (Obs.trace t.obs) ~node:t.id ?range:t.range "raft.step_down"
-      ~attrs:[ ("term", string_of_int new_term) ];
     cancel_timer t.heartbeat_timer;
     t.heartbeat_timer <- None;
     t.cb.on_role Follower

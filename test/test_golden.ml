@@ -15,6 +15,7 @@ module Txn = Crdb_txn.Txn
 module Obs = Crdb_obs.Obs
 module Trace = Crdb_obs.Trace
 module Metrics = Crdb_obs.Metrics
+module Events = Crdb_obs.Events
 module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
@@ -45,7 +46,7 @@ let scenario ?(opts = Txn.Options.default) () =
       ()
   in
   let local = List.hd rids and global = List.nth rids 1 in
-  Obs.enable_tracing (Cluster.obs cl);
+  Trace.enable (Obs.trace (Cluster.obs cl));
   let mgr = Txn.create_manager cl in
   Txn.set_options mgr opts;
   let sim = Cluster.sim cl in
@@ -111,7 +112,8 @@ let scenario ?(opts = Txn.Options.default) () =
       List.iter (fun r -> expect_ok (Proc.await r)) [ a; b ]);
   let obs = Cluster.obs cl in
   let total name = Metrics.total (Obs.metrics obs) name in
-  check Alcotest.bool "the conflict wounded" true (total "kv.txn_wounds" > 0);
+  check Alcotest.bool "the conflict wounded" true
+    (Events.count (Obs.events obs) Events.Wound > 0);
   check Alcotest.bool "a follower read hit" true
     (total "kv.follower_read_hits" > 0);
   check Alcotest.int "split happened" 3 (List.length (Cluster.ranges cl));
@@ -119,20 +121,20 @@ let scenario ?(opts = Txn.Options.default) () =
 
 let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
-    "d4201dbff71c187a5babb5e148faad7b" (scenario ())
+    "f07b2f32ea10dbfd3eca6f5ece5da4f5" (scenario ())
 
 (* The same scenario on the two commit paths the default options skip:
    sequential commits with and without write pipelining. *)
 let test_sequential_digest () =
   check Alcotest.string "metrics + trace digest"
-    "447566f15d92ff7f2014ee256c1e73e4"
+    "0baed1d9793122f7a79810eaa898b3f5"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = false; parallel_commits = false }
        ())
 
 let test_pipelined_digest () =
   check Alcotest.string "metrics + trace digest"
-    "ac45ebeb4c249f0c814ebdd273b081ec"
+    "4f8faf52988216f3e5ba41ec6c68b718"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
        ())
@@ -149,7 +151,7 @@ let heartbeat_scenario () =
       ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
       ()
   in
-  Obs.enable_tracing (Cluster.obs cl);
+  Trace.enable (Obs.trace (Cluster.obs cl));
   let mgr = Txn.create_manager cl in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
@@ -175,12 +177,13 @@ let heartbeat_scenario () =
   let total name = Metrics.total (Obs.metrics obs) name in
   check Alcotest.(list string) "one attempt each" [ "young"; "old" ] !attempts;
   check Alcotest.bool "the pusher pushed" true (total "kv.txn_pushes" > 0);
-  check Alcotest.int "nobody wounded" 0 (total "kv.txn_wounds");
+  check Alcotest.int "nobody wounded" 0
+    (Events.count (Obs.events obs) Events.Wound);
   digest obs
 
 let test_heartbeat_digest () =
   check Alcotest.string "metrics + trace digest"
-    "521b7984763f5fbca896aabb37aad462" (heartbeat_scenario ())
+    "f16120dac51842cb70050ca1ffe189c7" (heartbeat_scenario ())
 
 let suite =
   [

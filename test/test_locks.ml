@@ -15,6 +15,7 @@ module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
+module Events = Crdb_obs.Events
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -325,7 +326,7 @@ let test_upgrade_deadlock_wound_wait () =
      record and cleans its shared grip); the younger's attempt then dies on
      the commit-time refresh, so the coordinator counts a restart. *)
   check Alcotest.bool "the younger was wounded" true
-    (Metrics.total (Obs.metrics (Cluster.obs cl)) "kv.txn_wounds" >= 1);
+    (Events.count (Obs.events (Cluster.obs cl)) Events.Wound >= 1);
   check Alcotest.bool "the loser restarted and recommitted" true
     ((Txn.stats mgr).Txn.restarts >= 1);
   no_conflict_timeouts cl

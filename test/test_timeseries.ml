@@ -166,7 +166,7 @@ let test_events_log () =
   let ev = Events.create ~now:(fun () -> !now) () in
   Events.log ev ~node:1 ~range:4 ~attrs:[ ("at", "k08") ] Events.Split;
   now := 2_000_000;
-  Events.log ev ~node:2 ~txn:9 Events.Wound;
+  Events.log ev ~node:2 ~txn:9 ~attrs:[ ("key", "a\tb\x01") ] Events.Wound;
   now := 3_000_000;
   Events.log ev Events.Fault ~attrs:[ ("fault", "kill_node(3)") ];
   check Alcotest.int "length" 3 (Events.length ev);
@@ -186,6 +186,8 @@ let test_events_log () =
   let json = Events.to_json ev in
   check Alcotest.bool "json has kinds" true
     (contains ~needle:"\"kind\":\"wound\"" json);
+  check Alcotest.bool "json escapes control characters" true
+    (contains ~needle:"\"key\":\"a\\tb\\u0001\"" json);
   Events.clear ev;
   check Alcotest.int "clear" 0 (Events.length ev)
 
@@ -246,6 +248,8 @@ let run_workload () =
   let topo = Cluster.topology cl in
   let gw = Topology.gateway topo ~region:home () in
   let remote_gw = Topology.gateway topo ~region:"europe-west2" () in
+  (* Traced, so the catalog test sees every span name the workload emits. *)
+  Trace.enable (Obs.trace (Cluster.obs cl));
   Cluster.run cl (fun () ->
       for i = 0 to 3 do
         match
@@ -420,7 +424,30 @@ let test_catalog_covers_registry () =
       Events.Merge_queued;
       Events.Lease_moved;
       Events.Queue_skipped;
-    ]
+      Events.Txn_staged;
+      Events.Txn_recovered;
+    ];
+  (* Every span name in the workload's trace has a row in the spans table. *)
+  let prefix = "{\"name\":\"" in
+  let span_name line =
+    if String.starts_with ~prefix line then
+      let n = String.length prefix in
+      Some (String.sub line n (String.index_from line n '"' - n))
+    else None
+  in
+  let span_names =
+    Trace.to_chrome_json (Obs.trace (Cluster.obs cl))
+    |> String.split_on_char '\n'
+    |> List.filter_map span_name
+    |> List.sort_uniq String.compare
+  in
+  check Alcotest.bool "the workload traced spans" true (span_names <> []);
+  check
+    Alcotest.(list string)
+    "every span name is documented in docs/METRICS.md" []
+    (List.filter
+       (fun name -> not (contains ~needle:(Printf.sprintf "`%s`" name) doc))
+       span_names)
 
 let suite =
   [

@@ -16,6 +16,7 @@ module Txnrec = Crdb_kv.Txnrec
 module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
+module Events = Crdb_obs.Events
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -246,7 +247,7 @@ let test_staging_not_wounded () =
       Proc.sleep sim 1_000_000;
       check Alcotest.bool "older got through after commit" true !old_done);
   check Alcotest.int "no wounds" 0
-    (Metrics.total (Obs.metrics (Cluster.obs cl)) "kv.txn_wounds");
+    (Events.count (Obs.events (Cluster.obs cl)) Events.Wound);
   no_conflict_timeouts cl
 
 (* Gateway dies between staging and the final intent's replication, but
