@@ -522,7 +522,7 @@ let run_conflicts () =
     let cl, rids =
       Crdb.kv_cluster ~config:{ Cluster.default with push_delay }
         ~regions:regions3 ~home ~survival:Crdb.Zoneconfig.Zone
-        ~ranges:[ (("hot", "hot~"), Cluster.Lag 3_000_000) ]
+        ~ranges:[ (("hot", "hot~"), Cluster.Lag Cluster.close_lag) ]
         ()
     in
     let rid = List.hd rids in
@@ -579,7 +579,7 @@ let run_conflicts () =
       (Crdb.Metrics.total m "kv.conflict_timeouts")
   in
   run_one ~label:"timeout-only baseline (pushes disabled)"
-    ~push_delay:Cluster.default.Cluster.conflict_wait_timeout;
+    ~push_delay:Cluster.conflict_wait_timeout;
   run_one ~label:"wound-wait (100ms push delay)"
     ~push_delay:Cluster.default.Cluster.push_delay
 
@@ -600,7 +600,7 @@ let run_latency_audit () =
     Crdb.kv_cluster ~regions:regions5 ~home ~survival:Crdb.Zoneconfig.Zone
       ~ranges:
         [
-          (("reg", "reg~"), Cluster.Lag 3_000_000);
+          (("reg", "reg~"), Cluster.Lag Cluster.close_lag);
           (("glob", "glob~"), Cluster.Lead);
         ]
       ()
@@ -730,8 +730,8 @@ let run_commit_path () =
       Crdb.kv_cluster ~regions:regions3 ~home ~survival:Crdb.Zoneconfig.Region
         ~ranges:
           [
-            (("a", "a~"), Cluster.Lag 3_000_000);
-            (("b", "b~"), Cluster.Lag 3_000_000);
+            (("a", "a~"), Cluster.Lag Cluster.close_lag);
+            (("b", "b~"), Cluster.Lag Cluster.close_lag);
           ]
         ()
     in

@@ -235,6 +235,20 @@ let survival_conv =
       fun ppf v ->
         Format.pp_print_string ppf (Crdb.Zoneconfig.survival_to_string v) )
 
+(* An integer option bounded to [lo, hi]; out-of-range values are usage
+   errors, not crashes deep inside the run. *)
+let int_in ~lo ?(hi = max_int) () =
+  let expected =
+    if hi = max_int then Printf.sprintf "an integer >= %d" lo
+    else Printf.sprintf "an integer in %d..%d" lo hi
+  in
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo && n <= hi -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))),
+      Format.pp_print_int )
+
 let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
     ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys
     ~write_ratio ~accounts ~broken ~checker ~txn ~max_conflict_timeouts
@@ -249,7 +263,6 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
   let txn_clients = txn.Chaos_workload.Txn_config.clients in
   let workload =
     {
-      Chaos_workload.default with
       Chaos_workload.seed;
       clients_per_region = clients;
       ops_per_client = ops;
@@ -264,14 +277,13 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
       Harness.default with
       Harness.regions = nregions;
       survival;
-      policy = (if global then Crdb.Cluster.Lead else Crdb.Cluster.Lag 3_000_000);
+      policy = (if global then Crdb.Cluster.Lead else Crdb.Cluster.Lag Crdb.Cluster.close_lag);
       cluster_seed = seed;
       nemesis_seed = seed;
       duration = duration * 1_000_000;
       nemesis =
         Some
           {
-            Nemesis.default_random with
             Nemesis.kinds = faults;
             mean_interval = fault_interval * 1_000;
             mean_duration = fault_duration * 1_000;
@@ -385,7 +397,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
   end;
   Harness.passed o && timeouts_ok && autopilot_ok
 
-let run_chaos seed seeds nregions survival global duration faults fault_interval
+let run_chaos seed seeds (nregions, survival) global duration faults fault_interval
     fault_duration no_quorum_guard clients ops keys write_ratio accounts
     broken checker txn_clients txn_ops txn_keys txn_ranges txn_hot_keys
     max_conflict_timeouts autopilot min_auto_splits dump_history show_history
@@ -423,11 +435,26 @@ let run_chaos seed seeds nregions survival global duration faults fault_interval
 
 let chaos_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base seed (cluster, nemesis and workload)") in
-  let seeds = Arg.(value & opt int 1 & info [ "seeds" ] ~doc:"Number of consecutive seeds to run") in
-  let nregions = Arg.(value & opt int 3 & info [ "regions" ] ~doc:"Regions (2-5)") in
+  let seeds =
+    Arg.(value & opt (int_in ~lo:1 ()) 1
+         & info [ "seeds" ] ~doc:"Number of consecutive seeds to run (at least 1)")
+  in
+  let nregions =
+    Arg.(value & opt (int_in ~lo:2 ~hi:(List.length regions5) ()) 3
+         & info [ "regions" ] ~doc:"Regions (2-5; at least 3 with --survival region)")
+  in
   let survival =
     Arg.(value & opt survival_conv Crdb.Zoneconfig.Region
          & info [ "survival" ] ~doc:"Survivability goal: zone|region")
+  in
+  (* Surviving a region failure needs a third region to hold the quorum. *)
+  let placement =
+    let check n survival =
+      if survival = Crdb.Zoneconfig.Region && n < 3 then
+        Error (`Msg "--survival region needs --regions 3 or more")
+      else Ok (n, survival)
+    in
+    Term.(term_result ~usage:true (const check $ nregions $ survival))
   in
   let global = Arg.(value & flag & info [ "global" ] ~doc:"GLOBAL tables (future-time closed timestamps)") in
   let duration = Arg.(value & opt int 20 & info [ "duration" ] ~doc:"Nemesis window, simulated seconds") in
@@ -555,7 +582,7 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Run a deterministic nemesis schedule with Jepsen-style history checking")
     Term.(
-      const run_chaos $ seed $ seeds $ nregions $ survival $ global $ duration
+      const run_chaos $ seed $ seeds $ placement $ global $ duration
       $ faults $ fault_interval $ fault_duration $ no_quorum_guard $ clients
       $ ops $ keys $ write_ratio $ accounts $ broken $ checker
       $ txn_clients $ txn_ops $ txn_keys $ txn_ranges $ txn_hot_keys
@@ -603,26 +630,17 @@ let check_cmd =
 
 (* ---------------- ddl ---------------- *)
 
-let run_ddl schema op =
+let run_ddl schema movr_op =
   let regions = [ "us-east1"; "us-west1"; "europe-west2" ] in
-  let movr_op =
-    match op with
-    | "new" -> Movr.New_schema
-    | "convert" -> Movr.Convert_schema
-    | "add" -> Movr.Add_region "asia-northeast1"
-    | "drop" -> Movr.Drop_region "europe-west2"
-    | other -> failwith ("unknown op " ^ other)
-  in
   let stmts, legacy =
     match schema with
-    | "movr" ->
+    | `Movr ->
         ( Movr.ddl ~db:"movr" ~regions movr_op,
           Movr.legacy_ddl ~db:"movr" ~regions movr_op )
-    | "tpcc" ->
+    | `Tpcc ->
         let tables = Tpcc.tables ~regions ~warehouses_per_region:10 in
         ( Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region:10,
           Crdb.Legacy.statements ~db:"tpcc" ~regions ~tables movr_op )
-    | other -> failwith ("unknown schema " ^ other)
   in
   Format.printf "--- new declarative syntax (%d statements) ---@."
     (List.length stmts);
@@ -632,8 +650,21 @@ let run_ddl schema op =
   List.iter (fun s -> Format.printf "%s;@." (Ddl.to_sql s)) legacy
 
 let ddl_cmd =
-  let schema = Arg.(value & opt string "movr" & info [ "schema" ] ~doc:"movr|tpcc") in
-  let op = Arg.(value & opt string "new" & info [ "op" ] ~doc:"new|convert|add|drop") in
+  let schema =
+    Arg.(value & opt (enum [ ("movr", `Movr); ("tpcc", `Tpcc) ]) `Movr
+         & info [ "schema" ] ~doc:"movr|tpcc")
+  in
+  let op =
+    Arg.(value
+         & opt
+             (enum
+                [ ("new", Movr.New_schema);
+                  ("convert", Movr.Convert_schema);
+                  ("add", Movr.Add_region "asia-northeast1");
+                  ("drop", Movr.Drop_region "europe-west2") ])
+             Movr.New_schema
+         & info [ "op" ] ~doc:"new|convert|add|drop")
+  in
   Cmd.v (Cmd.info "ddl" ~doc:"Print DDL statement lists (Table 2)")
     Term.(const run_ddl $ schema $ op)
 
@@ -668,7 +699,7 @@ let run_splits target_ranges n_keys ops trace metrics =
   in
   ignore
     (Cluster.add_range cl ~span:("user", "user~") ~zone
-       ~policy:(Cluster.Lag 3_000_000));
+       ~policy:(Cluster.Lag Cluster.close_lag));
   Cluster.settle cl;
   let key i = Printf.sprintf "user%04d" i in
   Cluster.bulk_load cl (List.init n_keys (fun i -> (key i, "v" ^ string_of_int i)));
@@ -781,7 +812,7 @@ let run_report seed out dump_ts =
   let cl, rids =
     Crdb.kv_cluster ~regions ~home ~survival:Crdb.Zoneconfig.Zone
       ~ranges:
-        [ (("k", "k~"), Cluster.Lag 3_000_000); (("g", "g~"), Cluster.Lead) ]
+        [ (("k", "k~"), Cluster.Lag Cluster.close_lag); (("g", "g~"), Cluster.Lead) ]
       ()
   in
   let reg = List.hd rids in

@@ -10,6 +10,22 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+# Argument gate: out-of-range or unknown option values must be rejected
+# as cmdliner usage errors (exit 124) before anything runs, never crash
+# with an internal error (exit 125) or silently run something else.
+echo "== bad arguments are usage errors"
+for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
+  "chaos --seeds 0" "ddl --op bogus" "ddl --schema bogus"; do
+  status=0
+  # shellcheck disable=SC2086 # the arguments are meant to split
+  out=$(dune exec bin/crdb_sim.exe -- $args 2>&1) || status=$?
+  if [ "$status" != 124 ] || echo "$out" | grep -qi "internal error"; then
+    echo "$out"
+    echo "crdb_sim $args: expected a usage error (exit 124), got exit $status"
+    exit 1
+  fi
+done
+
 # Bounded chaos gate: a fixed window of seeded random-nemesis runs whose
 # histories must check out (linearizable registers, conserved bank).
 # Deterministic — a failure here reproduces exactly with the printed seed:
@@ -17,6 +33,12 @@ dune runtest
 echo "== chaos gate (seeds 101-104)"
 dune exec bin/crdb_sim.exe -- chaos --seed 101 --seeds 4 --survival region
 dune exec bin/crdb_sim.exe -- chaos --seed 101 --seeds 2 --survival zone
+
+# GLOBAL-table gate: the same seeds over Lead-policy ranges, whose closed
+# timestamps run ahead of real time, under the default fault mix (clock
+# jumps included). Reads must stay linearizable and the bank conserved.
+echo "== GLOBAL-table chaos gate (seeds 101-104)"
+dune exec bin/crdb_sim.exe -- chaos --seed 101 --seeds 4 --survival region --global
 
 # Range-lifecycle gate: splits, merges and rebalances race node kills and
 # lease transfers under the same checkers. Exits nonzero on any violation.

@@ -11,7 +11,7 @@ module Timeseries = Crdb_obs.Timeseries
    runs one recurring scan over the ranges it currently leads:
 
    - the split queue fires when a range's windowed QPS or live size crosses
-     the configured thresholds, splitting at the load-based split point
+     its threshold, splitting at the load-based split point
      (the weighted median of recently sampled request keys);
    - the merge queue subsumes a cold right neighbor when the combined pair
      sits well under the split thresholds (the byte ceiling is a fraction
@@ -26,6 +26,34 @@ module Timeseries = Crdb_obs.Timeseries
    killed node, a vanished leaseholder or a range dropped mid-scan can
    never wedge a queue: every lifecycle call degrades to a no-op. *)
 
+type config = {
+  scan_interval : int;
+  split_qps : float;
+  merge_bytes : int;
+  cooldown : int;
+}
+
+let default =
+  {
+    scan_interval = 500_000;
+    (* The split queue cuts at the traffic-weighted median, so a good split
+       halves the range's QPS. Keep the trigger well under half of a typical
+       hot range's load: at 50.0 any range between 50 and 100 QPS lands in a
+       dead zone after one balanced split — both halves hot, neither over
+       the bar — and reshaping stops one split early. *)
+    split_qps = 20.0;
+    merge_bytes = 128_000;
+    cooldown = 3_000_000;
+  }
+
+(* Live size above which a range splits; combined QPS below which an
+   adjacent pair may merge. *)
+let split_bytes = 512_000
+let merge_qps = 1.0
+
+(* Fraction by which a lease move must reduce the donor's load. *)
+let min_improvement = 0.25
+
 type stats = {
   mutable auto_splits : int;
   mutable auto_merges : int;
@@ -36,6 +64,7 @@ type stats = {
 
 type t = {
   cl : Cluster.t;
+  cfg : config;
   mutable running : bool;
   last_action : (Cluster.range_id, int) Hashtbl.t;
   stats : stats;
@@ -53,7 +82,7 @@ let qps t rid =
 
 let in_cooldown t now rid =
   match Hashtbl.find_opt t.last_action rid with
-  | Some last -> now - last < (Cluster.config t.cl).Cluster.autopilot_cooldown
+  | Some last -> now - last < t.cfg.cooldown
   | None -> false
 
 let arm_cooldown t now rid = Hashtbl.replace t.last_action rid now
@@ -69,12 +98,11 @@ let f1 v = Printf.sprintf "%.1f" v
 (* Split queue: hot (QPS) or large (bytes) ranges split at the point that
    halves recent traffic. *)
 let split_check t ~node ~now rid =
-  let cfg = Cluster.config t.cl in
   let q = qps t rid in
   let bytes = Option.value ~default:0 (Cluster.live_bytes t.cl rid) in
   let reason =
-    if q > cfg.Cluster.autopilot_split_qps then Some "qps"
-    else if bytes > cfg.Cluster.autopilot_split_bytes then Some "bytes"
+    if q > t.cfg.split_qps then Some "qps"
+    else if bytes > split_bytes then Some "bytes"
     else None
   in
   match reason with
@@ -103,7 +131,6 @@ let split_check t ~node ~now rid =
    and small. [Cluster.merge_range] itself rejects mismatched configs or a
    dead right leaseholder, so only the load policy lives here. *)
 let merge_check t ~node ~now rid =
-  let cfg = Cluster.config t.cl in
   let _, e = Cluster.span_of t.cl rid in
   let right =
     List.find_opt
@@ -120,8 +147,7 @@ let merge_check t ~node ~now rid =
       in
       if
         not
-          (combined_qps < cfg.Cluster.autopilot_merge_qps
-          && combined_bytes < cfg.Cluster.autopilot_merge_bytes)
+          (combined_qps < merge_qps && combined_bytes < t.cfg.merge_bytes)
       then false
       else if in_cooldown t now rid || in_cooldown t now right_rid then begin
         skip t ~node ~rid ~queue:"merge";
@@ -140,12 +166,11 @@ let merge_check t ~node ~now rid =
 
 (* Lease queue: hand the lease to the least-loaded live voter of the best
    preference rank. A move must clear two bars — it fixes a preference
-   violation, or it reduces this store's leaseholder load by the configured
-   fraction AND by more than the range's own load (so the recipient cannot
-   end up worse than the donor was: no ping-pong). *)
+   violation, or it reduces this store's leaseholder load by
+   [min_improvement] AND by more than the range's own load (so the
+   recipient cannot end up worse than the donor was: no ping-pong). *)
 let lease_check t ~node ~now ~load rid =
   let cl = t.cl in
-  let cfg = Cluster.config cl in
   let topology = Cluster.topology cl in
   let zone = Cluster.zone_of cl rid in
   let int_load id = int_of_float (1000.0 *. load id) in
@@ -163,8 +188,7 @@ let lease_check t ~node ~now ~load rid =
       let l = load node and tl = load tgt and q = qps t rid in
       let due =
         rank tgt < rank node
-        || l -. tl > cfg.Cluster.autopilot_min_improvement *. l
-           && l -. tl > q
+        || (l -. tl > min_improvement *. l && l -. tl > q)
       in
       if not due then None
       else if in_cooldown t now rid then begin
@@ -240,15 +264,15 @@ let rec tick t node =
   if t.running then begin
     let cl = t.cl in
     if Transport.is_alive (Cluster.net cl) node then scan_store t node;
-    Sim.schedule (Cluster.sim cl)
-      ~after:(Cluster.config cl).Cluster.autopilot_scan_interval
-      (fun () -> tick t node)
+    Sim.schedule (Cluster.sim cl) ~after:t.cfg.scan_interval (fun () ->
+        tick t node)
   end
 
-let start cl =
+let start ?(config = default) cl =
   let t =
     {
       cl;
+      cfg = config;
       running = true;
       last_action = Hashtbl.create 32;
       stats =
@@ -261,12 +285,11 @@ let start cl =
         };
     }
   in
-  let cfg = Cluster.config cl in
   let n = Crdb_net.Topology.num_nodes (Cluster.topology cl) in
   for node = 0 to n - 1 do
     (* Staggered like the closed-timestamp publishers so stores never
        scan in lockstep. *)
-    let offset = 1 + ((node * 7919) mod cfg.Cluster.autopilot_scan_interval) in
+    let offset = 1 + ((node * 7919) mod config.scan_interval) in
     Sim.schedule (Cluster.sim cl) ~after:offset (fun () -> tick t node)
   done;
   t

@@ -1,9 +1,9 @@
 (** One-call chaos runs: cluster + workload + nemesis + checkers.
 
-    The harness is what the [crdb_sim chaos] subcommand, the bench smoke
-    entry and the test suites share: build a Table-1 cluster, run the
-    register/bank workload with a nemesis schedule injected alongside it,
-    heal everything, append the post-chaos audit, and return both checker
+    The harness is what the [crdb_sim chaos] subcommand, [bench/perf]'s
+    chaos workload and the test suites share: build a Table-1 cluster, run
+    the register/bank workload with a nemesis schedule injected alongside
+    it, heal everything, append the post-chaos audit, and return both checker
     verdicts with the deterministic fault log. Identical [setup] values
     (seeds included) produce byte-identical fault logs and verdicts. *)
 

@@ -220,16 +220,17 @@ type random_config = {
   mean_interval : int;
   mean_duration : int;
   kinds : kind list;
-  max_clock_skew : int;
   enforce_quorum : bool;
 }
+
+(* Bound for [Clock_jump] draws: within the default 250 ms max offset. *)
+let max_clock_skew = 100_000
 
 let default_random =
   {
     mean_interval = 2_000_000;
     mean_duration = 4_000_000;
     kinds = all_kinds;
-    max_clock_skew = 100_000;
     enforce_quorum = true;
   }
 
@@ -295,7 +296,7 @@ let pick_fault t rng cfg kind =
       end
   | K_clock_jump ->
       let n = Rng.int rng (Topology.num_nodes topo) in
-      let skew = Rng.int rng ((2 * cfg.max_clock_skew) + 1) - cfg.max_clock_skew in
+      let skew = Rng.int rng ((2 * max_clock_skew) + 1) - max_clock_skew in
       Some (Clock_jump (n, skew), Some (Clock_jump (n, t.base_skews.(n))))
   | K_lease_transfer -> (
       match pick_list (Cluster.ranges cl) with

@@ -65,14 +65,14 @@ type random_config = {
   mean_interval : int;  (** µs between injections (uniform around mean) *)
   mean_duration : int;  (** µs a fault stays active before healing *)
   kinds : kind list;  (** enabled fault kinds *)
-  max_clock_skew : int;  (** bound for [Clock_jump] draws *)
   enforce_quorum : bool;  (** refuse kills that would cost a range its
                              live voter quorum *)
 }
 
 val default_random : random_config
-(** 2 s between faults, 4 s outages, every kind, ±100 ms jumps (within the
-    default 250 ms [max_offset]), quorum guard on. *)
+(** 2 s between faults, 4 s outages, every kind, quorum guard on. Clock
+    jumps are always drawn within ±100 ms (inside the default 250 ms
+    [max_offset]). *)
 
 val run_random :
   ?config:random_config -> Cluster.t -> seed:int -> duration:int -> unit -> t

@@ -26,12 +26,7 @@ type config = {
   ops_per_client : int;
   keys : int;
   write_ratio : float;
-  think_time : int;
-  max_attempts : int;
   accounts : int;
-  bank_clients : int;
-  bank_ops_per_client : int;
-  initial_balance : int;
   txn : Txn_config.t;
 }
 
@@ -42,25 +37,31 @@ let default =
     ops_per_client = 20;
     keys = 16;
     write_ratio = 0.5;
-    think_time = 150_000;
-    max_attempts = 3;
     accounts = 8;
-    bank_clients = 3;
-    bank_ops_per_client = 12;
-    initial_balance = 100;
     txn = Txn_config.default;
   }
+
+(* Mean µs between a client's operations. *)
+let think_time = 150_000
+
+(* Transaction retry budget under chaos. *)
+let max_attempts = 3
+
+(* The bank: clients, operations per client, opening balance per account. *)
+let bank_clients = 3
+let bank_ops_per_client = 12
+let initial_balance = 100
 
 let key_of i = Printf.sprintf "key%03d" i
 let account_of i = Printf.sprintf "acct%02d" i
 let txn_key_of i = Printf.sprintf "tk%02d" i
-let bank_total cfg = cfg.accounts * cfg.initial_balance
+let bank_total cfg = cfg.accounts * initial_balance
 
 (* One range for the registers and one for the bank accounts, replicated
    according to the survivability goal, leaseholder pinned to the first
    region. Registers start empty (the checker's initial value is [nil]);
    accounts are preloaded with the initial balance. *)
-let setup ?(policy = Cluster.Lag 3_000_000) cl ~survival cfg =
+let setup ?(policy = Cluster.Lag Cluster.close_lag) cl ~survival cfg =
   let regions = Topology.regions (Cluster.topology cl) in
   let home = List.hd regions in
   let zone = Zoneconfig.derive ~regions ~home ~survival ~placement:Zoneconfig.Default in
@@ -82,7 +83,7 @@ let setup ?(policy = Cluster.Lag 3_000_000) cl ~survival cfg =
   end;
   Cluster.settle cl;
   Cluster.bulk_load cl
-    (List.init cfg.accounts (fun i -> (account_of i, string_of_int cfg.initial_balance)))
+    (List.init cfg.accounts (fun i -> (account_of i, string_of_int initial_balance)))
 
 type result = {
   registers : History.t;
@@ -125,7 +126,7 @@ let register_client cl mgr cfg r ~client ~region rng zipf =
   let sim = Cluster.sim cl in
   let h = r.registers in
   for i = 0 to cfg.ops_per_client - 1 do
-    Proc.sleep sim ((cfg.think_time / 2) + Rng.int rng (max 1 cfg.think_time));
+    Proc.sleep sim ((think_time / 2) + Rng.int rng (max 1 think_time));
     let key = key_of (Rng.Zipf.scrambled_sample zipf rng mod cfg.keys) in
     let gateway = pick_gateway cl rng region in
     if Rng.float rng 1.0 < cfg.write_ratio then begin
@@ -135,7 +136,7 @@ let register_client cl mgr cfg r ~client ~region rng zipf =
       in
       let outcome =
         match
-          Txn.run mgr ~gateway ~max_attempts:cfg.max_attempts (fun tx ->
+          Txn.run mgr ~gateway ~max_attempts (fun tx ->
               Txn.put tx key value)
         with
         | Ok () -> History.Ok_write
@@ -160,7 +161,7 @@ let register_client cl mgr cfg r ~client ~region rng zipf =
           | exception Txn.Fatal m -> History.Failed ("fatal: " ^ m)
         else
           match
-            Txn.run_fresh_read mgr ~gateway ~max_attempts:cfg.max_attempts
+            Txn.run_fresh_read mgr ~gateway ~max_attempts
               (fun ro -> Txn.ro_get ro key)
           with
           | Ok v -> History.Ok_read v
@@ -178,14 +179,14 @@ let bank_client cl mgr cfg r ~client ~region rng =
   let sim = Cluster.sim cl in
   let h = r.bank in
   let accounts = List.init cfg.accounts account_of in
-  for i = 0 to cfg.bank_ops_per_client - 1 do
-    Proc.sleep sim ((cfg.think_time / 2) + Rng.int rng (max 1 cfg.think_time));
+  for i = 0 to bank_ops_per_client - 1 do
+    Proc.sleep sim ((think_time / 2) + Rng.int rng (max 1 think_time));
     let gateway = pick_gateway cl rng region in
     if i mod 4 = 3 then begin
       let e = History.invoke h ~client ~now:(Sim.now sim) History.Snapshot in
       let outcome =
         match
-          Txn.run_fresh_read mgr ~gateway ~max_attempts:cfg.max_attempts
+          Txn.run_fresh_read mgr ~gateway ~max_attempts
             (fun ro -> List.map (fun a -> (a, balance_of (Txn.ro_get ro a))) accounts)
         with
         | Ok rows -> History.Ok_snapshot rows
@@ -205,7 +206,7 @@ let bank_client cl mgr cfg r ~client ~region rng =
       in
       let outcome =
         match
-          Txn.run mgr ~gateway ~max_attempts:cfg.max_attempts (fun tx ->
+          Txn.run mgr ~gateway ~max_attempts (fun tx ->
               let b_src = balance_of (Txn.get tx (account_of src)) in
               let b_dst = balance_of (Txn.get tx (account_of dst)) in
               Txn.put tx (account_of src) (string_of_int (b_src - amount));
@@ -280,7 +281,7 @@ let txn_client cl mgr cfg r ~client ~region rng =
     List.map txn_key_of (fill [ second; first ] (nkeys - 2))
   in
   for _ = 0 to tc.Txn_config.ops_per_client - 1 do
-    Proc.sleep sim ((cfg.think_time / 2) + Rng.int rng (max 1 cfg.think_time));
+    Proc.sleep sim ((think_time / 2) + Rng.int rng (max 1 think_time));
     let gateway = pick_gateway cl rng region in
     let keys =
       if tc.Txn_config.hot_keys >= 2 then pick_hot_keys () else pick_keys ()
@@ -291,7 +292,7 @@ let txn_client cl mgr cfg r ~client ~region rng =
     let ops = ref [] in
     let began = ref 0 in
     let outcome =
-      Txn.run mgr ~gateway ~max_attempts:cfg.max_attempts
+      Txn.run mgr ~gateway ~max_attempts
         ~on_attempt:(fun t o ->
           History.record_txn h ~tid:(Txn.txn_id t) ~client ~began:!began
             ~ended:(Sim.now sim) ~ops:(List.rev !ops)
@@ -351,7 +352,7 @@ let run cl mgr cfg =
           :: !procs
       done)
     regions;
-  for b = 0 to (if cfg.accounts > 1 then cfg.bank_clients else 0) - 1 do
+  for b = 0 to (if cfg.accounts > 1 then bank_clients else 0) - 1 do
     let client = 1000 + b in
     let region = List.nth regions (b mod List.length regions) in
     let rng = Rng.split base in
@@ -383,7 +384,7 @@ let finale cl mgr cfg r =
     in
     let outcome =
       match
-        Txn.run_fresh_read mgr ~gateway ~max_attempts:cfg.max_attempts (fun ro ->
+        Txn.run_fresh_read mgr ~gateway ~max_attempts (fun ro ->
             Txn.ro_get ro key)
       with
       | Ok v -> History.Ok_read v
@@ -401,7 +402,7 @@ let finale cl mgr cfg r =
     let ops = ref [] in
     let began = ref 0 in
     ignore
-      (Txn.run mgr ~gateway ~max_attempts:cfg.max_attempts
+      (Txn.run mgr ~gateway ~max_attempts
          ~on_attempt:(fun t o ->
            History.record_txn r.txns ~tid:(Txn.txn_id t) ~client:9999
              ~began:!began ~ended:(Sim.now sim) ~ops:(List.rev !ops)
@@ -421,7 +422,7 @@ let finale cl mgr cfg r =
     let e = History.invoke r.bank ~client:9999 ~now:(Sim.now sim) History.Snapshot in
     let outcome =
       match
-        Txn.run_fresh_read mgr ~gateway ~max_attempts:cfg.max_attempts (fun ro ->
+        Txn.run_fresh_read mgr ~gateway ~max_attempts (fun ro ->
             List.map (fun a -> (a, balance_of (Txn.ro_get ro a))) accounts)
       with
       | Ok rows -> History.Ok_snapshot rows

@@ -47,21 +47,19 @@ type config = {
   ops_per_client : int;
   keys : int;  (** register keyspace ([key000] ...) *)
   write_ratio : float;  (** YCSB-A = 0.5 *)
-  think_time : int;  (** mean µs between a client's operations *)
-  max_attempts : int;  (** transaction retry budget under chaos *)
   accounts : int;  (** bank accounts; < 2 disables the bank workload *)
-  bank_clients : int;
-  bank_ops_per_client : int;
-  initial_balance : int;
   txn : Txn_config.t;  (** the multi-key transactional workload *)
 }
 
 val default : config
+(** Fixed for every config: clients think 150 ms on average between
+    operations, retry a transaction at most 3 times, and the bank runs 3
+    clients of 12 operations each over accounts preloaded with 100. *)
 
 val key_of : int -> string
 
 val bank_total : config -> int
-(** The conserved quantity: [accounts * initial_balance]. *)
+(** The conserved quantity: [accounts * 100]. *)
 
 val setup :
   ?policy:Cluster.policy -> Cluster.t -> survival:Crdb_kv.Zoneconfig.survival -> config -> unit

@@ -27,12 +27,19 @@ type lop = {
 
 exception Linearized
 
+(* Search budget per key. Write pipelining keeps many ops concurrently open
+   on a hot key under chaos (lost replies wait out the RPC timeout), and the
+   per-key state count grows with the width of that concurrency window; 10M
+   states clears the widest histories the chaos gates produce with headroom
+   while still bounding a genuinely inconclusive search. *)
+let budget = 10_000_000
+
 (* The search explores linearization prefixes: a state is (set of linearized
    ops, register value). An op may be appended when its invocation does not
    follow the completion of any other un-linearized op (Wing & Gong's rule);
    reads must match the register. States are memoized so the search is
    polynomial on the mostly-sequential histories the simulator produces. *)
-let search_key ~budget ops =
+let search_key ops =
   let n = Array.length ops in
   let mandatory = ref 0 in
   Array.iter (fun o -> if not o.l_optional then incr mandatory) ops;
@@ -135,12 +142,7 @@ let render_violation key ops (count, mandatory, value, remaining) =
       (Printf.sprintf "    ... and %d more\n" (List.length remaining - 8));
   Buffer.contents buf
 
-(* Default search budget. Write pipelining keeps many ops concurrently open
-   on a hot key under chaos (lost replies wait out the RPC timeout), and the
-   per-key state count grows with the width of that concurrency window; 10M
-   states clears the widest histories the chaos gates produce with headroom
-   while still bounding a genuinely inconclusive search. *)
-let check_linearizable ?(budget = 10_000_000) history =
+let check_linearizable history =
   let by_key = Hashtbl.create 64 in
   List.iter
     (fun (e : History.entry) ->
@@ -168,7 +170,7 @@ let check_linearizable ?(budget = 10_000_000) history =
             let entries = List.rev !(Hashtbl.find by_key key) in
             let ops = Array.of_list (lops_of_entries entries) in
             checked := !checked + Array.length ops;
-            match search_key ~budget ops with
+            match search_key ops with
             | `Ok -> None
             | `Budget ->
                 Some

@@ -12,14 +12,14 @@ type verdict =
 val is_valid : verdict -> bool
 val verdict_to_string : verdict -> string
 
-val check_linearizable : ?budget:int -> History.t -> verdict
+val check_linearizable : History.t -> verdict
 (** Per-key linearizability of the register operations (reads and writes) in
     the history, by Wing–Gong-style search: find an order of the operations,
     consistent with real-time precedence, under which every read returns the
     latest written value. Operations with unknown outcomes ([Info], or still
     pending) are allowed to take effect at any point after invocation or
-    never; [Failed] operations are ignored. [budget] (default 2e6) bounds
-    explored states per key; exceeding it yields [Inconclusive]. On failure
+    never; [Failed] operations are ignored. The search explores at most 10M
+    states per key; exceeding that yields [Inconclusive]. On failure
     the counterexample shows the operations no linearization can explain. *)
 
 val check_bank : total:int -> History.t -> verdict

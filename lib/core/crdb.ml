@@ -22,16 +22,13 @@ let version = "0.1.0"
 
 type t = { cl : Cluster.t; eng : Engine.t }
 
-let start ?config ?latency ?(nodes_per_region = 3) ~regions () =
+let start ?config ~regions () =
   let latency =
-    match latency with
-    | Some l -> l
-    | None ->
-        if List.for_all (fun r -> List.mem r Latency.table1_regions) regions
-        then Latency.table1
-        else Latency.gcp
+    if List.for_all (fun r -> List.mem r Latency.table1_regions) regions then
+      Latency.table1
+    else Latency.gcp
   in
-  let topology = Topology.symmetric ~regions ~nodes_per_region in
+  let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
   let cl = Cluster.create ?config ~topology ~latency () in
   { cl; eng = Engine.create cl }
 

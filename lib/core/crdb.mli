@@ -42,16 +42,10 @@ val version : string
 
 type t
 
-val start :
-  ?config:Cluster.config ->
-  ?latency:Latency.t ->
-  ?nodes_per_region:int ->
-  regions:string list ->
-  unit ->
-  t
-(** Boot a cluster with [nodes_per_region] (default 3) nodes per region.
-    The default latency profile is the paper's Table 1 matrix when every
-    region appears in it, otherwise the distance-derived GCP profile. *)
+val start : ?config:Cluster.config -> regions:string list -> unit -> t
+(** Boot a cluster with 3 nodes per region. The latency profile is the
+    paper's Table 1 matrix when every region appears in it, otherwise the
+    distance-derived GCP profile. *)
 
 val cluster : t -> Cluster.t
 val engine : t -> Engine.t

@@ -25,56 +25,27 @@ type broken = No_refresh | No_recovery | Stale_reads
 
 type config = {
   max_offset : int;
-  close_lag : int;
-  publish_interval : int;
-  raft_election_timeout : int;
-  raft_heartbeat_interval : int;
-  conflict_wait_timeout : int;
   push_delay : int;
-  txn_heartbeat_interval : int;
-  jitter : float;
   seed : int;
-  (* Autopilot background queues (lib/autopilot). The engine itself lives
-     above the KV layer and only runs once [Autopilot.start] is called; the
-     knobs live here so one config value describes the whole cluster. *)
   autopilot : bool;
-  autopilot_scan_interval : int;
-  autopilot_split_qps : float;
-  autopilot_split_bytes : int;
-  autopilot_merge_qps : float;
-  autopilot_merge_bytes : int;
-  autopilot_cooldown : int;
-  autopilot_min_improvement : float;
   broken : broken option;
 }
 
 let default =
   {
     max_offset = 250_000;
-    close_lag = 3_000_000;
-    publish_interval = 100_000;
-    raft_election_timeout = 3_000_000;
-    raft_heartbeat_interval = 1_000_000;
-    conflict_wait_timeout = 10_000_000;
     push_delay = 100_000;
-    txn_heartbeat_interval = 1_000_000;
-    jitter = 0.05;
     seed = 0xC0C;
     autopilot = false;
-    autopilot_scan_interval = 500_000;
-    (* The split queue cuts at the traffic-weighted median, so a good split
-       halves the range's QPS. Keep the trigger well under half of a typical
-       hot range's load: at 50.0 any range between 50 and 100 QPS lands in a
-       dead zone after one balanced split — both halves hot, neither over
-       the bar — and reshaping stops one split early. *)
-    autopilot_split_qps = 20.0;
-    autopilot_split_bytes = 512_000;
-    autopilot_merge_qps = 1.0;
-    autopilot_merge_bytes = 128_000;
-    autopilot_cooldown = 3_000_000;
-    autopilot_min_improvement = 0.25;
     broken = None;
   }
+
+let close_lag = 3_000_000
+let conflict_wait_timeout = 10_000_000
+let txn_heartbeat_interval = 1_000_000
+
+(* Period of the node-level closed-timestamp side channel. *)
+let publish_interval = 100_000
 
 type range_id = int
 
@@ -181,8 +152,7 @@ let create ?(config = default) ~topology ~latency () =
   let obs = Obs.create ~now:(fun () -> Sim.now sim) () in
   let rng = Rng.create ~seed:config.seed in
   let net =
-    Transport.create ~jitter:config.jitter ~rng:(Rng.split rng) ~obs ~sim
-      ~topology ~latency ()
+    Transport.create ~rng:(Rng.split rng) ~obs ~sim ~topology ~latency ()
   in
   let n = Topology.num_nodes topology in
   let m = Obs.metrics obs in
@@ -315,10 +285,10 @@ let lead_components t rg =
      cheapest ones come from the nearest voters (skip the leader's own 0). *)
   let l_raft =
     match voter_rtts with
-    | [] -> Latency.intra_region_rtt t.latency
+    | [] -> Latency.intra_region_rtt
     | _ :: rest ->
         let rec nth i = function
-          | [] -> Latency.intra_region_rtt t.latency
+          | [] -> Latency.intra_region_rtt
           | x :: xs -> if i = 0 then x else nth (i - 1) xs
         in
         if quorum - 1 = 0 then 0 else nth (quorum - 2) rest
@@ -335,7 +305,7 @@ let lead_components t rg =
    would not be fully closed and reads would redirect. *)
 let lead_duration_of t ~l_raft ~l_replicate =
   l_raft + l_replicate + t.cfg.max_offset + (t.cfg.max_offset / 2)
-  + t.cfg.publish_interval + 25_000
+  + publish_interval + 25_000
 
 let closed_lead_duration t rid =
   let rg = range t rid in
@@ -635,9 +605,8 @@ and raft_callbacks t rg r =
 and create_raft t rg r ~peers ?boundary () =
   let raft =
     Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:r.r_node ~peers
-      ~callbacks:(raft_callbacks t rg r) ~obs:t.obs ~range:rg.rg_id
-      ~election_timeout:t.cfg.raft_election_timeout
-      ~heartbeat_interval:t.cfg.raft_heartbeat_interval ?boundary ()
+      ~callbacks:(raft_callbacks t rg r) ~obs:t.obs ~range:rg.rg_id ?boundary
+      ()
   in
   r.r_raft <- Some raft;
   raft
@@ -1213,7 +1182,7 @@ let settle t =
     run_for t 500_000
   done;
   (* Let initial closed timestamps propagate to all replicas. *)
-  run_for t ((3 * t.cfg.publish_interval) + 200_000)
+  run_for t ((3 * publish_interval) + 200_000)
 
 (* Post-ack work (e.g. making a parallel commit explicit and resolving its
    intents) runs in the background after the client already has its answer.
@@ -1305,11 +1274,11 @@ let start_publishers t =
   for node = 0 to Topology.num_nodes t.topo - 1 do
     let rec tick () =
       if Transport.is_alive t.net node then publish t node;
-      Sim.schedule t.sim ~after:t.cfg.publish_interval tick
+      Sim.schedule t.sim ~after:publish_interval tick
     in
     (* Stagger the first publication per node. *)
     Sim.schedule t.sim
-      ~after:(1 + (node * 7919 mod t.cfg.publish_interval))
+      ~after:(1 + (node * 7919 mod publish_interval))
       tick
   done
 
@@ -1654,7 +1623,7 @@ type push_verdict =
 let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
   guard r ~key:anchor_key @@ fun () ->
   let now = Sim.now t.sim in
-  let liveness = 3 * t.cfg.txn_heartbeat_interval in
+  let liveness = 3 * txn_heartbeat_interval in
   let reread () =
     match Txnrec.status r.r_txns ~txn:blocker with
     | Some (Txnrec.Committed ts) -> Push_cleanup (Some ts)
@@ -1772,9 +1741,9 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
     | Some w, Some p -> Some (p, w)
     | _ -> None
   in
-  let deadline = ref (Sim.now t.sim + t.cfg.conflict_wait_timeout) in
+  let deadline = ref (Sim.now t.sim + conflict_wait_timeout) in
   let progressed () =
-    deadline := Sim.now t.sim + t.cfg.conflict_wait_timeout
+    deadline := Sim.now t.sim + conflict_wait_timeout
   in
   let finish outcome =
     Lock_table.unpark r.r_lt ~key iv;

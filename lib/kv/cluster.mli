@@ -5,8 +5,8 @@
     with Raft according to its {!Zoneconfig.t}, and closes timestamps under
     one of two policies:
 
-    - [Lag d]: the leaseholder closes [now - d] (default 3 s), enabling
-      follower reads of sufficiently stale data (§5);
+    - [Lag d]: the leaseholder closes [now - d] (usually {!close_lag},
+      3 s), enabling follower reads of sufficiently stale data (§5);
     - [Lead]: the leaseholder closes {e future} time
       [L_raft + L_replicate + max_offset + publication interval] ahead, the
       GLOBAL-table policy (§6.2.1). Writes are pushed above the closed
@@ -44,64 +44,47 @@ type broken =
 
 type config = {
   max_offset : int;  (** uncertainty interval / max tolerated clock skew *)
-  close_lag : int;  (** [Lag] policy duration, default 3 s *)
-  publish_interval : int;  (** side-channel period, default 100 ms *)
-  raft_election_timeout : int;
-  raft_heartbeat_interval : int;
-  conflict_wait_timeout : int;
-      (** last-resort backstop: how long a read or write may stay parked on a
-          conflicting lock or intent before giving up entirely (default
-          10 s). With the push/wound protocol active, conflicts normally
-          resolve within a few [push_delay]s and this never fires on healthy
-          runs; every expiry bumps the per-node [kv.conflict_timeouts]
-          counter *)
   push_delay : int;
       (** how long a conflict waiter waits before (re-)pushing the blocking
           transaction's record — the grace period a live blocker gets to
           finish on its own (default 100 ms) *)
-  txn_heartbeat_interval : int;
-      (** how often transaction coordinators heartbeat their record (default
-          1 s); a Pending record silent for 3x this interval is declared
-          abandoned and pushers clean up its intents *)
-  jitter : float;
   seed : int;
   autopilot : bool;
       (** read by nothing: callers start [Crdb_autopilot.Autopilot] (which
-          lives above this layer) themselves. Only [bench/perf] still sets
-          it; delete it together with that use. The knobs below configure
-          the queues. *)
-  autopilot_scan_interval : int;
-      (** period of each store's autopilot scan loop (default 500 ms) *)
-  autopilot_split_qps : float;
-      (** windowed [kv.range.qps] rate above which the split queue fires *)
-  autopilot_split_bytes : int;
-      (** live size ({!live_bytes}) above which the split queue fires *)
-  autopilot_merge_qps : float;
-      (** combined QPS of two adjacent ranges below which the merge queue
-          may subsume the right neighbor *)
-  autopilot_merge_bytes : int;
-      (** combined live size ceiling for merges; kept well under
-          [autopilot_split_bytes] so split and merge cannot oscillate *)
-  autopilot_cooldown : int;
-      (** minimum simulated time between autopilot actions on the same
-          range — the hysteresis that prevents ping-pong thrash *)
-  autopilot_min_improvement : float;
-      (** fraction by which a lease move must reduce the losing store's
-          leaseholder load before the rebalance queue acts *)
+          lives above this layer, with its own thresholds) themselves. Only
+          [bench/perf] still sets it; delete it together with that use. *)
   broken : broken option;
       (** a deliberately broken mode, or [None] (the default) *)
 }
 
 val default : config
-(** 250 ms max offset (CRDB Dedicated's default, §7.1), 3 s close lag,
-    100 ms publication, 3 s / 1 s Raft timers, 100 ms push delay, 1 s txn
-    heartbeats, 5% jitter.
+(** 250 ms max offset (CRDB Dedicated's default, §7.1), 100 ms push delay.
 
     Build custom configurations with record update syntax, overriding only
     what the scenario needs:
     {[
       Cluster.create ~config:{ Cluster.default with seed = 42; push_delay = 50_000 } ...
-    ]} *)
+    ]}
+
+    Everything else is fixed: Raft elects within 3-6 s and heartbeats every
+    1 s, the transport adds up to 5% jitter, and closed timestamps are
+    published over the side channel every 100 ms. *)
+
+val close_lag : int
+(** The [Lag] policy's usual duration, 3 s: every [Lag] range the library
+    creates uses it. *)
+
+val conflict_wait_timeout : int
+(** Last-resort backstop: how long a read or write may stay parked on a
+    conflicting lock or intent before giving up entirely (10 s). With the
+    push/wound protocol active, conflicts normally resolve within a few
+    [push_delay]s and this never fires on healthy runs; every expiry bumps
+    the per-node [kv.conflict_timeouts] counter. *)
+
+val txn_heartbeat_interval : int
+(** How often transaction coordinators heartbeat their record (1 s); a
+    Pending record silent for 3x this interval is declared abandoned and
+    pushers clean up its intents. *)
 
 type t
 
@@ -257,8 +240,9 @@ val bulk_load : t -> ?ts:Ts.t -> (string * string) list -> unit
     ranges. Administrative fast path for benchmark dataset loading. *)
 
 val closed_lead_duration : t -> range_id -> int
-(** The [Lead] policy's lead: [L_raft + L_replicate + max_offset +
-    publish_interval] for this range's current placement (§6.2.1). *)
+(** The [Lead] policy's lead: [L_raft + L_replicate + max_offset +]
+    the 100 ms publication interval, for this range's current placement
+    (§6.2.1). *)
 
 (** {2 Operations} (call within a process)
 

@@ -1,16 +1,11 @@
-type t = {
-  rtt_fn : string -> string -> int;
-  intra_zone_rtt : int;
-  intra_region_rtt : int;
-}
+(* The RTT in microseconds between two distinct regions; symmetric. *)
+type t = string -> string -> int
 
-let custom ?(intra_zone_rtt = 300) ?(intra_region_rtt = 600) rtt_fn =
-  { rtt_fn; intra_zone_rtt; intra_region_rtt }
+let intra_zone_rtt = 300
+let intra_region_rtt = 600
+let rtt t r1 r2 = if String.equal r1 r2 then intra_region_rtt else t r1 r2
 
-let rtt t r1 r2 = if String.equal r1 r2 then t.intra_region_rtt else t.rtt_fn r1 r2
 let one_way t r1 r2 = rtt t r1 r2 / 2
-let intra_zone_rtt t = t.intra_zone_rtt
-let intra_region_rtt t = t.intra_region_rtt
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 of the paper: measured GCP inter-region RTTs, milliseconds. *)
@@ -50,7 +45,7 @@ let table1 =
         invalid_arg
           (Printf.sprintf "Latency.table1: unknown region pair %s/%s" r1 r2)
   in
-  custom find
+  find
 
 (* ------------------------------------------------------------------ *)
 (* GCP regions with approximate datacenter coordinates (lat, lon).     *)
@@ -109,7 +104,7 @@ let gcp =
     | Some (_, lat, lon) -> (lat, lon)
     | None -> invalid_arg (Printf.sprintf "Latency.gcp: unknown region %s" r)
   in
-  custom (fun r1 r2 -> distance_rtt_micros (haversine_km (loc r1) (loc r2)))
+  fun r1 r2 -> distance_rtt_micros (haversine_km (loc r1) (loc r2))
 
 let sort_by_proximity t home regions =
   let key r = if String.equal r home then -1 else rtt t home r in

@@ -1,7 +1,7 @@
 (** Inter-region network latency profiles.
 
-    A profile gives the round-trip time between any two regions, plus the
-    (much smaller) intra-zone and intra-region RTTs. The five-region profile
+    A profile gives the round-trip time between any two regions; every
+    profile shares the (much smaller) intra-zone and intra-region RTTs. The five-region profile
     used throughout the paper's §7.1–7.3 experiments is {!table1}, embedding
     the paper's measured GCP matrix verbatim. Larger clusters (§7.4) use
     {!gcp}, which derives RTTs from great-circle distances between the real
@@ -9,22 +9,17 @@
 
 type t
 
-val custom :
-  ?intra_zone_rtt:int ->
-  ?intra_region_rtt:int ->
-  (string -> string -> int) ->
-  t
-(** [custom f] builds a profile from [f r1 r2], the RTT in microseconds
-    between two distinct regions. [f] must be symmetric. Defaults:
-    [intra_zone_rtt = 300]µs, [intra_region_rtt = 600]µs. *)
-
 val rtt : t -> string -> string -> int
 (** Round-trip time in microseconds between two regions (intra-region RTT if
     equal). *)
 
 val one_way : t -> string -> string -> int
-val intra_zone_rtt : t -> int
-val intra_region_rtt : t -> int
+
+val intra_zone_rtt : int
+(** 300 µs. *)
+
+val intra_region_rtt : int
+(** 600 µs. *)
 
 val table1 : t
 (** The paper's Table 1: measured GCP inter-region RTTs for

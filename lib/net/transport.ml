@@ -78,8 +78,8 @@ let compute_base_delay t src dst =
     let a = Topology.node t.topology src and b = Topology.node t.topology dst in
     if String.equal a.Topology.region b.Topology.region then
       if String.equal a.Topology.zone b.Topology.zone then
-        Latency.intra_zone_rtt t.latency / 2
-      else Latency.intra_region_rtt t.latency / 2
+        Latency.intra_zone_rtt / 2
+      else Latency.intra_region_rtt / 2
     else Latency.one_way t.latency a.Topology.region b.Topology.region
 
 (* Filled on first use, so a latency profile that does not know some region

@@ -5,12 +5,12 @@ type t = {
   timeseries : Timeseries.t;
 }
 
-let create ~now ?bucket_width ?num_buckets () =
+let create ~now () =
   {
     trace = Trace.create ~now ();
     metrics = Metrics.create ();
     events = Events.create ~now ();
-    timeseries = Timeseries.create ~now ?bucket_width ?num_buckets ();
+    timeseries = Timeseries.create ~now ();
   }
 
 let trace t = t.trace

@@ -8,10 +8,8 @@
 
 type t
 
-val create :
-  now:(unit -> int) -> ?bucket_width:int -> ?num_buckets:int -> unit -> t
-(** [bucket_width]/[num_buckets] configure the {!Timeseries} ring (defaults:
-    1 s × 60). *)
+val create : now:(unit -> int) -> unit -> t
+(** The {!Timeseries} ring keeps its defaults: 1 s buckets × 60. *)
 
 val trace : t -> Trace.t
 val metrics : t -> Metrics.t

@@ -51,8 +51,7 @@ let add ctx phase micros =
   | Nil -> ()
   | Ctx c -> c.acc.(index phase) <- c.acc.(index phase) + micros
 
-let add_wan ?(n = 1) ctx =
-  match ctx with Nil -> () | Ctx c -> c.wan <- c.wan + n
+let add_wan ctx = match ctx with Nil -> () | Ctx c -> c.wan <- c.wan + 1
 
 let total ctx phase =
   match ctx with Nil -> 0 | Ctx c -> c.acc.(index phase)

@@ -50,8 +50,8 @@ val make : unit -> ctx
 val add : ctx -> phase -> int -> unit
 (** Accumulate [micros] of simulated time into the phase. *)
 
-val add_wan : ?n:int -> ctx -> unit
-(** Count [n] (default 1) WAN round trips against the operation. *)
+val add_wan : ctx -> unit
+(** Count one WAN round trip against the operation. *)
 
 val total : ctx -> phase -> int
 val wan_rtts : ctx -> int

@@ -104,7 +104,10 @@ let qps_series = "kv.range.qps"
 let write_bytes_series = "kv.range.write_bytes"
 let latency_series = "kv.range.latency"
 
-let pp_hot_ranges ?(top = 5) ppf ts =
+(* Rows in the hottest-ranges table. *)
+let top = 5
+
+let pp_hot_ranges ppf ts =
   let ranges = Timeseries.ranges_of ts qps_series in
   let scored =
     List.map (fun r -> (r, Timeseries.rate ts ~range:r qps_series)) ranges
@@ -152,13 +155,13 @@ let pp_event_summary ppf events =
         Format.fprintf ppf "%-18s %d@." (Events.kind_to_string k) n)
       nonzero
 
-let pp ?predicted ?top ?(timeline = true) ppf obs =
+let pp ?(timeline = true) ppf obs =
   Format.fprintf ppf "== Phase latency by op class ==@.";
   pp_phase_table ppf (Obs.metrics obs);
   Format.fprintf ppf "@.== WAN round trips by op class (measured vs \u{00a7}6 model) ==@.";
-  pp_wan_table ?predicted ppf (Obs.metrics obs);
+  pp_wan_table ppf (Obs.metrics obs);
   Format.fprintf ppf "@.== Hottest ranges (sliding-window) ==@.";
-  pp_hot_ranges ?top ppf (Obs.timeseries obs);
+  pp_hot_ranges ppf (Obs.timeseries obs);
   Format.fprintf ppf "@.== Cluster events ==@.";
   pp_event_summary ppf (Obs.events obs);
   if timeline then begin
@@ -166,5 +169,4 @@ let pp ?predicted ?top ?(timeline = true) ppf obs =
     Events.pp_timeline ppf (Obs.events obs)
   end
 
-let to_string ?predicted ?top ?timeline obs =
-  Format.asprintf "%a" (fun ppf () -> pp ?predicted ?top ?timeline ppf obs) ()
+let to_string obs = Format.asprintf "%a" (fun ppf () -> pp ppf obs) ()

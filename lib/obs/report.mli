@@ -18,25 +18,16 @@ val write_bytes_series : string
 val latency_series : string
 (** ["kv.range.latency"] — per-range request latency samples (micros). *)
 
-val pp :
-  ?predicted:(string * int) list ->
-  ?top:int ->
-  ?timeline:bool ->
-  Format.formatter ->
-  Obs.t ->
-  unit
-(** [predicted] maps op-class names to the model's WAN round-trip count; a
-    class within ±1 of its prediction renders [ok], otherwise [MISMATCH].
-    [top] bounds the hottest-ranges table (default 5). [timeline] (default
+val pp : ?timeline:bool -> Format.formatter -> Obs.t -> unit
+(** The hottest-ranges table shows the top 5 ranges. [timeline] (default
     true) appends the full event timeline. *)
 
-val to_string :
-  ?predicted:(string * int) list ->
-  ?top:int ->
-  ?timeline:bool ->
-  Obs.t ->
-  string
+val to_string : Obs.t -> string
+(** [pp] with the timeline. *)
 
 val pp_phase_table : Format.formatter -> Metrics.t -> unit
+
 val pp_wan_table :
   ?predicted:(string * int) list -> Format.formatter -> Metrics.t -> unit
+(** [predicted] maps op-class names to the model's WAN round-trip count; a
+    class within ±1 of its prediction renders [ok], otherwise [MISMATCH]. *)

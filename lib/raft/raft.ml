@@ -35,6 +35,9 @@ type ('cmd, 'snap) message =
 
 type role = Leader | Follower | Candidate
 
+(* Timer periods in microseconds; elections randomize up to 2x. *)
+let election_timeout = 3_000_000
+let heartbeat_interval = 1_000_000
 
 type ('cmd, 'snap) callbacks = {
   send : int -> ('cmd, 'snap) message -> unit;
@@ -53,8 +56,6 @@ type ('cmd, 'snap) t = {
   rng : Rng.t;
   id : int;
   cb : ('cmd, 'snap) callbacks;
-  election_timeout : int;
-  heartbeat_interval : int;
   mutable peers : config_change;
   mutable term : int;
   mutable voted_for : int option;
@@ -115,7 +116,6 @@ type ('cmd, 'snap) t = {
 }
 
 let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
-    ?(election_timeout = 3_000_000) ?(heartbeat_interval = 1_000_000)
     ?(boundary = (0, 0)) () =
   if not (List.mem_assoc id peers) then
     invalid_arg "Raft.create: id must be among peers";
@@ -126,8 +126,6 @@ let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
     rng;
     id;
     cb = callbacks;
-    election_timeout;
-    heartbeat_interval;
     peers;
     term = 0;
     voted_for = None;
@@ -224,9 +222,7 @@ let max_inflight_appends = 8
 let rec arm_election_timer t =
   cancel_timer t.election_timer;
   if not t.stopped then begin
-    let timeout =
-      t.election_timeout + Rng.int t.rng t.election_timeout
-    in
+    let timeout = election_timeout + Rng.int t.rng election_timeout in
     t.election_timer <- Some (Sim.timer t.sim ~after:timeout (fun () -> election_tick t))
   end
 
@@ -237,7 +233,7 @@ and election_tick t =
     | Leader -> ()
     | Follower | Candidate ->
         let heard_recently =
-          Sim.now t.sim - t.last_heartbeat < t.election_timeout
+          Sim.now t.sim - t.last_heartbeat < election_timeout
         in
         (* A quiesced follower trusts the liveness oracle instead of
            heartbeats (epoch-lease behaviour). *)
@@ -336,7 +332,7 @@ and arm_heartbeat t =
   cancel_timer t.heartbeat_timer;
   if not t.stopped then
     t.heartbeat_timer <-
-      Some (Sim.timer t.sim ~after:t.heartbeat_interval (fun () -> heartbeat_tick t))
+      Some (Sim.timer t.sim ~after:heartbeat_interval (fun () -> heartbeat_tick t))
 
 and heartbeat_tick t =
   match t.role with
@@ -538,7 +534,7 @@ let handle_pre_vote t ~from ~pterm ~last_log_index ~last_log_term =
     last_log_term > last_term t
     || (last_log_term = last_term t && last_log_index >= last_index t)
   in
-  let heard_recently = Sim.now t.sim - t.last_heartbeat < t.election_timeout in
+  let heard_recently = Sim.now t.sim - t.last_heartbeat < election_timeout in
   let granted =
     pterm > t.term && up_to_date
     && (not (is_leader t))

@@ -104,13 +104,11 @@ val create :
   callbacks:('cmd, 'snap) callbacks ->
   ?obs:Crdb_obs.Obs.t ->
   ?range:int ->
-  ?election_timeout:int ->
-  ?heartbeat_interval:int ->
   ?boundary:int * int ->
   unit ->
   ('cmd, 'snap) t
-(** [peers] must include [id] itself. Timeouts in microseconds; defaults:
-    election 3s (randomized up to 2x), heartbeat 1s. [obs] receives
+(** [peers] must include [id] itself. Timers: election 3s (randomized up
+    to 2x), heartbeat 1s. [obs] receives
     [raft.*] counters (elections, leadership changes, append/snapshot
     rounds, quiescence) scoped to this node and [range], plus election
     spans and leadership-change events when tracing is enabled.

@@ -48,39 +48,41 @@ let shuffle t arr =
   done
 
 module Zipf = struct
+  (* YCSB's default skew. *)
+  let theta = 0.99
+
   type dist = {
     n : int;
-    theta : float;
     alpha : float;
     zetan : float;
     eta : float;
     zeta2 : float;
   }
 
-  let zeta n theta =
+  let zeta n =
     let sum = ref 0.0 in
     for i = 1 to n do
       sum := !sum +. (1.0 /. (float_of_int i ** theta))
     done;
     !sum
 
-  let create ~n ?(theta = 0.99) () =
+  let create ~n () =
     if n <= 0 then invalid_arg "Zipf.create: n must be positive";
-    let zetan = zeta n theta in
-    let zeta2 = zeta 2 theta in
+    let zetan = zeta n in
+    let zeta2 = zeta 2 in
     let alpha = 1.0 /. (1.0 -. theta) in
     let eta =
       (1.0 -. ((2.0 /. float_of_int n) ** (1.0 -. theta)))
       /. (1.0 -. (zeta2 /. zetan))
     in
-    { n; theta; alpha; zetan; eta; zeta2 }
+    { n; alpha; zetan; eta; zeta2 }
 
   (* Gray/Sundaresan rejection-free zipfian sampler, as used by YCSB. *)
   let sample d t =
     let u = unit_float t in
     let uz = u *. d.zetan in
     if uz < 1.0 then 0
-    else if uz < 1.0 +. (0.5 ** d.theta) then 1
+    else if uz < 1.0 +. (0.5 ** theta) then 1
     else
       let rank =
         float_of_int d.n *. (((d.eta *. u) -. d.eta +. 1.0) ** d.alpha)

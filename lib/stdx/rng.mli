@@ -38,8 +38,8 @@ val shuffle : t -> 'a array -> unit
 module Zipf : sig
   type dist
 
-  val create : n:int -> ?theta:float -> unit -> dist
-  (** [create ~n ()] uses the YCSB default skew [theta = 0.99]. *)
+  val create : n:int -> unit -> dist
+  (** Uses the YCSB default skew, [theta = 0.99]. *)
 
   val sample : dist -> t -> int
 

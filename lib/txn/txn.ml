@@ -652,7 +652,7 @@ let abort t =
 let start_heartbeat t =
   let mgr = t.mgr in
   let sim = Cluster.sim mgr.cl in
-  let interval = (Cluster.config mgr.cl).Cluster.txn_heartbeat_interval in
+  let interval = Cluster.txn_heartbeat_interval in
   let rec beat () =
     if t.finished then ()
     else

@@ -144,7 +144,9 @@ val get_for_share : t -> string -> string option
     coexists with other [Shared] holders and blocks only writers. *)
 
 val scan : t -> start_key:string -> end_key:string -> ?limit:int -> unit -> (string * string) list
-(** Range scan (single range per call; the SQL layer stitches ranges). *)
+(** Scan of [[start_key, end_key)] at the read timestamp. The span may
+    cross ranges: {!Crdb_kv.Cluster.scan} stitches the per-range
+    fragments. *)
 
 val read_ts : t -> Ts.t
 val txn_id : t -> int

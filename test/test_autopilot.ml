@@ -26,24 +26,23 @@ let zone_config ?(survival = Zoneconfig.Zone) ?(home = home) () =
 (* Aggressive knobs so the queues act within a few simulated seconds. *)
 let autopilot_config ?(split_qps = 25.0) ?(cooldown = 1_000_000) () =
   {
-    Cluster.default with
-    Cluster.autopilot_scan_interval = 200_000;
-    autopilot_split_qps = split_qps;
-    autopilot_cooldown = cooldown;
+    Autopilot.default with
+    Autopilot.scan_interval = 200_000;
+    split_qps;
+    cooldown;
   }
 
-let make_cluster ?config () =
-  Cluster.create ?config ~topology:topo5 ~latency:Latency.table1 ()
+let make_cluster () = Cluster.create ~topology:topo5 ~latency:Latency.table1 ()
 
 (* A settled cluster with ranges over [spans], all placed by one zone config
    homed in [home]. *)
-let make ?config ?(survival = Zoneconfig.Zone) spans =
-  Crdb.kv_cluster ?config ~regions:regions5 ~home ~survival
+let make ?(survival = Zoneconfig.Zone) spans =
+  Crdb.kv_cluster ~regions:regions5 ~home ~survival
     ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
     ()
 
-let one_range ?config ?survival () =
-  let cl, rids = make ?config ?survival [ ("a", "z") ] in
+let one_range ?survival () =
+  let cl, rids = make ?survival [ ("a", "z") ] in
   (cl, List.hd rids)
 
 let node_in cl region i =
@@ -81,9 +80,9 @@ let traffic cl ~gateway ~ops =
       done)
 
 let test_split_queue_splits_hot_range () =
-  let cl, _ = one_range ~config:(autopilot_config ()) () in
+  let cl, _ = one_range () in
   load_keys cl;
-  let ap = Autopilot.start cl in
+  let ap = Autopilot.start ~config:(autopilot_config ()) cl in
   let gw = node_in cl home 0 in
   for _round = 1 to 5 do
     traffic cl ~gateway:gw ~ops:300;
@@ -115,9 +114,9 @@ let test_cooldown_suppresses_thrash () =
   (* A cooldown longer than the run: after the first split the queue keeps
      finding the (still hot) range but must skip it, logging the decision. *)
   let config = autopilot_config ~cooldown:600_000_000 () in
-  let cl, _ = one_range ~config () in
+  let cl, _ = one_range () in
   load_keys cl;
-  let ap = Autopilot.start cl in
+  let ap = Autopilot.start ~config cl in
   let gw = node_in cl home 0 in
   for _round = 1 to 4 do
     traffic cl ~gateway:gw ~ops:300;
@@ -134,12 +133,12 @@ let test_cooldown_suppresses_thrash () =
   Autopilot.stop ap
 
 let test_merge_queue_subsumes_cold_pair () =
-  let cl, rid = one_range ~config:(autopilot_config ()) () in
+  let cl, rid = one_range () in
   Cluster.bulk_load cl [ ("b", "1"); ("p", "2") ];
   let right = Option.get (Cluster.split_range cl rid ~at:"m") in
   Cluster.run_for cl 3_000_000;
   check Alcotest.int "two ranges before" 2 (List.length (Cluster.ranges cl));
-  let ap = Autopilot.start cl in
+  let ap = Autopilot.start ~config:(autopilot_config ()) cl in
   (* No traffic: both halves are cold and tiny, so the merge queue folds
      them back without any operator call. *)
   Cluster.run_for cl 30_000_000;
@@ -163,10 +162,10 @@ let test_lease_queue_spreads_load_without_pingpong () =
        otherwise legitimately trigger the merge queue). *)
     {
       (autopilot_config ~split_qps:10_000.0 ()) with
-      Cluster.autopilot_merge_bytes = 0;
+      Autopilot.merge_bytes = 0;
     }
   in
-  let cl, rids = make ~config [ ("a", "m"); ("m", "z") ] in
+  let cl, rids = make [ ("a", "m"); ("m", "z") ] in
   let r1 = List.hd rids and r2 = List.nth rids 1 in
   Cluster.bulk_load cl [ ("b", "1"); ("c", "2"); ("n", "3"); ("o", "4") ];
   let n0 = node_in cl home 0 in
@@ -177,7 +176,7 @@ let test_lease_queue_spreads_load_without_pingpong () =
     (Cluster.leaseholder cl r1);
   check Alcotest.(option int) "r2 starts on n0" (Some n0)
     (Cluster.leaseholder cl r2);
-  let ap = Autopilot.start cl in
+  let ap = Autopilot.start ~config cl in
   let gw = node_in cl home 1 in
   let both_spans_traffic () =
     Cluster.run cl (fun () ->
@@ -211,7 +210,7 @@ let test_idle_cluster_queues_are_noops () =
   (* Repeated ticks over an idle, balanced cluster must decide nothing:
      zero loads mean zero improvement, and mismatched zone configs make the
      pair unmergeable. A second window confirms convergence, not luck. *)
-  let cl = make_cluster ~config:(autopilot_config ()) () in
+  let cl = make_cluster () in
   let r1 =
     Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
       ~policy:(Cluster.Lag 3_000_000)
@@ -224,7 +223,7 @@ let test_idle_cluster_queues_are_noops () =
   Cluster.settle cl;
   Cluster.bulk_load cl [ ("b", "1"); ("n", "2") ];
   let lh1 = Cluster.leaseholder cl r1 and lh2 = Cluster.leaseholder cl r2 in
-  let ap = Autopilot.start cl in
+  let ap = Autopilot.start ~config:(autopilot_config ()) cl in
   Cluster.run_for cl 30_000_000;
   let first = Autopilot.stats ap in
   check Alcotest.int "no splits" 0 first.Autopilot.auto_splits;
@@ -242,11 +241,9 @@ let test_idle_cluster_queues_are_noops () =
   Autopilot.stop ap
 
 let test_killed_node_does_not_wedge_queues () =
-  let cl, rid =
-    one_range ~config:(autopilot_config ()) ~survival:Zoneconfig.Region ()
-  in
+  let cl, rid = one_range ~survival:Zoneconfig.Region () in
   load_keys cl;
-  let ap = Autopilot.start cl in
+  let ap = Autopilot.start ~config:(autopilot_config ()) cl in
   let gw = node_in cl home 0 in
   traffic cl ~gateway:gw ~ops:300;
   (* Kill the current leaseholder mid-flight: its scheduled scans must keep

@@ -155,7 +155,7 @@ let heartbeat_scenario () =
   let mgr = Txn.create_manager cl in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
-  let interval = (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  let interval = Cluster.txn_heartbeat_interval in
   let attempts = ref [] in
   let on_attempt name _ _ = attempts := name :: !attempts in
   Cluster.run cl (fun () ->

@@ -175,7 +175,7 @@ let test_abandoned_registered_txn () =
   let cl, _ = make () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
-  let liveness = 3 * (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  let liveness = 3 * Cluster.txn_heartbeat_interval in
   Cluster.run cl (fun () ->
       let pri6 = Cluster.now_ts cl gw in
       ignore
@@ -204,7 +204,7 @@ let test_abandoned_recordless_txn () =
   let cl, _ = make () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
-  let liveness = 3 * (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  let liveness = 3 * Cluster.txn_heartbeat_interval in
   Cluster.run cl (fun () ->
       ignore (write_ok cl ~gateway:gw ~txn:8 ~key:"k" ~value:"raw");
       let pri9 = Cluster.now_ts cl gw in
@@ -385,9 +385,8 @@ let test_options_roundtrip () =
 let test_config_default_idiom () =
   let cfg = { Cluster.default with Cluster.push_delay = 50_000; seed = 7 } in
   check Alcotest.int "override applied" 50_000 cfg.Cluster.push_delay;
-  check Alcotest.int "other fields inherited"
-    Cluster.default.Cluster.conflict_wait_timeout
-    cfg.Cluster.conflict_wait_timeout;
+  check Alcotest.int "other fields inherited" Cluster.default.Cluster.max_offset
+    cfg.Cluster.max_offset;
   (* A faster push delay breaks the two-txn deadlock proportionally
      sooner. *)
   let cl, _ =

@@ -212,8 +212,8 @@ let reference_delay topology latency src dst =
   else if not (String.equal a.Topology.region b.Topology.region) then
     Latency.one_way latency a.Topology.region b.Topology.region
   else if String.equal a.Topology.zone b.Topology.zone then
-    Latency.intra_zone_rtt latency / 2
-  else Latency.intra_region_rtt latency / 2
+    Latency.intra_zone_rtt / 2
+  else Latency.intra_region_rtt / 2
 
 let test_delay_table () =
   let check_all name topology latency =

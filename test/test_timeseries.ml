@@ -202,7 +202,8 @@ let test_phase_ctx () =
   Phase.add ctx Phase.Routing 50;
   Phase.add ctx Phase.Commit_wait 900;
   Phase.add_wan ctx;
-  Phase.add_wan ~n:2 ctx;
+  Phase.add_wan ctx;
+  Phase.add_wan ctx;
   check Alcotest.int "accumulates" 150 (Phase.total ctx Phase.Routing);
   check Alcotest.int "untouched phase is zero" 0 (Phase.total ctx Phase.Refresh);
   check Alcotest.int "wan rtts" 3 (Phase.wan_rtts ctx);

@@ -399,7 +399,7 @@ let test_heartbeat_lifecycle () =
   let cl, mgr = make () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
-  let interval = (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  let interval = Cluster.txn_heartbeat_interval in
   Cluster.run cl (fun () ->
       let short i =
         expect_ok

@@ -165,7 +165,7 @@ let test_heartbeat_rpc_keeps_record_live () =
   let cl = make () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
-  let interval = (Cluster.config cl).Cluster.txn_heartbeat_interval in
+  let interval = Cluster.txn_heartbeat_interval in
   Cluster.run cl (fun () ->
       let pri1 = Cluster.now_ts cl gw in
       ignore (write_ok cl ~pri:pri1 ~anchor:"k" ~gateway:gw ~txn:1 ~key:"k"
