@@ -361,7 +361,7 @@ let run_fig6 () =
       let warehouses = warehouses_per_region * nregions in
       subsection (Printf.sprintf "%d regions (%d warehouses)" nregions warehouses);
       printf "  tpmC = %.1f   efficiency = %.1f%%   errors = %d@." (Tpcc.tpmc r)
-        (100.0 *. Tpcc.efficiency r ~warehouses)
+        (100.0 *. Tpcc.efficiency r)
         r.Tpcc.errors;
       printf "  new-order txns: %d (%.1f%% touched a remote warehouse)@."
         r.Tpcc.committed_new_orders
@@ -389,7 +389,7 @@ let run_fig6 () =
       ~districts_per_warehouse:10 ~customers_per_district:20 ()
   in
   printf "  tpmC = %.1f   efficiency = %.1f%%@." (Tpcc.tpmc r)
-    (100.0 *. Tpcc.efficiency r ~warehouses:(warehouses_per_region * 10));
+    (100.0 *. Tpcc.efficiency r);
   pp_region_latencies r
 
 (* ------------------------------------------------------------------ *)

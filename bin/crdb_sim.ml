@@ -69,6 +69,33 @@ let finish_obs obs ~trace ~metrics =
   Option.iter (write_trace obs) trace;
   if metrics then Format.printf "%a" Crdb.Metrics.pp (Crdb.Obs.metrics obs)
 
+(* ---------------- bounded options ---------------- *)
+
+(* An integer option bounded to [lo, hi]; out-of-range values are usage
+   errors, not crashes deep inside the run. *)
+let int_in ~lo ?(hi = max_int) () =
+  let expected =
+    if hi = max_int then Printf.sprintf "an integer >= %d" lo
+    else Printf.sprintf "an integer in %d..%d" lo hi
+  in
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo && n <= hi -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))),
+      Format.pp_print_int )
+
+(* A float option bounded to [lo, hi]. *)
+let float_in ~lo ~hi =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some x when x >= lo && x <= hi -> Ok x
+        | _ ->
+            Error
+              (`Msg (Printf.sprintf "expected a number in [%g, %g], got %S" lo hi s))),
+      Format.pp_print_float )
+
 (* ---------------- ycsb ---------------- *)
 
 let variant_of_string = function
@@ -132,12 +159,20 @@ let ycsb_cmd =
   let workload =
     Arg.(value & opt workload_conv Ycsb.A & info [ "workload" ] ~doc:"a|b|d")
   in
-  let nregions = Arg.(value & opt int 3 & info [ "regions" ] ~doc:"Regions (2-5)") in
-  let clients = Arg.(value & opt int 10 & info [ "clients" ] ~doc:"Clients per region") in
+  let nregions =
+    Arg.(value & opt (int_in ~lo:2 ~hi:(List.length regions5) ()) 3
+         & info [ "regions" ] ~doc:"Regions (2-5)")
+  in
+  let clients =
+    Arg.(value & opt (int_in ~lo:1 ()) 10 & info [ "clients" ] ~doc:"Clients per region")
+  in
   let ops = Arg.(value & opt int 100 & info [ "ops" ] ~doc:"Ops per client") in
-  let keyspace = Arg.(value & opt int 3000 & info [ "keys" ] ~doc:"Loaded keyspace") in
+  let keyspace =
+    Arg.(value & opt (int_in ~lo:1 ()) 3000 & info [ "keys" ] ~doc:"Loaded keyspace")
+  in
   let locality =
-    Arg.(value & opt float 1.0 & info [ "locality" ] ~doc:"Locality of access (0-1)")
+    Arg.(value & opt (float_in ~lo:0.0 ~hi:1.0) 1.0
+         & info [ "locality" ] ~doc:"Locality of access (0-1)")
   in
   let stale = Arg.(value & flag & info [ "stale" ] ~doc:"Bounded-staleness reads") in
   Cmd.v (Cmd.info "ycsb" ~doc:"Run a YCSB workload")
@@ -160,16 +195,21 @@ let run_tpcc nregions warehouses duration trace metrics =
       ~customers_per_district:20 ()
   in
   Format.printf "tpmC = %.1f  efficiency = %.1f%%  errors = %d@." (Tpcc.tpmc r)
-    (100.0 *. Tpcc.efficiency r ~warehouses:(warehouses * nregions))
+    (100.0 *. Tpcc.efficiency r)
     r.Tpcc.errors;
   Format.printf "%a@." (Hist.pp_row ~label:"new_order") r.Tpcc.new_order;
   Format.printf "%a@." (Hist.pp_row ~label:"payment") r.Tpcc.payment;
   finish_obs (Crdb.obs t) ~trace ~metrics
 
 let tpcc_cmd =
-  let nregions = Arg.(value & opt int 4 & info [ "regions" ] ~doc:"Number of regions") in
+  let nregions =
+    Arg.(value
+         & opt (int_in ~lo:1 ~hi:(List.length Crdb.Latency.gcp_region_names) ()) 4
+         & info [ "regions" ] ~doc:"Number of regions")
+  in
   let warehouses =
-    Arg.(value & opt int 2 & info [ "warehouses" ] ~doc:"Warehouses per region")
+    Arg.(value & opt (int_in ~lo:1 ()) 2
+         & info [ "warehouses" ] ~doc:"Warehouses per region")
   in
   let duration = Arg.(value & opt int 20 & info [ "duration" ] ~doc:"Seconds (simulated)") in
   Cmd.v (Cmd.info "tpcc" ~doc:"Run TPC-C")
@@ -234,20 +274,6 @@ let survival_conv =
         | None -> Error (`Msg (Printf.sprintf "unknown survival goal %S" s))),
       fun ppf v ->
         Format.pp_print_string ppf (Crdb.Zoneconfig.survival_to_string v) )
-
-(* An integer option bounded to [lo, hi]; out-of-range values are usage
-   errors, not crashes deep inside the run. *)
-let int_in ~lo ?(hi = max_int) () =
-  let expected =
-    if hi = max_int then Printf.sprintf "an integer >= %d" lo
-    else Printf.sprintf "an integer in %d..%d" lo hi
-  in
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= lo && n <= hi -> Ok n
-        | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))),
-      Format.pp_print_int )
 
 let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
     ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys
@@ -759,9 +785,8 @@ let run_splits target_ranges n_keys ops trace metrics =
             Crdb.Timestamp.add_wall ts (Cluster.config cl).Cluster.max_offset
           in
           match Cluster.read cl ~gateway:gw ~txn:None ~key:k ~ts ~max_ts () with
-          | Cluster.Read_value _ | Cluster.Read_uncertain _ -> ()
-          | Cluster.Read_redirect | Cluster.Read_wounded _ | Cluster.Read_err _
-            ->
+          | `Ok _ | `Uncertain _ -> ()
+          | `Redirect | `Wounded _ | `Err _ ->
               incr errors
       done);
   Format.printf "workload: %d ops, %d errors@." ops !errors;

@@ -15,7 +15,10 @@ dune runtest
 # with an internal error (exit 125) or silently run something else.
 echo "== bad arguments are usage errors"
 for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
-  "chaos --seeds 0" "ddl --op bogus" "ddl --schema bogus"; do
+  "chaos --seeds 0" "ddl --op bogus" "ddl --schema bogus" \
+  "ycsb --regions 0" "ycsb --regions 6" "ycsb --clients 0" "ycsb --keys 0" \
+  "ycsb --locality 2" "tpcc --regions 0" "tpcc --regions 28" \
+  "tpcc --warehouses 0"; do
   status=0
   # shellcheck disable=SC2086 # the arguments are meant to split
   out=$(dune exec bin/crdb_sim.exe -- $args 2>&1) || status=$?

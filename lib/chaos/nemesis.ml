@@ -1,6 +1,5 @@
 module Sim = Crdb_sim.Sim
 module Proc = Crdb_sim.Proc
-module Ivar = Crdb_sim.Ivar
 module Rng = Crdb_stdx.Rng
 module Topology = Crdb_net.Topology
 module Transport = Crdb_net.Transport
@@ -120,7 +119,6 @@ type t = {
   cl : Cluster.t;
   mutable stopped : bool;
   base_skews : int array;
-  done_ : unit Ivar.t;
   c_injected : Metrics.counter;
 }
 
@@ -131,7 +129,6 @@ let make cl =
     stopped = false;
     base_skews =
       Array.init (Topology.num_nodes topo) (fun n -> Clock.skew (Cluster.clock cl n));
-    done_ = Ivar.create ();
     c_injected =
       Metrics.counter (Obs.metrics (Cluster.obs cl)) "chaos.injected";
   }
@@ -161,8 +158,6 @@ let log_to_string t =
          | _ -> None)
        (Events.all (Obs.events (Cluster.obs t.cl))))
 
-let await t = Proc.await t.done_
-
 (* Undo everything a schedule may have left in force: revive every dead node
    (with restart semantics), drop all partitions, restore baseline skews. *)
 let heal_all t =
@@ -189,8 +184,7 @@ let run_script cl script =
           let due = start + at in
           if due > Sim.now sim then Proc.sleep sim (due - Sim.now sim);
           if not t.stopped then inject t fault)
-        script;
-      Ivar.fill t.done_ ());
+        script);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -368,6 +362,5 @@ let run_random ?(config = default_random) cl ~seed ~duration () =
         end
       done;
       (* Leave the cluster healthy: a schedule never ends mid-outage. *)
-      heal_all t;
-      Ivar.fill t.done_ ());
+      heal_all t);
   t

@@ -85,9 +85,6 @@ val stop : t -> unit
 (** Ask the schedule to stop at its next wake-up (it will not inject
     further faults; call {!heal_all} to clean up immediately). *)
 
-val await : t -> unit
-(** Block (inside a process) until the schedule's coroutine has finished. *)
-
 val heal_all : t -> unit
 (** Revive every dead node (restart semantics), heal all partitions, and
     restore every clock to its baseline skew. Recorded in the event log. *)

@@ -56,8 +56,6 @@ val default : config
     operations, retry a transaction at most 3 times, and the bank runs 3
     clients of 12 operations each over accounts preloaded with 100. *)
 
-val key_of : int -> string
-
 val bank_total : config -> int
 (** The conserved quantity: [accounts * 100]. *)
 

@@ -45,7 +45,6 @@ type txn = {
 type t = { entries : entry Vec.t; txns : txn Vec.t }
 
 let create () = { entries = Vec.create (); txns = Vec.create () }
-let length t = Vec.length t.entries
 let entries t = Vec.to_list t.entries
 
 let record_txn t ~tid ~client ~began ~ended ~ops ~status =

@@ -33,7 +33,6 @@ type entry = {
 type t
 
 val create : unit -> t
-val length : t -> int
 
 val entries : t -> entry list
 (** In invocation order (ties broken by recording order, which is

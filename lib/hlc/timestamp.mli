@@ -38,5 +38,4 @@ val add_wall : t -> int -> t
 val wall : t -> int
 val logical : t -> int
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

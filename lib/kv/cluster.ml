@@ -1285,24 +1285,16 @@ let start_publishers t =
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
 
-type read_result =
-  | Read_value of { value : string option; ts : Ts.t }
-  | Read_uncertain of { value_ts : Ts.t }
-  | Read_redirect
-  | Read_wounded of string
-  | Read_err of string
+type 'a reply = [ `Ok of 'a | `Wounded of string | `Err of string ]
+type 'a read_reply = [ 'a reply | `Uncertain of Ts.t | `Redirect ]
 
-type scan_result =
-  | Scan_rows of (string * string) list
-  | Scan_uncertain of { value_ts : Ts.t }
-  | Scan_redirect
-  | Scan_wounded of string
-  | Scan_err of string
-
-type write_result =
-  | Write_ok of Ts.t
-  | Write_wounded of string
-  | Write_err of string
+(* Feed a served request into its range's [kv.range.qps] and
+   [kv.range.latency] timeseries, the autopilot's load signal. *)
+let note_range_op t rid ~start =
+  let ts = Obs.timeseries t.obs in
+  Timeseries.observe ts ~range:rid "kv.range.qps" 1;
+  Timeseries.record_sample ts ~range:rid "kv.range.latency"
+    (Sim.now t.sim - start)
 
 (* Reply-wait bound before a routed op re-resolves and re-sends. Must
    cover a full failover (election timeout 3-6s + lease acquisition) so a
@@ -1340,10 +1332,7 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
     Phase.total phases Phase.Lock_wait + Phase.total phases Phase.Replication
   in
   let record_done rid =
-    let ts = Obs.timeseries t.obs in
-    Timeseries.observe ts ~range:rid "kv.range.qps" 1;
-    Timeseries.record_sample ts ~range:rid "kv.range.latency"
-      (Sim.now t.sim - op_start);
+    note_range_op t rid ~start:op_start;
     sample_key t rid key
   in
   let deadline = Sim.now t.sim + op_deadline in
@@ -1838,30 +1827,17 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
   in
   loop ()
 
-(* How the requesting transaction's own fate, and a conflict wait that ends
-   without the key, finish an operation — per result type. *)
-type 'a ends = { wounded : string -> 'a; failed : string -> 'a }
-
-let read_ends =
-  { wounded = (fun e -> Read_wounded e); failed = (fun e -> Read_err e) }
-
-let scan_ends =
-  { wounded = (fun e -> Scan_wounded e); failed = (fun e -> Scan_err e) }
-
-let write_ends =
-  { wounded = (fun e -> Write_wounded e); failed = (fun e -> Write_err e) }
-
 (* Evaluate [live] unless the transaction was wounded or aborted meanwhile. *)
-let when_live ~fate ends live =
+let when_live ~fate live =
   match (fate () : fate) with
-  | `Wounded reason -> `Done (ends.wounded reason)
-  | `Aborted -> `Done (ends.failed "transaction aborted")
+  | `Wounded reason -> `Done (`Wounded reason)
+  | `Aborted -> `Done (`Err "transaction aborted")
   | `Live -> live ()
 
 (* Park on [blocker] (a lock or intent on [key]), charging the wait to the
    operation's lock_wait phase, and [retry] the evaluation once the key is
    free or routing moved. *)
-let conflict_wait t r ~phases ~key ~txn ~pri ~fate ends ~retry blocker =
+let conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry blocker =
   let t0 = Sim.now t.sim in
   let outcome =
     wait_on_conflict t r ~phases ~key ~blocker ~waiter:txn ~waiter_pri:pri
@@ -1870,9 +1846,9 @@ let conflict_wait t r ~phases ~key ~txn ~pri ~fate ends ~retry blocker =
   Phase.add phases Phase.Lock_wait (Sim.now t.sim - t0);
   match outcome with
   | Lock_table.Acquired -> retry ()
-  | Lock_table.Wounded reason -> `Done (ends.wounded reason)
-  | Lock_table.Pusher_aborted -> `Done (ends.failed "transaction aborted")
-  | Lock_table.Timed_out -> `Done (ends.failed "conflict timeout")
+  | Lock_table.Wounded reason -> `Done (`Wounded reason)
+  | Lock_table.Pusher_aborted -> `Done (`Err "transaction aborted")
+  | Lock_table.Timed_out -> `Done (`Err "conflict timeout")
 
 (* The lock or foreign intent a writer (or locker) of [key] must wait on. *)
 let write_blocker r ~key ~txn ~strength =
@@ -1899,10 +1875,10 @@ let observed_max_ts t r ~ts ~max_ts =
 
 let rec eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts =
   guard r ~key @@ fun () ->
-  when_live ~fate read_ends @@ fun () ->
+  when_live ~fate @@ fun () ->
   let max_ts = observed_max_ts t r ~ts ~max_ts in
   let wait =
-    conflict_wait t r ~phases ~key ~txn ~pri ~fate read_ends ~retry:(fun () ->
+    conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry:(fun () ->
         eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts)
   in
   match Lock_table.foreign r.r_lt ~key ~txn ~max_ts with
@@ -1910,9 +1886,9 @@ let rec eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts =
   | None -> (
       match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
       | Mvcc.Intent_blocked i -> wait (`Intent i)
-      | Mvcc.Value { value; ts = vts } ->
+      | Mvcc.Value { value; _ } ->
           Tscache.record_read r.r_range.rg_tscache ~txn ~key ~ts;
-          `Done (Read_value { value; ts = vts })
+          `Done (`Ok value)
       | Mvcc.Uncertain { value_ts } ->
           (* Server-side retry: when the transaction has no prior reads to
              refresh, ratchet the timestamp in place instead of bouncing the
@@ -1920,12 +1896,12 @@ let rec eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts =
           if inline_bump then
             eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key
               ~ts:value_ts ~max_ts
-          else `Done (Read_uncertain { value_ts }))
+          else `Done (`Uncertain value_ts))
 
 let read t ?(inline_bump = false) ?span ?(phases = Phase.nil) ?pri
     ?(fate = live_fate) ~gateway ~txn ~key ~ts ~max_ts () =
   with_leaseholder t ~gateway ?span ~phases ~op:"kv.read" ~key
-    ~on_fail:(fun msg -> Read_err msg)
+    ~on_fail:(fun msg -> `Err msg)
     (fun r _sp ->
       eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts)
 
@@ -1965,51 +1941,58 @@ let follower_serve t rg ~at ?local_sleep ?span ?phases eval =
           | Some res -> `Served res
           | None -> `Timed_out))
 
+(* One follower-served fragment of range [rid] (§5), traced as [op]: [at]'s
+   own replica or the nearest live one answers [serve] if it still owns
+   [key] and has closed [max_ts], and redirects to the leaseholder
+   otherwise. Counts the follower-read hit or miss at [at]. *)
+let follower_fragment t ~span ~phases ~at ~rid ~op ~timeout ~key ~max_ts
+    serve =
+  let tr = Obs.trace t.obs in
+  let sp = Trace.span tr ~parent:span ~node:at ~range:rid op in
+  let eval r =
+    (* A split or merge may land between resolution and evaluation;
+       redirect to the gateway path, which re-resolves the key. *)
+    if
+      r.r_range.rg_dropped
+      || (not (in_span r.r_range key))
+      || not Ts.(replica_closed r >= max_ts)
+    then `Redirect
+    else serve r
+  in
+  let res =
+    match
+      follower_serve t (range t rid) ~at ~local_sleep:50 ~span:sp ~phases eval
+    with
+    | `Served res -> res
+    | `No_replica -> `Err "no live replica"
+    | `Timed_out -> `Err timeout
+  in
+  (match res with
+  | `Ok _ | `Uncertain _ -> Metrics.inc t.c_fr_hit.(at)
+  | `Redirect ->
+      Trace.annotate sp "redirect" "true";
+      Metrics.inc t.c_fr_miss.(at)
+  | `Wounded _ | `Err _ -> ());
+  Trace.finish tr sp;
+  res
+
 let read_follower t ?(span = Trace.nil) ?(phases = Phase.nil) ~at ~txn ~key
     ~ts ~max_ts () =
   match range_of_key t key with
-  | exception Not_found -> Read_err ("no range for key " ^ key)
+  | exception Not_found -> `Err ("no range for key " ^ key)
   | rid ->
-      let tr = Obs.trace t.obs in
-      let sp =
-        Trace.span tr ~parent:span ~node:at ~range:rid "kv.follower_read"
-      in
-      let fr_start = Sim.now t.sim in
-      let eval r =
-        (* A split or merge may land between resolution and evaluation;
-           redirect to the gateway path, which re-resolves the key. *)
-        if
-          r.r_range.rg_dropped
-          || (not (in_span r.r_range key))
-          || not Ts.(replica_closed r >= max_ts)
-        then Read_redirect
-        else
-          match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
-          | Mvcc.Value { value; ts = vts } -> Read_value { value; ts = vts }
-          | Mvcc.Uncertain { value_ts } -> Read_uncertain { value_ts }
-          | Mvcc.Intent_blocked _ -> Read_redirect
-      in
+      let start = Sim.now t.sim in
       let res =
-        match
-          follower_serve t (range t rid) ~at ~local_sleep:50 ~span:sp ~phases
-            eval
-        with
-        | `Served res -> res
-        | `No_replica -> Read_err "no live replica"
-        | `Timed_out -> Read_err "follower read timeout"
+        follower_fragment t ~span ~phases ~at ~rid ~op:"kv.follower_read"
+          ~timeout:"follower read timeout" ~key ~max_ts (fun r ->
+            match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
+            | Mvcc.Value { value; _ } -> `Ok value
+            | Mvcc.Uncertain { value_ts } -> `Uncertain value_ts
+            | Mvcc.Intent_blocked _ -> `Redirect)
       in
       (match res with
-      | Read_value _ | Read_uncertain _ ->
-          Metrics.inc t.c_fr_hit.(at);
-          let ts = Obs.timeseries t.obs in
-          Timeseries.observe ts ~range:rid "kv.range.qps" 1;
-          Timeseries.record_sample ts ~range:rid "kv.range.latency"
-            (Sim.now t.sim - fr_start)
-      | Read_redirect ->
-          Trace.annotate sp "redirect" "true";
-          Metrics.inc t.c_fr_miss.(at)
-      | Read_wounded _ | Read_err _ -> ());
-      Trace.finish tr sp;
+      | `Ok _ | `Uncertain _ -> note_range_op t rid ~start
+      | `Redirect | `Wounded _ | `Err _ -> ());
       res
 
 let clamp_span rg ~start_key ~end_key =
@@ -2056,7 +2039,7 @@ let classify_rows rows =
 let rec eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
     ~limit =
   guard r ~key:start_key @@ fun () ->
-  when_live ~fate scan_ends @@ fun () ->
+  when_live ~fate @@ fun () ->
   (* A scan covers at most one range: clamp to the replica's current span
      (re-clamped on every retry, since a split may have shrunk it). *)
   let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
@@ -2065,7 +2048,7 @@ let rec eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
     Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn ~limit
   in
   let wait ~key =
-    conflict_wait t r ~phases ~key ~txn ~pri ~fate scan_ends ~retry:(fun () ->
+    conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry:(fun () ->
         eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
           ~limit)
   in
@@ -2075,17 +2058,11 @@ let rec eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
   | None -> (
       match classify_rows rows with
       | `Blocked (key, i) -> wait ~key (`Intent i)
-      | `Uncertain value_ts -> `Done (Scan_uncertain { value_ts })
+      | `Uncertain value_ts -> `Done (`Uncertain value_ts)
       | `Rows out ->
           Tscache.record_read_span r.r_range.rg_tscache ~txn ~start_key
             ~end_key ~ts;
-          `Done (Scan_rows out))
-
-(* Tag a fragment's result with the end of the range that served it: where
-   the next fragment starts under the routing in force at evaluation time. *)
-let with_range_end r = function
-  | (`Not_leader | `Range_mismatch) as other -> other
-  | `Done res -> `Done (res, snd r.r_range.rg_span)
+          `Done (`Ok (out, snd r.r_range.rg_span)))
 
 (* The fragment-stitch loop behind every span request. The span may cover
    several ranges (splits land at any time), so it is served left to right,
@@ -2121,27 +2098,27 @@ let stitch t ~start_key ~end_key ~init ~step ~finish =
   go init start_key
 
 (* Stitch a scan: rows in key order, [limit] counting down across fragments.
-   [fragment ~cursor ~limit rid] scans one range's part of the span. *)
+   [fragment ~cursor ~limit rid] scans one range's part of the span and
+   answers its rows with the end of the range that served them: where the
+   next fragment starts under the routing in force at evaluation time. *)
 let stitch_rows t ~start_key ~end_key ~limit fragment =
   let full = function Some n -> n <= 0 | None -> false in
   stitch t ~start_key ~end_key ~init:([], limit)
     ~finish:(fun ~gap (acc, remaining) ->
       match gap with
       | Some cursor when acc = [] && not (full remaining) ->
-          Scan_err ("no range for key " ^ cursor)
-      | Some _ | None -> Scan_rows (List.rev acc))
+          `Err ("no range for key " ^ cursor)
+      | Some _ | None -> `Ok (List.rev acc))
     ~step:(fun (acc, remaining) ~cursor rid ->
-      if full remaining then Error (Scan_rows (List.rev acc))
+      if full remaining then Error (`Ok (List.rev acc))
       else
         match fragment ~cursor ~limit:remaining rid with
-        | Scan_rows rows, next ->
+        | `Ok (rows, next) ->
             let remaining =
               Option.map (fun n -> n - List.length rows) remaining
             in
             Ok ((List.rev_append rows acc, remaining), next)
-        | ( (Scan_uncertain _ | Scan_redirect | Scan_wounded _ | Scan_err _) as
-            res ),
-            _ ->
+        | (`Uncertain _ | `Redirect | `Wounded _ | `Err _) as res ->
             (* Propagate; the transaction restarts the whole scan. *)
             Error res)
 
@@ -2149,58 +2126,29 @@ let scan t ?span ?(phases = Phase.nil) ?pri ?(fate = live_fate) ~gateway ~txn
     ~start_key ~end_key ~ts ~max_ts ~limit () =
   stitch_rows t ~start_key ~end_key ~limit (fun ~cursor ~limit _ ->
       with_leaseholder t ~gateway ?span ~phases ~op:"kv.scan" ~key:cursor
-        ~on_fail:(fun msg -> (Scan_err msg, end_key))
+        ~on_fail:(fun msg -> `Err msg)
         (fun r _sp ->
-          with_range_end r
-            (eval_scan t r ~phases ~txn ~pri ~fate ~start_key:cursor ~end_key
-               ~ts ~max_ts ~limit)))
+          eval_scan t r ~phases ~txn ~pri ~fate ~start_key:cursor ~end_key ~ts
+            ~max_ts ~limit))
 
 let scan_follower t ?(span = Trace.nil) ?(phases = Phase.nil) ~at ~txn
     ~start_key ~end_key ~ts ~max_ts ~limit () =
   (* Each fragment is served by the local (or nearest) replica; one that
      cannot be served there redirects the whole request. *)
   stitch_rows t ~start_key ~end_key ~limit (fun ~cursor ~limit rid ->
-      let tr = Obs.trace t.obs in
-      let sp =
-        Trace.span tr ~parent:span ~node:at ~range:rid "kv.follower_scan"
-      in
-      let eval r =
-        if
-          r.r_range.rg_dropped
-          || (not (in_span r.r_range cursor))
-          || not Ts.(replica_closed r >= max_ts)
-        then (Scan_redirect, end_key)
-        else
+      follower_fragment t ~span ~phases ~at ~rid ~op:"kv.follower_scan"
+        ~timeout:"follower scan timeout" ~key:cursor ~max_ts (fun r ->
           let start_key, end_key =
             clamp_span r.r_range ~start_key:cursor ~end_key
           in
-          let rows =
-            Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn
-              ~limit
-          in
-          let next = snd r.r_range.rg_span in
-          match classify_rows rows with
-          | `Blocked _ -> (Scan_redirect, next)
-          | `Uncertain value_ts -> (Scan_uncertain { value_ts }, next)
-          | `Rows out -> (Scan_rows out, next)
-      in
-      let ((res, _) as out) =
-        match
-          follower_serve t (range t rid) ~at ~local_sleep:50 ~span:sp ~phases
-            eval
-        with
-        | `Served out -> out
-        | `No_replica -> (Scan_err "no live replica", end_key)
-        | `Timed_out -> (Scan_err "follower scan timeout", end_key)
-      in
-      (match res with
-      | Scan_rows _ | Scan_uncertain _ -> Metrics.inc t.c_fr_hit.(at)
-      | Scan_redirect ->
-          Trace.annotate sp "redirect" "true";
-          Metrics.inc t.c_fr_miss.(at)
-      | Scan_wounded _ | Scan_err _ -> ());
-      Trace.finish tr sp;
-      out)
+          match
+            classify_rows
+              (Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts
+                 ~for_txn:txn ~limit)
+          with
+          | `Blocked _ -> `Redirect
+          | `Uncertain value_ts -> `Uncertain value_ts
+          | `Rows out -> `Ok (out, snd r.r_range.rg_span)))
 
 let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
     ~value ~ts ~span =
@@ -2208,10 +2156,10 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
   (* A wounded or aborted writer must not lay new intents: a pusher may
      already have cleaned up its old ones, and nothing would remove a
      late-laid intent until abandonment kicked in. *)
-  when_live ~fate write_ends @@ fun () ->
+  when_live ~fate @@ fun () ->
   match write_blocker r ~key ~txn ~strength:Lock_table.Exclusive with
   | Some blocker ->
-      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate write_ends
+      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate
         ~retry:(fun () ->
           eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
             ~value ~ts ~span)
@@ -2260,16 +2208,16 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
               Ivar.on_fill cmd.done_ (fun () ->
                   Transport.send t.net ~src:r.r_node ~dst:gateway (fun () ->
                       ignore (Ivar.try_fill ack cmd.fate : bool)));
-              `Done (Write_ok ts)
+              `Done (`Ok ts)
           | None -> (
               match await_applied t cmd with
               | Some () -> (
                   match cmd.fate with
-                  | `Applied -> `Done (Write_ok ts)
+                  | `Applied -> `Done (`Ok ts)
                   | `Prevented ->
-                      `Done (Write_err "write prevented by recovery")
-                  | `Dropped -> `Done (Write_err "proposal lost (leader gone)"))
-              | None -> `Done (Write_err "proposal lost (leader gone)"))))
+                      `Done (`Err "write prevented by recovery")
+                  | `Dropped -> `Done (`Err "proposal lost (leader gone)"))
+              | None -> `Done (`Err "proposal lost (leader gone)"))))
 
 (* One-phase commit: evaluate, then propose the intent and its commit
    resolution back to back in the same Raft log. The lock exists only
@@ -2283,9 +2231,9 @@ let eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value ~ts
       ~anchor:"" ~fate ~key ~value ~ts ~span
   with
   | (`Not_leader | `Range_mismatch) as other -> other
-  | `Done (Write_wounded reason) -> `Done (Error reason)
-  | `Done (Write_err e) -> `Done (Error e)
-  | `Done (Write_ok final_ts) -> (
+  | `Done (`Wounded reason) -> `Done (Error reason)
+  | `Done (`Err e) -> `Done (Error e)
+  | `Done (`Ok final_ts) -> (
       match
         propose t r ~span ~phases
           ~closed:(next_closed_target t r.r_range r.r_node)
@@ -2310,7 +2258,7 @@ let write_and_commit t ?span ?(phases = Phase.nil) ?pri ?(fate = live_fate)
 let write t ?applied ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
     ?(fate = live_fate) ~gateway ~txn ~key ~value ~ts () =
   with_leaseholder t ~gateway ?span ~phases ~op:"kv.write" ~key
-    ~on_fail:(fun msg -> Write_err msg)
+    ~on_fail:(fun msg -> `Err msg)
     (fun r sp ->
       eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
         ~value ~ts ~span:sp)
@@ -2325,10 +2273,10 @@ let write t ?applied ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
    anchor). *)
 let rec eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts =
   guard r ~key @@ fun () ->
-  when_live ~fate write_ends @@ fun () ->
+  when_live ~fate @@ fun () ->
   match write_blocker r ~key ~txn ~strength with
   | Some blocker ->
-      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate write_ends
+      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate
         ~retry:(fun () ->
           eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts)
         blocker
@@ -2337,12 +2285,12 @@ let rec eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts =
       ignore
         (Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~strength ~key ~txn ~ts ()
           : bool);
-      `Done (Write_ok ts)
+      `Done (`Ok ts)
 
 let lock_key t ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
     ?(fate = live_fate) ~gateway ~txn ~key ~ts ~strength () =
   with_leaseholder t ~gateway ?span ~phases ~op:"kv.lock" ~key
-    ~on_fail:(fun msg -> Write_err msg)
+    ~on_fail:(fun msg -> `Err msg)
     (fun r _sp -> eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts)
 
 (* Resolve the subset of [keys] this replica's range owns; the rest — keys
@@ -2487,9 +2435,12 @@ let refresh_span t ?span ?(phases = Phase.nil) ~gateway ~txn ~start_key
           ~key:cursor
           ~on_fail:(fun _ -> (false, end_key))
           (fun r _sp ->
-            with_range_end r
-              (eval_refresh_span r ~txn ~start_key:cursor ~end_key ~from_ts
-                 ~to_ts))
+            match
+              eval_refresh_span r ~txn ~start_key:cursor ~end_key ~from_ts
+                ~to_ts
+            with
+            | `Done ok -> `Done (ok, snd r.r_range.rg_span)
+            | (`Not_leader | `Range_mismatch) as other -> other)
       in
       if ok then Ok ((), next) else Error false)
 

@@ -246,15 +246,19 @@ val closed_lead_duration : t -> range_id -> int
 
 (** {2 Operations} (call within a process)
 
-    Every operation accepts an optional [phases] context
-    ({!Crdb_obs.Phase.ctx}, default the discarding {!Crdb_obs.Phase.nil})
-    that accumulates the request's time into named phases — routing,
-    lease_wait, lock_wait, replication — and counts the WAN round trips it
-    incurs (cross-region RPCs, plus replication rounds whose quorum reaches
-    outside the leaseholder's region). Successful leaseholder operations and
-    follower-read hits also feed the per-range [kv.range.qps] /
-    [kv.range.write_bytes] / [kv.range.latency] timeseries in the cluster's
-    {!Crdb_obs.Timeseries} store. *)
+    A key is read at the leaseholder ({!read}, {!scan}) or, below the
+    closed timestamp, at a nearby follower ({!read_follower},
+    {!scan_follower}: §5 stale reads and §6.2 present-time reads of GLOBAL
+    ranges); the four share one reply family, {!read_reply}, and writes
+    and locks answer a {!reply}. Every operation accepts an optional
+    [phases] context ({!Crdb_obs.Phase.ctx}, default the discarding
+    {!Crdb_obs.Phase.nil}) that accumulates the request's time into named
+    phases — routing, lease_wait, lock_wait, replication — and counts the
+    WAN round trips it incurs (cross-region RPCs, plus replication rounds
+    whose quorum reaches outside the leaseholder's region). Successful
+    leaseholder operations and follower-read hits also feed the per-range
+    [kv.range.qps] / [kv.range.write_bytes] / [kv.range.latency]
+    timeseries in the cluster's {!Crdb_obs.Timeseries} store. *)
 
 type fate = [ `Live | `Wounded of string | `Aborted ]
 (** How the requesting transaction itself has fared, as known to its own
@@ -270,15 +274,15 @@ type write_ack = [ `Applied | `Prevented | `Dropped ]
     proposal was discarded from the log without committing (indeterminate —
     the transaction must restart with an ambiguous outcome). *)
 
-type read_result =
-  | Read_value of { value : string option; ts : Ts.t }
-  | Read_uncertain of { value_ts : Ts.t }
-      (** caller must ratchet its timestamp to [value_ts] and refresh *)
-  | Read_redirect  (** follower cannot serve; go to the leaseholder *)
-  | Read_wounded of string
-      (** the reading transaction was wound-aborted by an older conflicting
-          transaction while it waited; restart with the same priority *)
-  | Read_err of string  (** unavailable after retries / timeout *)
+type 'a reply = [ `Ok of 'a | `Wounded of string | `Err of string ]
+(** [`Wounded]: the requesting transaction was wound-aborted by an older
+    conflicting transaction; it must restart (keeping its priority) and
+    must not lay further intents. [`Err]: unavailable after retries, a
+    timeout, or the transaction was aborted. *)
+
+type 'a read_reply = [ 'a reply | `Uncertain of Ts.t | `Redirect ]
+(** [`Uncertain ts]: the caller must ratchet its timestamp to [ts] and
+    refresh. [`Redirect]: a follower cannot serve; go to the leaseholder. *)
 
 val read :
   t ->
@@ -293,7 +297,7 @@ val read :
   ts:Ts.t ->
   max_ts:Ts.t ->
   unit ->
-  read_result
+  string option read_reply
 (** Consistent read at the leaseholder. Blocks while a conflicting lock or
     intent (with timestamp [<= max_ts]) is held; records the read in the
     timestamp cache. With [inline_bump] (CRDB's server-side retry, valid
@@ -310,18 +314,11 @@ val read_follower :
   ts:Ts.t ->
   max_ts:Ts.t ->
   unit ->
-  read_result
+  string option read_reply
 (** Read on [at]'s local replica without contacting the leaseholder.
     Requires the replica's closed timestamp to cover [max_ts]; otherwise
-    [Read_redirect]. Blocked intents also redirect (§5.1.1). No timestamp
+    [`Redirect]. Blocked intents also redirect (§5.1.1). No timestamp
     cache update is needed: the timestamps are already closed. *)
-
-type scan_result =
-  | Scan_rows of (string * string) list  (** key, value pairs in key order *)
-  | Scan_uncertain of { value_ts : Ts.t }
-  | Scan_redirect
-  | Scan_wounded of string  (** see {!read_result.Read_wounded} *)
-  | Scan_err of string
 
 val scan :
   t ->
@@ -337,11 +334,12 @@ val scan :
   max_ts:Ts.t ->
   limit:int option ->
   unit ->
-  scan_result
-(** Leaseholder scan over [[start_key, end_key)]. The request is split into
-    per-range fragments resolved left to right through the routing map at
-    use time, so the result is complete even after the span has been split
-    into (or merged from) many ranges. *)
+  (string * string) list read_reply
+(** Leaseholder scan over [[start_key, end_key)]: key, value pairs in key
+    order. The request is split into per-range fragments resolved left to
+    right through the routing map at use time, so the result is complete
+    even after the span has been split into (or merged from) many
+    ranges. *)
 
 val scan_follower :
   t ->
@@ -355,22 +353,11 @@ val scan_follower :
   max_ts:Ts.t ->
   limit:int option ->
   unit ->
-  scan_result
+  (string * string) list read_reply
 (** Follower scan: stitched like {!scan}, with [limit] counting down across
     the fragments, but each fragment is served by [at]'s own replica or the
-    nearest live one. [Scan_redirect] when any fragment lies above that
+    nearest live one. [`Redirect] when any fragment lies above that
     replica's closed timestamp or meets an intent. *)
-
-type write_result =
-  | Write_ok of Ts.t
-      (** the possibly-pushed provisional commit timestamp: above the
-          timestamp cache, above the newest committed version, and above the
-          range's closed timestamp target *)
-  | Write_wounded of string
-      (** the writing transaction was wound-aborted by an older conflicting
-          transaction; it must restart (keeping its priority) and must not
-          lay further intents *)
-  | Write_err of string
 
 val write :
   t ->
@@ -386,10 +373,13 @@ val write :
   value:string option ->
   ts:Ts.t ->
   unit ->
-  write_result
-(** Lay a write intent through consensus. On [Write_ok ts], the transaction
-    must commit at or above [ts] (for [Lead] ranges it lands in the future),
-    and must hold all its locks until {!resolve}.
+  Ts.t reply
+(** Lay a write intent through consensus. [`Ok ts] carries the
+    possibly-pushed provisional commit timestamp — above the timestamp
+    cache, the newest committed version and the range's closed timestamp
+    target: the transaction must commit at or above it (for [Lead] ranges
+    it lands in the future), and must hold all its locks until
+    {!resolve}.
 
     [pri] and [anchor] stamp the writer's wound-wait priority and record
     location onto the lock and intent so pushers can find its record; when
@@ -416,7 +406,7 @@ val lock_key :
   ts:Ts.t ->
   strength:Lock_table.strength ->
   unit ->
-  write_result
+  Ts.t reply
 (** SELECT FOR UPDATE / FOR SHARE: take an unreplicated
     [Lock_table.strength] lock on [key] at the leaseholder without laying an
     intent. Blocks (through the same wound-wait push protocol as writes)

@@ -22,16 +22,12 @@ let lock_anchor l = l.lk_anchor
 type t = {
   locks : (string, lock list ref) Hashtbl.t;
   queues : (string, unit Ivar.t list ref) Hashtbl.t;
-  mutable nwaiters : int;
 }
 
-let create () = { locks = Hashtbl.create 16; queues = Hashtbl.create 16; nwaiters = 0 }
+let create () = { locks = Hashtbl.create 16; queues = Hashtbl.create 16 }
 
 let holders t ~key =
   match Hashtbl.find_opt t.locks key with Some ls -> !ls | None -> []
-
-let find t ~key ~txn =
-  List.find_opt (fun l -> l.lk_txn = txn) (holders t ~key)
 
 let foreign t ~key ~txn ~max_ts =
   (* Readers (and refreshes) only conflict with Exclusive holders: a Shared
@@ -104,7 +100,6 @@ let wake t ~key =
   | Some q ->
       let ws = !q in
       Hashtbl.remove t.queues key;
-      t.nwaiters <- t.nwaiters - List.length ws;
       (* Parking prepends, so [ws] is newest-first: wake oldest-first or a
          sustained stream of fresh writers starves the earliest waiter
          forever (its re-acquire always loses to a younger one woken
@@ -124,7 +119,6 @@ let park t ~key =
   (match Hashtbl.find_opt t.queues key with
   | Some q -> q := iv :: !q
   | None -> Hashtbl.replace t.queues key (ref [ iv ]));
-  t.nwaiters <- t.nwaiters + 1;
   iv
 
 let unpark t ~key iv =
@@ -133,17 +127,14 @@ let unpark t ~key iv =
   | Some q ->
       if List.memq iv !q then begin
         q := List.filter (fun i -> i != iv) !q;
-        t.nwaiters <- t.nwaiters - 1;
         if !q = [] then Hashtbl.remove t.queues key
       end
 
-let waiters t = t.nwaiters
 let clear_locks t = Hashtbl.reset t.locks
 
 let wake_all t =
   let qs = Hashtbl.fold (fun _ q acc -> !q @ acc) t.queues [] in
   Hashtbl.reset t.queues;
-  t.nwaiters <- 0;
   List.iter (fun iv -> Ivar.fill iv ()) qs
 
 let reset t =
@@ -165,9 +156,6 @@ let split_move t ~into ~at =
   List.iter
     (fun (k, q) ->
       Hashtbl.remove t.queues k;
-      let n = List.length !q in
-      t.nwaiters <- t.nwaiters - n;
-      into.nwaiters <- into.nwaiters + n;
       match Hashtbl.find_opt into.queues k with
       | Some q' -> q' := !q @ !q'
       | None -> Hashtbl.replace into.queues k q)

@@ -57,12 +57,6 @@ val create : unit -> t
 
 (** {1 Locks} *)
 
-val holders : t -> key:string -> lock list
-(** All locks on [key]: one Exclusive, or any number of Shared. *)
-
-val find : t -> key:string -> txn:int -> lock option
-(** [txn]'s own grip on [key], if any. *)
-
 val foreign : t -> key:string -> txn:int option -> max_ts:Ts.t -> lock option
 (** An Exclusive lock on [key] held by a different transaction at a
     timestamp [<= max_ts] (the visibility rule readers use; Shared locks
@@ -95,9 +89,6 @@ val release : t -> key:string -> txn:int -> unit
 (** Drop [txn]'s grip on [key] if it holds one (other Shared holders keep
     theirs), then wake all waiters on [key]. *)
 
-val wake : t -> key:string -> unit
-(** Wake all waiters on [key] without touching the lock (intent resolved). *)
-
 (** {1 Waiters} *)
 
 val park : t -> key:string -> unit Ivar.t
@@ -105,9 +96,6 @@ val park : t -> key:string -> unit Ivar.t
 
 val unpark : t -> key:string -> unit Ivar.t -> unit
 (** Remove a specific waiter (no-op if a wake already consumed it). *)
-
-val waiters : t -> int
-(** Total parked waiters across all keys (queue-depth gauge). *)
 
 (** {1 Lifecycle} *)
 

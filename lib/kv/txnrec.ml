@@ -94,21 +94,8 @@ let apply t ~txn ~key upd =
 let status t ~txn =
   match find t ~txn with Some r -> Some r.tr_status | None -> None
 
-let priority t ~txn =
-  match find t ~txn with Some r -> Some (r.tr_pri, r.tr_id) | None -> None
-
 let older (a_ts, a_id) (b_ts, b_id) =
   Ts.(a_ts < b_ts) || (Ts.equal a_ts b_ts && a_id < b_id)
-
-let pending t =
-  Hashtbl.fold
-    (fun _ r acc ->
-      match r.tr_status with
-      | Pending | Staging _ -> acc + 1
-      | Committed _ | Aborted _ -> acc)
-    t.tbl 0
-
-let records t = Hashtbl.fold (fun _ r acc -> r :: acc) t.tbl []
 
 let copy_record r =
   { tr_id = r.tr_id; tr_key = r.tr_key; tr_pri = r.tr_pri;
@@ -137,5 +124,3 @@ let split_move t ~into ~at =
 
 let absorb t ~from =
   Hashtbl.iter (fun id r -> Hashtbl.replace t.tbl id (copy_record r)) from.tbl
-
-let clear t = Hashtbl.reset t.tbl

@@ -80,18 +80,10 @@ val apply : t -> txn:int -> key:string -> update -> unit
 
 val find : t -> txn:int -> record option
 val status : t -> txn:int -> status option
-val priority : t -> txn:int -> (Ts.t * int) option
-(** The wound-wait priority pair [(priority_ts, txn id)], if recorded. *)
 
 val older : Ts.t * int -> Ts.t * int -> bool
 (** [older a b]: does priority pair [a] beat (predate) [b]? Lexicographic on
     (timestamp, txn id); lower = older = wins. *)
-
-val pending : t -> int
-(** Number of Pending or Staging records (diagnostics). *)
-
-val records : t -> record list
-(** All records, unordered (introspection for tests). *)
 
 (** {1 Range lifecycle} — mirrors [Mvcc]/[Lock_table] so records travel with
     their anchor key. *)
@@ -107,5 +99,3 @@ val split_move : t -> into:t -> at:string -> unit
 
 val absorb : t -> from:t -> unit
 (** Merge: deep-copy the subsumed right-hand table's records into [t]. *)
-
-val clear : t -> unit

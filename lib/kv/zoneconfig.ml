@@ -9,20 +9,6 @@ type t = {
   lease_preferences : string list;
 }
 
-let pp ppf t =
-  let pp_constraints ppf cs =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-      (fun ppf (r, n) -> Format.fprintf ppf "+region=%s: %d" r n)
-      ppf cs
-  in
-  Format.fprintf ppf
-    "@[<v>num_voters = %d@,num_replicas = %d@,constraints = {%a}@,\
-     voter_constraints = {%a}@,lease_preferences = [[%s]]@]"
-    t.num_voters t.num_replicas pp_constraints t.constraints pp_constraints
-    t.voter_constraints
-    (String.concat "; " (List.map (fun r -> "+region=" ^ r) t.lease_preferences))
-
 let derive ~regions ~home ~survival ~placement =
   if not (List.mem home regions) then
     invalid_arg (Printf.sprintf "Zoneconfig.derive: home %s not a database region" home);

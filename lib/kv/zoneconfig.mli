@@ -21,8 +21,6 @@ type t = {
   lease_preferences : string list;  (** preferred leaseholder regions *)
 }
 
-val pp : Format.formatter -> t -> unit
-
 val derive :
   regions:string list ->
   home:string ->

@@ -56,14 +56,3 @@ let nodes_in_zone t region zone =
 
 let region_of t id = (node t id).region
 let zone_of t id = (node t id).zone
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun r ->
-      let ns = nodes_in_region t r in
-      Format.fprintf ppf "%s: %d nodes (%s)@,"
-        r (List.length ns)
-        (String.concat ", " (List.map (fun n -> n.zone) ns)))
-    t.regions;
-  Format.fprintf ppf "@]"

@@ -36,5 +36,3 @@ val gateway : t -> region:string -> ?index:int -> unit -> node_id
 val nodes_in_zone : t -> string -> string -> node list
 val region_of : t -> node_id -> string
 val zone_of : t -> node_id -> string
-
-val pp : Format.formatter -> t -> unit

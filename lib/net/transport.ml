@@ -65,9 +65,7 @@ let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
   }
 
 let sim t = t.sim
-let obs t = t.obs
 let topology t = t.topology
-let latency t = t.latency
 let is_alive t id = not (Hashtbl.mem t.dead_since id)
 let dead_since t id = Hashtbl.find_opt t.dead_since id
 let epoch t id = Option.value ~default:0 (Hashtbl.find_opt t.epochs id)

@@ -26,9 +26,7 @@ val create :
     events and rpc spans. *)
 
 val sim : t -> Crdb_sim.Sim.t
-val obs : t -> Crdb_obs.Obs.t
 val topology : t -> Topology.t
-val latency : t -> Latency.t
 
 val delay : t -> Topology.node_id -> Topology.node_id -> int
 (** Sampled one-way delay in microseconds for a message sent now. *)

@@ -28,7 +28,6 @@ let create ~now ?(bucket_width = 1_000_000) ?(num_buckets = 60) () =
   if num_buckets <= 0 then invalid_arg "Timeseries.create: num_buckets";
   { now; width = bucket_width; num_buckets; tbl = Hashtbl.create 64 }
 
-let bucket_width t = t.width
 let span t = t.width * t.num_buckets
 
 let series t ?range name =

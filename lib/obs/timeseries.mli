@@ -22,8 +22,6 @@ val create :
     (a one-minute retained span).
     @raise Invalid_argument on non-positive width or bucket count. *)
 
-val bucket_width : t -> int
-
 val span : t -> int
 (** Retained history: [bucket_width * num_buckets]; also the default query
     window. *)

@@ -35,8 +35,6 @@ type t = {
 
 let create ~now () = { now; enabled = false; next_id = 1; records = Vec.create () }
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
-let is_enabled t = t.enabled
 let nil = Nil
 
 let clear t =

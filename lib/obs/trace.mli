@@ -18,8 +18,6 @@ val create : now:(unit -> int) -> unit -> t
     expected to return simulated microseconds. *)
 
 val enable : t -> unit
-val disable : t -> unit
-val is_enabled : t -> bool
 
 val nil : span
 (** The inert span: safe to pass as a parent, never recorded. *)

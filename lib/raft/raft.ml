@@ -164,8 +164,6 @@ let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
     election_span = Trace.nil;
   }
 
-let id t = t.id
-let role t = t.role
 let is_leader t = match t.role with Leader -> true | Follower | Candidate -> false
 let leader_id t = t.leader
 let term t = t.term

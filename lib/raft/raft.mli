@@ -120,8 +120,6 @@ val create :
     contain that initial state. All initial replicas of a group must use
     the same boundary. *)
 
-val id : _ t -> int
-val role : _ t -> role
 val is_leader : _ t -> bool
 val leader_id : _ t -> int option
 val term : _ t -> int
@@ -129,7 +127,6 @@ val commit_index : _ t -> int
 val last_index : _ t -> int
 val applied_index : _ t -> int
 val peers : _ t -> config_change
-val voters : _ t -> int list
 val quiesced : _ t -> bool
 
 val last_quorum_contact : _ t -> int
@@ -159,9 +156,6 @@ val remove_peer : ('cmd, 'snap) t -> int -> int option
     leadership first. *)
 
 val handle : ('cmd, 'snap) t -> from:int -> ('cmd, 'snap) message -> unit
-
-val campaign : _ t -> unit
-(** Start an election immediately (testing / explicit failover). *)
 
 val transfer_leadership : _ t -> int -> unit
 (** Ask the given voter to take over (no-op if not leader). *)

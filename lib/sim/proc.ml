@@ -45,7 +45,6 @@ let await ivar = perform (Await ivar)
 let await_catch ivar =
   match perform (Await ivar) with Ok v -> v | Error e -> raise e
 let sleep sim d = perform (Sleep (sim, d))
-let yield sim = sleep sim 0
 
 let await_timeout sim ivar ~timeout =
   let wrapped = Ivar.create () in
@@ -62,12 +61,11 @@ let await_timeout sim ivar ~timeout =
 
 let await_all ivars = List.map await ivars
 
-let await_any sim ivars =
+let await_any ivars =
   let wrapped = Ivar.create () in
   List.iter
     (fun iv -> Ivar.on_fill iv (fun v -> ignore (Ivar.try_fill wrapped v)))
     ivars;
-  ignore sim;
   await wrapped
 
 let run_main sim f =

@@ -42,14 +42,11 @@ val await_timeout : Sim.t -> 'a Ivar.t -> timeout:int -> 'a option
 val await_all : 'a Ivar.t list -> 'a list
 (** Block until every ivar is filled; results in input order. *)
 
-val await_any : Sim.t -> 'a Ivar.t list -> 'a
+val await_any : 'a Ivar.t list -> 'a
 (** Block until the first ivar fills (earliest fill wins deterministically). *)
 
 val sleep : Sim.t -> int -> unit
 (** Suspend for the given number of simulated microseconds. *)
-
-val yield : Sim.t -> unit
-(** Let other events scheduled for the current instant run first. *)
 
 val run_main : Sim.t -> (unit -> 'a) -> 'a
 (** [run_main sim f] spawns [f], drains the whole event queue, and returns

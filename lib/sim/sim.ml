@@ -148,5 +148,4 @@ let run ?until t =
       done;
       if t.now < limit then t.now <- limit
 
-let run_for t d = run ~until:(t.now + d) t
 let pending t = t.len

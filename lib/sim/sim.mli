@@ -42,9 +42,6 @@ val run : ?until:int -> t -> unit
     at the first event scheduled strictly after [until], leaving it queued,
     and advance [now] to [until]. *)
 
-val run_for : t -> int -> unit
-(** [run_for t d] is [run t ~until:(now t + d)]. *)
-
 val pending : t -> int
 (** Number of queued events. Every queued event will fire: a cancelled timer
     leaves the queue when it is cancelled. *)

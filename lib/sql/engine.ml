@@ -63,7 +63,6 @@ let create cl =
     rng = Rng.create ~seed:0x5a1;
   }
 
-let cluster t = t.cl
 let txn_manager t = t.mgr
 
 let database t name =
@@ -185,7 +184,7 @@ let realign_zones db =
         pt.pt_indexes)
     db.d_tables
 
-let build_phys_indexes db schema pt_id =
+let build_phys_indexes db schema =
   let primary =
     {
       pi_no = Keycodec.primary_index;
@@ -225,7 +224,6 @@ let build_phys_indexes db schema pt_id =
         (regions db)
     else []
   in
-  ignore pt_id;
   primary :: (secondaries @ duplicates)
 
 let create_table_phys db schema =
@@ -239,7 +237,7 @@ let create_table_phys db schema =
   let pt_id = db.d_engine.next_table_id in
   db.d_engine.next_table_id <- pt_id + 1;
   let pt = { pt_id; pt_schema = schema; pt_indexes = [] } in
-  pt.pt_indexes <- build_phys_indexes db schema pt_id;
+  pt.pt_indexes <- build_phys_indexes db schema;
   List.iter (fun pi -> create_index_ranges db pt pi) pt.pt_indexes;
   Hashtbl.replace db.d_tables schema.Schema.tbl_name pt;
   db.d_table_order <- schema.Schema.tbl_name :: db.d_table_order;
@@ -408,18 +406,13 @@ let find_via_index db pt pi ctx ~(known : row) ~key_values =
         | None -> None
       end
 
-let local_dup_index db pt ctx =
+let local_dup_index pt ctx =
   if not pt.pt_schema.Schema.tbl_duplicate_indexes then None
-  else
-    List.find_opt
-      (fun pi -> pi.pi_pin = Some ctx.fc_region)
-      (dup_indexes pt)
-      |> fun found ->
-      (match found with Some _ -> found | None -> ignore db; None)
+  else List.find_opt (fun pi -> pi.pi_pin = Some ctx.fc_region) (dup_indexes pt)
 
 let select_pk_ctx db pt ctx pk =
   let known = List.combine pt.pt_schema.Schema.tbl_pkey pk in
-  match local_dup_index db pt ctx with
+  match local_dup_index pt ctx with
   | Some pi -> (
       (* Read the local covering duplicate index (§7.3.1). *)
       match find_via_index db pt pi ctx ~known ~key_values:pk with
@@ -561,7 +554,7 @@ let check_unique db pt ctx ~(row : row) ~own_pk ~partition =
       end)
     pt.pt_indexes
 
-let check_fks db ctx txn_ctx_get (row : row) pt =
+let check_fks db ctx (row : row) pt =
   List.iter
     (fun (fk : Schema.fk) ->
       let parent = phys_table db fk.Schema.fk_parent in
@@ -575,7 +568,6 @@ let check_fks db ctx txn_ctx_get (row : row) pt =
       in
       if List.exists (fun v -> Value.equal v Value.V_null) values then ()
       else begin
-        ignore txn_ctx_get;
         match select_pk_ctx db parent ctx values with
         | Some _ -> ()
         | None ->
@@ -635,7 +627,7 @@ let t_insert_inner ?(check = true) c ~table (row : row) =
       sql_error "region %s is not writable in database %s" r db.d_name
   | (Some _ | None), _ -> ());
   if check then begin
-    check_fks db c.tc_ctx (fun k -> c.tc_ctx.fc_get k) normalized pt;
+    check_fks db c.tc_ctx normalized pt;
     check_unique db pt c.tc_ctx ~row:normalized ~own_pk:None ~partition
   end;
   write_row_keys c.tc_txn pt ~partition normalized
@@ -941,7 +933,7 @@ let rebuild_table_layout db pt ~new_schema =
     | Schema.Regional_by_table _ | Schema.Global -> new_schema
   in
   pt.pt_schema <- new_schema;
-  pt.pt_indexes <- build_phys_indexes db new_schema pt.pt_id;
+  pt.pt_indexes <- build_phys_indexes db new_schema;
   List.iter (fun pi -> create_index_ranges db pt pi) pt.pt_indexes;
   Cluster.settle db.d_engine.cl;
   let migrated =

@@ -25,7 +25,6 @@ type t
 type db
 
 val create : Cluster.t -> t
-val cluster : t -> Cluster.t
 val txn_manager : t -> Txn.manager
 
 exception Sql_error of string

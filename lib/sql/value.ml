@@ -13,20 +13,6 @@ let equal a b =
       String.equal x y
   | (V_null | V_int _ | V_string _ | V_uuid _ | V_region _), _ -> false
 
-let rank = function
-  | V_null -> 0
-  | V_int _ -> 1
-  | V_string _ -> 2
-  | V_uuid _ -> 3
-  | V_region _ -> 4
-
-let compare a b =
-  match (a, b) with
-  | V_int x, V_int y -> Int.compare x y
-  | V_string x, V_string y | V_uuid x, V_uuid y | V_region x, V_region y ->
-      String.compare x y
-  | _ -> Int.compare (rank a) (rank b)
-
 let pp ppf = function
   | V_null -> Format.pp_print_string ppf "NULL"
   | V_int i -> Format.pp_print_int ppf i

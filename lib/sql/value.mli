@@ -12,8 +12,6 @@ type t =
   | V_region of string  (** a [crdb_internal_region] enum value (§2.1) *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_display : t -> string
 
 val encode_key_part : t -> string

@@ -28,16 +28,11 @@ let unit_float t =
   bits *. (1.0 /. 9007199254740992.0)
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
 
 let exponential t ~mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

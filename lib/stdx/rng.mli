@@ -11,25 +11,17 @@ val split : t -> t
 (** [split t] is a new independent generator derived from [t]'s stream, used
     to give subsystems their own streams without coupling their draws. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element. @raise Invalid_argument on empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -15,7 +15,6 @@ type t = {
 }
 
 let create ~low_water = { low = low_water; points = Hashtbl.create 64; spans = [] }
-let low_water t = t.low
 let bump_low_water t ts = if Ts.(ts > t.low) then t.low <- ts
 
 let same_owner a b =

@@ -13,7 +13,6 @@ type ts = Crdb_hlc.Timestamp.t
 type t
 
 val create : low_water:ts -> t
-val low_water : t -> ts
 
 val bump_low_water : t -> ts -> unit
 (** Raise the low-water mark (monotonic; lower values are ignored). *)

@@ -32,18 +32,9 @@ module Options = struct
   let default = { pipelined_writes = true; parallel_commits = true }
 end
 
-type stats = {
-  mutable commits : int;
-  mutable restarts : int;
-  mutable wounds : int;
-  mutable reader_commit_waits : int;
-  mutable writer_commit_wait_micros : int;
-}
-
 type manager = {
   cl : Cluster.t;
   mutable next_txn_id : int;
-  stats : stats;
   mutable opts : Options.t;
   obs : Obs.t;
   c_attempts : Metrics.counter array;
@@ -127,14 +118,6 @@ let create_manager cl =
     cl;
     next_txn_id = 1;
     opts = Options.default;
-    stats =
-      {
-        commits = 0;
-        restarts = 0;
-        wounds = 0;
-        reader_commit_waits = 0;
-        writer_commit_wait_micros = 0;
-      };
     obs;
     c_attempts = per_node "txn.attempts";
     c_commits = per_node "txn.commits";
@@ -146,11 +129,8 @@ let create_manager cl =
     phase_sink = lazy (Phase.sink m ~cls:"txn");
   }
 
-let cluster mgr = mgr.cl
-let stats mgr = mgr.stats
 let set_options mgr opts = mgr.opts <- opts
 let options mgr = mgr.opts
-let read_ts t = t.read_ts
 let txn_id t = t.id
 let gateway t = t.gw
 
@@ -209,10 +189,6 @@ let is_global t key =
       | Cluster.Lag _ -> false)
   | exception Not_found -> raise (Fatal ("no range for key " ^ key))
 
-let restartable_read_error e =
-  (* Conflict timeouts and unavailability are worth a fresh attempt. *)
-  raise (Restart e)
-
 (* Await one pipelined write's confirmation. A prevented write means
    commit-status recovery decided against us (restart, same priority); a
    dropped or silent one leaves the write's fate — and hence the commit's —
@@ -223,83 +199,67 @@ let await_ack t (key, ack) =
   | Some `Prevented -> raise (Wounded ("write prevented by recovery on " ^ key))
   | Some `Dropped | None -> raise (Restart "pipelined write lost")
 
-let get t key =
+(* The read loop behind [get] and [scan]. Each attempt first awaits [acks]
+   (the transaction's own pipelined writes to what it reads), then reads
+   through [follower] when [global_key]'s range is GLOBAL and [follower_ok],
+   falling back to [leaseholder] on a redirect, and on success records
+   [read] among the spans to refresh. *)
+let read_loop t ~global_key ~follower_ok ~acks ~read ~follower ~leaseholder =
   let rec go attempts =
     if attempts > 20 then raise (Restart "uncertainty loop");
-    let own_write = List.mem key t.writes in
-    (* Read-your-own-writes under pipelining: wait for in-flight intents on
-       this key to apply before reading it. *)
-    if own_write then
-      List.iter
-        (fun ((k, _) as w) -> if String.equal k key then await_ack t w)
-        t.outstanding;
-    let leaseholder_read () =
-      Cluster.read t.mgr.cl ~inline_bump:(t.reads = []) ~span:t.sp
-        ~phases:t.phases ~pri:t.pri ~fate:(fate_of t) ~gateway:t.gw
-        ~txn:(Some t.id) ~key ~ts:t.read_ts ~max_ts:t.max_ts ()
-    in
+    List.iter (await_ack t) acks;
+    let global = is_global t global_key in
     let result =
-      if is_global t key && not own_write then
-        match
-          Cluster.read_follower t.mgr.cl ~span:t.sp ~phases:t.phases ~at:t.gw
-            ~txn:(Some t.id) ~key ~ts:t.read_ts ~max_ts:t.max_ts ()
-        with
-        | Cluster.Read_redirect -> leaseholder_read ()
-        | r -> r
-      else leaseholder_read ()
+      if global && follower_ok then
+        match follower () with `Redirect -> leaseholder () | r -> r
+      else leaseholder ()
     in
     match result with
-    | Cluster.Read_value { value; _ } ->
-        t.reads <- Point key :: t.reads;
-        value
-    | Cluster.Read_uncertain { value_ts } ->
+    | `Ok v ->
+        t.reads <- read :: t.reads;
+        v
+    | `Uncertain value_ts ->
         (* HLC receive rule on the response: a present-time uncertain value
            ratchets the gateway clock. Synthetic (future-time) timestamps
            from global tables must not — they force a real commit-wait. *)
-        if not (is_global t key) then
-          Clock.update (Cluster.clock t.mgr.cl t.gw) value_ts;
+        if not global then Clock.update (Cluster.clock t.mgr.cl t.gw) value_ts;
         bump_and_refresh t value_ts;
         go (attempts + 1)
-    | Cluster.Read_redirect -> go (attempts + 1)
-    | Cluster.Read_wounded reason -> raise (Wounded reason)
-    | Cluster.Read_err e -> restartable_read_error e
+    | `Redirect -> go (attempts + 1)
+    | `Wounded reason -> raise (Wounded reason)
+    | `Err e ->
+        (* Conflict timeouts and unavailability are worth a fresh attempt. *)
+        raise (Restart e)
   in
   go 0
 
+let get t key =
+  (* Read-your-own-writes under pipelining: wait for in-flight intents on
+     this key to apply before reading it. A written key is read at the
+     leaseholder. *)
+  read_loop t ~global_key:key
+    ~follower_ok:(not (List.mem key t.writes))
+    ~acks:(List.filter (fun (k, _) -> String.equal k key) t.outstanding)
+    ~read:(Point key)
+    ~follower:(fun () ->
+      Cluster.read_follower t.mgr.cl ~span:t.sp ~phases:t.phases ~at:t.gw
+        ~txn:(Some t.id) ~key ~ts:t.read_ts ~max_ts:t.max_ts ())
+    ~leaseholder:(fun () ->
+      Cluster.read t.mgr.cl ~inline_bump:(t.reads = []) ~span:t.sp
+        ~phases:t.phases ~pri:t.pri ~fate:(fate_of t) ~gateway:t.gw
+        ~txn:(Some t.id) ~key ~ts:t.read_ts ~max_ts:t.max_ts ())
+
 let scan t ~start_key ~end_key ?limit () =
-  let rec go attempts =
-    if attempts > 20 then raise (Restart "uncertainty loop");
-    let range_is_global = is_global t start_key in
-    let leaseholder_scan () =
+  read_loop t ~global_key:start_key ~follower_ok:(t.writes = []) ~acks:[]
+    ~read:(Span (start_key, end_key))
+    ~follower:(fun () ->
+      Cluster.scan_follower t.mgr.cl ~span:t.sp ~phases:t.phases ~at:t.gw
+        ~txn:(Some t.id) ~start_key ~end_key ~ts:t.read_ts ~max_ts:t.max_ts
+        ~limit ())
+    ~leaseholder:(fun () ->
       Cluster.scan t.mgr.cl ~span:t.sp ~phases:t.phases ~pri:t.pri
         ~fate:(fate_of t) ~gateway:t.gw ~txn:(Some t.id) ~start_key ~end_key
-        ~ts:t.read_ts ~max_ts:t.max_ts ~limit ()
-    in
-    let result =
-      if range_is_global && t.writes = [] then
-        match
-          Cluster.scan_follower t.mgr.cl ~span:t.sp ~phases:t.phases ~at:t.gw
-            ~txn:(Some t.id) ~start_key ~end_key ~ts:t.read_ts ~max_ts:t.max_ts
-            ~limit ()
-        with
-        | Cluster.Scan_redirect -> leaseholder_scan ()
-        | r -> r
-      else leaseholder_scan ()
-    in
-    match result with
-    | Cluster.Scan_rows rows ->
-        t.reads <- Span (start_key, end_key) :: t.reads;
-        rows
-    | Cluster.Scan_uncertain { value_ts } ->
-        if not range_is_global then
-          Clock.update (Cluster.clock t.mgr.cl t.gw) value_ts;
-        bump_and_refresh t value_ts;
-        go (attempts + 1)
-    | Cluster.Scan_redirect -> go (attempts + 1)
-    | Cluster.Scan_wounded reason -> raise (Wounded reason)
-    | Cluster.Scan_err e -> restartable_read_error e
-  in
-  go 0
+        ~ts:t.read_ts ~max_ts:t.max_ts ~limit ())
 
 (* ------------------------------------------------------------------ *)
 (* Locking reads (SELECT FOR UPDATE / FOR SHARE)                       *)
@@ -310,10 +270,9 @@ let get_locked t strength key =
        ~anchor:(Option.value t.anchor ~default:"")
        ~fate:(fate_of t) ~gateway:t.gw ~txn:t.id ~key ~ts:t.read_ts ~strength ()
    with
-  | Cluster.Write_ok _ ->
-      if not (List.mem key t.rlocks) then t.rlocks <- key :: t.rlocks
-  | Cluster.Write_wounded reason -> raise (Wounded reason)
-  | Cluster.Write_err e -> raise (Restart e));
+  | `Ok _ -> if not (List.mem key t.rlocks) then t.rlocks <- key :: t.rlocks
+  | `Wounded reason -> raise (Wounded reason)
+  | `Err e -> raise (Restart e));
   get t key
 
 let get_for_update t key = get_locked t Lock_table.Exclusive key
@@ -345,14 +304,14 @@ let write_value t key value =
       ~anchor ~fate:(fate_of t) ~gateway:t.gw ~txn:t.id ~key ~value
       ~ts:provisional ()
   with
-  | Cluster.Write_ok pushed ->
+  | `Ok pushed ->
       t.write_ts <- Ts.max t.write_ts pushed;
       observe_pushed t key pushed;
       if t.anchor = None then t.anchor <- Some anchor;
       if not (List.mem key t.writes) then t.writes <- key :: t.writes;
       Option.iter (fun a -> t.outstanding <- (key, a) :: t.outstanding) applied
-  | Cluster.Write_wounded reason -> raise (Wounded reason)
-  | Cluster.Write_err e -> raise (Restart e)
+  | `Wounded reason -> raise (Wounded reason)
+  | `Err e -> raise (Restart e)
 
 let put t key value = write_value t key (Some value)
 let delete t key = write_value t key None
@@ -467,10 +426,6 @@ let determine_fate t ~akey ~commit_ts ~inflight reason =
 let resolve_keys t =
   List.rev t.writes
   @ List.filter (fun k -> not (List.mem k t.writes)) (List.rev t.rlocks)
-
-let count_commit mgr gw =
-  mgr.stats.commits <- mgr.stats.commits + 1;
-  Metrics.inc mgr.c_commits.(gw)
 
 (* The attempt is over: its heartbeat stops. A first heartbeat still
    armed leaves the event queue at once; a running loop exits when it next
@@ -597,16 +552,10 @@ let commit t =
       commit_wait t.mgr ~parent:t.sp ~gw:t.gw ~txn:t.id ~phases:t.phases
         commit_ts
     in
-    if t.writes <> [] then
-      t.mgr.stats.writer_commit_wait_micros <-
-        t.mgr.stats.writer_commit_wait_micros + waited
-    else if waited > 0 then begin
-      t.mgr.stats.reader_commit_waits <- t.mgr.stats.reader_commit_waits + 1;
-      Metrics.inc t.mgr.c_reader_waits.(t.gw)
-    end
+    if t.writes = [] && waited > 0 then Metrics.inc t.mgr.c_reader_waits.(t.gw)
   end;
   finish t;
-  count_commit t.mgr t.gw
+  Metrics.inc t.mgr.c_commits.(t.gw)
 
 let abort t =
   finish t;
@@ -742,12 +691,8 @@ let with_root mgr ~gateway ?phases name f =
    span [sp], and tell the caller whether to retry — after a small backoff
    that breaks livelocks between retries — or give up. *)
 let note_restart mgr ~gateway ~phases ~max_attempts ~wounded sp n reason =
-  mgr.stats.restarts <- mgr.stats.restarts + 1;
   Metrics.inc mgr.c_restarts.(gateway);
-  if wounded then begin
-    mgr.stats.wounds <- mgr.stats.wounds + 1;
-    Metrics.inc mgr.c_wounds.(gateway)
-  end;
+  if wounded then Metrics.inc mgr.c_wounds.(gateway);
   Trace.annotate sp (if wounded then "wounded" else "restart") reason;
   Trace.finish (Obs.trace mgr.obs) sp;
   if n >= max_attempts then false
@@ -858,12 +803,10 @@ let run_blind_put mgr ~gateway ?(max_attempts = 25) ?phases key value =
         ~value:(Some value) ~ts ()
     with
     | Ok commit_ts ->
-        let waited =
-          commit_wait mgr ~parent:asp ~gw:gateway ~txn:id ~phases commit_ts
-        in
-        mgr.stats.writer_commit_wait_micros <-
-          mgr.stats.writer_commit_wait_micros + waited;
-        count_commit mgr gateway;
+        ignore
+          (commit_wait mgr ~parent:asp ~gw:gateway ~txn:id ~phases commit_ts
+            : int);
+        Metrics.inc mgr.c_commits.(gateway);
         Trace.finish tr asp;
         Ok ()
     | Error reason ->
@@ -884,51 +827,41 @@ type ro =
 
 let ro_ts = function Ro_stale { ts; _ } -> ts | Ro_fresh t -> t.read_ts
 
-let stale_get (mgr : manager) ~gw ~ts key =
-  match
-    Cluster.read_follower mgr.cl ~at:gw ~txn:None ~key ~ts ~max_ts:ts ()
-  with
-  | Cluster.Read_value { value; _ } -> value
-  | Cluster.Read_redirect -> (
-      (* Not closed (or blocked by an intent) locally: the leaseholder can
-         always serve a read below present time. *)
-      match Cluster.read mgr.cl ~gateway:gw ~txn:None ~key ~ts ~max_ts:ts () with
-      | Cluster.Read_value { value; _ } -> value
-      | Cluster.Read_uncertain _ ->
-          (* Impossible: the uncertainty window [ts, ts] is empty. *)
-          assert false
-      | Cluster.Read_redirect -> raise (Fatal "leaseholder redirected")
-      | Cluster.Read_wounded e | Cluster.Read_err e -> raise (Fatal e))
-  | Cluster.Read_uncertain _ -> assert false
-  | Cluster.Read_wounded e | Cluster.Read_err e -> raise (Fatal e)
-
-let stale_scan (mgr : manager) ~gw ~ts ~start_key ~end_key ~limit =
-  match
-    Cluster.scan_follower mgr.cl ~at:gw ~txn:None ~start_key ~end_key ~ts
-      ~max_ts:ts ~limit ()
-  with
-  | Cluster.Scan_rows rows -> rows
-  | Cluster.Scan_redirect -> (
-      match
-        Cluster.scan mgr.cl ~gateway:gw ~txn:None ~start_key ~end_key ~ts
-          ~max_ts:ts ~limit ()
-      with
-      | Cluster.Scan_rows rows -> rows
-      | Cluster.Scan_uncertain _ -> assert false
-      | Cluster.Scan_redirect -> raise (Fatal "leaseholder redirected")
-      | Cluster.Scan_wounded e | Cluster.Scan_err e -> raise (Fatal e))
-  | Cluster.Scan_uncertain _ -> assert false
-  | Cluster.Scan_wounded e | Cluster.Scan_err e -> raise (Fatal e)
+(* A read at exactly a stale timestamp: a nearby replica serves it when its
+   closed timestamp covers it; otherwise (not closed locally, or blocked by
+   an intent) the leaseholder, which can always serve a read below present
+   time. *)
+let stale_read ~follower ~leaseholder =
+  let value = function
+    | `Ok v -> v
+    | `Uncertain _ ->
+        (* Impossible: the uncertainty window [ts, ts] is empty. *)
+        assert false
+    | `Redirect -> raise (Fatal "leaseholder redirected")
+    | `Wounded e | `Err e -> raise (Fatal e)
+  in
+  match follower () with `Redirect -> value (leaseholder ()) | r -> value r
 
 let ro_get ro key =
   match ro with
-  | Ro_stale { mgr; gw; ts } -> stale_get mgr ~gw ~ts key
+  | Ro_stale { mgr; gw; ts } ->
+      stale_read
+        ~follower:(fun () ->
+          Cluster.read_follower mgr.cl ~at:gw ~txn:None ~key ~ts ~max_ts:ts ())
+        ~leaseholder:(fun () ->
+          Cluster.read mgr.cl ~gateway:gw ~txn:None ~key ~ts ~max_ts:ts ())
   | Ro_fresh t -> get t key
 
 let ro_scan ro ~start_key ~end_key ?limit () =
   match ro with
   | Ro_stale { mgr; gw; ts } ->
-      stale_scan mgr ~gw ~ts ~start_key ~end_key ~limit
+      stale_read
+        ~follower:(fun () ->
+          Cluster.scan_follower mgr.cl ~at:gw ~txn:None ~start_key ~end_key ~ts
+            ~max_ts:ts ~limit ())
+        ~leaseholder:(fun () ->
+          Cluster.scan mgr.cl ~gateway:gw ~txn:None ~start_key ~end_key ~ts
+            ~max_ts:ts ~limit ())
   | Ro_fresh t -> scan t ~start_key ~end_key ?limit ()
 
 let run_stale_exact mgr ~gateway ~ts body =

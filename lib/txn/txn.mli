@@ -41,8 +41,6 @@ val create_manager : Cluster.t -> manager
 (** A transaction coordinator over the cluster: allocates transaction ids
     and registers the [txn.*] metrics in the cluster's registry. *)
 
-val cluster : manager -> Cluster.t
-
 (** {2 Options} *)
 
 module Options : sig
@@ -124,10 +122,10 @@ val run :
     into one op class (see {!Crdb_obs.Phase.flush}).
 
     [on_attempt] is called once per physical attempt, after it committed or
-    failed but before any retry, with the attempt's handle (so [txn_id] and
-    [read_ts] remain readable) and its precise fate — the hook history
-    recorders use to log every attempt, including ones whose commit record
-    raced a failure and whose outcome the client never learned. *)
+    failed but before any retry, with the attempt's handle (so [txn_id]
+    remains readable) and its precise fate — the hook history recorders use
+    to log every attempt, including ones whose commit record raced a
+    failure and whose outcome the client never learned. *)
 
 val get : t -> string -> string option
 val put : t -> string -> string -> unit
@@ -148,7 +146,6 @@ val scan : t -> start_key:string -> end_key:string -> ?limit:int -> unit -> (str
     cross ranges: {!Crdb_kv.Cluster.scan} stitches the per-range
     fragments. *)
 
-val read_ts : t -> Ts.t
 val txn_id : t -> int
 val gateway : t -> Crdb_net.Topology.node_id
 
@@ -205,15 +202,3 @@ val run_fresh_read :
 (** Present-time read-only transaction. Reads of GLOBAL ranges are served
     by the nearest replica; reads of REGIONAL ranges go to leaseholders.
     Commit-waits if a future-time value was observed. *)
-
-(** {2 Statistics} *)
-
-type stats = {
-  mutable commits : int;
-  mutable restarts : int;
-  mutable wounds : int;  (** restarts caused by wound-wait (subset) *)
-  mutable reader_commit_waits : int;
-  mutable writer_commit_wait_micros : int;
-}
-
-val stats : manager -> stats

@@ -35,12 +35,6 @@ let city_region_column regions =
              | _ -> Value.V_region (List.hd regions) ))
     Schema.region_column Schema.T_region
 
-let table_names =
-  [
-    "users"; "vehicles"; "rides"; "vehicle_location_histories";
-    "user_promo_codes"; "promo_codes";
-  ]
-
 let tables ~regions =
   let rc () = city_region_column regions in
   [

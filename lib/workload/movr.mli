@@ -9,7 +9,6 @@
 module Crdb = Crdb_core.Crdb
 
 val tables : regions:string list -> Crdb.Schema.table list
-val table_names : string list
 
 (** The Table 2 schema operations, shared with the legacy recipes. *)
 type operation = Crdb.Legacy.operation =

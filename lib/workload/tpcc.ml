@@ -11,12 +11,6 @@ module Rng = Crdb_stdx.Rng
 
 let time_scale = 5
 
-let table_names =
-  [
-    "warehouse"; "district"; "customer"; "history"; "neworder"; "orders";
-    "orderline"; "stock"; "item";
-  ]
-
 let vint i = Value.V_int i
 let vstr s = Value.V_string s
 
@@ -216,8 +210,7 @@ let tpmc r =
   if r.elapsed = 0 then 0.0
   else float_of_int r.committed_new_orders /. (float_of_int r.elapsed /. 60_000_000.0)
 
-let efficiency r ~warehouses =
-  ignore warehouses;
+let efficiency r =
   (* Fraction of the spec-paced cycle retained: think/keying time over total
      terminal time. With zero transaction latency this is 1.0 (the spec
      ceiling); the paper reports the equivalent ratio as >= 97%. *)

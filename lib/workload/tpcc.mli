@@ -15,8 +15,6 @@
 module Crdb = Crdb_core.Crdb
 module Hist = Crdb_stats.Hist
 
-val table_names : string list
-
 val tables :
   regions:string list -> warehouses_per_region:int -> Crdb.Schema.table list
 (** Schemas with their intended multi-region localities. *)
@@ -75,7 +73,7 @@ type results = {
 val tpmc : results -> float
 (** Committed new-order transactions per simulated minute. *)
 
-val efficiency : results -> warehouses:int -> float
+val efficiency : results -> float
 (** Fraction of the spec-paced terminal cycle retained (think time over
     think + transaction time): 1.0 means transactions are free, i.e. the
     spec's 12.86-per-warehouse ceiling. The paper's "efficiency as defined

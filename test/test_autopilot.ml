@@ -55,12 +55,12 @@ let get cl ~gateway key =
     match
       Cluster.read cl ~inline_bump:true ~gateway ~txn:None ~key ~ts ~max_ts ()
     with
-    | Cluster.Read_value { value; _ } -> value
-    | Cluster.Read_uncertain { value_ts } when attempts < 10 ->
+    | `Ok value -> value
+    | `Uncertain value_ts when attempts < 10 ->
         go value_ts (attempts + 1)
-    | Cluster.Read_uncertain _ -> Alcotest.fail "uncertainty loop"
-    | Cluster.Read_redirect -> Alcotest.fail "unexpected redirect"
-    | Cluster.Read_wounded e | Cluster.Read_err e ->
+    | `Uncertain _ -> Alcotest.fail "uncertainty loop"
+    | `Redirect -> Alcotest.fail "unexpected redirect"
+    | `Wounded e | `Err e ->
         Alcotest.failf "read error: %s" e
   in
   go ts 0

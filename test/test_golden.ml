@@ -74,11 +74,11 @@ let scenario ?(opts = Txn.Options.default) () =
       ignore
         (Cluster.read_follower cl ~at:remote ~txn:None ~key:"n" ~ts ~max_ts:ts
            ()
-          : Cluster.read_result);
+          : string option Cluster.read_reply);
       ignore
         (Cluster.scan_follower cl ~at:remote ~txn:None ~start_key:"m"
            ~end_key:"zzzz" ~ts ~max_ts:ts ~limit:None ()
-          : Cluster.scan_result);
+          : (string * string) list Cluster.read_reply);
       expect_ok
         (Txn.run mgr ~gateway:remote (fun t ->
              ignore (Txn.get t "n" : string option);

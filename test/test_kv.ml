@@ -227,9 +227,9 @@ let node_in cl region i =
 let put cl ~gateway ~txn key value =
   let ts = Cluster.now_ts cl gateway in
   match Cluster.write cl ~gateway ~txn ~key ~value:(Some value) ~ts () with
-  | Cluster.Write_wounded e | Cluster.Write_err e ->
+  | `Wounded e | `Err e ->
       Alcotest.failf "write failed: %s" e
-  | Cluster.Write_ok commit_ts ->
+  | `Ok commit_ts ->
       Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts) ~keys:[ key ]
         ~sync_all:true ();
       commit_ts
@@ -241,12 +241,12 @@ let get cl ~gateway ?txn key =
   let max_ts = Ts.add_wall ts (Cluster.config cl).Cluster.max_offset in
   let rec go ts attempts =
     match Cluster.read cl ~inline_bump:true ~gateway ~txn ~key ~ts ~max_ts () with
-    | Cluster.Read_value { value; _ } -> value
-    | Cluster.Read_uncertain { value_ts } when attempts < 10 ->
+    | `Ok value -> value
+    | `Uncertain value_ts when attempts < 10 ->
         go value_ts (attempts + 1)
-    | Cluster.Read_uncertain _ -> Alcotest.fail "uncertainty loop"
-    | Cluster.Read_redirect -> Alcotest.fail "unexpected redirect"
-    | Cluster.Read_wounded e | Cluster.Read_err e ->
+    | `Uncertain _ -> Alcotest.fail "uncertainty loop"
+    | `Redirect -> Alcotest.fail "unexpected redirect"
+    | `Wounded e | `Err e ->
         Alcotest.failf "read error: %s" e
   in
   go ts 0
@@ -297,10 +297,9 @@ let test_follower_stale_read () =
          Cluster.read_follower cl ~at:remote ~txn:None ~key:"k" ~ts:stale_ts
            ~max_ts:stale_ts ()
        with
-      | Cluster.Read_value { value; _ } ->
+      | `Ok value ->
           check Alcotest.(option string) "stale value visible" (Some "v") value
-      | Cluster.Read_uncertain _ | Cluster.Read_redirect
-      | Cluster.Read_wounded _ | Cluster.Read_err _ ->
+      | `Uncertain _ | `Redirect | `Wounded _ | `Err _ ->
           Alcotest.fail "stale read not served");
       let elapsed = Sim.now (Cluster.sim cl) - t0 in
       check Alcotest.bool
@@ -312,9 +311,8 @@ let test_follower_stale_read () =
         Cluster.read_follower cl ~at:remote ~txn:None ~key:"k" ~ts:now
           ~max_ts:now ()
       with
-      | Cluster.Read_redirect -> ()
-      | Cluster.Read_value _ | Cluster.Read_uncertain _
-      | Cluster.Read_wounded _ | Cluster.Read_err _ ->
+      | `Redirect -> ()
+      | `Ok _ | `Uncertain _ | `Wounded _ | `Err _ ->
           Alcotest.fail "fresh read should redirect on Lag range")
 
 let test_global_range_future_writes () =
@@ -339,11 +337,11 @@ let test_global_range_future_writes () =
       (match
          Cluster.read_follower cl ~at:remote ~txn:None ~key:"k" ~ts ~max_ts ()
        with
-      | Cluster.Read_value { value; _ } ->
+      | `Ok value ->
           check Alcotest.(option string) "present-time local read" (Some "v") value
-      | Cluster.Read_uncertain _ -> Alcotest.fail "uncertain"
-      | Cluster.Read_redirect -> Alcotest.fail "redirect"
-      | Cluster.Read_wounded e | Cluster.Read_err e ->
+      | `Uncertain _ -> Alcotest.fail "uncertain"
+      | `Redirect -> Alcotest.fail "redirect"
+      | `Wounded e | `Err e ->
           Alcotest.failf "err %s" e);
       let elapsed = Sim.now (Cluster.sim cl) - t0 in
       check Alcotest.bool
@@ -368,11 +366,10 @@ let test_global_read_uncertainty () =
         Cluster.read_follower cl ~at:remote ~txn:None ~key:"k" ~ts:read_ts
           ~max_ts ()
       with
-      | Cluster.Read_uncertain { value_ts } ->
+      | `Uncertain value_ts ->
           check Alcotest.bool "uncertain at write ts" true
             (Ts.equal value_ts commit_ts)
-      | Cluster.Read_value _ | Cluster.Read_redirect
-      | Cluster.Read_wounded _ | Cluster.Read_err _ ->
+      | `Ok _ | `Redirect | `Wounded _ | `Err _ ->
           Alcotest.fail "expected uncertainty restart")
 
 let test_tscache_pushes_writer () =
@@ -383,18 +380,18 @@ let test_tscache_pushes_writer () =
       (* Read at a deliberately future timestamp. *)
       let read_ts = Ts.add_wall (Cluster.now_ts cl gw) 1_000_000 in
       (match Cluster.read cl ~gateway:gw ~txn:None ~key:"k" ~ts:read_ts ~max_ts:read_ts () with
-      | Cluster.Read_value _ -> ()
+      | `Ok _ -> ()
       | _ -> Alcotest.fail "read failed");
       (* A subsequent write must land above the read. *)
       let w_ts = Cluster.now_ts cl gw in
       match
         Cluster.write cl ~gateway:gw ~txn:2 ~key:"k" ~value:(Some "v2") ~ts:w_ts ()
       with
-      | Cluster.Write_ok pushed ->
+      | `Ok pushed ->
           check Alcotest.bool "write pushed above read" true Ts.(pushed > read_ts);
           Cluster.resolve cl ~gateway:gw ~txn:2 ~commit:(Some pushed)
             ~keys:[ "k" ] ~sync_all:true ()
-      | Cluster.Write_wounded e | Cluster.Write_err e ->
+      | `Wounded e | `Err e ->
           Alcotest.failf "write failed: %s" e)
 
 let test_write_write_conflict_queues () =
@@ -408,8 +405,8 @@ let test_write_write_conflict_queues () =
         match
           Cluster.write cl ~gateway:gw ~txn:1 ~key:"k" ~value:(Some "a") ~ts:ts1 ()
         with
-        | Cluster.Write_ok ts -> ts
-        | Cluster.Write_wounded e | Cluster.Write_err e ->
+        | `Ok ts -> ts
+        | `Wounded e | `Err e ->
             Alcotest.failf "w1: %s" e
       in
       let t2_done = ref (-1) in
@@ -418,11 +415,11 @@ let test_write_write_conflict_queues () =
           match
             Cluster.write cl ~gateway:gw ~txn:2 ~key:"k" ~value:(Some "b") ~ts:ts2 ()
           with
-          | Cluster.Write_ok ts ->
+          | `Ok ts ->
               t2_done := Sim.now sim;
               Cluster.resolve cl ~gateway:gw ~txn:2 ~commit:(Some ts)
                 ~keys:[ "k" ] ~sync_all:true ()
-          | Cluster.Write_wounded e | Cluster.Write_err e ->
+          | `Wounded e | `Err e ->
               Alcotest.failf "w2: %s" e);
       (* Hold the lock for 500ms. *)
       Crdb_sim.Proc.sleep sim 500_000;
@@ -466,10 +463,9 @@ let test_zone_survival_loses_region () =
         Cluster.read_follower cl ~at:gw ~txn:None ~key:"k" ~ts:stale_ts
           ~max_ts:stale_ts ()
       with
-      | Cluster.Read_value { value; _ } ->
+      | `Ok value ->
           check Alcotest.(option string) "stale read survives" (Some "v") value
-      | Cluster.Read_uncertain _ | Cluster.Read_redirect
-      | Cluster.Read_wounded _ | Cluster.Read_err _ ->
+      | `Uncertain _ | `Redirect | `Wounded _ | `Err _ ->
           Alcotest.fail "stale read should survive region loss")
 
 let test_region_survival_survives_region () =
@@ -524,8 +520,8 @@ let test_negotiate () =
       (* A pending intent below the closed timestamp lowers the result. *)
       let ts = Cluster.now_ts cl gw in
       (match Cluster.write cl ~gateway:gw ~txn:7 ~key:"k" ~value:(Some "x") ~ts () with
-      | Cluster.Write_ok _ -> ()
-      | Cluster.Write_wounded e | Cluster.Write_err e ->
+      | `Ok _ -> ()
+      | `Wounded e | `Err e ->
           Alcotest.failf "write: %s" e);
       Crdb_sim.Proc.sleep (Cluster.sim cl) 4_000_000;
       let safe2 = Cluster.negotiate cl ~at:remote ~keys:[ "k" ] in
@@ -554,15 +550,14 @@ let follower_scan cl ~at ?(end_key = "l") ?limit ts =
 let closed_ts cl = Ts.of_wall (Sim.now (Cluster.sim cl) - 3_500_000)
 
 let scan_rows = function
-  | Cluster.Scan_rows rows -> rows
-  | Cluster.Scan_uncertain _ -> Alcotest.fail "unexpected uncertainty"
-  | Cluster.Scan_redirect -> Alcotest.fail "unexpected redirect"
-  | Cluster.Scan_wounded e | Cluster.Scan_err e -> Alcotest.failf "scan: %s" e
+  | `Ok rows -> rows
+  | `Uncertain _ -> Alcotest.fail "unexpected uncertainty"
+  | `Redirect -> Alcotest.fail "unexpected redirect"
+  | `Wounded e | `Err e -> Alcotest.failf "scan: %s" e
 
 let expect_redirect what = function
-  | Cluster.Scan_redirect -> ()
-  | Cluster.Scan_rows _ | Cluster.Scan_uncertain _ | Cluster.Scan_wounded _
-  | Cluster.Scan_err _ ->
+  | `Redirect -> ()
+  | `Ok _ | `Uncertain _ | `Wounded _ | `Err _ ->
       Alcotest.failf "%s: expected a redirect" what
 
 let all_rows = [ ("k1", "vk1"); ("k2", "vk2"); ("k3", "vk3"); ("k4", "vk4") ]
@@ -627,8 +622,8 @@ let test_follower_scan_redirects () =
          Cluster.write cl ~gateway:gw ~txn:9 ~key:"k4" ~value:(Some "x")
            ~ts:(Cluster.now_ts cl gw) ()
        with
-      | Cluster.Write_ok _ -> ()
-      | Cluster.Write_wounded e | Cluster.Write_err e ->
+      | `Ok _ -> ()
+      | `Wounded e | `Err e ->
           Alcotest.failf "write: %s" e);
       Crdb_sim.Proc.sleep sim 5_000_000;
       let ts = closed_ts cl in

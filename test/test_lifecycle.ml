@@ -41,9 +41,9 @@ let node_in cl region i =
 let put cl ~gateway ~txn key value =
   let ts = Cluster.now_ts cl gateway in
   match Cluster.write cl ~gateway ~txn ~key ~value:(Some value) ~ts () with
-  | Cluster.Write_wounded e | Cluster.Write_err e ->
+  | `Wounded e | `Err e ->
       Alcotest.failf "write failed: %s" e
-  | Cluster.Write_ok commit_ts ->
+  | `Ok commit_ts ->
       Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts) ~keys:[ key ]
         ~sync_all:true ();
       commit_ts
@@ -53,12 +53,12 @@ let get cl ~gateway ?txn key =
   let max_ts = Ts.add_wall ts (Cluster.config cl).Cluster.max_offset in
   let rec go ts attempts =
     match Cluster.read cl ~inline_bump:true ~gateway ~txn ~key ~ts ~max_ts () with
-    | Cluster.Read_value { value; _ } -> value
-    | Cluster.Read_uncertain { value_ts } when attempts < 10 ->
+    | `Ok value -> value
+    | `Uncertain value_ts when attempts < 10 ->
         go value_ts (attempts + 1)
-    | Cluster.Read_uncertain _ -> Alcotest.fail "uncertainty loop"
-    | Cluster.Read_redirect -> Alcotest.fail "unexpected redirect"
-    | Cluster.Read_wounded e | Cluster.Read_err e ->
+    | `Uncertain _ -> Alcotest.fail "uncertainty loop"
+    | `Redirect -> Alcotest.fail "unexpected redirect"
+    | `Wounded e | `Err e ->
         Alcotest.failf "read error: %s" e
   in
   go ts 0
@@ -70,10 +70,10 @@ let scan_keys cl ~gateway ~start_key ~end_key =
     Cluster.scan cl ~gateway ~txn:None ~start_key ~end_key ~ts ~max_ts
       ~limit:None ()
   with
-  | Cluster.Scan_rows rows -> List.map fst rows
-  | Cluster.Scan_uncertain _ -> Alcotest.fail "scan uncertain"
-  | Cluster.Scan_redirect -> Alcotest.fail "scan redirect"
-  | Cluster.Scan_wounded e | Cluster.Scan_err e ->
+  | `Ok rows -> List.map fst rows
+  | `Uncertain _ -> Alcotest.fail "scan uncertain"
+  | `Redirect -> Alcotest.fail "scan redirect"
+  | `Wounded e | `Err e ->
       Alcotest.failf "scan error: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -265,10 +265,10 @@ let test_live_bytes_through_split_merge () =
       match
         Cluster.write cl ~gateway:gw ~txn:3 ~key:"apple" ~value:None ~ts ()
       with
-      | Cluster.Write_ok commit_ts ->
+      | `Ok commit_ts ->
           Cluster.resolve cl ~gateway:gw ~txn:3 ~commit:(Some commit_ts)
             ~keys:[ "apple" ] ~sync_all:true ()
-      | Cluster.Write_wounded e | Cluster.Write_err e ->
+      | `Wounded e | `Err e ->
           Alcotest.failf "delete failed: %s" e);
   check Alcotest.(option int) "tombstoned key leaves the gauge" (Some 11)
     (Cluster.live_bytes cl rid)

@@ -36,6 +36,8 @@ let make ?(two_ranges = false) () =
 let node_in cl region i =
   Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
+let total cl name = Metrics.total (Obs.metrics (Cluster.obs cl)) name
+
 let no_conflict_timeouts cl =
   check Alcotest.int "no conflict timeouts" 0
     (Metrics.total (Obs.metrics (Cluster.obs cl)) "kv.conflict_timeouts")
@@ -49,8 +51,8 @@ let write_ok ?pri ?anchor cl ~gateway ~txn ~key ~value =
   match
     Cluster.write cl ?pri ?anchor ~gateway ~txn ~key ~value:(Some value) ~ts ()
   with
-  | Cluster.Write_ok ts -> ts
-  | Cluster.Write_wounded e | Cluster.Write_err e ->
+  | `Ok ts -> ts
+  | `Wounded e | `Err e ->
       Alcotest.failf "write %s: %s" key e
 
 (* ------------------------------------------------------------------ *)
@@ -77,7 +79,7 @@ let test_two_txn_deadlock () =
         (Printf.sprintf "deadlock broken fast (took %dus)" elapsed)
         true
         (elapsed < 8_000_000));
-  check Alcotest.bool "at least one wound" true ((Txn.stats mgr).Txn.wounds >= 1);
+  check Alcotest.bool "at least one wound" true (total cl "txn.wounds" >= 1);
   no_conflict_timeouts cl
 
 (* Three-transaction cycle whose lock edges span two ranges: wounding is
@@ -109,7 +111,7 @@ let test_three_txn_cycle_two_ranges () =
         (Printf.sprintf "cycle broken fast (took %dus)" elapsed)
         true
         (elapsed < 8_000_000));
-  check Alcotest.bool "at least one wound" true ((Txn.stats mgr).Txn.wounds >= 1);
+  check Alcotest.bool "at least one wound" true (total cl "txn.wounds" >= 1);
   no_conflict_timeouts cl
 
 (* ------------------------------------------------------------------ *)
@@ -244,7 +246,7 @@ let test_committed_record_resolves_intent () =
          Cluster.read cl ~gateway:gw ~txn:None ~key:"k" ~ts:read_ts
            ~max_ts:read_ts ()
        with
-      | Cluster.Read_value { value; _ } ->
+      | `Ok value ->
           check Alcotest.(option string) "committed value visible"
             (Some "orphan") value
       | _ -> Alcotest.fail "reader must see the committed value");
@@ -286,7 +288,7 @@ let test_shared_shared_compatible () =
             (at - t0 < 300_000))
         !acquired);
   check Alcotest.int "no wounds between shared holders" 0
-    (Txn.stats mgr).Txn.wounds;
+    (total cl "txn.wounds");
   no_conflict_timeouts cl
 
 (* The classic upgrade deadlock: both transactions take the shared lock,
@@ -328,7 +330,7 @@ let test_upgrade_deadlock_wound_wait () =
   check Alcotest.bool "the younger was wounded" true
     (Events.count (Obs.events (Cluster.obs cl)) Events.Wound >= 1);
   check Alcotest.bool "the loser restarted and recommitted" true
-    ((Txn.stats mgr).Txn.restarts >= 1);
+    (total cl "txn.restarts" >= 1);
   no_conflict_timeouts cl
 
 (* A FOR UPDATE lock is exclusive: a concurrent writer queues behind it for

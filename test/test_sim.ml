@@ -274,7 +274,7 @@ let test_proc_await_any () =
   let winner =
     Proc.run_main sim (fun () ->
         let mk d v = Proc.async sim (fun () -> Proc.sleep sim d; v) in
-        Proc.await_any sim [ mk 50 "slow"; mk 5 "fast"; mk 20 "mid" ])
+        Proc.await_any [ mk 50 "slow"; mk 5 "fast"; mk 20 "mid" ])
   in
   check Alcotest.string "fastest wins" "fast" winner
 

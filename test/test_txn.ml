@@ -10,6 +10,9 @@ module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
+module Obs = Crdb_obs.Obs
+module Metrics = Crdb_obs.Metrics
+module Hist = Crdb_stats.Hist
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -275,7 +278,9 @@ let test_global_write_commit_wait () =
         true
         (elapsed > (lead * 2 / 3) && elapsed < lead + 200_000);
       check Alcotest.bool "writer wait recorded" true
-        ((Txn.stats mgr).Txn.writer_commit_wait_micros > 0))
+        (Hist.max_value
+           (Metrics.merged_hist (Obs.metrics (Cluster.obs cl)) "txn.commit_wait")
+        > 0))
 
 let test_regional_write_no_commit_wait () =
   let cl, mgr = make ~policy:(Cluster.Lag 3_000_000) () in
@@ -339,6 +344,38 @@ let test_stale_exact_read () =
       in
       check Alcotest.(option string) "historical value" (Some "v1") v;
       check Alcotest.bool "served locally" true (Sim.now sim - t0 < 3_000))
+
+(* An exact-staleness read above the local replica's closed timestamp
+   redirects and falls back to the leaseholder, point reads and scans
+   alike. *)
+let test_stale_exact_falls_back () =
+  let cl, mgr = make () in
+  let sim = Cluster.sim cl in
+  let gw = node_in cl home 0 in
+  let remote = node_in cl "australia-southeast1" 0 in
+  let misses () =
+    Metrics.total (Obs.metrics (Cluster.obs cl)) "kv.follower_read_misses"
+  in
+  Cluster.run cl (fun () ->
+      expect_ok
+        (Txn.run mgr ~gateway:gw (fun t ->
+             Txn.put t "k1" "v1";
+             Txn.put t "k2" "v2"));
+      (* The writing gateway's present time: no replica has closed it. *)
+      let ts = Cluster.now_ts cl gw in
+      let before = misses () in
+      let t0 = Sim.now sim in
+      let v, rows =
+        Txn.run_stale_exact mgr ~gateway:remote ~ts (fun ro ->
+            (Txn.ro_get ro "k1", Txn.ro_scan ro ~start_key:"k" ~end_key:"l" ()))
+      in
+      check Alcotest.(option string) "point read" (Some "v1") v;
+      check
+        Alcotest.(list (pair string string))
+        "scan" [ ("k1", "v1"); ("k2", "v2") ] rows;
+      check Alcotest.int "both redirected" (before + 2) (misses ());
+      check Alcotest.bool "served by the distant leaseholder" true
+        (Sim.now sim - t0 >= 100_000))
 
 let test_stale_bounded_read () =
   let cl, mgr = make () in
@@ -503,6 +540,8 @@ let suite =
       test_regional_write_no_commit_wait;
     Alcotest.test_case "reader wait capped" `Quick test_reader_commit_wait_capped;
     Alcotest.test_case "stale exact" `Quick test_stale_exact_read;
+    Alcotest.test_case "stale exact falls back" `Quick
+      test_stale_exact_falls_back;
     Alcotest.test_case "stale bounded" `Quick test_stale_bounded_read;
     Alcotest.test_case "conflict restart" `Quick test_conflict_restart_counted;
     Alcotest.test_case "commit wait metrics" `Quick test_commit_wait_metrics;

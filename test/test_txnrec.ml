@@ -45,8 +45,8 @@ let write_ok ?pri ?anchor cl ~gateway ~txn ~key ~value =
   match
     Cluster.write cl ?pri ?anchor ~gateway ~txn ~key ~value:(Some value) ~ts ()
   with
-  | Cluster.Write_ok ts -> ts
-  | Cluster.Write_wounded e | Cluster.Write_err e ->
+  | `Ok ts -> ts
+  | `Wounded e | `Err e ->
       Alcotest.failf "write %s: %s" key e
 
 let status_is cl ~gateway ~txn ~key expected msg =
@@ -276,7 +276,7 @@ let test_recovery_commits_complete_staging () =
          Cluster.read cl ~gateway:gw ~txn:None ~key:"n" ~ts:read_ts
            ~max_ts:read_ts ()
        with
-      | Cluster.Read_value { value; _ } ->
+      | `Ok value ->
           check Alcotest.(option string) "recovered to COMMITTED" (Some "v2")
             value
       | _ -> Alcotest.fail "reader must see the recovered value");
@@ -308,7 +308,7 @@ let test_recovery_aborts_incomplete_staging () =
          Cluster.read cl ~gateway:gw ~txn:None ~key:"b" ~ts:read_ts
            ~max_ts:read_ts ()
        with
-      | Cluster.Read_value { value; _ } ->
+      | `Ok value ->
           check Alcotest.(option string) "aborted txn left nothing" None value
       | _ -> Alcotest.fail "reader must get a value after recovery");
       status_is cl ~gateway:gw ~txn:6 ~key:"b"
@@ -321,9 +321,9 @@ let test_recovery_aborts_incomplete_staging () =
         Cluster.write cl ~pri ~anchor:"b" ~gateway:gw ~txn:6 ~key:"n"
           ~value:(Some "late") ~ts ()
       with
-      | Cluster.Write_err _ -> ()
-      | Cluster.Write_ok _ -> Alcotest.fail "prevented write must not apply"
-      | Cluster.Write_wounded _ -> Alcotest.fail "expected prevention error");
+      | `Err _ -> ()
+      | `Ok _ -> Alcotest.fail "prevented write must not apply"
+      | `Wounded _ -> Alcotest.fail "expected prevention error");
   no_conflict_timeouts cl
 
 (* QueryIntent itself: Found for a replicated intent at the queried
@@ -376,8 +376,8 @@ let test_commit_vs_wound_race () =
           Proc.sleep sim commit_after;
           let commit_view = Cluster.commit_txn cl ~gateway:gw ~txn:2 ~key:"k" ~ts () in
           (match Proc.await pusher with
-          | Cluster.Write_ok _ -> ()
-          | Cluster.Write_wounded e | Cluster.Write_err e ->
+          | `Ok _ -> ()
+          | `Wounded e | `Err e ->
               Alcotest.failf "older writer must eventually win the key: %s" e);
           let final = Cluster.txn_status cl ~gateway:gw ~txn:2 ~key:"k" () in
           (match (commit_view, final) with
@@ -398,7 +398,7 @@ let test_commit_vs_wound_race () =
           match
             Cluster.read cl ~gateway:gw ~txn:None ~key:"k" ~ts ~max_ts:ts ()
           with
-          | Cluster.Read_value { value; _ } ->
+          | `Ok value ->
               check
                 Alcotest.(option string)
                 (Printf.sprintf "value agrees with verdict (+%dus)" commit_after)

@@ -169,7 +169,7 @@ let test_tpcc_smoke () =
   in
   check Alcotest.int "no errors" 0 r.Tpcc.errors;
   check Alcotest.bool "new orders committed" true (r.Tpcc.committed_new_orders > 10);
-  check Alcotest.bool "efficiency high" true (Tpcc.efficiency r ~warehouses:3 > 0.9);
+  check Alcotest.bool "efficiency high" true (Tpcc.efficiency r > 0.9);
   (* Orders actually landed: order lines exist and districts advanced. *)
   check Alcotest.bool "order lines written" true (Engine.row_count db "orderline" > 20);
   check Alcotest.bool "orders written" true
