@@ -729,15 +729,19 @@ let run_splits target_ranges n_keys ops trace metrics =
   Cluster.settle cl;
   let key i = Printf.sprintf "user%04d" i in
   Cluster.bulk_load cl (List.init n_keys (fun i -> (key i, "v" ^ string_of_int i)));
-  (* Split every splittable range, breadth-first, until we reach the target. *)
+  (* Split every splittable range, breadth-first, until we reach the target.
+     A split lands when its trigger applies, so the ranges a round has asked
+     for count towards the target before they exist. *)
   let rec split_loop rounds =
     let n = List.length (Cluster.ranges cl) in
     if rounds > 0 && n < target_ranges then begin
+      let asked = ref 0 in
       List.iter
         (fun r ->
-          if List.length (Cluster.ranges cl) < target_ranges then
+          if n + !asked < target_ranges then
             match Cluster.split_point cl r with
-            | Some at -> ignore (Cluster.split_range cl r ~at)
+            | Some at ->
+                if Cluster.split_range cl r ~at <> None then incr asked
             | None -> ())
         (Cluster.ranges cl);
       Cluster.run_for cl 2_000_000;

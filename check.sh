@@ -134,6 +134,20 @@ dune exec bin/crdb_sim.exe -- chaos --seed 601 --seeds 3 \
   --faults kill-node,lease-transfer --checker serializability \
   --autopilot --min-auto-splits 2
 
+# Autopilot seed window: the same queues under kills and lease transfers,
+# over the seeds that once diverged replicas (a new leaseholder evaluating
+# before applying its predecessor's entries; a replica replaying pre-split
+# entries into another range). The window and its flags are fixed: every
+# run must check out clean.
+echo "== autopilot seed window (seeds 31 32 57 80 83, 59 with 3 clients)"
+for run in "31 7" "32 7" "57 7" "80 7" "83 7" "59 3"; do
+  # shellcheck disable=SC2086 # seed and client count are meant to split
+  set -- $run
+  dune exec bin/crdb_sim.exe -- chaos --seed "$1" --clients "$2" \
+    --ops 30 --keys 48 --faults kill-node,lease-transfer \
+    --checker serializability --autopilot
+done
+
 # Off-vs-on convergence evidence (p99 + ranges / hottest-range share over
 # time) lands in BENCH_results.json; the bench exits nonzero on any error.
 echo "== bench autopilot (off vs on)"

@@ -68,6 +68,8 @@ type op =
   | Op_prevent of { txn : int; key : string; ts : Ts.t }
       (* QueryIntent-with-prevention (parallel-commit recovery): totally
          ordered against the Op_put it races by going through the same log *)
+  | Op_split of { right : range_id; at : string }
+      (* split trigger: each replica forks [at, end) into range [right] *)
 
 type write_ack = [ `Applied | `Prevented | `Dropped ]
 
@@ -97,6 +99,9 @@ type replica = {
       (* this range's transaction records — replicated state, mutated only
          by [Op_txn]/[Op_put] applies, snapshotted and split/merged with
          the store *)
+  mutable r_latch : (string * unit Ivar.t) option;
+      (* the last split trigger proposed here: until it applies here or is
+         discarded, proposals touching keys at or above its key are refused *)
 }
 
 and range = {
@@ -108,6 +113,7 @@ and range = {
   mutable rg_closed_target : Ts.t;
   rg_tscache : Tscache.t;
   mutable rg_dropped : bool;
+  mutable rg_split_index : int; (* log index of the last split trigger *)
 }
 
 type t = {
@@ -251,6 +257,11 @@ let range_of_key t key =
 
 let replica_at rg node = Hashtbl.find_opt rg.rg_replicas node
 
+let every_raft rg f =
+  Hashtbl.fold
+    (fun _ r ok -> ok && Option.fold ~none:true ~some:f r.r_raft)
+    rg.rg_replicas true
+
 (* The range's current placement: each replica's node and peer kind, as its
    own Raft group sees it. *)
 let current_placement rg =
@@ -360,69 +371,46 @@ let live_fate : unit -> fate = fun () -> `Live
 (* ------------------------------------------------------------------ *)
 (* Command application (the replicated state machine)                  *)
 
+(* Apply one committed entry to [r] alone: each replica's state is a function
+   of its own log, since the split latch keeps a trigger's right-hand keys
+   out of the entries after it. *)
 let apply_cmd t r cmd =
   r.r_applied_closed <- Ts.max r.r_applied_closed cmd.closed;
-  (* A log entry can predate a split or merge of its range, in which case
-     the key no longer belongs to the log owner's span. Route the effect to
-     this node's replica of the current owner: the owner's store was seeded
-     with the committed prefix at the split, so replay there is idempotent.
-     With no owner replica on this node the effect is dropped — the owning
-     group carries the authoritative state. *)
-  let owner key =
-    if (not r.r_range.rg_dropped) && in_span r.r_range key then Some r
-    else
-      match Smap.find_last_opt (fun s -> String.compare s key <= 0) t.routing with
-      | None -> None
-      | Some (_, rid) -> (
-          match Hashtbl.find_opt t.ranges_tbl rid with
-          | Some rg when (not rg.rg_dropped) && in_span rg key ->
-              replica_at rg r.r_node
-          | Some _ | None -> None)
-  in
   (match cmd.op with
   | Op_put { txn; ts; key; value; pri; anchor } -> (
-      match owner key with
-      | None -> ()
-      | Some owner -> (
-          (* The transaction record rides the first (anchor) write: every
-             replica of the anchor range learns of the transaction when the
-             write applies, with no extra consensus round. *)
-          if String.equal key anchor then
-            Txnrec.apply owner.r_txns ~txn ~key
-              (Txnrec.U_register { pri; hb = Sim.now t.sim });
-          match
-            Mvcc.put_intent owner.r_store ~pri ~anchor ~key ~txn_id:txn ~ts
-              ~value ()
-          with
-          | Mvcc.Written -> ()
-          | Mvcc.Write_prevented ->
-              (* Commit-status recovery barred this write while it was in
-                 the log; the ack must tell the gateway its commit lost. *)
-              cmd.fate <- `Prevented
-          | Mvcc.Write_blocked _ ->
-              (* The leaseholder's lock table serializes writers, so a foreign
-                 intent here means replay after a lease transfer; drop it. *)
-              ()))
+      (* The transaction record rides the first (anchor) write: every
+         replica of the anchor range learns of the transaction when the
+         write applies, with no extra consensus round. *)
+      if String.equal key anchor then
+        Txnrec.apply r.r_txns ~txn ~key
+          (Txnrec.U_register { pri; hb = Sim.now t.sim });
+      match
+        Mvcc.put_intent r.r_store ~pri ~anchor ~key ~txn_id:txn ~ts ~value ()
+      with
+      | Mvcc.Written -> ()
+      | Mvcc.Write_prevented ->
+          (* Commit-status recovery barred this write while it was in the
+             log; the ack must tell the gateway its commit lost. *)
+          cmd.fate <- `Prevented
+      | Mvcc.Write_blocked i ->
+          (* A serving leaseholder's lock table serializes writers over
+             every earlier entry: a foreign intent means divergence. *)
+          invalid_arg
+            (Printf.sprintf
+               "Cluster.apply: r%d on n%d: txn %d's write to %S blocked by \
+                txn %d's intent"
+               r.r_range.rg_id r.r_node txn key i.Mvcc.txn_id))
   | Op_resolve { txn; keys; commit } ->
       List.iter
         (fun key ->
-          match owner key with
-          | None -> ()
-          | Some owner ->
-              Mvcc.resolve_intent owner.r_store ~key ~txn_id:txn ~commit;
-              Lock_table.release owner.r_lt ~key ~txn)
+          Mvcc.resolve_intent r.r_store ~key ~txn_id:txn ~commit;
+          Lock_table.release r.r_lt ~key ~txn)
         keys
-  | Op_txn { txn; tkey; upd } -> (
-      match owner tkey with
-      | None -> ()
-      | Some owner -> Txnrec.apply owner.r_txns ~txn ~key:tkey upd)
-  | Op_prevent { txn; key; ts } -> (
-      match owner key with
-      | None -> ()
-      | Some owner ->
-          ignore
-            (Mvcc.prevent owner.r_store ~key ~txn_id:txn ~ts
-              : [ `Found | `Prevented ])));
+  | Op_txn { txn; tkey; upd } -> Txnrec.apply r.r_txns ~txn ~key:tkey upd
+  | Op_prevent { txn; key; ts } ->
+      ignore
+        (Mvcc.prevent r.r_store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ])
+  | Op_split _ -> () (* forked by [apply_split] *));
   promote_side r;
   if cmd.proposer = r.r_node then ignore (Ivar.try_fill cmd.done_ ())
 
@@ -460,18 +448,49 @@ let hand_off_lease t r raft ~target =
     Events.Lease_transfer;
   Raft.transfer_leadership raft target
 
-let rec make_replica t rg node =
+let note_range_count t =
+  Metrics.set t.g_ranges
+    (Hashtbl.fold
+       (fun _ rg n -> if rg.rg_dropped then n else n + 1)
+       t.ranges_tbl 0)
+
+let range_opt t rid =
+  match Hashtbl.find_opt t.ranges_tbl rid with
+  | Some rg when not rg.rg_dropped -> Some rg
+  | Some _ | None -> None
+
+(* Register a new range (with no replicas yet) and route its span to it. *)
+let new_range t rid ~span ~zone ~policy ~closed ~low_water =
+  let rg =
+    {
+      rg_id = rid;
+      rg_span = span;
+      rg_zone = zone;
+      rg_policy = policy;
+      rg_replicas = Hashtbl.create 8;
+      rg_closed_target = closed;
+      rg_tscache = Tscache.create ~low_water;
+      rg_dropped = false;
+      rg_split_index = 0;
+    }
+  in
+  Hashtbl.replace t.ranges_tbl rid rg;
+  t.routing <- Smap.add (fst span) rid t.routing;
+  rg
+
+let rec make_replica ?(store = Mvcc.create ()) t rg node =
   let r =
     {
       r_node = node;
       r_range = rg;
-      r_store = Mvcc.create ();
+      r_store = store;
       r_raft = None;
       r_applied_closed = Ts.zero;
       r_side_closed = Ts.zero;
       r_pending_side = [];
       r_lt = Lock_table.create ();
       r_txns = Txnrec.create ();
+      r_latch = None;
     }
   in
   Hashtbl.replace rg.rg_replicas node r;
@@ -490,7 +509,7 @@ and raft_callbacks t rg r =
                 | None -> ())
             | None -> ()));
     on_apply =
-      (fun ~index:_ cmd ->
+      (fun ~index cmd ->
         (* HLC receive rule: a replica observes every replicated write
            timestamp, so no future leaseholder's clock is ever behind an
            applied write — the observed-timestamp uncertainty clamp in
@@ -507,9 +526,14 @@ and raft_callbacks t rg r =
             | Op_txn { upd = Txnrec.U_commit { ts } | Txnrec.U_stage { ts; _ }; _ }
               ->
                 Clock.update t.clocks.(r.r_node) ts
-            | Op_resolve { commit = None; _ } | Op_txn _ | Op_prevent _ -> ())
+            | Op_resolve { commit = None; _ } | Op_txn _ | Op_prevent _
+            | Op_split _ ->
+                ())
         | Lead -> ());
-        apply_cmd t r cmd);
+        apply_cmd t r cmd;
+        match cmd.op with
+        | Op_split { right; at } -> apply_split t r ~index ~right ~at cmd
+        | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ -> ());
     on_role =
       (fun role ->
         match role with
@@ -635,14 +659,68 @@ and add_replica t rg node ~preferred =
   in
   Raft.start ?preferred (create_raft t rg r ~peers ())
 
+(* Apply the split trigger at [index] on [r], a replica of the left range:
+   fork [r]'s own store, locks, waiters and transaction records at [at]
+   into its node's replica of range [right], whose group starts with the
+   left peers behind a snapshot boundary — unless the node already holds one
+   (seeded by snapshot), the right range is gone, or its group no longer
+   lists the node. The first replica to apply creates the right range, with
+   the left's closed target and a timestamp-cache low water over the left's
+   reads in [at, end), so no write after the split undercuts either. *)
+and apply_split t r ~index ~right ~at { proposer; _ } =
+  let rg = r.r_range in
+  if index > rg.rg_split_index then begin
+    let s, e = rg.rg_span in
+    ignore
+      (new_range t right ~span:(at, e) ~zone:rg.rg_zone ~policy:rg.rg_policy
+         ~closed:rg.rg_closed_target
+         ~low_water:
+           (Tscache.max_read_span rg.rg_tscache ~for_txn:None ~start_key:at
+              ~end_key:e)
+        : range);
+    rg.rg_span <- (s, at);
+    rg.rg_split_index <- index;
+    (* Pre-split samples straddle both halves; restart sampling so the
+       next load-based split point reflects post-split traffic only. *)
+    clear_samples t rg.rg_id;
+    Events.log (Obs.events t.obs) ~node:r.r_node ~range:rg.rg_id
+      ~attrs:[ ("at", at); ("right", string_of_int right) ]
+      Events.Split;
+    note_range_count t
+  end;
+  let store = Mvcc.split_off r.r_store ~key:at in
+  match range_opt t right with
+  | Some rrg
+    when replica_at rrg r.r_node = None
+         && every_raft rrg (fun p -> List.mem_assoc r.r_node (Raft.peers p))
+    ->
+      let rr = make_replica t rrg r.r_node ~store in
+      rr.r_applied_closed <- r.r_applied_closed;
+      Lock_table.split_move r.r_lt ~into:rr.r_lt ~at;
+      Txnrec.split_move r.r_txns ~into:rr.r_txns ~at;
+      let peers = match r.r_raft with Some raft -> Raft.peers raft | None -> [] in
+      let raft = create_raft t rrg rr ~peers ~boundary:(1, 0) () in
+      (* Only nodes that applied the trigger can vote: the proposer's replica
+         campaigns once a quorum of voters hold one; the others wait. *)
+      let voters = List.filter (fun (_, k) -> k = Raft.Voter) peers in
+      let held =
+        List.length (List.filter (fun (n, _) -> replica_at rrg n <> None) voters)
+      in
+      let quorum = (List.length voters / 2) + 1 in
+      if r.r_node <> proposer then Raft.start ~preferred:proposer raft;
+      if
+        if r.r_node = proposer then held >= quorum
+        else List.mem_assoc r.r_node voters && held = quorum
+      then
+        Option.iter
+          (fun p -> Option.iter (Raft.start ~preferred:proposer) p.r_raft)
+          (replica_at rrg proposer)
+  | Some _ | None ->
+      Lock_table.split_move r.r_lt ~into:(Lock_table.create ()) ~at;
+      Txnrec.split_move r.r_txns ~into:(Txnrec.create ()) ~at
+
 (* ------------------------------------------------------------------ *)
 (* Range administration                                                *)
-
-let note_range_count t =
-  Metrics.set t.g_ranges
-    (Hashtbl.fold
-       (fun _ rg n -> if rg.rg_dropped then n else n + 1)
-       t.ranges_tbl 0)
 
 let add_range t ~span ~zone ~policy =
   let start_key, end_key = span in
@@ -662,19 +740,8 @@ let add_range t ~span ~zone ~policy =
   let rid = t.next_range_id in
   t.next_range_id <- rid + 1;
   let rg =
-    {
-      rg_id = rid;
-      rg_span = span;
-      rg_zone = zone;
-      rg_policy = policy;
-      rg_replicas = Hashtbl.create 8;
-      rg_closed_target = Ts.zero;
-      rg_tscache = Tscache.create ~low_water:Ts.zero;
-      rg_dropped = false;
-    }
+    new_range t rid ~span ~zone ~policy ~closed:Ts.zero ~low_water:Ts.zero
   in
-  Hashtbl.replace t.ranges_tbl rid rg;
-  t.routing <- Smap.add start_key rid t.routing;
   let placement =
     Allocator.place ~topology:t.topo ~latency:t.latency
       ~load:(fun n -> t.load.(n))
@@ -699,11 +766,6 @@ let add_range t ~span ~zone ~policy =
   List.iter (Raft.start ?preferred) rafts;
   note_range_count t;
   rid
-
-let range_opt t rid =
-  match Hashtbl.find_opt t.ranges_tbl rid with
-  | Some rg when not rg.rg_dropped -> Some rg
-  | Some _ | None -> None
 
 let leader_replica t rid =
   let rg = range t rid in
@@ -785,100 +847,145 @@ let drop_range t rid =
   clear_samples t rid;
   note_range_count t
 
+(* Whether [r] leads and has applied every entry committed before its term. *)
+let is_leader_now r =
+  match r.r_raft with Some raft -> Raft.serving raft | None -> false
+
+(* The guard at the head of every leaseholder evaluation: the replica must
+   still own [key] — a split, merge or drop may have moved it while the
+   request was in flight — and must still lead its range. *)
+let guard r ~key eval =
+  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
+  else if not (is_leader_now r) then `Not_leader
+  else eval ()
+
+(* ------------------------------------------------------------------ *)
+(* Proposals                                                           *)
+
+(* Bound on waiting for a proposed command to apply locally. A proposal can
+   be lost forever when its leader is deposed or crash-restarts before the
+   entry commits (a restart wipes the volatile log tail's completion ivars);
+   the waiter must not hang — it errors out and the transaction retries,
+   with the outcome reported as ambiguous if retries are exhausted. *)
+let propose_timeout = 8_000_000
+
+(* Whether one consensus round on this replica's group must leave the
+   leader's region: the leader acks itself, so a quorum is WAN-free exactly
+   when enough voters are co-located with it. Computed from the live
+   placement at proposal time — after a rebalance or failover the same range
+   can flip between answers, which is the point: the measurement tracks the
+   actual placement, not the static model. *)
+let replication_needs_wan t r =
+  match r.r_raft with
+  | None -> false
+  | Some raft ->
+      let voters =
+        List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers raft)
+      in
+      let quorum = (List.length voters / 2) + 1 in
+      let leader_region = Topology.region_of t.topo r.r_node in
+      let local =
+        List.length
+          (List.filter
+             (fun (n, _) ->
+               String.equal (Topology.region_of t.topo n) leader_region)
+             voters)
+      in
+      local < quorum
+
+(* The split key [r]'s in-flight split trigger holds, if any. *)
+let latch r =
+  match r.r_latch with
+  | Some (at, done_) when not (Ivar.is_full done_) -> Some at
+  | Some _ | None -> None
+
+(* Whether [r] may log [op]: every key it touches must lie in [r]'s span and
+   below its split latch. *)
+let admits r op =
+  let ok key =
+    in_span r.r_range key
+    && match latch r with Some at -> String.compare key at < 0 | None -> true
+  in
+  match op with
+  | Op_put { key; _ } | Op_prevent { key; _ } | Op_txn { tkey = key; _ } ->
+      ok key
+  | Op_resolve { keys; _ } -> List.for_all ok keys
+  | Op_split _ -> true
+
+(* Propose [op] through [r]'s Raft log, carrying the closed timestamp
+   [closed] the caller computed for it; [None] when [r] is not a serving
+   leader or does not admit [op].
+   With [span], the round is traced as a [raft.replicate] child span, counts
+   as a WAN round trip when its quorum leaves the leader's region, and is
+   charged to the replication phase of [phases] once it applies locally
+   (with write pipelining the quorum wait overlaps the transaction's other
+   work, so the phase is attributed at apply time). *)
+let propose t r ?span ?(phases = Phase.nil) ~closed op =
+  match r.r_raft with
+  | Some raft when Raft.serving raft && admits r op -> (
+      let cmd =
+        {
+          closed;
+          proposer = r.r_node;
+          op;
+          done_ = Ivar.create ();
+          fate = `Applied;
+        }
+      in
+      (match span with
+      | None -> ignore (Raft.propose raft cmd : int option)
+      | Some span ->
+          let tr = Obs.trace t.obs in
+          let rsp =
+            Trace.span tr ~parent:span ~node:r.r_node ~range:r.r_range.rg_id
+              "raft.replicate"
+          in
+          let propose_at = Sim.now t.sim in
+          ignore (Raft.propose raft cmd : int option);
+          Ivar.on_fill cmd.done_ (fun () -> Trace.finish tr rsp);
+          if replication_needs_wan t r then Phase.add_wan phases;
+          Ivar.on_fill cmd.done_ (fun () ->
+              Phase.add phases Phase.Replication (Sim.now t.sim - propose_at)));
+      Some cmd)
+  | Some _ | None -> None
+
+(* Await [cmd]'s local apply; [None] when the proposal was lost. *)
+let await_applied t cmd =
+  Proc.await_timeout t.sim cmd.done_ ~timeout:propose_timeout
+
 (* ------------------------------------------------------------------ *)
 (* Range lifecycle: splits, merges, rebalancing                        *)
 
-(* Split [rid] at key [at], forking its state into a new right-hand range
-   covering [at, end). Runs synchronously (no simulated time passes), so
-   the handoff is atomic with respect to every other process:
-
-   - MVCC state: every replica's store drops its records at or above [at];
-     every right-hand replica is seeded from the leaseholder's fork, which
-     reflects every committed write (the leader applies on commit). A
-     lagging follower re-learns any delta by replaying the left log, whose
-     entries are routed to the current owner at apply time.
-   - Timestamp cache: the right range's low water is the left cache's
-     maximum read over [at, end), so no write the right leaseholder admits
-     can invalidate a read the left one served.
-   - Closed timestamps: the right range inherits the left's closed target,
-     and each right replica its co-located left replica's closed timestamp;
-     writes the right leaseholder admits are pushed above the inherited
-     target, so follower reads stay safe across the split.
-   - Locks and parked intent waiters at or above [at] move to the right
-     replicas; waiters re-resolve their key when woken and retry there.
-   - The right Raft group reuses the left peer set, starts behind a
-     snapshot boundary covering the seeded state, and campaigns first on
-     the left leaseholder's node (lease handoff).
-
-   Returns the new right-hand range id, or [None] when the left range has
-   no leaseholder to fork from. *)
+(* Split [rid] at key [at] by proposing a split trigger through its log
+   (see [apply_split]); [propose]'s latch keeps right-hand keys out of the
+   entries after it. Returns the reserved right-hand range id, or [None]
+   when the range has no serving leaseholder or a split in flight. *)
 let split_range t rid ~at =
   let rg = range t rid in
   let s, e = rg.rg_span in
   if not (String.compare at s > 0 && String.compare at e < 0) then
     invalid_arg "Cluster.split_range: split key outside span";
   match leader_replica t rid with
-  | None -> None
-  | Some lr ->
-      let peers =
-        match lr.r_raft with Some raft -> Raft.peers raft | None -> []
-      in
-      let seed = ref (Mvcc.create ()) in
-      Hashtbl.iter
-        (fun node r ->
-          let part = Mvcc.split_off r.r_store ~key:at in
-          if node = lr.r_node then seed := part)
-        rg.rg_replicas;
-      let seed = !seed in
-      let new_rid = t.next_range_id in
-      t.next_range_id <- new_rid + 1;
-      let right =
-        {
-          rg_id = new_rid;
-          rg_span = (at, e);
-          rg_zone = rg.rg_zone;
-          rg_policy = rg.rg_policy;
-          rg_replicas = Hashtbl.create 8;
-          rg_closed_target = rg.rg_closed_target;
-          rg_tscache =
-            Tscache.create
-              ~low_water:
-                (Tscache.max_read_span rg.rg_tscache ~for_txn:None
-                   ~start_key:at ~end_key:e);
-          rg_dropped = false;
-        }
-      in
-      Hashtbl.replace t.ranges_tbl new_rid right;
-      rg.rg_span <- (s, at);
-      t.routing <- Smap.add at new_rid t.routing;
-      Hashtbl.iter
-        (fun node lrep ->
-          if List.mem_assoc node peers then begin
-            let rrep = make_replica t right node in
-            Mvcc.replace_with rrep.r_store seed;
-            rrep.r_applied_closed <- replica_closed lrep;
-            Lock_table.split_move lrep.r_lt ~into:rrep.r_lt ~at;
-            Txnrec.split_move lrep.r_txns ~into:rrep.r_txns ~at
-          end)
-        rg.rg_replicas;
-      Hashtbl.iter
-        (fun _ rrep ->
-          ignore
-            (create_raft t right rrep ~peers ~boundary:(1, 0) ()
-              : (cmd, snap) Raft.t))
-        right.rg_replicas;
-      Hashtbl.iter
-        (fun _ rrep ->
-          Option.iter (Raft.start ~preferred:lr.r_node) rrep.r_raft)
-        right.rg_replicas;
-      (* Pre-split samples straddle both halves; restart sampling so the
-         next load-based split point reflects post-split traffic only. *)
-      clear_samples t rid;
-      Events.log (Obs.events t.obs) ~node:lr.r_node ~range:rid
-        ~attrs:[ ("at", at); ("right", string_of_int new_rid) ]
-        Events.Split;
-      note_range_count t;
-      Some new_rid
+  | Some lr when is_leader_now lr && latch lr = None -> (
+      let right = t.next_range_id in
+      match
+        propose t lr
+          ~closed:(next_closed_target t rg lr.r_node)
+          (Op_split { right; at })
+      with
+      | None -> None
+      | Some cmd ->
+          t.next_range_id <- right + 1;
+          lr.r_latch <- Some (at, cmd.done_);
+          Some right)
+  | Some _ | None -> None
+
+(* Whether every replica of [rg] has applied its last split trigger (one
+   that has not would replay pre-split entries onto absorbed state) and
+   every peer of [raft]'s group holds a replica (none awaits its fork). *)
+let settled rg raft =
+  every_raft rg (fun p -> Raft.applied_index p >= rg.rg_split_index)
+  && List.for_all (fun (n, _) -> Hashtbl.mem rg.rg_replicas n) (Raft.peers raft)
 
 (* Merge [rid] with its right-hand neighbor (the range starting exactly at
    its end key), subsuming the neighbor. Requires structurally equal zone
@@ -899,7 +1006,8 @@ let split_range t rid ~at =
      never acked, and their transactions retry against the merged range.
 
    Returns [false] (leaving the ranges untouched) when the neighbor is
-   missing or incompatible, or either side lacks a leaseholder. *)
+   missing or incompatible, either side lacks a serving leaseholder, or the
+   left range is not [settled]. *)
 let merge_range t rid =
   match range_opt t rid with
   | None -> false
@@ -917,7 +1025,10 @@ let merge_range t rid =
               then false
               else
                 match (leader_replica t rid, leader_replica t right_rid) with
-                | Some ll, Some rl ->
+                | ( Some ({ r_raft = Some lraft; _ } as ll),
+                    Some ({ r_raft = Some rraft; _ } as rl) )
+                  when Raft.serving lraft && Raft.serving rraft
+                       && settled rg lraft ->
                     let _, re = right.rg_span in
                     Hashtbl.iter
                       (fun _ lrep ->
@@ -1398,97 +1509,6 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
   in
   go ()
 
-let is_leader_now r =
-  match r.r_raft with Some raft -> Raft.is_leader raft | None -> false
-
-(* The guard at the head of every leaseholder evaluation: the replica must
-   still own [key] — a split, merge or drop may have moved it while the
-   request was in flight — and must still lead its range. *)
-let guard r ~key eval =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
-  else if not (is_leader_now r) then `Not_leader
-  else eval ()
-
-(* ------------------------------------------------------------------ *)
-(* Proposals                                                           *)
-
-(* Bound on waiting for a proposed command to apply locally. A proposal can
-   be lost forever when its leader is deposed or crash-restarts before the
-   entry commits (a restart wipes the volatile log tail's completion ivars);
-   the waiter must not hang — it errors out and the transaction retries,
-   with the outcome reported as ambiguous if retries are exhausted. *)
-let propose_timeout = 8_000_000
-
-(* Whether one consensus round on this replica's group must leave the
-   leader's region: the leader acks itself, so a quorum is WAN-free exactly
-   when enough voters are co-located with it. Computed from the live
-   placement at proposal time — after a rebalance or failover the same range
-   can flip between answers, which is the point: the measurement tracks the
-   actual placement, not the static model. *)
-let replication_needs_wan t r =
-  match r.r_raft with
-  | None -> false
-  | Some raft ->
-      let voters =
-        List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers raft)
-      in
-      let quorum = (List.length voters / 2) + 1 in
-      let leader_region = Topology.region_of t.topo r.r_node in
-      let local =
-        List.length
-          (List.filter
-             (fun (n, _) ->
-               String.equal (Topology.region_of t.topo n) leader_region)
-             voters)
-      in
-      local < quorum
-
-(* Propose [op] through [r]'s Raft log, carrying the closed timestamp
-   [closed] the caller computed for it; [None] when [r] no longer leads.
-   With [span], the round is traced as a [raft.replicate] child span, counts
-   as a WAN round trip when its quorum leaves the leader's region, and is
-   charged to the replication phase of [phases] once it applies locally
-   (with write pipelining the quorum wait overlaps the transaction's other
-   work, so the phase is attributed at apply time). *)
-let propose t r ?span ?(phases = Phase.nil) ~closed op =
-  match r.r_raft with
-  | None -> None
-  | Some raft -> (
-      let cmd =
-        {
-          closed;
-          proposer = r.r_node;
-          op;
-          done_ = Ivar.create ();
-          fate = `Applied;
-        }
-      in
-      match span with
-      | None -> Option.map (fun _ -> cmd) (Raft.propose raft cmd)
-      | Some span -> (
-          let tr = Obs.trace t.obs in
-          let rsp =
-            Trace.span tr ~parent:span ~node:r.r_node ~range:r.r_range.rg_id
-              "raft.replicate"
-          in
-          let propose_at = Sim.now t.sim in
-          match Raft.propose raft cmd with
-          | None ->
-              Trace.annotate rsp "error" "not leader";
-              Trace.finish tr rsp;
-              None
-          | Some _ ->
-              Ivar.on_fill cmd.done_ (fun () -> Trace.finish tr rsp);
-              if replication_needs_wan t r then Phase.add_wan phases;
-              Ivar.on_fill cmd.done_ (fun () ->
-                  Phase.add phases Phase.Replication
-                    (Sim.now t.sim - propose_at));
-              Some cmd))
-
-(* Await [cmd]'s local apply; [None] when the proposal was lost. *)
-let await_applied t cmd =
-  Proc.await_timeout t.sim cmd.done_ ~timeout:propose_timeout
-
 (* ------------------------------------------------------------------ *)
 (* Transaction-record transitions, pushes, commit-status recovery      *)
 
@@ -1497,16 +1517,14 @@ let await_applied t cmd =
    caller must re-read the applied record to learn which decision actually
    won — its own proposal may have lost the race. *)
 let propose_txn_update t r ~txn ~key upd =
-  if not (is_leader_now r) then `Not_leader
-  else
-    match
-      propose t r
-        ~closed:(next_closed_target t r.r_range r.r_node)
-        (Op_txn { txn; tkey = key; upd })
-    with
-    | None -> `Not_leader
-    | Some cmd -> (
-        match await_applied t cmd with Some () -> `Applied | None -> `Lost)
+  match
+    propose t r
+      ~closed:(next_closed_target t r.r_range r.r_node)
+      (Op_txn { txn; tkey = key; upd })
+  with
+  | None -> `Not_leader
+  | Some cmd -> (
+      match await_applied t cmd with Some () -> `Applied | None -> `Lost)
 
 let eval_txn_update t r ~txn ~key upd =
   guard r ~key @@ fun () ->

@@ -129,22 +129,22 @@ val drop_range : t -> range_id -> unit
 (** Remove the range and its replicas (table/partition dropped). *)
 
 val split_range : t -> range_id -> at:string -> range_id option
-(** Split the range at [at] (which must lie strictly inside its span),
-    forking its MVCC state, zone config, policy, timestamp cache and closed
-    timestamps into a new right-hand range covering [\[at, end)]. The split
-    is atomic in simulated time; the left leaseholder's node is preferred
-    for the right range's lease. Returns the right range's id, or [None]
-    when the range currently has no leaseholder to fork from.
+(** Split the range at [at] (strictly inside its span) by proposing a split
+    trigger through its Raft log: each replica forks its own state into its
+    replica of the new right-hand range [\[at, end)] when it applies the
+    trigger, and the range becomes routable when the first replica does.
+    Returns the reserved right range id, or [None] when the range has no
+    serving leaseholder or already has a split in flight.
     @raise Invalid_argument if [at] is outside the span. *)
 
 val merge_range : t -> range_id -> bool
 (** Merge the range with its right-hand neighbor (the range starting
     exactly at its end key), subsuming the neighbor: MVCC state is
     absorbed, the timestamp cache low water and closed timestamp ratchet
-    over the subsumed range's, and waiters parked there are woken to retry
-    against the merged range. [false] (and no effect) when there is no
-    adjacent neighbor, the zone configs or policies differ, or either side
-    lacks a live leaseholder. *)
+    over the subsumed range's, and its parked waiters retry here. [false]
+    (and no effect) when there is no adjacent neighbor, the zone configs or
+    policies differ, either side lacks a serving leaseholder, or a replica
+    has yet to apply, or be created by, the range's last split trigger. *)
 
 val split_point : t -> range_id -> string option
 (** The median live key of the range (a reasonable split point), or [None]

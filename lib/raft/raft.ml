@@ -99,6 +99,7 @@ type ('cmd, 'snap) t = {
   mutable last_heartbeat : int;
   mutable last_quorum_contact : int;
   mutable pending_transfer : int option;
+  mutable term_start : int; (* index of the no-op that opened our term *)
   mutable stopped : bool;
   obs : Obs.t;
   range : int option;
@@ -150,6 +151,7 @@ let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
     last_heartbeat = 0;
     last_quorum_contact = 0;
     pending_transfer = None;
+    term_start = 0;
     stopped = false;
     obs;
     range;
@@ -165,6 +167,7 @@ let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
   }
 
 let is_leader t = match t.role with Leader -> true | Follower | Candidate -> false
+let serving t = is_leader t && t.applied >= t.term_start
 let leader_id t = t.leader
 let term t = t.term
 let commit_index t = t.commit
@@ -321,7 +324,7 @@ and become_leader t =
   t.last_quorum_contact <- Sim.now t.sim;
   t.cb.on_role Leader;
   (* Commit entries from previous terms by committing one of our own. *)
-  ignore (append_local t Noop : int);
+  t.term_start <- append_local t Noop;
   broadcast t;
   maybe_advance_commit t;
   arm_heartbeat t

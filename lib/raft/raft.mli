@@ -121,6 +121,10 @@ val create :
     the same boundary. *)
 
 val is_leader : _ t -> bool
+
+val serving : _ t -> bool
+(** A leader that has applied every entry committed before its term. *)
+
 val leader_id : _ t -> int option
 val term : _ t -> int
 val commit_index : _ t -> int

@@ -121,20 +121,20 @@ let scenario ?(opts = Txn.Options.default) () =
 
 let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
-    "f07b2f32ea10dbfd3eca6f5ece5da4f5" (scenario ())
+    "9e169700d6ca86abd9adb10a8b37750f" (scenario ())
 
 (* The same scenario on the two commit paths the default options skip:
    sequential commits with and without write pipelining. *)
 let test_sequential_digest () =
   check Alcotest.string "metrics + trace digest"
-    "0baed1d9793122f7a79810eaa898b3f5"
+    "da698ef8daff256317d9eecd6e719467"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = false; parallel_commits = false }
        ())
 
 let test_pipelined_digest () =
   check Alcotest.string "metrics + trace digest"
-    "4f8faf52988216f3e5ba41ec6c68b718"
+    "23f5c3bb706aa6205f0ca3a46bfcf8c3"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
        ())

@@ -2,11 +2,14 @@
    rebalancing, and routing through the ordered span map. *)
 
 module Sim = Crdb_sim.Sim
+module Ivar = Crdb_sim.Ivar
+module Proc = Crdb_sim.Proc
 module Topology = Crdb_net.Topology
 module Latency = Crdb_net.Latency
 module Transport = Crdb_net.Transport
 module Ts = Crdb_hlc.Timestamp
 module Raft = Crdb_raft.Raft
+module Mvcc = Crdb_storage.Mvcc
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Allocator = Crdb_kv.Allocator
 module Cluster = Crdb_kv.Cluster
@@ -239,6 +242,99 @@ let test_hundred_splits_route () =
         (List.init n_keys key) keys)
 
 (* ------------------------------------------------------------------ *)
+(* Replica agreement across lease moves and splits                     *)
+
+(* A voter other than the leaseholder [lh]. *)
+let other_voter cl rid lh =
+  match
+    List.find_opt
+      (fun (n, k) -> k = Raft.Voter && n <> lh)
+      (Cluster.replica_nodes cl rid)
+  with
+  | Some (n, _) -> n
+  | None -> Alcotest.fail "expected a non-leaseholder voter"
+
+let ok_ts = function
+  | `Ok ts -> ts
+  | `Wounded e | `Err e -> Alcotest.failf "write failed: %s" e
+
+(* A new leaseholder must not evaluate before it has applied the entries
+   its predecessor committed: a write admitted over an intent it has not
+   applied yet would be dropped when that intent applies. *)
+let test_new_leader_applies_before_serving () =
+  let cl, rid = one_range () in
+  let sim = Cluster.sim cl in
+  let lh = Option.get (Cluster.leaseholder cl rid) in
+  let target = other_voter cl rid lh in
+  Cluster.run cl (fun () ->
+      let c1 =
+        ok_ts
+          (Cluster.write cl ~applied:(Ivar.create ()) ~gateway:lh ~txn:1
+             ~key:"k" ~value:(Some "v1") ~ts:(Cluster.now_ts cl lh) ())
+      in
+      Cluster.transfer_lease cl rid ~target;
+      while Cluster.leaseholder cl rid <> Some target do
+        Proc.sleep sim 1_000
+      done;
+      let w2 =
+        Proc.async sim (fun () ->
+            Cluster.write cl ~gateway:target ~txn:2 ~key:"k" ~value:(Some "v2")
+              ~ts:(Cluster.now_ts cl target) ())
+      in
+      Cluster.resolve cl ~gateway:lh ~txn:1 ~commit:(Some c1) ~keys:[ "k" ]
+        ~sync_all:true ();
+      let c2 = ok_ts (Proc.await w2) in
+      Cluster.resolve cl ~gateway:target ~txn:2 ~commit:(Some c2)
+        ~keys:[ "k" ] ~sync_all:true ();
+      check Alcotest.(option string) "the later write wins" (Some "v2")
+        (get cl ~gateway:target "k"))
+
+(* A replica that was down at a split forks its own right replica when it
+   applies the trigger on revival, and then replays only the right log on
+   it: no pre-split entry is replayed over writes the right range made. *)
+let test_split_reaches_revived_replica () =
+  let cl, rid = one_range () in
+  let net = Cluster.net cl in
+  let lh = Option.get (Cluster.leaseholder cl rid) in
+  let down = other_voter cl rid lh in
+  Transport.kill_node net down;
+  Cluster.run cl (fun () ->
+      let c1 =
+        ok_ts
+          (Cluster.write cl ~gateway:lh ~txn:1 ~key:"orange"
+             ~value:(Some "v1") ~ts:(Cluster.now_ts cl lh) ())
+      in
+      ignore (Option.get (Cluster.split_range cl rid ~at:"m"));
+      Proc.sleep (Cluster.sim cl) 1_000_000;
+      Cluster.resolve cl ~gateway:lh ~txn:1 ~commit:(Some c1)
+        ~keys:[ "orange" ] ~sync_all:true ();
+      ignore (put cl ~gateway:lh ~txn:2 "orange" "v2"));
+  Cluster.restart_node cl down;
+  Cluster.run_for cl 20_000_000;
+  let right = Cluster.range_of_key cl "orange" in
+  check Alcotest.bool "orange moved to the right range" true (right <> rid);
+  let store n = Option.get (Cluster.storage_of cl right n) in
+  let serving = Option.get (Cluster.leaseholder cl right) in
+  let want = Mvcc.latest_ts (store serving) ~key:"orange" in
+  List.iter
+    (fun (n, _) ->
+      let name what = Printf.sprintf "n%d %s" n what in
+      check Alcotest.bool (name "has no intent") true
+        (Mvcc.intent_on (store n) ~key:"orange" = None);
+      check Alcotest.bool (name "has the latest version") true
+        (Ts.equal want (Mvcc.latest_ts (store n) ~key:"orange")))
+    (Cluster.replica_nodes cl right);
+  check Alcotest.bool "the revived node holds a right replica" true
+    (List.mem_assoc down (Cluster.replica_nodes cl right));
+  Cluster.transfer_lease cl right ~target:down;
+  Cluster.run_for cl 5_000_000;
+  check Alcotest.(option int) "the revived node holds the lease" (Some down)
+    (Cluster.leaseholder cl right);
+  Cluster.run cl (fun () ->
+      check Alcotest.(option string) "the revived node serves v2" (Some "v2")
+        (get cl ~gateway:down "orange"))
+
+(* ------------------------------------------------------------------ *)
 (* Live-size accounting and load-based split points                    *)
 
 let test_live_bytes_through_split_merge () =
@@ -295,8 +391,9 @@ let test_load_split_point_tracks_traffic () =
     "weighted median is the hot key" (Some "t")
     (Cluster.load_split_point cl rid);
   (* Splitting resets the sample, so the next decision reflects post-split
-     traffic only. *)
+     traffic only. The split lands once its trigger applies. *)
   ignore (Option.get (Cluster.split_range cl rid ~at:"t"));
+  Cluster.run_for cl 1_000_000;
   check Alcotest.(list string) "samples cleared by the split" []
     (Cluster.sampled_keys cl rid)
 
@@ -372,15 +469,7 @@ let test_rebalance_convergence () =
   let lh = Option.get (Cluster.leaseholder cl rid) in
   (* Kill a home-region voter that is not the leaseholder; the allocator
      must walk the replica off the dead node, one move at a time. *)
-  let victim =
-    match
-      List.find_opt
-        (fun (n, k) -> k = Raft.Voter && n <> lh)
-        (Cluster.replica_nodes cl rid)
-    with
-    | Some (n, _) -> n
-    | None -> Alcotest.fail "expected a non-leaseholder voter"
-  in
+  let victim = other_voter cl rid lh in
   Transport.kill_node (Cluster.net cl) victim;
   Cluster.run_for cl 20_000_000;
   let rec converge steps =
@@ -416,6 +505,10 @@ let suite =
     Alcotest.test_case "merge requires adjacency" `Quick
       test_merge_requires_adjacency;
     Alcotest.test_case "100+ splits route" `Quick test_hundred_splits_route;
+    Alcotest.test_case "new leader applies before serving" `Quick
+      test_new_leader_applies_before_serving;
+    Alcotest.test_case "split reaches a revived replica" `Quick
+      test_split_reaches_revived_replica;
     Alcotest.test_case "live bytes through split and merge" `Quick
       test_live_bytes_through_split_merge;
     Alcotest.test_case "load split point tracks traffic" `Quick
