@@ -505,9 +505,9 @@ let chaos_cmd =
   in
   let clients = Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Register clients per region") in
   let ops = Arg.(value & opt int 20 & info [ "ops" ] ~doc:"Ops per register client") in
-  let keys = Arg.(value & opt int 16 & info [ "keys" ] ~doc:"Register keyspace") in
+  let keys = Arg.(value & opt (int_in ~lo:1 ()) 16 & info [ "keys" ] ~doc:"Register keyspace") in
   let write_ratio =
-    Arg.(value & opt float 0.5 & info [ "write-ratio" ] ~doc:"Register write fraction (YCSB-A = 0.5)")
+    Arg.(value & opt (float_in ~lo:0.0 ~hi:1.0) 0.5 & info [ "write-ratio" ] ~doc:"Register write fraction (YCSB-A = 0.5)")
   in
   let accounts = Arg.(value & opt int 8 & info [ "accounts" ] ~doc:"Bank accounts (< 2 disables the bank workload)") in
   (* At most one deliberately broken mode per run: giving two is a usage
@@ -817,7 +817,7 @@ let splits_cmd =
   let ranges =
     Arg.(value & opt int 120 & info [ "ranges" ] ~doc:"Target range count")
   in
-  let keys = Arg.(value & opt int 256 & info [ "keys" ] ~doc:"Keys to load") in
+  let keys = Arg.(value & opt (int_in ~lo:1 ()) 256 & info [ "keys" ] ~doc:"Keys to load") in
   let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Read/write ops") in
   Cmd.v
     (Cmd.info "splits"

@@ -18,7 +18,8 @@ for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
   "chaos --seeds 0" "ddl --op bogus" "ddl --schema bogus" \
   "ycsb --regions 0" "ycsb --regions 6" "ycsb --clients 0" "ycsb --keys 0" \
   "ycsb --locality 2" "tpcc --regions 0" "tpcc --regions 28" \
-  "tpcc --warehouses 0"; do
+  "tpcc --warehouses 0" "chaos --keys 0" "chaos --write-ratio 2" \
+  "splits --keys 0"; do
   status=0
   # shellcheck disable=SC2086 # the arguments are meant to split
   out=$(dune exec bin/crdb_sim.exe -- $args 2>&1) || status=$?
@@ -194,6 +195,22 @@ while read -r want args; do
   fi
 done <test/determinism.md5
 [ "$pins_ok" = 1 ] || exit 1
+
+# Figure pins: the same rule for the deterministic bench experiments. Each
+# line of test/figures.md5 is the MD5 of one experiment's output, minus its
+# wall-clock line, followed by the experiment's name. fig4a, fig5 and fig6
+# are left out for their run time.
+echo "== figure pins (test/figures.md5)"
+figs_ok=1
+while read -r want exp; do
+  got=$(dune exec bench/main.exe -- "$exp" </dev/null |
+    grep -v 'completed in .* wall clock' | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "pin moved: bench/main.exe $exp (pinned $want, got $got)"
+    figs_ok=0
+  fi
+done <test/figures.md5
+[ "$figs_ok" = 1 ] || exit 1
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt (check only)"

@@ -90,7 +90,7 @@ type replica = {
   r_node : int;
   r_range : range;
   r_store : Mvcc.t;
-  mutable r_raft : (cmd, snap) Raft.t option;
+  r_raft : (cmd, snap) Raft.t;
   mutable r_applied_closed : Ts.t;
   mutable r_side_closed : Ts.t;
   mutable r_pending_side : (int * Ts.t) list;
@@ -114,7 +114,12 @@ and range = {
   rg_tscache : Tscache.t;
   mutable rg_dropped : bool;
   mutable rg_split_index : int; (* log index of the last split trigger *)
+  rg_samples : key_samples;
+      (* bounded ring of recently served request keys — the autopilot split
+         queue's load-based split point *)
 }
+
+and key_samples = { ring : string array; mutable seen : int }
 
 type t = {
   sim : Sim.t;
@@ -127,14 +132,14 @@ type t = {
   rng : Rng.t;
   ranges_tbl : (range_id, range) Hashtbl.t;
   mutable routing : range_id Smap.t; (* start_key -> range id *)
+      (* Both hold live ranges only: a drop or merge sets [rg_dropped] and
+         removes the range from both at once, so [rg_dropped] matters only
+         to stale [r_range] references held by in-flight evaluations. *)
   mutable next_range_id : int;
   load : int array; (* replicas per node *)
   obs : Obs.t;
   mutable waiting : int; (* parked conflict waiters, mirrors g_waiters *)
   mutable bg_pending : int; (* background tasks {!run} drains before exiting *)
-  samples : (range_id, key_samples) Hashtbl.t;
-      (* bounded ring of recently served request keys per range — the
-         autopilot split queue's load-based split point *)
   (* Cached per-node counters for per-operation paths. *)
   c_fr_hit : Metrics.counter array;
   c_fr_miss : Metrics.counter array;
@@ -145,8 +150,6 @@ type t = {
   g_ranges : Metrics.gauge;
   g_waiters : Metrics.gauge;
 }
-
-and key_samples = { ring : string array; mutable seen : int }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -187,7 +190,6 @@ let create ?(config = default) ~topology ~latency () =
     obs;
     waiting = 0;
     bg_pending = 0;
-    samples = Hashtbl.create 64;
     c_fr_hit = Array.init n (fun i -> Metrics.counter m ~node:i "kv.follower_read_hits");
     c_fr_miss = Array.init n (fun i -> Metrics.counter m ~node:i "kv.follower_read_misses");
     c_ct_publish = Array.init n (fun i -> Metrics.counter m ~node:i "kv.ct_publishes");
@@ -208,13 +210,15 @@ let clock t node = t.clocks.(node)
 let now_ts t node = Clock.now t.clocks.(node)
 let set_clock_skew t node skew = Clock.set_skew t.clocks.(node) skew
 
+let range_opt t rid = Hashtbl.find_opt t.ranges_tbl rid
+
 let range t rid =
-  match Hashtbl.find_opt t.ranges_tbl rid with
-  | Some rg when not rg.rg_dropped -> rg
-  | Some _ | None -> invalid_arg (Printf.sprintf "Cluster: unknown range %d" rid)
+  match range_opt t rid with
+  | Some rg -> rg
+  | None -> invalid_arg (Printf.sprintf "Cluster: unknown range %d" rid)
 
 let ranges t =
-  Hashtbl.fold (fun id rg acc -> if rg.rg_dropped then acc else id :: acc) t.ranges_tbl []
+  Hashtbl.fold (fun id _ acc -> id :: acc) t.ranges_tbl []
   |> List.sort Int.compare
 
 let span_of t rid = (range t rid).rg_span
@@ -228,24 +232,14 @@ let zone_of t rid = (range t rid).rg_zone
    sampled key is the key that halves recent traffic, not the keyspace. *)
 let sample_cap = 128
 
-let sample_key t rid key =
-  let ks =
-    match Hashtbl.find_opt t.samples rid with
-    | Some ks -> ks
-    | None ->
-        let ks = { ring = Array.make sample_cap ""; seen = 0 } in
-        Hashtbl.replace t.samples rid ks;
-        ks
-  in
+let sample_key rg key =
+  let ks = rg.rg_samples in
   ks.ring.(ks.seen mod sample_cap) <- key;
   ks.seen <- ks.seen + 1
 
 let sampled_keys t rid =
-  match Hashtbl.find_opt t.samples rid with
-  | None -> []
-  | Some ks -> List.init (min ks.seen sample_cap) (fun i -> ks.ring.(i))
-
-let clear_samples t rid = Hashtbl.remove t.samples rid
+  let ks = (range t rid).rg_samples in
+  List.init (min ks.seen sample_cap) (fun i -> ks.ring.(i))
 
 let range_of_key t key =
   match Smap.find_last_opt (fun start -> String.compare start key <= 0) t.routing with
@@ -258,20 +252,15 @@ let range_of_key t key =
 let replica_at rg node = Hashtbl.find_opt rg.rg_replicas node
 
 let every_raft rg f =
-  Hashtbl.fold
-    (fun _ r ok -> ok && Option.fold ~none:true ~some:f r.r_raft)
-    rg.rg_replicas true
+  Hashtbl.fold (fun _ r ok -> ok && f r.r_raft) rg.rg_replicas true
 
 (* The range's current placement: each replica's node and peer kind, as its
    own Raft group sees it. *)
 let current_placement rg =
   Hashtbl.fold
     (fun node r acc ->
-      match r.r_raft with
-      | Some raft -> (
-          match List.assoc_opt node (Raft.peers raft) with
-          | Some kind -> (node, kind) :: acc
-          | None -> acc)
+      match List.assoc_opt node (Raft.peers r.r_raft) with
+      | Some kind -> (node, kind) :: acc
       | None -> acc)
     rg.rg_replicas []
 
@@ -298,11 +287,10 @@ let lead_components t rg =
     match voter_rtts with
     | [] -> Latency.intra_region_rtt
     | _ :: rest ->
-        let rec nth i = function
-          | [] -> Latency.intra_region_rtt
-          | x :: xs -> if i = 0 then x else nth (i - 1) xs
-        in
-        if quorum - 1 = 0 then 0 else nth (quorum - 2) rest
+        if quorum - 1 = 0 then 0
+        else
+          Option.value (List.nth_opt rest (quorum - 2))
+            ~default:Latency.intra_region_rtt
   in
   let l_replicate =
     List.fold_left (fun acc (n, _) -> max acc (rtt_to n / 2)) 0 placements
@@ -340,17 +328,12 @@ let next_closed_target t rg node =
 let replica_closed r = Ts.max r.r_applied_closed r.r_side_closed
 
 let promote_side r =
-  match r.r_raft with
-  | None -> ()
-  | Some raft ->
-      let applied = Raft.applied_index raft in
-      let ready, pending =
-        List.partition (fun (lai, _) -> lai <= applied) r.r_pending_side
-      in
-      List.iter
-        (fun (_, ts) -> r.r_side_closed <- Ts.max r.r_side_closed ts)
-        ready;
-      r.r_pending_side <- pending
+  let applied = Raft.applied_index r.r_raft in
+  let ready, pending =
+    List.partition (fun (lai, _) -> lai <= applied) r.r_pending_side
+  in
+  List.iter (fun (_, ts) -> r.r_side_closed <- Ts.max r.r_side_closed ts) ready;
+  r.r_pending_side <- pending
 
 (* ------------------------------------------------------------------ *)
 (* Conflict resolution: lock table waits plus the push/wound protocol  *)
@@ -418,20 +401,22 @@ let apply_cmd t r cmd =
 (* Replica construction and Raft wiring                                *)
 
 let lease_valid t r =
-  match r.r_raft with
-  | None -> false
-  | Some raft ->
-      Raft.is_leader raft
-      && Transport.is_alive t.net r.r_node
-      && (Raft.quiesced raft
-         || Sim.now t.sim - Raft.last_quorum_contact raft < lease_duration)
+  Raft.is_leader r.r_raft
+  && Transport.is_alive t.net r.r_node
+  && (Raft.quiesced r.r_raft
+     || Sim.now t.sim - Raft.last_quorum_contact r.r_raft < lease_duration)
 
-let leaseholder t rid =
-  let rg = range t rid in
-  Hashtbl.fold
-    (fun node r acc ->
-      match acc with Some _ -> acc | None -> if lease_valid t r then Some node else acc)
-    rg.rg_replicas None
+(* The first replica of [rid] (in table order) that satisfies [p]. *)
+let find_replica t rid p =
+  Seq.find p (Hashtbl.to_seq_values (range t rid).rg_replicas)
+
+let lease_replica t rid = find_replica t rid (lease_valid t)
+let leaseholder t rid = Option.map (fun r -> r.r_node) (lease_replica t rid)
+
+(* The live replica leading [rid]'s group, lease or not. *)
+let leader_replica t rid =
+  find_replica t rid (fun r ->
+      Raft.is_leader r.r_raft && Transport.is_alive t.net r.r_node)
 
 let leaseholder_region t rid =
   Option.map (Topology.region_of t.topo) (leaseholder t rid)
@@ -441,23 +426,14 @@ let preferred_leaseholder_node t rg =
     ~live:(Transport.is_alive t.net) ~zone:rg.rg_zone (current_placement rg)
 
 (* Hand [r]'s lease (Raft leadership) to [target], noting the transfer. *)
-let hand_off_lease t r raft ~target =
+let hand_off_lease t r ~target =
   let node = r.r_node and range = r.r_range.rg_id in
   Events.log (Obs.events t.obs) ~node ~range
     ~attrs:[ ("target", string_of_int target) ]
     Events.Lease_transfer;
-  Raft.transfer_leadership raft target
+  Raft.transfer_leadership r.r_raft target
 
-let note_range_count t =
-  Metrics.set t.g_ranges
-    (Hashtbl.fold
-       (fun _ rg n -> if rg.rg_dropped then n else n + 1)
-       t.ranges_tbl 0)
-
-let range_opt t rid =
-  match Hashtbl.find_opt t.ranges_tbl rid with
-  | Some rg when not rg.rg_dropped -> Some rg
-  | Some _ | None -> None
+let note_range_count t = Metrics.set t.g_ranges (Hashtbl.length t.ranges_tbl)
 
 (* Register a new range (with no replicas yet) and route its span to it. *)
 let new_range t rid ~span ~zone ~policy ~closed ~low_water =
@@ -472,44 +448,53 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
       rg_tscache = Tscache.create ~low_water;
       rg_dropped = false;
       rg_split_index = 0;
+      rg_samples = { ring = Array.make sample_cap ""; seen = 0 };
     }
   in
   Hashtbl.replace t.ranges_tbl rid rg;
   t.routing <- Smap.add (fst span) rid t.routing;
   rg
 
-let rec make_replica ?(store = Mvcc.create ()) t rg node =
-  let r =
-    {
-      r_node = node;
-      r_range = rg;
-      r_store = store;
-      r_raft = None;
-      r_applied_closed = Ts.zero;
-      r_side_closed = Ts.zero;
-      r_pending_side = [];
-      r_lt = Lock_table.create ();
-      r_txns = Txnrec.create ();
-      r_latch = None;
-    }
+(* Create [node]'s replica of [rg], a member of its own Raft group over
+   [peers]. The group draws its RNG stream from the cluster's, so callers
+   must construct replicas in a fixed order. *)
+let rec make_replica ?(store = Mvcc.create ()) t rg node ~peers ?boundary () =
+  let rec r =
+    lazy
+      {
+        r_node = node;
+        r_range = rg;
+        r_store = store;
+        r_raft =
+          Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:node ~peers
+            ~callbacks:(raft_callbacks t rg node r) ~obs:t.obs ~range:rg.rg_id
+            ?boundary ();
+        r_applied_closed = Ts.zero;
+        r_side_closed = Ts.zero;
+        r_pending_side = [];
+        r_lt = Lock_table.create ();
+        r_txns = Txnrec.create ();
+        r_latch = None;
+      }
   in
+  let r = Lazy.force r in
   Hashtbl.replace rg.rg_replicas node r;
   t.load.(node) <- t.load.(node) + 1;
   r
 
-and raft_callbacks t rg r =
+(* [r] is the replica under construction; [Raft.create] calls no callback,
+   so each forces it only once it exists. *)
+and raft_callbacks t rg node r =
   {
     Raft.send =
       (fun dst msg ->
-        Transport.send t.net ~src:r.r_node ~dst (fun () ->
+        Transport.send t.net ~src:node ~dst (fun () ->
             match replica_at rg dst with
-            | Some peer -> (
-                match peer.r_raft with
-                | Some raft -> Raft.handle raft ~from:r.r_node msg
-                | None -> ())
+            | Some peer -> Raft.handle peer.r_raft ~from:node msg
             | None -> ()));
     on_apply =
       (fun ~index cmd ->
+        let r = Lazy.force r in
         (* HLC receive rule: a replica observes every replicated write
            timestamp, so no future leaseholder's clock is ever behind an
            applied write — the observed-timestamp uncertainty clamp in
@@ -536,6 +521,7 @@ and raft_callbacks t rg r =
         | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ -> ());
     on_role =
       (fun role ->
+        let r = Lazy.force r in
         match role with
         | Raft.Leader ->
             Events.log (Obs.events t.obs) ~node:r.r_node ~range:rg.rg_id
@@ -563,20 +549,18 @@ and raft_callbacks t rg r =
             in
             if not home_ok then begin
               match preferred_leaseholder_node t rg with
-              | Some target when target <> r.r_node && target_in_prefs target -> (
-                  match r.r_raft with
-                  | Some raft ->
-                      (* Defer: transferring synchronously inside the role
-                         callback would re-enter Raft. *)
-                      Sim.schedule t.sim ~after:1_000 (fun () ->
-                          if Raft.is_leader raft then
-                            hand_off_lease t r raft ~target)
-                  | None -> ())
+              | Some target when target <> r.r_node && target_in_prefs target ->
+                  (* Defer: transferring synchronously inside the role
+                     callback would re-enter Raft. *)
+                  Sim.schedule t.sim ~after:1_000 (fun () ->
+                      if Raft.is_leader r.r_raft then
+                        hand_off_lease t r ~target)
               | Some _ | None -> ()
             end
         | Raft.Follower | Raft.Candidate -> ());
     on_config =
       (fun change ->
+        let r = Lazy.force r in
         if not (List.mem_assoc r.r_node change) then begin
           (* May already have been reaped by [rebalance_step] (a dead
              victim never applies its own removal); only account once. *)
@@ -585,20 +569,16 @@ and raft_callbacks t rg r =
             t.load.(r.r_node) <- max 0 (t.load.(r.r_node) - 1)
           end
         end
-        else begin
-          match r.r_raft with
-          | Some raft when Raft.is_leader raft ->
-              (* Materialize replicas for newly added peers. *)
-              List.iter
-                (fun (node, _) ->
-                  match replica_at rg node with
-                  | Some _ -> ()
-                  | None -> add_replica t rg node ~preferred:(Some r.r_node))
-                change
-          | Some _ | None -> ()
-        end);
+        else if Raft.is_leader r.r_raft then
+          (* Materialize replicas for newly added peers. *)
+          List.iter
+            (fun (node, _) ->
+              if replica_at rg node = None then
+                add_replica t rg node ~preferred:(Some r.r_node))
+            change);
     take_snapshot =
       (fun () ->
+        let r = Lazy.force r in
         {
           snap_store = Mvcc.copy r.r_store;
           snap_closed = r.r_applied_closed;
@@ -606,6 +586,7 @@ and raft_callbacks t rg r =
         });
     install_snapshot =
       (fun s ->
+        let r = Lazy.force r in
         Lock_table.clear_locks r.r_lt;
         r.r_applied_closed <- Ts.max r.r_applied_closed s.snap_closed;
         Mvcc.replace_with r.r_store s.snap_store;
@@ -618,46 +599,28 @@ and raft_callbacks t rg r =
            truncation by a new leader, or a snapshot covering the tail).
            Fail the pipelined waiter fast — as indeterminate, since in rare
            interleavings another surviving copy can still commit. *)
-        if cmd.proposer = r.r_node && not (Ivar.is_full cmd.done_) then begin
+        if cmd.proposer = node && not (Ivar.is_full cmd.done_) then begin
           cmd.fate <- `Dropped;
           ignore (Ivar.try_fill cmd.done_ () : bool)
         end);
   }
 
-(* Create [r]'s Raft group over [peers]. Draws the group's RNG stream from
-   the cluster's, so callers must construct groups in a fixed order. *)
-and create_raft t rg r ~peers ?boundary () =
-  let raft =
-    Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:r.r_node ~peers
-      ~callbacks:(raft_callbacks t rg r) ~obs:t.obs ~range:rg.rg_id ?boundary
-      ()
-  in
-  r.r_raft <- Some raft;
-  raft
-
 and add_replica t rg node ~preferred =
-  let r = make_replica t rg node in
   let peers =
     (* Peer set comes from the leader's current config via snapshot/appends;
        start with just enough to participate. *)
     match
-      Hashtbl.fold
-        (fun _ peer acc ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-              match peer.r_raft with
-              | Some raft when Raft.is_leader raft -> Some (Raft.peers raft)
-              | Some _ | None -> acc))
-        rg.rg_replicas None
+      Seq.find
+        (fun peer -> Raft.is_leader peer.r_raft)
+        (Hashtbl.to_seq_values rg.rg_replicas)
     with
-    | Some ps -> ps
+    | Some leader -> Raft.peers leader.r_raft
     | None -> [ (node, Raft.Learner) ]
   in
   let peers =
     if List.mem_assoc node peers then peers else (node, Raft.Learner) :: peers
   in
-  Raft.start ?preferred (create_raft t rg r ~peers ())
+  Raft.start ?preferred (make_replica t rg node ~peers ()).r_raft
 
 (* Apply the split trigger at [index] on [r], a replica of the left range:
    fork [r]'s own store, locks, waiters and transaction records at [at]
@@ -682,7 +645,7 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
     rg.rg_split_index <- index;
     (* Pre-split samples straddle both halves; restart sampling so the
        next load-based split point reflects post-split traffic only. *)
-    clear_samples t rg.rg_id;
+    rg.rg_samples.seen <- 0;
     Events.log (Obs.events t.obs) ~node:r.r_node ~range:rg.rg_id
       ~attrs:[ ("at", at); ("right", string_of_int right) ]
       Events.Split;
@@ -694,12 +657,11 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
     when replica_at rrg r.r_node = None
          && every_raft rrg (fun p -> List.mem_assoc r.r_node (Raft.peers p))
     ->
-      let rr = make_replica t rrg r.r_node ~store in
+      let peers = Raft.peers r.r_raft in
+      let rr = make_replica t rrg r.r_node ~store ~peers ~boundary:(1, 0) () in
       rr.r_applied_closed <- r.r_applied_closed;
       Lock_table.split_move r.r_lt ~into:rr.r_lt ~at;
       Txnrec.split_move r.r_txns ~into:rr.r_txns ~at;
-      let peers = match r.r_raft with Some raft -> Raft.peers raft | None -> [] in
-      let raft = create_raft t rrg rr ~peers ~boundary:(1, 0) () in
       (* Only nodes that applied the trigger can vote: the proposer's replica
          campaigns once a quorum of voters hold one; the others wait. *)
       let voters = List.filter (fun (_, k) -> k = Raft.Voter) peers in
@@ -707,13 +669,13 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
         List.length (List.filter (fun (n, _) -> replica_at rrg n <> None) voters)
       in
       let quorum = (List.length voters / 2) + 1 in
-      if r.r_node <> proposer then Raft.start ~preferred:proposer raft;
+      if r.r_node <> proposer then Raft.start ~preferred:proposer rr.r_raft;
       if
         if r.r_node = proposer then held >= quorum
         else List.mem_assoc r.r_node voters && held = quorum
       then
         Option.iter
-          (fun p -> Option.iter (Raft.start ~preferred:proposer) p.r_raft)
+          (fun p -> Raft.start ~preferred:proposer p.r_raft)
           (replica_at rrg proposer)
   | Some _ | None ->
       Lock_table.split_move r.r_lt ~into:(Lock_table.create ()) ~at;
@@ -728,14 +690,11 @@ let add_range t ~span ~zone ~policy =
     invalid_arg "Cluster.add_range: empty span";
   Smap.iter
     (fun other_start rid ->
-      let rg = Hashtbl.find t.ranges_tbl rid in
-      if not rg.rg_dropped then begin
-        let _, other_end = rg.rg_span in
-        if
-          String.compare other_start end_key < 0
-          && String.compare start_key other_end < 0
-        then invalid_arg "Cluster.add_range: overlapping span"
-      end)
+      let _, other_end = (range t rid).rg_span in
+      if
+        String.compare other_start end_key < 0
+        && String.compare start_key other_end < 0
+      then invalid_arg "Cluster.add_range: overlapping span")
     t.routing;
   let rid = t.next_range_id in
   t.next_range_id <- rid + 1;
@@ -751,34 +710,28 @@ let add_range t ~span ~zone ~policy =
     Allocator.preferred_leaseholder ~topology:t.topo
       ~live:(Transport.is_alive t.net) ~zone placement
   in
-  List.iter (fun (node, _) -> ignore (make_replica t rg node : replica)) placement;
   (* The boundary places the group's (possibly out-of-band seeded) initial
      state behind a snapshot index, so replicas added later are seeded with
      a store snapshot rather than replaying a log that does not contain it
      (bulk loads, split forks). *)
-  let rafts =
+  let replicas =
     List.map
       (fun (node, _) ->
-        create_raft t rg (Hashtbl.find rg.rg_replicas node) ~peers:placement
-          ~boundary:(1, 0) ())
+        make_replica t rg node ~peers:placement ~boundary:(1, 0) ())
       placement
   in
-  List.iter (Raft.start ?preferred) rafts;
+  List.iter (fun r -> Raft.start ?preferred r.r_raft) replicas;
   note_range_count t;
   rid
 
-let leader_replica t rid =
-  let rg = range t rid in
-  Hashtbl.fold
-    (fun _ r acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          match r.r_raft with
-          | Some raft when Raft.is_leader raft && Transport.is_alive t.net r.r_node ->
-              Some r
-          | Some _ | None -> acc))
-    rg.rg_replicas None
+(* Run [step] on [rid] now and, while it answers [false], every 0.5 s up to
+   [attempts] more times; stop early once the range is gone. *)
+let rec retry t rid ~attempts step =
+  match range_opt t rid with
+  | Some rg when (not (step rg)) && attempts > 0 ->
+      Sim.schedule t.sim ~after:500_000 (fun () ->
+          retry t rid ~attempts:(attempts - 1) step)
+  | Some _ | None -> ()
 
 let alter_range t rid ~zone ~policy =
   let rg = range t rid in
@@ -796,60 +749,45 @@ let alter_range t rid ~zone ~policy =
     let placement =
       Allocator.place ~topology:t.topo ~latency:t.latency ~load ~zone
     in
-    let rec try_propose attempts =
-      if range_opt t rid = None then () (* dropped while scheduled *)
-      else
-      match leader_replica t rid with
-      | Some r -> (
-          match r.r_raft with
-          | Some raft ->
-              (* The leader must stay a peer for the handoff; if the new
-                 placement drops it, keep it as a learner and let a later
-                 rebalance remove it. *)
-              let placement =
-                if List.mem_assoc r.r_node placement then placement
-                else (r.r_node, Raft.Learner) :: placement
-              in
-              ignore (Raft.propose_config raft placement : int option)
-          | None -> ())
-      | None ->
-          if attempts > 0 then
-            Sim.schedule t.sim ~after:500_000 (fun () -> try_propose (attempts - 1))
-    in
-    try_propose 20
+    retry t rid ~attempts:20 (fun _ ->
+        match leader_replica t rid with
+        | Some r ->
+            (* The leader must stay a peer for the handoff; if the new
+               placement drops it, keep it as a learner and let a later
+               rebalance remove it. *)
+            let placement =
+              if List.mem_assoc r.r_node placement then placement
+              else (r.r_node, Raft.Learner) :: placement
+            in
+            ignore (Raft.propose_config r.r_raft placement : int option);
+            true
+        | None -> false)
   end;
   (* Move the lease into the (possibly new) preferred region. *)
-  let rec try_lease attempts =
-    if range_opt t rid = None then () (* dropped while scheduled *)
-    else
-    match (leader_replica t rid, preferred_leaseholder_node t rg) with
-    | Some r, Some target when r.r_node <> target -> (
-        match (r.r_raft, replica_at rg target) with
-        | Some raft, Some _ -> hand_off_lease t r raft ~target
-        | (Some _ | None), (Some _ | None) ->
-            if attempts > 0 then
-              Sim.schedule t.sim ~after:500_000 (fun () -> try_lease (attempts - 1)))
-    | (Some _ | None), (Some _ | None) -> ()
-  in
-  Sim.schedule t.sim ~after:1_000_000 (fun () -> try_lease 20)
+  Sim.schedule t.sim ~after:1_000_000 (fun () ->
+      retry t rid ~attempts:20 (fun rg ->
+          match (leader_replica t rid, preferred_leaseholder_node t rg) with
+          | Some r, Some target when r.r_node <> target ->
+              let present = replica_at rg target <> None in
+              if present then hand_off_lease t r ~target;
+              present
+          | (Some _ | None), (Some _ | None) -> true))
 
 let drop_range t rid =
   let rg = range t rid in
   rg.rg_dropped <- true;
   Hashtbl.iter
     (fun node r ->
-      (match r.r_raft with Some raft -> Raft.stop raft | None -> ());
+      Raft.stop r.r_raft;
       t.load.(node) <- max 0 (t.load.(node) - 1))
     rg.rg_replicas;
   let start_key, _ = rg.rg_span in
   t.routing <- Smap.remove start_key t.routing;
   Hashtbl.remove t.ranges_tbl rid;
-  clear_samples t rid;
   note_range_count t
 
 (* Whether [r] leads and has applied every entry committed before its term. *)
-let is_leader_now r =
-  match r.r_raft with Some raft -> Raft.serving raft | None -> false
+let is_leader_now r = Raft.serving r.r_raft
 
 (* The guard at the head of every leaseholder evaluation: the replica must
    still own [key] — a split, merge or drop may have moved it while the
@@ -876,22 +814,19 @@ let propose_timeout = 8_000_000
    can flip between answers, which is the point: the measurement tracks the
    actual placement, not the static model. *)
 let replication_needs_wan t r =
-  match r.r_raft with
-  | None -> false
-  | Some raft ->
-      let voters =
-        List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers raft)
-      in
-      let quorum = (List.length voters / 2) + 1 in
-      let leader_region = Topology.region_of t.topo r.r_node in
-      let local =
-        List.length
-          (List.filter
-             (fun (n, _) ->
-               String.equal (Topology.region_of t.topo n) leader_region)
-             voters)
-      in
-      local < quorum
+  let voters =
+    List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers r.r_raft)
+  in
+  let quorum = (List.length voters / 2) + 1 in
+  let leader_region = Topology.region_of t.topo r.r_node in
+  let local =
+    List.length
+      (List.filter
+         (fun (n, _) ->
+           String.equal (Topology.region_of t.topo n) leader_region)
+         voters)
+  in
+  local < quorum
 
 (* The split key [r]'s in-flight split trigger holds, if any. *)
 let latch r =
@@ -921,33 +856,32 @@ let admits r op =
    (with write pipelining the quorum wait overlaps the transaction's other
    work, so the phase is attributed at apply time). *)
 let propose t r ?span ?(phases = Phase.nil) ~closed op =
-  match r.r_raft with
-  | Some raft when Raft.serving raft && admits r op -> (
-      let cmd =
-        {
-          closed;
-          proposer = r.r_node;
-          op;
-          done_ = Ivar.create ();
-          fate = `Applied;
-        }
-      in
-      (match span with
-      | None -> ignore (Raft.propose raft cmd : int option)
-      | Some span ->
-          let tr = Obs.trace t.obs in
-          let rsp =
-            Trace.span tr ~parent:span ~node:r.r_node ~range:r.r_range.rg_id
-              "raft.replicate"
-          in
-          let propose_at = Sim.now t.sim in
-          ignore (Raft.propose raft cmd : int option);
-          Ivar.on_fill cmd.done_ (fun () -> Trace.finish tr rsp);
-          if replication_needs_wan t r then Phase.add_wan phases;
-          Ivar.on_fill cmd.done_ (fun () ->
-              Phase.add phases Phase.Replication (Sim.now t.sim - propose_at)));
-      Some cmd)
-  | Some _ | None -> None
+  if not (is_leader_now r && admits r op) then None
+  else
+    let cmd =
+      {
+        closed;
+        proposer = r.r_node;
+        op;
+        done_ = Ivar.create ();
+        fate = `Applied;
+      }
+    in
+    (match span with
+    | None -> ignore (Raft.propose r.r_raft cmd : int option)
+    | Some span ->
+        let tr = Obs.trace t.obs in
+        let rsp =
+          Trace.span tr ~parent:span ~node:r.r_node ~range:r.r_range.rg_id
+            "raft.replicate"
+        in
+        let propose_at = Sim.now t.sim in
+        ignore (Raft.propose r.r_raft cmd : int option);
+        Ivar.on_fill cmd.done_ (fun () -> Trace.finish tr rsp);
+        if replication_needs_wan t r then Phase.add_wan phases;
+        Ivar.on_fill cmd.done_ (fun () ->
+            Phase.add phases Phase.Replication (Sim.now t.sim - propose_at)));
+    Some cmd
 
 (* Await [cmd]'s local apply; [None] when the proposal was lost. *)
 let await_applied t cmd =
@@ -1013,55 +947,43 @@ let merge_range t rid =
   | None -> false
   | Some rg -> (
       let s, e = rg.rg_span in
-      match Smap.find_opt e t.routing with
-      | None -> false
-      | Some right_rid -> (
-          match range_opt t right_rid with
-          | None -> false
-          | Some right -> (
-              if
-                not
-                  (rg.rg_zone = right.rg_zone && rg.rg_policy = right.rg_policy)
-              then false
-              else
-                match (leader_replica t rid, leader_replica t right_rid) with
-                | ( Some ({ r_raft = Some lraft; _ } as ll),
-                    Some ({ r_raft = Some rraft; _ } as rl) )
-                  when Raft.serving lraft && Raft.serving rraft
-                       && settled rg lraft ->
-                    let _, re = right.rg_span in
-                    Hashtbl.iter
-                      (fun _ lrep ->
-                        Mvcc.absorb lrep.r_store rl.r_store;
-                        Txnrec.absorb lrep.r_txns ~from:rl.r_txns)
-                      rg.rg_replicas;
-                    Lock_table.absorb ll.r_lt ~from:rl.r_lt;
-                    Hashtbl.iter
-                      (fun _ rrep -> Lock_table.wake_all rrep.r_lt)
-                      right.rg_replicas;
-                    Tscache.bump_low_water rg.rg_tscache
-                      (Tscache.max_read_span right.rg_tscache ~for_txn:None
-                         ~start_key:e ~end_key:re);
-                    rg.rg_closed_target <-
-                      Ts.max rg.rg_closed_target right.rg_closed_target;
-                    right.rg_dropped <- true;
-                    Hashtbl.iter
-                      (fun node rrep ->
-                        (match rrep.r_raft with
-                        | Some raft -> Raft.stop raft
-                        | None -> ());
-                        t.load.(node) <- max 0 (t.load.(node) - 1))
-                      right.rg_replicas;
-                    t.routing <- Smap.remove e t.routing;
-                    Hashtbl.remove t.ranges_tbl right_rid;
-                    rg.rg_span <- (s, re);
-                    clear_samples t right_rid;
-                    Events.log (Obs.events t.obs) ~node:ll.r_node ~range:rid
-                      ~attrs:[ ("subsumed", string_of_int right_rid) ]
-                      Events.Merge;
-                    note_range_count t;
-                    true
-                | (Some _ | None), (Some _ | None) -> false)))
+      match Option.map (range t) (Smap.find_opt e t.routing) with
+      | Some right
+        when rg.rg_zone = right.rg_zone && rg.rg_policy = right.rg_policy -> (
+          match (leader_replica t rid, leader_replica t right.rg_id) with
+          | Some ll, Some rl
+            when is_leader_now ll && is_leader_now rl && settled rg ll.r_raft ->
+              let _, re = right.rg_span in
+              Hashtbl.iter
+                (fun _ lrep ->
+                  Mvcc.absorb lrep.r_store rl.r_store;
+                  Txnrec.absorb lrep.r_txns ~from:rl.r_txns)
+                rg.rg_replicas;
+              Lock_table.absorb ll.r_lt ~from:rl.r_lt;
+              Hashtbl.iter
+                (fun _ rrep -> Lock_table.wake_all rrep.r_lt)
+                right.rg_replicas;
+              Tscache.bump_low_water rg.rg_tscache
+                (Tscache.max_read_span right.rg_tscache ~for_txn:None
+                   ~start_key:e ~end_key:re);
+              rg.rg_closed_target <-
+                Ts.max rg.rg_closed_target right.rg_closed_target;
+              right.rg_dropped <- true;
+              Hashtbl.iter
+                (fun node rrep ->
+                  Raft.stop rrep.r_raft;
+                  t.load.(node) <- max 0 (t.load.(node) - 1))
+                right.rg_replicas;
+              t.routing <- Smap.remove e t.routing;
+              Hashtbl.remove t.ranges_tbl right.rg_id;
+              rg.rg_span <- (s, re);
+              Events.log (Obs.events t.obs) ~node:ll.r_node ~range:rid
+                ~attrs:[ ("subsumed", string_of_int right.rg_id) ]
+                Events.Merge;
+              note_range_count t;
+              true
+          | (Some _ | None), (Some _ | None) -> false)
+      | Some _ | None -> false)
 
 (* A reasonable split point: the median live key of the leaseholder's
    store, or [None] when the range holds too few keys to split. *)
@@ -1099,10 +1021,10 @@ let load_split_point t rid =
   match range_opt t rid with
   | None -> None
   | Some rg -> (
-      let s, e = rg.rg_span in
-      let in_span k = String.compare k s >= 0 && String.compare k e < 0 in
+      let s, _ = rg.rg_span in
       let keys =
-        sampled_keys t rid |> List.filter in_span |> List.sort String.compare
+        sampled_keys t rid |> List.filter (in_span rg)
+        |> List.sort String.compare
       in
       let n = List.length keys in
       if n < 2 then split_point t rid
@@ -1119,13 +1041,10 @@ let load_split_point t rid =
 let ranges_in_span t ~start_key ~end_key =
   Smap.fold
     (fun _ rid acc ->
-      match Hashtbl.find_opt t.ranges_tbl rid with
-      | Some rg when not rg.rg_dropped ->
-          let s, e = rg.rg_span in
-          if String.compare s end_key < 0 && String.compare start_key e < 0
-          then rid :: acc
-          else acc
-      | Some _ | None -> acc)
+      let s, e = (range t rid).rg_span in
+      if String.compare s end_key < 0 && String.compare start_key e < 0 then
+        rid :: acc
+      else acc)
     t.routing []
   |> List.rev
 
@@ -1142,142 +1061,116 @@ let rebalance_step t rid =
       match leader_replica t rid with
       | None -> false
       | Some lr -> (
-          match lr.r_raft with
+          let placement = Raft.peers lr.r_raft in
+          (* Score candidates by the load a node carries *besides* this
+             range: a member's own replica must not make every empty node
+             look like an improvement, or the allocator ping-pongs replicas
+             between idle nodes forever. *)
+          let other_load n =
+            if List.mem_assoc n placement then max 0 (t.load.(n) - 1)
+            else t.load.(n)
+          in
+          match
+            Allocator.rebalance_move ~topology:t.topo
+              ~live:(Transport.is_alive t.net)
+              ~load:other_load ~zone:rg.rg_zone placement
+          with
           | None -> false
-          | Some raft -> (
-              let placement = Raft.peers raft in
-              (* Score candidates by the load a node carries *besides* this
-                 range: a member's own replica must not make every empty
-                 node look like an improvement, or the allocator ping-pongs
-                 replicas between idle nodes forever. *)
-              let other_load n =
-                if List.mem_assoc n placement then max 0 (t.load.(n) - 1)
-                else t.load.(n)
-              in
-              match
-                Allocator.rebalance_move ~topology:t.topo
-                  ~live:(Transport.is_alive t.net)
-                  ~load:other_load ~zone:rg.rg_zone placement
-              with
-              | None -> false
-              | Some { Allocator.victim; replacement; kind } ->
-                  if victim = lr.r_node then begin
-                    match
-                      List.find_opt
-                        (fun (n, k) ->
-                          k = Raft.Voter && n <> lr.r_node
-                          && Transport.is_alive t.net n)
-                        placement
-                    with
-                    | None -> false
-                    | Some (target, _) ->
-                        hand_off_lease t lr raft ~target;
-                        true
-                  end
-                  else begin
-                    match Raft.add_peer raft replacement kind with
-                    | None -> false
-                    | Some _ ->
-                        Events.log (Obs.events t.obs) ~node:lr.r_node
-                          ~range:rid ~attrs:
-                            [
-                              ("victim", string_of_int victim);
-                              ("replacement", string_of_int replacement);
-                            ]
-                          Events.Rebalance;
-                        let goal = Raft.commit_index raft in
-                        (* A dead victim never applies its own removal, so
-                           its replica object must be reaped here; a live
-                           one removes itself in [on_config] first, making
-                           this a no-op (guarded by presence). *)
-                        let reap_victim rg =
-                          match replica_at rg victim with
-                          | Some vr ->
-                              (match vr.r_raft with
-                              | Some vraft -> Raft.stop vraft
-                              | None -> ());
-                              Hashtbl.remove rg.rg_replicas victim;
-                              t.load.(victim) <- max 0 (t.load.(victim) - 1)
-                          | None -> ()
-                        in
-                        let rec finish attempts =
-                          match range_opt t rid with
-                          | None -> ()
-                          | Some rg ->
-                              let caught_up =
-                                match replica_at rg replacement with
-                                | Some rr -> (
-                                    match rr.r_raft with
-                                    | Some rraft ->
-                                        Raft.applied_index rraft >= goal
-                                    | None -> false)
-                                | None -> false
-                              in
-                              let removed =
-                                match leader_replica t rid with
-                                | Some l2 -> (
-                                    match l2.r_raft with
-                                    | Some raft2 ->
-                                        (not
-                                           (List.mem_assoc victim
-                                              (Raft.peers raft2)))
-                                        || (caught_up && l2.r_node <> victim
-                                           && Raft.remove_peer raft2 victim
-                                              <> None)
-                                    | None -> false)
-                                | None -> false
-                              in
-                              if removed then
-                                (* Give a live victim time to apply its own
-                                   removal, then reap whatever is left. *)
-                                Sim.schedule t.sim ~after:2_000_000 (fun () ->
-                                    match range_opt t rid with
-                                    | Some rg -> reap_victim rg
-                                    | None -> ())
-                              else if attempts > 0 then
-                                Sim.schedule t.sim ~after:500_000 (fun () ->
-                                    finish (attempts - 1))
-                        in
-                        Sim.schedule t.sim ~after:500_000 (fun () ->
-                            finish 40);
-                        true
-                  end)))
+          | Some { Allocator.victim; replacement; kind } ->
+              if victim = lr.r_node then begin
+                match
+                  List.find_opt
+                    (fun (n, k) ->
+                      k = Raft.Voter && n <> lr.r_node
+                      && Transport.is_alive t.net n)
+                    placement
+                with
+                | None -> false
+                | Some (target, _) ->
+                    hand_off_lease t lr ~target;
+                    true
+              end
+              else begin
+                match Raft.add_peer lr.r_raft replacement kind with
+                | None -> false
+                | Some _ ->
+                    Events.log (Obs.events t.obs) ~node:lr.r_node ~range:rid
+                      ~attrs:
+                        [
+                          ("victim", string_of_int victim);
+                          ("replacement", string_of_int replacement);
+                        ]
+                      Events.Rebalance;
+                    let goal = Raft.commit_index lr.r_raft in
+                    (* A dead victim never applies its own removal, so its
+                       replica object must be reaped here; a live one
+                       removes itself in [on_config] first, making this a
+                       no-op (guarded by presence). *)
+                    let reap_victim rg =
+                      match replica_at rg victim with
+                      | Some vr ->
+                          Raft.stop vr.r_raft;
+                          Hashtbl.remove rg.rg_replicas victim;
+                          t.load.(victim) <- max 0 (t.load.(victim) - 1)
+                      | None -> ()
+                    in
+                    let finish rg =
+                      let caught_up =
+                        match replica_at rg replacement with
+                        | Some rr -> Raft.applied_index rr.r_raft >= goal
+                        | None -> false
+                      in
+                      let removed =
+                        match leader_replica t rid with
+                        | Some l2 ->
+                            (not (List.mem_assoc victim (Raft.peers l2.r_raft)))
+                            || caught_up && l2.r_node <> victim
+                               && Raft.remove_peer l2.r_raft victim <> None
+                        | None -> false
+                      in
+                      if removed then
+                        (* Give a live victim time to apply its own removal,
+                           then reap whatever is left. *)
+                        Sim.schedule t.sim ~after:2_000_000 (fun () ->
+                            Option.iter reap_victim (range_opt t rid));
+                      removed
+                    in
+                    Sim.schedule t.sim ~after:500_000 (fun () ->
+                        retry t rid ~attempts:40 finish);
+                    true
+              end))
 
 let rebalance_leases t =
   Hashtbl.iter
     (fun _ rg ->
-      if not rg.rg_dropped then
-        match (leader_replica t rg.rg_id, preferred_leaseholder_node t rg) with
-        | Some r, Some target when r.r_node <> target ->
-            Option.iter (fun raft -> hand_off_lease t r raft ~target) r.r_raft
-        | (Some _ | None), (Some _ | None) -> ())
+      match (leader_replica t rg.rg_id, preferred_leaseholder_node t rg) with
+      | Some r, Some target when r.r_node <> target ->
+          hand_off_lease t r ~target
+      | (Some _ | None), (Some _ | None) -> ())
     t.ranges_tbl
 
 let transfer_lease t rid ~target =
   match leader_replica t rid with
-  | Some r when r.r_node <> target -> (
-      match (r.r_raft, replica_at (range t rid) target) with
-      | Some raft, Some _ -> hand_off_lease t r raft ~target
-      | (Some _ | None), (Some _ | None) -> ())
+  | Some r when r.r_node <> target && replica_at (range t rid) target <> None ->
+      hand_off_lease t r ~target
   | Some _ | None -> ()
 
 let restart_node t node =
   Transport.revive_node t.net node;
   Hashtbl.iter
     (fun _ rg ->
-      if not rg.rg_dropped then
-        match replica_at rg node with
-        | Some r ->
-            (* A restart loses everything held only in process memory: the
-               lock table and parked waiters (connections are gone), and the
-               side-channel closed-timestamp state, which is re-learned from
-               the next publications. Applied MVCC data and the Raft log are
-               disk-backed and survive. *)
-            Lock_table.reset r.r_lt;
-            r.r_side_closed <- Ts.zero;
-            r.r_pending_side <- [];
-            (match r.r_raft with Some raft -> Raft.restart raft | None -> ())
-        | None -> ())
+      match replica_at rg node with
+      | Some r ->
+          (* A restart loses everything held only in process memory: the
+             lock table and parked waiters (connections are gone), and the
+             side-channel closed-timestamp state, which is re-learned from
+             the next publications. Applied MVCC data and the Raft log are
+             disk-backed and survive. *)
+          Lock_table.reset r.r_lt;
+          r.r_side_closed <- Ts.zero;
+          r.r_pending_side <- [];
+          Raft.restart r.r_raft
+      | None -> ())
     t.ranges_tbl
 
 let run_for t d = Sim.run ~until:(Sim.now t.sim + d) t.sim
@@ -1353,18 +1246,14 @@ let publish t node =
   in
   Hashtbl.iter
     (fun _ rg ->
-      if not rg.rg_dropped then
-        match replica_at rg node with
-        | Some r -> (
-            match r.r_raft with
-            | Some raft when Raft.is_leader raft ->
-                let target = next_closed_target t rg node in
-                let lai = Raft.last_index raft in
-                List.iter
-                  (fun (peer, _) -> if peer <> node then add peer (rg, lai, target))
-                  (Raft.peers raft)
-            | Some _ | None -> ())
-        | None -> ())
+      match replica_at rg node with
+      | Some r when Raft.is_leader r.r_raft ->
+          let target = next_closed_target t rg node in
+          let lai = Raft.last_index r.r_raft in
+          List.iter
+            (fun (peer, _) -> if peer <> node then add peer (rg, lai, target))
+            (Raft.peers r.r_raft)
+      | Some _ | None -> ())
     t.ranges_tbl;
   if Hashtbl.length batches > 0 then Metrics.inc t.c_ct_publish.(node);
   Hashtbl.iter
@@ -1442,9 +1331,9 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
   let attributed () =
     Phase.total phases Phase.Lock_wait + Phase.total phases Phase.Replication
   in
-  let record_done rid =
-    note_range_op t rid ~start:op_start;
-    sample_key t rid key
+  let record_done r =
+    note_range_op t r.r_range.rg_id ~start:op_start;
+    sample_key r.r_range key
   in
   let deadline = Sim.now t.sim + op_deadline in
   let rec go () =
@@ -1460,52 +1349,45 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
           Trace.finish tr sp;
           on_fail ("no range for key " ^ key)
       | rid -> (
-          match leaseholder t rid with
+          match lease_replica t rid with
           | None ->
               Proc.sleep t.sim 250_000;
               Phase.add phases Phase.Lease_wait 250_000;
               go ()
-          | Some lh -> (
-              let rg = range t rid in
-              match replica_at rg lh with
-              | None ->
-                  Proc.sleep t.sim 250_000;
-                  Phase.add phases Phase.Lease_wait 250_000;
+          | Some r -> (
+              let rpc_start = Sim.now t.sim in
+              let attributed_before = attributed () in
+              let reply =
+                Transport.rpc ~span:sp ~phases t.net ~src:gateway ~dst:r.r_node
+                  (fun out ->
+                    Proc.spawn t.sim (fun () ->
+                        ignore (Ivar.try_fill out (eval r sp) : bool)))
+              in
+              let note_routing () =
+                let waited = Sim.now t.sim - rpc_start in
+                let nested = attributed () - attributed_before in
+                Phase.add phases Phase.Routing (max 0 (waited - nested))
+              in
+              match Proc.await_timeout t.sim reply ~timeout:rpc_timeout with
+              | Some (`Done res) ->
+                  note_routing ();
+                  Phase.annotate phases sp;
+                  Trace.finish tr sp;
+                  record_done r;
+                  res
+              | Some `Range_mismatch ->
+                  (* The range split, merged, or was dropped while the
+                     request was in flight; re-resolve and retry now. *)
+                  note_routing ();
                   go ()
-              | Some r -> (
-                  let rpc_start = Sim.now t.sim in
-                  let attributed_before = attributed () in
-                  let reply =
-                    Transport.rpc ~span:sp ~phases t.net ~src:gateway ~dst:lh
-                      (fun out ->
-                        Proc.spawn t.sim (fun () ->
-                            ignore (Ivar.try_fill out (eval r sp) : bool)))
-                  in
-                  let note_routing () =
-                    let waited = Sim.now t.sim - rpc_start in
-                    let nested = attributed () - attributed_before in
-                    Phase.add phases Phase.Routing (max 0 (waited - nested))
-                  in
-                  match Proc.await_timeout t.sim reply ~timeout:rpc_timeout with
-                  | Some (`Done res) ->
-                      note_routing ();
-                      Phase.annotate phases sp;
-                      Trace.finish tr sp;
-                      record_done rid;
-                      res
-                  | Some `Range_mismatch ->
-                      (* The range split, merged, or was dropped while the
-                         request was in flight; re-resolve and retry now. *)
-                      note_routing ();
-                      go ()
-                  | Some `Not_leader ->
-                      note_routing ();
-                      Proc.sleep t.sim 100_000;
-                      Phase.add phases Phase.Lease_wait 100_000;
-                      go ()
-                  | None ->
-                      note_routing ();
-                      go ())))
+              | Some `Not_leader ->
+                  note_routing ();
+                  Proc.sleep t.sim 100_000;
+                  Phase.add phases Phase.Lease_wait 100_000;
+                  go ()
+              | None ->
+                  note_routing ();
+                  go ()))
   in
   go ()
 
@@ -1698,32 +1580,21 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
 let push_rpc_timeout = 3_000_000
 
 let push_once t ~src ~blocker ~anchor_key ~blocker_pri ~pusher =
-  match range_of_key t anchor_key with
+  match lease_replica t (range_of_key t anchor_key) with
   | exception Not_found -> Push_wait
-  | rid -> (
-      match range_opt t rid with
-      | None -> Push_wait
-      | Some rg -> (
-          match leaseholder t rid with
-          | None -> Push_wait
-          | Some lh -> (
-              match replica_at rg lh with
-              | None -> Push_wait
-              | Some r -> (
-                  let reply =
-                    Transport.rpc t.net ~src ~dst:lh (fun out ->
-                        Proc.spawn t.sim (fun () ->
-                            ignore
-                              (Ivar.try_fill out
-                                 (eval_push t r ~blocker ~anchor_key
-                                    ~blocker_pri ~pusher)
-                                : bool)))
-                  in
-                  match
-                    Proc.await_timeout t.sim reply ~timeout:push_rpc_timeout
-                  with
-                  | Some (`Done v) -> v
-                  | Some (`Not_leader | `Range_mismatch) | None -> Push_wait))))
+  | None -> Push_wait
+  | Some r -> (
+      let reply =
+        Transport.rpc t.net ~src ~dst:r.r_node (fun out ->
+            Proc.spawn t.sim (fun () ->
+                ignore
+                  (Ivar.try_fill out
+                     (eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher)
+                    : bool)))
+      in
+      match Proc.await_timeout t.sim reply ~timeout:push_rpc_timeout with
+      | Some (`Done v) -> v
+      | Some (`Not_leader | `Range_mismatch) | None -> Push_wait)
 
 (* Park on the conflicting key and periodically push the blocker's record
    at its anchor range — a genuine RPC now that records live with their
@@ -2311,6 +2182,27 @@ let lock_key t ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
     ~on_fail:(fun msg -> `Err msg)
     (fun r _sp -> eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts)
 
+(* [keys] grouped by the range that owns each, in order of first appearance,
+   each group's keys in reverse; keys no range owns are left out. *)
+let group_by_range t keys =
+  let groups = Hashtbl.create 4 in
+  let order =
+    List.fold_left
+      (fun order key ->
+        match range_of_key t key with
+        | exception Not_found -> order
+        | rid -> (
+            match Hashtbl.find_opt groups rid with
+            | Some l ->
+                l := key :: !l;
+                order
+            | None ->
+                Hashtbl.replace groups rid (ref [ key ]);
+                rid :: order))
+      [] keys
+  in
+  List.rev_map (fun rid -> (rid, !(Hashtbl.find groups rid))) order
+
 (* Resolve the subset of [keys] this replica's range owns; the rest — keys
    stranded on the wrong leaseholder by a split racing the resolution — are
    handed back for the gateway to re-group. *)
@@ -2357,30 +2249,16 @@ let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
         in
         go ks 4
       in
-      (* Group keys by range, preserving the anchor first. *)
-      let groups = Hashtbl.create 4 in
-      let order = ref [] in
-      List.iter
-        (fun key ->
-          match range_of_key t key with
-          | rid -> (
-              match Hashtbl.find_opt groups rid with
-              | Some l -> l := key :: !l
-              | None ->
-                  Hashtbl.replace groups rid (ref [ key ]);
-                  order := rid :: !order)
-          | exception Not_found -> ())
-        keys;
-      let order = List.rev !order in
+      let groups = group_by_range t keys in
       let anchor_rid =
         match range_of_key t anchor_key with
         | rid -> rid
-        | exception Not_found -> ( match order with [] -> -1 | rid :: _ -> rid)
+        | exception Not_found -> (
+            match groups with [] -> -1 | (rid, _) :: _ -> rid)
       in
       let results =
         List.map
-          (fun rid ->
-            let ks = !(Hashtbl.find groups rid) in
+          (fun (rid, ks) ->
             (* Only awaited resolutions may charge the operation's phase
                context: a fire-and-forget group completes after the caller
                has moved on (and possibly flushed the context). *)
@@ -2388,7 +2266,7 @@ let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
               if rid = anchor_rid || sync_all then phases else Phase.nil
             in
             (rid, Proc.async t.sim (fun () -> resolve_group ~phases ks)))
-          order
+          groups
       in
       List.iter
         (fun (rid, iv) ->
@@ -2469,19 +2347,9 @@ let local_closed t ~at rid =
   | None -> Ts.zero
 
 let negotiate t ~at ~keys =
-  (* Group keys by range and query the nearest replica of each. *)
-  let groups = Hashtbl.create 4 in
-  List.iter
-    (fun key ->
-      match range_of_key t key with
-      | rid -> (
-          match Hashtbl.find_opt groups rid with
-          | Some l -> l := key :: !l
-          | None -> Hashtbl.replace groups rid (ref [ key ]))
-      | exception Not_found -> ())
-    keys;
-  Hashtbl.fold
-    (fun rid ks acc ->
+  (* Query the nearest replica of each range the keys touch. *)
+  List.fold_left
+    (fun acc (rid, ks) ->
       let eval r =
         (* A valid leaseholder can serve any timestamp up to the present;
            followers are bounded by their closed timestamp. *)
@@ -2495,12 +2363,12 @@ let negotiate t ~at ~keys =
             match Mvcc.intent_on r.r_store ~key with
             | Some i when Ts.(i.Mvcc.ts <= safe) -> Ts.prev i.Mvcc.ts
             | Some _ | None -> safe)
-          base !ks
+          base ks
       in
       match follower_serve t (range t rid) ~at eval with
       | `Served ts -> Ts.min acc ts
       | `No_replica | `Timed_out -> Ts.zero)
-    groups Ts.max_value
+    Ts.max_value (group_by_range t keys)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction record RPCs (coordinator side)                          *)

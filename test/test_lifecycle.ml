@@ -334,6 +334,44 @@ let test_split_reaches_revived_replica () =
       check Alcotest.(option string) "the revived node serves v2" (Some "v2")
         (get cl ~gateway:down "orange"))
 
+(* A merge waits until every left replica has applied the left range's last
+   split trigger: one that has not would replay pre-split entries onto the
+   state it absorbed. A voter down at the split holds the merge off until it
+   revives and catches up. *)
+let test_merge_waits_for_split_trigger () =
+  let cl, rid = one_range () in
+  let lh = Option.get (Cluster.leaseholder cl rid) in
+  let down = other_voter cl rid lh in
+  Transport.kill_node (Cluster.net cl) down;
+  let right = Option.get (Cluster.split_range cl rid ~at:"m") in
+  let leased () =
+    List.mem right (Cluster.ranges cl) && Cluster.leaseholder cl right <> None
+  in
+  let rec await_lease attempts =
+    if (not (leased ())) && attempts > 0 then begin
+      Cluster.run_for cl 500_000;
+      await_lease (attempts - 1)
+    end
+  in
+  await_lease 40;
+  check Alcotest.bool "the right range has a leaseholder" true (leased ());
+  Cluster.run cl (fun () ->
+      ignore (put cl ~gateway:lh ~txn:1 "apple" "red");
+      ignore (put cl ~gateway:lh ~txn:2 "orange" "juicy"));
+  check Alcotest.bool "merge refused while a voter lacks the trigger" false
+    (Cluster.merge_range cl rid);
+  Cluster.restart_node cl down;
+  Cluster.run_for cl 20_000_000;
+  check Alcotest.bool "merge succeeds once every voter applied it" true
+    (Cluster.merge_range cl rid);
+  check Alcotest.int "right keys route to the merged range" rid
+    (Cluster.range_of_key cl "orange");
+  Cluster.run cl (fun () ->
+      check Alcotest.(option string) "left write survives the merge"
+        (Some "red") (get cl ~gateway:lh "apple");
+      check Alcotest.(option string) "right write survives the merge"
+        (Some "juicy") (get cl ~gateway:lh "orange"))
+
 (* ------------------------------------------------------------------ *)
 (* Live-size accounting and load-based split points                    *)
 
@@ -509,6 +547,8 @@ let suite =
       test_new_leader_applies_before_serving;
     Alcotest.test_case "split reaches a revived replica" `Quick
       test_split_reaches_revived_replica;
+    Alcotest.test_case "merge waits for the split trigger" `Quick
+      test_merge_waits_for_split_trigger;
     Alcotest.test_case "live bytes through split and merge" `Quick
       test_live_bytes_through_split_merge;
     Alcotest.test_case "load split point tracks traffic" `Quick
