@@ -522,7 +522,7 @@ let run_conflicts () =
     let cl, rids =
       Crdb.kv_cluster ~config:{ Cluster.default with push_delay }
         ~regions:regions3 ~home ~survival:Crdb.Zoneconfig.Zone
-        ~ranges:[ (("hot", "hot~"), Cluster.Lag Cluster.close_lag) ]
+        ~ranges:[ (("hot", "hot~"), Cluster.Lag) ]
         ()
     in
     let rid = List.hd rids in
@@ -600,7 +600,7 @@ let run_latency_audit () =
     Crdb.kv_cluster ~regions:regions5 ~home ~survival:Crdb.Zoneconfig.Zone
       ~ranges:
         [
-          (("reg", "reg~"), Cluster.Lag Cluster.close_lag);
+          (("reg", "reg~"), Cluster.Lag);
           (("glob", "glob~"), Cluster.Lead);
         ]
       ()
@@ -730,8 +730,8 @@ let run_commit_path () =
       Crdb.kv_cluster ~regions:regions3 ~home ~survival:Crdb.Zoneconfig.Region
         ~ranges:
           [
-            (("a", "a~"), Cluster.Lag Cluster.close_lag);
-            (("b", "b~"), Cluster.Lag Cluster.close_lag);
+            (("a", "a~"), Cluster.Lag);
+            (("b", "b~"), Cluster.Lag);
           ]
         ()
     in

@@ -303,7 +303,7 @@ let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
       Harness.default with
       Harness.regions = nregions;
       survival;
-      policy = (if global then Crdb.Cluster.Lead else Crdb.Cluster.Lag Crdb.Cluster.close_lag);
+      policy = (if global then Crdb.Cluster.Lead else Crdb.Cluster.Lag);
       cluster_seed = seed;
       nemesis_seed = seed;
       duration = duration * 1_000_000;
@@ -552,9 +552,14 @@ let chaos_cmd =
              ~doc:"Multi-key transactional clients (0 disables; --checker serializability implies 2)")
   in
   let txn_ops = Arg.(value & opt int 12 & info [ "txn-ops" ] ~doc:"Transactions per transactional client") in
-  let txn_keys = Arg.(value & opt int 12 & info [ "txn-keys" ] ~doc:"Transactional keyspace") in
+  let txn_keys =
+    Arg.(value & opt (int_in ~lo:1 ()) 12 & info [ "txn-keys" ] ~doc:"Transactional keyspace")
+  in
   let txn_ranges =
-    Arg.(value & opt int 3 & info [ "txn-ranges" ] ~doc:"Ranges the transactional keyspace is carved into")
+    Arg.(
+      value
+      & opt (int_in ~lo:1 ()) 3
+      & info [ "txn-ranges" ] ~doc:"Ranges the transactional keyspace is carved into")
   in
   let txn_hot_keys =
     Arg.(value & opt int 0
@@ -725,7 +730,7 @@ let run_splits target_ranges n_keys ops trace metrics =
   in
   ignore
     (Cluster.add_range cl ~span:("user", "user~") ~zone
-       ~policy:(Cluster.Lag Cluster.close_lag));
+       ~policy:Cluster.Lag);
   Cluster.settle cl;
   let key i = Printf.sprintf "user%04d" i in
   Cluster.bulk_load cl (List.init n_keys (fun i -> (key i, "v" ^ string_of_int i)));
@@ -841,7 +846,7 @@ let run_report seed out dump_ts =
   let cl, rids =
     Crdb.kv_cluster ~regions ~home ~survival:Crdb.Zoneconfig.Zone
       ~ranges:
-        [ (("k", "k~"), Cluster.Lag Cluster.close_lag); (("g", "g~"), Cluster.Lead) ]
+        [ (("k", "k~"), Cluster.Lag); (("g", "g~"), Cluster.Lead) ]
       ()
   in
   let reg = List.hd rids in

@@ -19,7 +19,7 @@ for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
   "ycsb --regions 0" "ycsb --regions 6" "ycsb --clients 0" "ycsb --keys 0" \
   "ycsb --locality 2" "tpcc --regions 0" "tpcc --regions 28" \
   "tpcc --warehouses 0" "chaos --keys 0" "chaos --write-ratio 2" \
-  "splits --keys 0"; do
+  "splits --keys 0" "chaos --txn-keys 0" "chaos --txn-ranges 0"; do
   status=0
   # shellcheck disable=SC2086 # the arguments are meant to split
   out=$(dune exec bin/crdb_sim.exe -- $args 2>&1) || status=$?
@@ -87,6 +87,32 @@ fi
 echo "$out" | grep -q "G2-item" || {
   echo "$out"
   echo "offline check lost the G2-item classification"
+  exit 1
+}
+
+# The deliberately broken read path (bounded-stale reads recorded as
+# present-time reads) must be caught by the register checker, with the
+# dump/offline-check path agreeing.
+echo "== linearizability catches --unsafe-stale-reads (seed 42)"
+if out=$(dune exec bin/crdb_sim.exe -- chaos --seed 42 --survival region \
+  --unsafe-stale-reads --dump-history "$tmpdump" 2>&1); then
+  echo "$out"
+  echo "BUG NOT CAUGHT: --unsafe-stale-reads exited zero"
+  exit 1
+fi
+echo "$out" | grep -q "not linearizable" || {
+  echo "$out"
+  echo "expected a linearizability violation"
+  exit 1
+}
+if out=$(dune exec bin/crdb_sim.exe -- check "$tmpdump" 2>&1); then
+  echo "$out"
+  echo "BUG NOT CAUGHT: offline check of the dump exited zero"
+  exit 1
+fi
+echo "$out" | grep -q "not linearizable" || {
+  echo "$out"
+  echo "offline check lost the linearizability violation"
   exit 1
 }
 

@@ -23,7 +23,7 @@ let default =
   {
     regions = 3;
     survival = Zoneconfig.Region;
-    policy = Cluster.Lag Cluster.close_lag;
+    policy = Cluster.Lag;
     cluster_seed = 42;
     nemesis_seed = 42;
     nemesis = Some Nemesis.default_random;

@@ -61,7 +61,7 @@ let bank_total cfg = cfg.accounts * initial_balance
    according to the survivability goal, leaseholder pinned to the first
    region. Registers start empty (the checker's initial value is [nil]);
    accounts are preloaded with the initial balance. *)
-let setup ?(policy = Cluster.Lag Cluster.close_lag) cl ~survival cfg =
+let setup ?(policy = Cluster.Lag) cl ~survival cfg =
   let regions = Topology.regions (Cluster.topology cl) in
   let home = List.hd regions in
   let zone = Zoneconfig.derive ~regions ~home ~survival ~placement:Zoneconfig.Default in

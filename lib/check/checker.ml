@@ -12,135 +12,143 @@ let verdict_to_string = function
   | Inconclusive msg -> Printf.sprintf "inconclusive: %s" msg
 
 (* ------------------------------------------------------------------ *)
-(* Per-key linearizability (Wing–Gong search)                          *)
+(* Per-key linearizability (value zones)                               *)
 
-(* One operation of a single register's sub-history. [l_completed] is
-   [max_int] for operations with unknown outcome; [l_optional] marks writes
-   that may never have taken effect and are allowed to linearize as no-ops. *)
-type lop = {
-  l_entry : History.entry;
-  l_invoked : int;
-  l_completed : int;
-  l_kind : [ `Read of string option | `Write of string ];
-  l_optional : bool;
+(* Every register write carries a value unique to its key, so each read
+   names the one write it observed, and real time alone decides the key
+   (Gibbons & Korach, "Testing Shared Memories", SIAM J. Comput. 1997). A
+   cluster is a write with the reads of its value, or the reads of the
+   initial nil. Its zone runs from its earliest completion [f] to its
+   latest invocation [s]; when [f < s] the zone is forward and the
+   register must hold the value throughout it. *)
+type cluster = {
+  value : string option;
+  write : History.entry option;  (* [None] for the initial nil *)
+  mutable reads : History.entry list;  (* reverse history order *)
 }
 
-exception Linearized
+type zone = { f : int; s : int; bounds : History.entry list }
 
-(* Search budget per key. Write pipelining keeps many ops concurrently open
-   on a hot key under chaos (lost replies wait out the RPC timeout), and the
-   per-key state count grows with the width of that concurrency window; 10M
-   states clears the widest histories the chaos gates produce with headroom
-   while still bounding a genuinely inconclusive search. *)
-let budget = 10_000_000
+exception Key_verdict of verdict
 
-(* The search explores linearization prefixes: a state is (set of linearized
-   ops, register value). An op may be appended when its invocation does not
-   follow the completion of any other un-linearized op (Wing & Gong's rule);
-   reads must match the register. States are memoized so the search is
-   polynomial on the mostly-sequential histories the simulator produces. *)
-let search_key ops =
-  let n = Array.length ops in
-  let mandatory = ref 0 in
-  Array.iter (fun o -> if not o.l_optional then incr mandatory) ops;
-  let mandatory = !mandatory in
-  let visited = Hashtbl.create 1024 in
-  let explored = ref 0 in
-  let best_count = ref (-1) in
-  let best_set = ref (Bytes.create 0) in
-  let best_value = ref None in
-  let in_set set i = Char.code (Bytes.get set (i / 8)) land (1 lsl (i mod 8)) <> 0 in
-  let add set i =
-    let set = Bytes.copy set in
-    Bytes.set set (i / 8)
-      (Char.chr (Char.code (Bytes.get set (i / 8)) lor (1 lsl (i mod 8))));
-    set
+(* An unknown-outcome write ([Info] or pending) may take effect at any time
+   after its invocation. *)
+let completion (e : History.entry) =
+  match e.History.outcome with
+  | Some (History.Info _) | None -> max_int
+  | Some _ -> e.History.completed
+
+(* The zone, with the write and the operations that set [f] and [s]
+   (earliest in history order on ties). The initial nil completes at
+   [min_int]. *)
+let zone c =
+  let members = Option.to_list c.write @ List.rev c.reads in
+  let bound better time init =
+    List.fold_left
+      (fun (t, by) e -> if better (time e) t then (time e, [ e ]) else (t, by))
+      (init, []) members
   in
-  let rec go set value done_mandatory =
-    if done_mandatory = mandatory then raise Linearized;
-    let memo_key = (Bytes.to_string set, value) in
-    if not (Hashtbl.mem visited memo_key) then begin
-      Hashtbl.replace visited memo_key ();
-      incr explored;
-      if !explored > budget then failwith "budget";
-      if done_mandatory > !best_count then begin
-        best_count := done_mandatory;
-        best_set := Bytes.copy set;
-        best_value := value
-      end;
-      let min_end = ref max_int in
-      for i = 0 to n - 1 do
-        if (not (in_set set i)) && ops.(i).l_completed < !min_end then
-          min_end := ops.(i).l_completed
-      done;
-      for i = 0 to n - 1 do
-        if (not (in_set set i)) && ops.(i).l_invoked <= !min_end then begin
-          let bump = if ops.(i).l_optional then 0 else 1 in
-          (match ops.(i).l_kind with
-          | `Write v -> go (add set i) (Some v) (done_mandatory + bump)
-          | `Read v -> if v = value then go (add set i) value (done_mandatory + bump));
-          (* An unknown-outcome write may also never have happened. *)
-          if ops.(i).l_optional then go (add set i) value done_mandatory
-        end
-      done
-    end
-  in
-  let set0 = Bytes.make ((n / 8) + 1) '\000' in
-  match go set0 None 0 with
-  | () ->
-      let remaining =
-        List.filter (fun i -> not (in_set !best_set i)) (List.init n Fun.id)
-      in
-      `Violation (!best_count, mandatory, !best_value, remaining)
-  | exception Linearized -> `Ok
-  | exception Failure _ -> `Budget
+  let f, f_by = bound ( < ) completion (if Option.is_none c.write then min_int else max_int) in
+  let s, s_by = bound ( > ) (fun (e : History.entry) -> e.History.invoked) min_int in
+  { f; s; bounds = Option.to_list c.write @ f_by @ s_by }
 
-let lops_of_entries entries =
-  List.filter_map
+let show_value = function None -> "nil" | Some v -> Printf.sprintf "%S" v
+
+(* Checks one key's entries (in history order) and returns how many
+   operations it examined, or raises [Key_verdict]. *)
+let check_key key entries =
+  let violation headline witnesses =
+    let witnesses =
+      List.sort_uniq (fun (a : History.entry) b -> compare a.History.id b.History.id) witnesses
+    in
+    raise
+      (Key_verdict
+         (Violation
+            {
+              message = Printf.sprintf "history is not linearizable at key %s" key;
+              counterexample =
+                String.concat ""
+                  (Printf.sprintf "key %s: %s\n" key headline
+                  :: List.map
+                       (fun e -> Printf.sprintf "    %s\n" (History.entry_to_string e))
+                       witnesses);
+            }))
+  in
+  (* Each written value's cluster; [None] for a [Failed] write, which is
+     guaranteed to have had no effect. *)
+  let by_value = Hashtbl.create 16 in
+  let nil = { value = None; write = None; reads = [] } in
+  let clusters = ref [ nil ] in
+  List.iter
     (fun (e : History.entry) ->
-      let mk kind optional completed =
-        Some
-          {
-            l_entry = e;
-            l_invoked = e.History.invoked;
-            l_completed = completed;
-            l_kind = kind;
-            l_optional = optional;
-          }
-      in
       match (e.History.op, e.History.outcome) with
-      | History.Read _, Some (History.Ok_read v) -> mk (`Read v) false e.History.completed
-      | History.Read _, _ ->
-          (* A failed or unresolved read returned nothing: no constraint. *)
-          None
-      | History.Write { value; _ }, Some History.Ok_write ->
-          mk (`Write value) false e.History.completed
-      | History.Write _, Some (History.Failed _) -> None
-      | History.Write { value; _ }, (Some (History.Info _) | None) ->
-          (* Unknown outcome: may take effect at any point after invocation,
-             or never. *)
-          mk (`Write value) true max_int
-      | History.Write _, Some _ -> None
-      | (History.Transfer _ | History.Snapshot), _ -> None)
-    entries
-
-let render_violation key ops (count, mandatory, value, remaining) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "key %s: best linearization covers %d/%d committed ops; register then held %s\n"
-       key count mandatory
-       (match value with None -> "nil" | Some v -> Printf.sprintf "%S" v));
-  Buffer.add_string buf "  un-linearizable suffix:\n";
-  List.iteri
-    (fun i idx ->
-      if i < 8 then
-        Buffer.add_string buf
-          (Printf.sprintf "    %s\n" (History.entry_to_string ops.(idx).l_entry)))
-    remaining;
-  if List.length remaining > 8 then
-    Buffer.add_string buf
-      (Printf.sprintf "    ... and %d more\n" (List.length remaining - 8));
-  Buffer.contents buf
+      | History.Write { value; _ }, outcome ->
+          if Hashtbl.mem by_value value then
+            raise
+              (Key_verdict
+                 (Inconclusive
+                    (Printf.sprintf
+                       "key %s: value %S written twice (unique-value assumption broken)"
+                       key value)));
+          Hashtbl.replace by_value value
+            (match outcome with
+            | Some (History.Ok_write | History.Info _) | None ->
+                let c = { value = Some value; write = Some e; reads = [] } in
+                clusters := c :: !clusters;
+                Some c
+            | Some _ -> None)
+      | _ -> ())
+    entries;
+  let clusters = List.rev !clusters in
+  List.iter
+    (fun (e : History.entry) ->
+      match (e.History.op, e.History.outcome) with
+      | History.Read _, Some (History.Ok_read v) ->
+          let c =
+            match v with
+            | None -> nil
+            | Some value -> (
+                match Hashtbl.find_opt by_value value with
+                | Some (Some c) -> c
+                | Some None | None ->
+                    violation
+                      (Printf.sprintf
+                         "read of %S, which no write that may have taken effect produced" value)
+                      [ e ])
+          in
+          (match c.write with
+          | Some w when e.History.completed < w.History.invoked ->
+              violation
+                (Printf.sprintf "read of %s completed before its write was invoked"
+                   (show_value c.value))
+                [ e; w ]
+          | _ -> ());
+          c.reads <- e :: c.reads
+      | _ -> (* a failed or unresolved read returned nothing *) ())
+    entries;
+  (* Two zones conflict when each cluster has an operation that completes
+     before one of the other's is invoked: two forward zones overlap, or a
+     zone that is not forward lies strictly inside a forward one (two zones
+     that are not forward never meet the condition). An unread unknown
+     write's zone ends at [max_int] and conflicts with nothing. *)
+  let zones = List.map (fun c -> (c, zone c)) clusters in
+  let rec pairs = function
+    | [] -> ()
+    | (a, za) :: rest ->
+        List.iter
+          (fun (b, zb) ->
+            if za.f < zb.s && zb.f < za.s then
+              violation
+                (Printf.sprintf "%s and %s each precede the other in real time"
+                   (show_value a.value) (show_value b.value))
+                (za.bounds @ zb.bounds))
+          rest;
+        pairs rest
+  in
+  pairs zones;
+  List.fold_left
+    (fun n c -> n + List.length c.reads + List.length (Option.to_list c.write))
+    0 clusters
 
 let check_linearizable history =
   let by_key = Hashtbl.create 64 in
@@ -160,32 +168,15 @@ let check_linearizable history =
       | History.Transfer _ | History.Snapshot -> ())
     (History.entries history);
   let keys = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key []) in
-  let checked = ref 0 in
-  let result =
-    List.fold_left
-      (fun acc key ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            let entries = List.rev !(Hashtbl.find by_key key) in
-            let ops = Array.of_list (lops_of_entries entries) in
-            checked := !checked + Array.length ops;
-            match search_key ops with
-            | `Ok -> None
-            | `Budget ->
-                Some
-                  (Inconclusive
-                     (Printf.sprintf "key %s: search budget (%d states) exhausted" key budget))
-            | `Violation v ->
-                Some
-                  (Violation
-                     {
-                       message = Printf.sprintf "history is not linearizable at key %s" key;
-                       counterexample = render_violation key ops v;
-                     })))
-      None keys
-  in
-  match result with None -> Valid { ops = !checked } | Some v -> v
+  try
+    Valid
+      {
+        ops =
+          List.fold_left
+            (fun n key -> n + check_key key (List.rev !(Hashtbl.find by_key key)))
+            0 keys;
+      }
+  with Key_verdict v -> v
 
 (* ------------------------------------------------------------------ *)
 (* Bank-transfer serializability invariant                             *)

@@ -7,20 +7,33 @@
 type verdict =
   | Valid of { ops : int }  (** number of operations the checker examined *)
   | Violation of { message : string; counterexample : string }
-  | Inconclusive of string  (** search budget exhausted — neither proof *)
+  | Inconclusive of string
+      (** the history breaks the checker's unique-value assumption — neither
+          proof *)
 
 val is_valid : verdict -> bool
 val verdict_to_string : verdict -> string
 
 val check_linearizable : History.t -> verdict
 (** Per-key linearizability of the register operations (reads and writes) in
-    the history, by Wing–Gong-style search: find an order of the operations,
-    consistent with real-time precedence, under which every read returns the
-    latest written value. Operations with unknown outcomes ([Info], or still
-    pending) are allowed to take effect at any point after invocation or
-    never; [Failed] operations are ignored. The search explores at most 10M
-    states per key; exceeding that yields [Inconclusive]. On failure
-    the counterexample shows the operations no linearization can explain. *)
+    the history: is there an order of the operations, consistent with
+    real-time precedence, under which every read returns the latest written
+    value? Every write must carry a value unique to its key, so each read
+    names the write it observed; a value written twice yields
+    [Inconclusive]. The check is then direct (Gibbons & Korach's zones):
+    a cluster is a write with the reads of its value, or the reads of the
+    initial nil, and its zone runs from its earliest completion [f] to its
+    latest invocation [s]. A key is linearizable iff every read returns a
+    value that an ok or unknown-outcome write wrote and completes no
+    earlier than that write's invocation, no two forward zones ([f < s])
+    overlap, and no other zone lies strictly inside a forward one. Writes with unknown
+    outcomes ([Info], or still pending) complete at [max_int] and may take
+    effect at any point after invocation or never; [Failed] writes and
+    reads that returned nothing are ignored. On failure the counterexample
+    names the first key that fails, in key order, with at most six
+    operations: the offending read and its write, or, for two clusters that
+    each precede the other, each one's write and the operations that set its
+    [f] and [s]. *)
 
 val check_bank : total:int -> History.t -> verdict
 (** The bank-transfer serializability invariant (generalized from

@@ -18,7 +18,7 @@ module Phase = Crdb_obs.Phase
 module Timeseries = Crdb_obs.Timeseries
 module Smap = Map.Make (String)
 
-type policy = Lag of int | Lead
+type policy = Lag | Lead
 
 (* Deliberately broken modes, each of which the checkers must catch. *)
 type broken = No_refresh | No_recovery | Stale_reads
@@ -40,6 +40,7 @@ let default =
     broken = None;
   }
 
+(* How far behind real time a [Lag] range closes timestamps. *)
 let close_lag = 3_000_000
 let conflict_wait_timeout = 10_000_000
 let txn_heartbeat_interval = 1_000_000
@@ -317,7 +318,7 @@ let next_closed_target t rg node =
   let phys = Clock.physical_now t.clocks.(node) in
   let target =
     match rg.rg_policy with
-    | Lag d -> Ts.of_wall (max 0 (phys - d))
+    | Lag -> Ts.of_wall (max 0 (phys - close_lag))
     | Lead ->
         let l_raft, l_replicate = lead_components t rg in
         Ts.of_wall (phys + lead_duration_of t ~l_raft ~l_replicate)
@@ -503,7 +504,7 @@ and raft_callbacks t rg node r =
            forward (CRDB's synthetic-timestamp rule); the read clamp
            exempts Lead ranges for the same reason. *)
         (match rg.rg_policy with
-        | Lag _ -> (
+        | Lag -> (
             match cmd.op with
             | Op_put { ts; _ } -> Clock.update t.clocks.(r.r_node) ts
             | Op_resolve { commit = Some c; _ } ->
@@ -1759,7 +1760,7 @@ let write_blocker r ~key ~txn ~strength =
    above every clock (§6.2). *)
 let observed_max_ts t r ~ts ~max_ts =
   match r.r_range.rg_policy with
-  | Lag _ -> Ts.max ts (Ts.min max_ts (Clock.now t.clocks.(r.r_node)))
+  | Lag -> Ts.max ts (Ts.min max_ts (Clock.now t.clocks.(r.r_node)))
   | Lead -> max_ts
 
 let rec eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts =
@@ -2070,7 +2071,7 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
          clamp would hide the value from reads arriving after the writer's
          commit ack. *)
       (match rg.rg_policy with
-      | Lag _ -> Clock.update t.clocks.(r.r_node) ts
+      | Lag -> Clock.update t.clocks.(r.r_node) ts
       | Lead -> ());
       let wpri = Option.value pri ~default:Ts.zero in
       let created =

@@ -5,8 +5,8 @@
     with Raft according to its {!Zoneconfig.t}, and closes timestamps under
     one of two policies:
 
-    - [Lag d]: the leaseholder closes [now - d] (usually {!close_lag},
-      3 s), enabling follower reads of sufficiently stale data (§5);
+    - [Lag]: the leaseholder closes [now - 3 s], enabling follower reads
+      of sufficiently stale data (§5);
     - [Lead]: the leaseholder closes {e future} time
       [L_raft + L_replicate + max_offset + publication interval] ahead, the
       GLOBAL-table policy (§6.2.1). Writes are pushed above the closed
@@ -22,7 +22,7 @@
 
 module Ts = Crdb_hlc.Timestamp
 
-type policy = Lag of int | Lead
+type policy = Lag | Lead
 
 (** Deliberately broken modes for checker validation; each must be caught.
     One value, set once at {!create}, read where it acts. *)
@@ -69,10 +69,6 @@ val default : config
     Everything else is fixed: Raft elects within 3-6 s and heartbeats every
     1 s, the transport adds up to 5% jitter, and closed timestamps are
     published over the side channel every 100 ms. *)
-
-val close_lag : int
-(** The [Lag] policy's usual duration, 3 s: every [Lag] range the library
-    creates uses it. *)
 
 val conflict_wait_timeout : int
 (** Last-resort backstop: how long a read or write may stay parked on a

@@ -131,7 +131,7 @@ let zone_and_policy db pt ~partition ~pin =
         Zoneconfig.derive ~regions:all_regions ~home ~survival:db.d_survival
           ~placement:db.d_placement
       in
-      (zone, Cluster.Lag Cluster.close_lag)
+      (zone, Cluster.Lag)
 
 let partitions_for db pt =
   if is_rbr pt then List.map (fun r -> Some r) (regions db) else [ None ]

@@ -186,7 +186,7 @@ let is_global t key =
   | rid -> (
       match Cluster.policy_of t.mgr.cl rid with
       | Cluster.Lead -> true
-      | Cluster.Lag _ -> false)
+      | Cluster.Lag -> false)
   | exception Not_found -> raise (Fatal ("no range for key " ^ key))
 
 (* Await one pipelined write's confirmation. A prevented write means

@@ -38,7 +38,7 @@ let make_cluster () = Cluster.create ~topology:topo5 ~latency:Latency.table1 ()
    homed in [home]. *)
 let make ?(survival = Zoneconfig.Zone) spans =
   Crdb.kv_cluster ~regions:regions5 ~home ~survival
-    ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+    ~ranges:(List.map (fun span -> (span, Cluster.Lag)) spans)
     ()
 
 let one_range ?survival () =
@@ -213,12 +213,12 @@ let test_idle_cluster_queues_are_noops () =
   let cl = make_cluster () in
   let r1 =
     Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
+      ~policy:Cluster.Lag
   in
   let r2 =
     Cluster.add_range cl ~span:("m", "z")
       ~zone:(zone_config ~home:"europe-west2" ())
-      ~policy:(Cluster.Lag 3_000_000)
+      ~policy:Cluster.Lag
   in
   Cluster.settle cl;
   Cluster.bulk_load cl [ ("b", "1"); ("n", "2") ];

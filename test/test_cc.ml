@@ -21,7 +21,7 @@ let home = "us-east1"
 let make () =
   let cl, _ =
     Crdb.kv_cluster ~regions:regions5 ~home ~survival:Zoneconfig.Zone
-      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag) ]
       ()
   in
   (cl, Txn.create_manager cl)

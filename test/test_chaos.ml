@@ -431,7 +431,7 @@ let test_clock_skew_script_linearizable () =
 let make_cluster ?(survival = Zoneconfig.Zone) () =
   let cl, rids =
     Crdb.kv_cluster ~regions:regions3 ~home ~survival
-      ~ranges:[ (("a", "z"), Cluster.Lag 3_000_000) ]
+      ~ranges:[ (("a", "z"), Cluster.Lag) ]
       ()
   in
   (cl, List.hd rids)

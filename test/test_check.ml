@@ -2,7 +2,8 @@
    hand-crafted transaction histories exercising each anomaly class of the
    taxonomy — G0, G1a, G1c, G2-item, lost update — plus known-serializable
    histories (including with aborted and indeterminate transactions) that
-   must pass, and serialization round trips. *)
+   must pass, and serialization round trips. The register check is tested
+   against Wing & Gong's search ([Wing_gong]) on random histories. *)
 
 module Ts = Crdb_hlc.Timestamp
 module History = Crdb_check.History
@@ -155,6 +156,72 @@ let test_unknown_value_inconclusive () =
   | _, v -> Alcotest.failf "expected inconclusive, got %s" (Checker.verdict_to_string v)
 
 (* ------------------------------------------------------------------ *)
+(* Register linearizability                                            *)
+
+let add h ~at ~dur op outcome =
+  let e = History.invoke h ~client:0 ~now:at op in
+  match outcome with Some o -> History.complete e ~now:(at + dur) o | None -> ()
+
+let test_read_before_its_write () =
+  let h = History.create () in
+  add h ~at:0 ~dur:5 (History.Read { key = "x" }) (Some (History.Ok_read (Some "a")));
+  add h ~at:10 ~dur:5 (History.Write { key = "x"; value = "a" }) (Some History.Ok_write);
+  match Checker.check_linearizable h with
+  | Checker.Violation { message; counterexample } ->
+      check Alcotest.bool "names the key" true (contains ~sub:"at key x" message);
+      check Alcotest.bool "shows the write" true (contains ~sub:"write(x, a)" counterexample)
+  | v -> Alcotest.failf "expected a violation, got %s" (Checker.verdict_to_string v)
+
+let test_register_value_written_twice () =
+  let h = History.create () in
+  add h ~at:0 ~dur:5 (History.Write { key = "x"; value = "a" }) (Some History.Ok_write);
+  add h ~at:10 ~dur:5 (History.Write { key = "x"; value = "a" }) (Some History.Ok_write);
+  match Checker.check_linearizable h with
+  | Checker.Inconclusive msg ->
+      check Alcotest.bool "names key and value" true (contains ~sub:"key x: value \"a\"" msg)
+  | v -> Alcotest.failf "expected inconclusive, got %s" (Checker.verdict_to_string v)
+
+(* A random single-key history: 1-8 writes with unique values, each ok,
+   info, pending or failed; 0-12 reads of nil or of a written value, one in
+   five failed; invocations in 0-12, so ties are common. *)
+let gen_register_history =
+  let open QCheck.Gen in
+  let span = pair (int_range 0 12) (int_range 0 6) in
+  let* n_writes = int_range 1 8 and* n_reads = int_range 0 12 in
+  let* writes = list_repeat n_writes (pair span (int_range 0 3))
+  and* reads = list_repeat n_reads (triple span (int_range 0 n_writes) (int_range 0 4)) in
+  let write i ((at, dur), status) =
+    ( at,
+      dur,
+      History.Write { key = "x"; value = Printf.sprintf "w%d" i },
+      match status with
+      | 0 -> Some History.Ok_write
+      | 1 -> Some (History.Info "timeout")
+      | 2 -> None
+      | _ -> Some (History.Failed "aborted") )
+  in
+  let read ((at, dur), value, status) =
+    let value = if value = 0 then None else Some (Printf.sprintf "w%d" (value - 1)) in
+    ( at,
+      dur,
+      History.Read { key = "x" },
+      Some (if status = 0 then History.Failed "timeout" else History.Ok_read value) )
+  in
+  let ops = List.mapi write writes @ List.map read reads in
+  let h = History.create () in
+  List.iter
+    (fun (at, dur, op, outcome) -> add h ~at ~dur op outcome)
+    (List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) ops);
+  return h
+
+let prop_zones_match_search =
+  QCheck.Test.make ~name:"register check agrees with Wing-Gong search" ~count:2_000
+    (QCheck.make ~print:History.to_string gen_register_history)
+    (fun h ->
+      Checker.is_valid (Checker.check_linearizable h)
+      = Wing_gong.linearizable (History.entries h))
+
+(* ------------------------------------------------------------------ *)
 (* Serialization round trip                                            *)
 
 let roundtrip name h =
@@ -230,6 +297,10 @@ let suite =
     Alcotest.test_case "duplicate value inconclusive" `Quick
       test_duplicate_value_inconclusive;
     Alcotest.test_case "unknown value inconclusive" `Quick test_unknown_value_inconclusive;
+    Alcotest.test_case "register read before its write" `Quick test_read_before_its_write;
+    Alcotest.test_case "register value written twice inconclusive" `Quick
+      test_register_value_written_twice;
+    QCheck_alcotest.to_alcotest prop_zones_match_search;
     Alcotest.test_case "round trip: transactions" `Quick test_roundtrip_txns;
     Alcotest.test_case "round trip: entries" `Quick test_roundtrip_entries;
     Alcotest.test_case "deserialize rejects garbage" `Quick test_deserialize_rejects_garbage;

@@ -92,7 +92,7 @@ let test_excessive_skew_can_go_stale () =
 (* Serializability does not depend on clocks (§6.2.3): even with a skew
    violation, concurrent transfers preserve the bank invariant. *)
 let test_skew_does_not_break_serializability () =
-  let cl, mgr = make ~policy:(Cluster.Lag 3_000_000) in
+  let cl, mgr = make ~policy:Cluster.Lag in
   let offset = (Cluster.config cl).Cluster.max_offset in
   (* Violate the bound on purpose on two gateways. *)
   Cluster.set_clock_skew cl (node_in cl "us-west1" 0) (-3 * offset);

@@ -42,7 +42,7 @@ let scenario ?(opts = Txn.Options.default) () =
       ~config:{ Cluster.default with seed = 1414 }
       ~regions ~home ~survival:Zoneconfig.Zone
       ~ranges:
-        [ (("a", "m"), Cluster.Lag 3_000_000); (("m", "zzzz"), Cluster.Lead) ]
+        [ (("a", "m"), Cluster.Lag); (("m", "zzzz"), Cluster.Lead) ]
       ()
   in
   let local = List.hd rids and global = List.nth rids 1 in
@@ -148,7 +148,7 @@ let heartbeat_scenario () =
     Crdb.kv_cluster
       ~config:{ Cluster.default with seed = 1717 }
       ~regions ~home ~survival:Zoneconfig.Zone
-      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag) ]
       ()
   in
   Trace.enable (Obs.trace (Cluster.obs cl));

@@ -211,7 +211,7 @@ let make_cluster () =
   Cluster.create ~topology:topo5 ~latency:Latency.table1 ()
 
 (* A settled cluster with one range over [a, z), homed in [home]. *)
-let one_range ?(survival = Zoneconfig.Zone) ?(policy = Cluster.Lag 3_000_000)
+let one_range ?(survival = Zoneconfig.Zone) ?(policy = Cluster.Lag)
     () =
   let cl, rids =
     Crdb.kv_cluster ~regions:regions5 ~home ~survival
@@ -660,12 +660,12 @@ let test_multi_range_routing () =
   let cl = make_cluster () in
   let r1 =
     Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
+      ~policy:Cluster.Lag
   in
   let r2 =
     Cluster.add_range cl ~span:("m", "z")
       ~zone:(zone_config ~home:"europe-west2" ())
-      ~policy:(Cluster.Lag 3_000_000)
+      ~policy:Cluster.Lag
   in
   Cluster.settle cl;
   check Alcotest.int "routes to r1" r1 (Cluster.range_of_key cl "apple");
@@ -679,7 +679,7 @@ let test_multi_range_routing () =
     (Invalid_argument "Cluster.add_range: overlapping span") (fun () ->
       ignore
         (Cluster.add_range cl ~span:("b", "c") ~zone:(zone_config ())
-           ~policy:(Cluster.Lag 3_000_000)))
+           ~policy:Cluster.Lag))
 
 let suite =
   [

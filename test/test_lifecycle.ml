@@ -31,7 +31,7 @@ let make_cluster () =
    homed in [home]. *)
 let make ?(survival = Zoneconfig.Zone) ?(home = home) spans =
   Crdb.kv_cluster ~regions:regions5 ~home ~survival
-    ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+    ~ranges:(List.map (fun span -> (span, Cluster.Lag)) spans)
     ()
 
 let one_range ?survival ?home () =
@@ -153,12 +153,12 @@ let test_merge_requires_matching_config () =
   let cl = make_cluster () in
   let r1 =
     Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
-      ~policy:(Cluster.Lag 3_000_000)
+      ~policy:Cluster.Lag
   in
   ignore
     (Cluster.add_range cl ~span:("m", "z")
        ~zone:(zone_config ~home:"europe-west2" ())
-       ~policy:(Cluster.Lag 3_000_000));
+       ~policy:Cluster.Lag);
   Cluster.settle cl;
   check Alcotest.bool "mismatched zones refuse to merge" false
     (Cluster.merge_range cl r1)

@@ -28,7 +28,7 @@ let make ?(two_ranges = false) () =
   in
   let cl, _ =
     Crdb.kv_cluster ~regions:regions5 ~home ~survival:Zoneconfig.Zone
-      ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+      ~ranges:(List.map (fun span -> (span, Cluster.Lag)) spans)
       ()
   in
   (cl, Txn.create_manager cl)
@@ -394,7 +394,7 @@ let test_config_default_idiom () =
   let cl, _ =
     Crdb.kv_cluster ~config:cfg ~regions:regions5 ~home
       ~survival:Zoneconfig.Zone
-      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag) ]
       ()
   in
   let mgr = Txn.create_manager cl in

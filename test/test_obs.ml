@@ -27,7 +27,7 @@ let contains ~needle hay =
 let run_workload () =
   let cl, _ =
     Crdb.kv_cluster ~regions ~home ~survival:Zoneconfig.Zone
-      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag) ]
       ()
   in
   Trace.enable (Obs.trace (Cluster.obs cl));

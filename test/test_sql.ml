@@ -134,7 +134,7 @@ let test_global_table_layout () =
   let rid = List.hd ranges in
   (match Cluster.policy_of (Crdb.cluster t) rid with
   | Cluster.Lead -> ()
-  | Cluster.Lag _ -> Alcotest.fail "GLOBAL tables must close future timestamps");
+  | Cluster.Lag -> Alcotest.fail "GLOBAL tables must close future timestamps");
   check Alcotest.(option string) "leaseholder in primary" (Some "us-east1")
     (Cluster.leaseholder_region (Crdb.cluster t) rid)
 
@@ -570,7 +570,7 @@ let test_alter_locality_to_global () =
   let rid = List.hd (Engine.ranges_of_table db "reference") in
   (match Cluster.policy_of (Crdb.cluster t) rid with
   | Cluster.Lead -> ()
-  | Cluster.Lag _ -> Alcotest.fail "converted table must close future time");
+  | Cluster.Lag -> Alcotest.fail "converted table must close future time");
   (* Rows survived the conversion and now serve locally everywhere. *)
   let eu = Crdb.gateway t ~region:"europe-west2" () in
   let sim = Cluster.sim (Crdb.cluster t) in

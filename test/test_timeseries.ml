@@ -241,7 +241,7 @@ let home = "us-east1"
 let run_workload () =
   let cl, rids =
     Crdb.kv_cluster ~regions ~home ~survival:Zoneconfig.Zone
-      ~ranges:[ (("a", "zzzz"), Cluster.Lag 3_000_000) ]
+      ~ranges:[ (("a", "zzzz"), Cluster.Lag) ]
       ()
   in
   let rid = List.hd rids in

@@ -17,7 +17,7 @@ module Hist = Crdb_stats.Hist
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
 let home = "us-east1"
-let make ?(policy = Cluster.Lag 3_000_000) ?(survival = Zoneconfig.Zone) () =
+let make ?(policy = Cluster.Lag) ?(survival = Zoneconfig.Zone) () =
   let cl, _ =
     Crdb.kv_cluster ~regions:regions5 ~home ~survival
       ~ranges:[ (("a", "zzzz"), policy) ]
@@ -283,7 +283,7 @@ let test_global_write_commit_wait () =
         > 0))
 
 let test_regional_write_no_commit_wait () =
-  let cl, mgr = make ~policy:(Cluster.Lag 3_000_000) () in
+  let cl, mgr = make ~policy:Cluster.Lag () in
   let sim = Cluster.sim cl in
   let gw = node_in cl home 0 in
   Cluster.run cl (fun () ->

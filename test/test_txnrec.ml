@@ -28,7 +28,7 @@ let make ?config ?(two_ranges = false) () =
   in
   let cl, _ =
     Crdb.kv_cluster ?config ~regions:regions5 ~home ~survival:Zoneconfig.Zone
-      ~ranges:(List.map (fun span -> (span, Cluster.Lag 3_000_000)) spans)
+      ~ranges:(List.map (fun span -> (span, Cluster.Lag)) spans)
       ()
   in
   cl
