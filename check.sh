@@ -206,6 +206,29 @@ diff "$tmprep/ts1.json" "$tmprep/ts2.json" || {
   exit 1
 }
 
+# Benchmark digest pins: the simulation digests bench/perf computes for its
+# workloads at --scale 0.2 (a few seconds together). Each line of
+# test/perf_digests.txt is a workload and one digest per instance. A change
+# that alters simulated behaviour on purpose re-records the line.
+echo "== bench/perf digest pins (test/perf_digests.txt)"
+digests_ok=1
+while read -r workload want; do
+  case "$workload" in '#'* | '') continue ;; esac
+  if ! dune exec bench/perf/perf.exe -- --workload "$workload" --scale 0.2 \
+    --seconds 0.001 --trace 0 --out "$tmprep/perf.json" >"$tmprep/perf.out" 2>&1; then
+    cat "$tmprep/perf.out"
+    echo "bench/perf $workload failed"
+    exit 1
+  fi
+  got=$(grep -o '"digests": \[[^]]*\]' "$tmprep/perf.json" | cut -d: -f2 |
+    tr -d '[]",' | sed 's/^ *//')
+  if [ "$got" != "$want" ]; then
+    echo "digests moved: bench/perf $workload (pinned $want, got $got)"
+    digests_ok=0
+  fi
+done <test/perf_digests.txt
+[ "$digests_ok" = 1 ] || exit 1
+
 # Simulated-result pins: performance work must not change what the
 # simulator computes. Each line of test/determinism.md5 is the MD5 of one
 # crdb_sim invocation's output followed by that invocation's arguments. A

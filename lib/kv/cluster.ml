@@ -111,6 +111,9 @@ and range = {
   mutable rg_zone : Zoneconfig.t;
   mutable rg_policy : policy;
   rg_replicas : (int, replica) Hashtbl.t;
+  rg_at : replica option array;
+      (* [rg_replicas] by node, for lookups; the table gives the iteration
+         order. Only [make_replica] and [drop_replica] write either. *)
   mutable rg_closed_target : Ts.t;
   rg_tscache : Tscache.t;
   mutable rg_dropped : bool;
@@ -250,7 +253,7 @@ let range_of_key t key =
       if String.compare key end_key < 0 then rid else raise Not_found
   | None -> raise Not_found
 
-let replica_at rg node = Hashtbl.find_opt rg.rg_replicas node
+let replica_at rg node = rg.rg_at.(node)
 
 let every_raft rg f =
   Hashtbl.fold (fun _ r ok -> ok && f r.r_raft) rg.rg_replicas true
@@ -445,6 +448,7 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
       rg_zone = zone;
       rg_policy = policy;
       rg_replicas = Hashtbl.create 8;
+      rg_at = Array.make (Topology.num_nodes t.topo) None;
       rg_closed_target = closed;
       rg_tscache = Tscache.create ~low_water;
       rg_dropped = false;
@@ -455,6 +459,11 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
   Hashtbl.replace t.ranges_tbl rid rg;
   t.routing <- Smap.add (fst span) rid t.routing;
   rg
+
+let drop_replica t rg node =
+  Hashtbl.remove rg.rg_replicas node;
+  rg.rg_at.(node) <- None;
+  t.load.(node) <- max 0 (t.load.(node) - 1)
 
 (* Create [node]'s replica of [rg], a member of its own Raft group over
    [peers]. The group draws its RNG stream from the cluster's, so callers
@@ -480,6 +489,7 @@ let rec make_replica ?(store = Mvcc.create ()) t rg node ~peers ?boundary () =
   in
   let r = Lazy.force r in
   Hashtbl.replace rg.rg_replicas node r;
+  rg.rg_at.(node) <- Some r;
   t.load.(node) <- t.load.(node) + 1;
   r
 
@@ -488,11 +498,12 @@ let rec make_replica ?(store = Mvcc.create ()) t rg node ~peers ?boundary () =
 and raft_callbacks t rg node r =
   {
     Raft.send =
-      (fun dst msg ->
-        Transport.send t.net ~src:node ~dst (fun () ->
-            match replica_at rg dst with
-            | Some peer -> Raft.handle peer.r_raft ~from:node msg
-            | None -> ()));
+      (let deliver dst msg =
+         match replica_at rg dst with
+         | Some peer -> Raft.handle peer.r_raft ~from:node msg
+         | None -> ()
+       in
+       fun dst msg -> Transport.send t.net ~src:node ~dst deliver msg);
     on_apply =
       (fun ~index cmd ->
         let r = Lazy.force r in
@@ -565,10 +576,7 @@ and raft_callbacks t rg node r =
         if not (List.mem_assoc r.r_node change) then begin
           (* May already have been reaped by [rebalance_step] (a dead
              victim never applies its own removal); only account once. *)
-          if Hashtbl.mem rg.rg_replicas r.r_node then begin
-            Hashtbl.remove rg.rg_replicas r.r_node;
-            t.load.(r.r_node) <- max 0 (t.load.(r.r_node) - 1)
-          end
+          if replica_at rg r.r_node <> None then drop_replica t rg r.r_node
         end
         else if Raft.is_leader r.r_raft then
           (* Materialize replicas for newly added peers. *)
@@ -1111,8 +1119,7 @@ let rebalance_step t rid =
                       match replica_at rg victim with
                       | Some vr ->
                           Raft.stop vr.r_raft;
-                          Hashtbl.remove rg.rg_replicas victim;
-                          t.load.(victim) <- max 0 (t.load.(victim) - 1)
+                          drop_replica t rg victim
                       | None -> ()
                     in
                     let finish rg =
@@ -1236,6 +1243,16 @@ let bulk_load t ?ts kvs =
 (* ------------------------------------------------------------------ *)
 (* Closed-timestamp side channel (node-level transport)                *)
 
+let deliver_side dst items =
+  List.iter
+    (fun (rg, lai, ts) ->
+      match replica_at rg dst with
+      | Some r ->
+          r.r_pending_side <- (lai, ts) :: r.r_pending_side;
+          promote_side r
+      | None -> ())
+    items
+
 let publish t node =
   let batches : (int, (range * int * Ts.t) list ref) Hashtbl.t =
     Hashtbl.create 8
@@ -1258,17 +1275,7 @@ let publish t node =
     t.ranges_tbl;
   if Hashtbl.length batches > 0 then Metrics.inc t.c_ct_publish.(node);
   Hashtbl.iter
-    (fun dst items ->
-      let items = !items in
-      Transport.send t.net ~src:node ~dst (fun () ->
-          List.iter
-            (fun (rg, lai, ts) ->
-              match replica_at rg dst with
-              | Some r ->
-                  r.r_pending_side <- (lai, ts) :: r.r_pending_side;
-                  promote_side r
-              | None -> ())
-            items))
+    (fun dst items -> Transport.send t.net ~src:node ~dst deliver_side !items)
     batches
 
 let start_publishers t =
@@ -2096,8 +2103,9 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
                  fate — to the gateway asynchronously. The transaction
                  awaits all confirmations at commit. *)
               Ivar.on_fill cmd.done_ (fun () ->
-                  Transport.send t.net ~src:r.r_node ~dst:gateway (fun () ->
-                      ignore (Ivar.try_fill ack cmd.fate : bool)));
+                  Transport.send t.net ~src:r.r_node ~dst:gateway
+                    (fun _ cmd -> ignore (Ivar.try_fill ack cmd.fate : bool))
+                    cmd);
               `Done (`Ok ts)
           | None -> (
               match await_applied t cmd with

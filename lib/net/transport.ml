@@ -11,10 +11,11 @@ type t = {
   latency : Latency.t;
   jitter : float;
   rng : Rng.t;
-  dead_since : (Topology.node_id, int) Hashtbl.t;
+  (* Per node: the time it died, [-1] while alive. *)
+  dead_since : int array;
   (* Liveness epoch: bumped on every dead->alive transition (a process
      restart is a new incarnation, per CRDB's epoch-based node liveness). *)
-  epochs : (Topology.node_id, int) Hashtbl.t;
+  epochs : int array;
   (* Regions as ints: [region.(node)] indexes [Topology.regions], and
      [cut.(ra * nregions + rb)] says whether traffic between regions [ra]
      and [rb] is partitioned. *)
@@ -47,8 +48,8 @@ let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
     latency;
     jitter;
     rng;
-    dead_since = Hashtbl.create 16;
-    epochs = Hashtbl.create 16;
+    dead_since = Array.make n (-1);
+    epochs = Array.make n 0;
     region =
       Array.init n (fun i ->
           Option.get (region_index topology (Topology.region_of topology i)));
@@ -66,9 +67,9 @@ let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
 
 let sim t = t.sim
 let topology t = t.topology
-let is_alive t id = not (Hashtbl.mem t.dead_since id)
-let dead_since t id = Hashtbl.find_opt t.dead_since id
-let epoch t id = Option.value ~default:0 (Hashtbl.find_opt t.epochs id)
+let is_alive t id = t.dead_since.(id) < 0
+let dead_since t id = if is_alive t id then None else Some t.dead_since.(id)
+let epoch t id = t.epochs.(id)
 
 let compute_base_delay t src dst =
   if src = dst then 25
@@ -102,7 +103,7 @@ let cross_region t src dst = t.region.(src) <> t.region.(dst)
 let partitioned t src dst =
   t.cut.((t.region.(src) * t.nregions) + t.region.(dst))
 
-let send t ~src ~dst fn =
+let send t ~src ~dst handler payload =
   if is_alive t src && not (partitioned t src dst) then begin
     Metrics.inc t.c_sent.(src);
     if cross_region t src dst then Metrics.inc t.c_wan_msgs.(src);
@@ -111,7 +112,7 @@ let send t ~src ~dst fn =
     Sim.schedule t.sim ~after:d (fun () ->
         (* Re-check at delivery time: the destination may have died, or a
            partition may have formed, while the message was in flight. *)
-        if is_alive t dst && not (partitioned t src dst) then fn ()
+        if is_alive t dst && not (partitioned t src dst) then handler dst payload
         else Metrics.inc t.c_dropped.(src))
   end
   else Metrics.inc t.c_dropped.(src)
@@ -128,42 +129,35 @@ let rpc ?span ?(phases = Crdb_obs.Phase.nil) t ~src ~dst handler =
   let sp =
     Trace.span (Obs.trace t.obs) ?parent:span ~node:src "net.rpc"
   in
-  Trace.annotate sp "dst" (string_of_int dst);
+  Trace.annotate_int sp "dst" dst;
   let outer = Ivar.create () in
-  Ivar.on_fill outer (fun _ -> Trace.finish (Obs.trace t.obs) sp);
-  send t ~src ~dst (fun () ->
+  if sp != Trace.nil then
+    Ivar.on_fill outer (fun _ -> Trace.finish (Obs.trace t.obs) sp);
+  send t ~src ~dst
+    (fun dst handler ->
       let inner = Ivar.create () in
       Ivar.on_fill inner (fun v ->
-          send t ~src:dst ~dst:src (fun () -> ignore (Ivar.try_fill outer v)));
-      handler inner);
+          send t ~src:dst ~dst:src (fun _ v -> ignore (Ivar.try_fill outer v : bool)) v);
+      handler inner)
+    handler;
   outer
 
-let kill_node t id = if is_alive t id then Hashtbl.replace t.dead_since id (Sim.now t.sim)
+let kill_node t id = if is_alive t id then t.dead_since.(id) <- Sim.now t.sim
 let revive_node t id =
   if not (is_alive t id) then begin
-    Hashtbl.replace t.epochs id (epoch t id + 1);
-    Hashtbl.remove t.dead_since id
+    t.epochs.(id) <- t.epochs.(id) + 1;
+    t.dead_since.(id) <- -1
   end
 
-let kill_region t region =
-  List.iter
-    (fun n -> kill_node t n.Topology.id)
-    (Topology.nodes_in_region t.topology region)
-
-let revive_region t region =
-  List.iter
-    (fun n -> revive_node t n.Topology.id)
-    (Topology.nodes_in_region t.topology region)
+let each f nodes = List.iter (fun n -> f n.Topology.id) nodes
+let kill_region t r = each (kill_node t) (Topology.nodes_in_region t.topology r)
+let revive_region t r = each (revive_node t) (Topology.nodes_in_region t.topology r)
 
 let kill_zone t ~region ~zone =
-  List.iter
-    (fun n -> kill_node t n.Topology.id)
-    (Topology.nodes_in_zone t.topology region zone)
+  each (kill_node t) (Topology.nodes_in_zone t.topology region zone)
 
 let revive_zone t ~region ~zone =
-  List.iter
-    (fun n -> revive_node t n.Topology.id)
-    (Topology.nodes_in_zone t.topology region zone)
+  each (revive_node t) (Topology.nodes_in_zone t.topology region zone)
 
 (* A region outside the topology has no nodes, so cutting it off changes
    nothing. *)

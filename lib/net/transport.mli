@@ -31,8 +31,15 @@ val topology : t -> Topology.t
 val delay : t -> Topology.node_id -> Topology.node_id -> int
 (** Sampled one-way delay in microseconds for a message sent now. *)
 
-val send : t -> src:Topology.node_id -> dst:Topology.node_id -> (unit -> unit) -> unit
-(** Deliver the closure at [dst] after the one-way delay, unless dropped. *)
+val send :
+  t ->
+  src:Topology.node_id ->
+  dst:Topology.node_id ->
+  (Topology.node_id -> 'a -> unit) ->
+  'a ->
+  unit
+(** [send t ~src ~dst handler payload] runs [handler dst payload] at [dst]
+    after the one-way delay, unless dropped. *)
 
 val rpc :
   ?span:Crdb_obs.Trace.span ->

@@ -94,12 +94,11 @@ let flush ctx sink =
 
 let annotate ctx span =
   match ctx with
-  | Nil -> ()
-  | Ctx c ->
+  | Ctx c when span != Trace.nil ->
       List.iter
         (fun p ->
           let v = c.acc.(index p) in
-          if v > 0 then
-            Trace.annotate span ("phase." ^ name p) (string_of_int v))
+          if v > 0 then Trace.annotate_int span ("phase." ^ name p) v)
         all_phases;
-      if c.wan > 0 then Trace.annotate span "wan_rtts" (string_of_int c.wan)
+      if c.wan > 0 then Trace.annotate_int span "wan_rtts" c.wan
+  | Ctx _ | Nil -> ()

@@ -69,6 +69,9 @@ let annotate sp key value =
   | Nil -> ()
   | Live s -> s.sp_attrs <- (key, value) :: s.sp_attrs
 
+let annotate_int sp key n =
+  match sp with Nil -> () | Live _ -> annotate sp key (string_of_int n)
+
 let finish t sp =
   match sp with
   | Nil -> ()

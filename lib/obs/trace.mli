@@ -33,6 +33,9 @@ val finish : t -> span -> unit
 val annotate : span -> string -> string -> unit
 (** Attach a key/value attribute to an open span. *)
 
+val annotate_int : span -> string -> int -> unit
+(** [annotate] with an integer value, formatted only for a live span. *)
+
 val span_id : span -> int option
 val clear : t -> unit
 val num_records : t -> int

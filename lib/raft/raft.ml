@@ -51,12 +51,38 @@ type ('cmd, 'snap) callbacks = {
   on_discard : 'cmd -> unit;
 }
 
+(* A leader's view of one peer's replication, like etcd's [Progress]. *)
+type progress = {
+  mutable next : int; (* the next index to send; [0] while untracked *)
+  mutable matched : int;
+  (* Per-peer flow control: a bounded window of appends/snapshots in
+     flight (append pipelining). One-at-a-time would serialize every
+     proposal behind the previous append's full round trip — a WAN RTT per
+     entry on geo-replicated ranges; unbounded would let every proposal
+     start another self-sustaining append/reply chain to each follower.
+     Heartbeats clear stuck counts (lost replies). *)
+  mutable inflight : int;
+  (* The follower's log diverged from ours (a rejected append): while
+     probing for the common prefix, sends do not optimistically advance
+     [next] — each rejection must regress it monotonically, which the
+     re-advance would undo, probing the same index forever. A success
+     reply returns the peer to pipelined replication. *)
+  mutable probing : bool;
+  (* Last commit index communicated to the peer, to close the window where
+     a fully caught-up follower still lacks the final commit index. *)
+  mutable sent_commit : int;
+}
+
 type ('cmd, 'snap) t = {
   sim : Sim.t;
   rng : Rng.t;
   id : int;
   cb : ('cmd, 'snap) callbacks;
   mutable peers : config_change;
+  (* Cached from [peers], with a slot per voter for the commit rule. *)
+  mutable voters : int array;
+  mutable others : int list;
+  mutable match_buf : int array;
   mutable term : int;
   mutable voted_for : int option;
   (* The log proper starts at [first_index]; entries before it have been
@@ -68,24 +94,9 @@ type ('cmd, 'snap) t = {
   mutable applied : int;
   mutable role : role;
   mutable leader : int option;
-  next_index : (int, int) Hashtbl.t;
-  match_index : (int, int) Hashtbl.t;
-  (* Per-peer flow control: a bounded window of appends/snapshots in
-     flight (append pipelining). One-at-a-time would serialize every
-     proposal behind the previous append's full round trip — a WAN RTT per
-     entry on geo-replicated ranges; unbounded would let every proposal
-     start another self-sustaining append/reply chain to each follower.
-     Heartbeats clear stuck counts (lost replies). *)
-  inflight : (int, int) Hashtbl.t;
-  (* Followers whose log diverged from ours (a rejected append): while
-     probing for the common prefix, sends do not optimistically advance
-     next_index — each rejection must regress it monotonically, which the
-     re-advance would undo, probing the same index forever. A success
-     reply returns the peer to pipelined replication. *)
-  probing : (int, unit) Hashtbl.t;
-  (* Last commit index communicated to each peer, to close the window where
-     a fully caught-up follower still lacks the final commit index. *)
-  sent_commit : (int, int) Hashtbl.t;
+  (* Indexed by node id and grown on first use. A node stays tracked until
+     the next election, also after it leaves the peer set. *)
+  mutable progress : progress array;
   mutable votes : int list;
   mutable prevotes : int list;
   mutable election_timer : Sim.timer option;
@@ -116,55 +127,68 @@ type ('cmd, 'snap) t = {
   mutable election_span : Trace.span;
 }
 
+let set_peers t peers =
+  t.peers <- peers;
+  t.voters <-
+    Array.of_list
+      (List.filter_map
+         (fun (p, kind) -> match kind with Voter -> Some p | Learner -> None)
+         peers);
+  t.others <- List.filter_map (fun (p, _) -> if p <> t.id then Some p else None) peers;
+  t.match_buf <- Array.make (Array.length t.voters) 0
+
 let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
     ?(boundary = (0, 0)) () =
   if not (List.mem_assoc id peers) then
     invalid_arg "Raft.create: id must be among peers";
   let snap_index, snap_term = boundary in
   let m = Obs.metrics obs in
-  {
-    sim;
-    rng;
-    id;
-    cb = callbacks;
-    peers;
-    term = 0;
-    voted_for = None;
-    log = Vec.create ();
-    snap_index;
-    snap_term;
-    commit = snap_index;
-    applied = snap_index;
-    role = Follower;
-    leader = None;
-    next_index = Hashtbl.create 8;
-    match_index = Hashtbl.create 8;
-    inflight = Hashtbl.create 8;
-    probing = Hashtbl.create 8;
-    sent_commit = Hashtbl.create 8;
-    votes = [];
-    prevotes = [];
-    election_timer = None;
-    heartbeat_timer = None;
-    quiesced = false;
-    quiesce_epoch = 0;
-    last_heartbeat = 0;
-    last_quorum_contact = 0;
-    pending_transfer = None;
-    term_start = 0;
-    stopped = false;
-    obs;
-    range;
-    c_elections = Metrics.counter m ~node:id ?range "raft.elections";
-    c_leader_elected = Metrics.counter m ~node:id ?range "raft.leader_elected";
-    c_stepdowns = Metrics.counter m ~node:id ?range "raft.stepdowns";
-    c_appends_sent = Metrics.counter m ~node:id ?range "raft.appends_sent";
-    c_snapshots_sent = Metrics.counter m ~node:id ?range "raft.snapshots_sent";
-    c_quiesces = Metrics.counter m ~node:id ?range "raft.quiesces";
-    h_commit_latency = Metrics.histogram m ~node:id ?range "raft.commit_latency";
-    pending_propose = Hashtbl.create 8;
-    election_span = Trace.nil;
-  }
+  let t =
+    {
+      sim;
+      rng;
+      id;
+      cb = callbacks;
+      peers;
+      voters = [||];
+      others = [];
+      match_buf = [||];
+      term = 0;
+      voted_for = None;
+      log = Vec.create ();
+      snap_index;
+      snap_term;
+      commit = snap_index;
+      applied = snap_index;
+      role = Follower;
+      leader = None;
+      progress = [||];
+      votes = [];
+      prevotes = [];
+      election_timer = None;
+      heartbeat_timer = None;
+      quiesced = false;
+      quiesce_epoch = 0;
+      last_heartbeat = 0;
+      last_quorum_contact = 0;
+      pending_transfer = None;
+      term_start = 0;
+      stopped = false;
+      obs;
+      range;
+      c_elections = Metrics.counter m ~node:id ?range "raft.elections";
+      c_leader_elected = Metrics.counter m ~node:id ?range "raft.leader_elected";
+      c_stepdowns = Metrics.counter m ~node:id ?range "raft.stepdowns";
+      c_appends_sent = Metrics.counter m ~node:id ?range "raft.appends_sent";
+      c_snapshots_sent = Metrics.counter m ~node:id ?range "raft.snapshots_sent";
+      c_quiesces = Metrics.counter m ~node:id ?range "raft.quiesces";
+      h_commit_latency = Metrics.histogram m ~node:id ?range "raft.commit_latency";
+      pending_propose = Hashtbl.create 8;
+      election_span = Trace.nil;
+    }
+  in
+  set_peers t peers;
+  t
 
 let is_leader t = match t.role with Leader -> true | Follower | Candidate -> false
 let serving t = is_leader t && t.applied >= t.term_start
@@ -176,13 +200,7 @@ let peers t = t.peers
 let quiesced t = t.quiesced
 let last_quorum_contact t = t.last_quorum_contact
 
-let voters t =
-  List.filter_map
-    (fun (p, kind) -> match kind with Voter -> Some p | Learner -> None)
-    t.peers
-
-let is_voter t node = List.mem node (voters t)
-let other_peers t = List.filter (fun (p, _) -> p <> t.id) t.peers
+let is_voter t node = Array.mem node t.voters
 let first_index t = t.snap_index + 1
 let last_index t = t.snap_index + Vec.length t.log
 
@@ -196,6 +214,37 @@ let term_at t i =
 
 let last_term t =
   match Vec.last t.log with Some e -> e.term | None -> t.snap_term
+
+let untracked sent_commit =
+  { next = 0; matched = 0; inflight = 0; probing = false; sent_commit }
+
+(* [node]'s progress, tracked from first use. *)
+let progress t node =
+  let n = Array.length t.progress in
+  if node >= n then
+    t.progress <-
+      Array.init (max (node + 1) (2 * n)) (fun i ->
+          if i < n then t.progress.(i) else untracked 0);
+  t.progress.(node)
+
+let commit_target ~commit ~last ~term_start matched =
+  let n = Array.length matched in
+  (* The quorum-th largest match index: the largest index a quorum holds. *)
+  let held = ref commit in
+  for i = 0 to n - 1 do
+    let m = Array.unsafe_get matched i in
+    if m > !held then begin
+      let count = ref 0 in
+      for j = 0 to n - 1 do
+        if Array.unsafe_get matched j >= m then incr count
+      done;
+      if !count > n / 2 then held := m
+    end
+  done;
+  (* Log terms never decrease, so the leader's own term wrote exactly the
+     indices from [term_start] on. *)
+  let n = min !held last in
+  if n > commit && n >= term_start then n else commit
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
@@ -221,10 +270,14 @@ let quiesced_leader_live t =
 let max_inflight_appends = 8
 
 let rec arm_election_timer t =
-  cancel_timer t.election_timer;
-  if not t.stopped then begin
+  if t.stopped then cancel_timer t.election_timer
+  else begin
     let timeout = election_timeout + Rng.int t.rng election_timeout in
-    t.election_timer <- Some (Sim.timer t.sim ~after:timeout (fun () -> election_tick t))
+    match t.election_timer with
+    | Some tm when Sim.timer_pending tm -> Sim.rearm tm ~after:timeout
+    | Some _ | None ->
+        t.election_timer <-
+          Some (Sim.timer t.sim ~after:timeout (fun () -> election_tick t))
   end
 
 and election_tick t =
@@ -251,18 +304,18 @@ and pre_campaign t =
   else begin
     t.prevotes <- [ t.id ];
     let lli = last_index t and llt = last_term t in
-    List.iter
+    Array.iter
       (fun p ->
         if p <> t.id then
           t.cb.send p
             (Pre_vote { term = t.term + 1; last_log_index = lli; last_log_term = llt }))
-      (voters t);
+      t.voters;
     arm_election_timer t;
     maybe_prewin t
   end
 
 and maybe_prewin t =
-  let quorum = (List.length (voters t) / 2) + 1 in
+  let quorum = (Array.length t.voters / 2) + 1 in
   if List.length t.prevotes >= quorum then campaign t
 
 and campaign t =
@@ -275,7 +328,7 @@ and campaign t =
         let sp =
           Trace.span (Obs.trace t.obs) ~node:t.id ?range:t.range "raft.election"
         in
-        Trace.annotate sp "term" (string_of_int t.term);
+        Trace.annotate_int sp "term" t.term;
         t.election_span <- sp
     | _ -> ());
     t.role <- Candidate;
@@ -285,17 +338,17 @@ and campaign t =
     t.votes <- [ t.id ];
     t.cb.on_role Candidate;
     let lli = last_index t and llt = last_term t in
-    List.iter
+    Array.iter
       (fun p ->
         if p <> t.id then
           t.cb.send p (Request_vote { term = t.term; last_log_index = lli; last_log_term = llt }))
-      (voters t);
+      t.voters;
     arm_election_timer t;
     maybe_win t
   end
 
 and maybe_win t =
-  let quorum = (List.length (voters t) / 2) + 1 in
+  let quorum = (Array.length t.voters / 2) + 1 in
   if List.length t.votes >= quorum then become_leader t
 
 and become_leader t =
@@ -308,17 +361,8 @@ and become_leader t =
   t.pending_transfer <- None;
   t.leader <- Some t.id;
   t.quiesced <- false;
-  Hashtbl.reset t.next_index;
-  Hashtbl.reset t.match_index;
-  Hashtbl.reset t.inflight;
-  Hashtbl.reset t.probing;
-  List.iter
-    (fun (p, _) ->
-      if p <> t.id then begin
-        Hashtbl.replace t.next_index p (last_index t + 1);
-        Hashtbl.replace t.match_index p 0
-      end)
-    t.peers;
+  t.progress <- Array.map (fun pr -> untracked pr.sent_commit) t.progress;
+  List.iter (fun p -> (progress t p).next <- last_index t + 1) t.others;
   cancel_timer t.election_timer;
   t.election_timer <- None;
   t.last_quorum_contact <- Sim.now t.sim;
@@ -340,13 +384,7 @@ and heartbeat_tick t =
   | Follower | Candidate -> ()
   | Leader ->
       let all_caught_up =
-        List.for_all
-          (fun (p, _) ->
-            p = t.id
-            || (match Hashtbl.find_opt t.match_index p with
-               | Some m -> m = last_index t
-               | None -> false))
-          t.peers
+        List.for_all (fun p -> (progress t p).matched = last_index t) t.others
         && t.commit = last_index t
       in
       if all_caught_up && not (Vec.is_empty t.log) then begin
@@ -354,16 +392,16 @@ and heartbeat_tick t =
         Metrics.inc t.c_quiesces;
         t.quiesced <- true;
         List.iter
-          (fun (p, _) ->
-            Hashtbl.replace t.sent_commit p t.commit;
+          (fun p ->
+            (progress t p).sent_commit <- t.commit;
             t.cb.send p (Quiesce { term = t.term; commit = t.commit }))
-          (other_peers t);
+          t.others;
         t.heartbeat_timer <- None
       end
       else begin
         (* Periodic heartbeat: also recover from lost replies by clearing
            the in-flight flags before resending. *)
-        Hashtbl.reset t.inflight;
+        Array.iter (fun pr -> pr.inflight <- 0) t.progress;
         broadcast t;
         arm_heartbeat t
       end
@@ -373,24 +411,17 @@ and append_local t payload =
   Vec.push t.log e;
   e.index
 
-and broadcast t = List.iter (fun (p, _) -> replicate_to t p) (other_peers t)
+and broadcast t = List.iter (replicate_to t) t.others
 
 and replicate_to t peer =
-  let inflight =
-    match Hashtbl.find_opt t.inflight peer with Some n -> n | None -> 0
-  in
-  if inflight >= max_inflight_appends then ()
-  else begin
-    Hashtbl.replace t.inflight peer (inflight + 1);
-    replicate_to_now t peer
+  let pr = progress t peer in
+  if pr.inflight < max_inflight_appends then begin
+    pr.inflight <- pr.inflight + 1;
+    replicate_to_now t peer pr
   end
 
-and replicate_to_now t peer =
-  let next =
-    match Hashtbl.find_opt t.next_index peer with
-    | Some n -> n
-    | None -> last_index t + 1
-  in
+and replicate_to_now t peer pr =
+  let next = if pr.next > 0 then pr.next else last_index t + 1 in
   if next < first_index t then begin
     Metrics.inc t.c_snapshots_sent;
     let snap = t.cb.take_snapshot () in
@@ -421,14 +452,13 @@ and replicate_to_now t peer =
     in
     let entries = Vec.sub_list t.log ~pos:(next - first_index t) in
     Metrics.inc t.c_appends_sent;
-    Hashtbl.replace t.sent_commit peer t.commit;
+    pr.sent_commit <- t.commit;
     (* Optimistically advance next_index past the entries just sent, so a
        pipelined follow-up append carries only newer entries. A rejection
        (gap from a lost or reordered message) regresses it via the
        follower's hint and retransmits. Not while probing a diverged log:
        the regression must stick until a success reply. *)
-    if entries <> [] && not (Hashtbl.mem t.probing peer) then
-      Hashtbl.replace t.next_index peer (last_index t + 1);
+    if entries <> [] && not pr.probing then pr.next <- last_index t + 1;
     t.cb.send peer
       (Append { term = t.term; prev_index; prev_term; entries; commit = t.commit })
   end
@@ -437,30 +467,24 @@ and maybe_advance_commit t =
   match t.role with
   | Follower | Candidate -> ()
   | Leader ->
-      let voters_list = voters t in
-      let quorum = (List.length voters_list / 2) + 1 in
-      let matched v =
-        if v = t.id then last_index t
-        else match Hashtbl.find_opt t.match_index v with Some m -> m | None -> 0
-      in
-      let n = ref t.commit in
-      for candidate = t.commit + 1 to last_index t do
-        let count = List.length (List.filter (fun v -> matched v >= candidate) voters_list) in
-        let current_term =
-          match term_at t candidate with Some tt -> tt = t.term | None -> false
-        in
-        if count >= quorum && current_term then n := candidate
+      for i = 0 to Array.length t.voters - 1 do
+        let v = t.voters.(i) in
+        t.match_buf.(i) <- (if v = t.id then last_index t else (progress t v).matched)
       done;
-      if !n > t.commit then begin
+      let n =
+        commit_target ~commit:t.commit ~last:(last_index t) ~term_start:t.term_start
+          t.match_buf
+      in
+      if n > t.commit then begin
         let now = Sim.now t.sim in
-        for i = t.commit + 1 to !n do
+        for i = t.commit + 1 to n do
           match Hashtbl.find_opt t.pending_propose i with
           | Some at ->
               Crdb_stats.Hist.add t.h_commit_latency (now - at);
               Hashtbl.remove t.pending_propose i
           | None -> ()
         done;
-        t.commit <- !n;
+        t.commit <- n;
         apply_committed t;
         (* Push the new commit index to followers promptly so closed
            timestamps and follower reads advance with low latency. *)
@@ -483,17 +507,18 @@ and apply_config t change =
   let removed =
     List.filter (fun (p, _) -> not (List.mem_assoc p change)) t.peers
   in
-  t.peers <- change;
+  set_peers t change;
   (match t.role with
   | Leader ->
       List.iter
-        (fun (p, _) ->
-          if p <> t.id && not (Hashtbl.mem t.next_index p) then begin
-            Hashtbl.replace t.next_index p (last_index t + 1);
-            Hashtbl.replace t.match_index p 0;
+        (fun p ->
+          let pr = progress t p in
+          if pr.next = 0 then begin
+            pr.next <- last_index t + 1;
+            pr.matched <- 0;
             replicate_to t p
           end)
-        change;
+        t.others;
       (* Removed peers must still learn about their removal: send them the
          suffix containing the (now committed) configuration entry. *)
       List.iter (fun (p, _) -> if p <> t.id then replicate_to t p) removed
@@ -645,9 +670,8 @@ let handle_append t ~from ~aterm ~prev_index ~prev_term ~entries ~commit =
   end
 
 let handle_append_reply t ~from ~rterm ~success ~match_index =
-  (match Hashtbl.find_opt t.inflight from with
-  | Some n when n > 1 -> Hashtbl.replace t.inflight from (n - 1)
-  | Some _ | None -> Hashtbl.remove t.inflight from);
+  let pr = progress t from in
+  if pr.inflight > 0 then pr.inflight <- pr.inflight - 1;
   if rterm > t.term then step_down t rterm
   else
     match t.role with
@@ -655,26 +679,17 @@ let handle_append_reply t ~from ~rterm ~success ~match_index =
     | Leader when rterm <> t.term -> ()
     | Leader ->
         if success then begin
-          Hashtbl.remove t.probing from;
+          pr.probing <- false;
           t.last_quorum_contact <- Sim.now t.sim;
-          let old = match Hashtbl.find_opt t.match_index from with Some m -> m | None -> 0 in
-          if match_index > old then Hashtbl.replace t.match_index from match_index;
+          if match_index > pr.matched then pr.matched <- match_index;
           (* A success reply for an older pipelined append must not regress
-             the optimistically advanced next_index (which would retransmit
-             the still-in-flight newer entries). *)
-          let cur =
-            match Hashtbl.find_opt t.next_index from with Some n -> n | None -> 1
-          in
-          Hashtbl.replace t.next_index from (max (match_index + 1) cur);
+             the optimistically advanced [next] (which would retransmit the
+             still-in-flight newer entries). *)
+          pr.next <- max (match_index + 1) pr.next;
           maybe_advance_commit t;
           (* Keep pushing until this follower has all entries and knows the
              final commit index. *)
-          let known_commit =
-            match Hashtbl.find_opt t.sent_commit from with
-            | Some c -> c
-            | None -> 0
-          in
-          if match_index < last_index t || known_commit < t.commit then
+          if match_index < last_index t || pr.sent_commit < t.commit then
             replicate_to t from
           else if t.pending_transfer = Some from then begin
             (* Deferred leadership transfer: the target is now caught up. *)
@@ -683,13 +698,10 @@ let handle_append_reply t ~from ~rterm ~success ~match_index =
           end
         end
         else begin
-          Hashtbl.replace t.probing from ();
-          let next =
-            match Hashtbl.find_opt t.next_index from with Some n -> n | None -> last_index t + 1
-          in
+          pr.probing <- true;
+          let next = if pr.next > 0 then pr.next else last_index t + 1 in
           (* [match_index] carries the follower's last index as a hint. *)
-          let new_next = max 1 (min (next - 1) (match_index + 1)) in
-          Hashtbl.replace t.next_index from new_next;
+          pr.next <- max 1 (min (next - 1) (match_index + 1));
           replicate_to t from
         end
 
@@ -712,7 +724,7 @@ let handle_install_snapshot t ~from ~sterm ~slast_index ~slast_term ~speers ~sna
       t.snap_term <- slast_term;
       t.commit <- slast_index;
       t.applied <- slast_index;
-      t.peers <- speers
+      set_peers t speers
     end;
     t.cb.send from
       (Append_reply { term = t.term; success = true; match_index = last_index t })
@@ -803,11 +815,7 @@ let transfer_leadership t target =
   | Follower | Candidate -> ()
   | Leader ->
       if target <> t.id && is_voter t target then begin
-        let caught_up =
-          match Hashtbl.find_opt t.match_index target with
-          | Some m -> m = last_index t
-          | None -> false
-        in
+        let caught_up = (progress t target).matched = last_index t in
         if caught_up then t.cb.send target (Timeout_now { term = t.term })
         else begin
           (* Transfer once the target's log is complete, per the Raft
@@ -826,7 +834,7 @@ let start ?preferred t =
   let first =
     match preferred with
     | Some p when is_voter t p -> p
-    | Some _ | None -> List.fold_left min max_int (voters t)
+    | Some _ | None -> Array.fold_left min max_int t.voters
   in
   if t.id = first then campaign t else arm_election_timer t
 
@@ -843,11 +851,7 @@ let restart t =
   t.votes <- [];
   t.prevotes <- [];
   t.pending_transfer <- None;
-  Hashtbl.reset t.next_index;
-  Hashtbl.reset t.match_index;
-  Hashtbl.reset t.inflight;
-  Hashtbl.reset t.probing;
-  Hashtbl.reset t.sent_commit;
+  t.progress <- [||];
   Trace.finish (Obs.trace t.obs) t.election_span;
   t.election_span <- Trace.nil;
   cancel_timer t.heartbeat_timer;

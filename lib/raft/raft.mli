@@ -173,6 +173,11 @@ val start : ?preferred:int -> _ t -> unit
 val stop : _ t -> unit
 (** Halt all timers (replica removed or node decommissioned). *)
 
+val commit_target : commit:int -> last:int -> term_start:int -> int array -> int
+(** The commit rule, allocating nothing: the largest index a quorum holds,
+    given one match index per voter (the leader's own is [last]), if the
+    leader's term wrote it (from [term_start] on); else [commit]. *)
+
 val restart : _ t -> unit
 (** Model a process restart after a crash: durable state (term, vote, log,
     snapshot boundary, commit/applied indices) is retained, volatile state

@@ -5,9 +5,10 @@
     together with the explicit {!Crdb_stdx.Rng} streams, makes every run
     reproducible from its seed.
 
-    The queue is a 4-ary heap keyed by [(time, seq)], with the keys stored
-    inline in an int array; scheduling, stepping and cancelling each cost
-    O(log n) in the number of queued events. *)
+    The queue is a 4-ary heap of [(time, seq, id)] int triples in one int
+    array; callbacks sit in an id-indexed slab whose freed ids are reused,
+    so a sift moves only ints. Scheduling, stepping, cancelling and
+    re-arming each cost O(log n) in the number of queued events. *)
 
 type t
 
@@ -19,7 +20,9 @@ val now : t -> int
 val schedule : t -> after:int -> (unit -> unit) -> unit
 (** [schedule t ~after f] runs [f] at [now t + max 0 after]. *)
 
-(** Cancellable timers. *)
+(** Cancellable timers: a handle on the event's slab id and seq. Once the
+    event fires or is cancelled, every operation on the handle is a no-op,
+    also after a later event reuses the id. *)
 type timer
 
 val timer : t -> after:int -> (unit -> unit) -> timer
@@ -33,6 +36,11 @@ val cancel : timer -> unit
     already-fired or already-cancelled timer is a no-op. *)
 
 val timer_pending : timer -> bool
+
+val rearm : timer -> after:int -> unit
+(** [rearm tm ~after] re-keys a pending timer in place, with the [(time,
+    seq)] that {!cancel} followed by {!timer} would give it: every event
+    fires in the same order as with that pair. *)
 
 val step : t -> bool
 (** Execute the next event. [false] if the queue was empty. *)

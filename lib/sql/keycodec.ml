@@ -3,24 +3,19 @@ type partition = string option
 let primary_index = 0
 let dup_index_base = 100
 
-let escape_region r =
-  String.concat "" (List.map (fun c ->
-      match c with '/' -> "_" | c -> String.make 1 c)
-      (List.init (String.length r) (String.get r)))
-
 let partition_component = function
   | None -> "_"
-  | Some region -> escape_region region
+  | Some region -> String.map (function '/' -> '_' | c -> c) region
 
 let object_prefix ~table_id ~index_no ~partition =
-  Printf.sprintf "/t%04d/i%03d/p%s" table_id index_no
-    (partition_component partition)
+  String.concat ""
+    [ "/t"; Value.zero_pad 4 table_id; "/i"; Value.zero_pad 3 index_no; "/p";
+      partition_component partition ]
 
 let row_key ~table_id ~index_no ~partition values =
-  let prefix = object_prefix ~table_id ~index_no ~partition in
-  List.fold_left
-    (fun acc v -> acc ^ "/" ^ Value.encode_key_part v)
-    prefix values
+  String.concat "/"
+    (object_prefix ~table_id ~index_no ~partition
+    :: List.map Value.encode_key_part values)
 
 let partition_span ~table_id ~index_no ~partition =
   let prefix = object_prefix ~table_id ~index_no ~partition in

@@ -36,11 +36,16 @@ let escape s =
     s;
   Buffer.contents buf
 
+let zero_pad width n =
+  let digits = string_of_int (abs n) and sign = if n < 0 then "-" else "" in
+  let zeros = max 0 (width - String.length sign - String.length digits) in
+  String.concat "" [ sign; String.make zeros '0'; digits ]
+
 let encode_key_part = function
   | V_null -> "~null~"
   | V_int i ->
       (* Offset so negatives sort before positives. *)
-      Printf.sprintf "i%019d" (i + 1_000_000_000_000_000_000)
+      "i" ^ zero_pad 19 (i + 1_000_000_000_000_000_000)
   | V_string s -> "s" ^ escape s
   | V_uuid u -> "u" ^ escape u
   | V_region r -> "r" ^ escape r

@@ -14,6 +14,9 @@ type t =
 val equal : t -> t -> bool
 val to_display : t -> string
 
+val zero_pad : int -> int -> string
+(** [zero_pad width n] is [Printf.sprintf "%0*d" width n], for [n > min_int]. *)
+
 val encode_key_part : t -> string
 (** Order-preserving, [/]-free encoding for use inside KV keys. *)
 

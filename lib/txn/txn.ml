@@ -342,7 +342,7 @@ let commit_wait mgr ~parent ~gw ~txn ~phases ts =
       else waited
   in
   let waited = loop 0 in
-  Trace.annotate wsp "waited_us" (string_of_int waited);
+  Trace.annotate_int wsp "waited_us" waited;
   Trace.finish tr wsp;
   Phase.add phases Phase.Commit_wait waited;
   Hist.add mgr.h_commit_wait waited;
@@ -786,7 +786,7 @@ let run mgr ~gateway ?(max_attempts = 25) ?phases ?on_attempt body =
         raise e
   in
   let attempts, result = attempt 1 ~pri:None in
-  Trace.annotate root "attempts" (string_of_int attempts);
+  Trace.annotate_int root "attempts" attempts;
   Trace.annotate root "result"
     (match result with Ok _ -> "committed" | Error _ -> "failed");
   result

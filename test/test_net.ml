@@ -90,12 +90,17 @@ let make_transport ?(jitter = 0.0) () =
 let test_send_delay () =
   let sim, net = make_transport () in
   (* Node 0 is us-east1-a; node 3 is us-west1-a. *)
-  let arrival = ref (-1) in
-  Transport.send net ~src:0 ~dst:3 (fun () -> arrival := Sim.now sim);
+  let arrival = ref (-1) and got = ref (-1, "") in
+  Transport.send net ~src:0 ~dst:3
+    (fun dst payload ->
+      arrival := Sim.now sim;
+      got := (dst, payload))
+    "ping";
   Sim.run sim;
   check Alcotest.int "cross-region one-way" 31_500 !arrival;
+  check Alcotest.(pair int string) "handler gets dst and payload" (3, "ping") !got;
   let arrival2 = ref (-1) in
-  Transport.send net ~src:0 ~dst:1 (fun () -> arrival2 := Sim.now sim);
+  Transport.send net ~src:0 ~dst:1 (fun _ () -> arrival2 := Sim.now sim) ();
   Sim.run sim;
   check Alcotest.int "cross-zone one-way" (31_500 + 300) !arrival2
 
@@ -132,7 +137,7 @@ let test_kill_drops () =
 let test_kill_in_flight () =
   let sim, net = make_transport () in
   let delivered = ref false in
-  Transport.send net ~src:0 ~dst:3 (fun () -> delivered := true);
+  Transport.send net ~src:0 ~dst:3 (fun _ () -> delivered := true) ();
   (* Kill the destination while the message is in flight. *)
   Sim.schedule sim ~after:1_000 (fun () -> Transport.kill_node net 3);
   Sim.run sim;
@@ -142,11 +147,11 @@ let test_partition () =
   let sim, net = make_transport () in
   Transport.partition_regions net "us-east1" "us-west1";
   let delivered = ref false in
-  Transport.send net ~src:0 ~dst:3 (fun () -> delivered := true);
+  Transport.send net ~src:0 ~dst:3 (fun _ () -> delivered := true) ();
   Sim.run sim;
   check Alcotest.bool "partitioned" false !delivered;
   Transport.heal_partitions net;
-  Transport.send net ~src:0 ~dst:3 (fun () -> delivered := true);
+  Transport.send net ~src:0 ~dst:3 (fun _ () -> delivered := true) ();
   Sim.run sim;
   check Alcotest.bool "healed" true !delivered
 
@@ -159,16 +164,16 @@ let test_heal_one_partition () =
   (* Healing the deduped pair must clear it entirely... *)
   Transport.heal_partition net "us-west1" "us-east1";
   let delivered = ref false in
-  Transport.send net ~src:0 ~dst:3 (fun () -> delivered := true);
+  Transport.send net ~src:0 ~dst:3 (fun _ () -> delivered := true) ();
   Sim.run sim;
   check Alcotest.bool "pair healed despite double insert" true !delivered;
   (* ... while leaving the other pair in force. *)
   let delivered_eu = ref false in
-  Transport.send net ~src:0 ~dst:6 (fun () -> delivered_eu := true);
+  Transport.send net ~src:0 ~dst:6 (fun _ () -> delivered_eu := true) ();
   Sim.run sim;
   check Alcotest.bool "other pair still partitioned" false !delivered_eu;
   Transport.heal_partitions net;
-  Transport.send net ~src:0 ~dst:6 (fun () -> delivered_eu := true);
+  Transport.send net ~src:0 ~dst:6 (fun _ () -> delivered_eu := true) ();
   Sim.run sim;
   check Alcotest.bool "heal-all clears the rest" true !delivered_eu
 
@@ -198,7 +203,7 @@ let test_jitter_bounded () =
   for _ = 1 to 20 do
     let arrival = ref 0 in
     let start = Sim.now sim in
-    Transport.send net ~src:0 ~dst:3 (fun () -> arrival := Sim.now sim - start);
+    Transport.send net ~src:0 ~dst:3 (fun _ () -> arrival := Sim.now sim - start) ();
     Sim.run sim;
     check Alcotest.bool "within jitter bound" true
       (!arrival >= 31_500 && !arrival < 34_650 + 1)
@@ -255,13 +260,13 @@ let test_unknown_pair_fails_on_use () =
     Transport.create ~jitter:0.0 ~sim ~topology ~latency:Latency.table1 ()
   in
   let delivered = ref 0 in
-  Transport.send net ~src:0 ~dst:3 (fun () -> incr delivered);
-  Transport.send net ~src:6 ~dst:7 (fun () -> incr delivered);
+  Transport.send net ~src:0 ~dst:3 (fun _ () -> incr delivered) ();
+  Transport.send net ~src:6 ~dst:7 (fun _ () -> incr delivered) ();
   Sim.run sim;
   check Alcotest.int "known pairs deliver" 2 !delivered;
   Alcotest.check_raises "unknown pair"
     (Invalid_argument "Latency.table1: unknown region pair us-east1/us-central1")
-    (fun () -> Transport.send net ~src:0 ~dst:6 ignore)
+    (fun () -> Transport.send net ~src:0 ~dst:6 (fun _ () -> ()) ())
 
 let suite =
   [

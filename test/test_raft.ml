@@ -342,6 +342,52 @@ let prop_applied_prefix_consistent =
         (fun a -> List.for_all (fun b -> is_prefix a b || is_prefix b a) logs)
         logs)
 
+(* The commit rule as a loop over every candidate index, checking for each
+   a quorum of match indices and the leader's own term: the oracle for
+   [Raft.commit_target]. *)
+let commit_by_loop ~commit ~last ~term ~terms matched =
+  let quorum = (Array.length matched / 2) + 1 in
+  let n = ref commit in
+  for candidate = commit + 1 to last do
+    let count =
+      Array.fold_left (fun c m -> if m >= candidate then c + 1 else c) 0 matched
+    in
+    if count >= quorum && terms.(candidate) = term then n := candidate
+  done;
+  !n
+
+let prop_commit_target =
+  let gen =
+    QCheck.Gen.(
+      let* last = int_range 1 30 in
+      let* steps = list_repeat last (frequencyl [ (4, 0); (1, 1); (1, 2) ]) in
+      let* bump = int_range 0 1 in
+      let* commit = int_range 0 last in
+      let* voters = int_range 1 7 in
+      let* matched = array_repeat voters (int_range 0 (last + 3)) in
+      return (last, steps, bump, commit, matched))
+  in
+  let print (last, steps, bump, commit, matched) =
+    Printf.sprintf "last %d, term steps [%s], bump %d, commit %d, matched [%s]" last
+      (String.concat ";" (List.map string_of_int steps))
+      bump commit
+      (String.concat ";" (Array.to_list (Array.map string_of_int matched)))
+  in
+  QCheck.Test.make ~name:"commit rule matches the per-index loop" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (last, steps, bump, commit, matched) ->
+      (* Monotone log terms at indices 1..last; the leader's term is the
+         last entry's or one above (no entry of its own yet). *)
+      let terms = Array.make (last + 1) 1 in
+      List.iteri (fun i s -> terms.(i + 1) <- terms.(i) + s) steps;
+      let term = terms.(last) + bump in
+      let term_start =
+        let rec first i = if i > last || terms.(i) = term then i else first (i + 1) in
+        first 1
+      in
+      Raft.commit_target ~commit ~last ~term_start matched
+      = commit_by_loop ~commit ~last ~term ~terms matched)
+
 let suite =
   [
     Alcotest.test_case "initial election" `Quick test_initial_election;
@@ -358,4 +404,5 @@ let suite =
     Alcotest.test_case "snapshot boundary excludes uncommitted tail" `Quick
       test_snapshot_boundary_excludes_uncommitted_tail;
     qcheck prop_applied_prefix_consistent;
+    qcheck prop_commit_target;
   ]

@@ -69,6 +69,42 @@ let test_cancel_noop () =
   check Alcotest.int "cancelled timer never fired" 1 !fired;
   check Alcotest.int "drained" 0 (Sim.pending sim)
 
+(* A handle whose event fired or was cancelled stays stale after a later
+   event reuses the freed id: neither [cancel] nor [rearm] reaches the new
+   event. *)
+let test_stale_handle_after_id_reuse () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let note tag () = fired := (tag, Sim.now sim) :: !fired in
+  let a = Sim.timer sim ~after:10 (note "a") in
+  Sim.run sim;
+  (* [a]'s id is the only free one, so [b] takes it. *)
+  let b = Sim.timer sim ~after:10 (note "b") in
+  Sim.cancel a;
+  Sim.rearm a ~after:100;
+  check Alcotest.bool "fired handle is stale" false (Sim.timer_pending a);
+  check Alcotest.bool "new event untouched" true (Sim.timer_pending b);
+  Sim.run sim;
+  let c = Sim.timer sim ~after:10 (note "c") in
+  Sim.cancel c;
+  let d = Sim.timer sim ~after:5 (note "d") in
+  Sim.rearm c ~after:50;
+  Sim.cancel c;
+  check Alcotest.bool "cancelled handle is stale" false (Sim.timer_pending c);
+  check Alcotest.bool "new event still queued" true (Sim.timer_pending d);
+  Sim.run sim;
+  check
+    Alcotest.(list (pair string int))
+    "only live events fire, at their own times"
+    [ ("a", 10); ("b", 20); ("d", 25) ]
+    (List.rev !fired);
+  (* A re-armed timer keeps its handle and callback. *)
+  let e = Sim.timer sim ~after:10 (note "e") in
+  Sim.rearm e ~after:3;
+  check Alcotest.bool "re-armed timer pending" true (Sim.timer_pending e);
+  Sim.run sim;
+  check Alcotest.(pair string int) "fires at the new time" ("e", 28) (List.hd !fired)
+
 (* Events fire in [(time, seq)] order: by time, ties in scheduling order. *)
 let prop_drain_order =
   QCheck.Test.make ~name:"events fire in (time, seq) order" ~count:200
@@ -86,10 +122,12 @@ let prop_drain_order =
       List.rev !fired = expected)
 
 (* A sorted-list reference for the queue: random interleavings of
-   [schedule], [timer], [cancel] (of any timer, so also from the middle of
-   the heap) and [step] fire the same events in the same order, with the
-   same clock and the same [pending] count after every operation. *)
-type op = Schedule of int | Timer of int | Cancel of int | Step
+   [schedule], [timer], [cancel] and [rearm] (of any timer, so also from the
+   middle of the heap, and of fired or cancelled ones) and [step] fire the
+   same events in the same order, with the same clock and the same
+   [pending] count after every operation. The model re-arms a pending
+   timer as a cancel followed by a new timer. *)
+type op = Schedule of int | Timer of int | Cancel of int | Rearm of int * int | Step
 
 let op_gen =
   QCheck.Gen.(
@@ -98,6 +136,7 @@ let op_gen =
         (3, map (fun d -> Schedule d) (int_bound 40));
         (3, map (fun d -> Timer d) (int_bound 40));
         (2, map (fun k -> Cancel k) nat);
+        (2, map2 (fun k d -> Rearm (k, d)) nat (int_bound 40));
         (2, return Step);
       ])
 
@@ -105,6 +144,7 @@ let show_op = function
   | Schedule d -> Printf.sprintf "schedule %d" d
   | Timer d -> Printf.sprintf "timer %d" d
   | Cancel k -> Printf.sprintf "cancel %d" k
+  | Rearm (k, d) -> Printf.sprintf "rearm %d %d" k d
   | Step -> "step"
 
 let prop_queue_model =
@@ -126,6 +166,9 @@ let prop_queue_model =
         key
       in
       let fire key () = fired := key :: !fired in
+      (* A timer's key moves when it is re-armed; its callback fires the
+         current one. *)
+      let fire_timer cur () = fired := !cur :: !fired in
       let model_step () =
         match !model with
         | [] -> ()
@@ -140,16 +183,27 @@ let prop_queue_model =
           (match op with
           | Schedule d -> Sim.schedule sim ~after:d (fire (add d))
           | Timer d ->
-              let key = add d in
-              let tm = Sim.timer sim ~after:d (fire key) in
-              timers := Array.append !timers [| (key, tm) |]
+              let cur = ref (add d) in
+              let tm = Sim.timer sim ~after:d (fire_timer cur) in
+              timers := Array.append !timers [| (cur, tm) |]
           | Cancel k ->
               let n = Array.length !timers in
               if n > 0 then begin
-                let key, tm = !timers.(k mod n) in
-                if Sim.timer_pending tm <> List.mem key !model then ok := false;
+                let cur, tm = !timers.(k mod n) in
+                if Sim.timer_pending tm <> List.mem !cur !model then ok := false;
                 Sim.cancel tm;
-                model := List.filter (( <> ) key) !model
+                model := List.filter (( <> ) !cur) !model
+              end
+          | Rearm (k, d) ->
+              let n = Array.length !timers in
+              if n > 0 then begin
+                let cur, tm = !timers.(k mod n) in
+                if Sim.timer_pending tm <> List.mem !cur !model then ok := false;
+                Sim.rearm tm ~after:d;
+                if List.mem !cur !model then begin
+                  model := List.filter (( <> ) !cur) !model;
+                  cur := add d
+                end
               end
           | Step ->
               ignore (Sim.step sim);
@@ -307,6 +361,8 @@ let suite =
     Alcotest.test_case "cancel drops pending" `Quick test_cancel_drops_pending;
     Alcotest.test_case "cancel fired or cancelled is a no-op" `Quick
       test_cancel_noop;
+    Alcotest.test_case "stale handle after id reuse" `Quick
+      test_stale_handle_after_id_reuse;
     QCheck_alcotest.to_alcotest prop_drain_order;
     QCheck_alcotest.to_alcotest prop_queue_model;
     Alcotest.test_case "nested schedule" `Quick test_nested_schedule;

@@ -53,6 +53,36 @@ let prop_string_key_no_separator =
     (fun s ->
       not (String.contains (Value.encode_key_part (Value.V_string s)) '/'))
 
+(* Row keys are built without [Printf]: the same bytes as the [sprintf]
+   encoding they replaced, regions holding '/' and integer key parts
+   included. *)
+let prop_row_key_bytes =
+  let region =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'z'; '-'; '/'; '_'; '1' ]) (int_bound 12))
+  in
+  QCheck.Test.make ~name:"row keys match the sprintf encoding" ~count:300
+    QCheck.(
+      quad (int_range (-20) 100_000) (int_range (-5) 2_000)
+        (option (make ~print:Fun.id region))
+        (list value_arb))
+    (fun (table_id, index_no, partition, values) ->
+      let escape r =
+        String.concat ""
+          (List.map
+             (fun c -> match c with '/' -> "_" | c -> String.make 1 c)
+             (List.init (String.length r) (String.get r)))
+      in
+      let prefix =
+        Printf.sprintf "/t%04d/i%03d/p%s" table_id index_no
+          (match partition with None -> "_" | Some r -> escape r)
+      in
+      let part = function
+        | Value.V_int i -> Printf.sprintf "i%019d" (i + 1_000_000_000_000_000_000)
+        | v -> Value.encode_key_part v
+      in
+      let old = List.fold_left (fun acc v -> acc ^ "/" ^ part v) prefix values in
+      Crdb_sql.Keycodec.row_key ~table_id ~index_no ~partition values = old)
+
 (* ------------------------------------------------------------------ *)
 (* Schema fixtures                                                     *)
 
@@ -710,6 +740,7 @@ let suite =
     qcheck prop_row_roundtrip;
     qcheck prop_int_key_order;
     qcheck prop_string_key_no_separator;
+    qcheck prop_row_key_bytes;
     Alcotest.test_case "create database layout" `Quick test_create_database_layout;
     Alcotest.test_case "global table layout" `Quick test_global_table_layout;
     Alcotest.test_case "regional by table in region" `Quick
