@@ -175,6 +175,18 @@ for run in "31 7" "32 7" "57 7" "80 7" "83 7" "59 3"; do
     --checker serializability --autopilot
 done
 
+# Transaction-record seeds: all nine fault kinds under the autopilot. Both
+# runs once lost an update: a follower that applied a record's registering
+# write late stamped it with its own apply time, so the abandonment that
+# aborted the record on the leaseholder was a no-op there, and the follower
+# later took the lease. Every run must check out clean.
+echo "== record divergence seeds (174 --global, 322 zone survival on 5 regions)"
+all_faults=kill-node,kill-zone,kill-region,partition,clock-jump,lease-transfer,split-range,merge-range,rebalance
+dune exec bin/crdb_sim.exe -- chaos --seed 174 --faults "$all_faults" \
+  --checker serializability --autopilot --global
+dune exec bin/crdb_sim.exe -- chaos --seed 322 --faults "$all_faults" \
+  --checker serializability --autopilot --survival zone --regions 5
+
 # Off-vs-on convergence evidence (p99 + ranges / hottest-range share over
 # time) lands in BENCH_results.json; the bench exits nonzero on any error.
 echo "== bench autopilot (off vs on)"

@@ -50,57 +50,14 @@ let publish_interval = 100_000
 
 type range_id = int
 
-type op =
-  | Op_put of {
-      txn : int;
-      ts : Ts.t;
-      key : string;
-      value : string option;
-      pri : Ts.t;
-          (* the writer's wound-wait priority, stamped onto the intent *)
-      anchor : string;
-          (* the writer's anchor key; when [key = anchor] the apply also
-             registers the transaction record — registration piggybacks on
-             the first write instead of costing its own consensus round *)
-    }
-  | Op_resolve of { txn : int; keys : string list; commit : Ts.t option }
-  | Op_txn of { txn : int; tkey : string; upd : Txnrec.update }
-      (* one transaction-record transition, anchored at [tkey] *)
-  | Op_prevent of { txn : int; key : string; ts : Ts.t }
-      (* QueryIntent-with-prevention (parallel-commit recovery): totally
-         ordered against the Op_put it races by going through the same log *)
-  | Op_split of { right : range_id; at : string }
-      (* split trigger: each replica forks [at, end) into range [right] *)
-
-type write_ack = [ `Applied | `Prevented | `Dropped ]
-
-type cmd = {
-  closed : Ts.t;
-  proposer : int;
-  op : op;
-  done_ : unit Ivar.t;
-  mutable fate : write_ack;
-      (* outcome observed at apply (or discard) time, read by the proposer
-         once [done_] fills; [`Applied] unless prevention or a log discard
-         intervened *)
-}
-
-type snap = { snap_store : Mvcc.t; snap_closed : Ts.t; snap_txns : Txnrec.t }
+type write_ack = Replica_state.write_ack
 
 type replica = {
   r_node : int;
   r_range : range;
-  r_store : Mvcc.t;
-  r_raft : (cmd, snap) Raft.t;
-  mutable r_applied_closed : Ts.t;
-  mutable r_side_closed : Ts.t;
-  mutable r_pending_side : (int * Ts.t) list;
-  r_lt : Lock_table.t;
-  r_txns : Txnrec.t;
-      (* this range's transaction records — replicated state, mutated only
-         by [Op_txn]/[Op_put] applies, snapshotted and split/merged with
-         the store *)
-  mutable r_latch : (string * unit Ivar.t) option;
+  r_raft : (Replica_state.cmd, Replica_state.snap) Raft.t;
+  r_sm : Replica_state.t;
+  mutable r_latch : (string * write_ack Ivar.t) option;
       (* the last split trigger proposed here: until it applies here or is
          discarded, proposals touching keys at or above its key are refused *)
 }
@@ -329,16 +286,6 @@ let next_closed_target t rg node =
   rg.rg_closed_target <- Ts.max rg.rg_closed_target target;
   rg.rg_closed_target
 
-let replica_closed r = Ts.max r.r_applied_closed r.r_side_closed
-
-let promote_side r =
-  let applied = Raft.applied_index r.r_raft in
-  let ready, pending =
-    List.partition (fun (lai, _) -> lai <= applied) r.r_pending_side
-  in
-  List.iter (fun (_, ts) -> r.r_side_closed <- Ts.max r.r_side_closed ts) ready;
-  r.r_pending_side <- pending
-
 (* ------------------------------------------------------------------ *)
 (* Conflict resolution: lock table waits plus the push/wound protocol  *)
 
@@ -354,52 +301,6 @@ let in_span rg key =
 type fate = [ `Live | `Wounded of string | `Aborted ]
 
 let live_fate : unit -> fate = fun () -> `Live
-
-(* ------------------------------------------------------------------ *)
-(* Command application (the replicated state machine)                  *)
-
-(* Apply one committed entry to [r] alone: each replica's state is a function
-   of its own log, since the split latch keeps a trigger's right-hand keys
-   out of the entries after it. *)
-let apply_cmd t r cmd =
-  r.r_applied_closed <- Ts.max r.r_applied_closed cmd.closed;
-  (match cmd.op with
-  | Op_put { txn; ts; key; value; pri; anchor } -> (
-      (* The transaction record rides the first (anchor) write: every
-         replica of the anchor range learns of the transaction when the
-         write applies, with no extra consensus round. *)
-      if String.equal key anchor then
-        Txnrec.apply r.r_txns ~txn ~key
-          (Txnrec.U_register { pri; hb = Sim.now t.sim });
-      match
-        Mvcc.put_intent r.r_store ~pri ~anchor ~key ~txn_id:txn ~ts ~value ()
-      with
-      | Mvcc.Written -> ()
-      | Mvcc.Write_prevented ->
-          (* Commit-status recovery barred this write while it was in the
-             log; the ack must tell the gateway its commit lost. *)
-          cmd.fate <- `Prevented
-      | Mvcc.Write_blocked i ->
-          (* A serving leaseholder's lock table serializes writers over
-             every earlier entry: a foreign intent means divergence. *)
-          invalid_arg
-            (Printf.sprintf
-               "Cluster.apply: r%d on n%d: txn %d's write to %S blocked by \
-                txn %d's intent"
-               r.r_range.rg_id r.r_node txn key i.Mvcc.txn_id))
-  | Op_resolve { txn; keys; commit } ->
-      List.iter
-        (fun key ->
-          Mvcc.resolve_intent r.r_store ~key ~txn_id:txn ~commit;
-          Lock_table.release r.r_lt ~key ~txn)
-        keys
-  | Op_txn { txn; tkey; upd } -> Txnrec.apply r.r_txns ~txn ~key:tkey upd
-  | Op_prevent { txn; key; ts } ->
-      ignore
-        (Mvcc.prevent r.r_store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ])
-  | Op_split _ -> () (* forked by [apply_split] *));
-  promote_side r;
-  if cmd.proposer = r.r_node then ignore (Ivar.try_fill cmd.done_ ())
 
 (* ------------------------------------------------------------------ *)
 (* Replica construction and Raft wiring                                *)
@@ -468,22 +369,18 @@ let drop_replica t rg node =
 (* Create [node]'s replica of [rg], a member of its own Raft group over
    [peers]. The group draws its RNG stream from the cluster's, so callers
    must construct replicas in a fixed order. *)
-let rec make_replica ?(store = Mvcc.create ()) t rg node ~peers ?boundary () =
+let rec make_replica ?(sm = Replica_state.create ()) t rg node ~peers ?boundary
+    () =
   let rec r =
     lazy
       {
         r_node = node;
         r_range = rg;
-        r_store = store;
         r_raft =
           Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:node ~peers
-            ~callbacks:(raft_callbacks t rg node r) ~obs:t.obs ~range:rg.rg_id
-            ?boundary ();
-        r_applied_closed = Ts.zero;
-        r_side_closed = Ts.zero;
-        r_pending_side = [];
-        r_lt = Lock_table.create ();
-        r_txns = Txnrec.create ();
+            ~callbacks:(raft_callbacks t rg node sm r) ~obs:t.obs
+            ~range:rg.rg_id ?boundary ();
+        r_sm = sm;
         r_latch = None;
       }
   in
@@ -493,9 +390,9 @@ let rec make_replica ?(store = Mvcc.create ()) t rg node ~peers ?boundary () =
   t.load.(node) <- t.load.(node) + 1;
   r
 
-(* [r] is the replica under construction; [Raft.create] calls no callback,
-   so each forces it only once it exists. *)
-and raft_callbacks t rg node r =
+(* [r] is the replica under construction, over state [sm]; [Raft.create]
+   calls no callback, so each forces it only once it exists. *)
+and raft_callbacks t rg node sm r =
   {
     Raft.send =
       (let deliver dst msg =
@@ -506,7 +403,6 @@ and raft_callbacks t rg node r =
        fun dst msg -> Transport.send t.net ~src:node ~dst deliver msg);
     on_apply =
       (fun ~index cmd ->
-        let r = Lazy.force r in
         (* HLC receive rule: a replica observes every replicated write
            timestamp, so no future leaseholder's clock is ever behind an
            applied write — the observed-timestamp uncertainty clamp in
@@ -514,30 +410,22 @@ and raft_callbacks t rg node r =
            (Lead) writes are synthetic timestamps and must not drag clocks
            forward (CRDB's synthetic-timestamp rule); the read clamp
            exempts Lead ranges for the same reason. *)
-        (match rg.rg_policy with
-        | Lag -> (
-            match cmd.op with
-            | Op_put { ts; _ } -> Clock.update t.clocks.(r.r_node) ts
-            | Op_resolve { commit = Some c; _ } ->
-                Clock.update t.clocks.(r.r_node) c
-            | Op_txn { upd = Txnrec.U_commit { ts } | Txnrec.U_stage { ts; _ }; _ }
-              ->
-                Clock.update t.clocks.(r.r_node) ts
-            | Op_resolve { commit = None; _ } | Op_txn _ | Op_prevent _
-            | Op_split _ ->
-                ())
-        | Lead -> ());
-        apply_cmd t r cmd;
+        (match (rg.rg_policy, Replica_state.write_ts cmd.op) with
+        | Lag, Some ts -> Clock.update t.clocks.(node) ts
+        | (Lag | Lead), _ -> ());
+        let ack = Replica_state.apply sm ~applied:index cmd in
+        if cmd.proposer = node then
+          ignore (Ivar.try_fill cmd.done_ (ack :> write_ack) : bool);
         match cmd.op with
-        | Op_split { right; at } -> apply_split t r ~index ~right ~at cmd
+        | Op_split { right; at } ->
+            apply_split t (Lazy.force r) ~index ~right ~at cmd
         | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ -> ());
     on_role =
       (fun role ->
-        let r = Lazy.force r in
         match role with
         | Raft.Leader ->
-            Events.log (Obs.events t.obs) ~node:r.r_node ~range:rg.rg_id
-              ~attrs:[ ("region", Topology.region_of t.topo r.r_node) ]
+            Events.log (Obs.events t.obs) ~node ~range:rg.rg_id
+              ~attrs:[ ("region", Topology.region_of t.topo node) ]
               Events.Lease_acquired;
             (* New leaseholder: no write may land below the lease start.
                The hybrid clock reading is ahead of every applied write
@@ -546,24 +434,16 @@ and raft_callbacks t rg node r =
                the lease-start lower bound CRDB uses — not physical time
                plus max_offset, which would mint a timestamp above every
                clock in the cluster and defeat hybrid-clock commit-wait. *)
-            Tscache.bump_low_water rg.rg_tscache
-              (Clock.now t.clocks.(r.r_node));
+            Tscache.bump_low_water rg.rg_tscache (Clock.now t.clocks.(node));
             (* Honor lease preferences. *)
-            let home_ok =
-              match rg.rg_zone.Zoneconfig.lease_preferences with
-              | [] -> true
-              | prefs -> List.mem (Topology.region_of t.topo r.r_node) prefs
-            in
-            let target_in_prefs target =
-              List.mem
-                (Topology.region_of t.topo target)
-                rg.rg_zone.Zoneconfig.lease_preferences
-            in
-            if not home_ok then begin
+            let prefs = rg.rg_zone.Zoneconfig.lease_preferences in
+            let preferred n = List.mem (Topology.region_of t.topo n) prefs in
+            if prefs <> [] && not (preferred node) then begin
               match preferred_leaseholder_node t rg with
-              | Some target when target <> r.r_node && target_in_prefs target ->
+              | Some target when target <> node && preferred target ->
                   (* Defer: transferring synchronously inside the role
                      callback would re-enter Raft. *)
+                  let r = Lazy.force r in
                   Sim.schedule t.sim ~after:1_000 (fun () ->
                       if Raft.is_leader r.r_raft then
                         hand_off_lease t r ~target)
@@ -572,34 +452,20 @@ and raft_callbacks t rg node r =
         | Raft.Follower | Raft.Candidate -> ());
     on_config =
       (fun change ->
-        let r = Lazy.force r in
-        if not (List.mem_assoc r.r_node change) then begin
+        if not (List.mem_assoc node change) then begin
           (* May already have been reaped by [rebalance_step] (a dead
              victim never applies its own removal); only account once. *)
-          if replica_at rg r.r_node <> None then drop_replica t rg r.r_node
+          if replica_at rg node <> None then drop_replica t rg node
         end
-        else if Raft.is_leader r.r_raft then
+        else if Raft.is_leader (Lazy.force r).r_raft then
           (* Materialize replicas for newly added peers. *)
           List.iter
-            (fun (node, _) ->
-              if replica_at rg node = None then
-                add_replica t rg node ~preferred:(Some r.r_node))
+            (fun (peer, _) ->
+              if replica_at rg peer = None then
+                add_replica t rg peer ~preferred:(Some node))
             change);
-    take_snapshot =
-      (fun () ->
-        let r = Lazy.force r in
-        {
-          snap_store = Mvcc.copy r.r_store;
-          snap_closed = r.r_applied_closed;
-          snap_txns = Txnrec.copy r.r_txns;
-        });
-    install_snapshot =
-      (fun s ->
-        let r = Lazy.force r in
-        Lock_table.clear_locks r.r_lt;
-        r.r_applied_closed <- Ts.max r.r_applied_closed s.snap_closed;
-        Mvcc.replace_with r.r_store s.snap_store;
-        Txnrec.replace_with r.r_txns s.snap_txns);
+    take_snapshot = (fun () -> Replica_state.take_snapshot sm);
+    install_snapshot = Replica_state.install_snapshot sm;
     is_node_live = (fun node -> Liveness.believed_live t.live node);
     node_epoch = (fun node -> Liveness.epoch t.live node);
     on_discard =
@@ -608,10 +474,8 @@ and raft_callbacks t rg node r =
            truncation by a new leader, or a snapshot covering the tail).
            Fail the pipelined waiter fast — as indeterminate, since in rare
            interleavings another surviving copy can still commit. *)
-        if cmd.proposer = node && not (Ivar.is_full cmd.done_) then begin
-          cmd.fate <- `Dropped;
-          ignore (Ivar.try_fill cmd.done_ () : bool)
-        end);
+        if cmd.proposer = node then
+          ignore (Ivar.try_fill cmd.done_ `Dropped : bool));
   }
 
 and add_replica t rg node ~preferred =
@@ -660,17 +524,14 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
       Events.Split;
     note_range_count t
   end;
-  let store = Mvcc.split_off r.r_store ~key:at in
+  let sm = Replica_state.split_off r.r_sm ~at in
   match range_opt t right with
   | Some rrg
     when replica_at rrg r.r_node = None
          && every_raft rrg (fun p -> List.mem_assoc r.r_node (Raft.peers p))
     ->
       let peers = Raft.peers r.r_raft in
-      let rr = make_replica t rrg r.r_node ~store ~peers ~boundary:(1, 0) () in
-      rr.r_applied_closed <- r.r_applied_closed;
-      Lock_table.split_move r.r_lt ~into:rr.r_lt ~at;
-      Txnrec.split_move r.r_txns ~into:rr.r_txns ~at;
+      let rr = make_replica t rrg r.r_node ~sm ~peers ~boundary:(1, 0) () in
       (* Only nodes that applied the trigger can vote: the proposer's replica
          campaigns once a quorum of voters hold one; the others wait. *)
       let voters = List.filter (fun (_, k) -> k = Raft.Voter) peers in
@@ -686,9 +547,7 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
         Option.iter
           (fun p -> Raft.start ~preferred:proposer p.r_raft)
           (replica_at rrg proposer)
-  | Some _ | None ->
-      Lock_table.split_move r.r_lt ~into:(Lock_table.create ()) ~at;
-      Txnrec.split_move r.r_txns ~into:(Txnrec.create ()) ~at
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Range administration                                                *)
@@ -845,7 +704,7 @@ let latch r =
 
 (* Whether [r] may log [op]: every key it touches must lie in [r]'s span and
    below its split latch. *)
-let admits r op =
+let admits r (op : Replica_state.op) =
   let ok key =
     in_span r.r_range key
     && match latch r with Some at -> String.compare key at < 0 | None -> true
@@ -867,14 +726,10 @@ let admits r op =
 let propose t r ?span ?(phases = Phase.nil) ~closed op =
   if not (is_leader_now r && admits r op) then None
   else
+    let proposed_at = Sim.now t.sim in
     let cmd =
-      {
-        closed;
-        proposer = r.r_node;
-        op;
-        done_ = Ivar.create ();
-        fate = `Applied;
-      }
+      { Replica_state.closed; proposer = r.r_node; proposed_at; op;
+        done_ = Ivar.create () }
     in
     (match span with
     | None -> ignore (Raft.propose r.r_raft cmd : int option)
@@ -884,16 +739,15 @@ let propose t r ?span ?(phases = Phase.nil) ~closed op =
           Trace.span tr ~parent:span ~node:r.r_node ~range:r.r_range.rg_id
             "raft.replicate"
         in
-        let propose_at = Sim.now t.sim in
         ignore (Raft.propose r.r_raft cmd : int option);
-        Ivar.on_fill cmd.done_ (fun () -> Trace.finish tr rsp);
         if replication_needs_wan t r then Phase.add_wan phases;
-        Ivar.on_fill cmd.done_ (fun () ->
-            Phase.add phases Phase.Replication (Sim.now t.sim - propose_at)));
+        Ivar.on_fill cmd.done_ (fun _ ->
+            Trace.finish tr rsp;
+            Phase.add phases Phase.Replication (Sim.now t.sim - proposed_at)));
     Some cmd
 
 (* Await [cmd]'s local apply; [None] when the proposal was lost. *)
-let await_applied t cmd =
+let await_applied t (cmd : Replica_state.cmd) =
   Proc.await_timeout t.sim cmd.done_ ~timeout:propose_timeout
 
 (* ------------------------------------------------------------------ *)
@@ -965,12 +819,12 @@ let merge_range t rid =
               let _, re = right.rg_span in
               Hashtbl.iter
                 (fun _ lrep ->
-                  Mvcc.absorb lrep.r_store rl.r_store;
-                  Txnrec.absorb lrep.r_txns ~from:rl.r_txns)
+                  Mvcc.absorb lrep.r_sm.store rl.r_sm.store;
+                  Txnrec.absorb lrep.r_sm.txns ~from:rl.r_sm.txns)
                 rg.rg_replicas;
-              Lock_table.absorb ll.r_lt ~from:rl.r_lt;
+              Lock_table.absorb ll.r_sm.locks ~from:rl.r_sm.locks;
               Hashtbl.iter
-                (fun _ rrep -> Lock_table.wake_all rrep.r_lt)
+                (fun _ rrep -> Lock_table.wake_all rrep.r_sm.locks)
                 right.rg_replicas;
               Tscache.bump_low_water rg.rg_tscache
                 (Tscache.max_read_span right.rg_tscache ~for_txn:None
@@ -1004,7 +858,7 @@ let split_point t rid =
       | None -> None
       | Some lr ->
           let keys =
-            Mvcc.fold_latest lr.r_store ~init:[] ~f:(fun acc k _ -> k :: acc)
+            Mvcc.fold_latest lr.r_sm.store ~init:[] ~f:(fun acc k _ -> k :: acc)
           in
           let keys = List.rev keys in
           let n = List.length keys in
@@ -1019,7 +873,7 @@ let split_point t rid =
 let live_bytes t rid =
   match leader_replica t rid with
   | None -> None
-  | Some lr -> Some (Mvcc.live_bytes lr.r_store)
+  | Some lr -> Some (Mvcc.live_bytes lr.r_sm.store)
 
 (* Load-based split point: the weighted median of the recently sampled
    request keys (duplicates retained, so the median is the key that splits
@@ -1174,9 +1028,7 @@ let restart_node t node =
              side-channel closed-timestamp state, which is re-learned from
              the next publications. Applied MVCC data and the Raft log are
              disk-backed and survive. *)
-          Lock_table.reset r.r_lt;
-          r.r_side_closed <- Ts.zero;
-          r.r_pending_side <- [];
+          Replica_state.restart r.r_sm;
           Raft.restart r.r_raft
       | None -> ())
     t.ranges_tbl
@@ -1234,7 +1086,7 @@ let bulk_load t ?ts kvs =
       | rid ->
           let rg = range t rid in
           Hashtbl.iter
-            (fun _ r -> Mvcc.put_version r.r_store ~key ~ts ~value:(Some value))
+            (fun _ r -> Mvcc.put_version r.r_sm.store ~key ~ts ~value:(Some value))
             rg.rg_replicas
       | exception Not_found ->
           invalid_arg (Printf.sprintf "Cluster.bulk_load: no range for %s" key))
@@ -1248,8 +1100,8 @@ let deliver_side dst items =
     (fun (rg, lai, ts) ->
       match replica_at rg dst with
       | Some r ->
-          r.r_pending_side <- (lai, ts) :: r.r_pending_side;
-          promote_side r
+          Replica_state.add_side r.r_sm ~applied:(Raft.applied_index r.r_raft)
+            ~lai ts
       | None -> ())
     items
 
@@ -1414,12 +1266,12 @@ let propose_txn_update t r ~txn ~key upd =
   with
   | None -> `Not_leader
   | Some cmd -> (
-      match await_applied t cmd with Some () -> `Applied | None -> `Lost)
+      match await_applied t cmd with Some _ -> `Applied | None -> `Lost)
 
 let eval_txn_update t r ~txn ~key upd =
   guard r ~key @@ fun () ->
   match propose_txn_update t r ~txn ~key upd with
-  | `Applied -> `Done (Txnrec.status r.r_txns ~txn)
+  | `Applied -> `Done (Txnrec.status r.r_sm.txns ~txn)
   | `Lost -> `Done None
   | `Not_leader -> `Not_leader
 
@@ -1441,8 +1293,8 @@ let eval_query_intent t r ~txn ~key ~ts =
   | Some cmd -> (
       match await_applied t cmd with
       | None -> `Done `Unknown
-      | Some () ->
-          if Mvcc.is_prevented r.r_store ~key ~txn_id:txn then `Done `Missing
+      | Some _ ->
+          if Mvcc.is_prevented r.r_sm.store ~key ~txn_id:txn then `Done `Missing
           else `Done `Found)
 
 (* QueryIntent with prevention (parallel-commit recovery, CRDB §3): did the
@@ -1522,13 +1374,13 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
   let now = Sim.now t.sim in
   let liveness = 3 * txn_heartbeat_interval in
   let reread () =
-    match Txnrec.status r.r_txns ~txn:blocker with
+    match Txnrec.status r.r_sm.txns ~txn:blocker with
     | Some (Txnrec.Committed ts) -> Push_cleanup (Some ts)
     | Some (Txnrec.Aborted { reason; wound = true }) -> Push_wound reason
     | Some (Txnrec.Aborted _) -> Push_cleanup None
     | Some (Txnrec.Pending | Txnrec.Staging _) | None -> Push_wait
   in
-  match Txnrec.find r.r_txns ~txn:blocker with
+  match Txnrec.find r.r_sm.txns ~txn:blocker with
   | None ->
       (* No record yet: the blocker left an intent (or lock) but its
          registering write hasn't applied here, or it never registers
@@ -1616,7 +1468,7 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
         (Lock_table.holder l, Lock_table.lock_pri l, Lock_table.lock_anchor l)
     | `Intent i -> (i.Mvcc.txn_id, i.Mvcc.pri, i.Mvcc.anchor)
   in
-  let iv = Lock_table.park r.r_lt ~key in
+  let iv = Lock_table.park r.r_sm.locks ~key in
   t.waiting <- t.waiting + 1;
   Metrics.set t.g_waiters t.waiting;
   (* A raw (transaction-less) writer leaves no anchor; its record — if a
@@ -1632,7 +1484,7 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
     deadline := Sim.now t.sim + conflict_wait_timeout
   in
   let finish outcome =
-    Lock_table.unpark r.r_lt ~key iv;
+    Lock_table.unpark r.r_sm.locks ~key iv;
     t.waiting <- t.waiting - 1;
     Metrics.set t.g_waiters t.waiting;
     (match outcome with
@@ -1654,7 +1506,7 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
         (propose t r
            ~closed:(next_closed_target t r.r_range r.r_node)
            (Op_resolve { txn = blocker; keys = [ key ]; commit })
-          : cmd option)
+          : Replica_state.cmd option)
   in
   let rec loop () =
     let now = Sim.now t.sim in
@@ -1749,10 +1601,10 @@ let conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry blocker =
 
 (* The lock or foreign intent a writer (or locker) of [key] must wait on. *)
 let write_blocker r ~key ~txn ~strength =
-  match Lock_table.foreign_for r.r_lt ~key ~txn ~strength with
+  match Lock_table.foreign_for r.r_sm.locks ~key ~txn ~strength with
   | Some l -> Some (`Lock l)
   | None -> (
-      match Mvcc.intent_on r.r_store ~key with
+      match Mvcc.intent_on r.r_sm.store ~key with
       | Some i when i.Mvcc.txn_id <> txn -> Some (`Intent i)
       | Some _ | None -> None)
 
@@ -1778,10 +1630,10 @@ let rec eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts =
     conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry:(fun () ->
         eval_read t r ~inline_bump ~phases ~txn ~pri ~fate ~key ~ts ~max_ts)
   in
-  match Lock_table.foreign r.r_lt ~key ~txn ~max_ts with
+  match Lock_table.foreign r.r_sm.locks ~key ~txn ~max_ts with
   | Some l -> wait (`Lock l)
   | None -> (
-      match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
+      match Mvcc.read r.r_sm.store ~key ~ts ~max_ts ~for_txn:txn with
       | Mvcc.Intent_blocked i -> wait (`Intent i)
       | Mvcc.Value { value; _ } ->
           Tscache.record_read r.r_range.rg_tscache ~txn ~key ~ts;
@@ -1852,7 +1704,7 @@ let follower_fragment t ~span ~phases ~at ~rid ~op ~timeout ~key ~max_ts
     if
       r.r_range.rg_dropped
       || (not (in_span r.r_range key))
-      || not Ts.(replica_closed r >= max_ts)
+      || not Ts.(Replica_state.closed r.r_sm >= max_ts)
     then `Redirect
     else serve r
   in
@@ -1882,7 +1734,7 @@ let read_follower t ?(span = Trace.nil) ?(phases = Phase.nil) ~at ~txn ~key
       let res =
         follower_fragment t ~span ~phases ~at ~rid ~op:"kv.follower_read"
           ~timeout:"follower read timeout" ~key ~max_ts (fun r ->
-            match Mvcc.read r.r_store ~key ~ts ~max_ts ~for_txn:txn with
+            match Mvcc.read r.r_sm.store ~key ~ts ~max_ts ~for_txn:txn with
             | Mvcc.Value { value; _ } -> `Ok value
             | Mvcc.Uncertain { value_ts } -> `Uncertain value_ts
             | Mvcc.Intent_blocked _ -> `Redirect)
@@ -1942,7 +1794,7 @@ let rec eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
   let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
   let max_ts = observed_max_ts t r ~ts ~max_ts in
   let rows =
-    Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn ~limit
+    Mvcc.scan r.r_sm.store ~start_key ~end_key ~ts ~max_ts ~for_txn:txn ~limit
   in
   let wait ~key =
     conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry:(fun () ->
@@ -1950,7 +1802,7 @@ let rec eval_scan t r ~phases ~txn ~pri ~fate ~start_key ~end_key ~ts ~max_ts
           ~limit)
   in
   (* A scan must also respect locks on keys it covers. *)
-  match Lock_table.foreign_in_span r.r_lt ~start_key ~end_key ~txn ~max_ts with
+  match Lock_table.foreign_in_span r.r_sm.locks ~start_key ~end_key ~txn ~max_ts with
   | Some (key, l) -> wait ~key (`Lock l)
   | None -> (
       match classify_rows rows with
@@ -2040,7 +1892,7 @@ let scan_follower t ?(span = Trace.nil) ?(phases = Phase.nil) ~at ~txn
           in
           match
             classify_rows
-              (Mvcc.scan r.r_store ~start_key ~end_key ~ts ~max_ts
+              (Mvcc.scan r.r_sm.store ~start_key ~end_key ~ts ~max_ts
                  ~for_txn:txn ~limit)
           with
           | `Blocked _ -> `Redirect
@@ -2069,7 +1921,7 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
           (Ts.next (Tscache.max_read rg.rg_tscache ~for_txn:(Some txn) ~key))
       in
       let ts =
-        let latest = Mvcc.latest_ts r.r_store ~key in
+        let latest = Mvcc.latest_ts r.r_sm.store ~key in
         if Ts.(latest >= ts) then Ts.next latest else ts
       in
       let ts = Ts.max ts (Ts.next target) in
@@ -2082,14 +1934,14 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
       | Lead -> ());
       let wpri = Option.value pri ~default:Ts.zero in
       let created =
-        Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~key ~txn ~ts ()
+        Lock_table.acquire r.r_sm.locks ~pri:wpri ~anchor ~key ~txn ~ts ()
       in
       match
         propose t r ~span ~phases ~closed:target
           (Op_put { txn; ts; key; value; pri = wpri; anchor })
       with
       | None ->
-          if created then Lock_table.release r.r_lt ~key ~txn;
+          if created then Lock_table.release r.r_sm.locks ~key ~txn;
           `Not_leader
       | Some cmd -> (
           Timeseries.observe (Obs.timeseries t.obs) ~range:rg.rg_id
@@ -2102,20 +1954,17 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
                  the intent is in the log; confirm its application — and its
                  fate — to the gateway asynchronously. The transaction
                  awaits all confirmations at commit. *)
-              Ivar.on_fill cmd.done_ (fun () ->
+              Ivar.on_fill cmd.done_ (fun result ->
                   Transport.send t.net ~src:r.r_node ~dst:gateway
-                    (fun _ cmd -> ignore (Ivar.try_fill ack cmd.fate : bool))
-                    cmd);
+                    (fun _ result -> ignore (Ivar.try_fill ack result : bool))
+                    result);
               `Done (`Ok ts)
           | None -> (
               match await_applied t cmd with
-              | Some () -> (
-                  match cmd.fate with
-                  | `Applied -> `Done (`Ok ts)
-                  | `Prevented ->
-                      `Done (`Err "write prevented by recovery")
-                  | `Dropped -> `Done (`Err "proposal lost (leader gone)"))
-              | None -> `Done (`Err "proposal lost (leader gone)"))))
+              | Some `Applied -> `Done (`Ok ts)
+              | Some `Prevented -> `Done (`Err "write prevented by recovery")
+              | Some `Dropped | None ->
+                  `Done (`Err "proposal lost (leader gone)"))))
 
 (* One-phase commit: evaluate, then propose the intent and its commit
    resolution back to back in the same Raft log. The lock exists only
@@ -2138,11 +1987,11 @@ let eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value ~ts
           (Op_resolve { txn; keys = [ key ]; commit = Some final_ts })
       with
       | None ->
-          Lock_table.release r.r_lt ~key ~txn;
+          Lock_table.release r.r_sm.locks ~key ~txn;
           `Not_leader
       | Some cmd -> (
           match await_applied t cmd with
-          | Some () -> `Done (Ok final_ts)
+          | Some _ -> `Done (Ok final_ts)
           | None -> `Done (Error "proposal lost (leader gone)")))
 
 let write_and_commit t ?span ?(phases = Phase.nil) ?pri ?(fate = live_fate)
@@ -2181,7 +2030,7 @@ let rec eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts =
   | None ->
       let wpri = Option.value pri ~default:Ts.zero in
       ignore
-        (Lock_table.acquire r.r_lt ~pri:wpri ~anchor ~strength ~key ~txn ~ts ()
+        (Lock_table.acquire r.r_sm.locks ~pri:wpri ~anchor ~strength ~key ~txn ~ts ()
           : bool);
       `Done (`Ok ts)
 
@@ -2231,7 +2080,7 @@ let eval_resolve t r ~phases ~txn ~keys ~commit ~span =
       | Some cmd ->
           (* Resolution has no error channel: on a lost proposal, give up
              and let readers clean up the orphaned intents lazily. *)
-          ignore (await_applied t cmd : unit option);
+          ignore (await_applied t cmd : write_ack option);
           `Done leftover
 
 let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
@@ -2285,17 +2134,17 @@ let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
 let eval_refresh r ~txn ~key ~from_ts ~to_ts =
   guard r ~key @@ fun () ->
   let lock_conflict =
-    match Lock_table.foreign r.r_lt ~key ~txn:(Some txn) ~max_ts:to_ts with
+    match Lock_table.foreign r.r_sm.locks ~key ~txn:(Some txn) ~max_ts:to_ts with
     | Some _ -> true
     | None -> false
   in
   let intent_conflict =
-    match Mvcc.intent_on r.r_store ~key with
+    match Mvcc.intent_on r.r_sm.store ~key with
     | Some i when i.Mvcc.txn_id <> txn && Ts.(i.Mvcc.ts <= to_ts) -> true
     | Some _ | None -> false
   in
   if lock_conflict || intent_conflict then `Done false
-  else if Mvcc.has_committed_after r.r_store ~key ~after:from_ts ~upto:to_ts
+  else if Mvcc.has_committed_after r.r_sm.store ~key ~after:from_ts ~upto:to_ts
   then `Done false
   else begin
     Tscache.record_read r.r_range.rg_tscache ~txn:(Some txn) ~key ~ts:to_ts;
@@ -2312,12 +2161,12 @@ let eval_refresh_span r ~txn ~start_key ~end_key ~from_ts ~to_ts =
   guard r ~key:start_key @@ fun () ->
   let start_key, end_key = clamp_span r.r_range ~start_key ~end_key in
   let lock_conflict =
-    Lock_table.foreign_in_span r.r_lt ~start_key ~end_key ~txn:(Some txn)
+    Lock_table.foreign_in_span r.r_sm.locks ~start_key ~end_key ~txn:(Some txn)
       ~max_ts:to_ts
     <> None
   in
   let version_conflict =
-    Mvcc.span_has_writes_in_window r.r_store ~start_key ~end_key
+    Mvcc.span_has_writes_in_window r.r_sm.store ~start_key ~end_key
       ~after:from_ts ~upto:to_ts ~ignore_txn:(Some txn)
   in
   if lock_conflict || version_conflict then `Done false
@@ -2352,7 +2201,7 @@ let refresh_span t ?span ?(phases = Phase.nil) ~gateway ~txn ~start_key
 let local_closed t ~at rid =
   let rg = range t rid in
   match replica_at rg at with
-  | Some r -> replica_closed r
+  | Some r -> Replica_state.closed r.r_sm
   | None -> Ts.zero
 
 let negotiate t ~at ~keys =
@@ -2365,11 +2214,11 @@ let negotiate t ~at ~keys =
         let base =
           if lease_valid t r then
             Ts.of_wall (Clock.physical_now t.clocks.(r.r_node))
-          else replica_closed r
+          else Replica_state.closed r.r_sm
         in
         List.fold_left
           (fun safe key ->
-            match Mvcc.intent_on r.r_store ~key with
+            match Mvcc.intent_on r.r_sm.store ~key with
             | Some i when Ts.(i.Mvcc.ts <= safe) -> Ts.prev i.Mvcc.ts
             | Some _ | None -> safe)
           base ks
@@ -2417,14 +2266,14 @@ let txn_status t ?span ?phases ~gateway ~txn ~key () =
     ~phases:(Option.value phases ~default:Phase.nil)
     ~op:"kv.txn_status" ~key
     ~on_fail:(fun _ -> None)
-    (fun r _sp -> guard r ~key (fun () -> `Done (Txnrec.status r.r_txns ~txn)))
+    (fun r _sp -> guard r ~key (fun () -> `Done (Txnrec.status r.r_sm.txns ~txn)))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
 let storage_of t rid node =
   let rg = range t rid in
-  Option.map (fun r -> r.r_store) (replica_at rg node)
+  Option.map (fun r -> r.r_sm.store) (replica_at rg node)
 
 (* Shadow [create] so every cluster starts its closed-timestamp publishers. *)
 let create ?config ~topology ~latency () =

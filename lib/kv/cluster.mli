@@ -268,7 +268,9 @@ type write_ack = [ `Applied | `Prevented | `Dropped ]
     the intent applied on the leaseholder; commit-status recovery barred it
     from ever applying (the transaction's commit must fail); or its
     proposal was discarded from the log without committing (indeterminate —
-    the transaction must restart with an ambiguous outcome). *)
+    the transaction must restart with an ambiguous outcome). The ack comes
+    from the proposing leaseholder's own apply of the entry (or its discard
+    of it), never from another replica's. *)
 
 type 'a reply = [ `Ok of 'a | `Wounded of string | `Err of string ]
 (** [`Wounded]: the requesting transaction was wound-aborted by an older

@@ -1,22 +1,32 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state is held unboxed in 8 bytes: a [mutable int64]
+   field would allocate a fresh box on every draw and store it through
+   [caml_modify]. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = int64 t }
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
+
+let split t = of_state (int64 t)
 
 (* Mask to 62 bits so the Int64 -> int conversion stays non-negative. *)
-let nonneg_int_of_int64 v = Int64.to_int (Int64.logand v 0x3FFF_FFFF_FFFF_FFFFL)
+let[@inline] nonneg_int_of_int64 v =
+  Int64.to_int (Int64.logand v 0x3FFF_FFFF_FFFF_FFFFL)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -681,6 +681,153 @@ let test_multi_range_routing () =
         (Cluster.add_range cl ~span:("b", "c") ~zone:(zone_config ())
            ~policy:Cluster.Lag))
 
+(* ------------------------------------------------------------------ *)
+(* The replica state machine                                           *)
+
+module Replica_state = Crdb_kv.Replica_state
+module Txnrec = Crdb_kv.Txnrec
+module Mvcc = Crdb_storage.Mvcc
+
+let sm_keys = [| "a"; "b"; "c"; "d" |]
+let sm_txns = [ 1; 2; 3; 4 ]
+let sm_anchor txn = sm_keys.(txn mod Array.length sm_keys)
+
+let pp_op = function
+  | Replica_state.Op_put { txn; key; anchor; _ } ->
+      Printf.sprintf "put t%d %s (anchor %s)" txn key anchor
+  | Op_resolve { txn; keys; commit } ->
+      Printf.sprintf "resolve t%d [%s] %s" txn (String.concat ";" keys)
+        (if commit = None then "abort" else "commit")
+  | Op_txn { txn; upd; _ } ->
+      Printf.sprintf "txn t%d %s" txn
+        (match upd with
+        | Txnrec.U_register { hb; _ } -> Printf.sprintf "register hb=%d" hb
+        | U_heartbeat { hb } -> Printf.sprintf "heartbeat hb=%d" hb
+        | U_stage { hb; _ } -> Printf.sprintf "stage hb=%d" hb
+        | U_commit _ -> "commit"
+        | U_wound _ -> "wound"
+        | U_abandon { if_hb_before; _ } ->
+            Printf.sprintf "abandon if_hb_before=%d" if_hb_before
+        | U_recover_abort _ -> "recover_abort"
+        | U_coord_abort _ -> "coord_abort")
+  | Op_prevent { txn; key; ts } ->
+      Printf.sprintf "prevent t%d %s @%s" txn key (Ts.to_string ts)
+  | Op_split { at; _ } -> "split " ^ at
+
+(* A random well-formed log: entry [i] proposes at time [i] and writes at
+   timestamp [i], and a put never meets another transaction's intent — the
+   generator resolves the holder first — since that only happens on a
+   diverged replica. *)
+let gen_sm_log =
+  let open QCheck.Gen in
+  let* n = int_range 1 40 in
+  let rec go i holders acc =
+    if i > n then return (List.rev acc)
+    else
+      let ts = Ts.of_wall i in
+      let* txn = oneofl sm_txns in
+      let* key = oneofa sm_keys in
+      let* commit = oneofl [ Some ts; None ] in
+      let* hb = int_range 0 n in
+      let* kind = int_range 0 5 in
+      let resolve txn =
+        ( Replica_state.Op_resolve { txn; keys = [ key ]; commit },
+          List.filter (fun h -> h <> (key, txn)) holders )
+      in
+      let* op, holders =
+        match kind with
+        | 0 | 1 -> (
+            match List.assoc_opt key holders with
+            | Some holder when holder <> txn -> return (resolve holder)
+            | Some _ | None ->
+                return
+                  ( Replica_state.Op_put
+                      { txn; ts; key; value = Some (string_of_int i); pri = ts;
+                        anchor = sm_anchor txn },
+                    (key, txn) :: List.remove_assoc key holders ))
+        | 2 -> return (resolve txn)
+        | 3 ->
+            let+ at = int_range 1 i in
+            (Replica_state.Op_prevent { txn; key; ts = Ts.of_wall at }, holders)
+        | _ ->
+            let+ upd =
+              oneofl
+                Txnrec.
+                  [
+                    U_register { pri = ts; hb };
+                    U_heartbeat { hb };
+                    U_stage { pri = ts; ts; inflight = [ key ]; hb };
+                    U_commit { ts };
+                    U_wound { reason = "w" };
+                    U_abandon { reason = "a"; if_hb_before = hb };
+                    U_recover_abort { reason = "r" };
+                    U_coord_abort { reason = "c" };
+                  ]
+            in
+            (Replica_state.Op_txn { txn; tkey = sm_anchor txn; upd }, holders)
+      in
+      let cmd =
+        { Replica_state.closed = ts; proposer = 0; proposed_at = i; op;
+          done_ = Crdb_sim.Ivar.create () }
+      in
+      go (i + 1) holders (cmd :: acc)
+  in
+  let* log = go 1 [] [] in
+  let* k = int_range 0 n in
+  let+ j = int_range 0 k in
+  (log, k, j)
+
+(* Everything a reader can see of a state: every key's reads at every
+   timestamp of the log, its intent and preventions, every record, and the
+   closed timestamp. *)
+let observe_sm n (s : Replica_state.t) =
+  let per_key key =
+    ( List.init (n + 2) (fun w ->
+          let ts = Ts.of_wall w in
+          Mvcc.read s.store ~key ~ts ~max_ts:ts ~for_txn:None),
+      Mvcc.intent_on s.store ~key,
+      List.map (fun txn -> Mvcc.is_prevented s.store ~key ~txn_id:txn) sm_txns )
+  in
+  ( Array.map per_key sm_keys,
+    List.map (fun txn -> Txnrec.find s.txns ~txn) sm_txns,
+    Replica_state.closed s )
+
+(* A snapshot taken at any index [k], installed over a replica that had
+   applied the first [j <= k] entries, plus the entries after [k], gives
+   the state of applying the whole log — while the snapshot's source keeps
+   applying. *)
+let prop_snapshot_plus_suffix =
+  let print (log, k, j) =
+    Printf.sprintf "snapshot at %d over %d:\n%s" k j
+      (String.concat "\n"
+         (List.mapi
+            (fun i cmd -> Printf.sprintf "%d: %s" (i + 1) (pp_op cmd.Replica_state.op))
+            log))
+  in
+  QCheck.Test.make ~name:"snapshot plus log suffix equals the whole log"
+    ~count:500 (QCheck.make ~print gen_sm_log) (fun (log, k, j) ->
+      let n = List.length log in
+      let apply s ~from ~upto =
+        List.iteri
+          (fun i cmd ->
+            if i + 1 > from && i + 1 <= upto then
+              ignore (Replica_state.apply s ~applied:(i + 1) cmd
+                : [ `Applied | `Prevented ]))
+          log
+      in
+      let whole = Replica_state.create () in
+      apply whole ~from:0 ~upto:n;
+      let source = Replica_state.create () in
+      apply source ~from:0 ~upto:k;
+      let snap = Replica_state.take_snapshot source in
+      apply source ~from:k ~upto:n;
+      let follower = Replica_state.create () in
+      apply follower ~from:0 ~upto:j;
+      Replica_state.install_snapshot follower snap;
+      apply follower ~from:k ~upto:n;
+      let want = observe_sm n whole in
+      want = observe_sm n source && want = observe_sm n follower)
+
 let suite =
   [
     Alcotest.test_case "zone survival config" `Quick test_zone_survival_config;
@@ -714,4 +861,5 @@ let suite =
       test_follower_scan_stitches_split;
     Alcotest.test_case "bulk load" `Quick test_bulk_load_visible;
     Alcotest.test_case "multi-range routing" `Quick test_multi_range_routing;
+      QCheck_alcotest.to_alcotest prop_snapshot_plus_suffix;
   ]

@@ -372,6 +372,52 @@ let test_merge_waits_for_split_trigger () =
       check Alcotest.(option string) "right write survives the merge"
         (Some "juicy") (get cl ~gateway:lh "orange"))
 
+(* A transaction record's heartbeat is part of the replicated state: the
+   registering write stamps its proposal time, not each replica's apply
+   time. A follower cut off while the anchor write commits applies it, and
+   the abandonment that followed, late from the log; once it holds the
+   lease it must still see the record aborted and refuse to stage it. *)
+let test_abandon_reaches_late_follower () =
+  let cl, rid = one_range () in
+  let net = Cluster.net cl in
+  let lh = Option.get (Cluster.leaseholder cl rid) in
+  let late = other_voter cl rid lh in
+  let pri = Cluster.now_ts cl lh in
+  Transport.kill_node net late;
+  let ts =
+    Cluster.run cl (fun () ->
+        let ts =
+          ok_ts
+            (Cluster.write cl ~gateway:lh ~txn:1 ~pri ~anchor:"k" ~key:"k"
+               ~value:(Some "v1") ~ts:pri ())
+        in
+        (* Txn 1's coordinator stays silent: a recordless writer pushes its
+           record until it is abandoned, cleans up the intent and commits. *)
+        ignore (put cl ~gateway:lh ~txn:2 "k" "v2");
+        ts)
+  in
+  Transport.revive_node net late;
+  Cluster.run_for cl 5_000_000;
+  check Alcotest.int "the late follower caught up from the log" 0
+    (Crdb_obs.Metrics.total
+       (Crdb_obs.Obs.metrics (Cluster.obs cl))
+       "raft.snapshots_sent");
+  Cluster.transfer_lease cl rid ~target:late;
+  Cluster.run_for cl 5_000_000;
+  check Alcotest.(option int) "the late follower holds the lease" (Some late)
+    (Cluster.leaseholder cl rid);
+  Cluster.run cl (fun () ->
+      match
+        Cluster.stage_txn cl ~gateway:lh ~txn:1 ~key:"k" ~pri ~ts ~inflight:[]
+          ()
+      with
+      | Some (Crdb_kv.Txnrec.Aborted _) -> ()
+      | Some (Crdb_kv.Txnrec.Staging _) ->
+          Alcotest.fail "the new leaseholder staged an abandoned record"
+      | Some _ | None -> Alcotest.fail "expected the abandoned record");
+  check Alcotest.(option string) "the pusher's write stands" (Some "v2")
+    (Cluster.run cl (fun () -> get cl ~gateway:late "k"))
+
 (* ------------------------------------------------------------------ *)
 (* Live-size accounting and load-based split points                    *)
 
@@ -547,6 +593,8 @@ let suite =
       test_new_leader_applies_before_serving;
     Alcotest.test_case "split reaches a revived replica" `Quick
       test_split_reaches_revived_replica;
+    Alcotest.test_case "abandon reaches a late follower" `Quick
+      test_abandon_reaches_late_follower;
     Alcotest.test_case "merge waits for the split trigger" `Quick
       test_merge_waits_for_split_trigger;
     Alcotest.test_case "live bytes through split and merge" `Quick
