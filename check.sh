@@ -259,8 +259,8 @@ done <test/determinism.md5
 
 # Figure pins: the same rule for the deterministic bench experiments. Each
 # line of test/figures.md5 is the MD5 of one experiment's output, minus its
-# wall-clock line, followed by the experiment's name. fig4a, fig5 and fig6
-# are left out for their run time.
+# wall-clock line, followed by the experiment's name. fig5 and fig6 are
+# left out for their run time.
 echo "== figure pins (test/figures.md5)"
 figs_ok=1
 while read -r want exp; do

@@ -4,212 +4,101 @@ module Raft = Crdb_raft.Raft
 
 type placement = (Topology.node_id * Raft.peer_kind) list
 
-(* Pick [count] nodes from [candidates], preferring failure domains not yet
-   used, then lower load. Diversity follows the locality hierarchy: reusing
-   a zone is strictly worse than reusing only the region, which is worse
-   than a fresh region (the paper's diversity-maximizing allocator). [used]
-   accumulates the (region, zone) pairs of every replica placed so far. *)
-let pick_diverse ~count ~load ~used candidates =
-  let rec go count used acc candidates =
-    if count = 0 then List.rev acc
-    else
+let not_enough () =
+  failwith "Allocator: not enough nodes to satisfy configuration"
+
+(* Four phases: the voters [voter_constraints] pin; one voter in each region
+   without one, nearest the home region first, then the rest in the regions
+   with the fewest voters, so no region reaches a quorum-breaking share; the
+   non-voters [constraints] demand; any remaining replicas in the regions
+   with the fewest. *)
+let place ~topology ~latency ~load ~zone =
+  let open Zoneconfig in
+  let region_of = Topology.region_of topology in
+  let regions = Topology.regions topology in
+  let placed = ref [] in
+  let untaken =
+    List.filter (fun (n : Topology.node) -> not (List.mem_assoc n.id !placed))
+  in
+  let free region = untaken (Topology.nodes_in_region topology region) in
+  (* Record [count] of [candidates] as [kind] peers, one at a time, in the
+     order picked — the Raft peer order. Each pick prefers failure domains
+     not yet used, then lower load: reusing a zone is strictly worse than
+     reusing only the region, which is worse than a fresh region (the
+     paper's diversity-maximizing allocator). *)
+  let rec pick kind ~count candidates =
+    if count > 0 then
       match candidates with
-      | [] -> failwith "Allocator: not enough nodes to satisfy configuration"
-      | _ ->
+      | [] -> not_enough ()
+      | first :: rest ->
           let score (n : Topology.node) =
-            let zone_reuse =
-              List.length
-                (List.filter
-                   (fun (r, z) ->
-                     String.equal r n.region && String.equal z n.zone)
-                   used)
+            let same_region =
+              List.filter
+                (fun (id, _) -> String.equal (region_of id) n.region)
+                !placed
             in
-            let region_reuse =
-              List.length
-                (List.filter (fun (r, _) -> String.equal r n.region) used)
+            let same_zone =
+              List.filter
+                (fun (id, _) ->
+                  String.equal (Topology.zone_of topology id) n.zone)
+                same_region
             in
-            (zone_reuse, region_reuse, load n.id, n.id)
+            (List.length same_zone, List.length same_region, load n.id, n.id)
           in
           let best =
             List.fold_left
-              (fun acc n ->
-                match acc with
-                | None -> Some n
-                | Some b -> if score n < score b then Some n else Some b)
-              None candidates
+              (fun b n -> if score n < score b then n else b)
+              first rest
           in
-          let best = Option.get best in
-          let rest = List.filter (fun (n : Topology.node) -> n.id <> best.id) candidates in
-          go (count - 1) ((best.Topology.region, best.Topology.zone) :: used) (best :: acc) rest
+          placed := !placed @ [ (best.id, kind) ];
+          pick kind ~count:(count - 1)
+            (List.filter (fun (n : Topology.node) -> n.id <> best.id) candidates)
   in
-  go count used [] candidates
-
-let place ~topology ~latency ~load ~zone =
-  let open Zoneconfig in
-  let taken = Hashtbl.create 16 in
-  let adjusted_load id =
-    (* Count replicas of this very range placed so far as infinitely loaded
-       so no node is picked twice. *)
-    if Hashtbl.mem taken id then max_int / 2 else load id
-  in
-  let region_count region placed =
+  let count kinds region =
     List.length
       (List.filter
-         (fun (id, _) -> String.equal (Topology.region_of topology id) region)
-         placed)
-  in
-  let used_localities placed =
-    List.map
-      (fun (id, _) ->
-        (Topology.region_of topology id, Topology.zone_of topology id))
-      placed
-  in
-  let home =
-    match zone.lease_preferences with
-    | home :: _ -> home
-    | [] -> (
-        match zone.voter_constraints with
-        | (r, _) :: _ -> r
-        | [] -> List.hd (Topology.regions topology))
-  in
-  (* 1. Voters pinned by voter_constraints. *)
-  let placed = ref [] in
-  let add kind (n : Topology.node) =
-    Hashtbl.replace taken n.id ();
-    placed := !placed @ [ (n.id, kind) ]
-  in
-  List.iter
-    (fun (region, count) ->
-      let candidates =
-        Topology.nodes_in_region topology region
-        |> List.filter (fun (n : Topology.node) -> not (Hashtbl.mem taken n.id))
-      in
-      let chosen =
-        pick_diverse ~count ~load:adjusted_load ~used:(used_localities !placed)
-          candidates
-      in
-      List.iter (add Raft.Voter) chosen)
-    zone.voter_constraints;
-  (* 2. Remaining voters: one per region, nearest regions to home first. *)
-  let voters_placed () =
-    List.length (List.filter (fun (_, k) -> k = Raft.Voter) !placed)
-  in
-  let regions_by_proximity =
-    Latency.sort_by_proximity latency home (Topology.regions topology)
-  in
-  let voters_in region =
-    List.length
-      (List.filter
-         (fun (id, k) ->
-           k = Raft.Voter && String.equal (Topology.region_of topology id) region)
+         (fun (id, k) -> List.mem k kinds && String.equal (region_of id) region)
          !placed)
   in
-  let rec fill_voters regions =
-    if voters_placed () < zone.num_voters then
-      match regions with
-      | [] ->
-          (* Every region already holds a voter: place the remainder one at a
-             time in the regions with the fewest voters (diversity), so no
-             single region can reach a quorum-breaking share. *)
-          let rec top_up_voters () =
-            if voters_placed () < zone.num_voters then begin
-              let region =
-                Topology.regions topology
-                |> List.filter (fun r ->
-                       List.exists
-                         (fun (n : Topology.node) -> not (Hashtbl.mem taken n.id))
-                         (Topology.nodes_in_region topology r))
-                |> List.map (fun r -> (voters_in r, r))
-                |> List.sort compare
-                |> function
-                | [] -> failwith "Allocator: not enough nodes to satisfy configuration"
-                | (_, r) :: _ -> r
-              in
-              let candidates =
-                Topology.nodes_in_region topology region
-                |> List.filter (fun (n : Topology.node) -> not (Hashtbl.mem taken n.id))
-              in
-              let chosen =
-                pick_diverse ~count:1 ~load:adjusted_load
-                  ~used:(used_localities !placed) candidates
-              in
-              List.iter (add Raft.Voter) chosen;
-              top_up_voters ()
-            end
-          in
-          top_up_voters ()
-      | region :: rest ->
-          let has_voter =
-            List.exists
-              (fun (id, k) ->
-                k = Raft.Voter
-                && String.equal (Topology.region_of topology id) region)
-              !placed
-          in
-          if not has_voter then begin
-            let candidates =
-              Topology.nodes_in_region topology region
-              |> List.filter (fun (n : Topology.node) ->
-                     not (Hashtbl.mem taken n.id))
-            in
-            match candidates with
-            | [] -> ()
-            | _ ->
-                let chosen =
-                  pick_diverse ~count:1 ~load:adjusted_load
-                    ~used:(used_localities !placed) candidates
-                in
-                List.iter (add Raft.Voter) chosen
-          end;
-          fill_voters rest
+  let voters = count [ Raft.Voter ]
+  and replicas = count [ Raft.Voter; Raft.Learner ] in
+  (* The region with the fewest [count], ties broken by name. *)
+  let fewest count regions =
+    match List.sort compare (List.map (fun r -> (count r, r)) regions) with
+    | [] -> not_enough ()
+    | (_, r) :: _ -> r
   in
-  fill_voters regions_by_proximity;
-  if voters_placed () < zone.num_voters then
-    failwith "Allocator: not enough nodes to satisfy configuration";
-  (* 3. Non-voters demanded by constraints. *)
+  let short_of_voters () =
+    List.length (List.filter (fun (_, k) -> k = Raft.Voter) !placed)
+    < zone.num_voters
+  in
+  let home =
+    match (zone.lease_preferences, zone.voter_constraints) with
+    | home :: _, _ | [], (home, _) :: _ -> home
+    | [], [] -> List.hd regions
+  in
+  List.iter
+    (fun (region, count) -> pick Raft.Voter ~count (free region))
+    zone.voter_constraints;
+  List.iter
+    (fun region ->
+      if short_of_voters () && voters region = 0 && free region <> [] then
+        pick Raft.Voter ~count:1 (free region))
+    (Latency.sort_by_proximity latency home regions);
+  while short_of_voters () do
+    pick Raft.Voter ~count:1
+      (free (fewest voters (List.filter (fun r -> free r <> []) regions)))
+  done;
   List.iter
     (fun (region, count) ->
-      let missing = count - region_count region !placed in
-      if missing > 0 then begin
-        let candidates =
-          Topology.nodes_in_region topology region
-          |> List.filter (fun (n : Topology.node) -> not (Hashtbl.mem taken n.id))
-        in
-        let chosen =
-          pick_diverse ~count:missing ~load:adjusted_load
-            ~used:(used_localities !placed) candidates
-        in
-        List.iter (add Raft.Learner) chosen
-      end)
+      pick Raft.Learner ~count:(count - replicas region) (free region))
     zone.constraints;
-  (* 4. Any remaining replicas: spread across the emptiest regions. *)
-  let rec top_up () =
-    if List.length !placed < zone.num_replicas then begin
-      let region =
-        Topology.regions topology
-        |> List.map (fun r -> (region_count r !placed, r))
-        |> List.sort compare |> List.hd |> snd
-      in
-      let candidates =
-        Topology.nodes_in_region topology region
-        |> List.filter (fun (n : Topology.node) -> not (Hashtbl.mem taken n.id))
-      in
-      let candidates =
-        match candidates with
-        | [] ->
-            Array.to_list (Topology.nodes topology)
-            |> List.filter (fun (n : Topology.node) -> not (Hashtbl.mem taken n.id))
-        | cs -> cs
-      in
-      let chosen =
-        pick_diverse ~count:1 ~load:adjusted_load ~used:(used_localities !placed)
-          candidates
-      in
-      List.iter (add Raft.Learner) chosen;
-      top_up ()
-    end
-  in
-  top_up ();
+  while List.length !placed < zone.num_replicas do
+    pick Raft.Learner ~count:1
+      (match free (fewest replicas regions) with
+      | [] -> untaken (Array.to_list (Topology.nodes topology))
+      | candidates -> candidates)
+  done;
   !placed
 
 (* ------------------------------------------------------------------ *)
@@ -332,18 +221,11 @@ let preferred_leaseholder_by_load ~topology ~live ~load ~zone placement =
     None voters
 
 let satisfies ~topology ~zone placement =
-  let open Zoneconfig in
-  let voters = List.filter (fun (_, k) -> k = Raft.Voter) placement in
-  let in_region region (id, _) =
-    String.equal (Topology.region_of topology id) region
+  let violations, _, _ =
+    placement_score ~topology ~live:(fun _ -> true) ~load:(fun _ -> 0) ~zone
+      placement
   in
-  List.length voters = zone.num_voters
-  && List.length placement = zone.num_replicas
-  && List.for_all
-       (fun (region, count) ->
-         List.length (List.filter (in_region region) voters) >= count)
-       zone.voter_constraints
-  && List.for_all
-       (fun (region, count) ->
-         List.length (List.filter (in_region region) placement) >= count)
-       zone.constraints
+  violations = 0
+  && List.length placement = zone.Zoneconfig.num_replicas
+  && List.length (List.filter (fun (_, k) -> k = Raft.Voter) placement)
+     = zone.num_voters

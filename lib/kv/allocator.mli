@@ -19,6 +19,17 @@ val place :
 (** @raise Failure if the topology cannot satisfy the configuration (for
     example, a voter constraint on a region with no nodes). *)
 
+val placement_score :
+  topology:Crdb_net.Topology.t ->
+  live:(Crdb_net.Topology.node_id -> bool) ->
+  load:(Crdb_net.Topology.node_id -> int) ->
+  zone:Zoneconfig.t ->
+  placement ->
+  int * int * int
+(** [(violations, diversity penalty, total load)], lower is better:
+    violations count each voter or replica a region constraint lacks plus
+    each replica on a node that is not [live]. *)
+
 type move = {
   victim : Crdb_net.Topology.node_id;
   replacement : Crdb_net.Topology.node_id;

@@ -42,6 +42,7 @@ let default =
 
 (* How far behind real time a [Lag] range closes timestamps. *)
 let close_lag = 3_000_000
+let lease_duration = 4_500_000
 let conflict_wait_timeout = 10_000_000
 let txn_heartbeat_interval = 1_000_000
 
@@ -113,54 +114,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
-
-let lease_duration = 4_500_000
-
-let create ?(config = default) ~topology ~latency () =
-  let sim = Sim.create () in
-  let obs = Obs.create ~now:(fun () -> Sim.now sim) () in
-  let rng = Rng.create ~seed:config.seed in
-  let net =
-    Transport.create ~rng:(Rng.split rng) ~obs ~sim ~topology ~latency ()
-  in
-  let n = Topology.num_nodes topology in
-  let m = Obs.metrics obs in
-  let clocks =
-    Array.init n (fun _ ->
-        (* Independent per-node skew. Real deployments keep actual skew well
-           below the configured tolerance; a quarter of max_offset per node
-           (half pairwise) models a healthy NTP/chrony setup. *)
-        let bound = config.max_offset / 4 in
-        let skew = if bound = 0 then 0 else Rng.int rng (2 * bound) - bound in
-        Clock.create ~skew_micros:skew ~now_micros:(fun () -> Sim.now sim) ())
-  in
-  {
-    sim;
-    cfg = config;
-    topo = topology;
-    latency;
-    net;
-    live = Liveness.create net;
-    clocks;
-    rng;
-    ranges_tbl = Hashtbl.create 64;
-    routing = Smap.empty;
-    next_range_id = 1;
-    load = Array.make n 0;
-    obs;
-    waiting = 0;
-    bg_pending = 0;
-    c_fr_hit = Array.init n (fun i -> Metrics.counter m ~node:i "kv.follower_read_hits");
-    c_fr_miss = Array.init n (fun i -> Metrics.counter m ~node:i "kv.follower_read_misses");
-    c_ct_publish = Array.init n (fun i -> Metrics.counter m ~node:i "kv.ct_publishes");
-    c_conflict_timeout =
-      Array.init n (fun i -> Metrics.counter m ~node:i "kv.conflict_timeouts");
-    c_push = Array.init n (fun i -> Metrics.counter m ~node:i "kv.txn_pushes");
-    c_cleanup = Array.init n (fun i -> Metrics.counter m ~node:i "kv.intent_cleanups");
-    g_ranges = Metrics.gauge m "kv.ranges";
-    g_waiters = Metrics.gauge m "kv.conflict_waiters";
-  }
+(* Accessors                                                           *)
 
 let sim t = t.sim
 let net t = t.net
@@ -230,6 +184,11 @@ let replica_nodes t rid = List.sort compare (current_placement (range t rid))
 (* ------------------------------------------------------------------ *)
 (* Closed timestamps                                                   *)
 
+(* The voters among [peers] and the size of their quorum. *)
+let voters_quorum peers =
+  let voters = List.filter (fun (_, k) -> k = Raft.Voter) peers in
+  (voters, (List.length voters / 2) + 1)
+
 (* L_raft + L_replicate for the current placement (§6.2.1). *)
 let lead_components t rg =
   let home =
@@ -239,8 +198,7 @@ let lead_components t rg =
   in
   let placements = current_placement rg in
   let rtt_to node = Latency.rtt t.latency home (Topology.region_of t.topo node) in
-  let voters = List.filter (fun (_, k) -> k = Raft.Voter) placements in
-  let quorum = (List.length voters / 2) + 1 in
+  let voters, quorum = voters_quorum placements in
   let voter_rtts = List.sort Int.compare (List.map (fun (n, _) -> rtt_to n) voters) in
   (* The leader acks itself; it needs [quorum - 1] other acks, and the
      cheapest ones come from the nearest voters (skip the leader's own 0). *)
@@ -534,11 +492,10 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
       let rr = make_replica t rrg r.r_node ~sm ~peers ~boundary:(1, 0) () in
       (* Only nodes that applied the trigger can vote: the proposer's replica
          campaigns once a quorum of voters hold one; the others wait. *)
-      let voters = List.filter (fun (_, k) -> k = Raft.Voter) peers in
+      let voters, quorum = voters_quorum peers in
       let held =
         List.length (List.filter (fun (n, _) -> replica_at rrg n <> None) voters)
       in
-      let quorum = (List.length voters / 2) + 1 in
       if r.r_node <> proposer then Raft.start ~preferred:proposer rr.r_raft;
       if
         if r.r_node = proposer then held >= quorum
@@ -682,10 +639,7 @@ let propose_timeout = 8_000_000
    can flip between answers, which is the point: the measurement tracks the
    actual placement, not the static model. *)
 let replication_needs_wan t r =
-  let voters =
-    List.filter (fun (_, k) -> k = Raft.Voter) (Raft.peers r.r_raft)
-  in
-  let quorum = (List.length voters / 2) + 1 in
+  let voters, quorum = voters_quorum (Raft.peers r.r_raft) in
   let leader_region = Topology.region_of t.topo r.r_node in
   let local =
     List.length
@@ -715,15 +669,16 @@ let admits r (op : Replica_state.op) =
   | Op_resolve { keys; _ } -> List.for_all ok keys
   | Op_split _ -> true
 
-(* Propose [op] through [r]'s Raft log, carrying the closed timestamp
-   [closed] the caller computed for it; [None] when [r] is not a serving
-   leader or does not admit [op].
+(* Propose [op] through [r]'s Raft log, carrying the range's closed
+   timestamp target, ratcheted first even when the proposal is refused;
+   [None] when [r] is not a serving leader or does not admit [op].
    With [span], the round is traced as a [raft.replicate] child span, counts
    as a WAN round trip when its quorum leaves the leader's region, and is
    charged to the replication phase of [phases] once it applies locally
    (with write pipelining the quorum wait overlaps the transaction's other
    work, so the phase is attributed at apply time). *)
-let propose t r ?span ?(phases = Phase.nil) ~closed op =
+let propose t r ?span ?(phases = Phase.nil) op =
+  let closed = next_closed_target t r.r_range r.r_node in
   if not (is_leader_now r && admits r op) then None
   else
     let proposed_at = Sim.now t.sim in
@@ -765,11 +720,7 @@ let split_range t rid ~at =
   match leader_replica t rid with
   | Some lr when is_leader_now lr && latch lr = None -> (
       let right = t.next_range_id in
-      match
-        propose t lr
-          ~closed:(next_closed_target t rg lr.r_node)
-          (Op_split { right; at })
-      with
+      match propose t lr (Op_split { right; at }) with
       | None -> None
       | Some cmd ->
           t.next_range_id <- right + 1;
@@ -831,19 +782,11 @@ let merge_range t rid =
                    ~start_key:e ~end_key:re);
               rg.rg_closed_target <-
                 Ts.max rg.rg_closed_target right.rg_closed_target;
-              right.rg_dropped <- true;
-              Hashtbl.iter
-                (fun node rrep ->
-                  Raft.stop rrep.r_raft;
-                  t.load.(node) <- max 0 (t.load.(node) - 1))
-                right.rg_replicas;
-              t.routing <- Smap.remove e t.routing;
-              Hashtbl.remove t.ranges_tbl right.rg_id;
+              drop_range t right.rg_id;
               rg.rg_span <- (s, re);
               Events.log (Obs.events t.obs) ~node:ll.r_node ~range:rid
                 ~attrs:[ ("subsumed", string_of_int right.rg_id) ]
                 Events.Merge;
-              note_range_count t;
               true
           | (Some _ | None), (Some _ | None) -> false)
       | Some _ | None -> false)
@@ -1130,17 +1073,65 @@ let publish t node =
     (fun dst items -> Transport.send t.net ~src:node ~dst deliver_side !items)
     batches
 
-let start_publishers t =
-  for node = 0 to Topology.num_nodes t.topo - 1 do
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+
+let create ?(config = default) ~topology ~latency () =
+  let sim = Sim.create () in
+  let obs = Obs.create ~now:(fun () -> Sim.now sim) () in
+  let rng = Rng.create ~seed:config.seed in
+  let net =
+    Transport.create ~rng:(Rng.split rng) ~obs ~sim ~topology ~latency ()
+  in
+  let n = Topology.num_nodes topology in
+  let m = Obs.metrics obs in
+  let clocks =
+    Array.init n (fun _ ->
+        (* Independent per-node skew. Real deployments keep actual skew well
+           below the configured tolerance; a quarter of max_offset per node
+           (half pairwise) models a healthy NTP/chrony setup. *)
+        let bound = config.max_offset / 4 in
+        let skew = if bound = 0 then 0 else Rng.int rng (2 * bound) - bound in
+        Clock.create ~skew_micros:skew ~now_micros:(fun () -> Sim.now sim) ())
+  in
+  let t =
+    {
+      sim;
+      cfg = config;
+      topo = topology;
+      latency;
+      net;
+      live = Liveness.create net;
+      clocks;
+      rng;
+      ranges_tbl = Hashtbl.create 64;
+      routing = Smap.empty;
+      next_range_id = 1;
+      load = Array.make n 0;
+      obs;
+      waiting = 0;
+      bg_pending = 0;
+      c_fr_hit = Array.init n (fun i -> Metrics.counter m ~node:i "kv.follower_read_hits");
+      c_fr_miss = Array.init n (fun i -> Metrics.counter m ~node:i "kv.follower_read_misses");
+      c_ct_publish = Array.init n (fun i -> Metrics.counter m ~node:i "kv.ct_publishes");
+      c_conflict_timeout =
+        Array.init n (fun i -> Metrics.counter m ~node:i "kv.conflict_timeouts");
+      c_push = Array.init n (fun i -> Metrics.counter m ~node:i "kv.txn_pushes");
+      c_cleanup = Array.init n (fun i -> Metrics.counter m ~node:i "kv.intent_cleanups");
+      g_ranges = Metrics.gauge m "kv.ranges";
+      g_waiters = Metrics.gauge m "kv.conflict_waiters";
+    }
+  in
+  (* Every node publishes its leaseholders' closed timestamps, the first
+     round staggered per node. *)
+  for node = 0 to n - 1 do
     let rec tick () =
       if Transport.is_alive t.net node then publish t node;
       Sim.schedule t.sim ~after:publish_interval tick
     in
-    (* Stagger the first publication per node. *)
-    Sim.schedule t.sim
-      ~after:(1 + (node * 7919 mod publish_interval))
-      tick
-  done
+    Sim.schedule t.sim ~after:(1 + (node * 7919 mod publish_interval)) tick
+  done;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -1259,11 +1250,7 @@ let with_leaseholder t ~gateway ?(span = Trace.nil) ?(phases = Phase.nil) ~op
    caller must re-read the applied record to learn which decision actually
    won — its own proposal may have lost the race. *)
 let propose_txn_update t r ~txn ~key upd =
-  match
-    propose t r
-      ~closed:(next_closed_target t r.r_range r.r_node)
-      (Op_txn { txn; tkey = key; upd })
-  with
+  match propose t r (Op_txn { txn; tkey = key; upd }) with
   | None -> `Not_leader
   | Some cmd -> (
       match await_applied t cmd with Some _ -> `Applied | None -> `Lost)
@@ -1284,11 +1271,7 @@ let txn_update t ~gateway ?span ?(phases = Phase.nil) ~op ~txn ~key upd =
 
 let eval_query_intent t r ~txn ~key ~ts =
   guard r ~key @@ fun () ->
-  match
-    propose t r
-      ~closed:(next_closed_target t r.r_range r.r_node)
-      (Op_prevent { txn; key; ts })
-  with
+  match propose t r (Op_prevent { txn; key; ts }) with
   | None -> `Not_leader
   | Some cmd -> (
       match await_applied t cmd with
@@ -1503,9 +1486,7 @@ let wait_on_conflict t r ~phases ~key ~blocker ~waiter ~waiter_pri ~fate =
     Metrics.inc t.c_cleanup.(r.r_node);
     if is_leader_now r then
       ignore
-        (propose t r
-           ~closed:(next_closed_target t r.r_range r.r_node)
-           (Op_resolve { txn = blocker; keys = [ key ]; commit })
+        (propose t r (Op_resolve { txn = blocker; keys = [ key ]; commit })
           : Replica_state.cmd option)
   in
   let rec loop () =
@@ -1924,6 +1905,7 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
         let latest = Mvcc.latest_ts r.r_sm.store ~key in
         if Ts.(latest >= ts) then Ts.next latest else ts
       in
+      (* Above the closed target [propose] stamps: no time passes between. *)
       let ts = Ts.max ts (Ts.next target) in
       (* HLC receive rule at request receipt: the leaseholder's clock must
          not lag a timestamp it is about to write, or the observed-timestamp
@@ -1937,7 +1919,7 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
         Lock_table.acquire r.r_sm.locks ~pri:wpri ~anchor ~key ~txn ~ts ()
       in
       match
-        propose t r ~span ~phases ~closed:target
+        propose t r ~span ~phases
           (Op_put { txn; ts; key; value; pri = wpri; anchor })
       with
       | None ->
@@ -1983,7 +1965,6 @@ let eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value ~ts
   | `Done (`Ok final_ts) -> (
       match
         propose t r ~span ~phases
-          ~closed:(next_closed_target t r.r_range r.r_node)
           (Op_resolve { txn; keys = [ key ]; commit = Some final_ts })
       with
       | None ->
@@ -2073,7 +2054,6 @@ let eval_resolve t r ~phases ~txn ~keys ~commit ~span =
     else
       match
         propose t r ~span ~phases
-          ~closed:(next_closed_target t r.r_range r.r_node)
           (Op_resolve { txn; keys = mine; commit })
       with
       | None -> `Not_leader
@@ -2274,9 +2254,3 @@ let txn_status t ?span ?phases ~gateway ~txn ~key () =
 let storage_of t rid node =
   let rg = range t rid in
   Option.map (fun r -> r.r_sm.store) (replica_at rg node)
-
-(* Shadow [create] so every cluster starts its closed-timestamp publishers. *)
-let create ?config ~topology ~latency () =
-  let t = create ?config ~topology ~latency () in
-  start_publishers t;
-  t

@@ -189,12 +189,18 @@ let is_global t key =
       | Cluster.Lag -> false)
   | exception Not_found -> raise (Fatal ("no range for key " ^ key))
 
+(* Bound on awaiting a pipelined write's confirmation: 8 s, the KV layer's
+   bound on awaiting a proposal's apply. The confirmation is the proposer's
+   apply (or the drop of its entry) forwarded to the gateway, so the write
+   gets as long as a synchronous one before it counts as lost. *)
+let ack_timeout = 8_000_000
+
 (* Await one pipelined write's confirmation. A prevented write means
    commit-status recovery decided against us (restart, same priority); a
    dropped or silent one leaves the write's fate — and hence the commit's —
    indeterminate. *)
 let await_ack t (key, ack) =
-  match Proc.await_timeout (Cluster.sim t.mgr.cl) ack ~timeout:8_000_000 with
+  match Proc.await_timeout (Cluster.sim t.mgr.cl) ack ~timeout:ack_timeout with
   | Some `Applied -> ()
   | Some `Prevented -> raise (Wounded ("write prevented by recovery on " ^ key))
   | Some `Dropped | None -> raise (Restart "pipelined write lost")
@@ -365,7 +371,7 @@ let await_acks_classified t =
   let out =
     List.fold_left
       (fun acc (key, ack) ->
-        match (acc, Proc.await_timeout sim ack ~timeout:8_000_000) with
+        match (acc, Proc.await_timeout sim ack ~timeout:ack_timeout) with
         | (`Prevented _ as p), _ -> p
         | _, Some `Prevented ->
             `Prevented ("write prevented by recovery on " ^ key)

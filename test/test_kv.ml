@@ -200,6 +200,129 @@ let test_allocator_unsatisfiable () =
            ~load:(fun _ -> 0)
            ~zone))
 
+(* Every placement over a grid, printed in Raft peer order and pinned by
+   digest: the Table 1 topology, its first 3 regions (one voter more than
+   regions with a home), and the Fig. 6 region sets (4, 10, 26 regions);
+   both survival goals, default and restricted placement, every home; and
+   uniform, skewed and [Cluster.alter_range]'s hosting-biased loads.
+   Hand-written zones on an uneven topology, whose zones hold several
+   nodes, add zone reuse, the replica top-up and its fall-back to any free
+   node. Each placement must satisfy its zone, hold no node twice and
+   score no violation with every node live. *)
+let allocator_grid_digest = "a491dffd7469778e05b20bec6e508378"
+
+let test_allocator_grid () =
+  let out = Buffer.create 65536 in
+  let uniform _ = 0 and skewed id = id * 7919 mod 13 in
+  let place ~topology ~latency ~zone (name, load) =
+    let p = Allocator.place ~topology ~latency ~load ~zone in
+    Printf.bprintf out "%s:" name;
+    List.iter
+      (fun (id, kind) ->
+        Printf.bprintf out " %d%s" id
+          (match kind with Raft.Voter -> "v" | Raft.Learner -> "l"))
+      p;
+    Buffer.add_char out '\n';
+    check Alcotest.bool ("satisfies " ^ name) true
+      (Allocator.satisfies ~topology ~zone p);
+    check Alcotest.int ("no node twice " ^ name) (List.length p)
+      (List.length (List.sort_uniq compare (List.map fst p)));
+    let violations, _, _ =
+      Allocator.placement_score ~topology ~live:(fun _ -> true) ~load ~zone p
+    in
+    check Alcotest.int ("no violation " ^ name) 0 violations;
+    p
+  in
+  let gcp n = List.filteri (fun i _ -> i < n) Latency.gcp_region_names in
+  List.iter
+    (fun (regions, latency) ->
+      let topology = Topology.symmetric ~regions ~nodes_per_region:3 in
+      let place = place ~topology ~latency in
+      List.iter
+        (fun home ->
+          List.iter
+            (fun (survival, placement) ->
+              let derive survival placement =
+                Zoneconfig.derive ~regions ~home ~survival ~placement
+              in
+              (* The replicas a range homed here holds under the other
+                 survival goal, as [alter_range] sees them. *)
+              let hosted =
+                let other =
+                  Zoneconfig.(if survival = Zone then Region else Zone)
+                in
+                place
+                  ~zone:(derive other Zoneconfig.Default)
+                  (Printf.sprintf "%d %s hosted" (List.length regions) home, uniform)
+              in
+              let hosting id =
+                skewed id - if List.mem_assoc id hosted then 1_000_000 else 0
+              in
+              List.iter
+                (fun (name, load) ->
+                  ignore
+                    (place ~zone:(derive survival placement)
+                       ( Printf.sprintf "%d %s %s %s %s" (List.length regions)
+                           home
+                           (Zoneconfig.survival_to_string survival)
+                           (if placement = Zoneconfig.Default then "default"
+                            else "restricted")
+                           name,
+                         load )
+                      : Allocator.placement))
+                [ ("uniform", uniform); ("skewed", skewed); ("hosting", hosting) ])
+            Zoneconfig.[ (Zone, Default); (Zone, Restricted); (Region, Default) ])
+        regions)
+    [
+      (regions5, Latency.table1);
+      (List.filteri (fun i _ -> i < 3) regions5, Latency.table1);
+      ([ "us-east1"; "us-east4"; "us-central1"; "us-west1" ], Latency.gcp);
+      ( [
+          "us-east1"; "us-east4"; "us-central1"; "us-west1"; "europe-west1";
+          "europe-west2"; "europe-west3"; "asia-east1"; "asia-northeast1";
+          "asia-southeast1";
+        ],
+        Latency.gcp );
+      (gcp 26, Latency.gcp);
+    ];
+  let a, b, c = ("us-east1", "us-west1", "europe-west2") in
+  let uneven nodes =
+    Topology.create (List.map (fun (r, z) -> (r, r ^ "-" ^ z)) nodes)
+  in
+  List.iteri
+    (fun i (topology, sizes) ->
+      List.iter
+        (fun (num_voters, num_replicas) ->
+          let zone =
+            {
+              Zoneconfig.num_voters;
+              num_replicas;
+              constraints = [];
+              voter_constraints = [ (a, 1) ];
+              lease_preferences = [ a ];
+            }
+          in
+          List.iter
+            (fun (name, load) ->
+              ignore
+                (place ~topology ~latency:Latency.table1 ~zone
+                   ( Printf.sprintf "uneven%d %d/%d %s" i num_voters
+                       num_replicas name,
+                     load )
+                  : Allocator.placement))
+            [ ("uniform", uniform); ("skewed", skewed) ])
+        sizes)
+    [
+      ( uneven
+          [ (a, "a"); (b, "a"); (b, "a"); (b, "b"); (b, "b"); (c, "a");
+            (c, "a"); (c, "a"); (c, "b") ],
+        [ (1, 6); (1, 9); (3, 6); (3, 9) ] );
+      ( uneven [ (a, "a"); (b, "a"); (b, "a"); (c, "a"); (c, "b"); (c, "c") ],
+        [ (1, 6); (3, 6) ] );
+    ];
+  check Alcotest.string "placements digest" allocator_grid_digest
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
 (* ------------------------------------------------------------------ *)
 (* Cluster                                                             *)
 
@@ -839,6 +962,7 @@ let suite =
       test_allocator_region_survival;
     Alcotest.test_case "allocator load balance" `Quick test_allocator_balances_load;
     Alcotest.test_case "allocator unsatisfiable" `Quick test_allocator_unsatisfiable;
+    Alcotest.test_case "allocator placement grid" `Quick test_allocator_grid;
     Alcotest.test_case "basic write/read" `Quick test_cluster_basic_write_read;
     Alcotest.test_case "local latency" `Quick test_cluster_local_latency;
     Alcotest.test_case "follower stale read" `Quick test_follower_stale_read;
