@@ -164,10 +164,11 @@ dune exec bin/crdb_sim.exe -- chaos --seed 601 --seeds 3 \
 # Autopilot seed window: the same queues under kills and lease transfers,
 # over the seeds that once diverged replicas (a new leaseholder evaluating
 # before applying its predecessor's entries; a replica replaying pre-split
-# entries into another range). The window and its flags are fixed: every
-# run must check out clean.
-echo "== autopilot seed window (seeds 31 32 57 80 83, 59 with 3 clients)"
-for run in "31 7" "32 7" "57 7" "80 7" "83 7" "59 3"; do
+# entries into another range) or proposed a membership change while another
+# was unapplied (7, 75). The window and its flags are fixed: every run must
+# check out clean.
+echo "== autopilot seed window (seeds 7 31 32 57 75 80 83, 59 with 3 clients)"
+for run in "7 7" "31 7" "32 7" "57 7" "75 7" "80 7" "83 7" "59 3"; do
   # shellcheck disable=SC2086 # seed and client count are meant to split
   set -- $run
   dune exec bin/crdb_sim.exe -- chaos --seed "$1" --clients "$2" \

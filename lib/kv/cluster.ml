@@ -76,6 +76,7 @@ and range = {
   rg_tscache : Tscache.t;
   mutable rg_dropped : bool;
   mutable rg_split_index : int; (* log index of the last split trigger *)
+  mutable rg_walk : Allocator.placement option; (* target of [walk] *)
   rg_samples : key_samples;
       (* bounded ring of recently served request keys — the autopilot split
          queue's load-based split point *)
@@ -281,6 +282,10 @@ let leader_replica t rid =
   find_replica t rid (fun r ->
       Raft.is_leader r.r_raft && Transport.is_alive t.net r.r_node)
 
+(* The applied peers of [rid]'s live leader; [[]] when it has none. *)
+let leader_peers t rid =
+  match leader_replica t rid with Some r -> Raft.peers r.r_raft | None -> []
+
 let leaseholder_region t rid =
   Option.map (Topology.region_of t.topo) (leaseholder t rid)
 
@@ -312,6 +317,7 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
       rg_tscache = Tscache.create ~low_water;
       rg_dropped = false;
       rg_split_index = 0;
+      rg_walk = None;
       rg_samples = { ring = Array.make sample_cap ""; seen = 0 };
     }
   in
@@ -319,10 +325,15 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
   t.routing <- Smap.add (fst span) rid t.routing;
   rg
 
+(* Stop and forget [node]'s replica of [rg], if it still has one. *)
 let drop_replica t rg node =
-  Hashtbl.remove rg.rg_replicas node;
-  rg.rg_at.(node) <- None;
-  t.load.(node) <- max 0 (t.load.(node) - 1)
+  Option.iter
+    (fun r ->
+      Raft.stop r.r_raft;
+      Hashtbl.remove rg.rg_replicas node;
+      rg.rg_at.(node) <- None;
+      t.load.(node) <- max 0 (t.load.(node) - 1))
+    (replica_at rg node)
 
 (* Create [node]'s replica of [rg], a member of its own Raft group over
    [peers]. The group draws its RNG stream from the cluster's, so callers
@@ -410,17 +421,14 @@ and raft_callbacks t rg node sm r =
         | Raft.Follower | Raft.Candidate -> ());
     on_config =
       (fun change ->
-        if not (List.mem_assoc node change) then begin
-          (* May already have been reaped by [rebalance_step] (a dead
-             victim never applies its own removal); only account once. *)
-          if replica_at rg node <> None then drop_replica t rg node
-        end
+        if not (List.mem_assoc node change) then drop_replica t rg node
         else if Raft.is_leader (Lazy.force r).r_raft then
           (* Materialize replicas for newly added peers. *)
           List.iter
             (fun (peer, _) ->
               if replica_at rg peer = None then
-                add_replica t rg peer ~preferred:(Some node))
+                Raft.start ~preferred:node
+                  (make_replica t rg peer ~peers:change ()).r_raft)
             change);
     take_snapshot = (fun () -> Replica_state.take_snapshot sm);
     install_snapshot = Replica_state.install_snapshot sm;
@@ -435,23 +443,6 @@ and raft_callbacks t rg node sm r =
         if cmd.proposer = node then
           ignore (Ivar.try_fill cmd.done_ `Dropped : bool));
   }
-
-and add_replica t rg node ~preferred =
-  let peers =
-    (* Peer set comes from the leader's current config via snapshot/appends;
-       start with just enough to participate. *)
-    match
-      Seq.find
-        (fun peer -> Raft.is_leader peer.r_raft)
-        (Hashtbl.to_seq_values rg.rg_replicas)
-    with
-    | Some leader -> Raft.peers leader.r_raft
-    | None -> [ (node, Raft.Learner) ]
-  in
-  let peers =
-    if List.mem_assoc node peers then peers else (node, Raft.Learner) :: peers
-  in
-  Raft.start ?preferred (make_replica t rg node ~peers ()).r_raft
 
 (* Apply the split trigger at [index] on [r], a replica of the left range:
    fork [r]'s own store, locks, waiters and transaction records at [at]
@@ -549,54 +540,95 @@ let add_range t ~span ~zone ~policy =
   note_range_count t;
   rid
 
-(* Run [step] on [rid] now and, while it answers [false], every 0.5 s up to
-   [attempts] more times; stop early once the range is gone. *)
-let rec retry t rid ~attempts step =
-  match range_opt t rid with
-  | Some rg when (not (step rg)) && attempts > 0 ->
-      Sim.schedule t.sim ~after:500_000 (fun () ->
-          retry t rid ~attempts:(attempts - 1) step)
-  | Some _ | None -> ()
+(* The one way a range's replicas change: walk [rg]'s group from its
+   leader's applied peers to [target], one single-peer change per 0.5 s
+   tick (the call's and up to 41 more): each addition or kind change in
+   [target] order, once the replica last added has applied the commit
+   index it joined at; then each removal. A leader that must change or go
+   first hands its lease to a live target voter. A removed replica is
+   reaped 2 s later (a dead one never applies its removal) unless the
+   leader lists it. A new walk supersedes the one in flight; one that ends
+   otherwise runs [finally]. [true] iff the walk is still in flight. *)
+let walk t rg target ~finally =
+  let mine = Some target and joined = ref None in
+  rg.rg_walk <- mine;
+  let reap node =
+    if not (rg.rg_dropped || List.mem_assoc node (leader_peers t rg.rg_id))
+    then drop_replica t rg node
+  in
+  (* An addition the leader lists (not lost, not in flight) has caught up. *)
+  let caught_up peers =
+    Option.fold !joined ~none:true ~some:(fun (node, goal) ->
+        (not (List.mem_assoc node peers))
+        || Option.fold (replica_at rg node) ~none:false ~some:(fun r ->
+               Raft.applied_index r.r_raft >= goal))
+  in
+  (* [true] once the leader's applied peers are [target]. *)
+  let step () =
+    match leader_replica t rg.rg_id with
+    | Some l when caught_up (Raft.peers l.r_raft) -> (
+        let peers = Raft.peers l.r_raft in
+        let changes =
+          List.filter (fun (n, k) -> List.assoc_opt n peers <> Some k) target
+        and removals =
+          List.filter (fun (n, _) -> not (List.mem_assoc n target)) peers
+        and other (n, _) = n <> l.r_node in
+        match (List.find_opt other changes, List.find_opt other removals) with
+        | Some (node, kind), _ ->
+            if
+              Raft.set_peer l.r_raft node kind <> None
+              && not (List.mem_assoc node peers)
+            then joined := Some (node, Raft.commit_index l.r_raft);
+            false
+        | None, Some (node, _) ->
+            if Raft.remove_peer l.r_raft node <> None then
+              Sim.schedule t.sim ~after:2_000_000 (fun () -> reap node);
+            false
+        | None, None when changes = [] && removals = [] -> true
+        | None, None ->
+            Option.iter
+              (fun target -> hand_off_lease t l ~target)
+              (Allocator.preferred_leaseholder ~topology:t.topo
+                 ~live:(Transport.is_alive t.net) ~zone:rg.rg_zone
+                 (List.filter other target));
+            false)
+    | Some _ | None -> false
+  in
+  let rec tick attempts =
+    if rg.rg_walk == mine && not rg.rg_dropped then
+      if step () || attempts = 0 then begin
+        rg.rg_walk <- None;
+        finally ()
+      end
+      else Sim.schedule t.sim ~after:500_000 (fun () -> tick (attempts - 1))
+  in
+  tick 41;
+  rg.rg_walk == mine
+
+(* Hand [rg]'s lease to its preferred leaseholder, if another replica. *)
+let move_lease t rg =
+  match (leader_replica t rg.rg_id, preferred_leaseholder_node t rg) with
+  | Some r, Some target when r.r_node <> target -> hand_off_lease t r ~target
+  | (Some _ | None), (Some _ | None) -> ()
 
 let alter_range t rid ~zone ~policy =
   let rg = range t rid in
   rg.rg_zone <- zone;
   rg.rg_policy <- policy;
-  let needs_move =
-    not (Allocator.satisfies ~topology:t.topo ~zone (current_placement rg))
-  in
-  if needs_move then begin
+  if not (Allocator.satisfies ~topology:t.topo ~zone (current_placement rg))
+  then begin
     (* Bias the allocator towards nodes that already host a replica so the
        reconfiguration moves as little data as possible. *)
     let load n =
       if Hashtbl.mem rg.rg_replicas n then t.load.(n) - 1_000_000 else t.load.(n)
     in
-    let placement =
-      Allocator.place ~topology:t.topo ~latency:t.latency ~load ~zone
-    in
-    retry t rid ~attempts:20 (fun _ ->
-        match leader_replica t rid with
-        | Some r ->
-            (* The leader must stay a peer for the handoff; if the new
-               placement drops it, keep it as a learner and let a later
-               rebalance remove it. *)
-            let placement =
-              if List.mem_assoc r.r_node placement then placement
-              else (r.r_node, Raft.Learner) :: placement
-            in
-            ignore (Raft.propose_config r.r_raft placement : int option);
-            true
-        | None -> false)
-  end;
-  (* Move the lease into the (possibly new) preferred region. *)
-  Sim.schedule t.sim ~after:1_000_000 (fun () ->
-      retry t rid ~attempts:20 (fun rg ->
-          match (leader_replica t rid, preferred_leaseholder_node t rg) with
-          | Some r, Some target when r.r_node <> target ->
-              let present = replica_at rg target <> None in
-              if present then hand_off_lease t r ~target;
-              present
-          | (Some _ | None), (Some _ | None) -> true))
+    let place = Allocator.place ~topology:t.topo ~latency:t.latency in
+    (* Move the lease once the walk is over: an entry it appends while the
+       lease's target campaigns would fail that election. *)
+    ignore (walk t rg (place ~load ~zone) ~finally:(fun () -> move_lease t rg)
+      : bool)
+  end
+  else move_lease t rg
 
 let drop_range t rid =
   let rg = range t rid in
@@ -855,15 +887,15 @@ let ranges_in_span t ~start_key ~end_key =
   |> List.rev
 
 (* One allocator-driven rebalance step: if the current placement can be
-   improved, add the replacement replica via a single-step Raft config
-   change and remove the victim once the replacement has caught up. The
-   leaseholder is never removed out from under itself — when it is the
+   improved, walk the group to it with the victim replaced — add the
+   replacement, then remove the victim once the replacement has caught up.
+   The leaseholder is never removed out from under itself — when it is the
    victim, the lease moves to another live voter first and a later pass
-   moves the replica. Returns [true] iff a step was initiated. *)
+   moves the replica. No step starts while a walk is in flight. Returns
+   [true] iff a step was initiated. *)
 let rebalance_step t rid =
   match range_opt t rid with
-  | None -> false
-  | Some rg -> (
+  | Some ({ rg_walk = None; _ } as rg) -> (
       match leader_replica t rid with
       | None -> false
       | Some lr -> (
@@ -896,63 +928,23 @@ let rebalance_step t rid =
                     hand_off_lease t lr ~target;
                     true
               end
-              else begin
-                match Raft.add_peer lr.r_raft replacement kind with
-                | None -> false
-                | Some _ ->
-                    Events.log (Obs.events t.obs) ~node:lr.r_node ~range:rid
-                      ~attrs:
-                        [
-                          ("victim", string_of_int victim);
-                          ("replacement", string_of_int replacement);
-                        ]
-                      Events.Rebalance;
-                    let goal = Raft.commit_index lr.r_raft in
-                    (* A dead victim never applies its own removal, so its
-                       replica object must be reaped here; a live one
-                       removes itself in [on_config] first, making this a
-                       no-op (guarded by presence). *)
-                    let reap_victim rg =
-                      match replica_at rg victim with
-                      | Some vr ->
-                          Raft.stop vr.r_raft;
-                          drop_replica t rg victim
-                      | None -> ()
-                    in
-                    let finish rg =
-                      let caught_up =
-                        match replica_at rg replacement with
-                        | Some rr -> Raft.applied_index rr.r_raft >= goal
-                        | None -> false
-                      in
-                      let removed =
-                        match leader_replica t rid with
-                        | Some l2 ->
-                            (not (List.mem_assoc victim (Raft.peers l2.r_raft)))
-                            || caught_up && l2.r_node <> victim
-                               && Raft.remove_peer l2.r_raft victim <> None
-                        | None -> false
-                      in
-                      if removed then
-                        (* Give a live victim time to apply its own removal,
-                           then reap whatever is left. *)
-                        Sim.schedule t.sim ~after:2_000_000 (fun () ->
-                            Option.iter reap_victim (range_opt t rid));
-                      removed
-                    in
-                    Sim.schedule t.sim ~after:500_000 (fun () ->
-                        retry t rid ~attempts:40 finish);
-                    true
-              end))
+              else
+                let target =
+                  (replacement, kind) :: List.remove_assoc victim placement
+                in
+                let started = walk t rg target ~finally:ignore in
+                if started then
+                  Events.log (Obs.events t.obs) ~node:lr.r_node ~range:rid
+                    ~attrs:
+                      [
+                        ("victim", string_of_int victim);
+                        ("replacement", string_of_int replacement);
+                      ]
+                    Events.Rebalance;
+                started))
+  | Some _ | None -> false
 
-let rebalance_leases t =
-  Hashtbl.iter
-    (fun _ rg ->
-      match (leader_replica t rg.rg_id, preferred_leaseholder_node t rg) with
-      | Some r, Some target when r.r_node <> target ->
-          hand_off_lease t r ~target
-      | (Some _ | None), (Some _ | None) -> ())
-    t.ranges_tbl
+let rebalance_leases t = Hashtbl.iter (fun _ -> move_lease t) t.ranges_tbl
 
 let transfer_lease t rid ~target =
   match leader_replica t rid with

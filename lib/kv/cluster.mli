@@ -118,8 +118,9 @@ val add_range :
     region). Spans must not overlap existing ranges. *)
 
 val alter_range : t -> range_id -> zone:Zoneconfig.t -> policy:policy -> unit
-(** Re-derive placement for a new configuration, reconfigure the group and
-    move the lease if needed (online locality/survivability change). *)
+(** Online locality/survivability change: if the placement no longer
+    satisfies [zone], walk the group to a new one like {!rebalance_step}
+    does, then move the lease if needed. *)
 
 val drop_range : t -> range_id -> unit
 (** Remove the range and its replicas (table/partition dropped). *)
@@ -171,11 +172,11 @@ val ranges_in_span :
 val rebalance_step : t -> range_id -> bool
 (** One allocator-driven rebalance step: if a single-replica substitution
     improves the placement score (constraint violations, then failure-domain
-    diversity, then load), add the replacement through a single-step Raft
-    membership change and remove the victim once the replacement has caught
-    up (add-then-remove, one replica at a time). When the victim is the
-    leaseholder itself, the lease is transferred away instead and the move
-    is left to a later pass. [true] iff a step was initiated. *)
+    diversity, then load), walk the group there one single-peer Raft change
+    at a time: add the replacement, then remove the victim once the
+    replacement has caught up. When the victim is the leaseholder, the lease
+    moves away instead and a later pass moves the replica. No step starts
+    while a walk is in flight. [true] iff a step was initiated. *)
 
 val settle : t -> unit
 (** Run the simulation briefly so that elections complete and initial closed
@@ -632,3 +633,7 @@ val recover_txn :
 (** {2 Introspection for tests and benchmarks} *)
 
 val storage_of : t -> range_id -> Crdb_net.Topology.node_id -> Crdb_storage.Mvcc.t option
+
+val leader_peers :
+  t -> range_id -> (Crdb_net.Topology.node_id * Crdb_raft.Raft.peer_kind) list
+(** The applied peers of the range's live Raft leader; [[]] if none. *)

@@ -772,43 +772,43 @@ let handle t ~from msg =
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
 
+(* Append [payload] to the leader's log and start replicating it. *)
+let append t payload =
+  let index = append_local t payload in
+  if t.quiesced then t.quiesced <- false;
+  if t.heartbeat_timer = None then arm_heartbeat t;
+  broadcast t;
+  maybe_advance_commit t;
+  Some index
+
 let propose t cmd =
   match t.role with
   | Follower | Candidate -> None
   | Leader ->
-      let index = append_local t (Command cmd) in
-      Hashtbl.replace t.pending_propose index (Sim.now t.sim);
-      if t.quiesced then t.quiesced <- false;
-      if t.heartbeat_timer = None then arm_heartbeat t;
-      broadcast t;
-      maybe_advance_commit t;
-      Some index
+      Hashtbl.replace t.pending_propose (last_index t + 1) (Sim.now t.sim);
+      append t (Command cmd)
 
-let propose_config t change =
+(* Propose [peers], the applied peers with [node] added, re-kinded or
+   removed. A change made while a configuration entry is unapplied would
+   undo that entry (etcd raft's [pendingConfIndex] rule). *)
+let change_config t node peers =
+  let pending () =
+    List.exists
+      (fun e ->
+        match e.payload with Config _ -> true | Command _ | Noop -> false)
+      (Vec.sub_list t.log ~pos:(t.applied - t.snap_index))
+  in
   match t.role with
-  | Follower | Candidate -> None
-  | Leader ->
-      if not (List.mem_assoc t.id change) then
-        invalid_arg "Raft.propose_config: leader must remain a peer";
-      let index = append_local t (Config change) in
-      if t.quiesced then t.quiesced <- false;
-      if t.heartbeat_timer = None then arm_heartbeat t;
-      broadcast t;
-      maybe_advance_commit t;
-      Some index
+  | Leader
+    when node <> t.id
+         && List.assoc_opt node peers <> List.assoc_opt node t.peers
+         && not (pending ()) ->
+      append t (Config peers)
+  | Leader | Follower | Candidate -> None
 
-(* Single-step membership changes: one replica added or removed at a time,
-   so any old-config quorum and any new-config quorum intersect and joint
-   consensus is unnecessary. *)
-let add_peer t node kind =
-  if List.mem_assoc node t.peers then None
-  else propose_config t (t.peers @ [ (node, kind) ])
-
-let remove_peer t node =
-  if node = t.id then
-    invalid_arg "Raft.remove_peer: leader cannot remove itself";
-  if not (List.mem_assoc node t.peers) then None
-  else propose_config t (List.filter (fun (p, _) -> p <> node) t.peers)
+let without node = List.filter (fun (p, _) -> p <> node)
+let set_peer t node kind = change_config t node (without node t.peers @ [ (node, kind) ])
+let remove_peer t node = change_config t node (without node t.peers)
 
 let transfer_leadership t target =
   match t.role with

@@ -17,8 +17,9 @@
     - {b leadership transfer}: [transfer_leadership] implements lease
       preference placement (§3.2), deferred until the target's log is
       caught up;
-    - {b joint-free reconfiguration}: a replicated configuration entry swaps
-      the peer set; new replicas are seeded with a state snapshot.
+    - {b joint-free reconfiguration}: a replicated configuration entry adds,
+      removes or re-kinds one peer, one entry at a time; new replicas are
+      seeded with a state snapshot.
 
     The module is network-agnostic: it emits messages through a [send]
     callback and receives them via {!handle}. One instance exists per
@@ -28,7 +29,8 @@
 type peer_kind = Voter | Learner
 
 type config_change = (int * peer_kind) list
-(** New peer set, replacing the old one wholesale when applied. *)
+(** A peer set. A configuration entry carries the whole new set, built by
+    Raft from the applied one by a single-peer change. *)
 
 type 'cmd payload =
   | Command of 'cmd
@@ -145,19 +147,19 @@ val propose : ('cmd, 'snap) t -> 'cmd -> int option
 (** Append a command (leader only; [None] otherwise). The returned log index
     is applied on this replica via [on_apply] once committed. *)
 
-val propose_config : ('cmd, 'snap) t -> config_change -> int option
-
-val add_peer : ('cmd, 'snap) t -> int -> peer_kind -> int option
-(** Single-step membership change: propose the current peer set plus one
-    new replica. [None] if not leader or the node is already a peer. The
-    new replica is materialized (and snapshot-seeded) once the entry
-    commits and [on_config] fires. *)
+val set_peer : ('cmd, 'snap) t -> int -> peer_kind -> int option
+(** [set_peer t node kind] proposes adding [node] as a peer of [kind], or
+    changing a peer's kind; its replica is created (and snapshot-seeded) once
+    the entry commits and [on_config] fires. [remove_peer t node] proposes
+    removing [node]. Changes are single-peer and one at a time, so any quorum
+    of the old configuration meets any quorum of the new one (Raft thesis
+    §4.1). A configuration takes effect when applied and a change is built on
+    the applied peers, so both return [None], proposing nothing, when this
+    replica is not the leader, when a configuration entry in its log is
+    unapplied (etcd raft's [pendingConfIndex]), when [node] is the leader
+    (transfer leadership first) or when nothing would change. *)
 
 val remove_peer : ('cmd, 'snap) t -> int -> int option
-(** Single-step membership change: propose the current peer set minus one
-    replica. [None] if not leader or the node is not a peer. Raises
-    [Invalid_argument] if asked to remove the leader itself — transfer
-    leadership first. *)
 
 val handle : ('cmd, 'snap) t -> from:int -> ('cmd, 'snap) message -> unit
 

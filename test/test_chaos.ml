@@ -17,6 +17,7 @@ module Checker = Crdb_check.Checker
 module Nemesis = Crdb_chaos.Nemesis
 module Workload = Crdb_chaos.Workload
 module Harness = Crdb_chaos.Harness
+module Autopilot = Crdb_autopilot.Autopilot
 module Crdb = Crdb_core.Crdb
 
 let check = Alcotest.check
@@ -572,6 +573,67 @@ let test_region_survival_outages () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Autopilot seed 7 of check.sh's seed window. Its rebalances once
+   proposed a membership change while another was unapplied: r1's addition
+   of n0 was built on a peer set that still listed n5, whose removal had
+   not applied, so the leader went on listing n5 as a voter after n5's
+   replica was gone. Every 100 ms, every peer in each range leader's applied
+   configuration must hold a replica. *)
+let test_leader_peers_hold_replicas () =
+  let seed = 7 in
+  let setup =
+    {
+      Harness.default with
+      Harness.cluster_seed = seed;
+      nemesis_seed = seed;
+      nemesis =
+        Some
+          {
+            Nemesis.default_random with
+            Nemesis.kinds = [ Nemesis.K_kill_node; Nemesis.K_lease_transfer ];
+          };
+      workload =
+        {
+          Workload.default with
+          Workload.seed;
+          clients_per_region = 7;
+          ops_per_client = 30;
+          keys = 48;
+          txn =
+            { Workload.Txn_config.default with Workload.Txn_config.clients = 2 };
+        };
+    }
+  in
+  let first_missing = ref None in
+  let rec watch cl () =
+    if !first_missing = None then
+      List.iter
+        (fun rid ->
+          List.iter
+            (fun (node, _) ->
+              if !first_missing = None && Cluster.storage_of cl rid node = None
+              then first_missing := Some (Sim.now (Cluster.sim cl), rid, node))
+            (Cluster.leader_peers cl rid))
+        (Cluster.ranges cl);
+    Sim.schedule (Cluster.sim cl) ~after:100_000 (watch cl)
+  in
+  let ap = ref None in
+  let o =
+    Harness.run
+      ~arm:(fun cl ->
+        ap := Some (Autopilot.start cl);
+        watch cl ())
+      setup
+  in
+  Option.iter Autopilot.stop !ap;
+  (match !first_missing with
+  | Some (at, rid, node) ->
+      Alcotest.failf
+        "at %d us the leader of r%d lists n%d, which holds no replica" at rid
+        node
+  | None -> ());
+  check Alcotest.bool "checkers pass" true (Harness.passed o)
+
 let suite =
   [
     Alcotest.test_case "checker: linearizable accepted" `Quick test_checker_linearizable;
@@ -609,4 +671,6 @@ let suite =
       test_quiesced_leader_restart;
     Alcotest.test_case "zone survival outages" `Quick test_zone_survival_outages;
     Alcotest.test_case "region survival outages" `Quick test_region_survival_outages;
+    Alcotest.test_case "leader peers hold replicas under the autopilot" `Quick
+      test_leader_peers_hold_replicas;
   ]

@@ -556,6 +556,11 @@ let test_rebalance_convergence () =
   let victim = other_voter cl rid lh in
   Transport.kill_node (Cluster.net cl) victim;
   Cluster.run_for cl 20_000_000;
+  (* One move at a time: none starts while the last one is still walking. *)
+  check Alcotest.bool "first move starts" true (Cluster.rebalance_step cl rid);
+  check Alcotest.bool "no second move while the first is in flight" false
+    (Cluster.rebalance_step cl rid);
+  Cluster.run_for cl 30_000_000;
   let rec converge steps =
     if steps = 0 then Alcotest.fail "rebalance did not converge"
     else if Cluster.rebalance_step cl rid then begin
@@ -579,6 +584,80 @@ let test_rebalance_convergence () =
       ignore (put cl ~gateway:gw ~txn:9 "k" "v");
       check Alcotest.(option string) "write after rebalance" (Some "v")
         (get cl ~gateway:gw "k"))
+
+(* [alter_range] walks the group to its new placement one peer at a time:
+   killing the old leaseholder right after an online zone change neither
+   loses committed writes nor leaves the range without a leaseholder, and
+   a change left alone ends on a placement that satisfies the new zone.
+   Each case starts from one range homed in us-east1 holding 20 committed
+   keys, runs [alter_range], optionally kills the old leaseholder [kill]
+   ms later, and checks the range 15 s on. *)
+let test_alter_range_walks_one_peer_at_a_time () =
+  let keys = List.init 20 (Printf.sprintf "k%02d") in
+  let has_leaseholder case cl rid =
+    check Alcotest.bool (case ^ ": a leaseholder exists") true
+      (Cluster.leaseholder cl rid <> None)
+  in
+  let reads_all ~home case cl rid =
+    has_leaseholder case cl rid;
+    let gw = node_in cl home 0 in
+    let found =
+      Cluster.run cl (fun () ->
+          List.length
+            (List.filter (fun k -> get cl ~gateway:gw k = Some "v") keys))
+    in
+    check Alcotest.int (case ^ ": committed keys read back") 20 found
+  and satisfies_zone case cl rid =
+    let zone = Cluster.zone_of cl rid
+    and placement = Cluster.replica_nodes cl rid in
+    check Alcotest.int (case ^ ": replicas") zone.Zoneconfig.num_replicas
+      (List.length placement);
+    check Alcotest.int (case ^ ": voters") zone.Zoneconfig.num_voters
+      (List.length (List.filter (fun (_, k) -> k = Raft.Voter) placement));
+    check Alcotest.bool (case ^ ": placement satisfies the zone") true
+      (Allocator.satisfies ~topology:(Cluster.topology cl) ~zone placement)
+  in
+  let zone home = ("ZONE in " ^ home, zone_config ~home ())
+  and region home =
+    ("REGION in " ^ home, zone_config ~survival:Zoneconfig.Region ~home ())
+  in
+  let cases =
+    List.concat_map
+      (fun kill ->
+        List.map
+          (fun home -> (zone home, Some kill, reads_all ~home))
+          [ "europe-west2"; "us-west1" ])
+      [ 5; 20; 50 ]
+    @ List.map
+        (fun kill -> (region "europe-west2", Some kill, has_leaseholder))
+        [ 5; 20 ]
+    @ List.map
+        (fun target -> (target, None, satisfies_zone))
+        [ zone "europe-west2"; region "europe-west2" ]
+  in
+  List.iter
+    (fun ((name, zone), kill, expect) ->
+      let cl, rid = one_range () in
+      let gw = node_in cl home 0 in
+      Cluster.run cl (fun () ->
+          List.iteri
+            (fun i k -> ignore (put cl ~gateway:gw ~txn:(i + 1) k "v"))
+            keys);
+      let old_lh = Option.get (Cluster.leaseholder cl rid) in
+      Cluster.alter_range cl rid ~zone ~policy:Cluster.Lag;
+      Option.iter
+        (fun ms ->
+          Cluster.run_for cl (ms * 1_000);
+          Transport.kill_node (Cluster.net cl) old_lh)
+        kill;
+      Cluster.run_for cl 15_000_000;
+      let case =
+        match kill with
+        | Some ms -> Printf.sprintf "%s, leaseholder killed at %d ms" name ms
+        | None -> name ^ ", no fault"
+      in
+      expect case cl rid)
+    cases
 
 let suite =
   [
@@ -606,4 +685,6 @@ let suite =
     Alcotest.test_case "lease preference pinning" `Quick
       test_lease_preference_pinning;
     Alcotest.test_case "rebalance convergence" `Quick test_rebalance_convergence;
+    Alcotest.test_case "alter range walks one peer at a time" `Quick
+      test_alter_range_walks_one_peer_at_a_time;
   ]

@@ -228,23 +228,81 @@ let test_minority_partition () =
 
 let test_config_change_adds_node () =
   let h = make_harness ~voters:[ 0; 1; 2 ] ~learners:[ 3 ] () in
-  (* Node 3 exists but starts outside the group: recreate the group with just
-     3 voters, then add 3 as a learner via reconfiguration. *)
+  (* Node 3 starts as a learner; a single-peer change makes it a voter. *)
   run_ms h 500;
   let l = find_leader h in
   ignore (Raft.propose (raft h l) "a");
   run_ms h 500;
-  let new_config =
-    [ (0, Raft.Voter); (1, Raft.Voter); (2, Raft.Voter); (3, Raft.Voter) ]
-  in
   check Alcotest.bool "config proposed" true
-    (Raft.propose_config (raft h l) new_config <> None);
+    (Raft.set_peer (raft h l) 3 Raft.Voter <> None);
   run_ms h 2_000;
   check Alcotest.int "peers grew" 4 (List.length (Raft.peers (raft h l)));
   check Alcotest.(list string) "new voter caught up" [ "a" ] (applied h 3);
   ignore (Raft.propose (raft h l) "b");
   run_ms h 1_000;
   check Alcotest.(list string) "replicates to new voter" [ "a"; "b" ] (applied h 3)
+
+(* Changes go one at a time: a change proposed while another is unapplied
+   would be built on the old peers and undo it, so Raft refuses it. *)
+let test_config_change_one_at_a_time () =
+  let h =
+    make_harness ~voters:[ 0; 1; 2 ] ~learners:[] ~spare_nodes:[ 3; 4 ] ()
+  in
+  run_ms h 500;
+  let l = find_leader h in
+  check Alcotest.bool "first change proposed" true
+    (Raft.set_peer (raft h l) 3 Raft.Learner <> None);
+  check Alcotest.(option int) "second addition refused" None
+    (Raft.set_peer (raft h l) 4 Raft.Learner);
+  check Alcotest.(option int) "removal refused" None
+    (Raft.remove_peer (raft h l) ((l + 1) mod 3));
+  run_ms h 1_000;
+  let first =
+    [ (0, Raft.Voter); (1, Raft.Voter); (2, Raft.Voter); (3, Raft.Learner) ]
+  in
+  List.iter
+    (fun id ->
+      check
+        Alcotest.(list (pair int bool))
+        "group ends on the first change's config"
+        (List.map (fun (p, k) -> (p, k = Raft.Voter)) first)
+        (List.map (fun (p, k) -> (p, k = Raft.Voter)) (Raft.peers (raft h id))))
+    [ 0; 1; 2 ];
+  check Alcotest.bool "next change accepted once applied" true
+    (Raft.set_peer (raft h l) 4 Raft.Learner <> None)
+
+(* A promoted learner votes: a two-voter group that promotes its learner
+   still commits with one original voter cut off, which the two voters
+   alone could not. *)
+let test_promoted_learner_counts_toward_quorum () =
+  let h = make_harness ~voters:[ 0; 1 ] ~learners:[ 2 ] () in
+  run_ms h 500;
+  let l = find_leader h in
+  check Alcotest.bool "promotion proposed" true
+    (Raft.set_peer (raft h l) 2 Raft.Voter <> None);
+  run_ms h 500;
+  let cut = 1 - l in
+  h.blocked <- [ (l, cut); (cut, l); (2, cut); (cut, 2) ];
+  ignore (Raft.propose (raft h l) "a");
+  run_ms h 1_000;
+  check Alcotest.(list string) "committed without the cut-off voter" [ "a" ]
+    (applied h l);
+  check Alcotest.(list string) "promoted voter applied" [ "a" ] (applied h 2)
+
+(* The leader never changes its own kind or leaves the group: it hands
+   leadership to another voter first. *)
+let test_leader_keeps_its_seat () =
+  let h = make_harness ~voters:[ 0; 1; 2 ] ~learners:[] () in
+  run_ms h 500;
+  let l = find_leader h in
+  let last = Raft.last_index (raft h l) in
+  check Alcotest.(option int) "no self-demotion" None
+    (Raft.set_peer (raft h l) l Raft.Learner);
+  check Alcotest.(option int) "no self-removal" None
+    (Raft.remove_peer (raft h l) l);
+  check Alcotest.int "nothing appended" last (Raft.last_index (raft h l));
+  run_ms h 500;
+  check Alcotest.int "still leads" l (find_leader h)
 
 let test_snapshot_catch_up () =
   let h = make_harness ~voters:[ 0; 1; 2 ] ~learners:[] () in
@@ -278,8 +336,8 @@ let test_snapshot_boundary_excludes_uncommitted_tail () =
   let l = find_leader h in
   ignore (Raft.propose (raft h l) "a");
   run_ms h 500;
-  check Alcotest.bool "add_peer accepted" true
-    (Raft.add_peer (raft h l) 3 Raft.Voter <> None);
+  check Alcotest.bool "set_peer accepted" true
+    (Raft.set_peer (raft h l) 3 Raft.Voter <> None);
   run_ms h 500;
   (* Cut the two followers off, then append an entry that cannot commit:
      the snapshot that seeds the new peer now races an uncommitted tail. *)
@@ -400,6 +458,12 @@ let suite =
     Alcotest.test_case "transfer leadership" `Quick test_transfer_leadership;
     Alcotest.test_case "minority partition" `Quick test_minority_partition;
     Alcotest.test_case "config change" `Quick test_config_change_adds_node;
+    Alcotest.test_case "config changes one at a time" `Quick
+      test_config_change_one_at_a_time;
+    Alcotest.test_case "promoted learner counts toward quorum" `Quick
+      test_promoted_learner_counts_toward_quorum;
+    Alcotest.test_case "leader keeps its seat" `Quick
+      test_leader_keeps_its_seat;
     Alcotest.test_case "snapshot catch up" `Quick test_snapshot_catch_up;
     Alcotest.test_case "snapshot boundary excludes uncommitted tail" `Quick
       test_snapshot_boundary_excludes_uncommitted_tail;

@@ -12,6 +12,7 @@ module Legacy = Crdb.Legacy
 module Engine = Crdb.Engine
 module Cluster = Crdb.Cluster
 module Zoneconfig = Crdb.Zoneconfig
+module Allocator = Crdb_kv.Allocator
 module Raft = Crdb_raft.Raft
 
 let check = Alcotest.check
@@ -208,10 +209,23 @@ let test_survive_region_changes_zones () =
   check Alcotest.bool "survival recorded" true
     (Engine.survival db = Zoneconfig.Region);
   Crdb.run_for t 3_000_000;
+  let cl = Crdb.cluster t in
   List.iter
     (fun rid ->
-      let zone = Cluster.zone_of (Crdb.cluster t) rid in
+      let zone = Cluster.zone_of cl rid in
       check Alcotest.int "5 voters everywhere" 5 zone.Zoneconfig.num_voters)
+    (Engine.ranges_of_table db "users");
+  (* The replicas move one single-peer change at a time: 10 s after the
+     change every range is placed by its new zone and has a leaseholder. *)
+  Crdb.run_for t 7_000_000;
+  List.iter
+    (fun rid ->
+      let zone = Cluster.zone_of cl rid in
+      check Alcotest.bool "placement satisfies the new zone" true
+        (Allocator.satisfies ~topology:(Cluster.topology cl) ~zone
+           (Cluster.replica_nodes cl rid));
+      check Alcotest.bool "range has a leaseholder" true
+        (Cluster.leaseholder cl rid <> None))
     (Engine.ranges_of_table db "users")
 
 (* ------------------------------------------------------------------ *)
