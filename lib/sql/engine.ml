@@ -4,7 +4,6 @@ module Txn = Crdb_txn.Txn
 module Topology = Crdb_net.Topology
 module Sim = Crdb_sim.Sim
 module Proc = Crdb_sim.Proc
-module Ivar = Crdb_sim.Ivar
 module Rng = Crdb_stdx.Rng
 module Mvcc = Crdb_storage.Mvcc
 
@@ -19,7 +18,6 @@ type phys_index = {
   pi_def : Schema.index;
   pi_covering : bool;
   pi_pin : string option; (* duplicate-index leaseholder region *)
-  mutable pi_ranges : (Keycodec.partition * Cluster.range_id) list;
 }
 
 type phys_table = {
@@ -38,7 +36,6 @@ type db = {
   d_tables : (string, phys_table) Hashtbl.t;
   mutable d_table_order : string list;
   mutable d_los : bool;
-  mutable d_rehome_override : bool option;
 }
 
 and t = {
@@ -88,12 +85,6 @@ let phys_table db name =
 
 let table_schema db name = (phys_table db name).pt_schema
 let set_locality_optimized_search db v = db.d_los <- v
-let set_auto_rehome_override db v = db.d_rehome_override <- v
-
-let effective_rehome db pt =
-  match db.d_rehome_override with
-  | Some v -> v
-  | None -> pt.pt_schema.Schema.tbl_auto_rehome
 
 let region_of_node db node = Topology.region_of (Cluster.topology db.d_engine.cl) node
 
@@ -117,92 +108,83 @@ let home_of db pt ~partition ~pin =
 
 let zone_and_policy db pt ~partition ~pin =
   let home = home_of db pt ~partition ~pin in
-  let all_regions = regions db in
-  match pt.pt_schema.Schema.tbl_locality with
-  | Schema.Global ->
-      (* PLACEMENT RESTRICTED does not affect GLOBAL tables (§3.3.4). *)
-      let zone =
-        Zoneconfig.derive ~regions:all_regions ~home ~survival:db.d_survival
-          ~placement:Zoneconfig.Default
-      in
-      (zone, Cluster.Lead)
-  | Schema.Regional_by_row | Schema.Regional_by_table _ ->
-      let zone =
-        Zoneconfig.derive ~regions:all_regions ~home ~survival:db.d_survival
-          ~placement:db.d_placement
-      in
-      (zone, Cluster.Lag)
-
-let partitions_for db pt =
-  if is_rbr pt then List.map (fun r -> Some r) (regions db) else [ None ]
-
-let create_index_ranges db pt pi =
-  let parts = if pi.pi_pin <> None then [ None ] else partitions_for db pt in
-  pi.pi_ranges <-
-    List.map
-      (fun partition ->
-        let zone, policy = zone_and_policy db pt ~partition ~pin:pi.pi_pin in
-        let span =
-          Keycodec.partition_span ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
-        in
-        (partition, Cluster.add_range db.d_engine.cl ~span ~zone ~policy))
-      parts
-
-(* [pi_ranges] remembers each partition and the range originally created for
-   it, but range ids go stale: the KV layer splits and merges ranges at any
-   time. Everything that acts on a partition's ranges resolves its span
-   through the routing table at use time instead of trusting the cache. *)
-let partition_rids db pt pi partition =
-  let start_key, end_key =
-    Keycodec.partition_span ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
+  (* PLACEMENT RESTRICTED does not affect GLOBAL tables (§3.3.4). *)
+  let placement, policy =
+    match pt.pt_schema.Schema.tbl_locality with
+    | Schema.Global -> (Zoneconfig.Default, Cluster.Lead)
+    | Schema.Regional_by_row | Schema.Regional_by_table _ ->
+        (db.d_placement, Cluster.Lag)
   in
+  ( Zoneconfig.derive ~regions:(regions db) ~home ~survival:db.d_survival ~placement,
+    policy )
+
+(* An index's partitions are derived, never cached: an unpinned index of a
+   REGIONAL BY ROW table has one per database region, in the order the
+   regions were added (a region being dropped included); every other index
+   has the single [None] partition. *)
+let partitions db pt pi =
+  if is_rbr pt && pi.pi_pin = None then List.map (fun (r, _) -> Some r) db.d_regions
+  else [ None ]
+
+let iter_partitions db pt f =
+  List.iter (fun pi -> List.iter (f pi) (partitions db pt pi)) pt.pt_indexes
+
+let partition_span pt pi partition =
+  Keycodec.partition_span ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
+
+(* A partition's ranges, resolved through the routing table at use time: the
+   KV layer splits and merges ranges at any time, so range ids are never
+   kept. *)
+let partition_rids db pt pi partition =
+  let start_key, end_key = partition_span pt pi partition in
   Cluster.ranges_in_span db.d_engine.cl ~start_key ~end_key
 
-let drop_index_ranges db pt pi =
-  List.iter
-    (fun (partition, _) ->
-      List.iter
-        (fun rid -> Cluster.drop_range db.d_engine.cl rid)
-        (partition_rids db pt pi partition))
-    pi.pi_ranges;
-  pi.pi_ranges <- []
+(* The one way to create a partition's range, and the one way to drop a
+   partition's ranges. *)
+let add_partition_range db pt pi partition =
+  let zone, policy = zone_and_policy db pt ~partition ~pin:pi.pi_pin in
+  let span = partition_span pt pi partition in
+  ignore (Cluster.add_range db.d_engine.cl ~span ~zone ~policy : Cluster.range_id)
+
+let drop_partition_ranges db pt pi partition =
+  List.iter (Cluster.drop_range db.d_engine.cl) (partition_rids db pt pi partition)
+
+(* Apply [f] to every partition of [region], table by table. *)
+let iter_region_partitions db region f =
+  Hashtbl.iter
+    (fun _ pt ->
+      iter_partitions db pt (fun pi partition ->
+          if partition = Some region then f pt pi partition))
+    db.d_tables
 
 let realign_zones db =
   (* Re-derive every range's zone configuration after a region, survival or
      placement change. *)
   Hashtbl.iter
     (fun _ pt ->
-      List.iter
-        (fun pi ->
+      iter_partitions db pt (fun pi partition ->
+          let zone, policy = zone_and_policy db pt ~partition ~pin:pi.pi_pin in
           List.iter
-            (fun (partition, _) ->
-              let zone, policy = zone_and_policy db pt ~partition ~pin:pi.pi_pin in
-              List.iter
-                (fun rid -> Cluster.alter_range db.d_engine.cl rid ~zone ~policy)
-                (partition_rids db pt pi partition))
-            pi.pi_ranges)
-        pt.pt_indexes)
-    db.d_tables
+            (fun rid -> Cluster.alter_range db.d_engine.cl rid ~zone ~policy)
+            (partition_rids db pt pi partition)))
+    db.d_tables;
+  Cluster.settle db.d_engine.cl
 
 let build_phys_indexes db schema =
+  let pkey_index name =
+    { Schema.idx_name = name; idx_cols = schema.Schema.tbl_pkey; idx_unique = true }
+  in
   let primary =
     {
       pi_no = Keycodec.primary_index;
-      pi_def =
-        {
-          Schema.idx_name = "primary";
-          idx_cols = schema.Schema.tbl_pkey;
-          idx_unique = true;
-        };
+      pi_def = pkey_index "primary";
       pi_covering = true;
       pi_pin = None;
-      pi_ranges = [];
     }
   in
   let secondaries =
     List.mapi
-      (fun i def ->
-        { pi_no = i + 1; pi_def = def; pi_covering = false; pi_pin = None; pi_ranges = [] })
+      (fun i def -> { pi_no = i + 1; pi_def = def; pi_covering = false; pi_pin = None })
       schema.Schema.tbl_indexes
   in
   let duplicates =
@@ -211,37 +193,35 @@ let build_phys_indexes db schema =
         (fun i region ->
           {
             pi_no = Keycodec.dup_index_base + i;
-            pi_def =
-              {
-                Schema.idx_name = "dup_" ^ region;
-                idx_cols = schema.Schema.tbl_pkey;
-                idx_unique = true;
-              };
+            pi_def = pkey_index ("dup_" ^ region);
             pi_covering = true;
             pi_pin = Some region;
-            pi_ranges = [];
           })
         (regions db)
     else []
   in
   primary :: (secondaries @ duplicates)
 
-let create_table_phys db schema =
-  if Hashtbl.mem db.d_tables schema.Schema.tbl_name then
-    sql_error "table %s.%s already exists" db.d_name schema.Schema.tbl_name;
+(* Give [pt] the layout [schema] implies and create its ranges. *)
+let lay_out db pt schema =
   let schema =
     match schema.Schema.tbl_locality with
     | Schema.Regional_by_row -> Schema.with_region_column schema
     | Schema.Regional_by_table _ | Schema.Global -> schema
   in
+  pt.pt_schema <- schema;
+  pt.pt_indexes <- build_phys_indexes db schema;
+  iter_partitions db pt (add_partition_range db pt)
+
+let create_table_phys db schema =
+  if Hashtbl.mem db.d_tables schema.Schema.tbl_name then
+    sql_error "table %s.%s already exists" db.d_name schema.Schema.tbl_name;
   let pt_id = db.d_engine.next_table_id in
   db.d_engine.next_table_id <- pt_id + 1;
   let pt = { pt_id; pt_schema = schema; pt_indexes = [] } in
-  pt.pt_indexes <- build_phys_indexes db schema;
-  List.iter (fun pi -> create_index_ranges db pt pi) pt.pt_indexes;
+  lay_out db pt schema;
   Hashtbl.replace db.d_tables schema.Schema.tbl_name pt;
-  db.d_table_order <- schema.Schema.tbl_name :: db.d_table_order;
-  pt
+  db.d_table_order <- schema.Schema.tbl_name :: db.d_table_order
 
 (* ------------------------------------------------------------------ *)
 (* Row and index entry keys                                            *)
@@ -255,20 +235,11 @@ let pk_values pt (row : row) =
     pt.pt_schema.Schema.tbl_pkey
 
 let index_key_values pt pi (row : row) =
-  let base =
-    List.map
-      (fun c ->
-        match List.assoc_opt c row with Some v -> v | None -> Value.V_null)
-      pi.pi_def.Schema.idx_cols
-  in
+  let base = Schema.values_of row pi.pi_def.Schema.idx_cols in
   if pi.pi_def.Schema.idx_unique then base
   else base @ pk_values pt row
 
 let primary_of pt = List.hd pt.pt_indexes
-let secondary_indexes pt =
-  List.filter (fun pi -> pi.pi_no <> Keycodec.primary_index && pi.pi_pin = None)
-    pt.pt_indexes
-let dup_indexes pt = List.filter (fun pi -> pi.pi_pin <> None) pt.pt_indexes
 
 let row_partition pt (row : row) : Keycodec.partition =
   if not (is_rbr pt) then None
@@ -283,13 +254,52 @@ let encode_full_row pt (row : row) =
 
 let decode_full_row pt raw = Schema.row_of_values pt.pt_schema (Value.decode_row raw)
 
+(* A row's index entries, in index order: the primary entry (the full row),
+   each secondary entry (the primary key), then each duplicate-index copy
+   (the full row, in the copy's single partition). *)
+let index_entries pt ~partition (row : row) =
+  let pk = pk_values pt row in
+  let full = encode_full_row pt row in
+  List.map
+    (fun pi ->
+      let partition = if pi.pi_pin = None then partition else None in
+      let key values =
+        Keycodec.row_key ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition values
+      in
+      if pi.pi_covering then (key pk, full)
+      else (key (index_key_values pt pi row), Value.encode_row pk))
+    pt.pt_indexes
+
+(* [row] with its region column set to [v], appended when absent. *)
+let set_region (row : row) v =
+  if List.mem_assoc Schema.region_column row then
+    List.map
+      (fun (n, x) -> if String.equal n Schema.region_column then (n, v) else (n, x))
+      row
+  else row @ [ (Schema.region_column, v) ]
+
+(* The region lookup values pin a row to: given explicitly, or computable
+   from them when every source column of a computed region is present
+   (computed partitioning, §2.3.2). *)
+let known_region pt (known : row) =
+  match List.assoc_opt Schema.region_column known with
+  | Some (Value.V_region r) -> Some r
+  | Some _ | None -> (
+      match Schema.region_computed_from pt.pt_schema with
+      | Some cols when List.for_all (fun c -> List.mem_assoc c known) cols -> (
+          match Schema.compute_region pt.pt_schema known with
+          | Some (Value.V_region r) -> Some r
+          | Some _ | None -> None)
+      | Some _ | None -> None)
+
 (* ------------------------------------------------------------------ *)
 (* Fetch context: reads through either a read-write txn or a read-only
    context, with the same planner code.                                *)
 
 type fetch_ctx = {
   fc_get : string -> string option;
-  fc_scan : start_key:string -> end_key:string -> limit:int option -> (string * string) list;
+  fc_scan :
+    start_key:string -> end_key:string -> limit:int option -> (string * string) list;
   fc_region : string;
   fc_sim : Sim.t;
 }
@@ -313,6 +323,11 @@ let ctx_of_ro db gateway ro =
     fc_sim = Cluster.sim db.d_engine.cl;
   }
 
+(* Run [f] on every partition concurrently, then await each in order. *)
+let in_parallel ctx f parts =
+  List.map Proc.await_catch
+    (List.map (fun p -> Proc.async_catch ctx.fc_sim (fun () -> f p)) parts)
+
 (* Partition search plan for a point lookup on index [pi] with the given key
    column values available (§4.2). *)
 type search_plan =
@@ -322,46 +337,22 @@ type search_plan =
 
 let lookup_plan db pt ~local_region ~(known : row) =
   if not (is_rbr pt) then Search_one None
-  else begin
-    let parts = List.map (fun r -> Some r) (regions db) in
-    (* The region may be explicit in the lookup values... *)
-    match List.assoc_opt Schema.region_column known with
-    | Some (Value.V_region r) -> Search_one (Some r)
-    | Some _ | None -> (
-        (* ...or computable from them (computed partitioning, §2.3.2). *)
-        let computed =
-          match Schema.region_computed_from pt.pt_schema with
-          | Some cols when List.for_all (fun c -> List.mem_assoc c known) cols
-            -> (
-              match Schema.compute_region pt.pt_schema known with
-              | Some (Value.V_region r) -> Some r
-              | Some _ | None -> None)
-          | Some _ | None -> None
-        in
-        match computed with
-        | Some r -> Search_one (Some r)
-        | None ->
-            if db.d_los && List.mem local_region (regions db) then
-              (* Locality Optimized Search (§4.2): the local partition
-                 first; fan out only on a miss. *)
-              Search_local_first
-                ( Some local_region,
-                  List.filter (fun p -> p <> Some local_region) parts )
-            else Search_all parts)
-  end
+  else
+    match known_region pt known with
+    | Some r -> Search_one (Some r)
+    | None ->
+        let parts = List.map (fun r -> Some r) (regions db) in
+        if db.d_los && List.mem local_region (regions db) then
+          (* Locality Optimized Search (§4.2): the local partition first;
+             fan out only on a miss. *)
+          Search_local_first
+            (Some local_region, List.filter (fun p -> p <> Some local_region) parts)
+        else Search_all parts
 
 (* Run [lookup] against partitions per the plan; [lookup] returns the first
    match. Parallel legs preserve partition order when picking a winner. *)
 let execute_plan ctx plan lookup =
-  let parallel parts =
-    let ivs =
-      List.map (fun p -> Proc.async_catch ctx.fc_sim (fun () -> lookup p)) parts
-    in
-    let results = List.map Proc.await_catch ivs in
-    List.fold_left
-      (fun acc r -> match acc with Some _ -> acc | None -> r)
-      None results
-  in
+  let parallel parts = List.find_map Fun.id (in_parallel ctx lookup parts) in
   match plan with
   | Search_one p -> lookup p
   | Search_local_first (local, others) -> (
@@ -406,20 +397,21 @@ let find_via_index db pt pi ctx ~(known : row) ~key_values =
         | None -> None
       end
 
-let local_dup_index pt ctx =
-  if not pt.pt_schema.Schema.tbl_duplicate_indexes then None
-  else List.find_opt (fun pi -> pi.pi_pin = Some ctx.fc_region) (dup_indexes pt)
+(* The row with primary key [pk], through [pi]: the primary index or a
+   duplicate of it. *)
+let find_by_pk db pt pi ctx pk =
+  find_via_index db pt pi ctx
+    ~known:(List.combine pt.pt_schema.Schema.tbl_pkey pk)
+    ~key_values:pk
 
 let select_pk_ctx db pt ctx pk =
-  let known = List.combine pt.pt_schema.Schema.tbl_pkey pk in
-  match local_dup_index pt ctx with
-  | Some pi -> (
-      (* Read the local covering duplicate index (§7.3.1). *)
-      match find_via_index db pt pi ctx ~known ~key_values:pk with
-      | Some (_, row) -> Some (None, row)
-      | None -> None)
-  | None ->
-      find_via_index db pt (primary_of pt) ctx ~known ~key_values:pk
+  (* A local covering duplicate index serves the read (§7.3.1). *)
+  let pi =
+    match List.find_opt (fun pi -> pi.pi_pin = Some ctx.fc_region) pt.pt_indexes with
+    | Some dup -> dup
+    | None -> primary_of pt
+  in
+  Option.map snd (find_by_pk db pt pi ctx pk)
 
 let select_unique_ctx db pt ctx ~col value =
   let pi =
@@ -432,9 +424,8 @@ let select_unique_ctx db pt ctx ~col value =
     | Some pi -> pi
     | None -> sql_error "no unique index on %s(%s)" pt.pt_schema.Schema.tbl_name col
   in
-  match find_via_index db pt pi ctx ~known:[ (col, value) ] ~key_values:[ value ] with
-  | Some (_, row) -> Some row
-  | None -> None
+  Option.map snd
+    (find_via_index db pt pi ctx ~known:[ (col, value) ] ~key_values:[ value ])
 
 (* ------------------------------------------------------------------ *)
 (* Mutations (inside a read-write transaction)                         *)
@@ -450,13 +441,7 @@ let normalize_insert db pt ~gateway_region (row : row) : row =
     match c.Schema.col_default with
     | Schema.D_computed (cols, f) ->
         (* Computed columns always re-evaluate from their sources. *)
-        f
-          (List.map
-             (fun cc ->
-               match List.assoc_opt cc row with
-               | Some v -> v
-               | None -> Value.V_null)
-             cols)
+        f (Schema.values_of row cols)
     | Schema.D_gateway_region -> (
         match provided with
         | Some v -> v
@@ -505,52 +490,34 @@ let check_unique db pt ctx ~(row : row) ~own_pk ~partition =
   List.iter
     (fun pi ->
       if pi.pi_def.Schema.idx_unique && pi.pi_pin = None then begin
-        let key_values =
-          List.map
-            (fun c ->
-              match List.assoc_opt c row with
-              | Some v -> v
-              | None -> Value.V_null)
-            pi.pi_def.Schema.idx_cols
-        in
+        let key_values = Schema.values_of row pi.pi_def.Schema.idx_cols in
         let conflict_in partition =
           let key =
             Keycodec.row_key ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
               key_values
           in
           match ctx.fc_get key with
-          | None -> None
+          | None -> false
           | Some raw ->
               let existing_pk =
                 if pi.pi_no = Keycodec.primary_index then
                   pk_values pt (decode_full_row pt raw)
                 else Value.decode_row raw
               in
-              if Some existing_pk = own_pk then None else Some ()
+              Some existing_pk <> own_pk
         in
-        let scope = unique_check_scope pt pi in
         let conflict =
-          match scope with
-          | `Skip -> None
+          match unique_check_scope pt pi with
+          | `Skip -> false
           | `Own_partition -> conflict_in partition
           | `All_partitions ->
-              let parts = List.map (fun r -> Some r) (regions db) in
               (* One point lookup per region, in parallel (§4.1). *)
-              let ivs =
-                List.map
-                  (fun p -> Proc.async_catch ctx.fc_sim (fun () -> conflict_in p))
-                  parts
-              in
-              List.fold_left
-                (fun acc iv ->
-                  match Proc.await_catch iv with Some () -> Some () | None -> acc)
-                None ivs
+              List.mem true
+                (in_parallel ctx conflict_in (List.map (fun r -> Some r) (regions db)))
         in
-        match conflict with
-        | Some () ->
-            sql_error "duplicate key value violates unique constraint %s.%s"
-              pt.pt_schema.Schema.tbl_name pi.pi_def.Schema.idx_name
-        | None -> ()
+        if conflict then
+          sql_error "duplicate key value violates unique constraint %s.%s"
+            pt.pt_schema.Schema.tbl_name pi.pi_def.Schema.idx_name
       end)
     pt.pt_indexes
 
@@ -558,14 +525,7 @@ let check_fks db ctx (row : row) pt =
   List.iter
     (fun (fk : Schema.fk) ->
       let parent = phys_table db fk.Schema.fk_parent in
-      let values =
-        List.map
-          (fun c ->
-            match List.assoc_opt c row with
-            | Some v -> v
-            | None -> Value.V_null)
-          fk.Schema.fk_cols
-      in
+      let values = Schema.values_of row fk.Schema.fk_cols in
       if List.exists (fun v -> Value.equal v Value.V_null) values then ()
       else begin
         match select_pk_ctx db parent ctx values with
@@ -575,42 +535,6 @@ let check_fks db ctx (row : row) pt =
               pt.pt_schema.Schema.tbl_name fk.Schema.fk_parent
       end)
     pt.pt_schema.Schema.tbl_fks
-
-let row_keys pt ~partition (row : row) =
-  let pk = pk_values pt row in
-  let primary_key =
-    Keycodec.row_key ~table_id:pt.pt_id ~index_no:Keycodec.primary_index
-      ~partition pk
-  in
-  let secondary_keys =
-    List.map
-      (fun pi ->
-        ( Keycodec.row_key ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
-            (index_key_values pt pi row),
-          Value.encode_row pk ))
-      (secondary_indexes pt)
-  in
-  let dup_keys =
-    List.map
-      (fun pi ->
-        ( Keycodec.row_key ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition:None pk,
-          encode_full_row pt row ))
-      (dup_indexes pt)
-  in
-  (primary_key, secondary_keys, dup_keys)
-
-let write_row_keys txn pt ~partition row =
-  let primary_key, secondary_keys, dup_keys = row_keys pt ~partition row in
-  Txn.put txn primary_key (encode_full_row pt row);
-  List.iter (fun (k, v) -> Txn.put txn k v) secondary_keys;
-  List.iter (fun (k, v) -> Txn.put txn k v) dup_keys
-
-let delete_row_keys txn pt ~partition row =
-  let primary_key, secondary_keys, dup_keys = row_keys pt ~partition row in
-  Txn.delete txn primary_key;
-  List.iter (fun (k, _) -> Txn.delete txn k) secondary_keys;
-  List.iter (fun (k, _) -> Txn.delete txn k) dup_keys
-
 
 (* ------------------------------------------------------------------ *)
 (* Multi-statement transactions                                        *)
@@ -622,23 +546,22 @@ let t_insert_inner ?(check = true) c ~table (row : row) =
   let pt = phys_table db table in
   let normalized = normalize_insert db pt ~gateway_region:c.tc_ctx.fc_region row in
   let partition = row_partition pt normalized in
-  (match (partition, is_rbr pt) with
-  | Some r, true when not (List.mem r (regions db)) ->
+  (match partition with
+  | Some r when not (List.mem r (regions db)) ->
       sql_error "region %s is not writable in database %s" r db.d_name
-  | (Some _ | None), _ -> ());
+  | Some _ | None -> ());
   if check then begin
     check_fks db c.tc_ctx normalized pt;
     check_unique db pt c.tc_ctx ~row:normalized ~own_pk:None ~partition
   end;
-  write_row_keys c.tc_txn pt ~partition normalized
+  List.iter
+    (fun (k, v) -> Txn.put c.tc_txn k v)
+    (index_entries pt ~partition normalized)
 
 let t_insert c ~table row = t_insert_inner ~check:true c ~table row
 
 let t_select_by_pk c ~table pk =
-  let pt = phys_table c.tc_db table in
-  match select_pk_ctx c.tc_db pt c.tc_ctx pk with
-  | Some (_, row) -> Some row
-  | None -> None
+  select_pk_ctx c.tc_db (phys_table c.tc_db table) c.tc_ctx pk
 
 let merge_row (old_row : row) (set : row) : row =
   List.iter
@@ -659,93 +582,67 @@ let t_update_by_pk c ~table pk ~set =
       if List.mem name pt.pt_schema.Schema.tbl_pkey then
         sql_error "updating primary key columns is not supported")
     set;
-  match find_via_index db pt (primary_of pt) c.tc_ctx ~known:(List.combine pt.pt_schema.Schema.tbl_pkey pk) ~key_values:pk with
+  match find_by_pk db pt (primary_of pt) c.tc_ctx pk with
   | None -> false
   | Some (partition, old_row) ->
       let new_row = merge_row old_row set in
       (* Recompute the computed region if its source columns changed. *)
       let new_row =
         match Schema.compute_region pt.pt_schema new_row with
-        | Some r ->
-            List.map
-              (fun (n, v) ->
-                if String.equal n Schema.region_column then (n, r) else (n, v))
-              new_row
+        | Some r -> set_region new_row r
         | None -> new_row
       in
       (* Automatic rehoming (§2.3.2): the row moves to the region where it
          was just written, unless the region is computed. *)
       let gateway_region = c.tc_ctx.fc_region in
-      let rehomed =
-        effective_rehome db pt && is_rbr pt
-        && Schema.region_computed_from pt.pt_schema = None
-        && partition <> Some gateway_region
-        && List.mem gateway_region (regions db)
-      in
       let new_row =
-        if rehomed then
-          List.map
-            (fun (n, v) ->
-              if String.equal n Schema.region_column then
-                (n, Value.V_region gateway_region)
-              else (n, v))
-            new_row
+        if
+          pt.pt_schema.Schema.tbl_auto_rehome && is_rbr pt
+          && Schema.region_computed_from pt.pt_schema = None
+          && partition <> Some gateway_region
+          && List.mem gateway_region (regions db)
+        then set_region new_row (Value.V_region gateway_region)
         else new_row
       in
-      let new_partition = if rehomed then Some gateway_region else
-          if is_rbr pt then row_partition pt new_row else None
-      in
+      let new_partition = row_partition pt new_row in
       (* Validate unique secondary indexes whose key values changed. *)
       List.iter
         (fun pi ->
           if
-            pi.pi_def.Schema.idx_unique
-            && pi.pi_no <> Keycodec.primary_index
-            && pi.pi_pin = None
+            (not pi.pi_covering) && pi.pi_def.Schema.idx_unique
             && index_key_values pt pi new_row <> index_key_values pt pi old_row
           then
             check_unique db pt c.tc_ctx ~row:new_row ~own_pk:(Some pk)
               ~partition:new_partition)
         pt.pt_indexes;
-      if new_partition <> partition then begin
-        delete_row_keys c.tc_txn pt ~partition old_row;
-        write_row_keys c.tc_txn pt ~partition:new_partition new_row
-      end
-      else begin
-        (* Remove secondary entries whose keys changed, then rewrite. *)
-        let _, old_sec, _ = row_keys pt ~partition old_row in
-        let _, new_sec, _ = row_keys pt ~partition new_row in
-        List.iter
-          (fun (old_key, _) ->
-            if not (List.mem_assoc old_key new_sec) then
-              Txn.delete c.tc_txn old_key)
-          old_sec;
-        write_row_keys c.tc_txn pt ~partition new_row
-      end;
+      (* A row that moves partitions loses every old entry; otherwise only
+         the secondary entries whose keys changed go. *)
+      let old_entries = index_entries pt ~partition old_row in
+      let new_entries = index_entries pt ~partition:new_partition new_row in
+      List.iter
+        (fun (k, _) ->
+          if new_partition <> partition || not (List.mem_assoc k new_entries) then
+            Txn.delete c.tc_txn k)
+        old_entries;
+      List.iter (fun (k, v) -> Txn.put c.tc_txn k v) new_entries;
       true
 
 let t_delete_by_pk c ~table pk =
-  let db = c.tc_db in
-  let pt = phys_table db table in
-  match
-    find_via_index db pt (primary_of pt) c.tc_ctx
-      ~known:(List.combine pt.pt_schema.Schema.tbl_pkey pk)
-      ~key_values:pk
-  with
+  let pt = phys_table c.tc_db table in
+  match find_by_pk c.tc_db pt (primary_of pt) c.tc_ctx pk with
   | None -> false
   | Some (partition, old_row) ->
-      delete_row_keys c.tc_txn pt ~partition old_row;
+      List.iter
+        (fun (k, _) -> Txn.delete c.tc_txn k)
+        (index_entries pt ~partition old_row);
       true
 
 let prefix_partitions db pt (prefix_known : row) =
   if not (is_rbr pt) then [ None ]
   else
-    match List.assoc_opt Schema.region_column prefix_known with
-    | Some (Value.V_region r) -> [ Some r ]
-    | Some _ | None -> (
-        match Schema.compute_region pt.pt_schema prefix_known with
-        | Some (Value.V_region r) -> [ Some r ]
-        | Some _ | None -> List.map (fun r -> Some r) (regions db))
+    match known_region pt prefix_known with
+    | Some r -> [ Some r ]
+    | None -> List.map (fun r -> Some r) (regions db)
 
 let select_prefix_ctx db pt ctx ~prefix ~limit =
   let pkey = pt.pt_schema.Schema.tbl_pkey in
@@ -754,7 +651,6 @@ let select_prefix_ctx db pt ctx ~prefix ~limit =
   let prefix_known =
     List.mapi (fun i v -> (List.nth pkey i, v)) prefix
   in
-  let partitions = prefix_partitions db pt prefix_known in
   let scan_partition partition =
     let start_key, end_key =
       Keycodec.prefix_span ~table_id:pt.pt_id ~index_no:Keycodec.primary_index
@@ -763,15 +659,9 @@ let select_prefix_ctx db pt ctx ~prefix ~limit =
     ctx.fc_scan ~start_key ~end_key ~limit
   in
   let raw_rows =
-    match partitions with
+    match prefix_partitions db pt prefix_known with
     | [ p ] -> scan_partition p
-    | ps ->
-        let ivs =
-          List.map
-            (fun p -> Proc.async_catch ctx.fc_sim (fun () -> scan_partition p))
-            ps
-        in
-        List.concat_map Proc.await_catch ivs
+    | ps -> List.concat (in_parallel ctx scan_partition ps)
   in
   let rows = List.map (fun (_, raw) -> decode_full_row pt raw) raw_rows in
   match limit with
@@ -797,21 +687,17 @@ let insert db ~gateway ~table row =
 
 let upsert db ~gateway ~table row =
   let pt = phys_table db table in
-  let single_key =
-    secondary_indexes pt = [] && dup_indexes pt = []
-  in
-  if single_key then begin
-    (* The row is the transaction's entire effect: use the 1PC fast path. *)
-    let gateway_region = region_of_node db gateway in
-    let normalized = normalize_insert db pt ~gateway_region row in
-    let partition = row_partition pt normalized in
-    let key =
-      Keycodec.row_key ~table_id:pt.pt_id ~index_no:Keycodec.primary_index
-        ~partition (pk_values pt normalized)
-    in
-    Txn.run_blind_put db.d_engine.mgr ~gateway key (encode_full_row pt normalized)
-  end
-  else in_txn db ~gateway (fun c -> t_insert_inner ~check:false c ~table row)
+  match pt.pt_indexes with
+  | [ _ ] ->
+      (* The row's one entry is the transaction's entire effect: use the 1PC
+         fast path. *)
+      let gateway_region = region_of_node db gateway in
+      let normalized = normalize_insert db pt ~gateway_region row in
+      let key, value =
+        List.hd (index_entries pt ~partition:(row_partition pt normalized) normalized)
+      in
+      Txn.run_blind_put db.d_engine.mgr ~gateway key value
+  | _ -> in_txn db ~gateway (fun c -> t_insert_inner ~check:false c ~table row)
 
 let select_by_pk db ~gateway ~table pk =
   in_txn db ~gateway (fun c -> t_select_by_pk c ~table pk)
@@ -836,21 +722,16 @@ let select_by_pk_stale db ~gateway ~table ?(max_staleness = 10_000_000) pk =
     (* Negotiation needs the candidate keys up front (§5.3.2): the row key
        in every partition it could live in. *)
     let known = List.combine pt.pt_schema.Schema.tbl_pkey pk in
-    let parts = prefix_partitions db pt known in
     let keys =
       List.map
         (fun partition ->
           Keycodec.row_key ~table_id:pt.pt_id ~index_no:Keycodec.primary_index
             ~partition pk)
-        parts
+        (prefix_partitions db pt known)
     in
     Ok
       (Txn.run_stale_bounded db.d_engine.mgr ~gateway ~max_staleness ~keys
-         (fun ro ->
-           let ctx = ctx_of_ro db gateway ro in
-           match select_pk_ctx db pt ctx pk with
-           | Some (_, row) -> Some row
-           | None -> None))
+         (fun ro -> select_pk_ctx db pt (ctx_of_ro db gateway ro) pk))
   with
   | Sql_error m -> Error (Txn.Aborted m)
   | Txn.Fatal m -> Error (Txn.Unavailable m)
@@ -858,16 +739,12 @@ let select_by_pk_stale db ~gateway ~table ?(max_staleness = 10_000_000) pk =
 let bulk_insert db ~table ?region rows =
   let pt = phys_table db table in
   let gateway_region = match region with Some r -> r | None -> db.d_primary in
-  let kvs =
-    List.concat_map
-      (fun row ->
-        let row = normalize_insert db pt ~gateway_region row in
-        let partition = row_partition pt row in
-        let primary_key, secondary_keys, dup_keys = row_keys pt ~partition row in
-        ((primary_key, encode_full_row pt row) :: secondary_keys) @ dup_keys)
-      rows
-  in
-  Cluster.bulk_load db.d_engine.cl kvs
+  Cluster.bulk_load db.d_engine.cl
+    (List.concat_map
+       (fun row ->
+         let row = normalize_insert db pt ~gateway_region row in
+         index_entries pt ~partition:(row_partition pt row) row)
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* DDL execution                                                       *)
@@ -876,141 +753,67 @@ let bulk_insert db ~table ?region rows =
    node 0's gateway; their latency is not part of any measurement. *)
 let any_gateway (_ : t) = 0
 
-let collect_rows db pt =
-  (* Read every row of the table through ordinary scans. DDL runs outside
-     any process, so drive the simulation here. *)
-  let primary = primary_of pt in
-  let spans =
-    List.map
-      (fun (partition, _) ->
-        ( partition,
-          Keycodec.partition_span ~table_id:pt.pt_id
-            ~index_no:Keycodec.primary_index ~partition ))
-      primary.pi_ranges
-  in
-  Cluster.run db.d_engine.cl (fun () ->
-      List.concat_map
-        (fun (partition, (start_key, end_key)) ->
-          match
-            in_txn db ~gateway:(any_gateway db.d_engine) (fun c ->
-                c.tc_ctx.fc_scan ~start_key ~end_key ~limit:None)
-          with
-          | Ok rows ->
-              List.map (fun (_, raw) -> (partition, decode_full_row pt raw)) rows
-          | Error e ->
-              sql_error "schema change failed reading rows: %a" Txn.pp_error e)
-        spans)
-
-let backfill_rows db pt rows =
-  (* Administrative backfill: install the new physical layout's keys
-     directly, as CRDB's index backfiller does below SQL. *)
-  let kvs =
-    List.concat_map
-      (fun (row : row) ->
-        let partition = if is_rbr pt then row_partition pt row else None in
-        let primary_key, secondary_keys, dup_keys = row_keys pt ~partition row in
-        ((primary_key, encode_full_row pt row) :: secondary_keys) @ dup_keys)
-      rows
-  in
-  Cluster.bulk_load db.d_engine.cl kvs
-
-let default_region_value db pt (row : row) =
-  match List.assoc_opt Schema.region_column row with
-  | Some (Value.V_region r) when List.mem r (regions db) -> Value.V_region r
-  | Some _ | None -> (
-      match Schema.compute_region pt.pt_schema row with
-      | Some (Value.V_region r) -> Value.V_region r
-      | Some _ | None -> Value.V_region db.d_primary)
+(* Read a span through an ordinary transaction; run it in a process. *)
+let admin_scan db (start_key, end_key) ~limit =
+  in_txn db ~gateway:(any_gateway db.d_engine) (fun c ->
+      c.tc_ctx.fc_scan ~start_key ~end_key ~limit)
 
 let rebuild_table_layout db pt ~new_schema =
   (* Online locality change (§2.4.2): build the new index set, backfill, and
      swap. We model the swap atomically at the end of the backfill. *)
-  let old_rows = List.map snd (collect_rows db pt) in
-  List.iter (fun pi -> drop_index_ranges db pt pi) pt.pt_indexes;
-  let new_schema =
-    match new_schema.Schema.tbl_locality with
-    | Schema.Regional_by_row -> Schema.with_region_column new_schema
-    | Schema.Regional_by_table _ | Schema.Global -> new_schema
+  let primary = primary_of pt in
+  let old_rows =
+    (* DDL runs outside any process, so drive the simulation here. *)
+    Cluster.run db.d_engine.cl (fun () ->
+        List.concat_map
+          (fun partition ->
+            match admin_scan db (partition_span pt primary partition) ~limit:None with
+            | Ok rows -> List.map (fun (_, raw) -> decode_full_row pt raw) rows
+            | Error e ->
+                sql_error "schema change failed reading rows: %a" Txn.pp_error e)
+          (partitions db pt primary))
   in
-  pt.pt_schema <- new_schema;
-  pt.pt_indexes <- build_phys_indexes db new_schema;
-  List.iter (fun pi -> create_index_ranges db pt pi) pt.pt_indexes;
+  iter_partitions db pt (drop_partition_ranges db pt);
+  lay_out db pt new_schema;
   Cluster.settle db.d_engine.cl;
-  let migrated =
-    List.map
-      (fun (row : row) ->
-        (* Rows keep (or acquire) a region value consistent with the new
-           layout. *)
-        if is_rbr pt then
-          let region = default_region_value db pt row in
-          if List.mem_assoc Schema.region_column row then
-            List.map
-              (fun (n, v) ->
-                if String.equal n Schema.region_column then (n, region) else (n, v))
-              row
-          else row @ [ (Schema.region_column, region) ]
-        else row)
-      old_rows
+  (* Rows keep (or acquire) a region value consistent with the new layout;
+     the backfill installs their entries directly, as CRDB's index
+     backfiller does below SQL. *)
+  let region_value (row : row) =
+    match List.assoc_opt Schema.region_column row with
+    | Some (Value.V_region r) when List.mem r (regions db) -> Value.V_region r
+    | Some _ | None -> (
+        match Schema.compute_region pt.pt_schema row with
+        | Some (Value.V_region r) -> Value.V_region r
+        | Some _ | None -> Value.V_region db.d_primary)
   in
-  backfill_rows db pt migrated
+  Cluster.bulk_load db.d_engine.cl
+    (List.concat_map
+       (fun row ->
+         let row = if is_rbr pt then set_region row (region_value row) else row in
+         index_entries pt ~partition:(row_partition pt row) row)
+       old_rows)
 
 let region_partition_empty db pt region =
-  let primary = primary_of pt in
-  match List.assoc_opt (Some region) primary.pi_ranges with
-  | None -> true
-  | Some _ -> (
-      let start_key, end_key =
-        Keycodec.partition_span ~table_id:pt.pt_id
-          ~index_no:Keycodec.primary_index ~partition:(Some region)
-      in
-      match
-        Cluster.run db.d_engine.cl (fun () ->
-            in_txn db ~gateway:(any_gateway db.d_engine) (fun c ->
-                c.tc_ctx.fc_scan ~start_key ~end_key ~limit:(Some 1)))
-      with
-      | Ok [] -> true
-      | Ok _ -> false
-      | Error e -> sql_error "region validation failed: %a" Txn.pp_error e)
-
-let add_partition_for_region db region =
-  Hashtbl.iter
-    (fun _ pt ->
-      if is_rbr pt then
-        List.iter
-          (fun pi ->
-            if pi.pi_pin = None then begin
-              let zone, policy =
-                zone_and_policy db pt ~partition:(Some region) ~pin:None
-              in
-              let span =
-                Keycodec.partition_span ~table_id:pt.pt_id ~index_no:pi.pi_no
-                  ~partition:(Some region)
-              in
-              let rid = Cluster.add_range db.d_engine.cl ~span ~zone ~policy in
-              pi.pi_ranges <- pi.pi_ranges @ [ (Some region, rid) ]
-            end)
-          pt.pt_indexes)
-    db.d_tables
-
-let drop_partition_for_region db region =
-  Hashtbl.iter
-    (fun _ pt ->
-      List.iter
-        (fun pi ->
-          let keep, drop =
-            List.partition (fun (p, _) -> p <> Some region) pi.pi_ranges
-          in
-          List.iter
-            (fun (partition, _) ->
-              List.iter
-                (fun rid -> Cluster.drop_range db.d_engine.cl rid)
-                (partition_rids db pt pi partition))
-            drop;
-          pi.pi_ranges <- keep)
-        pt.pt_indexes)
-    db.d_tables
+  let span = partition_span pt (primary_of pt) (Some region) in
+  match Cluster.run db.d_engine.cl (fun () -> admin_scan db span ~limit:(Some 1)) with
+  | Ok rows -> rows = []
+  | Error e -> sql_error "region validation failed: %a" Txn.pp_error e
 
 let cluster_regions t = Topology.regions (Cluster.topology t.cl)
+
+(* Append [region] to the database and create its partitions. *)
+let add_region t db region =
+  if not (List.mem region (cluster_regions t)) then
+    sql_error "region %S has no nodes in this cluster" region;
+  db.d_regions <- db.d_regions @ [ (region, Public) ];
+  iter_region_partitions db region (add_partition_range db)
+
+let set_region_state db region state =
+  db.d_regions <-
+    List.map
+      (fun (r, s) -> if String.equal r region then (r, state) else (r, s))
+      db.d_regions
 
 let exec_new t stmt =
   match stmt with
@@ -1033,38 +836,36 @@ let exec_new t stmt =
           d_tables = Hashtbl.create 8;
           d_table_order = [];
           d_los = true;
-          d_rehome_override = None;
         }
   | Ddl.N_set_primary_region { db; region } ->
       let db = database t db in
-      if not (List.mem region (cluster_regions t)) then
-        sql_error "region %S has no nodes in this cluster" region;
-      if not (List.mem_assoc region db.d_regions) then
-        db.d_regions <- db.d_regions @ [ (region, Public) ];
+      if not (List.mem_assoc region db.d_regions) then add_region t db region;
       db.d_primary <- region;
-      realign_zones db;
-      Cluster.settle t.cl
+      realign_zones db
   | Ddl.N_add_region { db; region } ->
       let db = database t db in
       if List.mem_assoc region db.d_regions then
         sql_error "region %s already in database" region;
-      if not (List.mem region (cluster_regions t)) then
-        sql_error "region %S has no nodes in this cluster" region;
-      db.d_regions <- db.d_regions @ [ (region, Public) ];
-      add_partition_for_region db region;
-      realign_zones db;
-      Cluster.settle t.cl
+      add_region t db region;
+      realign_zones db
   | Ddl.N_drop_region { db; region } ->
       let db = database t db in
       if String.equal region db.d_primary then
         sql_error "cannot drop the primary region";
       if not (List.mem_assoc region db.d_regions) then
         sql_error "region %s not in database" region;
+      (* A table or duplicate index homed in the region would lose its home:
+         refuse before anything changes. *)
+      Hashtbl.iter
+        (fun name pt ->
+          let home pi = home_of db pt ~partition:None ~pin:pi.pi_pin in
+          if List.exists (fun pi -> String.equal (home pi) region) pt.pt_indexes then
+            sql_error
+              "cannot drop region %s: table %s or one of its indexes is homed there"
+              region name)
+        db.d_tables;
       (* Mark READ ONLY, validate, then commit or roll back (§2.4.1). *)
-      db.d_regions <-
-        List.map
-          (fun (r, s) -> if String.equal r region then (r, Read_only) else (r, s))
-          db.d_regions;
+      set_region_state db region Read_only;
       let dirty =
         Hashtbl.fold
           (fun _ pt acc ->
@@ -1072,19 +873,13 @@ let exec_new t stmt =
           db.d_tables false
       in
       if dirty then begin
-        db.d_regions <-
-          List.map
-            (fun (r, s) -> if String.equal r region then (r, Public) else (r, s))
-            db.d_regions;
+        set_region_state db region Public;
         sql_error "cannot drop region %s: REGIONAL BY ROW rows are homed there"
           region
-      end
-      else begin
-        drop_partition_for_region db region;
-        db.d_regions <- List.remove_assoc region db.d_regions;
-        realign_zones db;
-        Cluster.settle t.cl
-      end
+      end;
+      iter_region_partitions db region (drop_partition_ranges db);
+      db.d_regions <- List.remove_assoc region db.d_regions;
+      realign_zones db
   | Ddl.N_survive { db; survival } ->
       let db = database t db in
       if survival = Zoneconfig.Region && List.length (regions db) < 3 then
@@ -1092,19 +887,16 @@ let exec_new t stmt =
       if survival = Zoneconfig.Region && db.d_placement = Zoneconfig.Restricted
       then sql_error "PLACEMENT RESTRICTED is incompatible with REGION survival";
       db.d_survival <- survival;
-      realign_zones db;
-      Cluster.settle t.cl
+      realign_zones db
   | Ddl.N_placement { db; restricted } ->
       let db = database t db in
       if restricted && db.d_survival = Zoneconfig.Region then
         sql_error "PLACEMENT RESTRICTED is incompatible with REGION survival";
       db.d_placement <-
         (if restricted then Zoneconfig.Restricted else Zoneconfig.Default);
-      realign_zones db;
-      Cluster.settle t.cl
+      realign_zones db
   | Ddl.N_create_table { db; table } ->
-      let db = database t db in
-      ignore (create_table_phys db table : phys_table);
+      create_table_phys (database t db) table;
       Cluster.settle t.cl
   | Ddl.N_set_locality { db; table; locality } ->
       let db = database t db in
@@ -1147,24 +939,19 @@ let exec_all t stmts = List.iter (exec t) stmts
 let ranges_of_table db table =
   let pt = phys_table db table in
   List.concat_map
-    (fun pi ->
-      List.concat_map
-        (fun (partition, _) -> partition_rids db pt pi partition)
-        pi.pi_ranges)
+    (fun pi -> List.concat_map (partition_rids db pt pi) (partitions db pt pi))
     pt.pt_indexes
   |> List.sort_uniq Int.compare
 
 let partition_ranges db table =
   let pt = phys_table db table in
   let primary = primary_of pt in
-  List.map
-    (fun (partition, rid) ->
-      (* Re-resolve in case the partition's original range has split or
-         merged; the first covering range anchors the partition. *)
+  List.filter_map
+    (fun partition ->
       match partition_rids db pt primary partition with
-      | first :: _ -> (partition, first)
-      | [] -> (partition, rid))
-    primary.pi_ranges
+      | first :: _ -> Some (partition, first)
+      | [] -> None)
+    (partitions db pt primary)
 
 let leaseholder_store db rid =
   match Cluster.leaseholder db.d_engine.cl rid with
@@ -1175,11 +962,8 @@ let row_count db table =
   let pt = phys_table db table in
   let primary = primary_of pt in
   List.fold_left
-    (fun acc (partition, _) ->
-      let start_key, end_key =
-        Keycodec.partition_span ~table_id:pt.pt_id
-          ~index_no:Keycodec.primary_index ~partition
-      in
+    (fun acc partition ->
+      let start_key, end_key = partition_span pt primary partition in
       List.fold_left
         (fun acc rid ->
           match leaseholder_store db rid with
@@ -1196,12 +980,12 @@ let row_count db table =
                     else n))
         acc
         (partition_rids db pt primary partition))
-    0 primary.pi_ranges
+    0 (partitions db pt primary)
 
 let region_of_row db ~table pk =
   let pt = phys_table db table in
   List.fold_left
-    (fun acc (partition, _) ->
+    (fun acc partition ->
       match acc with
       | Some _ -> acc
       | None -> (
@@ -1220,8 +1004,9 @@ let region_of_row db ~table pk =
                       ~max_ts:Crdb_hlc.Timestamp.max_value ~for_txn:None
                   with
                   | Mvcc.Value { value = Some _; _ } ->
-                      (match partition with Some r -> Some r | None -> Some "")
+                      Some (Option.value partition ~default:"")
                   | Mvcc.Value { value = None; _ } | Mvcc.Uncertain _
                   | Mvcc.Intent_blocked _ ->
                       None))))
-    None (primary_of pt).pi_ranges
+    None
+    (partitions db pt (primary_of pt))

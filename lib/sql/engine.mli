@@ -2,11 +2,14 @@
     with locality awareness.
 
     Physical layout (§3.3): every (index, partition) pair of a table is one
-    Range. REGIONAL BY ROW tables get one partition per database region for
-    the primary and every secondary index; REGIONAL BY TABLE and GLOBAL
-    tables a single partition. Zone configurations and closed-timestamp
-    policies are derived from the table locality, the database survivability
-    goal, and the placement policy.
+    key span, created as one Range. REGIONAL BY ROW tables get one partition
+    per database region for the primary and every secondary index; REGIONAL
+    BY TABLE and GLOBAL tables, and each duplicate index, a single
+    partition. The layout is derived from the catalog on every use, and a
+    partition's ranges are looked up by span, so KV splits and merges never
+    leave the engine with a stale range id. Zone configurations and
+    closed-timestamp policies are derived from the table locality, the
+    database survivability goal, and the placement policy.
 
     Planner features: uniqueness checks for implicitly partitioned unique
     indexes with the §4.1 fast paths (UUID defaults, computed regions,
@@ -34,8 +37,11 @@ exception Sql_error of string
 val exec : t -> Ddl.stmt -> unit
 (** Execute one DDL statement (the new declarative syntax only — legacy
     [L_*] statements exist for counting and display).
-    @raise Sql_error on invalid statements (e.g. dropping a non-empty
-    region, REGION survivability with fewer than 3 regions). *)
+    @raise Sql_error on invalid statements (e.g. dropping a region that
+    REGIONAL BY ROW rows, a REGIONAL BY TABLE table or a duplicate index
+    is homed in, REGION survivability with fewer than 3 regions); a
+    refused statement leaves the database unchanged. SET PRIMARY REGION
+    of a region outside the database adds it first, as ADD REGION does. *)
 
 val exec_all : t -> Ddl.stmt list -> unit
 
@@ -50,12 +56,9 @@ val survival : db -> Crdb_kv.Zoneconfig.survival
 val table_names : db -> string list
 val table_schema : db -> string -> Schema.table
 
-(** Cluster settings for the §7.2 experiments. *)
-
 val set_locality_optimized_search : db -> bool -> unit
-val set_auto_rehome_override : db -> bool option -> unit
-(** [Some false] disables rehoming even for tables declaring it; [Some true]
-    forces it on; [None] (default) honors the table definition. *)
+(** Locality Optimized Search on or off (§7.2's Unoptimized variant);
+    automatic rehoming is a table setting ([Schema.table ~auto_rehome]). *)
 
 (** {2 DML} *)
 
@@ -143,9 +146,14 @@ val t_select_prefix :
 (** {2 Introspection} *)
 
 val ranges_of_table : db -> string -> Cluster.range_id list
+(** Every live range covering any of the table's (index, partition) spans,
+    ascending. *)
+
 val partition_ranges :
   db -> string -> (string option * Cluster.range_id) list
-(** Primary-index ranges with their partition regions. *)
+(** The primary index's partitions in layout order, each with the first
+    live range covering it (resolved now, so never a stale id); a partition
+    no range covers is left out. *)
 
 val row_count : db -> string -> int
 (** Committed rows of a table, counted on leaseholder replicas (test aid;

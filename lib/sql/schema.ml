@@ -81,18 +81,16 @@ let with_region_column t =
           @ [ column ~default:D_gateway_region ~hidden:true region_column T_region ];
       }
 
+let value_of row c = match List.assoc_opt c row with Some v -> v | None -> Value.V_null
+let values_of row cols = List.map (value_of row) cols
+
 let column_values t row =
   List.iter
     (fun (name, _) ->
       if find_column t name = None then
         invalid_arg (Printf.sprintf "Schema: unknown column %s in %s" name t.tbl_name))
     row;
-  List.map
-    (fun c ->
-      match List.assoc_opt c.col_name row with
-      | Some v -> v
-      | None -> Value.V_null)
-    t.tbl_columns
+  List.map (fun c -> value_of row c.col_name) t.tbl_columns
 
 let row_of_values t values =
   try List.combine (List.map (fun c -> c.col_name) t.tbl_columns) values
@@ -107,12 +105,6 @@ let region_computed_from t =
 
 let compute_region t row =
   match find_column t region_column with
-  | Some { col_default = D_computed (cols, f); _ } ->
-      let args =
-        List.map
-          (fun c -> match List.assoc_opt c row with Some v -> v | None -> Value.V_null)
-          cols
-      in
-      Some (f args)
+  | Some { col_default = D_computed (cols, f); _ } -> Some (f (values_of row cols))
   | Some _ | None -> None
 

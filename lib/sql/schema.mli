@@ -72,6 +72,10 @@ val with_region_column : table -> table
 (** Ensure the implicit hidden [crdb_region] column exists (added with
     [DEFAULT gateway_region()] when missing), as REGIONAL BY ROW requires. *)
 
+val values_of : (string * Value.t) list -> string list -> Value.t list
+(** The values a row binds to the named columns, in order; [V_null] where
+    the row has none. *)
+
 val column_values : table -> (string * Value.t) list -> Value.t list
 (** Order a row's bindings per the schema's column order; missing columns
     become [V_null]. @raise Invalid_argument on unknown column names. *)

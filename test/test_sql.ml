@@ -406,36 +406,42 @@ let test_uuid_pk_skips_checks () =
 
 let test_rehoming () =
   let t, db = with_users () in
+  (* The same table declared ON UPDATE rehome_row() (§2.3.2). *)
+  let movers =
+    Schema.table ~name:"movers" ~columns:users_table.Schema.tbl_columns ~pkey:[ "id" ]
+      ~indexes:users_table.Schema.tbl_indexes ~locality:Schema.Regional_by_row
+      ~auto_rehome:true ()
+  in
+  Crdb.exec t (Ddl.N_create_table { db = "testdb"; table = movers });
   let west = Crdb.gateway t ~region:"us-west1" () in
   let eu = Crdb.gateway t ~region:"europe-west2" () in
-  Crdb.run t (fun () -> ok (Engine.insert db ~gateway:west ~table:"users" (user "mover")));
-  (* Rehoming off (default): updates from another region leave the row. *)
+  let update table name =
+    Crdb.run t (fun () ->
+        ignore
+          (ok
+             (Engine.update_by_pk db ~gateway:eu ~table [ svec "mover" ]
+                ~set:[ ("name", svec name) ])))
+  in
   Crdb.run t (fun () ->
-      ignore
-        (ok
-           (Engine.update_by_pk db ~gateway:eu ~table:"users" [ svec "mover" ]
-              ~set:[ ("name", svec "n2") ])));
+      ok (Engine.insert db ~gateway:west ~table:"users" (user "mover"));
+      ok (Engine.insert db ~gateway:west ~table:"movers" (user "mover")));
+  (* Rehoming off (default): updates from another region leave the row. *)
+  update "users" "n2";
   check Alcotest.(option string) "still in us-west1" (Some "us-west1")
     (Engine.region_of_row db ~table:"users" [ svec "mover" ]);
-  (* Rehoming on: the row follows the writer (§2.3.2). *)
-  Engine.set_auto_rehome_override db (Some true);
-  Crdb.run t (fun () ->
-      ignore
-        (ok
-           (Engine.update_by_pk db ~gateway:eu ~table:"users" [ svec "mover" ]
-              ~set:[ ("name", svec "n3") ])));
+  (* Rehoming on: the row follows the writer. *)
+  update "movers" "n3";
   check Alcotest.(option string) "rehomed to europe" (Some "europe-west2")
-    (Engine.region_of_row db ~table:"users" [ svec "mover" ]);
+    (Engine.region_of_row db ~table:"movers" [ svec "mover" ]);
   (* The secondary index moved with the row: unique lookups still work. *)
   Crdb.run t (fun () ->
       match
         ok
-          (Engine.select_by_unique db ~gateway:west ~table:"users" ~col:"email"
+          (Engine.select_by_unique db ~gateway:west ~table:"movers" ~col:"email"
              (svec "mover@x.io"))
       with
       | Some row -> check Alcotest.bool "updated" true (List.assoc "name" row = svec "n3")
-      | None -> Alcotest.fail "unique index lost after rehoming");
-  Engine.set_auto_rehome_override db None
+      | None -> Alcotest.fail "unique index lost after rehoming")
 
 let test_delete_and_count () =
   let t, db = with_users () in
@@ -541,6 +547,55 @@ let test_select_prefix_scan () =
       in
       check Alcotest.int "limit" 2 (List.length limited))
 
+(* A prefix that lacks the computed region's source columns pins no
+   partition: the scan must cover them all rather than compute a region
+   from NULLs. A prefix that has them scans one partition. *)
+let test_prefix_without_region_source () =
+  let t = fresh () in
+  let city_region = function
+    | [ Value.V_string "nyc" ] -> Value.V_region "us-east1"
+    | [ Value.V_string "sf" ] -> Value.V_region "us-west1"
+    | _ -> Value.V_region "europe-west2"
+  in
+  let rides =
+    Schema.table ~name:"rides"
+      ~columns:
+        [
+          Schema.column "city" Schema.T_string;
+          Schema.column "id" Schema.T_string;
+          Schema.column ~hidden:true
+            ~default:(Schema.D_computed ([ "city" ], city_region))
+            Schema.region_column Schema.T_region;
+        ]
+      ~pkey:[ "city"; "id" ] ~locality:Schema.Regional_by_row ()
+  in
+  Crdb.exec t (Ddl.N_create_table { db = "testdb"; table = rides });
+  let db = Crdb.database t "testdb" in
+  let sim = Cluster.sim (Crdb.cluster t) in
+  let west = Crdb.gateway t ~region:"us-west1" () in
+  Crdb.run t (fun () ->
+      List.iter
+        (fun city ->
+          ok
+            (Engine.insert db ~gateway:west ~table:"rides"
+               [ ("city", svec city); ("id", svec "r1") ]))
+        [ "nyc"; "sf"; "london" ]);
+  List.iter
+    (fun (city, region) ->
+      check Alcotest.(option string) ("ride in " ^ city) (Some region)
+        (Engine.region_of_row db ~table:"rides" [ svec city; svec "r1" ]))
+    [ ("nyc", "us-east1"); ("sf", "us-west1"); ("london", "europe-west2") ];
+  Crdb.run t (fun () ->
+      let scan prefix = ok (Engine.select_prefix db ~gateway:west ~table:"rides" ~prefix ()) in
+      check Alcotest.int "empty prefix scans every partition" 3 (List.length (scan []));
+      let t0 = Sim.now sim in
+      let sf = scan [ svec "sf" ] in
+      let latency = Sim.now sim - t0 in
+      check Alcotest.int "city prefix finds its ride" 1 (List.length sf);
+      check Alcotest.bool
+        (Printf.sprintf "city prefix scans the local partition only (%dus)" latency)
+        true (latency < 10_000))
+
 let test_stale_select () =
   let t, db = with_users () in
   let west = Crdb.gateway t ~region:"us-west1" () in
@@ -593,6 +648,164 @@ let test_add_drop_region () =
   Crdb.exec t (Ddl.N_drop_region { db = "testdb"; region = "asia-northeast1" });
   check Alcotest.int "3 partitions after drop" 3
     (List.length (Engine.partition_ranges db "users"))
+
+let regions4 = regions3 @ [ "asia-northeast1" ]
+
+(* A 4-region cluster whose database uses the first 3 regions. *)
+let with_users_on_3_of_4 () =
+  let t = Crdb.start ~regions:regions4 () in
+  Crdb.exec t
+    (Ddl.N_create_database
+       { db = "testdb"; primary = "us-east1"; regions = List.tl regions3 });
+  Crdb.exec t (Ddl.N_create_table { db = "testdb"; table = users_table });
+  (t, Crdb.database t "testdb")
+
+(* SET PRIMARY REGION of a region outside the database adds the region
+   first, partitions included, as ADD REGION does. *)
+let test_set_primary_region_outside_database () =
+  let t, db = with_users_on_3_of_4 () in
+  Crdb.exec t
+    (Ddl.N_set_primary_region { db = "testdb"; region = "asia-northeast1" });
+  check Alcotest.string "primary" "asia-northeast1" (Engine.primary_region db);
+  check Alcotest.(list string) "regions" regions4 (Engine.regions db);
+  check
+    Alcotest.(list (option string))
+    "one partition per region"
+    (List.map Option.some regions4)
+    (List.map fst (Engine.partition_ranges db "users"));
+  let asia = Crdb.gateway t ~region:"asia-northeast1" () in
+  Crdb.run t (fun () -> ok (Engine.insert db ~gateway:asia ~table:"users" (user "a1")));
+  check Alcotest.(option string) "row homed in asia" (Some "asia-northeast1")
+    (Engine.region_of_row db ~table:"users" [ svec "a1" ])
+
+(* DROP REGION of a region that homes a table, or a duplicate index pinned
+   there, is refused before anything changes. *)
+let test_drop_region_homing_object ~table () =
+  let t, db = with_users () in
+  Crdb.exec t (Ddl.N_create_table { db = "testdb"; table });
+  let cl = Crdb.cluster t in
+  let zones () =
+    List.map (Cluster.zone_of cl) (Engine.ranges_of_table db table.Schema.tbl_name)
+  in
+  let before = zones () in
+  (match Crdb.exec t (Ddl.N_drop_region { db = "testdb"; region = "europe-west2" }) with
+  | () -> Alcotest.fail "dropped a region that homes a table"
+  | exception Engine.Sql_error m ->
+      let name = table.Schema.tbl_name in
+      check Alcotest.bool
+        (Printf.sprintf "error %S names %s" m name)
+        true
+        (List.exists (String.equal name)
+           (String.split_on_char ' ' m)));
+  check Alcotest.(list string) "regions unchanged" regions3 (Engine.regions db);
+  check
+    Alcotest.(list (option string))
+    "partitions unchanged" (List.map Option.some regions3)
+    (List.map fst (Engine.partition_ranges db "users"));
+  check Alcotest.bool "zones unchanged" true (zones () = before)
+
+let test_drop_region_homing_table =
+  test_drop_region_homing_object
+    ~table:
+      (Schema.table ~name:"eu_only"
+         ~columns:[ Schema.column "id" Schema.T_int ]
+         ~pkey:[ "id" ]
+         ~locality:(Schema.Regional_by_table (Some "europe-west2"))
+         ())
+
+let test_drop_region_homing_duplicate_index =
+  test_drop_region_homing_object
+    ~table:
+      (Schema.table ~name:"refdup"
+         ~columns:[ Schema.column "k" Schema.T_string ]
+         ~pkey:[ "k" ] ~duplicate_indexes:true ())
+
+(* After every region, locality, survival and placement statement, each
+   REGIONAL BY ROW table has exactly one partition per database region, in
+   order, each covered by a range, and every range of every table lies
+   inside one of the (index, partition) spans its schema implies. *)
+let test_layout_follows_regions () =
+  let t, db = with_users_on_3_of_4 () in
+  let cl = Crdb.cluster t in
+  let span_inside (s, e) (ps, pe) =
+    String.compare ps s <= 0 && String.compare e pe <= 0
+  in
+  let check_layout stmt =
+    List.iter
+      (fun table ->
+        let schema = Engine.table_schema db table in
+        let rids = Engine.ranges_of_table db table in
+        (* Keys start "/tNNNN/": the table id, then the index. *)
+        let table_prefix = String.sub (fst (Cluster.span_of cl (List.hd rids))) 0 7 in
+        let table_id = int_of_string (String.sub table_prefix 2 4) in
+        let rbr = schema.Schema.tbl_locality = Schema.Regional_by_row in
+        let span index_no partition =
+          Crdb_sql.Keycodec.partition_span ~table_id ~index_no ~partition
+        in
+        let partitions =
+          if rbr then List.map Option.some (Engine.regions db) else [ None ]
+        in
+        let spans =
+          List.concat_map
+            (fun index_no -> List.map (span index_no) partitions)
+            (List.init (1 + List.length schema.Schema.tbl_indexes) Fun.id)
+        in
+        if rbr then begin
+          let parts = Engine.partition_ranges db table in
+          check
+            Alcotest.(list (option string))
+            (Printf.sprintf "%s: %s partitions" stmt table)
+            partitions (List.map fst parts);
+          List.iter
+            (fun (partition, rid) ->
+              check Alcotest.bool
+                (Printf.sprintf "%s: %s range r%d covers its partition" stmt table rid)
+                true
+                (span_inside
+                   (span Crdb_sql.Keycodec.primary_index partition)
+                   (Cluster.span_of cl rid)))
+            parts
+        end;
+        List.iter
+          (fun rid ->
+            check Alcotest.bool
+              (Printf.sprintf "%s: %s range r%d inside a partition" stmt table rid)
+              true
+              (List.exists (span_inside (Cluster.span_of cl rid)) spans))
+          rids;
+        List.iter
+          (fun rid ->
+            if String.starts_with ~prefix:table_prefix (fst (Cluster.span_of cl rid)) then
+              check Alcotest.bool
+                (Printf.sprintf "%s: %s range r%d is listed" stmt table rid)
+                true (List.mem rid rids))
+          (Cluster.ranges cl))
+      (Engine.table_names db)
+  in
+  let conv =
+    Schema.table ~name:"conv"
+      ~columns:[ Schema.column "k" Schema.T_string ]
+      ~pkey:[ "k" ] ()
+  in
+  List.iter
+    (fun (name, stmt) ->
+      Crdb.exec t stmt;
+      check_layout name)
+    [
+      ("CREATE TABLE", Ddl.N_create_table { db = "testdb"; table = conv });
+      ("ADD REGION", Ddl.N_add_region { db = "testdb"; region = "asia-northeast1" });
+      ("DROP REGION", Ddl.N_drop_region { db = "testdb"; region = "us-west1" });
+      ( "SET PRIMARY REGION",
+        Ddl.N_set_primary_region { db = "testdb"; region = "asia-northeast1" } );
+      ( "SET LOCALITY",
+        Ddl.N_set_locality
+          { db = "testdb"; table = "conv"; locality = Schema.Regional_by_row } );
+      ("SURVIVE REGION", Ddl.N_survive { db = "testdb"; survival = Zoneconfig.Region });
+      ("SURVIVE ZONE", Ddl.N_survive { db = "testdb"; survival = Zoneconfig.Zone });
+      ("PLACEMENT RESTRICTED", Ddl.N_placement { db = "testdb"; restricted = true });
+    ];
+  check Alcotest.(list string) "final regions"
+    [ "us-east1"; "europe-west2"; "asia-northeast1" ] (Engine.regions db)
 
 let test_alter_locality_to_global () =
   let t = fresh () in
@@ -772,8 +985,16 @@ let suite =
     Alcotest.test_case "delete and count" `Quick test_delete_and_count;
     Alcotest.test_case "fk against global parent" `Quick test_fk_against_global_parent;
     Alcotest.test_case "select prefix scan" `Quick test_select_prefix_scan;
+    Alcotest.test_case "prefix without region source" `Quick
+      test_prefix_without_region_source;
     Alcotest.test_case "stale select" `Quick test_stale_select;
     Alcotest.test_case "add/drop region" `Quick test_add_drop_region;
+    Alcotest.test_case "set primary region outside database" `Quick
+      test_set_primary_region_outside_database;
+    Alcotest.test_case "drop region homing a table" `Quick test_drop_region_homing_table;
+    Alcotest.test_case "drop region homing a duplicate index" `Quick
+      test_drop_region_homing_duplicate_index;
+    Alcotest.test_case "layout follows regions" `Quick test_layout_follows_regions;
     Alcotest.test_case "alter locality to global" `Quick test_alter_locality_to_global;
     Alcotest.test_case "alter locality to rbr" `Quick test_alter_locality_to_rbr;
     Alcotest.test_case "placement restricted" `Quick test_placement_restricted;
