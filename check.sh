@@ -222,8 +222,9 @@ diff "$tmprep/ts1.json" "$tmprep/ts2.json" || {
 # Benchmark digest pins: the simulation digests bench/perf computes for its
 # workloads at --scale 0.2 (a few seconds together). Each line of
 # test/perf_digests.txt is a workload and one digest per instance. A change
-# that alters simulated behaviour on purpose re-records the line.
-echo "== bench/perf digest pins (test/perf_digests.txt)"
+# that alters simulated behaviour on purpose re-records the line. The same
+# runs' peak heap must stay within 10% of its pin in test/perf_heap.txt.
+echo "== bench/perf digest and heap pins (test/perf_digests.txt, test/perf_heap.txt)"
 digests_ok=1
 while read -r workload want; do
   case "$workload" in '#'* | '') continue ;; esac
@@ -237,6 +238,16 @@ while read -r workload want; do
     tr -d '[]",' | sed 's/^ *//')
   if [ "$got" != "$want" ]; then
     echo "digests moved: bench/perf $workload (pinned $want, got $got)"
+    digests_ok=0
+  fi
+  heap_pin=$(awk -v w="$workload" '$1 == w { print $2 }' test/perf_heap.txt)
+  heap=$(grep -o '"peak_heap_mb": {[^}]*' "$tmprep/perf.json" |
+    sed 's/.*"median": \([0-9.e+-]*\).*/\1/')
+  if [ -z "$heap_pin" ] || [ -z "$heap" ]; then
+    echo "bench/perf $workload: no pin in test/perf_heap.txt or no peak_heap_mb in its output"
+    digests_ok=0
+  elif ! awk -v got="$heap" -v pin="$heap_pin" 'BEGIN { exit !(got <= pin * 1.10) }'; then
+    echo "peak heap grew: bench/perf $workload (pinned $heap_pin MB, got $heap MB, bound +10%)"
     digests_ok=0
   fi
 done <test/perf_digests.txt

@@ -1019,9 +1019,9 @@ let bulk_load t ?ts kvs =
     (fun (key, value) ->
       match range_of_key t key with
       | rid ->
-          let rg = range t rid in
+          let rg = range t rid and value = Some value in
           Hashtbl.iter
-            (fun _ r -> Mvcc.put_version r.r_sm.store ~key ~ts ~value:(Some value))
+            (fun _ r -> Mvcc.put_version r.r_sm.store ~key ~ts ~value)
             rg.rg_replicas
       | exception Not_found ->
           invalid_arg (Printf.sprintf "Cluster.bulk_load: no range for %s" key))

@@ -19,8 +19,4 @@ val to_list : 'a t -> 'a list
 val sub_list : 'a t -> pos:int -> 'a list
 (** Elements from [pos] (inclusive) to the end. *)
 
-val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** Sort the elements in place (not stably), trimming the spare capacity
-    first. *)
-
 val iter : ('a -> unit) -> 'a t -> unit

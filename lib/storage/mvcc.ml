@@ -18,11 +18,14 @@ type read_outcome =
 
 type write_outcome = Written | Write_blocked of intent | Write_prevented
 
-(* Versions are kept newest-first. [prevented] holds transaction ids whose
-   future intent writes on this key were barred by commit-status recovery
-   (the QueryIntent "prevention" of parallel commits). *)
+(* A key's committed versions, newest first: one block per version. *)
+type 'a versions = Nil | V of { ts : ts; value : 'a; older : 'a versions }
+
+(* [prevented] holds transaction ids whose future intent writes on this
+   key were barred by commit-status recovery (the QueryIntent "prevention"
+   of parallel commits). *)
 type record = {
-  mutable versions : (ts * string option) list;
+  mutable versions : string option versions;
   mutable intent : intent option;
   mutable prevented : int list;
 }
@@ -37,25 +40,33 @@ let find_or_add t key =
   match Smap.find_opt key t.records with
   | Some r -> r
   | None ->
-      let r = { versions = []; intent = None; prevented = [] } in
+      let r = { versions = Nil; intent = None; prevented = [] } in
       t.records <- Smap.add key r t.records;
       r
 
-(* A newest-first list stays sorted when a new version goes before the
+(* A newest-first chain stays sorted when a new version goes before the
    first version at or below its timestamp: where a stable newest-first
-   sort of [v :: versions] puts it. A new commit is usually the newest, so
-   this stops at the head. *)
-let rec insert_version ((ts, _) as v) = function
-  | (vts, _) :: _ as rest when Ts.(vts <= ts) -> v :: rest
-  | newer :: rest -> newer :: insert_version v rest
-  | [] -> [ v ]
+   sort of the versions with the new one first puts it. A new commit is
+   usually the newest, so this stops at the head. *)
+let rec insert_version ts value = function
+  | V v as rest when Ts.(v.ts <= ts) -> V { ts; value; older = rest }
+  | V v -> V { v with older = insert_version ts value v.older }
+  | Nil -> V { ts; value; older = Nil }
 
-let version_at versions ts =
-  List.find_opt (fun (vts, _) -> Ts.(vts <= ts)) versions
+(* The newest version at or below [ts], or [Nil]. *)
+let rec version_at ts = function
+  | V v as version when Ts.(v.ts <= ts) -> version
+  | V v -> version_at ts v.older
+  | Nil -> Nil
 
-(* Newest committed version with timestamp in (lo, hi]. *)
-let version_in_window versions ~lo ~hi =
-  List.find_opt (fun (vts, _) -> Ts.(vts > lo) && Ts.(vts <= hi)) versions
+(* The newest version with timestamp in (lo, hi], or [Nil]. Versions
+   below it are older still, so the walk stops at the first one at or
+   below [lo]. *)
+let rec version_in_window ~lo ~hi = function
+  | V v when Ts.(v.ts <= lo) -> Nil
+  | V v as version when Ts.(v.ts <= hi) -> version
+  | V v -> version_in_window ~lo ~hi v.older
+  | Nil -> Nil
 
 let read_record record ~ts ~max_ts ~for_txn =
   let own_intent =
@@ -74,12 +85,12 @@ let read_record record ~ts ~max_ts ~for_txn =
       match foreign_blocking with
       | Some i -> Intent_blocked i
       | None -> (
-          match version_in_window record.versions ~lo:ts ~hi:max_ts with
-          | Some (vts, _) -> Uncertain { value_ts = vts }
-          | None -> (
-              match version_at record.versions ts with
-              | Some (vts, v) -> Value { value = v; ts = vts }
-              | None -> Value { value = None; ts = Ts.zero })))
+          match version_in_window ~lo:ts ~hi:max_ts record.versions with
+          | V v -> Uncertain { value_ts = v.ts }
+          | Nil -> (
+              match version_at ts record.versions with
+              | V v -> Value { value = v.value; ts = v.ts }
+              | Nil -> Value { value = None; ts = Ts.zero })))
 
 let read t ~key ~ts ~max_ts ~for_txn =
   match find t key with
@@ -102,7 +113,9 @@ let prevent t ~key ~txn_id ~ts =
     match record.intent with Some i -> i.txn_id = txn_id | None -> false
   in
   let committed_at_ts =
-    List.exists (fun (vts, _) -> Ts.equal vts ts) record.versions
+    match version_at ts record.versions with
+    | V v -> Ts.equal v.ts ts
+    | Nil -> false
   in
   if intent_present || committed_at_ts then `Found
   else begin
@@ -126,7 +139,7 @@ let resolve_intent t ~key ~txn_id ~commit =
           (match commit with
           | Some commit_ts ->
               record.versions <-
-                insert_version (commit_ts, i.value) record.versions
+                insert_version commit_ts i.value record.versions
           | None -> ())
       | Some _ | None -> ())
 
@@ -136,73 +149,66 @@ let intent_on t ~key =
 let latest_ts t ~key =
   match find t key with
   | None -> Ts.zero
-  | Some { versions = []; _ } -> Ts.zero
-  | Some { versions = (ts, _) :: _; _ } -> ts
+  | Some { versions = Nil; _ } -> Ts.zero
+  | Some { versions = V v; _ } -> v.ts
+
+let committed_in_window record ~after ~upto =
+  match version_in_window ~lo:after ~hi:upto record.versions with
+  | V _ -> true
+  | Nil -> false
 
 let has_committed_after t ~key ~after ~upto =
   match find t key with
   | None -> false
-  | Some record ->
-      (match version_in_window record.versions ~lo:after ~hi:upto with
-      | Some _ -> true
-      | None -> false)
+  | Some record -> committed_in_window record ~after ~upto
+
+(* The records of keys in [start_key, end_key), in key order, visited
+   without reaching the keys outside the span. *)
+let span t ~start_key ~end_key =
+  Seq.take_while
+    (fun (key, _) -> String.compare key end_key < 0)
+    (Smap.to_seq_from start_key t.records)
 
 let span_has_writes_in_window t ~start_key ~end_key ~after ~upto ~ignore_txn =
-  Smap.exists
-    (fun key record ->
-      String.compare key start_key >= 0
-      && String.compare key end_key < 0
-      && ((match version_in_window record.versions ~lo:after ~hi:upto with
-          | Some _ -> true
-          | None -> false)
-         ||
-         match record.intent with
-         | Some i ->
-             (match ignore_txn with Some x -> i.txn_id <> x | None -> true)
-             && Ts.(i.ts <= upto)
-         | None -> false))
-    t.records
+  Seq.exists
+    (fun (_, record) ->
+      committed_in_window record ~after ~upto
+      ||
+      match record.intent with
+      | Some i ->
+          (match ignore_txn with Some x -> i.txn_id <> x | None -> true)
+          && Ts.(i.ts <= upto)
+      | None -> false)
+    (span t ~start_key ~end_key)
 
 let scan t ~start_key ~end_key ~ts ~max_ts ~for_txn ~limit =
-  let exception Done of (string * read_outcome) list in
-  let count = ref 0 in
-  let within_limit () = match limit with None -> true | Some l -> !count < l in
-  try
-    let acc =
-      Smap.fold
-        (fun key record acc ->
-          if String.compare key start_key < 0 || String.compare key end_key >= 0
-          then acc
-          else begin
-            if not (within_limit ()) then raise (Done acc);
-            match read_record record ~ts ~max_ts ~for_txn with
-            | Value { value = None; _ } -> acc
-            | Value _ as outcome ->
-                incr count;
-                (key, outcome) :: acc
-            | (Uncertain _ | Intent_blocked _) as outcome ->
-                incr count;
-                (key, outcome) :: acc
-          end)
-        t.records []
-    in
-    List.rev acc
-  with Done acc -> List.rev acc
+  let limit = match limit with None -> max_int | Some l -> l in
+  let rec go rows n acc =
+    if n >= limit then List.rev acc
+    else
+      match rows () with
+      | Seq.Nil -> List.rev acc
+      | Seq.Cons ((key, record), rows) -> (
+          match read_record record ~ts ~max_ts ~for_txn with
+          | Value { value = None; _ } -> go rows n acc
+          | outcome -> go rows (n + 1) ((key, outcome) :: acc))
+  in
+  go (span t ~start_key ~end_key) 0 []
 
 let live_bytes t =
   Smap.fold
     (fun key record acc ->
       match record.versions with
-      | (_, Some v) :: _ -> acc + String.length key + String.length v
-      | (_, None) :: _ | [] -> acc)
+      | V { value = Some v; _ } -> acc + String.length key + String.length v
+      | V { value = None; _ } | Nil -> acc)
     t.records 0
 
 let fold_latest t ~init ~f =
   Smap.fold
     (fun key record acc ->
       match record.versions with
-      | (_, Some v) :: _ -> f acc key v
-      | (_, None) :: _ | [] -> acc)
+      | V { value = Some v; _ } -> f acc key v
+      | V { value = None; _ } | Nil -> acc)
     t.records init
 
 let copy t =
@@ -233,4 +239,4 @@ let replace_with t src = t.records <- (copy src).records
 
 let put_version t ~key ~ts ~value =
   let record = find_or_add t key in
-  record.versions <- insert_version (ts, value) record.versions
+  record.versions <- insert_version ts value record.versions

@@ -103,7 +103,8 @@ val span_has_writes_in_window :
   bool
 (** True iff any key in [\[start_key, end_key)] has a committed version in
     [(after, upto]] or a foreign intent at or below [upto] (span refresh
-    validation — catches phantoms and deletions alike). *)
+    validation — catches phantoms and deletions alike). Visits only the
+    keys in the span. *)
 
 val scan :
   t ->
@@ -114,10 +115,11 @@ val scan :
   for_txn:int option ->
   limit:int option ->
   (string * read_outcome) list
-(** Visit keys in [\[start_key, end_key)] in order. Keys whose outcome is
-    [Value {value = None; _}] (never written or deleted) are skipped; the
-    scan stops after [limit] live rows if given. Uncertain / blocked
-    outcomes are returned in place so the caller can react. *)
+(** Visit keys in [\[start_key, end_key)] in order, and no others. Keys
+    whose outcome is [Value {value = None; _}] (never written or deleted)
+    are skipped; the scan stops after [limit] live rows if given.
+    Uncertain / blocked outcomes are returned in place so the caller can
+    react. *)
 
 val live_bytes : t -> int
 (** Key + value bytes of the latest live committed version of every key
@@ -150,7 +152,12 @@ val put_version : t -> key:string -> ts:ts -> value:string option -> unit
 (** Install a committed version directly, bypassing the intent protocol.
     Used only for administrative bulk loading of benchmark datasets. *)
 
-val insert_version : ts * 'a -> (ts * 'a) list -> (ts * 'a) list
-(** [insert_version v versions] adds [v] to a newest-first version list,
-    before the first version whose timestamp is at or below [v]'s — the
-    place a stable newest-first sort of [v :: versions] gives it. *)
+type 'a versions = Nil | V of { ts : ts; value : 'a; older : 'a versions }
+(** A key's committed versions, newest first. A store keeps a
+    [string option versions] per key ([None] is a tombstone). *)
+
+val insert_version : ts -> 'a -> 'a versions -> 'a versions
+(** [insert_version ts value versions] adds a version to a newest-first
+    chain, before the first version whose timestamp is at or below [ts] —
+    the place a stable newest-first sort of the versions, with the new one
+    first, gives it. *)

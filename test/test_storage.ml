@@ -134,7 +134,75 @@ let prop_read_latest_below =
       in
       read_value s ~key:"k" ~at:read_at = expected)
 
-(* Inserting a version into a newest-first list puts it where the stable
+(* [scan] and [span_has_writes_in_window] read only their span, and give
+   what a filter over every key of the store gives: random stores of
+   committed versions, tombstones and intents, random spans (empty and
+   inverted ones included), read timestamps, readers and limits. *)
+let prop_span_reads_match_whole_store =
+  let key = QCheck.Gen.(string_size ~gen:(char_range 'a' 'c') (int_bound 3)) in
+  let write = QCheck.Gen.(quad key (int_range 1 20) (int_bound 3) bool) in
+  let query =
+    QCheck.Gen.(
+      pair
+        (quad key key (int_bound 22) (int_bound 6))
+        (triple (opt (int_range 1 3)) (opt (int_bound 4)) (int_bound 22)))
+  in
+  let print (writes, ((start_key, end_key, at, window), (txn, limit, after))) =
+    Printf.sprintf "writes [%s] span [%S, %S) at %d+%d txn %s limit %s after %d"
+      (String.concat "; "
+         (List.map
+            (fun (k, w, txn, tomb) -> Printf.sprintf "%S@%d txn %d%s" k w txn
+               (if tomb then " tombstone" else ""))
+            writes))
+      start_key end_key at window
+      (match txn with Some t -> string_of_int t | None -> "-")
+      (match limit with Some l -> string_of_int l | None -> "-")
+      after
+  in
+  QCheck.Test.make ~name:"mvcc span reads match a whole-store filter" ~count:500
+    (QCheck.make ~print QCheck.Gen.(pair (list_size (int_bound 30) write) query))
+    (fun (writes, ((start_key, end_key, at, window), (for_txn, limit, after))) ->
+      let s = Mvcc.create () in
+      List.iter
+        (fun (key, wall, txn, tomb) ->
+          let value = if tomb then None else Some key in
+          if txn = 0 then Mvcc.put_version s ~key ~ts:(ts wall) ~value
+          else ignore (Mvcc.put_intent s ~key ~txn_id:txn ~ts:(ts wall) ~value ()))
+        writes;
+      let in_span =
+        List.filter
+          (fun k -> String.compare k start_key >= 0 && String.compare k end_key < 0)
+          (List.sort_uniq String.compare (List.map (fun (k, _, _, _) -> k) writes))
+      in
+      let read_ts = ts at and max_ts = ts (at + window) in
+      let limit_n = Option.value limit ~default:max_int in
+      let rec expected n = function
+        | _ when n >= limit_n -> []
+        | [] -> []
+        | key :: rest -> (
+            match Mvcc.read s ~key ~ts:read_ts ~max_ts ~for_txn with
+            | Mvcc.Value { value = None; _ } -> expected n rest
+            | outcome -> (key, outcome) :: expected (n + 1) rest)
+      in
+      let upto = max_ts and after = ts after in
+      let foreign_intent key =
+        match Mvcc.intent_on s ~key with
+        | Some i -> for_txn <> Some i.txn_id && Ts.(i.ts <= upto)
+        | None -> false
+      in
+      let writes_expected =
+        List.exists
+          (fun key ->
+            Mvcc.has_committed_after s ~key ~after ~upto || foreign_intent key)
+          in_span
+      in
+      Mvcc.scan s ~start_key ~end_key ~ts:read_ts ~max_ts ~for_txn ~limit
+      = expected 0 in_span
+      && Mvcc.span_has_writes_in_window s ~start_key ~end_key ~after ~upto
+           ~ignore_txn:for_txn
+         = writes_expected)
+
+(* Inserting a version into a newest-first chain puts it where the stable
    sort it replaces did, equal timestamps included: before the versions at
    its timestamp, after the newer ones. *)
 let prop_insert_version_is_stable_sort =
@@ -162,8 +230,17 @@ let prop_insert_version_is_stable_sort =
          (v :: versions))
   in
   QCheck.Test.make ~name:"mvcc version insert matches a stable sort"
-    ~count:500 (QCheck.make ~print gen) (fun (v, versions) ->
-      Mvcc.insert_version v versions
+    ~count:500 (QCheck.make ~print gen) (fun (((ts, tag) as v), versions) ->
+      let chain =
+        List.fold_right
+          (fun (ts, value) older -> Mvcc.V { ts; value; older })
+          versions Mvcc.Nil
+      in
+      let rec to_list = function
+        | Mvcc.Nil -> []
+        | Mvcc.V { ts; value; older } -> (ts, value) :: to_list older
+      in
+      to_list (Mvcc.insert_version ts tag chain)
       = List.stable_sort newest_first (v :: versions))
 
 let test_tscache () =
@@ -228,6 +305,7 @@ let suite =
     Alcotest.test_case "scan" `Quick test_scan;
     qcheck prop_read_latest_below;
     qcheck prop_insert_version_is_stable_sort;
+    qcheck prop_span_reads_match_whole_store;
     Alcotest.test_case "tscache" `Quick test_tscache;
     Alcotest.test_case "tscache self exclusion" `Quick test_tscache_self_exclusion;
   ]
