@@ -98,38 +98,25 @@ let float_in ~lo ~hi =
 
 (* ---------------- ycsb ---------------- *)
 
-let variant_of_string = function
-  | "rbr" -> Ok Ycsb.Rbr_default
-  | "computed" -> Ok Ycsb.Rbr_computed
-  | "rehoming" -> Ok Ycsb.Rbr_rehoming
-  | "regional" -> Ok Ycsb.Regional_table
-  | "global" -> Ok Ycsb.Global_table
-  | "dup" -> Ok Ycsb.Dup_indexes
-  | s -> Error (`Msg (Printf.sprintf "unknown variant %S" s))
-
+(* [Arg.enum] prints a value as its last spelling in the list, so in
+   every spelling list below a value's canonical spelling comes last. *)
 let variant_conv =
-  Arg.conv
-    ( variant_of_string,
-      fun ppf v ->
-        Format.pp_print_string ppf
-          (match v with
-          | Ycsb.Rbr_default -> "rbr"
-          | Ycsb.Rbr_computed -> "computed"
-          | Ycsb.Rbr_rehoming -> "rehoming"
-          | Ycsb.Regional_table -> "regional"
-          | Ycsb.Global_table -> "global"
-          | Ycsb.Dup_indexes -> "dup") )
+  Arg.enum
+    [
+      ("rbr", Ycsb.Rbr_default);
+      ("computed", Ycsb.Rbr_computed);
+      ("rehoming", Ycsb.Rbr_rehoming);
+      ("regional", Ycsb.Regional_table);
+      ("global", Ycsb.Global_table);
+      ("dup", Ycsb.Dup_indexes);
+    ]
 
 let workload_conv =
-  Arg.conv
-    ( (function
-      | "a" | "A" -> Ok Ycsb.A
-      | "b" | "B" -> Ok Ycsb.B
-      | "d" | "D" -> Ok Ycsb.D
-      | s -> Error (`Msg (Printf.sprintf "unknown workload %S" s))),
-      fun ppf w ->
-        Format.pp_print_string ppf
-          (match w with Ycsb.A -> "a" | Ycsb.B -> "b" | Ycsb.D -> "d") )
+  Arg.enum
+    [
+      ("A", Ycsb.A); ("a", Ycsb.A); ("B", Ycsb.B); ("b", Ycsb.B); ("D", Ycsb.D);
+      ("d", Ycsb.D);
+    ]
 
 let run_ycsb variant workload nregions clients ops keyspace locality stale
     trace metrics =
@@ -227,53 +214,36 @@ module Checker = Crdb_check.Checker
 module Autopilot = Crdb_autopilot.Autopilot
 
 let checker_conv =
-  Arg.conv
-    ( (function
-      | "linearizability" | "lin" -> Ok `Linearizability
-      | "serializability" | "ser" -> Ok `Serializability
-      | s -> Error (`Msg (Printf.sprintf "unknown checker %S" s))),
-      fun ppf c ->
-        Format.pp_print_string ppf
-          (match c with
-          | `Linearizability -> "linearizability"
-          | `Serializability -> "serializability") )
-
-let fault_kind_of_string = function
-  | "kill-node" -> Ok Nemesis.K_kill_node
-  | "kill-zone" -> Ok Nemesis.K_kill_zone
-  | "kill-region" -> Ok Nemesis.K_kill_region
-  | "partition" -> Ok Nemesis.K_partition
-  | "clock-jump" -> Ok Nemesis.K_clock_jump
-  | "lease-transfer" -> Ok Nemesis.K_lease_transfer
-  | "split-range" -> Ok Nemesis.K_split_range
-  | "merge-range" -> Ok Nemesis.K_merge_range
-  | "rebalance" -> Ok Nemesis.K_rebalance
-  | s -> Error (`Msg (Printf.sprintf "unknown fault kind %S" s))
+  Arg.enum
+    [
+      ("lin", `Linearizability);
+      ("linearizability", `Linearizability);
+      ("ser", `Serializability);
+      ("serializability", `Serializability);
+    ]
 
 let fault_kind_conv =
-  Arg.conv
-    ( fault_kind_of_string,
-      fun ppf k ->
-        Format.pp_print_string ppf
-          (match k with
-          | Nemesis.K_kill_node -> "kill-node"
-          | Nemesis.K_kill_zone -> "kill-zone"
-          | Nemesis.K_kill_region -> "kill-region"
-          | Nemesis.K_partition -> "partition"
-          | Nemesis.K_clock_jump -> "clock-jump"
-          | Nemesis.K_lease_transfer -> "lease-transfer"
-          | Nemesis.K_split_range -> "split-range"
-          | Nemesis.K_merge_range -> "merge-range"
-          | Nemesis.K_rebalance -> "rebalance") )
+  Arg.enum
+    [
+      ("kill-node", Nemesis.K_kill_node);
+      ("kill-zone", Nemesis.K_kill_zone);
+      ("kill-region", Nemesis.K_kill_region);
+      ("partition", Nemesis.K_partition);
+      ("clock-jump", Nemesis.K_clock_jump);
+      ("lease-transfer", Nemesis.K_lease_transfer);
+      ("split-range", Nemesis.K_split_range);
+      ("merge-range", Nemesis.K_merge_range);
+      ("rebalance", Nemesis.K_rebalance);
+    ]
 
 let survival_conv =
-  Arg.conv
-    ( (fun s ->
-        match Crdb.Zoneconfig.survival_of_string s with
-        | Some v -> Ok v
-        | None -> Error (`Msg (Printf.sprintf "unknown survival goal %S" s))),
-      fun ppf v ->
-        Format.pp_print_string ppf (Crdb.Zoneconfig.survival_to_string v) )
+  Arg.enum
+    [
+      ("zone", Crdb.Zoneconfig.Zone);
+      ("ZONE", Crdb.Zoneconfig.Zone);
+      ("region", Crdb.Zoneconfig.Region);
+      ("REGION", Crdb.Zoneconfig.Region);
+    ]
 
 let run_chaos_one ~seed ~nregions ~survival ~global ~duration ~faults
     ~fault_interval ~fault_duration ~no_quorum_guard ~clients ~ops ~keys

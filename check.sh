@@ -19,7 +19,9 @@ for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
   "ycsb --regions 0" "ycsb --regions 6" "ycsb --clients 0" "ycsb --keys 0" \
   "ycsb --locality 2" "tpcc --regions 0" "tpcc --regions 28" \
   "tpcc --warehouses 0" "chaos --keys 0" "chaos --write-ratio 2" \
-  "splits --keys 0" "chaos --txn-keys 0" "chaos --txn-ranges 0"; do
+  "splits --keys 0" "chaos --txn-keys 0" "chaos --txn-ranges 0" \
+  "ycsb --variant bogus" "ycsb --workload z" "chaos --faults bogus" \
+  "chaos --checker bogus" "chaos --survival bogus"; do
   status=0
   # shellcheck disable=SC2086 # the arguments are meant to split
   out=$(dune exec bin/crdb_sim.exe -- $args 2>&1) || status=$?

@@ -1572,9 +1572,9 @@ let conflict_wait t r ~phases ~key ~txn ~pri ~fate ~retry blocker =
   | Lock_table.Pusher_aborted -> `Done (`Err "transaction aborted")
   | Lock_table.Timed_out -> `Done (`Err "conflict timeout")
 
-(* The lock or foreign intent a writer (or locker) of [key] must wait on. *)
-let write_blocker r ~key ~txn ~strength =
-  match Lock_table.foreign_for r.r_sm.locks ~key ~txn ~strength with
+(* The lock or foreign intent a writer of [key] must wait on. *)
+let write_blocker r ~key ~txn =
+  match Lock_table.foreign_for r.r_sm.locks ~key ~txn with
   | Some l -> Some (`Lock l)
   | None -> (
       match Mvcc.intent_on r.r_sm.store ~key with
@@ -1879,7 +1879,7 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
      already have cleaned up its old ones, and nothing would remove a
      late-laid intent until abandonment kicked in. *)
   when_live ~fate @@ fun () ->
-  match write_blocker r ~key ~txn ~strength:Lock_table.Exclusive with
+  match write_blocker r ~key ~txn with
   | Some blocker ->
       conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate
         ~retry:(fun () ->
@@ -1982,36 +1982,6 @@ let write t ?applied ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
     (fun r sp ->
       eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
         ~value ~ts ~span:sp)
-
-(* SELECT FOR UPDATE / FOR SHARE: take an unreplicated lock on [key] without
-   laying an intent. Like CRDB's unreplicated lock table, the lock is
-   leaseholder-local state — dropped on lease transfer or node restart — so
-   it is a contention-avoidance hint, not a correctness anchor:
-   serializability stays guaranteed by the commit-time read refresh.
-   Conflicts resolve through the same wound-wait push protocol as
-   write-write conflicts (the waiter pushes the holder's record at its
-   anchor). *)
-let rec eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts =
-  guard r ~key @@ fun () ->
-  when_live ~fate @@ fun () ->
-  match write_blocker r ~key ~txn ~strength with
-  | Some blocker ->
-      conflict_wait t r ~phases ~key ~txn:(Some txn) ~pri ~fate
-        ~retry:(fun () ->
-          eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts)
-        blocker
-  | None ->
-      let wpri = Option.value pri ~default:Ts.zero in
-      ignore
-        (Lock_table.acquire r.r_sm.locks ~pri:wpri ~anchor ~strength ~key ~txn ~ts ()
-          : bool);
-      `Done (`Ok ts)
-
-let lock_key t ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
-    ?(fate = live_fate) ~gateway ~txn ~key ~ts ~strength () =
-  with_leaseholder t ~gateway ?span ~phases ~op:"kv.lock" ~key
-    ~on_fail:(fun msg -> `Err msg)
-    (fun r _sp -> eval_lock t r ~phases ~txn ~pri ~anchor ~fate ~strength ~key ~ts)
 
 (* [keys] grouped by the range that owns each, in order of first appearance,
    each group's keys in reverse; keys no range owns are left out. *)

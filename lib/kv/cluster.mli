@@ -392,31 +392,6 @@ val write :
     [applied] — and check it is [`Applied] — before (or concurrently with)
     committing. *)
 
-val lock_key :
-  t ->
-  ?span:Crdb_obs.Trace.span ->
-  ?phases:Crdb_obs.Phase.ctx ->
-  ?pri:Ts.t ->
-  ?anchor:string ->
-  ?fate:(unit -> fate) ->
-  gateway:Crdb_net.Topology.node_id ->
-  txn:int ->
-  key:string ->
-  ts:Ts.t ->
-  strength:Lock_table.strength ->
-  unit ->
-  Ts.t reply
-(** SELECT FOR UPDATE / FOR SHARE: take an unreplicated
-    [Lock_table.strength] lock on [key] at the leaseholder without laying an
-    intent. Blocks (through the same wound-wait push protocol as writes)
-    while a conflicting holder or intent exists; a [Shared] request only
-    conflicts with [Exclusive] holders, and an [Exclusive] request over the
-    caller's own [Shared] grip upgrades it once other holders are pushed
-    away. The lock is leaseholder-local (dropped on lease transfer or node
-    restart) — a contention-avoidance hint; serializability remains
-    guaranteed by commit-time read refreshes. Released by {!resolve} along
-    with the transaction's write intents. *)
-
 val write_and_commit :
   t ->
   ?span:Crdb_obs.Trace.span ->

@@ -2,96 +2,58 @@ module Ivar = Crdb_sim.Ivar
 module Ts = Crdb_hlc.Timestamp
 
 type outcome = Acquired | Wounded of string | Pusher_aborted | Timed_out
-type strength = Shared | Exclusive
 
 type lock = {
   lk_txn : int;
   mutable lk_ts : Ts.t;
   lk_pri : Ts.t;
   lk_anchor : string;
-  mutable lk_strength : strength;
 }
 
 let holder l = l.lk_txn
 let lock_pri l = l.lk_pri
 let lock_anchor l = l.lk_anchor
 
-(* Invariant per key: either one Exclusive holder, or any number of Shared
-   holders. Upgrades mutate [lk_strength] in place once the upgrader is the
-   sole holder. *)
+(* At most one lock per key: only writers take locks, and a writer takes
+   one only after the key's previous holder released it. *)
 type t = {
-  locks : (string, lock list ref) Hashtbl.t;
+  locks : (string, lock) Hashtbl.t;
   queues : (string, unit Ivar.t list ref) Hashtbl.t;
 }
 
 let create () = { locks = Hashtbl.create 16; queues = Hashtbl.create 16 }
 
-let holders t ~key =
-  match Hashtbl.find_opt t.locks key with Some ls -> !ls | None -> []
+(* Held by a transaction other than [txn] at a timestamp [<= max_ts]. *)
+let blocks l ~txn ~max_ts = Some l.lk_txn <> txn && Ts.(l.lk_ts <= max_ts)
 
 let foreign t ~key ~txn ~max_ts =
-  (* Readers (and refreshes) only conflict with Exclusive holders: a Shared
-     lock guards against writers, never against other readers. *)
-  List.find_opt
-    (fun l ->
-      l.lk_strength = Exclusive && Some l.lk_txn <> txn && Ts.(l.lk_ts <= max_ts))
-    (holders t ~key)
+  match Hashtbl.find_opt t.locks key with
+  | Some l when blocks l ~txn ~max_ts -> Some l
+  | Some _ | None -> None
 
 let foreign_in_span t ~start_key ~end_key ~txn ~max_ts =
   Hashtbl.fold
-    (fun key ls acc ->
+    (fun key l acc ->
       match acc with
       | Some _ -> acc
       | None ->
-          if key >= start_key && key < end_key then
-            match
-              List.find_opt
-                (fun l ->
-                  l.lk_strength = Exclusive && Some l.lk_txn <> txn
-                  && Ts.(l.lk_ts <= max_ts))
-                !ls
-            with
-            | Some l -> Some (key, l)
-            | None -> None
+          if key >= start_key && key < end_key && blocks l ~txn ~max_ts then
+            Some (key, l)
           else None)
     t.locks None
 
-let foreign_for t ~key ~txn ~strength =
-  (* What blocks an acquirer of [strength]: an Exclusive request conflicts
-     with any foreign holder; a Shared request only with a foreign
-     Exclusive holder. *)
-  List.find_opt
-    (fun l ->
-      l.lk_txn <> txn
-      && (strength = Exclusive || l.lk_strength = Exclusive))
-    (holders t ~key)
+let foreign_for t ~key ~txn =
+  foreign t ~key ~txn:(Some txn) ~max_ts:Ts.max_value
 
-let acquire t ?(pri = Ts.zero) ?(anchor = "") ?(strength = Exclusive) ~key ~txn
-    ~ts () =
-  let ls =
-    match Hashtbl.find_opt t.locks key with
-    | Some ls -> ls
-    | None ->
-        let ls = ref [] in
-        Hashtbl.replace t.locks key ls;
-        ls
-  in
-  match List.find_opt (fun l -> l.lk_txn = txn) !ls with
+let acquire t ?(pri = Ts.zero) ?(anchor = "") ~key ~txn ~ts () =
+  match Hashtbl.find_opt t.locks key with
   | Some l ->
+      assert (l.lk_txn = txn);
       l.lk_ts <- Ts.max l.lk_ts ts;
-      (if strength = Exclusive && l.lk_strength = Shared then begin
-         (* Upgrade: the caller must have established it is the sole
-            holder (foreign Shared holders were pushed away first). *)
-         assert (List.for_all (fun o -> o.lk_txn = txn) !ls);
-         l.lk_strength <- Exclusive
-       end);
       false
   | None ->
-      assert (foreign_for t ~key ~txn ~strength = None);
-      ls :=
-        { lk_txn = txn; lk_ts = ts; lk_pri = pri; lk_anchor = anchor;
-          lk_strength = strength }
-        :: !ls;
+      Hashtbl.replace t.locks key
+        { lk_txn = txn; lk_ts = ts; lk_pri = pri; lk_anchor = anchor };
       true
 
 let wake t ~key =
@@ -108,10 +70,8 @@ let wake t ~key =
 
 let release t ~key ~txn =
   (match Hashtbl.find_opt t.locks key with
-  | Some ls ->
-      ls := List.filter (fun l -> l.lk_txn <> txn) !ls;
-      if !ls = [] then Hashtbl.remove t.locks key
-  | None -> ());
+  | Some l when l.lk_txn = txn -> Hashtbl.remove t.locks key
+  | Some _ | None -> ());
   wake t ~key
 
 let park t ~key =
@@ -143,12 +103,12 @@ let reset t =
 
 let split_move t ~into ~at =
   let moved_locks =
-    Hashtbl.fold (fun k ls acc -> if k >= at then (k, ls) :: acc else acc) t.locks []
+    Hashtbl.fold (fun k l acc -> if k >= at then (k, l) :: acc else acc) t.locks []
   in
   List.iter
-    (fun (k, ls) ->
+    (fun (k, l) ->
       Hashtbl.remove t.locks k;
-      Hashtbl.replace into.locks k ls)
+      Hashtbl.replace into.locks k l)
     moved_locks;
   let moved_queues =
     Hashtbl.fold (fun k q acc -> if k >= at then (k, q) :: acc else acc) t.queues []
@@ -162,5 +122,5 @@ let split_move t ~into ~at =
     moved_queues
 
 let absorb t ~from =
-  Hashtbl.iter (fun k ls -> Hashtbl.replace t.locks k ls) from.locks;
+  Hashtbl.iter (fun k l -> Hashtbl.replace t.locks k l) from.locks;
   Hashtbl.reset from.locks

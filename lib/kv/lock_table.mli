@@ -1,18 +1,17 @@
-(** Per-replica lock table: unreplicated locks plus conflict waiters.
+(** Per-replica lock table: unreplicated write locks plus conflict waiters.
 
     Owns the state that used to live in two ad-hoc hashtables on every
-    replica ([r_locks] / [r_resolve_waiters]): the in-memory locks taken by
-    transactional writers (and SELECT FOR UPDATE / FOR SHARE readers) on the
-    leaseholder, and the queues of operations parked on a key until its lock
-    is released or its intent resolved. Lock waiters and intent waiters
-    share one queue per key — a wakeup is only a hint to re-evaluate, so a
-    spurious wakeup costs one re-check and the caller parks again.
+    replica ([r_locks] / [r_resolve_waiters]): the in-memory lock a
+    transactional writer holds on its key on the leaseholder while its
+    intent replicates, and the queues of operations parked on a key until
+    its lock is released or its intent resolved. Lock waiters and intent
+    waiters share one queue per key — a wakeup is only a hint to
+    re-evaluate, so a spurious wakeup costs one re-check and the caller
+    parks again.
 
-    Each key is held either by a single [Exclusive] lock (transactional
-    writers, FOR UPDATE) or by any number of compatible [Shared] locks (FOR
-    SHARE); a Shared holder may upgrade to Exclusive once it is the sole
-    holder. Conflicts between acquirers resolve through the same wound-wait
-    push protocol as write-write conflicts.
+    Writers are the only lock takers, so a key has at most one lock, held
+    by one transaction. Conflicts resolve through the wound-wait push
+    protocol.
 
     The table is pure bookkeeping: pushing, wounding and timeouts live in
     [Cluster.wait_on_conflict]; the typed [outcome] every conflicting
@@ -31,13 +30,6 @@ type outcome =
       (** the waiting transaction was aborted for another reason (e.g.
           abandonment) while parked *)
   | Timed_out  (** last-resort backstop: [conflict_wait_timeout] elapsed *)
-
-type strength =
-  | Shared
-      (** SELECT FOR SHARE: compatible with other Shared holders, blocks
-          Exclusive acquirers *)
-  | Exclusive
-      (** transactional writes and SELECT FOR UPDATE: blocks everyone *)
 
 type lock
 
@@ -58,36 +50,31 @@ val create : unit -> t
 (** {1 Locks} *)
 
 val foreign : t -> key:string -> txn:int option -> max_ts:Ts.t -> lock option
-(** An Exclusive lock on [key] held by a different transaction at a
-    timestamp [<= max_ts] (the visibility rule readers use; Shared locks
-    never block plain reads). *)
+(** The lock on [key] if another transaction holds it at a timestamp
+    [<= max_ts] (the visibility rule readers use). *)
 
 val foreign_in_span :
   t -> start_key:string -> end_key:string -> txn:int option -> max_ts:Ts.t -> (string * lock) option
-(** Any foreign Exclusive lock on a key in [[start_key, end_key)], for scans
-    and span refreshes; the key identifies where to park. *)
+(** Any lock on a key in [[start_key, end_key)] that {!foreign} would
+    return, for scans and span refreshes; the key identifies where to
+    park. *)
 
-val foreign_for :
-  t -> key:string -> txn:int -> strength:strength -> lock option
-(** What blocks [txn] from acquiring at [strength]: an Exclusive request
-    conflicts with any foreign holder (including Shared ones it must push
-    away before upgrading), a Shared request only with a foreign Exclusive
-    holder. *)
+val foreign_for : t -> key:string -> txn:int -> lock option
+(** The lock on [key] if another transaction holds it, at any timestamp:
+    what blocks [txn] from writing [key]. *)
 
 val acquire :
-  t -> ?pri:Ts.t -> ?anchor:string -> ?strength:strength -> key:string ->
-  txn:int -> ts:Ts.t -> unit -> bool
-(** Take or ratchet the lock ([strength] defaults to [Exclusive]). Returns
-    [true] if the grip was newly created (the caller must [release] it if
-    its proposal fails), [false] if the transaction already held the key and
-    only the timestamp was ratcheted — requesting [Exclusive] over an
-    existing [Shared] grip upgrades it in place. The caller must have
-    established there is no conflicting foreign holder ({!foreign_for});
-    for an upgrade it must be the sole holder. *)
+  t -> ?pri:Ts.t -> ?anchor:string -> key:string -> txn:int -> ts:Ts.t ->
+  unit -> bool
+(** Take or ratchet [txn]'s lock on [key]. Returns [true] if the lock was
+    newly taken (the caller must [release] it if its proposal fails),
+    [false] if [txn] already held it and only the timestamp was ratcheted.
+    The caller must have established that no other transaction holds the
+    key ({!foreign_for}). *)
 
 val release : t -> key:string -> txn:int -> unit
-(** Drop [txn]'s grip on [key] if it holds one (other Shared holders keep
-    theirs), then wake all waiters on [key]. *)
+(** Drop the lock on [key] if [txn] holds it (a lock another writer has
+    taken since stays), then wake all waiters on [key]. *)
 
 (** {1 Waiters} *)
 

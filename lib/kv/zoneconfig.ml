@@ -50,9 +50,4 @@ let derive ~regions ~home ~survival ~placement =
         lease_preferences = [ home ];
       }
 
-let survival_of_string = function
-  | "ZONE" | "zone" -> Some Zone
-  | "REGION" | "region" -> Some Region
-  | _ -> None
-
 let survival_to_string = function Zone -> "ZONE" | Region -> "REGION"

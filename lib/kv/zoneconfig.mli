@@ -40,5 +40,4 @@ val derive :
     @raise Invalid_argument on [Region] survival with fewer than 3 regions or
     with [Restricted] placement, or if [home] is not in [regions]. *)
 
-val survival_of_string : string -> survival option
 val survival_to_string : survival -> string

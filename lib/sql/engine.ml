@@ -486,40 +486,45 @@ let unique_check_scope pt pi =
         `Own_partition (* option 3: region is a function of the key *)
     | Some _ | None -> `All_partitions
 
-let check_unique db pt ctx ~(row : row) ~own_pk ~partition =
+(* The unique indexes a write must validate: duplicate indexes copy the
+   primary key and are never checked on their own. *)
+let unique_indexes pt =
+  List.filter
+    (fun pi -> pi.pi_def.Schema.idx_unique && pi.pi_pin = None)
+    pt.pt_indexes
+
+let check_unique db pt ctx ~(row : row) ~own_pk ~partition indexes =
   List.iter
     (fun pi ->
-      if pi.pi_def.Schema.idx_unique && pi.pi_pin = None then begin
-        let key_values = Schema.values_of row pi.pi_def.Schema.idx_cols in
-        let conflict_in partition =
-          let key =
-            Keycodec.row_key ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
-              key_values
-          in
-          match ctx.fc_get key with
-          | None -> false
-          | Some raw ->
-              let existing_pk =
-                if pi.pi_no = Keycodec.primary_index then
-                  pk_values pt (decode_full_row pt raw)
-                else Value.decode_row raw
-              in
-              Some existing_pk <> own_pk
+      let key_values = Schema.values_of row pi.pi_def.Schema.idx_cols in
+      let conflict_in partition =
+        let key =
+          Keycodec.row_key ~table_id:pt.pt_id ~index_no:pi.pi_no ~partition
+            key_values
         in
-        let conflict =
-          match unique_check_scope pt pi with
-          | `Skip -> false
-          | `Own_partition -> conflict_in partition
-          | `All_partitions ->
-              (* One point lookup per region, in parallel (§4.1). *)
-              List.mem true
-                (in_parallel ctx conflict_in (List.map (fun r -> Some r) (regions db)))
-        in
-        if conflict then
-          sql_error "duplicate key value violates unique constraint %s.%s"
-            pt.pt_schema.Schema.tbl_name pi.pi_def.Schema.idx_name
-      end)
-    pt.pt_indexes
+        match ctx.fc_get key with
+        | None -> false
+        | Some raw ->
+            let existing_pk =
+              if pi.pi_no = Keycodec.primary_index then
+                pk_values pt (decode_full_row pt raw)
+              else Value.decode_row raw
+            in
+            Some existing_pk <> own_pk
+      in
+      let conflict =
+        match unique_check_scope pt pi with
+        | `Skip -> false
+        | `Own_partition -> conflict_in partition
+        | `All_partitions ->
+            (* One point lookup per region, in parallel (§4.1). *)
+            List.mem true
+              (in_parallel ctx conflict_in (List.map (fun r -> Some r) (regions db)))
+      in
+      if conflict then
+        sql_error "duplicate key value violates unique constraint %s.%s"
+          pt.pt_schema.Schema.tbl_name pi.pi_def.Schema.idx_name)
+    indexes
 
 let check_fks db ctx (row : row) pt =
   List.iter
@@ -553,6 +558,7 @@ let t_insert_inner ?(check = true) c ~table (row : row) =
   if check then begin
     check_fks db c.tc_ctx normalized pt;
     check_unique db pt c.tc_ctx ~row:normalized ~own_pk:None ~partition
+      (unique_indexes pt)
   end;
   List.iter
     (fun (k, v) -> Txn.put c.tc_txn k v)
@@ -605,16 +611,13 @@ let t_update_by_pk c ~table pk ~set =
         else new_row
       in
       let new_partition = row_partition pt new_row in
-      (* Validate unique secondary indexes whose key values changed. *)
-      List.iter
-        (fun pi ->
-          if
-            (not pi.pi_covering) && pi.pi_def.Schema.idx_unique
-            && index_key_values pt pi new_row <> index_key_values pt pi old_row
-          then
-            check_unique db pt c.tc_ctx ~row:new_row ~own_pk:(Some pk)
-              ~partition:new_partition)
-        pt.pt_indexes;
+      (* Validate the unique indexes whose key values changed. *)
+      check_unique db pt c.tc_ctx ~row:new_row ~own_pk:(Some pk)
+        ~partition:new_partition
+        (List.filter
+           (fun pi ->
+             index_key_values pt pi new_row <> index_key_values pt pi old_row)
+           (unique_indexes pt));
       (* A row that moves partitions loses every old entry; otherwise only
          the secondary entries whose keys changed go. *)
       let old_entries = index_entries pt ~partition old_row in

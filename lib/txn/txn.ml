@@ -1,13 +1,12 @@
 (* The paper's concurrency control and the public transaction API:
    pessimistic per-range lock tables with wound-wait deadlock resolution,
    pipelined intent writes and parallel commits. Reads with uncertainty
-   restarts, locking reads, intent writes, read refreshes, the
-   parallel/sequential commit protocol, commit-status recovery and record
-   heartbeats sit under [run]'s retry loop, the blind-put fast path and the
-   read-only transaction paths. *)
+   restarts, intent writes, read refreshes, the parallel/sequential commit
+   protocol, commit-status recovery and record heartbeats sit under
+   [run]'s retry loop, the blind-put fast path and the read-only
+   transaction paths. *)
 
 module Cluster = Crdb_kv.Cluster
-module Lock_table = Crdb_kv.Lock_table
 module Txnrec = Crdb_kv.Txnrec
 module Ts = Crdb_hlc.Timestamp
 module Clock = Crdb_hlc.Clock
@@ -81,9 +80,6 @@ type t = {
       (* phase-latency accumulator shared by every attempt of one [run];
          KV ops charge Routing/Lease_wait/Lock_wait/Replication into it,
          the coordinator charges Refresh/Commit_wait/Retry_backoff *)
-  mutable rlocks : string list;
-      (* keys this attempt explicitly locked (FOR UPDATE / FOR SHARE)
-         without writing; released alongside the write intents *)
 }
 
 let fate_of t () = t.fate_
@@ -268,23 +264,6 @@ let scan t ~start_key ~end_key ?limit () =
         ~ts:t.read_ts ~max_ts:t.max_ts ~limit ())
 
 (* ------------------------------------------------------------------ *)
-(* Locking reads (SELECT FOR UPDATE / FOR SHARE)                       *)
-
-let get_locked t strength key =
-  (match
-     Cluster.lock_key t.mgr.cl ~span:t.sp ~phases:t.phases ~pri:t.pri
-       ~anchor:(Option.value t.anchor ~default:"")
-       ~fate:(fate_of t) ~gateway:t.gw ~txn:t.id ~key ~ts:t.read_ts ~strength ()
-   with
-  | `Ok _ -> if not (List.mem key t.rlocks) then t.rlocks <- key :: t.rlocks
-  | `Wounded reason -> raise (Wounded reason)
-  | `Err e -> raise (Restart e));
-  get t key
-
-let get_for_update t key = get_locked t Lock_table.Exclusive key
-let get_for_share t key = get_locked t Lock_table.Shared key
-
-(* ------------------------------------------------------------------ *)
 (* Writes                                                              *)
 
 (* HLC receive rule on the write response: the gateway folds a present-time
@@ -426,13 +405,6 @@ let determine_fate t ~akey ~commit_ts ~inflight reason =
   in
   go 1
 
-(* Intent resolution covers explicitly locked keys too: [Op_resolve]'s
-   apply releases the lock-table grip and intent resolution on a key the
-   transaction never wrote is a no-op. *)
-let resolve_keys t =
-  List.rev t.writes
-  @ List.filter (fun k -> not (List.mem k t.writes)) (List.rev t.rlocks)
-
 (* The attempt is over: its heartbeat stops. A first heartbeat still
    armed leaves the event queue at once; a running loop exits when it next
    wakes. *)
@@ -545,14 +517,9 @@ let commit t =
                ~ts:commit_ts ()
               : Txnrec.status option);
         Cluster.resolve t.mgr.cl ~gateway:t.gw ~txn:t.id
-          ~commit:(Some commit_ts) ~keys:(resolve_keys t) ~sync_all:false ())
-  end
-  else if t.rlocks <> [] then
-    (* Read-only but explicitly locked: nothing to commit, but the
-       lock-table grips must go. *)
-    Cluster.spawn_background t.mgr.cl (fun () ->
-        Cluster.resolve t.mgr.cl ~gateway:t.gw ~txn:t.id ~commit:None
-          ~keys:(List.rev t.rlocks) ~sync_all:false ());
+          ~commit:(Some commit_ts) ~keys:(List.rev t.writes)
+          ~sync_all:false ())
+  end;
   if t.writes <> [] || t.observed_future then begin
     let waited =
       commit_wait t.mgr ~parent:t.sp ~gw:t.gw ~txn:t.id ~phases:t.phases
@@ -585,9 +552,9 @@ let abort t =
             None)
     | None -> None
   in
-  if t.writes <> [] || t.rlocks <> [] then
+  if t.writes <> [] then
     Cluster.resolve t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id
-      ~commit:committed_at ~keys:(resolve_keys t) ~sync_all:false ();
+      ~commit:committed_at ~keys:(List.rev t.writes) ~sync_all:false ();
   committed_at
 
 (* Keep the transaction record live while the coordinator (gateway node) is
@@ -671,7 +638,6 @@ let fresh_txn ~priority ~phases mgr ~gateway =
       commit_initiated = false;
       sp = Trace.nil;
       phases;
-      rlocks = [];
     }
   in
   start_heartbeat t;

@@ -131,16 +131,6 @@ val get : t -> string -> string option
 val put : t -> string -> string -> unit
 val delete : t -> string -> unit
 
-val get_for_update : t -> string -> string option
-(** SELECT FOR UPDATE: read the key and protect it against concurrent
-    writers until commit: takes an [Exclusive] lock-table lock ahead of
-    the read (conflicts with readers' locks and other writers resolve by
-    wound-wait; upgrading an own [Shared] grip is supported). *)
-
-val get_for_share : t -> string -> string option
-(** SELECT FOR SHARE: like {!get_for_update} with a [Shared] lock, which
-    coexists with other [Shared] holders and blocks only writers. *)
-
 val scan : t -> start_key:string -> end_key:string -> ?limit:int -> unit -> (string * string) list
 (** Scan of [[start_key, end_key)] at the read timestamp. The span may
     cross ranges: {!Crdb_kv.Cluster.scan} stitches the per-range

@@ -1,7 +1,7 @@
 (* Conflict fixtures for wound-wait concurrency control, driven through the
-   public [Txn] API: opposite-order writers, read-your-writes, serialized
-   read-modify-write increments and locking reads. The teeth of the
-   [No_refresh] broken mode are covered by the chaos tests. *)
+   public [Txn] API: opposite-order writers, read-your-writes and
+   serialized read-modify-write increments. The teeth of the [No_refresh]
+   broken mode are covered by the chaos tests. *)
 
 module Sim = Crdb_sim.Sim
 module Proc = Crdb_sim.Proc
@@ -123,28 +123,6 @@ let test_serialized_increments () =
         (Some (string_of_int n)) final);
   no_conflict_timeouts cl
 
-(* FOR SHARE / FOR UPDATE reads return the current value, the own-lock
-   upgrade succeeds and the transaction still commits. (What the lock pins
-   down is covered by the lock-table tests; here we pin the API.) *)
-let test_locking_reads_commit () =
-  let cl, mgr = make () in
-  let gw = node_in cl home 0 in
-  Cluster.run cl (fun () ->
-      expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "ka" "v0"));
-      expect_ok
-        (Txn.run mgr ~gateway:gw (fun t ->
-             check Alcotest.(option string) "FOR SHARE reads the value"
-               (Some "v0") (Txn.get_for_share t "ka");
-             check Alcotest.(option string) "FOR UPDATE reads the value"
-               (Some "v0")
-               (Txn.get_for_update t "ka");
-             Txn.put t "ka" "v1"));
-      expect_ok
-        (Txn.run mgr ~gateway:gw (fun t ->
-             check Alcotest.(option string) "write after locking reads landed"
-               (Some "v1") (Txn.get t "ka"))));
-  no_conflict_timeouts cl
-
 let suite =
   [
     Alcotest.test_case "opposite-order conflict commits [wound-wait]" `Quick
@@ -153,6 +131,4 @@ let suite =
       test_read_your_writes;
     Alcotest.test_case "concurrent increments serialize [wound-wait]" `Quick
       test_serialized_increments;
-    Alcotest.test_case "locking reads commit [wound-wait]" `Quick
-      test_locking_reads_commit;
   ]

@@ -1,7 +1,7 @@
 (* Determinism golden test: a small fixed-seed scenario that drives every
    KV request path once — leaseholder read, write and scan, the 1PC blind
    put, intent resolution, span refresh, follower read and scan on a GLOBAL
-   range, bounded-staleness negotiation, a locking read, a wound-wait
+   range, bounded-staleness negotiation, a read-modify-write, a wound-wait
    conflict and a split — and pins the MD5 of the metrics registry and the
    Chrome trace export. A change that alters simulated behaviour on purpose
    must update the pin on purpose; a refactor must leave it unchanged. *)
@@ -61,10 +61,10 @@ let scenario ?(opts = Txn.Options.default) () =
              ignore (Txn.get t "b" : string option);
              ignore (Txn.scan t ~start_key:"a" ~end_key:"m" () : _ list)));
       expect_ok (Txn.run_blind_put mgr ~gateway:gw "f" "3");
-      (* A locking read. *)
+      (* A read-modify-write of a committed key. *)
       expect_ok
         (Txn.run mgr ~gateway:gw (fun t ->
-             ignore (Txn.get_for_update t "b" : string option);
+             ignore (Txn.get t "b" : string option);
              Txn.put t "b" "4"));
       (* A future-time write on the GLOBAL range, then local reads of it from
          a remote region once the write's timestamp is closed. *)
@@ -121,20 +121,20 @@ let scenario ?(opts = Txn.Options.default) () =
 
 let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
-    "9e169700d6ca86abd9adb10a8b37750f" (scenario ())
+    "e62e470ca56f7109108411a6d973955e" (scenario ())
 
 (* The same scenario on the two commit paths the default options skip:
    sequential commits with and without write pipelining. *)
 let test_sequential_digest () =
   check Alcotest.string "metrics + trace digest"
-    "da698ef8daff256317d9eecd6e719467"
+    "843934d9b3010a52cb936d6046f6785f"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = false; parallel_commits = false }
        ())
 
 let test_pipelined_digest () =
   check Alcotest.string "metrics + trace digest"
-    "23f5c3bb706aa6205f0ca3a46bfcf8c3"
+    "f0d658907ea0f0d49551a0fd788b00e4"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
        ())

@@ -10,6 +10,7 @@ module Latency = Crdb_net.Latency
 module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
+module Lock_table = Crdb_kv.Lock_table
 module Txnrec = Crdb_kv.Txnrec
 module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
@@ -255,111 +256,159 @@ let test_committed_record_resolves_intent () =
   no_conflict_timeouts cl
 
 (* ------------------------------------------------------------------ *)
-(* Lock strength: SELECT FOR SHARE / FOR UPDATE                        *)
+(* Lock table against a reference model                                *)
 
-(* Shared locks are compatible with each other: the second FOR SHARE reader
-   acquires immediately even while the first still holds, and both block
-   nobody but writers. *)
-let test_shared_shared_compatible () =
-  let cl, mgr = make () in
-  let sim = Cluster.sim cl in
-  let gw = node_in cl home 0 in
-  Cluster.run cl (fun () ->
-      expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "k" "v0"));
-      let t0 = Sim.now sim in
-      let acquired = ref [] in
-      let holder name =
-        Proc.async sim (fun () ->
-            Txn.run mgr ~gateway:gw (fun t ->
-                ignore (Txn.get_for_share t "k");
-                acquired := (name, Sim.now sim) :: !acquired;
-                (* Hold the shared lock well past the other's acquire. *)
-                Proc.sleep sim 400_000))
-      in
-      let a = holder "a" in
-      Proc.sleep sim 50_000;
-      let b = holder "b" in
-      List.iter (fun r -> expect_ok (Proc.await r)) [ a; b ];
-      List.iter
-        (fun (name, at) ->
-          check Alcotest.bool
-            (Printf.sprintf "holder %s acquired without queueing" name)
-            true
-            (at - t0 < 300_000))
-        !acquired);
-  check Alcotest.int "no wounds between shared holders" 0
-    (total cl "txn.wounds");
-  no_conflict_timeouts cl
+(* Operations on a pair of tables (a range and its right-hand neighbour):
+   [Split_move] moves [tbl]'s keys [>= at] into the other table, [Absorb]
+   merges the other table into [tbl]. *)
+type lt_op =
+  | Acquire of { tbl : int; key : string; txn : int; ts : int }
+  | Release of { tbl : int; key : string; txn : int }
+  | Split_move of { tbl : int; at : string }
+  | Absorb of { tbl : int }
+  | Clear_locks of { tbl : int }
 
-(* The classic upgrade deadlock: both transactions take the shared lock,
-   then both try to write the same key. Neither upgrade can proceed while
-   the other's shared grip exists, so wound-wait must break the cycle —
-   the older upgrades in place, the wounded younger retries and commits. *)
-let test_upgrade_deadlock_wound_wait () =
-  let cl, mgr = make () in
-  let sim = Cluster.sim cl in
-  let gw = node_in cl home 0 in
-  Cluster.run cl (fun () ->
-      expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "k" "0"));
-      let t0 = Sim.now sim in
-      let upgrader name =
-        Proc.async sim (fun () ->
-            Txn.run mgr ~gateway:gw (fun t ->
-                ignore (Txn.get_for_share t "k");
-                Proc.sleep sim 200_000;
-                Txn.put t "k" name))
-      in
-      let a = upgrader "a" in
-      Proc.sleep sim 1_000;
-      let b = upgrader "b" in
-      List.iter (fun r -> expect_ok (Proc.await r)) [ a; b ];
-      let elapsed = Sim.now sim - t0 in
-      check Alcotest.bool
-        (Printf.sprintf "upgrade deadlock broken fast (took %dus)" elapsed)
-        true
-        (elapsed < 8_000_000);
-      (* Both writes committed: the final value is whichever upgraded last. *)
-      match expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.get t "k")) with
-      | Some ("a" | "b") -> ()
-      | v ->
-          Alcotest.failf "unexpected final value %s"
-            (Option.value v ~default:"<none>"));
-  (* The wound lands at the KV layer (the pusher wounds the younger's
-     record and cleans its shared grip); the younger's attempt then dies on
-     the commit-time refresh, so the coordinator counts a restart. *)
-  check Alcotest.bool "the younger was wounded" true
-    (Events.count (Obs.events (Cluster.obs cl)) Events.Wound >= 1);
-  check Alcotest.bool "the loser restarted and recommitted" true
-    (total cl "txn.restarts" >= 1);
-  no_conflict_timeouts cl
+let lt_keys = [ "a"; "b"; "c"; "d"; "e" ]
+let lt_txns = [ 1; 2; 3 ]
 
-(* A FOR UPDATE lock is exclusive: a concurrent writer queues behind it for
-   the whole hold instead of sneaking its intent in. *)
-let test_for_update_blocks_writer () =
-  let cl, mgr = make () in
-  let sim = Cluster.sim cl in
-  let gw = node_in cl home 0 in
-  Cluster.run cl (fun () ->
-      expect_ok (Txn.run mgr ~gateway:gw (fun t -> Txn.put t "k" "v0"));
-      let writer_done = ref false in
-      let holder =
-        Proc.async sim (fun () ->
-            Txn.run mgr ~gateway:gw (fun t ->
-                ignore (Txn.get_for_update t "k");
-                Proc.sleep sim 500_000;
-                check Alcotest.bool "writer still queued behind FOR UPDATE"
-                  false !writer_done))
-      in
-      Proc.sleep sim 50_000;
-      let writer =
-        Proc.async sim (fun () ->
-            let r = Txn.run mgr ~gateway:gw (fun t -> Txn.put t "k" "w") in
-            writer_done := true;
-            r)
-      in
-      List.iter (fun r -> expect_ok (Proc.await r)) [ holder; writer ];
-      check Alcotest.bool "writer finished after release" true !writer_done);
-  no_conflict_timeouts cl
+let pp_lt_op = function
+  | Acquire { tbl; key; txn; ts } ->
+      Printf.sprintf "acquire t%d %s txn%d @%d" tbl key txn ts
+  | Release { tbl; key; txn } -> Printf.sprintf "release t%d %s txn%d" tbl key txn
+  | Split_move { tbl; at } -> Printf.sprintf "split_move t%d at %s" tbl at
+  | Absorb { tbl } -> Printf.sprintf "absorb into t%d" tbl
+  | Clear_locks { tbl } -> Printf.sprintf "clear_locks t%d" tbl
+
+let lt_op_gen =
+  let open QCheck.Gen in
+  let tbl = int_bound 1 and key = oneofl lt_keys and txn = oneofl lt_txns in
+  frequency
+    [
+      ( 5,
+        map4
+          (fun tbl key txn ts -> Acquire { tbl; key; txn; ts })
+          tbl key txn (int_range 1 3) );
+      (4, map3 (fun tbl key txn -> Release { tbl; key; txn }) tbl key txn);
+      (1, map2 (fun tbl at -> Split_move { tbl; at }) tbl key);
+      (1, map (fun tbl -> Absorb { tbl }) tbl);
+      (1, map (fun tbl -> Clear_locks { tbl }) tbl);
+    ]
+
+module Smap = Map.Make (String)
+
+(* The model: each table maps a key to its holder and lock timestamp. The
+   tables agree with it when every [foreign*] query does, at every
+   timestamp the ops use. *)
+let lt_agrees tables model =
+  let blocking m ~key ~txn ~max_ts =
+    match Smap.find_opt key m with
+    | Some (h, ts) when Some h <> txn && ts <= max_ts -> Some h
+    | Some _ | None -> None
+  in
+  let txns = None :: List.map Option.some lt_txns in
+  let bounds = lt_keys @ [ "f" ] in
+  List.for_all
+    (fun i ->
+      let t = tables.(i) and m = model.(i) in
+      List.for_all
+        (fun max_ts ->
+          let ts = Ts.of_wall max_ts in
+          List.for_all
+            (fun txn ->
+              List.for_all
+                (fun key ->
+                  Option.map Lock_table.holder
+                    (Lock_table.foreign t ~key ~txn ~max_ts:ts)
+                  = blocking m ~key ~txn ~max_ts)
+                lt_keys
+              && List.for_all
+                   (fun start_key ->
+                     List.for_all
+                       (fun end_key ->
+                         start_key >= end_key
+                         ||
+                         let in_span k = k >= start_key && k < end_key in
+                         match
+                           Lock_table.foreign_in_span t ~start_key ~end_key ~txn
+                             ~max_ts:ts
+                         with
+                         | None ->
+                             List.for_all
+                               (fun key ->
+                                 (not (in_span key))
+                                 || blocking m ~key ~txn ~max_ts = None)
+                               lt_keys
+                         | Some (key, l) ->
+                             in_span key
+                             && blocking m ~key ~txn ~max_ts
+                                = Some (Lock_table.holder l))
+                       bounds)
+                   bounds)
+            txns)
+        [ 0; 1; 2; 3 ]
+      && List.for_all
+           (fun txn ->
+             List.for_all
+               (fun key ->
+                 Option.map Lock_table.holder
+                   (Lock_table.foreign_for t ~key ~txn)
+                 = blocking m ~key ~txn:(Some txn) ~max_ts:max_int)
+               lt_keys)
+           lt_txns)
+    [ 0; 1 ]
+
+let lt_step tables model op =
+  let other i = 1 - i in
+  match op with
+  | Acquire { tbl; key; txn; ts } -> (
+      match Smap.find_opt key model.(tbl) with
+      | Some (h, _) when h <> txn -> true (* precondition: not taken *)
+      | held ->
+          let created =
+            Lock_table.acquire tables.(tbl) ~key ~txn ~ts:(Ts.of_wall ts) ()
+          in
+          let ts = match held with Some (_, old) -> max old ts | None -> ts in
+          model.(tbl) <- Smap.add key (txn, ts) model.(tbl);
+          created = (held = None))
+  | Release { tbl; key; txn } ->
+      Lock_table.release tables.(tbl) ~key ~txn;
+      (match Smap.find_opt key model.(tbl) with
+      | Some (h, _) when h = txn -> model.(tbl) <- Smap.remove key model.(tbl)
+      | Some _ | None -> ());
+      true
+  | Split_move { tbl; at } ->
+      Lock_table.split_move tables.(tbl) ~into:tables.(other tbl) ~at;
+      let moved, kept = Smap.partition (fun k _ -> k >= at) model.(tbl) in
+      model.(tbl) <- kept;
+      model.(other tbl) <- Smap.union (fun _ m _ -> Some m) moved model.(other tbl);
+      true
+  | Absorb { tbl } ->
+      Lock_table.absorb tables.(tbl) ~from:tables.(other tbl);
+      model.(tbl) <-
+        Smap.union (fun _ m _ -> Some m) model.(other tbl) model.(tbl);
+      model.(other tbl) <- Smap.empty;
+      true
+  | Clear_locks { tbl } ->
+      Lock_table.clear_locks tables.(tbl);
+      model.(tbl) <- Smap.empty;
+      true
+
+(* Every step keeps the tables in step with the model: [acquire] reports
+   whether it created the lock, a release by a non-holder leaves the
+   holder's lock in place, and [foreign], [foreign_in_span] (against a
+   per-key scan) and [foreign_for] answer as the model does. *)
+let prop_lock_table_model =
+  QCheck.Test.make ~name:"lock table agrees with a reference model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_lt_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) lt_op_gen))
+    (fun ops ->
+      let tables = [| Lock_table.create (); Lock_table.create () |] in
+      let model = [| Smap.empty; Smap.empty |] in
+      List.for_all
+        (fun op -> lt_step tables model op && lt_agrees tables model)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* API surface                                                         *)
@@ -425,12 +474,7 @@ let suite =
       test_abandoned_recordless_txn;
     Alcotest.test_case "committed record resolves orphan intent" `Quick
       test_committed_record_resolves_intent;
-    Alcotest.test_case "shared locks are mutually compatible" `Quick
-      test_shared_shared_compatible;
-    Alcotest.test_case "upgrade deadlock resolved by wound-wait" `Quick
-      test_upgrade_deadlock_wound_wait;
-    Alcotest.test_case "FOR UPDATE blocks concurrent writers" `Quick
-      test_for_update_blocks_writer;
+    QCheck_alcotest.to_alcotest prop_lock_table_model;
     Alcotest.test_case "Txn.Options round trip" `Quick test_options_roundtrip;
     Alcotest.test_case "Cluster.default with-idiom" `Quick
       test_config_default_idiom;

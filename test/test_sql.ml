@@ -271,6 +271,31 @@ let test_global_unique_email () =
         (Engine.insert db ~gateway:east ~table:"users" (user ~email_suffix:"@y.io" "u1"));
       ok (Engine.insert db ~gateway:east ~table:"users" (user "u3")))
 
+(* An UPDATE validates only the unique indexes whose key values changed:
+   a new email on the REGIONAL BY ROW [users] table costs 4 KV gets, the
+   row lookup plus one [users_email] lookup per region, and no lookup of
+   the unchanged primary key. *)
+let test_update_checks_changed_unique () =
+  let t, db = with_users () in
+  let west = Crdb.gateway t ~region:"us-west1" () in
+  let trace = Crdb_obs.Obs.trace (Cluster.obs (Crdb.cluster t)) in
+  Crdb.run t (fun () ->
+      ok (Engine.insert db ~gateway:west ~table:"users" (user "u1"));
+      Crdb_obs.Trace.enable trace;
+      check Alcotest.bool "row updated" true
+        (ok
+           (Engine.update_by_pk db ~gateway:west ~table:"users" [ svec "u1" ]
+              ~set:[ ("email", svec "u1@new.io") ])));
+  let json = Crdb_obs.Trace.to_chrome_json trace in
+  let needle = "\"name\":\"kv.read\"" in
+  let nl = String.length needle in
+  let rec count i n =
+    if i + nl > String.length json then n
+    else if String.sub json i nl = needle then count (i + nl) (n + 1)
+    else count (i + 1) n
+  in
+  check Alcotest.int "KV gets" 4 (count 0 0)
+
 let test_select_by_unique_los () =
   let t, db = with_users () in
   let sim = Cluster.sim (Crdb.cluster t) in
@@ -976,6 +1001,8 @@ let suite =
     Alcotest.test_case "survive region zones" `Quick test_survive_region_changes_zones;
     Alcotest.test_case "insert automatic region" `Quick test_insert_automatic_region;
     Alcotest.test_case "global unique email" `Quick test_global_unique_email;
+    Alcotest.test_case "update checks changed unique indexes" `Quick
+      test_update_checks_changed_unique;
     Alcotest.test_case "unique lookup LOS" `Quick test_select_by_unique_los;
     Alcotest.test_case "LOS vs unoptimized" `Quick test_los_vs_unoptimized;
     Alcotest.test_case "computed region checks" `Quick
