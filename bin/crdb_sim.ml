@@ -153,7 +153,9 @@ let ycsb_cmd =
   let clients =
     Arg.(value & opt (int_in ~lo:1 ()) 10 & info [ "clients" ] ~doc:"Clients per region")
   in
-  let ops = Arg.(value & opt int 100 & info [ "ops" ] ~doc:"Ops per client") in
+  let ops =
+    Arg.(value & opt (int_in ~lo:0 ()) 100 & info [ "ops" ] ~doc:"Ops per client")
+  in
   let keyspace =
     Arg.(value & opt (int_in ~lo:1 ()) 3000 & info [ "keys" ] ~doc:"Loaded keyspace")
   in
@@ -198,7 +200,10 @@ let tpcc_cmd =
     Arg.(value & opt (int_in ~lo:1 ()) 2
          & info [ "warehouses" ] ~doc:"Warehouses per region")
   in
-  let duration = Arg.(value & opt int 20 & info [ "duration" ] ~doc:"Seconds (simulated)") in
+  let duration =
+    Arg.(value & opt (int_in ~lo:0 ()) 20
+         & info [ "duration" ] ~doc:"Seconds (simulated)")
+  in
   Cmd.v (Cmd.info "tpcc" ~doc:"Run TPC-C")
     Term.(const run_tpcc $ nregions $ warehouses $ duration $ trace_arg
           $ metrics_arg)
@@ -453,7 +458,10 @@ let chaos_cmd =
     Term.(term_result ~usage:true (const check $ nregions $ survival))
   in
   let global = Arg.(value & flag & info [ "global" ] ~doc:"GLOBAL tables (future-time closed timestamps)") in
-  let duration = Arg.(value & opt int 20 & info [ "duration" ] ~doc:"Nemesis window, simulated seconds") in
+  let duration =
+    Arg.(value & opt (int_in ~lo:0 ()) 20
+         & info [ "duration" ] ~doc:"Nemesis window, simulated seconds")
+  in
   let faults =
     Arg.(value & opt (list fault_kind_conv) Nemesis.all_kinds
          & info [ "faults" ]
@@ -463,23 +471,32 @@ let chaos_cmd =
                 lease-transfer,split-range,merge-range,rebalance")
   in
   let fault_interval =
-    Arg.(value & opt int 2000 & info [ "fault-interval" ] ~doc:"Mean ms between fault injections")
+    Arg.(value & opt (int_in ~lo:0 ()) 2000 & info [ "fault-interval" ] ~doc:"Mean ms between fault injections")
   in
   let fault_duration =
-    Arg.(value & opt int 4000 & info [ "fault-duration" ] ~doc:"Mean ms a fault stays active")
+    Arg.(value & opt (int_in ~lo:0 ()) 4000 & info [ "fault-duration" ] ~doc:"Mean ms a fault stays active")
   in
   let no_quorum_guard =
     Arg.(value & flag
          & info [ "no-quorum-guard" ]
              ~doc:"Disable the min-healthy invariant (allow killing voter majorities beyond the survivability goal)")
   in
-  let clients = Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Register clients per region") in
-  let ops = Arg.(value & opt int 20 & info [ "ops" ] ~doc:"Ops per register client") in
+  let clients =
+    Arg.(value & opt (int_in ~lo:0 ()) 2
+         & info [ "clients" ] ~doc:"Register clients per region")
+  in
+  let ops =
+    Arg.(value & opt (int_in ~lo:0 ()) 20
+         & info [ "ops" ] ~doc:"Ops per register client")
+  in
   let keys = Arg.(value & opt (int_in ~lo:1 ()) 16 & info [ "keys" ] ~doc:"Register keyspace") in
   let write_ratio =
     Arg.(value & opt (float_in ~lo:0.0 ~hi:1.0) 0.5 & info [ "write-ratio" ] ~doc:"Register write fraction (YCSB-A = 0.5)")
   in
-  let accounts = Arg.(value & opt int 8 & info [ "accounts" ] ~doc:"Bank accounts (< 2 disables the bank workload)") in
+  let accounts =
+    Arg.(value & opt (int_in ~lo:0 ()) 8
+         & info [ "accounts" ] ~doc:"Bank accounts (< 2 disables the bank workload)")
+  in
   (* At most one deliberately broken mode per run: giving two is a usage
      error. *)
   let broken =
@@ -517,11 +534,14 @@ let chaos_cmd =
                 cycle checker)")
   in
   let txn_clients =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_in ~lo:0 ()) 0
          & info [ "txn-clients" ]
              ~doc:"Multi-key transactional clients (0 disables; --checker serializability implies 2)")
   in
-  let txn_ops = Arg.(value & opt int 12 & info [ "txn-ops" ] ~doc:"Transactions per transactional client") in
+  let txn_ops =
+    Arg.(value & opt (int_in ~lo:0 ()) 12
+         & info [ "txn-ops" ] ~doc:"Transactions per transactional client")
+  in
   let txn_keys =
     Arg.(value & opt (int_in ~lo:1 ()) 12 & info [ "txn-keys" ] ~doc:"Transactional keyspace")
   in
@@ -532,7 +552,7 @@ let chaos_cmd =
       & info [ "txn-ranges" ] ~doc:"Ranges the transactional keyspace is carved into")
   in
   let txn_hot_keys =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_in ~lo:0 ()) 0
          & info [ "txn-hot-keys" ]
              ~doc:
                "Confine transactional clients to the first N keys, forcing \
@@ -790,10 +810,12 @@ let run_splits target_ranges n_keys ops trace metrics =
 
 let splits_cmd =
   let ranges =
-    Arg.(value & opt int 120 & info [ "ranges" ] ~doc:"Target range count")
+    Arg.(value & opt (int_in ~lo:1 ()) 120 & info [ "ranges" ] ~doc:"Target range count")
   in
   let keys = Arg.(value & opt (int_in ~lo:1 ()) 256 & info [ "keys" ] ~doc:"Keys to load") in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Read/write ops") in
+  let ops =
+    Arg.(value & opt (int_in ~lo:0 ()) 200 & info [ "ops" ] ~doc:"Read/write ops")
+  in
   Cmd.v
     (Cmd.info "splits"
        ~doc:

@@ -13,6 +13,8 @@ dune runtest
 # Argument gate: out-of-range or unknown option values must be rejected
 # as cmdliner usage errors (exit 124) before anything runs, never crash
 # with an internal error (exit 125) or silently run something else.
+# Negative values take the --opt=-1 form: in "--opt -1" cmdliner reads -1
+# as an option name, which fails whatever bound the option has.
 echo "== bad arguments are usage errors"
 for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
   "chaos --seeds 0" "ddl --op bogus" "ddl --schema bogus" \
@@ -21,7 +23,12 @@ for args in "chaos --regions 0" "chaos --regions 1" "chaos --regions 6" \
   "tpcc --warehouses 0" "chaos --keys 0" "chaos --write-ratio 2" \
   "splits --keys 0" "chaos --txn-keys 0" "chaos --txn-ranges 0" \
   "ycsb --variant bogus" "ycsb --workload z" "chaos --faults bogus" \
-  "chaos --checker bogus" "chaos --survival bogus"; do
+  "chaos --checker bogus" "chaos --survival bogus" \
+  "chaos --accounts=-1" "tpcc --duration=-1" "splits --ops=-1" \
+  "splits --ranges=-1" "ycsb --ops=-1" "chaos --duration=-1" \
+  "chaos --ops=-1" "chaos --clients=-1" "chaos --fault-interval=-1" \
+  "chaos --fault-duration=-1" "chaos --txn-clients=-1" "chaos --txn-ops=-1" \
+  "chaos --txn-hot-keys=-1"; do
   status=0
   # shellcheck disable=SC2086 # the arguments are meant to split
   out=$(dune exec bin/crdb_sim.exe -- $args 2>&1) || status=$?

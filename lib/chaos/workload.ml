@@ -122,6 +122,27 @@ let record r outcome =
   | History.Failed _ -> r.failed <- r.failed + 1
   | History.Info _ -> r.info <- r.info + 1
 
+(* One client operation end to end: invoke [op] in [h], run it, count its
+   outcome and complete the entry; [ok] maps a success to its outcome. A
+   write that errs without aborting may still have applied, so it is
+   [Info]; a read that errs had no effect. *)
+let perform sim r h ~client op ~ok run =
+  let e = History.invoke h ~client ~now:(Sim.now sim) op in
+  let unknown m =
+    match op with
+    | History.Write _ | History.Transfer _ -> History.Info m
+    | History.Read _ | History.Snapshot -> History.Failed m
+  in
+  let outcome =
+    match run () with
+    | Ok v -> ok v
+    | Error (Txn.Aborted _ as err) -> History.Failed (err_string err)
+    | Error err -> unknown (err_string err)
+    | exception Txn.Fatal m -> unknown ("fatal: " ^ m)
+  in
+  record r outcome;
+  History.complete e ~now:(Sim.now sim) outcome
+
 let register_client cl mgr cfg r ~client ~region rng zipf =
   let sim = Cluster.sim cl in
   let h = r.registers in
@@ -129,51 +150,33 @@ let register_client cl mgr cfg r ~client ~region rng zipf =
     Proc.sleep sim ((think_time / 2) + Rng.int rng (max 1 think_time));
     let key = key_of (Rng.Zipf.scrambled_sample zipf rng mod cfg.keys) in
     let gateway = pick_gateway cl rng region in
-    if Rng.float rng 1.0 < cfg.write_ratio then begin
+    if Rng.float rng 1.0 < cfg.write_ratio then
       let value = Printf.sprintf "c%d-%d" client i in
-      let e =
-        History.invoke h ~client ~now:(Sim.now sim) (History.Write { key; value })
-      in
-      let outcome =
-        match
-          Txn.run mgr ~gateway ~max_attempts (fun tx ->
-              Txn.put tx key value)
-        with
-        | Ok () -> History.Ok_write
-        | Error (Txn.Aborted _ as err) -> History.Failed (err_string err)
-        | Error (Txn.Unavailable _ as err) -> History.Info (err_string err)
-        | exception Txn.Fatal m -> History.Info ("fatal: " ^ m)
-      in
-      record r outcome;
-      History.complete e ~now:(Sim.now sim) outcome
-    end
-    else begin
-      let e = History.invoke h ~client ~now:(Sim.now sim) (History.Read { key }) in
-      let outcome =
-        if (Cluster.config cl).Cluster.broken = Some Cluster.Stale_reads then
-          (* Deliberately broken mode for checker validation: serve the read
-             at a bounded-stale timestamp but record it as a fresh read. *)
-          match
-            Txn.run_stale_bounded mgr ~gateway ~max_staleness:5_000_000
-              ~keys:[ key ] (fun ro -> Txn.ro_get ro key)
-          with
-          | v -> History.Ok_read v
-          | exception Txn.Fatal m -> History.Failed ("fatal: " ^ m)
-        else
-          match
-            Txn.run_fresh_read mgr ~gateway ~max_attempts
-              (fun ro -> Txn.ro_get ro key)
-          with
-          | Ok v -> History.Ok_read v
-          | Error err -> History.Failed (err_string err)
-          | exception Txn.Fatal m -> History.Failed ("fatal: " ^ m)
-      in
-      record r outcome;
-      History.complete e ~now:(Sim.now sim) outcome
-    end
+      perform sim r h ~client (History.Write { key; value })
+        ~ok:(fun () -> History.Ok_write)
+        (fun () ->
+          Txn.run mgr ~gateway ~max_attempts (fun tx -> Txn.put tx key value))
+    else
+      perform sim r h ~client (History.Read { key })
+        ~ok:(fun v -> History.Ok_read v)
+        (fun () ->
+          if (Cluster.config cl).Cluster.broken = Some Cluster.Stale_reads then
+            (* Deliberately broken mode for checker validation: serve the
+               read at a bounded-stale timestamp but record it as a fresh
+               read. *)
+            Ok
+              (Txn.run_stale_bounded mgr ~gateway ~max_staleness:5_000_000
+                 ~keys:[ key ] (fun ro -> Txn.ro_get ro key))
+          else
+            Txn.run_fresh_read mgr ~gateway ~max_attempts (fun ro ->
+                Txn.ro_get ro key))
   done
 
 let balance_of = function Some s -> int_of_string s | None -> 0
+
+(* Every account's balance, read in one read-only transaction. *)
+let snapshot accounts ro =
+  List.map (fun a -> (a, balance_of (Txn.ro_get ro a))) accounts
 
 let bank_client cl mgr cfg r ~client ~region rng =
   let sim = Cluster.sim cl in
@@ -182,43 +185,23 @@ let bank_client cl mgr cfg r ~client ~region rng =
   for i = 0 to bank_ops_per_client - 1 do
     Proc.sleep sim ((think_time / 2) + Rng.int rng (max 1 think_time));
     let gateway = pick_gateway cl rng region in
-    if i mod 4 = 3 then begin
-      let e = History.invoke h ~client ~now:(Sim.now sim) History.Snapshot in
-      let outcome =
-        match
-          Txn.run_fresh_read mgr ~gateway ~max_attempts
-            (fun ro -> List.map (fun a -> (a, balance_of (Txn.ro_get ro a))) accounts)
-        with
-        | Ok rows -> History.Ok_snapshot rows
-        | Error err -> History.Failed (err_string err)
-        | exception Txn.Fatal m -> History.Failed ("fatal: " ^ m)
-      in
-      record r outcome;
-      History.complete e ~now:(Sim.now sim) outcome
-    end
+    if i mod 4 = 3 then
+      perform sim r h ~client History.Snapshot
+        ~ok:(fun rows -> History.Ok_snapshot rows)
+        (fun () -> Txn.run_fresh_read mgr ~gateway ~max_attempts (snapshot accounts))
     else begin
       let src = Rng.int rng cfg.accounts in
       let dst = (src + 1 + Rng.int rng (cfg.accounts - 1)) mod cfg.accounts in
       let amount = 1 + Rng.int rng 20 in
-      let e =
-        History.invoke h ~client ~now:(Sim.now sim)
-          (History.Transfer { src = account_of src; dst = account_of dst; amount })
-      in
-      let outcome =
-        match
+      perform sim r h ~client
+        (History.Transfer { src = account_of src; dst = account_of dst; amount })
+        ~ok:(fun () -> History.Ok_transfer)
+        (fun () ->
           Txn.run mgr ~gateway ~max_attempts (fun tx ->
               let b_src = balance_of (Txn.get tx (account_of src)) in
               let b_dst = balance_of (Txn.get tx (account_of dst)) in
               Txn.put tx (account_of src) (string_of_int (b_src - amount));
-              Txn.put tx (account_of dst) (string_of_int (b_dst + amount)))
-        with
-        | Ok () -> History.Ok_transfer
-        | Error (Txn.Aborted _ as err) -> History.Failed (err_string err)
-        | Error (Txn.Unavailable _ as err) -> History.Info (err_string err)
-        | exception Txn.Fatal m -> History.Info ("fatal: " ^ m)
-      in
-      record r outcome;
-      History.complete e ~now:(Sim.now sim) outcome
+              Txn.put tx (account_of dst) (string_of_int (b_dst + amount))))
     end
   done
 
@@ -379,20 +362,11 @@ let finale cl mgr cfg r =
   let gateway = pick_gateway cl rng (List.hd regions) in
   for k = 0 to cfg.keys - 1 do
     let key = key_of k in
-    let e =
-      History.invoke r.registers ~client:9999 ~now:(Sim.now sim) (History.Read { key })
-    in
-    let outcome =
-      match
+    perform sim r r.registers ~client:9999 (History.Read { key })
+      ~ok:(fun v -> History.Ok_read v)
+      (fun () ->
         Txn.run_fresh_read mgr ~gateway ~max_attempts (fun ro ->
-            Txn.ro_get ro key)
-      with
-      | Ok v -> History.Ok_read v
-      | Error err -> History.Failed (err_string err)
-      | exception Txn.Fatal m -> History.Failed ("fatal: " ^ m)
-    in
-    record r outcome;
-    History.complete e ~now:(Sim.now sim) outcome
+            Txn.ro_get ro key))
   done;
   if cfg.txn.Txn_config.clients > 0 then begin
     (* One final read of every transactional key, recorded as a transaction:
@@ -417,18 +391,8 @@ let finale cl mgr cfg r =
              keys)
         : (unit, Txn.error) Stdlib.result)
   end;
-  if cfg.accounts > 1 then begin
+  if cfg.accounts > 1 then
     let accounts = List.init cfg.accounts account_of in
-    let e = History.invoke r.bank ~client:9999 ~now:(Sim.now sim) History.Snapshot in
-    let outcome =
-      match
-        Txn.run_fresh_read mgr ~gateway ~max_attempts (fun ro ->
-            List.map (fun a -> (a, balance_of (Txn.ro_get ro a))) accounts)
-      with
-      | Ok rows -> History.Ok_snapshot rows
-      | Error err -> History.Failed (err_string err)
-      | exception Txn.Fatal m -> History.Failed ("fatal: " ^ m)
-    in
-    record r outcome;
-    History.complete e ~now:(Sim.now sim) outcome
-  end
+    perform sim r r.bank ~client:9999 History.Snapshot
+      ~ok:(fun rows -> History.Ok_snapshot rows)
+      (fun () -> Txn.run_fresh_read mgr ~gateway ~max_attempts (snapshot accounts))

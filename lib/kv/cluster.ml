@@ -1256,10 +1256,15 @@ let eval_txn_update t r ~txn ~key upd =
 
 (* One record transition as an ordinary routed RPC: resolve the anchor
    key's leaseholder, propose, await apply, return the applied status. *)
-let txn_update t ~gateway ?span ?(phases = Phase.nil) ~op ~txn ~key upd =
+let txn_update t ?span ?(phases = Phase.nil) ~gateway ~op ~txn ~key upd =
   with_leaseholder t ~gateway ?span ~phases ~op ~key
     ~on_fail:(fun _ -> None)
     (fun r _sp -> eval_txn_update t r ~txn ~key upd)
+
+let txn_status t ?span ?(phases = Phase.nil) ~gateway ~txn ~key () =
+  with_leaseholder t ~gateway ?span ~phases ~op:"kv.txn_status" ~key
+    ~on_fail:(fun _ -> None)
+    (fun r _sp -> guard r ~key (fun () -> `Done (Txnrec.status r.r_sm.txns ~txn)))
 
 let eval_query_intent t r ~txn ~key ~ts =
   guard r ~key @@ fun () ->
@@ -1341,6 +1346,13 @@ type push_verdict =
   | Push_cleanup of Ts.t option
   | Push_recover of { ts : Ts.t; inflight : string list }
 
+(* What a decided record tells its pushers; an undecided one, to wait. *)
+let verdict_of = function
+  | Txnrec.Committed ts -> Push_cleanup (Some ts)
+  | Txnrec.Aborted { reason; wound = true } -> Push_wound reason
+  | Txnrec.Aborted _ -> Push_cleanup None
+  | Txnrec.Pending | Txnrec.Staging _ -> Push_wait
+
 (* One push evaluation at the blocker's anchor-range leaseholder. Proposed
    transitions (wound, abandon, stub registration) go through the anchor
    log; the applied record decides. *)
@@ -1348,12 +1360,10 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
   guard r ~key:anchor_key @@ fun () ->
   let now = Sim.now t.sim in
   let liveness = 3 * txn_heartbeat_interval in
-  let reread () =
-    match Txnrec.status r.r_sm.txns ~txn:blocker with
-    | Some (Txnrec.Committed ts) -> Push_cleanup (Some ts)
-    | Some (Txnrec.Aborted { reason; wound = true }) -> Push_wound reason
-    | Some (Txnrec.Aborted _) -> Push_cleanup None
-    | Some (Txnrec.Pending | Txnrec.Staging _) | None -> Push_wait
+  let propose_record upd =
+    ignore
+      (propose_txn_update t r ~txn:blocker ~key:anchor_key upd
+        : [ `Applied | `Lost | `Not_leader ])
   in
   match Txnrec.find r.r_sm.txns ~txn:blocker with
   | None ->
@@ -1361,16 +1371,16 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
          registering write hasn't applied here, or it never registers
          (raw writer). Create an unwoundable stub so abandonment can
          reclaim the key if no coordinator ever shows up. *)
-      ignore
-        (propose_txn_update t r ~txn:blocker ~key:anchor_key
-           (Txnrec.U_register { pri = blocker_pri; hb = now })
-          : [ `Applied | `Lost | `Not_leader ]);
+      propose_record (Txnrec.U_register { pri = blocker_pri; hb = now });
       `Done Push_wait
   | Some rec_ -> (
+      let decide upd =
+        propose_record upd;
+        `Done
+          (Option.fold ~none:Push_wait ~some:verdict_of
+             (Txnrec.status r.r_sm.txns ~txn:blocker))
+      in
       match rec_.Txnrec.tr_status with
-      | Txnrec.Committed ts -> `Done (Push_cleanup (Some ts))
-      | Txnrec.Aborted { reason; wound = true } -> `Done (Push_wound reason)
-      | Txnrec.Aborted _ -> `Done (Push_cleanup None)
       | Txnrec.Staging { ts; inflight } ->
           (* A staging record is never wounded: the transaction holds no
              future lock acquisitions, so waiting for it is deadlock-free.
@@ -1380,17 +1390,13 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
           then `Done (Push_recover { ts; inflight })
           else `Done Push_wait
       | Txnrec.Pending ->
-          if now - rec_.Txnrec.tr_hb > liveness then begin
-            ignore
-              (propose_txn_update t r ~txn:blocker ~key:anchor_key
-                 (Txnrec.U_abandon
-                    {
-                      reason = "abandoned (stale heartbeat)";
-                      if_hb_before = rec_.Txnrec.tr_hb;
-                    })
-                : [ `Applied | `Lost | `Not_leader ]);
-            `Done (reread ())
-          end
+          if now - rec_.Txnrec.tr_hb > liveness then
+            decide
+              (Txnrec.U_abandon
+                 {
+                   reason = "abandoned (stale heartbeat)";
+                   if_hb_before = rec_.Txnrec.tr_hb;
+                 })
           else
             let wound =
               match pusher with
@@ -1399,14 +1405,11 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
                     (rec_.Txnrec.tr_pri, rec_.Txnrec.tr_id)
               | None -> false
             in
-            if wound then begin
-              ignore
-                (propose_txn_update t r ~txn:blocker ~key:anchor_key
-                   (Txnrec.U_wound { reason = "wounded by older txn" })
-                  : [ `Applied | `Lost | `Not_leader ]);
-              `Done (reread ())
-            end
-            else `Done Push_wait)
+            if wound then
+              decide (Txnrec.U_wound { reason = "wounded by older txn" })
+            else `Done Push_wait
+      | (Txnrec.Committed _ | Txnrec.Aborted _) as status ->
+          `Done (verdict_of status))
 
 (* Pushes are latency-bound, not reliability-bound: a push that cannot
    reach the anchor leaseholder right now simply reports Wait and the next
@@ -1945,11 +1948,10 @@ let rec eval_write t r ~applied ~phases ~gateway ~txn ~pri ~anchor ~fate ~key
    between the two proposals (no simulated time passes), so concurrent
    readers never observe it — CRDB's 1PC fast path for transactions whose
    writes all land on one range. *)
-let eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value ~ts
-    ~span =
+let eval_write_and_commit t r ~gateway ~phases ~txn ~key ~value ~ts ~span =
   match
-    eval_write t r ~applied:(Some (Ivar.create ())) ~phases ~gateway ~txn ~pri
-      ~anchor:"" ~fate ~key ~value ~ts ~span
+    eval_write t r ~applied:(Some (Ivar.create ())) ~phases ~gateway ~txn
+      ~pri:None ~anchor:"" ~fate:live_fate ~key ~value ~ts ~span
   with
   | (`Not_leader | `Range_mismatch) as other -> other
   | `Done (`Wounded reason) -> `Done (Error reason)
@@ -1967,13 +1969,12 @@ let eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value ~ts
           | Some _ -> `Done (Ok final_ts)
           | None -> `Done (Error "proposal lost (leader gone)")))
 
-let write_and_commit t ?span ?(phases = Phase.nil) ?pri ?(fate = live_fate)
-    ~gateway ~txn ~key ~value ~ts () =
+let write_and_commit t ?span ?(phases = Phase.nil) ~gateway ~txn ~key ~value
+    ~ts () =
   with_leaseholder t ~gateway ?span ~phases ~op:"kv.write_1pc" ~key
     ~on_fail:(fun msg -> Error msg)
     (fun r sp ->
-      eval_write_and_commit t r ~gateway ~phases ~txn ~pri ~fate ~key ~value
-        ~ts ~span:sp)
+      eval_write_and_commit t r ~gateway ~phases ~txn ~key ~value ~ts ~span:sp)
 
 let write t ?applied ?span ?(phases = Phase.nil) ?pri ?(anchor = "")
     ?(fate = live_fate) ~gateway ~txn ~key ~value ~ts () =
@@ -2025,8 +2026,7 @@ let eval_resolve t r ~phases ~txn ~keys ~commit ~span =
           ignore (await_applied t cmd : write_ack option);
           `Done leftover
 
-let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
-    ~sync_all () =
+let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys () =
   match keys with
   | [] -> ()
   | anchor_key :: _ ->
@@ -2062,15 +2062,13 @@ let resolve t ?span ?(phases = Phase.nil) ~gateway ~txn ~commit ~keys
             (* Only awaited resolutions may charge the operation's phase
                context: a fire-and-forget group completes after the caller
                has moved on (and possibly flushed the context). *)
-            let phases =
-              if rid = anchor_rid || sync_all then phases else Phase.nil
-            in
+            let phases = if rid = anchor_rid then phases else Phase.nil in
             (rid, Proc.async t.sim (fun () -> resolve_group ~phases ks)))
           groups
       in
       List.iter
         (fun (rid, iv) ->
-          if rid = anchor_rid || sync_all then ignore (Proc.await iv))
+          if rid = anchor_rid then ignore (Proc.await iv))
         results
 
 let eval_refresh r ~txn ~key ~from_ts ~to_ts =
@@ -2169,46 +2167,6 @@ let negotiate t ~at ~keys =
       | `Served ts -> Ts.min acc ts
       | `No_replica | `Timed_out -> Ts.zero)
     Ts.max_value (group_by_range t keys)
-
-(* ------------------------------------------------------------------ *)
-(* Transaction record RPCs (coordinator side)                          *)
-
-(* Every record operation is an ordinary routed RPC against the anchor
-   key's leaseholder; the record lives in that range's replicated state and
-   every transition returns the *applied* record status, which may differ
-   from the requested transition when a racing decision won the log. *)
-
-let heartbeat_txn t ?span ?phases ~gateway ~txn ~key () =
-  txn_update t ~gateway ?span ?phases ~op:"kv.txn_heartbeat" ~txn ~key
-    (Txnrec.U_heartbeat { hb = Sim.now t.sim })
-
-let stage_txn t ?span ?phases ~gateway ~txn ~key ~pri ~ts ~inflight () =
-  let st =
-    txn_update t ~gateway ?span ?phases ~op:"kv.txn_stage" ~txn ~key
-      (Txnrec.U_stage { pri; ts; inflight; hb = Sim.now t.sim })
-  in
-  (match st with
-  | Some (Txnrec.Staging _) ->
-      Events.log (Obs.events t.obs) ~node:gateway ~txn
-        ~attrs:[ ("inflight", string_of_int (List.length inflight)) ]
-        Events.Txn_staged
-  | Some _ | None -> ());
-  st
-
-let commit_txn t ?span ?phases ~gateway ~txn ~key ~ts () =
-  txn_update t ~gateway ?span ?phases ~op:"kv.txn_commit" ~txn ~key
-    (Txnrec.U_commit { ts })
-
-let abort_txn t ?span ?phases ~gateway ~txn ~key ~reason () =
-  txn_update t ~gateway ?span ?phases ~op:"kv.txn_abort" ~txn ~key
-    (Txnrec.U_coord_abort { reason })
-
-let txn_status t ?span ?phases ~gateway ~txn ~key () =
-  with_leaseholder t ~gateway ?span
-    ~phases:(Option.value phases ~default:Phase.nil)
-    ~op:"kv.txn_status" ~key
-    ~on_fail:(fun _ -> None)
-    (fun r _sp -> guard r ~key (fun () -> `Done (Txnrec.status r.r_sm.txns ~txn)))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

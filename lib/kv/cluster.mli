@@ -82,6 +82,10 @@ val txn_heartbeat_interval : int
     Pending record silent for 3x this interval is declared abandoned and
     pushers clean up its intents. *)
 
+val propose_timeout : int
+(** How long a proposer awaits its command's apply before counting the
+    proposal as lost (8 s); a pipelined write's confirmation gets as long. *)
+
 type t
 
 val create :
@@ -396,8 +400,6 @@ val write_and_commit :
   t ->
   ?span:Crdb_obs.Trace.span ->
   ?phases:Crdb_obs.Phase.ctx ->
-  ?pri:Ts.t ->
-  ?fate:(unit -> fate) ->
   gateway:Crdb_net.Topology.node_id ->
   txn:int ->
   key:string ->
@@ -419,13 +421,12 @@ val resolve :
   txn:int ->
   commit:Ts.t option ->
   keys:string list ->
-  sync_all:bool ->
   unit ->
   unit
 (** Commit ([Some ts]) or abort ([None]) the transaction's intents on the
-    given keys. The resolution on the range holding the first key — the
-    transaction's commit record — is always awaited (that consensus round is
-    the commit point); the rest are awaited only when [sync_all]. *)
+    given keys. The call returns once the range holding the first key — the
+    transaction's anchor — has resolved its intents; every other range
+    resolves its own in the background. *)
 
 val refresh :
   t ->
@@ -475,8 +476,10 @@ val local_closed : t -> at:Crdb_net.Topology.node_id -> range_id -> Ts.t
     A transaction's record lives in the range holding its {e anchor key}
     (its first write) — replicated state of that range, not a cluster-global
     table — and every record operation below is an ordinary routed RPC
-    against the anchor leaseholder, proposing a transition through the
-    range's Raft log. Transitions are first-decision-wins, and the log's
+    against the anchor leaseholder. The coordinator's transitions and
+    recovery's finalization are each one {!txn_update}, and a push
+    proposes its wound or abandonment itself, all through the range's
+    Raft log. Transitions are first-decision-wins, and the log's
     apply order is the total order that decides commit-vs-wound races; each
     call returns the {e applied} status, which may reflect a racing
     decision rather than the requested one.
@@ -492,68 +495,26 @@ val local_closed : t -> at:Crdb_net.Topology.node_id -> range_id -> Ts.t
     record and are only ever reclaimed by abandonment of the pusher-created
     stub. *)
 
-val heartbeat_txn :
+val txn_update :
   t ->
   ?span:Crdb_obs.Trace.span ->
   ?phases:Crdb_obs.Phase.ctx ->
   gateway:Crdb_net.Topology.node_id ->
+  op:string ->
   txn:int ->
   key:string ->
-  unit ->
+  Txnrec.update ->
   Txnrec.status option
-(** Ratchet the record's heartbeat; the applied status tells the
-    coordinator when it has been wounded or aborted while running. [None]
-    when the record does not exist (first write not yet applied) or the
-    anchor range is unreachable. *)
-
-val stage_txn :
-  t ->
-  ?span:Crdb_obs.Trace.span ->
-  ?phases:Crdb_obs.Phase.ctx ->
-  gateway:Crdb_net.Topology.node_id ->
-  txn:int ->
-  key:string ->
-  pri:Ts.t ->
-  ts:Ts.t ->
-  inflight:string list ->
-  unit ->
-  Txnrec.status option
-(** Parallel commit: move the record to [Staging] with the commit
-    timestamp and the keys of still-unacknowledged intent writes,
-    concurrently with those writes' replication. The transaction is
-    implicitly committed once this returns [Staging] {e and} every declared
-    write acked [`Applied]; the coordinator then acks its client and
-    finalizes the record asynchronously with {!commit_txn}. Creates the
-    record if the registering write has not applied yet. *)
-
-val commit_txn :
-  t ->
-  ?span:Crdb_obs.Trace.span ->
-  ?phases:Crdb_obs.Phase.ctx ->
-  gateway:Crdb_net.Topology.node_id ->
-  txn:int ->
-  key:string ->
-  ts:Ts.t ->
-  unit ->
-  Txnrec.status option
-(** Explicit commit (the non-parallel path, and the asynchronous
-    finalization after an implicit parallel commit). The transaction is
-    committed iff the applied status comes back [Committed]; [Aborted]
-    means a wound or recovery won the race and the transaction must
-    restart. *)
-
-val abort_txn :
-  t ->
-  ?span:Crdb_obs.Trace.span ->
-  ?phases:Crdb_obs.Phase.ctx ->
-  gateway:Crdb_net.Topology.node_id ->
-  txn:int ->
-  key:string ->
-  reason:string ->
-  unit ->
-  Txnrec.status option
-(** Coordinator rollback; creates an aborted stub if no record exists, so
-    late writes stay rejected. *)
+(** Propose one record transition ({!Txnrec.update}) at [key]'s
+    leaseholder, under a span named [op], and return the applied status;
+    [None] when the range is unreachable, the proposal was lost, or no
+    record exists. The coordinator heartbeats with [U_heartbeat]
+    ([kv.txn_heartbeat]), whose status tells it of a wound or abort while
+    it runs; stages a parallel commit with [U_stage] ([kv.txn_stage]),
+    implicitly committed once it applies as [Staging] {e and} every
+    declared write acked [`Applied]; commits, or finalizes an implicit
+    commit, with [U_commit] ([kv.txn_commit]); and rolls back with
+    [U_coord_abort] ([kv.txn_abort]). *)
 
 val txn_status :
   t ->

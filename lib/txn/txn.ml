@@ -14,6 +14,7 @@ module Proc = Crdb_sim.Proc
 module Sim = Crdb_sim.Sim
 module Ivar = Crdb_sim.Ivar
 module Obs = Crdb_obs.Obs
+module Events = Crdb_obs.Events
 module Trace = Crdb_obs.Trace
 module Metrics = Crdb_obs.Metrics
 module Phase = Crdb_obs.Phase
@@ -185,18 +186,17 @@ let is_global t key =
       | Cluster.Lag -> false)
   | exception Not_found -> raise (Fatal ("no range for key " ^ key))
 
-(* Bound on awaiting a pipelined write's confirmation: 8 s, the KV layer's
-   bound on awaiting a proposal's apply. The confirmation is the proposer's
-   apply (or the drop of its entry) forwarded to the gateway, so the write
-   gets as long as a synchronous one before it counts as lost. *)
-let ack_timeout = 8_000_000
-
-(* Await one pipelined write's confirmation. A prevented write means
-   commit-status recovery decided against us (restart, same priority); a
-   dropped or silent one leaves the write's fate — and hence the commit's —
-   indeterminate. *)
+(* Await one pipelined write's confirmation. The confirmation is the
+   proposer's apply (or the drop of its entry) forwarded to the gateway, so
+   the write gets as long as a synchronous one before it counts as lost. A
+   prevented write means commit-status recovery decided against us
+   (restart, same priority); a dropped or silent one leaves the write's
+   fate — and hence the commit's — indeterminate. *)
 let await_ack t (key, ack) =
-  match Proc.await_timeout (Cluster.sim t.mgr.cl) ack ~timeout:ack_timeout with
+  match
+    Proc.await_timeout (Cluster.sim t.mgr.cl) ack
+      ~timeout:Cluster.propose_timeout
+  with
   | Some `Applied -> ()
   | Some `Prevented -> raise (Wounded ("write prevented by recovery on " ^ key))
   | Some `Dropped | None -> raise (Restart "pipelined write lost")
@@ -350,7 +350,9 @@ let await_acks_classified t =
   let out =
     List.fold_left
       (fun acc (key, ack) ->
-        match (acc, Proc.await_timeout sim ack ~timeout:ack_timeout) with
+        match
+          (acc, Proc.await_timeout sim ack ~timeout:Cluster.propose_timeout)
+        with
         | (`Prevented _ as p), _ -> p
         | _, Some `Prevented ->
             `Prevented ("write prevented by recovery on " ^ key)
@@ -367,39 +369,39 @@ let await_acks_classified t =
    commit-status recovery a pusher would, against our own record. The
    anchor range's log totally orders our probes and finalization against
    any concurrent recovery, so whatever decision applies first is the one
-   we report. A record stuck Pending (the stage proposal itself was lost)
-   is aborted in place — first-decision-wins bars a late stage from
-   resurrecting it. Only if the anchor range stays unreachable throughout
-   do we give up and surface indeterminacy. *)
-let determine_fate t ~akey ~commit_ts ~inflight reason =
+   we report: [true] for a commit, [Wounded] for an abort. A record stuck
+   Pending (the stage proposal itself was lost) is aborted in place —
+   first-decision-wins bars a late stage from resurrecting it. Only if the
+   anchor range stays unreachable throughout do we give up and surface
+   indeterminacy. *)
+let determine_fate t ~akey ~commit_ts ~inflight =
   let sim = Cluster.sim t.mgr.cl in
+  let aborted () = raise (Wounded "ambiguous commit aborted") in
   let rec go n =
-    if n > 6 then raise (Indeterminate reason)
+    if n > 6 then raise (Indeterminate "commit status indeterminate")
     else
       match
         Cluster.recover_txn t.mgr.cl ~gateway:t.gw ~span:t.sp ~phases:t.phases
           ~txn:t.id ~anchor_key:akey ~ts:commit_ts ~inflight ()
       with
-      | Some (Some cts) -> `Committed cts
-      | Some None -> `Aborted
+      | Some (Some _) -> true
+      | Some None -> aborted ()
       | None -> (
-          match
-            Cluster.txn_status t.mgr.cl ~span:t.sp ~phases:t.phases
-              ~gateway:t.gw ~txn:t.id ~key:akey ()
-          with
-          | Some (Txnrec.Committed cts) -> `Committed cts
-          | Some (Txnrec.Aborted _) -> `Aborted
-          | Some Txnrec.Pending | None -> (
-              match
-                Cluster.abort_txn t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id
-                  ~key:akey ~reason:"ambiguous commit" ()
-              with
-              | Some (Txnrec.Aborted _) -> `Aborted
-              | Some (Txnrec.Committed cts) -> `Committed cts
-              | Some (Txnrec.Pending | Txnrec.Staging _) | None ->
-                  Proc.sleep sim (200_000 * n);
-                  go (n + 1))
-          | Some (Txnrec.Staging _) ->
+          let status =
+            match
+              Cluster.txn_status t.mgr.cl ~span:t.sp ~phases:t.phases
+                ~gateway:t.gw ~txn:t.id ~key:akey ()
+            with
+            | Some Txnrec.Pending | None ->
+                Cluster.txn_update t.mgr.cl ~span:t.sp ~gateway:t.gw
+                  ~op:"kv.txn_abort" ~txn:t.id ~key:akey
+                  (Txnrec.U_coord_abort { reason = "ambiguous commit" })
+            | status -> status
+          in
+          match status with
+          | Some (Txnrec.Committed _) -> true
+          | Some (Txnrec.Aborted _) -> aborted ()
+          | Some (Txnrec.Pending | Txnrec.Staging _) | None ->
               Proc.sleep sim (200_000 * n);
               go (n + 1))
   in
@@ -451,9 +453,25 @@ let commit t =
         t.commit_initiated <- true;
         let staged =
           Proc.async sim (fun () ->
-              Cluster.stage_txn t.mgr.cl ~span:ssp ~phases:t.phases
-                ~gateway:t.gw ~txn:t.id ~key:akey ~pri:t.pri ~ts:commit_ts
-                ~inflight ())
+              let st =
+                Cluster.txn_update t.mgr.cl ~span:ssp ~phases:t.phases
+                  ~gateway:t.gw ~op:"kv.txn_stage" ~txn:t.id ~key:akey
+                  (Txnrec.U_stage
+                     {
+                       pri = t.pri;
+                       ts = commit_ts;
+                       inflight;
+                       hb = Sim.now sim;
+                     })
+              in
+              (match st with
+              | Some (Txnrec.Staging _) ->
+                  Events.log (Obs.events t.mgr.obs) ~node:t.gw ~txn:t.id
+                    ~attrs:
+                      [ ("inflight", string_of_int (List.length inflight)) ]
+                    Events.Txn_staged
+              | Some _ | None -> ());
+              st)
         in
         let acks = await_acks_classified t in
         let st = Proc.await staged in
@@ -464,20 +482,14 @@ let commit t =
         | Some (Txnrec.Aborted { reason; _ }), _ -> raise (Wounded reason)
         | Some (Txnrec.Staging _), `Ok -> false (* implicitly committed *)
         | _, `Prevented reason -> raise (Wounded reason)
-        | (Some (Txnrec.Staging _ | Txnrec.Pending) | None), (`Ok | `Lost)
-          -> (
+        | (Some (Txnrec.Staging _ | Txnrec.Pending) | None), (`Ok | `Lost) ->
             (* The staging reply or a pipelined write's confirmation was
                lost: the implicit commit may have gone through, and a
                concurrent recovery may already have finalized — and
                resolved — it. A blind restart here would re-run a possibly
                committed body (a duplicate write); the fate must come from
                the record. *)
-            match
-              determine_fate t ~akey ~commit_ts ~inflight
-                "commit status indeterminate"
-            with
-            | `Committed _ -> true
-            | `Aborted -> raise (Wounded "ambiguous commit aborted"))
+            determine_fate t ~akey ~commit_ts ~inflight
       end
       else begin
         (* Sequential commit: every intent replicates first, then the
@@ -485,21 +497,17 @@ let commit t =
         await_acks t;
         t.commit_initiated <- true;
         match
-          Cluster.commit_txn t.mgr.cl ~span:t.sp ~phases:t.phases
-            ~gateway:t.gw ~txn:t.id ~key:akey ~ts:commit_ts ()
+          Cluster.txn_update t.mgr.cl ~span:t.sp ~phases:t.phases
+            ~gateway:t.gw ~op:"kv.txn_commit" ~txn:t.id ~key:akey
+            (Txnrec.U_commit { ts = commit_ts })
         with
         | Some (Txnrec.Committed _) -> true
         | Some (Txnrec.Aborted { reason; _ }) -> raise (Wounded reason)
-        | Some (Txnrec.Pending | Txnrec.Staging _) | None -> (
+        | Some (Txnrec.Pending | Txnrec.Staging _) | None ->
             (* The commit reply was lost; the record may have flipped to
                Committed. With no in-flight writes declared, recovery
                degenerates to re-issuing the (idempotent) commit decision. *)
-            match
-              determine_fate t ~akey ~commit_ts ~inflight:[]
-                "commit status indeterminate"
-            with
-            | `Committed _ -> true
-            | `Aborted -> raise (Wounded "ambiguous commit aborted"))
+            determine_fate t ~akey ~commit_ts ~inflight:[]
       end
     in
     (* The client is acked at the commit point — the implicit commit under
@@ -513,12 +521,12 @@ let commit t =
         finish t;
         if not explicitly_committed then
           ignore
-            (Cluster.commit_txn t.mgr.cl ~gateway:t.gw ~txn:t.id ~key:akey
-               ~ts:commit_ts ()
+            (Cluster.txn_update t.mgr.cl ~gateway:t.gw ~op:"kv.txn_commit"
+               ~txn:t.id ~key:akey
+               (Txnrec.U_commit { ts = commit_ts })
               : Txnrec.status option);
         Cluster.resolve t.mgr.cl ~gateway:t.gw ~txn:t.id
-          ~commit:(Some commit_ts) ~keys:(List.rev t.writes)
-          ~sync_all:false ())
+          ~commit:(Some commit_ts) ~keys:(List.rev t.writes) ())
   end;
   if t.writes <> [] || t.observed_future then begin
     let waited =
@@ -543,8 +551,9 @@ let abort t =
     match t.anchor with
     | Some key -> (
         match
-          Cluster.abort_txn t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id ~key
-            ~reason:"client abort" ()
+          Cluster.txn_update t.mgr.cl ~span:t.sp ~gateway:t.gw
+            ~op:"kv.txn_abort" ~txn:t.id ~key
+            (Txnrec.U_coord_abort { reason = "client abort" })
         with
         | Some (Txnrec.Committed cts) -> Some cts
         | Some (Txnrec.Aborted _ | Txnrec.Pending | Txnrec.Staging _) | None
@@ -554,7 +563,7 @@ let abort t =
   in
   if t.writes <> [] then
     Cluster.resolve t.mgr.cl ~span:t.sp ~gateway:t.gw ~txn:t.id
-      ~commit:committed_at ~keys:(List.rev t.writes) ~sync_all:false ();
+      ~commit:committed_at ~keys:(List.rev t.writes) ();
   committed_at
 
 (* Keep the transaction record live while the coordinator (gateway node) is
@@ -583,7 +592,9 @@ let start_heartbeat t =
       | Some key ->
           if Crdb_net.Transport.is_alive (Cluster.net mgr.cl) t.gw then
             match
-              Cluster.heartbeat_txn mgr.cl ~gateway:t.gw ~txn:t.id ~key ()
+              Cluster.txn_update mgr.cl ~gateway:t.gw ~op:"kv.txn_heartbeat"
+                ~txn:t.id ~key
+                (Txnrec.U_heartbeat { hb = Sim.now sim })
             with
             | Some (Txnrec.Aborted { reason; wound = true }) ->
                 t.fate_ <- `Wounded reason

@@ -240,6 +240,13 @@ let get_int row col =
   | Some (Value.V_int i) -> i
   | _ -> invalid_arg ("Tpcc: missing int column " ^ col)
 
+(* The row at primary key [pk]; the loader wrote every row a transaction
+   looks up this way, so a missing one is an SQL error. *)
+let row_at tc ~table pk =
+  match Engine.t_select_by_pk tc ~table pk with
+  | Some row -> row
+  | None -> raise (Engine.Sql_error ("missing " ^ table))
+
 let tx_new_order db ~gateway ~rng ~w ~districts ~customers ~items ~total_w =
   let d = Rng.int rng districts in
   let c = Rng.int rng customers in
@@ -252,10 +259,10 @@ let tx_new_order db ~gateway ~rng ~w ~districts ~customers ~items ~total_w =
         in
         (n, Rng.int rng items, supply_w, 1 + Rng.int rng 10, remote))
   in
-  (* Lock stock rows in a deterministic order: concurrent new-orders would
-     otherwise deadlock on each other's stock locks (the standard TPC-C
-     client-side mitigation; CRDB itself would break such cycles with
-     wound-wait, which the simulator replaces by bounded waits). *)
+  (* Lock stock rows in a deterministic order, so concurrent new-orders
+     never wait on each other's stock locks in a cycle (the standard TPC-C
+     client-side mitigation). Wound-wait would break such a cycle too, but
+     only by aborting and retrying one of the transactions. *)
   let lines =
     List.sort
       (fun (_, i1, w1, _, _) (_, i2, w2, _, _) -> compare (w1, i1) (w2, i2))
@@ -264,17 +271,9 @@ let tx_new_order db ~gateway ~rng ~w ~districts ~customers ~items ~total_w =
   let is_remote = List.exists (fun (_, _, _, _, r) -> r) lines in
   let result =
     Engine.in_txn db ~gateway (fun tc ->
-        (match Engine.t_select_by_pk tc ~table:"warehouse" [ vint w ] with
-        | Some _ -> ()
-        | None -> raise (Engine.Sql_error "missing warehouse"));
-        (match Engine.t_select_by_pk tc ~table:"customer" [ vint w; vint d; vint c ] with
-        | Some _ -> ()
-        | None -> raise (Engine.Sql_error "missing customer"));
-        let district =
-          match Engine.t_select_by_pk tc ~table:"district" [ vint w; vint d ] with
-          | Some row -> row
-          | None -> raise (Engine.Sql_error "missing district")
-        in
+        ignore (row_at tc ~table:"warehouse" [ vint w ] : Engine.row);
+        ignore (row_at tc ~table:"customer" [ vint w; vint d; vint c ] : Engine.row);
+        let district = row_at tc ~table:"district" [ vint w; vint d ] in
         let o_id = get_int district "d_next_o_id" in
         ignore
           (Engine.t_update_by_pk tc ~table:"district" [ vint w; vint d ]
@@ -286,16 +285,8 @@ let tx_new_order db ~gateway ~rng ~w ~districts ~customers ~items ~total_w =
           [ ("w_id", vint w); ("d_id", vint d); ("o_id", vint o_id) ];
         List.iter
           (fun (n, i_id, supply_w, qty, _) ->
-            (match Engine.t_select_by_pk tc ~table:"item" [ vint i_id ] with
-            | Some _ -> ()
-            | None -> raise (Engine.Sql_error "missing item"));
-            let stock =
-              match
-                Engine.t_select_by_pk tc ~table:"stock" [ vint supply_w; vint i_id ]
-              with
-              | Some row -> row
-              | None -> raise (Engine.Sql_error "missing stock")
-            in
+            ignore (row_at tc ~table:"item" [ vint i_id ] : Engine.row);
+            let stock = row_at tc ~table:"stock" [ vint supply_w; vint i_id ] in
             let s = get_int stock "s_quantity" in
             let s' = if s - qty > 10 then s - qty else s - qty + 91 in
             ignore
@@ -313,29 +304,15 @@ let tx_payment db ~gateway ~rng ~w ~districts ~customers =
   let c = Rng.int rng customers in
   let amount = 1 + Rng.int rng 5000 in
   Engine.in_txn db ~gateway (fun tc ->
-      let wh =
-        match Engine.t_select_by_pk tc ~table:"warehouse" [ vint w ] with
-        | Some row -> row
-        | None -> raise (Engine.Sql_error "missing warehouse")
-      in
+      let wh = row_at tc ~table:"warehouse" [ vint w ] in
       ignore
         (Engine.t_update_by_pk tc ~table:"warehouse" [ vint w ]
            ~set:[ ("w_ytd", vint (get_int wh "w_ytd" + amount)) ]);
-      let district =
-        match Engine.t_select_by_pk tc ~table:"district" [ vint w; vint d ] with
-        | Some row -> row
-        | None -> raise (Engine.Sql_error "missing district")
-      in
+      let district = row_at tc ~table:"district" [ vint w; vint d ] in
       ignore
         (Engine.t_update_by_pk tc ~table:"district" [ vint w; vint d ]
            ~set:[ ("d_ytd", vint (get_int district "d_ytd" + amount)) ]);
-      let cust =
-        match
-          Engine.t_select_by_pk tc ~table:"customer" [ vint w; vint d; vint c ]
-        with
-        | Some row -> row
-        | None -> raise (Engine.Sql_error "missing customer")
-      in
+      let cust = row_at tc ~table:"customer" [ vint w; vint d; vint c ] in
       ignore
         (Engine.t_update_by_pk tc ~table:"customer" [ vint w; vint d; vint c ]
            ~set:[ ("c_balance", vint (get_int cust "c_balance" - amount)) ]);
@@ -347,14 +324,8 @@ let tx_order_status db ~gateway ~rng ~w ~districts ~customers =
   let d = Rng.int rng districts in
   let c = Rng.int rng customers in
   Engine.in_txn db ~gateway (fun tc ->
-      (match Engine.t_select_by_pk tc ~table:"customer" [ vint w; vint d; vint c ] with
-      | Some _ -> ()
-      | None -> raise (Engine.Sql_error "missing customer"));
-      let district =
-        match Engine.t_select_by_pk tc ~table:"district" [ vint w; vint d ] with
-        | Some row -> row
-        | None -> raise (Engine.Sql_error "missing district")
-      in
+      ignore (row_at tc ~table:"customer" [ vint w; vint d; vint c ] : Engine.row);
+      let district = row_at tc ~table:"district" [ vint w; vint d ] in
       let last_o = get_int district "d_next_o_id" - 1 in
       if last_o >= 1 then begin
         ignore (Engine.t_select_by_pk tc ~table:"orders" [ vint w; vint d; vint last_o ]);
@@ -373,6 +344,8 @@ let tx_delivery db ~gateway ~rng ~w ~districts =
       match pending with
       | [] -> ()
       | row :: _ ->
+          (* The order stays in the new-order queue: the next delivery for
+             this district picks the same order again. *)
           let o_id = get_int row "o_id" in
           ignore
             (Engine.t_update_by_pk tc ~table:"orders" [ vint w; vint d; vint o_id ]
@@ -394,18 +367,12 @@ let tx_delivery db ~gateway ~rng ~w ~districts =
                        [ vint w; vint d; vint c ]
                        ~set:[ ("c_balance", vint (get_int cust "c_balance" + total)) ])
               | None -> ())
-          | None -> ());
-          (* Mark as delivered by removing from the new-order queue. *)
-          ignore o_id)
+          | None -> ()))
 
 let tx_stock_level db ~gateway ~rng ~w ~districts =
   let d = Rng.int rng districts in
   Engine.in_txn db ~gateway (fun tc ->
-      let district =
-        match Engine.t_select_by_pk tc ~table:"district" [ vint w; vint d ] with
-        | Some row -> row
-        | None -> raise (Engine.Sql_error "missing district")
-      in
+      let district = row_at tc ~table:"district" [ vint w; vint d ] in
       let last_o = get_int district "d_next_o_id" - 1 in
       if last_o >= 1 then begin
         let lines =

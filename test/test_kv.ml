@@ -353,8 +353,8 @@ let put cl ~gateway ~txn key value =
   | `Wounded e | `Err e ->
       Alcotest.failf "write failed: %s" e
   | `Ok commit_ts ->
-      Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts) ~keys:[ key ]
-        ~sync_all:true ();
+      Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts)
+        ~keys:[ key ] ();
       commit_ts
 
 let get cl ~gateway ?txn key =
@@ -513,7 +513,7 @@ let test_tscache_pushes_writer () =
       | `Ok pushed ->
           check Alcotest.bool "write pushed above read" true Ts.(pushed > read_ts);
           Cluster.resolve cl ~gateway:gw ~txn:2 ~commit:(Some pushed)
-            ~keys:[ "k" ] ~sync_all:true ()
+            ~keys:[ "k" ] ()
       | `Wounded e | `Err e ->
           Alcotest.failf "write failed: %s" e)
 
@@ -541,15 +541,14 @@ let test_write_write_conflict_queues () =
           | `Ok ts ->
               t2_done := Sim.now sim;
               Cluster.resolve cl ~gateway:gw ~txn:2 ~commit:(Some ts)
-                ~keys:[ "k" ] ~sync_all:true ()
+                ~keys:[ "k" ] ()
           | `Wounded e | `Err e ->
               Alcotest.failf "w2: %s" e);
       (* Hold the lock for 500ms. *)
       Crdb_sim.Proc.sleep sim 500_000;
       check Alcotest.int "txn2 still blocked" (-1) !t2_done;
       let commit_at = Sim.now sim in
-      Cluster.resolve cl ~gateway:gw ~txn:1 ~commit:(Some w1) ~keys:[ "k" ]
-        ~sync_all:true ();
+      Cluster.resolve cl ~gateway:gw ~txn:1 ~commit:(Some w1) ~keys:[ "k" ] ();
       Crdb_sim.Proc.sleep sim 500_000;
       check Alcotest.bool "txn2 proceeded after resolve" true
         (!t2_done >= commit_at);
@@ -649,8 +648,7 @@ let test_negotiate () =
       Crdb_sim.Proc.sleep (Cluster.sim cl) 4_000_000;
       let safe2 = Cluster.negotiate cl ~at:remote ~keys:[ "k" ] in
       check Alcotest.bool "intent caps negotiation" true Ts.(safe2 < ts);
-      Cluster.resolve cl ~gateway:gw ~txn:7 ~commit:None ~keys:[ "k" ]
-        ~sync_all:true ())
+      Cluster.resolve cl ~gateway:gw ~txn:7 ~commit:None ~keys:[ "k" ] ())
 
 (* Four committed keys in one Lag range, split at "k3" so a follower scan
    over [k, l) crosses a range boundary. *)
@@ -754,8 +752,7 @@ let test_follower_scan_redirects () =
       check rows_t "left fragment alone serves"
         [ ("k1", "vk1"); ("k2", "vk2") ]
         (scan_rows (follower_scan cl ~at ~end_key:"k3" ts));
-      Cluster.resolve cl ~gateway:gw ~txn:9 ~commit:None ~keys:[ "k4" ]
-        ~sync_all:true ())
+      Cluster.resolve cl ~gateway:gw ~txn:9 ~commit:None ~keys:[ "k4" ] ())
 
 (* Rows from both sides of the split come back in key order, and a limit
    counts down across the fragments. *)
@@ -803,6 +800,50 @@ let test_multi_range_routing () =
       ignore
         (Cluster.add_range cl ~span:("b", "c") ~zone:(zone_config ())
            ~policy:Cluster.Lag))
+
+(* [resolve] awaits only the range holding its first key: it returns once
+   that range has resolved its intent, while a range homed across the WAN
+   resolves its own in the background shortly after. *)
+let test_resolve_awaits_anchor_range () =
+  let cl = make_cluster () in
+  let near =
+    Cluster.add_range cl ~span:("a", "m") ~zone:(zone_config ())
+      ~policy:Cluster.Lag
+  in
+  let far =
+    Cluster.add_range cl ~span:("m", "z")
+      ~zone:(zone_config ~home:"europe-west2" ())
+      ~policy:Cluster.Lag
+  in
+  Cluster.settle cl;
+  let sim = Cluster.sim cl in
+  let gw = node_in cl home 0 in
+  let has_intent rid key =
+    let lh = Option.get (Cluster.leaseholder cl rid) in
+    Crdb_storage.Mvcc.intent_on (Option.get (Cluster.storage_of cl rid lh)) ~key
+    <> None
+  in
+  Cluster.run cl (fun () ->
+      let write key =
+        let ts = Cluster.now_ts cl gw in
+        match Cluster.write cl ~gateway:gw ~txn:1 ~key ~value:(Some key) ~ts () with
+        | `Ok ts -> ts
+        | `Wounded e | `Err e -> Alcotest.failf "write %s: %s" key e
+      in
+      let commit = Ts.max (write "apple") (write "orange") in
+      check Alcotest.bool "both intents laid" true
+        (has_intent near "apple" && has_intent far "orange");
+      Cluster.resolve cl ~gateway:gw ~txn:1 ~commit:(Some commit)
+        ~keys:[ "apple"; "orange" ] ();
+      check Alcotest.bool "anchor range resolved on return" false
+        (has_intent near "apple");
+      check Alcotest.bool "far range not yet resolved" true
+        (has_intent far "orange");
+      Crdb_sim.Proc.sleep sim 1_000_000;
+      check Alcotest.bool "far range resolved shortly after" false
+        (has_intent far "orange");
+      check Alcotest.(option string) "far value committed" (Some "orange")
+        (get cl ~gateway:gw "orange"))
 
 (* ------------------------------------------------------------------ *)
 (* The replica state machine                                           *)
@@ -985,5 +1026,7 @@ let suite =
       test_follower_scan_stitches_split;
     Alcotest.test_case "bulk load" `Quick test_bulk_load_visible;
     Alcotest.test_case "multi-range routing" `Quick test_multi_range_routing;
+    Alcotest.test_case "resolve awaits the anchor range" `Quick
+      test_resolve_awaits_anchor_range;
       QCheck_alcotest.to_alcotest prop_snapshot_plus_suffix;
   ]

@@ -47,8 +47,8 @@ let put cl ~gateway ~txn key value =
   | `Wounded e | `Err e ->
       Alcotest.failf "write failed: %s" e
   | `Ok commit_ts ->
-      Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts) ~keys:[ key ]
-        ~sync_all:true ();
+      Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts)
+        ~keys:[ key ] ();
       commit_ts
 
 let get cl ~gateway ?txn key =
@@ -281,11 +281,10 @@ let test_new_leader_applies_before_serving () =
             Cluster.write cl ~gateway:target ~txn:2 ~key:"k" ~value:(Some "v2")
               ~ts:(Cluster.now_ts cl target) ())
       in
-      Cluster.resolve cl ~gateway:lh ~txn:1 ~commit:(Some c1) ~keys:[ "k" ]
-        ~sync_all:true ();
+      Cluster.resolve cl ~gateway:lh ~txn:1 ~commit:(Some c1) ~keys:[ "k" ] ();
       let c2 = ok_ts (Proc.await w2) in
       Cluster.resolve cl ~gateway:target ~txn:2 ~commit:(Some c2)
-        ~keys:[ "k" ] ~sync_all:true ();
+        ~keys:[ "k" ] ();
       check Alcotest.(option string) "the later write wins" (Some "v2")
         (get cl ~gateway:target "k"))
 
@@ -307,7 +306,7 @@ let test_split_reaches_revived_replica () =
       ignore (Option.get (Cluster.split_range cl rid ~at:"m"));
       Proc.sleep (Cluster.sim cl) 1_000_000;
       Cluster.resolve cl ~gateway:lh ~txn:1 ~commit:(Some c1)
-        ~keys:[ "orange" ] ~sync_all:true ();
+        ~keys:[ "orange" ] ();
       ignore (put cl ~gateway:lh ~txn:2 "orange" "v2"));
   Cluster.restart_node cl down;
   Cluster.run_for cl 20_000_000;
@@ -408,8 +407,9 @@ let test_abandon_reaches_late_follower () =
     (Cluster.leaseholder cl rid);
   Cluster.run cl (fun () ->
       match
-        Cluster.stage_txn cl ~gateway:lh ~txn:1 ~key:"k" ~pri ~ts ~inflight:[]
-          ()
+        Cluster.txn_update cl ~gateway:lh ~op:"kv.txn_stage" ~txn:1 ~key:"k"
+          (Crdb_kv.Txnrec.U_stage
+             { pri; ts; inflight = []; hb = Sim.now (Cluster.sim cl) })
       with
       | Some (Crdb_kv.Txnrec.Aborted _) -> ()
       | Some (Crdb_kv.Txnrec.Staging _) ->
@@ -447,7 +447,7 @@ let test_live_bytes_through_split_merge () =
       with
       | `Ok commit_ts ->
           Cluster.resolve cl ~gateway:gw ~txn:3 ~commit:(Some commit_ts)
-            ~keys:[ "apple" ] ~sync_all:true ()
+            ~keys:[ "apple" ] ()
       | `Wounded e | `Err e ->
           Alcotest.failf "delete failed: %s" e);
   check Alcotest.(option int) "tombstoned key leaves the gauge" (Some 11)

@@ -142,8 +142,7 @@ let test_older_wins () =
       (match Cluster.txn_status cl ~gateway:gw ~txn:2 ~key:"k" () with
       | Some (Txnrec.Aborted { wound = true; _ }) -> ()
       | _ -> Alcotest.fail "younger must be wounded");
-      Cluster.resolve cl ~gateway:gw ~txn:1 ~commit:(Some ts) ~keys:[ "k" ]
-        ~sync_all:true ();
+      Cluster.resolve cl ~gateway:gw ~txn:1 ~commit:(Some ts) ~keys:[ "k" ] ();
       (* The mirror image: a younger waiter queues behind an older holder
          instead of wounding it. *)
       let pri_young2 = Cluster.now_ts cl gw in
@@ -162,8 +161,8 @@ let test_older_wins () =
       (match Cluster.txn_status cl ~gateway:gw ~txn:4 ~key:"k2" () with
       | Some Txnrec.Pending -> ()
       | _ -> Alcotest.fail "older must stay pending");
-      Cluster.resolve cl ~gateway:gw ~txn:4 ~commit:(Some held) ~keys:[ "k2" ]
-        ~sync_all:true ();
+      Cluster.resolve cl ~gateway:gw ~txn:4 ~commit:(Some held)
+        ~keys:[ "k2" ] ();
       Proc.sleep sim 500_000;
       check Alcotest.bool "younger proceeded after release" true !young_done);
   no_conflict_timeouts cl
@@ -235,9 +234,12 @@ let test_committed_record_resolves_intent () =
         write_ok cl ~pri:pri10 ~anchor:"k" ~gateway:gw ~txn:10 ~key:"k"
           ~value:"orphan"
       in
-      (match Cluster.commit_txn cl ~gateway:gw ~txn:10 ~key:"k" ~ts () with
+      (match
+         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:10
+           ~key:"k" (Txnrec.U_commit { ts })
+       with
       | Some (Txnrec.Committed _) -> ()
-      | _ -> Alcotest.fail "commit_txn must land Committed");
+      | _ -> Alcotest.fail "the commit must land Committed");
       (* No resolve: a non-transactional reader hits the intent, pushes,
          learns the record committed, and finishes the resolution itself. *)
       Proc.sleep sim 10_000;

@@ -13,6 +13,7 @@ module Ts = Crdb_hlc.Timestamp
 module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txnrec = Crdb_kv.Txnrec
+module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
@@ -131,7 +132,11 @@ let test_record_follows_split () =
       status_is cl ~gateway:gw ~txn:1 ~key:"x"
         (function Some Txnrec.Pending -> true | _ -> false)
         "record followed the split";
-      (match Cluster.heartbeat_txn cl ~gateway:gw ~txn:1 ~key:"x" () with
+      (match
+         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_heartbeat" ~txn:1
+           ~key:"x"
+           (Txnrec.U_heartbeat { hb = Sim.now (Cluster.sim cl) })
+       with
       | Some Txnrec.Pending -> ()
       | _ -> Alcotest.fail "heartbeat must reach the moved record");
       (* The left-hand range no longer knows the transaction. *)
@@ -153,8 +158,10 @@ let test_record_survives_merge () =
       status_is cl ~gateway:gw ~txn:1 ~key:"x"
         (function Some Txnrec.Pending -> true | _ -> false)
         "record absorbed by the left range";
-      match Cluster.commit_txn cl ~gateway:gw ~txn:1 ~key:"x"
-              ~ts:(Cluster.now_ts cl gw) () with
+      match
+        Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:1 ~key:"x"
+          (Txnrec.U_commit { ts = Cluster.now_ts cl gw })
+      with
       | Some (Txnrec.Committed _) -> ()
       | _ -> Alcotest.fail "commit must reach the absorbed record")
 
@@ -175,7 +182,9 @@ let test_heartbeat_rpc_keeps_record_live () =
           for _ = 1 to 3 do
             Proc.sleep sim interval;
             ignore
-              (Cluster.heartbeat_txn cl ~gateway:gw ~txn:1 ~key:"k" ()
+              (Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_heartbeat" ~txn:1
+                 ~key:"k"
+                 (Txnrec.U_heartbeat { hb = Sim.now sim })
                 : Txnrec.status option)
           done);
       Proc.sleep sim 1_000;
@@ -223,8 +232,9 @@ let test_staging_not_wounded () =
           ~value:"staged"
       in
       (match
-         Cluster.stage_txn cl ~gateway:gw ~txn:2 ~key:"k" ~pri:pri_young ~ts
-           ~inflight:[] ()
+         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_stage" ~txn:2 ~key:"k"
+           (Txnrec.U_stage
+              { pri = pri_young; ts; inflight = []; hb = Sim.now sim })
        with
       | Some (Txnrec.Staging _) -> ()
       | _ -> Alcotest.fail "stage must apply");
@@ -241,7 +251,10 @@ let test_staging_not_wounded () =
         "staging record not wounded";
       (* Coordinator finishes: explicit commit, then the pusher cleans up
          the committed intent on its own. *)
-      (match Cluster.commit_txn cl ~gateway:gw ~txn:2 ~key:"k" ~ts () with
+      (match
+         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:2 ~key:"k"
+           (Txnrec.U_commit { ts })
+       with
       | Some (Txnrec.Committed _) -> ()
       | _ -> Alcotest.fail "explicit commit must apply");
       Proc.sleep sim 1_000_000;
@@ -261,8 +274,9 @@ let test_recovery_commits_complete_staging () =
       ignore (write_ok cl ~pri ~anchor:"b" ~gateway:gw ~txn:5 ~key:"b" ~value:"v1");
       let ts = write_ok cl ~pri ~anchor:"b" ~gateway:gw ~txn:5 ~key:"n" ~value:"v2" in
       (match
-         Cluster.stage_txn cl ~gateway:gw ~txn:5 ~key:"b" ~pri ~ts
-           ~inflight:[ "b"; "n" ] ()
+         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_stage" ~txn:5 ~key:"b"
+           (Txnrec.U_stage
+              { pri; ts; inflight = [ "b"; "n" ]; hb = Sim.now sim })
        with
       | Some (Txnrec.Staging _) -> ()
       | _ -> Alcotest.fail "stage must apply");
@@ -297,8 +311,9 @@ let test_recovery_aborts_incomplete_staging () =
       let ts = write_ok cl ~pri ~anchor:"b" ~gateway:gw ~txn:6 ~key:"b" ~value:"v1" in
       (* Declare a second in-flight write that never happened. *)
       (match
-         Cluster.stage_txn cl ~gateway:gw ~txn:6 ~key:"b" ~pri ~ts
-           ~inflight:[ "b"; "n" ] ()
+         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_stage" ~txn:6 ~key:"b"
+           (Txnrec.U_stage
+              { pri; ts; inflight = [ "b"; "n" ]; hb = Sim.now sim })
        with
       | Some (Txnrec.Staging _) -> ()
       | _ -> Alcotest.fail "stage must apply");
@@ -374,7 +389,10 @@ let test_commit_vs_wound_race () =
                   ~ts:(Cluster.now_ts cl gw) ())
           in
           Proc.sleep sim commit_after;
-          let commit_view = Cluster.commit_txn cl ~gateway:gw ~txn:2 ~key:"k" ~ts () in
+          let commit_view =
+            Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:2
+              ~key:"k" (Txnrec.U_commit { ts })
+          in
           (match Proc.await pusher with
           | `Ok _ -> ()
           | `Wounded e | `Err e ->
@@ -412,6 +430,69 @@ let test_commit_vs_wound_race () =
   check Alcotest.bool "wound won at least once" true
     (List.mem `Wound_won !outcomes)
 
+(* ------------------------------------------------------------------ *)
+(* The coordinator's STAGING event                                     *)
+
+(* The coordinator logs [Txn_staged] once per attempt whose STAGING record
+   applied: once for an uncontended parallel commit, and not at all for an
+   attempt whose stage lost to a wound (its retry then logs its own). *)
+let test_staged_event_per_applied_stage () =
+  let cl = make () in
+  let mgr = Txn.create_manager cl in
+  let sim = Cluster.sim cl in
+  let gw = node_in cl home 0 in
+  let events = Obs.events (Cluster.obs cl) in
+  let staged txn =
+    List.length
+      (List.filter
+         (fun e -> e.Events.txn = Some txn)
+         (Events.of_kind events Events.Txn_staged))
+  in
+  let run_ok ids body =
+    match
+      Txn.run mgr ~gateway:gw (fun t ->
+          ids := !ids @ [ Txn.txn_id t ];
+          body t)
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "txn failed: %a" Txn.pp_error e
+  in
+  Cluster.run cl (fun () ->
+      let solo = ref [] in
+      run_ok solo (fun t ->
+          Txn.put t "a" "1";
+          Txn.put t "b" "2");
+      check Alcotest.(list int) "one staged event for the lone attempt" [ 1 ]
+        (List.map staged !solo);
+      (* The older transaction starts first but writes "k" only after the
+         younger one holds it; its push wounds the younger's Pending record
+         while the younger still runs, so the younger's stage applies as a
+         no-op on an Aborted record. *)
+      let old_ids = ref [] and young_ids = ref [] in
+      let old =
+        Proc.async sim (fun () ->
+            run_ok old_ids (fun t ->
+                Proc.sleep sim 100_000;
+                Txn.put t "k" "old"))
+      in
+      Proc.sleep sim 10_000;
+      run_ok young_ids (fun t ->
+          Txn.put t "k" "young";
+          Proc.sleep sim 500_000);
+      Proc.await old;
+      (match !young_ids with
+      | first :: _ ->
+          status_is cl ~gateway:gw ~txn:first ~key:"k"
+            (function
+              | Some (Txnrec.Aborted { wound = true; _ }) -> true | _ -> false)
+            "the younger's first attempt was wounded"
+      | [] -> Alcotest.fail "no attempt ran");
+      check Alcotest.(list int) "the wounded stage logs none, the retry one"
+        [ 0; 1 ] (List.map staged !young_ids);
+      check Alcotest.(list int) "the older commits with one" [ 1 ]
+        (List.map staged !old_ids));
+  no_conflict_timeouts cl
+
 let suite =
   [
     Alcotest.test_case "record state machine, first decision wins" `Quick
@@ -432,4 +513,6 @@ let suite =
       test_query_intent_verdicts;
     Alcotest.test_case "commit vs wound decided by log order" `Quick
       test_commit_vs_wound_race;
+    Alcotest.test_case "one staged event per applied stage" `Quick
+      test_staged_event_per_applied_stage;
   ]
