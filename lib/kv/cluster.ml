@@ -1015,17 +1015,42 @@ let bulk_load t ?ts kvs =
     | Some ts -> ts
     | None -> Ts.of_wall (max 1 (Sim.now t.sim - (2 * t.cfg.max_offset)))
   in
+  let batches = Hashtbl.create 16 in
   List.iter
     (fun (key, value) ->
       match range_of_key t key with
       | rid ->
-          let rg = range t rid and value = Some value in
-          Hashtbl.iter
-            (fun _ r -> Mvcc.put_version r.r_sm.store ~key ~ts ~value)
-            rg.rg_replicas
+          let batch = Option.value (Hashtbl.find_opt batches rid) ~default:[] in
+          Hashtbl.replace batches rid ((key, Some value) :: batch)
       | exception Not_found ->
           invalid_arg (Printf.sprintf "Cluster.bulk_load: no range for %s" key))
-    kvs
+    kvs;
+  Hashtbl.iter
+    (fun rid batch ->
+      (* Replicas whose stores share one map take one load between them:
+         the first loads the batch, the others share its result. *)
+      let groups =
+        Hashtbl.fold
+          (fun _ r groups ->
+            let store = r.r_sm.store in
+            match
+              List.find_opt (fun (first, _) -> Mvcc.shares_map first store) groups
+            with
+            | Some (_, others) ->
+                others := store :: !others;
+                groups
+            | None -> (store, ref []) :: groups)
+          (range t rid).rg_replicas []
+      in
+      let batch = List.rev batch in
+      List.iter
+        (fun (first, others) ->
+          List.iter
+            (fun (key, value) -> Mvcc.put_version first ~key ~ts ~value)
+            batch;
+          List.iter (fun store -> Mvcc.replace_with store first) !others)
+        groups)
+    batches
 
 (* ------------------------------------------------------------------ *)
 (* Closed-timestamp side channel (node-level transport)                *)

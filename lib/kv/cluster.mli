@@ -238,7 +238,11 @@ val restart_node : t -> Crdb_net.Topology.node_id -> unit
 
 val bulk_load : t -> ?ts:Ts.t -> (string * string) list -> unit
 (** Install committed versions directly in every replica of the covering
-    ranges. Administrative fast path for benchmark dataset loading. *)
+    ranges. Administrative fast path for benchmark dataset loading.
+    Replicas whose stores share one map ({!Crdb_storage.Mvcc.shares_map})
+    are loaded once and share the result. Every key is routed before any
+    is installed.
+    @raise Invalid_argument if no range covers some key. *)
 
 val closed_lead_duration : t -> range_id -> int
 (** The [Lead] policy's lead: [L_raft + L_replicate + max_offset +]

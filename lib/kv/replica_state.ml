@@ -59,16 +59,24 @@ let create () = of_store (Mvcc.create ())
 
 let closed s = Ts.max s.applied_closed s.side_closed
 
-(* Adopt every side-channel closed timestamp whose log prefix has applied. *)
+let rec any_ready ~applied = function
+  | [] -> false
+  | (lai, _) :: rest -> lai <= applied || any_ready ~applied rest
+
+(* Adopt every side-channel closed timestamp whose log prefix has applied.
+   Runs on every apply, so it allocates nothing unless one is ready. *)
 let promote_side s ~applied =
-  let ready, pending =
-    List.partition (fun (lai, _) -> lai <= applied) s.pending_side
-  in
-  List.iter (fun (_, ts) -> s.side_closed <- Ts.max s.side_closed ts) ready;
-  s.pending_side <- pending
+  if any_ready ~applied s.pending_side then begin
+    let ready, pending =
+      List.partition (fun (lai, _) -> lai <= applied) s.pending_side
+    in
+    List.iter (fun (_, ts) -> s.side_closed <- Ts.max s.side_closed ts) ready;
+    s.pending_side <- pending
+  end
 
 let add_side s ~applied ~lai ts =
-  s.pending_side <- (lai, ts) :: s.pending_side;
+  if lai <= applied then s.side_closed <- Ts.max s.side_closed ts
+  else s.pending_side <- (lai, ts) :: s.pending_side;
   promote_side s ~applied
 
 let apply s ~applied cmd =

@@ -29,11 +29,21 @@ let push t x =
 
 let last t = if t.len = 0 then None else Some t.arr.(t.len - 1)
 
+(* Dropped elements must not stay reachable from the backing array: [clear]
+   lets the array go, and [truncate] overwrites every slot from [n] on (the
+   unused capacity too, which [push] fills with a pushed element) with a
+   kept one. *)
+let clear t =
+  t.arr <- [||];
+  t.len <- 0
+
 let truncate t n =
   if n < 0 then invalid_arg "Vec.truncate: negative length";
-  if n < t.len then t.len <- n
-
-let clear t = t.len <- 0
+  if n = 0 then clear t
+  else if n < t.len then begin
+    Array.fill t.arr n (Array.length t.arr - n) t.arr.(n - 1);
+    t.len <- n
+  end
 
 let to_list t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.arr.(i) :: acc) in

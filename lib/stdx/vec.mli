@@ -12,9 +12,12 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 val last : 'a t -> 'a option
 val truncate : 'a t -> int -> unit
-(** [truncate t n] keeps the first [n] elements. *)
+(** [truncate t n] keeps the first [n] elements; the dropped ones are no
+    longer reachable from [t]. *)
 
 val clear : 'a t -> unit
+(** Drops every element and the backing array. *)
+
 val to_list : 'a t -> 'a list
 val sub_list : 'a t -> pos:int -> 'a list
 (** Elements from [pos] (inclusive) to the end. *)

@@ -21,28 +21,45 @@ type write_outcome = Written | Write_blocked of intent | Write_prevented
 (* A key's committed versions, newest first: one block per version. *)
 type 'a versions = Nil | V of { ts : ts; value : 'a; older : 'a versions }
 
+(* A store's identity for record ownership: compared physically, and
+   allocated fresh whenever a store starts sharing its map. *)
+type token = unit ref
+
 (* [prevented] holds transaction ids whose future intent writes on this
    key were barred by commit-status recovery (the QueryIntent "prevention"
-   of parallel commits). *)
+   of parallel commits). [owner] is the token of the one store allowed to
+   change the record in place. *)
 type record = {
   mutable versions : string option versions;
   mutable intent : intent option;
   mutable prevented : int list;
+  owner : token;
 }
 
-type t = { mutable records : record Smap.t }
+(* Stores share [records] maps, and so records: a store changes a record in
+   place only when it holds the record's [owner] token, and otherwise first
+   installs its own copy. Every operation that leaves two stores sharing a
+   map gives each of them a fresh token, so no record a store owns is
+   visible to any other live store. *)
+type t = { mutable records : record Smap.t; mutable token : token }
 
-let create () = { records = Smap.empty }
+let create () = { records = Smap.empty; token = ref () }
 
 let find t key = Smap.find_opt key t.records
 
-let find_or_add t key =
-  match Smap.find_opt key t.records with
-  | Some r -> r
+let install t key r =
+  t.records <- Smap.add key r t.records;
+  r
+
+(* [t]'s own record for [key], given [found], the record [t] holds for it:
+   that record when [t] owns it, else a copy (or a new empty record) that
+   [t] installs and owns. *)
+let own t key found =
+  match found with
+  | Some r when r.owner == t.token -> r
+  | Some r -> install t key { r with owner = t.token }
   | None ->
-      let r = { versions = Nil; intent = None; prevented = [] } in
-      t.records <- Smap.add key r t.records;
-      r
+      install t key { versions = Nil; intent = None; prevented = []; owner = t.token }
 
 (* A newest-first chain stays sorted when a new version goes before the
    first version at or below its timestamp: where a stable newest-first
@@ -98,31 +115,26 @@ let read t ~key ~ts ~max_ts ~for_txn =
   | Some record -> read_record record ~ts ~max_ts ~for_txn
 
 let put_intent t ?(pri = Ts.zero) ?(anchor = "") ~key ~txn_id ~ts ~value () =
-  let record = find_or_add t key in
-  if List.mem txn_id record.prevented then Write_prevented
-  else
-    match record.intent with
-    | Some i when i.txn_id <> txn_id -> Write_blocked i
-    | Some _ | None ->
-        record.intent <- Some { txn_id; ts; value; pri; anchor };
-        Written
+  match find t key with
+  | Some r when List.mem txn_id r.prevented -> Write_prevented
+  | Some { intent = Some i; _ } when i.txn_id <> txn_id -> Write_blocked i
+  | found ->
+      (own t key found).intent <- Some { txn_id; ts; value; pri; anchor };
+      Written
+
+(* The transaction's intent is on [r], or a version committed at [ts]. *)
+let intent_or_commit r ~txn_id ~ts =
+  (match r.intent with Some i -> i.txn_id = txn_id | None -> false)
+  || match version_at ts r.versions with V v -> Ts.equal v.ts ts | Nil -> false
 
 let prevent t ~key ~txn_id ~ts =
-  let record = find_or_add t key in
-  let intent_present =
-    match record.intent with Some i -> i.txn_id = txn_id | None -> false
-  in
-  let committed_at_ts =
-    match version_at ts record.versions with
-    | V v -> Ts.equal v.ts ts
-    | Nil -> false
-  in
-  if intent_present || committed_at_ts then `Found
-  else begin
-    if not (List.mem txn_id record.prevented) then
+  match find t key with
+  | Some r when intent_or_commit r ~txn_id ~ts -> `Found
+  | Some r when List.mem txn_id r.prevented -> `Prevented
+  | found ->
+      let record = own t key found in
       record.prevented <- txn_id :: record.prevented;
-    `Prevented
-  end
+      `Prevented
 
 let is_prevented t ~key ~txn_id =
   match find t key with
@@ -131,17 +143,14 @@ let is_prevented t ~key ~txn_id =
 
 let resolve_intent t ~key ~txn_id ~commit =
   match find t key with
-  | None -> ()
-  | Some record -> (
-      match record.intent with
-      | Some i when i.txn_id = txn_id ->
-          record.intent <- None;
-          (match commit with
-          | Some commit_ts ->
-              record.versions <-
-                insert_version commit_ts i.value record.versions
-          | None -> ())
-      | Some _ | None -> ())
+  | Some { intent = Some i; _ } as found when i.txn_id = txn_id -> (
+      let record = own t key found in
+      record.intent <- None;
+      match commit with
+      | Some commit_ts ->
+          record.versions <- insert_version commit_ts i.value record.versions
+      | None -> ())
+  | Some _ | None -> ()
 
 let intent_on t ~key =
   match find t key with None -> None | Some r -> r.intent
@@ -211,32 +220,33 @@ let fold_latest t ~init ~f =
       | V { value = None; _ } | Nil -> acc)
     t.records init
 
+(* The sharing operations hand over the immutable map and re-token every
+   store left holding records another live store can see. *)
 let copy t =
-  {
-    records =
-      Smap.map
-        (fun r ->
-          { versions = r.versions; intent = r.intent; prevented = r.prevented })
-        t.records;
-  }
+  t.token <- ref ();
+  { records = t.records; token = ref () }
 
+(* The records of the right side stay owned by [t]'s token, which no other
+   store holds, and [t]'s map no longer reaches them: the new store copies
+   each before its first write. *)
 let split_off t ~key =
   let left, at, right = Smap.split key t.records in
   let right = match at with None -> right | Some r -> Smap.add key r right in
   t.records <- left;
-  { records = right }
+  { records = right; token = ref () }
 
 let absorb t src =
-  Smap.iter
-    (fun key r ->
-      t.records <-
-        Smap.add key
-          { versions = r.versions; intent = r.intent; prevented = r.prevented }
-          t.records)
-    src.records
+  t.records <- Smap.union (fun _ _ r -> Some r) t.records src.records;
+  t.token <- ref ();
+  src.token <- ref ()
 
-let replace_with t src = t.records <- (copy src).records
+let replace_with t src =
+  t.records <- src.records;
+  t.token <- ref ();
+  src.token <- ref ()
+
+let shares_map t u = t.records == u.records
 
 let put_version t ~key ~ts ~value =
-  let record = find_or_add t key in
+  let record = own t key (find t key) in
   record.versions <- insert_version ts value record.versions

@@ -46,6 +46,12 @@ type write_outcome =
           writer's commit must fail. *)
 
 type t
+(** A store. Stores share their key maps: {!copy}, {!replace_with},
+    {!split_off} and {!absorb} hand a map over instead of copying its
+    records. Each record belongs to the one store allowed to change it in
+    place; a store writing a record it does not own first installs its own
+    copy. Whenever two stores come to share a map, both lose ownership of
+    every record in it, so a write to one store never shows in another. *)
 
 val create : unit -> t
 
@@ -132,21 +138,30 @@ val fold_latest : t -> init:'a -> f:('a -> string -> string -> 'a) -> 'a
 (** Fold over the latest live committed value of every key (testing aid). *)
 
 val copy : t -> t
-(** Deep copy (Raft snapshot transfer). *)
+(** A store with [t]'s contents, sharing its map in O(1) (Raft snapshot
+    transfer). Later writes to either store do not show in the other. *)
 
 val split_off : t -> key:string -> t
 (** [split_off t ~key] removes every record with key [>= key] from [t] and
-    returns them as a fresh store. Records are moved, not copied — the
-    caller owns the returned store (range split). *)
+    returns them as a new store in O(log n). Records are moved, not copied;
+    the new store copies a record before its first write to it (range
+    split). *)
 
 val absorb : t -> t -> unit
-(** [absorb t src] deep-copies every record of [src] into [t], replacing
-    any record [t] already holds for the same key (range merge: the
-    subsumed right-hand store wins for its own span). *)
+(** [absorb t src] adds every record of [src] to [t], replacing any record
+    [t] already holds for the same key (range merge: the subsumed
+    right-hand store wins for its own span). The two stores then share
+    those records; later writes to either do not show in the other. *)
 
 val replace_with : t -> t -> unit
-(** [replace_with t src] makes [t]'s contents a deep copy of [src]
-    (snapshot installation on a follower). *)
+(** [replace_with t src] gives [t] [src]'s contents by sharing [src]'s map
+    in O(1) (snapshot installation on a follower). Later writes to either
+    store do not show in the other. *)
+
+val shares_map : t -> t -> bool
+(** True iff the two stores hold physically the same map, and so the same
+    contents: one load into such stores can be made once and shared with
+    {!replace_with}. *)
 
 val put_version : t -> key:string -> ts:ts -> value:string option -> unit
 (** Install a committed version directly, bypassing the intent protocol.

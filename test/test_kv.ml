@@ -776,6 +776,62 @@ let test_bulk_load_visible () =
       check Alcotest.(option string) "loaded" (Some "v1") (get cl ~gateway:gw "k1");
       check Alcotest.(option string) "loaded" (Some "v2") (get cl ~gateway:gw "k2"))
 
+let replica_stores cl rid =
+  List.map
+    (fun (node, _) -> Option.get (Cluster.storage_of cl rid node))
+    (Cluster.replica_nodes cl rid)
+
+let latest_values store =
+  List.rev
+    (Crdb_storage.Mvcc.fold_latest store ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+
+(* Replicas that differ before a load each keep their own state: one holds
+   an intent on a loaded key, one an extra key, and the rest, which still
+   share one map, end up sharing the loaded one. *)
+let test_bulk_load_keeps_replica_state () =
+  let module Mvcc = Crdb_storage.Mvcc in
+  let cl, rid = one_range () in
+  match replica_stores cl rid with
+  | held :: extra :: rest when rest <> [] ->
+      (match
+         Mvcc.put_intent held ~key:"k1" ~txn_id:7 ~ts:(Ts.of_wall 5)
+           ~value:(Some "x") ()
+       with
+      | Mvcc.Written -> ()
+      | Mvcc.Write_blocked _ | Mvcc.Write_prevented -> Alcotest.fail "blocked");
+      Mvcc.put_version extra ~key:"k0" ~ts:(Ts.of_wall 3) ~value:(Some "e");
+      Cluster.bulk_load cl ~ts:(Ts.of_wall 10) [ ("k1", "v1"); ("k2", "v2") ];
+      let loaded = [ ("k1", "v1"); ("k2", "v2") ] in
+      let kvs = Alcotest.(list (pair string string)) in
+      check kvs "intent holder" loaded (latest_values held);
+      check Alcotest.(option int) "intent kept" (Some 7)
+        (Option.map (fun i -> i.Mvcc.txn_id) (Mvcc.intent_on held ~key:"k1"));
+      check kvs "extra key kept" (("k0", "e") :: loaded) (latest_values extra);
+      check Alcotest.bool "no intent copied" true (Mvcc.intent_on extra ~key:"k1" = None);
+      List.iter
+        (fun store ->
+          check kvs "loaded" loaded (latest_values store);
+          check Alcotest.bool "no intent" true (Mvcc.intent_on store ~key:"k1" = None);
+          check Alcotest.bool "shares one map" true
+            (Mvcc.shares_map store (List.hd rest)))
+        rest;
+      check Alcotest.bool "differing stores not shared" false
+        (Mvcc.shares_map held (List.hd rest) || Mvcc.shares_map extra (List.hd rest))
+  | _ -> Alcotest.fail "expected at least three replicas"
+
+(* A load stores its keys once, however many replicas the range has. *)
+let test_bulk_load_memory_follows_keys () =
+  let cl, rid = one_range () in
+  Cluster.bulk_load cl
+    (List.init 2_000 (fun i -> (Printf.sprintf "k%05d" i, string_of_int i)));
+  let stores = replica_stores cl rid in
+  let one = Obj.reachable_words (Obj.repr (List.hd stores))
+  and all = Obj.reachable_words (Obj.repr stores) in
+  check Alcotest.bool "several replicas" true (List.length stores >= 3);
+  if float_of_int all >= 1.2 *. float_of_int one then
+    Alcotest.failf "%d replicas' stores hold %d words, one holds %d"
+      (List.length stores) all one
+
 let test_multi_range_routing () =
   let cl = make_cluster () in
   let r1 =
@@ -1025,6 +1081,10 @@ let suite =
     Alcotest.test_case "follower scan stitches split" `Quick
       test_follower_scan_stitches_split;
     Alcotest.test_case "bulk load" `Quick test_bulk_load_visible;
+    Alcotest.test_case "bulk load keeps replica state" `Quick
+      test_bulk_load_keeps_replica_state;
+    Alcotest.test_case "bulk load memory follows keys" `Quick
+      test_bulk_load_memory_follows_keys;
     Alcotest.test_case "multi-range routing" `Quick test_multi_range_routing;
     Alcotest.test_case "resolve awaits the anchor range" `Quick
       test_resolve_awaits_anchor_range;

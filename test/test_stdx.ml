@@ -23,6 +23,25 @@ let test_vec () =
     (Invalid_argument "Vec.get: index 10 out of bounds (len 10)") (fun () ->
       ignore (Vec.get v 10))
 
+(* Dropped elements are released: a cleared vec reaches a few words, and
+   a truncated one reaches only what it keeps (and its array). *)
+let test_vec_releases_dropped () =
+  let big i = String.make 4_000 (Char.chr (65 + (i mod 26))) in
+  let v = Vec.create () in
+  for i = 0 to 99 do
+    Vec.push v (big i)
+  done;
+  Vec.clear v;
+  let words = Obj.reachable_words (Obj.repr v) in
+  if words > 8 then Alcotest.failf "cleared vec reaches %d words" words;
+  for i = 0 to 99 do
+    Vec.push v (big i)
+  done;
+  Vec.truncate v 2;
+  check Alcotest.(list string) "kept" [ big 0; big 1 ] (Vec.to_list v);
+  let words = Obj.reachable_words (Obj.repr v) in
+  if words > 1_500 then Alcotest.failf "vec truncated to 2 reaches %d words" words
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
   let xs = List.init 50 (fun _ -> Rng.int a 1000) in
@@ -100,6 +119,8 @@ let test_shuffle_permutation () =
 let suite =
   [
     Alcotest.test_case "vec" `Quick test_vec;
+    Alcotest.test_case "vec releases dropped elements" `Quick
+      test_vec_releases_dropped;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     qcheck prop_rng_int_bounds;

@@ -243,6 +243,311 @@ let prop_insert_version_is_stable_sort =
       to_list (Mvcc.insert_version ts tag chain)
       = List.stable_sort newest_first (v :: versions))
 
+(* The store [Mvcc] replaced, kept as the oracle of its sharing
+   operations: every store owns private mutable records, and [copy],
+   [absorb] and [replace_with] copy each record. *)
+module Deep = struct
+  module Smap = Map.Make (String)
+
+  type record = {
+    mutable versions : string option Mvcc.versions;
+    mutable intent : Mvcc.intent option;
+    mutable prevented : int list;
+  }
+
+  type t = { mutable records : record Smap.t }
+
+  let create () = { records = Smap.empty }
+  let find t key = Smap.find_opt key t.records
+
+  let find_or_add t key =
+    match find t key with
+    | Some r -> r
+    | None ->
+        let r = { versions = Mvcc.Nil; intent = None; prevented = [] } in
+        t.records <- Smap.add key r t.records;
+        r
+
+  let rec version_at ts = function
+    | Mvcc.V v as version when Ts.(v.ts <= ts) -> version
+    | Mvcc.V v -> version_at ts v.older
+    | Mvcc.Nil -> Mvcc.Nil
+
+  let rec version_in_window ~lo ~hi = function
+    | Mvcc.V v when Ts.(v.ts <= lo) -> Mvcc.Nil
+    | Mvcc.V v as version when Ts.(v.ts <= hi) -> version
+    | Mvcc.V v -> version_in_window ~lo ~hi v.older
+    | Mvcc.Nil -> Mvcc.Nil
+
+  let read_record r ~ts ~max_ts ~for_txn =
+    match (r.intent, for_txn) with
+    | Some i, Some txn when i.Mvcc.txn_id = txn ->
+        Mvcc.Value { value = i.value; ts = i.ts }
+    | Some i, _ when Ts.(i.Mvcc.ts <= max_ts) -> Mvcc.Intent_blocked i
+    | _ -> (
+        match version_in_window ~lo:ts ~hi:max_ts r.versions with
+        | Mvcc.V v -> Mvcc.Uncertain { value_ts = v.ts }
+        | Mvcc.Nil -> (
+            match version_at ts r.versions with
+            | Mvcc.V v -> Mvcc.Value { value = v.value; ts = v.ts }
+            | Mvcc.Nil -> Mvcc.Value { value = None; ts = Ts.zero }))
+
+  let read t ~key ~ts ~max_ts ~for_txn =
+    match find t key with
+    | None -> Mvcc.Value { value = None; ts = Ts.zero }
+    | Some r -> read_record r ~ts ~max_ts ~for_txn
+
+  let put_intent t ~key ~txn_id ~ts ~value =
+    let r = find_or_add t key in
+    if List.mem txn_id r.prevented then Mvcc.Write_prevented
+    else
+      match r.intent with
+      | Some i when i.Mvcc.txn_id <> txn_id -> Mvcc.Write_blocked i
+      | Some _ | None ->
+          r.intent <-
+            Some { Mvcc.txn_id; ts; value; pri = Ts.zero; anchor = "" };
+          Mvcc.Written
+
+  let prevent t ~key ~txn_id ~ts =
+    let r = find_or_add t key in
+    let intent_present =
+      match r.intent with Some i -> i.Mvcc.txn_id = txn_id | None -> false
+    in
+    let committed_at_ts =
+      match version_at ts r.versions with
+      | Mvcc.V v -> Ts.equal v.ts ts
+      | Mvcc.Nil -> false
+    in
+    if intent_present || committed_at_ts then `Found
+    else begin
+      if not (List.mem txn_id r.prevented) then
+        r.prevented <- txn_id :: r.prevented;
+      `Prevented
+    end
+
+  let is_prevented t ~key ~txn_id =
+    match find t key with None -> false | Some r -> List.mem txn_id r.prevented
+
+  let resolve_intent t ~key ~txn_id ~commit =
+    match find t key with
+    | Some ({ intent = Some i; _ } as r) when i.Mvcc.txn_id = txn_id -> (
+        r.intent <- None;
+        match commit with
+        | Some ts -> r.versions <- Mvcc.insert_version ts i.value r.versions
+        | None -> ())
+    | Some _ | None -> ()
+
+  let intent_on t ~key =
+    match find t key with None -> None | Some r -> r.intent
+
+  let scan t ~ts ~max_ts ~for_txn =
+    List.filter_map
+      (fun (key, r) ->
+        match read_record r ~ts ~max_ts ~for_txn with
+        | Mvcc.Value { value = None; _ } -> None
+        | outcome -> Some (key, outcome))
+      (Smap.bindings t.records)
+
+  let put_version t ~key ~ts ~value =
+    let r = find_or_add t key in
+    r.versions <- Mvcc.insert_version ts value r.versions
+
+  let copy_record r =
+    { versions = r.versions; intent = r.intent; prevented = r.prevented }
+
+  let copy t = { records = Smap.map copy_record t.records }
+
+  let split_off t ~key =
+    let left, at, right = Smap.split key t.records in
+    let right = match at with None -> right | Some r -> Smap.add key r right in
+    t.records <- left;
+    { records = right }
+
+  let absorb t src =
+    Smap.iter
+      (fun key r -> t.records <- Smap.add key (copy_record r) t.records)
+      src.records
+
+  let replace_with t src = t.records <- (copy src).records
+end
+
+type store_op =
+  | Put_intent of int * string * int * int * bool
+  | Resolve of int * string * int * int option
+  | Prevent of int * string * int * int
+  | Put_version of int * string * int * bool
+  | Copy of int * int
+  | Replace_with of int * int
+  | Split_off of int * int * string
+  | Absorb of int * int
+
+let pp_store_op = function
+  | Put_intent (s, k, txn, w, tomb) ->
+      Printf.sprintf "put_intent(%d,%s,txn %d,@%d%s)" s k txn w
+        (if tomb then ",tombstone" else "")
+  | Resolve (s, k, txn, Some w) -> Printf.sprintf "commit(%d,%s,txn %d,@%d)" s k txn w
+  | Resolve (s, k, txn, None) -> Printf.sprintf "abort(%d,%s,txn %d)" s k txn
+  | Prevent (s, k, txn, w) -> Printf.sprintf "prevent(%d,%s,txn %d,@%d)" s k txn w
+  | Put_version (s, k, w, tomb) ->
+      Printf.sprintf "put_version(%d,%s,@%d%s)" s k w (if tomb then ",tombstone" else "")
+  | Copy (d, s) -> Printf.sprintf "%d:=copy %d" d s
+  | Replace_with (d, s) -> Printf.sprintf "replace_with(%d,%d)" d s
+  | Split_off (d, s, k) -> Printf.sprintf "%d:=split_off(%d,%s)" d s k
+  | Absorb (d, s) -> Printf.sprintf "absorb(%d,%d)" d s
+
+let model_keys = [ "a"; "b"; "c"; "d"; "e" ]
+let model_txns = [ 1; 2; 3 ]
+
+(* Store [m] reads as the oracle's [o]: every key at every timestamp (with
+   and without an uncertainty window, for every reader), its intent and
+   preventions, and a scan of the whole key space. *)
+let same_store m o =
+  let readers = None :: List.map Option.some model_txns in
+  List.for_all
+    (fun key ->
+      Mvcc.intent_on m ~key = Deep.intent_on o ~key
+      && List.for_all
+           (fun txn_id ->
+             Mvcc.is_prevented m ~key ~txn_id = Deep.is_prevented o ~key ~txn_id)
+           model_txns
+      && List.for_all
+           (fun (at, window) ->
+             List.for_all
+               (fun for_txn ->
+                 let ts = ts at and max_ts = ts (at + window) in
+                 Mvcc.read m ~key ~ts ~max_ts ~for_txn
+                 = Deep.read o ~key ~ts ~max_ts ~for_txn)
+               readers)
+           (List.concat_map (fun at -> [ (at, 0); (at, 3) ]) (List.init 12 Fun.id)))
+    model_keys
+  && List.for_all
+       (fun (at, for_txn) ->
+         Mvcc.scan m ~start_key:"" ~end_key:"\xff" ~ts:(ts at) ~max_ts:(ts at)
+           ~for_txn ~limit:None
+         = Deep.scan o ~ts:(ts at) ~max_ts:(ts at) ~for_txn)
+       [ (0, None); (5, Some 1); (11, None) ]
+
+(* A pool of four stores takes random intent, prevention and version
+   writes and random copies, snapshot installs, splits and merges between
+   them; after every step each store reads as the deep-copying oracle's.
+   A write that goes through a record its store does not own, or a copy
+   that leaves its source able to write records the copy shares, shows
+   here as one store's write appearing in another. *)
+let prop_sharing_matches_deep_copies =
+  let pool = 4 in
+  let key = QCheck.Gen.oneofl model_keys
+  and txn = QCheck.Gen.oneofl model_txns
+  and wall = QCheck.Gen.int_range 1 10
+  and store = QCheck.Gen.int_bound (pool - 1) in
+  let two_stores =
+    QCheck.Gen.(
+      store >>= fun d -> map (fun s -> (d, (d + 1 + s) mod pool)) (int_bound (pool - 2)))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 6,
+            map2
+              (fun (s, k, t) (w, tomb) -> Put_intent (s, k, t, w, tomb))
+              (triple store key txn) (pair wall (map (fun n -> n = 0) (int_bound 4))) );
+          (4, map2 (fun (s, k, t) c -> Resolve (s, k, t, c)) (triple store key txn) (opt wall));
+          (2, map2 (fun (s, k, t) w -> Prevent (s, k, t, w)) (triple store key txn) wall);
+          ( 3,
+            map2
+              (fun (s, k) (w, tomb) -> Put_version (s, k, w, tomb))
+              (pair store key) (pair wall (map (fun n -> n = 0) (int_bound 4))) );
+          (2, map (fun (d, s) -> Copy (d, s)) two_stores);
+          (2, map (fun (d, s) -> Replace_with (d, s)) two_stores);
+          ( 2,
+            map2
+              (fun (d, s) k -> Split_off (d, s, k))
+              two_stores (oneofl [ "a"; "b"; "bb"; "c"; "d"; "f" ]) );
+          (2, map (fun (d, s) -> Absorb (d, s)) two_stores);
+        ])
+  in
+  let print ops = String.concat " " (List.map pp_store_op ops) in
+  QCheck.Test.make ~name:"mvcc sharing matches deep copies" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (int_bound 40) op))
+    (fun ops ->
+      let ms = Array.init pool (fun _ -> Mvcc.create ())
+      and os = Array.init pool (fun _ -> Deep.create ()) in
+      let value tomb k w = if tomb then None else Some (Printf.sprintf "%s@%d" k w) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Put_intent (s, key, txn_id, w, tomb) ->
+              let value = value tomb key w in
+              let got = Mvcc.put_intent ms.(s) ~key ~txn_id ~ts:(ts w) ~value () in
+              if got <> Deep.put_intent os.(s) ~key ~txn_id ~ts:(ts w) ~value then
+                QCheck.Test.fail_reportf "%s: write outcomes differ" (pp_store_op op)
+          | Resolve (s, key, txn_id, commit) ->
+              let commit = Option.map ts commit in
+              Mvcc.resolve_intent ms.(s) ~key ~txn_id ~commit;
+              Deep.resolve_intent os.(s) ~key ~txn_id ~commit
+          | Prevent (s, key, txn_id, w) ->
+              if Mvcc.prevent ms.(s) ~key ~txn_id ~ts:(ts w)
+                 <> Deep.prevent os.(s) ~key ~txn_id ~ts:(ts w)
+              then QCheck.Test.fail_reportf "%s: outcomes differ" (pp_store_op op)
+          | Put_version (s, key, w, tomb) ->
+              let value = value tomb key w in
+              Mvcc.put_version ms.(s) ~key ~ts:(ts w) ~value;
+              Deep.put_version os.(s) ~key ~ts:(ts w) ~value
+          | Copy (d, s) ->
+              ms.(d) <- Mvcc.copy ms.(s);
+              os.(d) <- Deep.copy os.(s)
+          | Replace_with (d, s) ->
+              Mvcc.replace_with ms.(d) ms.(s);
+              Deep.replace_with os.(d) os.(s)
+          | Split_off (d, s, key) ->
+              ms.(d) <- Mvcc.split_off ms.(s) ~key;
+              os.(d) <- Deep.split_off os.(s) ~key
+          | Absorb (d, s) ->
+              Mvcc.absorb ms.(d) ms.(s);
+              Deep.absorb os.(d) os.(s));
+          List.for_all (fun i -> same_store ms.(i) os.(i)) (List.init pool Fun.id))
+        ops)
+
+(* Each way two stores come to share records, followed by a write to each
+   side: neither write shows in the other store. The split cases hand the
+   right side back to the store it came from, whose token still owns the
+   records it wrote before the split. *)
+let test_sharing_isolates_writes () =
+  let latest s key = read_value s ~key ~at:100 in
+  let seeded () =
+    let s = Mvcc.create () in
+    Mvcc.put_version s ~key:"a" ~ts:(ts 1) ~value:(Some "a0");
+    Mvcc.put_version s ~key:"m" ~ts:(ts 1) ~value:(Some "m0");
+    s
+  in
+  let isolated name share =
+    let s = seeded () in
+    let t = share s in
+    Mvcc.put_version s ~key:"m" ~ts:(ts 2) ~value:(Some "s");
+    check Alcotest.(option string) (name ^ ": other side unchanged") (Some "m0")
+      (latest t "m");
+    Mvcc.put_version t ~key:"m" ~ts:(ts 3) ~value:(Some "t");
+    check Alcotest.(option string) (name ^ ": writer unchanged") (Some "s")
+      (latest s "m")
+  in
+  isolated "copy" Mvcc.copy;
+  isolated "replace_with" (fun s ->
+      let t = Mvcc.create () in
+      Mvcc.replace_with t s;
+      t);
+  isolated "absorb" (fun s ->
+      let t = Mvcc.create () in
+      Mvcc.absorb t s;
+      t);
+  isolated "split_off then absorb" (fun s ->
+      let right = Mvcc.split_off s ~key:"b" in
+      Mvcc.absorb s right;
+      right);
+  isolated "split_off then replace_with" (fun s ->
+      let right = Mvcc.split_off s ~key:"b" in
+      Mvcc.replace_with s right;
+      right)
+
 let test_tscache () =
   let none = None in
   let c = Tscache.create ~low_water:(ts 10) in
@@ -306,6 +611,8 @@ let suite =
     qcheck prop_read_latest_below;
     qcheck prop_insert_version_is_stable_sort;
     qcheck prop_span_reads_match_whole_store;
+    qcheck prop_sharing_matches_deep_copies;
+    Alcotest.test_case "sharing isolates writes" `Quick test_sharing_isolates_writes;
     Alcotest.test_case "tscache" `Quick test_tscache;
     Alcotest.test_case "tscache self exclusion" `Quick test_tscache_self_exclusion;
   ]
