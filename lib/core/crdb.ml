@@ -16,6 +16,7 @@ module Metrics = Crdb_obs.Metrics
 module Events = Crdb_obs.Events
 module Timeseries = Crdb_obs.Timeseries
 module Phase = Crdb_obs.Phase
+module Op = Crdb_obs.Op
 module Report = Crdb_obs.Report
 
 let version = "0.1.0"

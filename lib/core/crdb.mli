@@ -36,6 +36,7 @@ module Metrics = Crdb_obs.Metrics
 module Events = Crdb_obs.Events
 module Timeseries = Crdb_obs.Timeseries
 module Phase = Crdb_obs.Phase
+module Op = Crdb_obs.Op
 module Report = Crdb_obs.Report
 
 val version : string

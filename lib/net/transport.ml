@@ -117,17 +117,17 @@ let send t ~src ~dst handler payload =
   end
   else Metrics.inc t.c_dropped.(src)
 
-let rpc ?span ?(phases = Crdb_obs.Phase.nil) t ~src ~dst handler =
+let rpc ?(op = Crdb_obs.Op.nil) t ~src ~dst handler =
   Metrics.inc t.c_rpcs.(src);
   (* Hop accounting for the §6 latency model: a request/response exchange
      that crosses a region boundary is one WAN round trip charged to the
      issuing operation. *)
   if cross_region t src dst then begin
     Metrics.inc t.c_wan_rpcs.(src);
-    Crdb_obs.Phase.add_wan phases
+    Crdb_obs.Op.add_wan op
   end;
   let sp =
-    Trace.span (Obs.trace t.obs) ?parent:span ~node:src "net.rpc"
+    Trace.span (Obs.trace t.obs) ~parent:(Crdb_obs.Op.span op) ~node:src "net.rpc"
   in
   Trace.annotate_int sp "dst" dst;
   let outer = Ivar.create () in

@@ -42,8 +42,7 @@ val send :
     after the one-way delay, unless dropped. *)
 
 val rpc :
-  ?span:Crdb_obs.Trace.span ->
-  ?phases:Crdb_obs.Phase.ctx ->
+  ?op:Crdb_obs.Op.t ->
   t ->
   src:Topology.node_id ->
   dst:Topology.node_id ->
@@ -51,9 +50,9 @@ val rpc :
   'a Crdb_sim.Ivar.t
 (** [rpc t ~src ~dst handler] runs [handler reply] at [dst]; when the handler
     fills [reply], the result travels back and fills the returned ivar.
-    [span] parents the recorded [net.rpc] span (finished when the reply
+    [op]'s span parents the recorded [net.rpc] span (finished when the reply
     lands; an RPC whose reply is dropped leaves no span). A cross-region RPC
-    charges one WAN round trip to [phases] (and the per-node [net.wan_rpcs]
+    charges one WAN round trip to [op] (and the per-node [net.wan_rpcs]
     counter) at issue time. *)
 
 (** {2 Failure injection} *)

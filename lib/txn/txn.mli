@@ -102,7 +102,7 @@ val run :
   manager ->
   gateway:Crdb_net.Topology.node_id ->
   ?max_attempts:int ->
-  ?phases:Crdb_obs.Phase.ctx ->
+  ?op:Crdb_obs.Op.t ->
   ?on_attempt:(t -> attempt_outcome -> unit) ->
   (t -> 'a) ->
   ('a, error) result
@@ -112,14 +112,15 @@ val run :
     result is returned only after the commit point {e and} any commit wait,
     so client-observed latency is faithful.
 
-    [phases] receives the phase-latency decomposition of the whole run —
+    [op] receives the phase-latency decomposition of the whole run —
     routing, lease and lock waits, replication rounds, read refreshes,
     commit wait, retry backoff — plus the WAN round-trip count, summed
-    across every attempt. When omitted, the run allocates its own context
-    and flushes it into the manager's [phase.txn.*] and [wan_rtts.txn]
-    histograms on completion; a caller-supplied context is accumulated into
-    but left unflushed, so the caller can aggregate several transactions
-    into one op class (see {!Crdb_obs.Phase.flush}).
+    across every attempt, and its span parents the run's root span. When
+    omitted, the run makes its own operation and flushes it into the
+    manager's [phase.txn.*] and [wan_rtts.txn] histograms on completion; a
+    caller-supplied operation is charged but left unflushed, so the caller
+    can aggregate several transactions into one op class (see
+    {!Crdb_obs.Op.flush}).
 
     [on_attempt] is called once per physical attempt, after it committed or
     failed but before any retry, with the attempt's handle (so [txn_id]
@@ -143,7 +144,7 @@ val run_blind_put :
   manager ->
   gateway:Crdb_net.Topology.node_id ->
   ?max_attempts:int ->
-  ?phases:Crdb_obs.Phase.ctx ->
+  ?op:Crdb_obs.Op.t ->
   string ->
   string ->
   (unit, error) result
@@ -186,7 +187,7 @@ val run_fresh_read :
   manager ->
   gateway:Crdb_net.Topology.node_id ->
   ?max_attempts:int ->
-  ?phases:Crdb_obs.Phase.ctx ->
+  ?op:Crdb_obs.Op.t ->
   (ro -> 'a) ->
   ('a, error) result
 (** Present-time read-only transaction. Reads of GLOBAL ranges are served

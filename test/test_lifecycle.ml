@@ -407,7 +407,7 @@ let test_abandon_reaches_late_follower () =
     (Cluster.leaseholder cl rid);
   Cluster.run cl (fun () ->
       match
-        Cluster.txn_update cl ~gateway:lh ~op:"kv.txn_stage" ~txn:1 ~key:"k"
+        Cluster.txn_update cl ~gateway:lh ~name:"kv.txn_stage" ~txn:1 ~key:"k"
           (Crdb_kv.Txnrec.U_stage
              { pri; ts; inflight = []; hb = Sim.now (Cluster.sim cl) })
       with

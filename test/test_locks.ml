@@ -235,7 +235,7 @@ let test_committed_record_resolves_intent () =
           ~value:"orphan"
       in
       (match
-         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:10
+         Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_commit" ~txn:10
            ~key:"k" (Txnrec.U_commit { ts })
        with
       | Some (Txnrec.Committed _) -> ()

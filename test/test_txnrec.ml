@@ -133,7 +133,7 @@ let test_record_follows_split () =
         (function Some Txnrec.Pending -> true | _ -> false)
         "record followed the split";
       (match
-         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_heartbeat" ~txn:1
+         Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_heartbeat" ~txn:1
            ~key:"x"
            (Txnrec.U_heartbeat { hb = Sim.now (Cluster.sim cl) })
        with
@@ -159,7 +159,7 @@ let test_record_survives_merge () =
         (function Some Txnrec.Pending -> true | _ -> false)
         "record absorbed by the left range";
       match
-        Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:1 ~key:"x"
+        Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_commit" ~txn:1 ~key:"x"
           (Txnrec.U_commit { ts = Cluster.now_ts cl gw })
       with
       | Some (Txnrec.Committed _) -> ()
@@ -182,7 +182,7 @@ let test_heartbeat_rpc_keeps_record_live () =
           for _ = 1 to 3 do
             Proc.sleep sim interval;
             ignore
-              (Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_heartbeat" ~txn:1
+              (Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_heartbeat" ~txn:1
                  ~key:"k"
                  (Txnrec.U_heartbeat { hb = Sim.now sim })
                 : Txnrec.status option)
@@ -232,7 +232,7 @@ let test_staging_not_wounded () =
           ~value:"staged"
       in
       (match
-         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_stage" ~txn:2 ~key:"k"
+         Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_stage" ~txn:2 ~key:"k"
            (Txnrec.U_stage
               { pri = pri_young; ts; inflight = []; hb = Sim.now sim })
        with
@@ -252,7 +252,7 @@ let test_staging_not_wounded () =
       (* Coordinator finishes: explicit commit, then the pusher cleans up
          the committed intent on its own. *)
       (match
-         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:2 ~key:"k"
+         Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_commit" ~txn:2 ~key:"k"
            (Txnrec.U_commit { ts })
        with
       | Some (Txnrec.Committed _) -> ()
@@ -274,7 +274,7 @@ let test_recovery_commits_complete_staging () =
       ignore (write_ok cl ~pri ~anchor:"b" ~gateway:gw ~txn:5 ~key:"b" ~value:"v1");
       let ts = write_ok cl ~pri ~anchor:"b" ~gateway:gw ~txn:5 ~key:"n" ~value:"v2" in
       (match
-         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_stage" ~txn:5 ~key:"b"
+         Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_stage" ~txn:5 ~key:"b"
            (Txnrec.U_stage
               { pri; ts; inflight = [ "b"; "n" ]; hb = Sim.now sim })
        with
@@ -311,7 +311,7 @@ let test_recovery_aborts_incomplete_staging () =
       let ts = write_ok cl ~pri ~anchor:"b" ~gateway:gw ~txn:6 ~key:"b" ~value:"v1" in
       (* Declare a second in-flight write that never happened. *)
       (match
-         Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_stage" ~txn:6 ~key:"b"
+         Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_stage" ~txn:6 ~key:"b"
            (Txnrec.U_stage
               { pri; ts; inflight = [ "b"; "n" ]; hb = Sim.now sim })
        with
@@ -390,7 +390,7 @@ let test_commit_vs_wound_race () =
           in
           Proc.sleep sim commit_after;
           let commit_view =
-            Cluster.txn_update cl ~gateway:gw ~op:"kv.txn_commit" ~txn:2
+            Cluster.txn_update cl ~gateway:gw ~name:"kv.txn_commit" ~txn:2
               ~key:"k" (Txnrec.U_commit { ts })
           in
           (match Proc.await pusher with
