@@ -5,48 +5,13 @@ module Hist = Crdb_stats.Hist
    accumulate deterministically in simulated time, so the rendering is
    byte-identical across runs of the same seed. *)
 
-let phase_prefix = "phase."
-let wan_prefix = "wan_rtts."
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* Op classes are discovered from the metric registry: [phase.<cls>.<phase>]
-   and [wan_rtts.<cls>]. Phase names are a closed set without dots, so the
-   class is everything between the prefix and the final [.<phase>]. *)
-let phase_classes metrics =
+(* Op classes are discovered from the metric registry: every flushed class
+   registers [wan_rtts.<cls>] along with its [phase.<cls>.*] histograms. *)
+let classes metrics =
   List.filter_map
     (fun n ->
-      if not (starts_with ~prefix:phase_prefix n) then None
-      else
-        let rest =
-          String.sub n (String.length phase_prefix)
-            (String.length n - String.length phase_prefix)
-        in
-        List.find_map
-          (fun p ->
-            let suffix = "." ^ Phase.name p in
-            if
-              String.length rest > String.length suffix
-              && String.sub rest
-                   (String.length rest - String.length suffix)
-                   (String.length suffix)
-                 = suffix
-            then
-              Some (String.sub rest 0 (String.length rest - String.length suffix))
-            else None)
-          Phase.all_phases)
-    (Metrics.names metrics)
-  |> List.sort_uniq String.compare
-
-let wan_classes metrics =
-  List.filter_map
-    (fun n ->
-      if starts_with ~prefix:wan_prefix n then
-        Some
-          (String.sub n (String.length wan_prefix)
-             (String.length n - String.length wan_prefix))
+      if String.starts_with ~prefix:"wan_rtts." n then
+        Some (String.sub n 9 (String.length n - 9))
       else None)
     (Metrics.names metrics)
   |> List.sort_uniq String.compare
@@ -54,45 +19,40 @@ let wan_classes metrics =
 let ms v = float_of_int v /. 1000.0
 
 let pp_phase_table ppf metrics =
-  let classes = phase_classes metrics in
+  let classes = classes metrics in
   if classes = [] then Format.fprintf ppf "(no phase samples)@."
   else
     List.iter
       (fun cls ->
         Format.fprintf ppf "%s:@." cls;
         List.iter
-          (fun p ->
-            let h =
-              Metrics.merged_hist metrics
-                (phase_prefix ^ cls ^ "." ^ Phase.name p)
-            in
+          (fun name ->
+            let h = Metrics.merged_hist metrics ("phase." ^ cls ^ "." ^ name) in
             if (not (Hist.is_empty h)) && Hist.max_value h > 0 then
               Format.fprintf ppf
                 "  %-14s n=%-6d mean=%8.1fms  p50=%8.1fms  p99=%8.1fms  \
                  max=%8.1fms@."
-                (Phase.name p) (Hist.count h)
+                name (Hist.count h)
                 (Hist.mean h /. 1000.0)
                 (ms (Hist.p50 h)) (ms (Hist.p99 h))
                 (ms (Hist.max_value h)))
-          Phase.all_phases)
+          (List.map Phase.name Phase.all_phases @ [ "unattributed" ]))
       classes
 
 let pp_wan_table ?(predicted = []) ppf metrics =
-  let classes = wan_classes metrics in
+  let classes = classes metrics in
   if classes = [] then Format.fprintf ppf "(no WAN round-trip samples)@."
   else
     List.iter
       (fun cls ->
-        let h = Metrics.merged_hist metrics (wan_prefix ^ cls) in
+        let h = Metrics.merged_hist metrics ("wan_rtts." ^ cls) in
         if not (Hist.is_empty h) then begin
           let measured = Hist.p50 h in
           Format.fprintf ppf "%-24s n=%-6d measured(p50)=%d  mean=%.2f" cls
             (Hist.count h) measured (Hist.mean h);
           (match List.assoc_opt cls predicted with
           | Some p ->
-              let verdict =
-                if abs (measured - p) <= 1 then "ok" else "MISMATCH"
-              in
+              let verdict = if measured = p then "ok" else "MISMATCH" in
               Format.fprintf ppf "  predicted=%d  [%s]" p verdict
           | None -> ());
           Format.fprintf ppf "@."
@@ -114,12 +74,7 @@ let pp_hot_ranges ppf ts =
     |> List.sort (fun (r1, q1) (r2, q2) ->
            match compare q2 q1 with 0 -> Int.compare r1 r2 | c -> c)
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  match take top scored with
+  match List.filteri (fun i _ -> i < top) scored with
   | [] -> Format.fprintf ppf "(no per-range load recorded)@."
   | hot ->
       List.iter

@@ -26,8 +26,11 @@ val to_string : Obs.t -> string
 (** [pp] with the timeline. *)
 
 val pp_phase_table : Format.formatter -> Metrics.t -> unit
+(** Per op class, one row per phase with a nonzero sample, then
+    [unattributed] when it is nonzero. *)
 
 val pp_wan_table :
   ?predicted:(string * int) list -> Format.formatter -> Metrics.t -> unit
 (** [predicted] maps op-class names to the model's WAN round-trip count; a
-    class within ±1 of its prediction renders [ok], otherwise [MISMATCH]. *)
+    class whose p50 equals its prediction renders [ok], otherwise
+    [MISMATCH]. *)

@@ -35,6 +35,7 @@ type t = {
 
 let create ~now () = { now; enabled = false; next_id = 1; records = Vec.create () }
 let enable t = t.enabled <- true
+let now t = t.now ()
 let nil = Nil
 
 let clear t =

@@ -19,6 +19,9 @@ val create : now:(unit -> int) -> unit -> t
 
 val enable : t -> unit
 
+val now : t -> int
+(** The recorder's clock: simulated µs. *)
+
 val nil : span
 (** The inert span: safe to pass as a parent, never recorded. *)
 

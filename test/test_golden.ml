@@ -121,20 +121,20 @@ let scenario ?(opts = Txn.Options.default) () =
 
 let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
-    "e62e470ca56f7109108411a6d973955e" (scenario ())
+    "4da41571dcbd3b710d2143425a841b58" (scenario ())
 
 (* The same scenario on the two commit paths the default options skip:
    sequential commits with and without write pipelining. *)
 let test_sequential_digest () =
   check Alcotest.string "metrics + trace digest"
-    "843934d9b3010a52cb936d6046f6785f"
+    "def06a0319692f12d09f74a013de5727"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = false; parallel_commits = false }
        ())
 
 let test_pipelined_digest () =
   check Alcotest.string "metrics + trace digest"
-    "f0d658907ea0f0d49551a0fd788b00e4"
+    "008a0324087a3debd17eca1b1d1cc5b2"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
        ())
@@ -183,7 +183,7 @@ let heartbeat_scenario () =
 
 let test_heartbeat_digest () =
   check Alcotest.string "metrics + trace digest"
-    "f16120dac51842cb70050ca1ffe189c7" (heartbeat_scenario ())
+    "c60298ab8a94930289199d3be7119921" (heartbeat_scenario ())
 
 let suite =
   [

@@ -12,6 +12,8 @@ module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
+module Phase = Crdb_obs.Phase
+module Op = Crdb_obs.Op
 module Hist = Crdb_stats.Hist
 
 let check = Alcotest.check
@@ -526,6 +528,102 @@ let test_stale_scan_limit_across_split () =
         Alcotest.(list (pair string string))
         "first two keys" [ ("k1", "vk1"); ("k2", "vk2") ] rows)
 
+(* Every operation of the latency-audit classes (bench latency-audit's
+   topology: a REGIONAL and a GLOBAL range homed in us-east1, local and
+   europe-west2 gateways) is fully priced: its phases sum to its
+   end-to-end time, and flushing it records the remainder, zero, as
+   unattributed. *)
+let test_phases_add_up () =
+  let cl, _ =
+    Crdb.kv_cluster
+      ~config:{ Cluster.default with seed = 37 }
+      ~regions:regions5 ~home ~survival:Zoneconfig.Zone
+      ~ranges:[ (("reg", "reg~"), Cluster.Lag); (("glob", "glob~"), Cluster.Lead) ]
+      ()
+  in
+  let mgr = Txn.create_manager cl in
+  let sim = Cluster.sim cl in
+  let tr = Obs.trace (Cluster.obs cl) in
+  let gw_home = node_in cl home 0 and gw_remote = node_in cl "europe-west2" 0 in
+  let key p i = Printf.sprintf "%s%02d" p (i mod 10) in
+  let classes =
+    [
+      ( "local_read",
+        fun op i ->
+          Txn.run mgr ~gateway:gw_home ~op (fun t ->
+              ignore (Txn.get t (key "reg" i))) );
+      ( "local_write",
+        fun op i ->
+          Txn.run mgr ~gateway:gw_home ~op (fun t -> Txn.put t (key "reg" i) "v")
+      );
+      ( "global_read",
+        fun op i ->
+          Txn.run_fresh_read mgr ~gateway:gw_remote ~op (fun ro ->
+              ignore (Txn.ro_get ro (key "glob" i))) );
+      ( "global_write",
+        fun op i -> Txn.run_blind_put mgr ~gateway:gw_remote ~op (key "glob" i) "v"
+      );
+      ( "txn_commit",
+        fun op i ->
+          Txn.run mgr ~gateway:gw_remote ~op (fun t -> Txn.put t (key "reg" i) "v")
+      );
+    ]
+  in
+  Cluster.run cl (fun () ->
+      for i = 0 to 9 do
+        expect_ok
+          (Txn.run mgr ~gateway:gw_home (fun t -> Txn.put t (key "reg" i) "seed"));
+        expect_ok (Txn.run_blind_put mgr ~gateway:gw_home (key "glob" i) "seed")
+      done;
+      Proc.sleep sim 1_000_000;
+      List.iter
+        (fun (cls, body) ->
+          for i = 1 to 6 do
+            Proc.sleep sim 100_000;
+            let t0 = Sim.now sim in
+            let op = Op.make tr in
+            expect_ok (body op i);
+            let e2e = Sim.now sim - t0 in
+            let m = Metrics.create () in
+            Op.flush op (Phase.sink m ~cls);
+            let unattributed =
+              Hist.max_value (Metrics.merged_hist m ("phase." ^ cls ^ ".unattributed"))
+            in
+            let sum =
+              List.fold_left (fun acc p -> acc + Op.total op p) 0 Phase.all_phases
+            in
+            let what = Printf.sprintf "%s #%d" cls i in
+            check Alcotest.int (what ^ ": phases + unattributed = e2e") e2e
+              (sum + unattributed);
+            check Alcotest.int (what ^ ": nothing unattributed") 0 unattributed
+          done)
+        classes)
+
+(* A sequential, unpipelined two-write commit whose consensus quorum needs
+   a europe-west2 vote (bench commit-path's topology) pays three WAN round
+   trips in series — each intent's round, then the commit record's — and
+   the operation context counts all three. *)
+let test_sequential_commit_counts_three_rtts () =
+  let cl, _ =
+    Crdb.kv_cluster
+      ~regions:[ "us-east1"; "europe-west2"; "asia-northeast1" ]
+      ~home ~survival:Zoneconfig.Region
+      ~ranges:[ (("a", "a~"), Cluster.Lag); (("b", "b~"), Cluster.Lag) ]
+      ()
+  in
+  let mgr = Txn.create_manager cl in
+  Txn.set_options mgr
+    { Txn.Options.pipelined_writes = false; parallel_commits = false };
+  let gw = node_in cl home 0 in
+  let op = Op.make (Obs.trace (Cluster.obs cl)) in
+  Cluster.run cl (fun () ->
+      Proc.sleep (Cluster.sim cl) 1_000_000;
+      expect_ok
+        (Txn.run mgr ~gateway:gw ~op (fun t ->
+             Txn.put t "a1" "v";
+             Txn.put t "b1" "v")));
+  check Alcotest.int "wan round trips" 3 (Op.wan_rtts op)
+
 let suite =
   [
     Alcotest.test_case "basic txn" `Quick test_basic_txn;
@@ -548,4 +646,8 @@ let suite =
     Alcotest.test_case "heartbeat lifecycle" `Quick test_heartbeat_lifecycle;
     Alcotest.test_case "stale scan limit across split" `Quick
       test_stale_scan_limit_across_split;
+    Alcotest.test_case "phases add up on the audit topology" `Quick
+      test_phases_add_up;
+    Alcotest.test_case "sequential commit counts three wan rtts" `Quick
+      test_sequential_commit_counts_three_rtts;
   ]
