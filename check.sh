@@ -205,7 +205,8 @@ dune exec bench/main.exe -- autopilot
 # Commit-path gate: sequential, pipelined and parallel commits on the same
 # two-range transaction. The bench exits nonzero unless parallel commits
 # ack within 1.5 WAN round trips at p50, sequential commits take at least
-# 2.5, and parallel < pipelined < sequential.
+# 2.5, parallel < pipelined < sequential, and the operation context counts
+# 3 / 2 / 1 WAN round trips at p50.
 echo "== bench commit-path (parallel < pipelined < sequential)"
 dune exec bench/main.exe -- commit-path
 
@@ -281,12 +282,22 @@ done <test/determinism.md5
 # Figure pins: the same rule for the deterministic bench experiments. Each
 # line of test/figures.md5 is the MD5 of one experiment's output, minus its
 # wall-clock line, followed by the experiment's name. fig5 and fig6 are
-# left out for their run time.
+# left out for their run time. An experiment that fails its own checks
+# (latency-audit's breakdown and WAN gate, commit-path's) exits nonzero,
+# which fails the gate whatever its output hashes to.
 echo "== figure pins (test/figures.md5)"
 figs_ok=1
 while read -r want exp; do
-  got=$(dune exec bench/main.exe -- "$exp" </dev/null |
-    grep -v 'completed in .* wall clock' | md5sum | cut -d' ' -f1)
+  status=0
+  dune exec bench/main.exe -- "$exp" </dev/null >"$tmprep/fig.out" || status=$?
+  if [ "$status" != 0 ]; then
+    cat "$tmprep/fig.out"
+    echo "bench/main.exe $exp exited $status"
+    figs_ok=0
+    continue
+  fi
+  got=$(grep -v 'completed in .* wall clock' "$tmprep/fig.out" | md5sum |
+    cut -d' ' -f1)
   if [ "$got" != "$want" ]; then
     echo "pin moved: bench/main.exe $exp (pinned $want, got $got)"
     figs_ok=0
