@@ -59,8 +59,25 @@ echo "== chaos gate with range lifecycle (seeds 201-203)"
 dune exec bin/crdb_sim.exe -- chaos --seed 201 --seeds 3 --survival region \
   --faults kill-node,lease-transfer,split-range,merge-range,rebalance
 
-echo "== splits demo (routing after 100+ splits)"
-dune exec bin/crdb_sim.exe -- splits --ranges 120
+# Merges go through the left range's Raft log, so a proposed merge can
+# still come to nothing; the demo merges disjoint pairs, and each must apply.
+echo "== splits demo (routing after 100+ splits, every proposed merge applies)"
+out=$(dune exec bin/crdb_sim.exe -- splits --ranges 120)
+echo "$out"
+merged=$(echo "$out" | sed -n 's/^merged \([0-9]*\) pairs.*/\1/p')
+applied=$(echo "$out" | sed -n 's/.* kv\.merges=\([0-9]*\).*/\1/p')
+if [ -z "$merged" ] || [ "$merged" = 0 ] || [ "$merged" != "$applied" ]; then
+  echo "splits demo: proposed ${merged:-no} merges, kv.merges=${applied:-none}"
+  exit 1
+fi
+
+# Merge window: merges and splits race node kills, partitions and lease
+# transfers; a merge trigger must apply the same way on every replica,
+# however late. Every run must check out clean.
+echo "== merge chaos window (seeds 801-804)"
+dune exec bin/crdb_sim.exe -- chaos --seed 801 --seeds 4 --survival region \
+  --checker serializability \
+  --faults split-range,merge-range,kill-node,partition,lease-transfer
 
 # Serializability gate: multi-key transactions spanning several ranges race
 # the full fault mix (kills, partitions, clock jumps, lease transfers and

@@ -94,9 +94,12 @@ let skip t ~node ~rid ~queue =
     Events.Queue_skipped
 
 let f1 v = Printf.sprintf "%.1f" v
+let live t (node, _) = Transport.is_alive (Cluster.net t.cl) node
 
 (* Split queue: hot (QPS) or large (bytes) ranges split at the point that
-   halves recent traffic. *)
+   halves recent traffic, once every replica's node is up: a node down at
+   the split leaves the right range a replica short until it revives and
+   applies the trigger, and for good if it catches up by snapshot. *)
 let split_check t ~node ~now rid =
   let q = qps t rid in
   let bytes = Option.value ~default:0 (Cluster.live_bytes t.cl rid) in
@@ -109,6 +112,8 @@ let split_check t ~node ~now rid =
   | None -> false
   | Some _ when in_cooldown t now rid ->
       skip t ~node ~rid ~queue:"split";
+      false
+  | Some _ when not (List.for_all (live t) (Cluster.replica_nodes t.cl rid)) ->
       false
   | Some reason -> (
       match Cluster.load_split_point t.cl rid with
@@ -127,9 +132,9 @@ let split_check t ~node ~now rid =
                 Events.Split_queued;
               true))
 
-(* Merge queue: subsume the right neighbor when the combined pair is cold
-   and small. [Cluster.merge_range] itself rejects mismatched configs or a
-   dead right leaseholder, so only the load policy lives here. *)
+(* Merge queue: propose subsuming the right neighbor when the pair is cold
+   and small. [Cluster.merge_range] and its trigger reject mismatched configs
+   or a right range with no leaseholder, so only the load policy lives here. *)
 let merge_check t ~node ~now rid =
   let _, e = Cluster.span_of t.cl rid in
   let right =

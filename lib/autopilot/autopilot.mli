@@ -52,7 +52,7 @@ type t
 
 type stats = {
   mutable auto_splits : int;  (** splits decided by the split queue *)
-  mutable auto_merges : int;  (** merges decided by the merge queue *)
+  mutable auto_merges : int;  (** merges the merge queue proposed *)
   mutable lease_moves : int;  (** load-driven lease transfers *)
   mutable replica_moves : int;  (** allocator rebalance steps initiated *)
   mutable skips : int;  (** due actions suppressed by the cooldown *)

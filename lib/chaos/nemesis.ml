@@ -318,7 +318,7 @@ let pick_fault t rng cfg kind =
             (Cluster.split_point cl rid))
   | K_merge_range ->
       (* Only ranges whose right-hand neighbor exists and matches (same zone
-         and policy) are candidates; [merge_range] rechecks at injection. *)
+         and policy) are candidates; [merge_range] and its trigger recheck. *)
       let mergeable rid =
         let _, e = Cluster.span_of cl rid in
         List.exists

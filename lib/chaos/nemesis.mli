@@ -24,7 +24,7 @@ type fault =
   | Lease_transfer of Cluster.range_id * int  (** range, target node *)
   | Split_range of Cluster.range_id * string  (** range, split key *)
   | Merge_range of Cluster.range_id
-      (** subsume the range's right-hand neighbor *)
+      (** propose subsuming the range's right-hand neighbor *)
   | Rebalance of Cluster.range_id
       (** one allocator-driven replica move (add-then-remove) *)
 

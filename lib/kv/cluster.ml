@@ -77,6 +77,7 @@ and range = {
   rg_tscache : Tscache.t;
   mutable rg_dropped : bool;
   mutable rg_split_index : int; (* log index of the last split trigger *)
+  mutable rg_merge_index : int; (* log index of the last merge trigger *)
   mutable rg_walk : Allocator.placement option; (* target of [walk] *)
   rg_samples : key_samples;
       (* bounded ring of recently served request keys — the autopilot split
@@ -167,9 +168,6 @@ let range_of_key t key =
   | None -> raise Not_found
 
 let replica_at rg node = rg.rg_at.(node)
-
-let every_raft rg f =
-  Hashtbl.fold (fun _ r ok -> ok && f r.r_raft) rg.rg_replicas true
 
 (* The range's current placement: each replica's node and peer kind, as its
    own Raft group sees it. *)
@@ -318,6 +316,7 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
       rg_tscache = Tscache.create ~low_water;
       rg_dropped = false;
       rg_split_index = 0;
+      rg_merge_index = 0;
       rg_walk = None;
       rg_samples = { ring = Array.make sample_cap ""; seen = 0 };
     }
@@ -325,6 +324,30 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
   Hashtbl.replace t.ranges_tbl rid rg;
   t.routing <- Smap.add (fst span) rid t.routing;
   rg
+
+let drop_range t rid =
+  let rg = range t rid in
+  rg.rg_dropped <- true;
+  Hashtbl.iter
+    (fun node r ->
+      Raft.stop r.r_raft;
+      t.load.(node) <- max 0 (t.load.(node) - 1))
+    rg.rg_replicas;
+  let start_key, _ = rg.rg_span in
+  t.routing <- Smap.remove start_key t.routing;
+  Hashtbl.remove t.ranges_tbl rid;
+  note_range_count t
+
+(* Whether [r] leads and has applied every entry committed before its term. *)
+let is_leader_now r = Raft.serving r.r_raft
+
+(* Whether [r] may answer for [key]: a split, merge or drop may have moved
+   it while a request was in flight, and a replica that has not applied
+   its range's last merge trigger lacks the absorbed span's data. *)
+let owns r key =
+  (not r.r_range.rg_dropped)
+  && in_span r.r_range key
+  && Raft.applied_index r.r_raft >= r.r_range.rg_merge_index
 
 (* Stop and forget [node]'s replica of [rg], if it still has one. *)
 let drop_replica t rg node =
@@ -383,13 +406,18 @@ and raft_callbacks t rg node sm r =
         (match (rg.rg_policy, Replica_state.write_ts cmd.op) with
         | Lag, Some ts -> Clock.update t.clocks.(node) ts
         | (Lag | Lead), _ -> ());
+        (match cmd.op with
+        | Op_merge { right; cell } when index > rg.rg_merge_index ->
+            capture_merge t rg ~node ~index ~right cell
+        | Op_merge _ | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _
+        | Op_split _ -> ());
         let ack = Replica_state.apply sm ~applied:index cmd in
         if cmd.proposer = node then
           ignore (Ivar.try_fill cmd.done_ (ack :> write_ack) : bool);
         match cmd.op with
         | Op_split { right; at } ->
             apply_split t (Lazy.force r) ~index ~right ~at cmd
-        | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ -> ());
+        | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ | Op_merge _ -> ());
     on_role =
       (fun role ->
         match role with
@@ -478,7 +506,10 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
   match range_opt t right with
   | Some rrg
     when replica_at rrg r.r_node = None
-         && every_raft rrg (fun p -> List.mem_assoc r.r_node (Raft.peers p))
+         && Hashtbl.fold
+              (fun _ p ok ->
+                ok && List.mem_assoc r.r_node (Raft.peers p.r_raft))
+              rrg.rg_replicas true
     ->
       let peers = Raft.peers r.r_raft in
       let rr = make_replica t rrg r.r_node ~sm ~peers ~boundary:(1, 0) () in
@@ -496,6 +527,41 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
         Option.iter
           (fun p -> Raft.start ~preferred:proposer p.r_raft)
           (replica_at rrg proposer)
+  | Some _ | None -> ()
+
+(* The first replica of [rg] to apply the merge trigger at [index]: if
+   [right] still adjoins [rg] with the same zone and policy and has a
+   serving leaseholder, capture that replica's state into [cell] for every
+   replica to absorb, wake [right]'s waiters, ratchet the timestamp cache
+   and closed target over [right]'s and subsume it; its in-flight
+   proposals die unacked. Otherwise the trigger is a no-op. *)
+and capture_merge t rg ~node ~index ~right cell =
+  rg.rg_merge_index <- index;
+  let s, e = rg.rg_span in
+  match range_opt t right with
+  | Some rrg
+    when fst rrg.rg_span = e && rrg.rg_zone = rg.rg_zone
+         && rrg.rg_policy = rg.rg_policy -> (
+      match
+        find_replica t right (fun r -> lease_valid t r && is_leader_now r)
+      with
+      | Some rl ->
+          let _, re = rrg.rg_span in
+          Ivar.fill cell (Replica_state.take_snapshot rl.r_sm);
+          Hashtbl.iter
+            (fun _ rrep -> Lock_table.wake_all rrep.r_sm.locks)
+            rrg.rg_replicas;
+          Tscache.bump_low_water rg.rg_tscache
+            (Tscache.max_read_span rrg.rg_tscache ~for_txn:None ~start_key:e
+               ~end_key:re);
+          rg.rg_closed_target <-
+            Ts.max rg.rg_closed_target rrg.rg_closed_target;
+          drop_range t right;
+          rg.rg_span <- (s, re);
+          Events.log (Obs.events t.obs) ~node ~range:rg.rg_id
+            ~attrs:[ ("subsumed", string_of_int right) ]
+            Events.Merge
+      | None -> ())
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -631,27 +697,10 @@ let alter_range t rid ~zone ~policy =
   end
   else move_lease t rg
 
-let drop_range t rid =
-  let rg = range t rid in
-  rg.rg_dropped <- true;
-  Hashtbl.iter
-    (fun node r ->
-      Raft.stop r.r_raft;
-      t.load.(node) <- max 0 (t.load.(node) - 1))
-    rg.rg_replicas;
-  let start_key, _ = rg.rg_span in
-  t.routing <- Smap.remove start_key t.routing;
-  Hashtbl.remove t.ranges_tbl rid;
-  note_range_count t
-
-(* Whether [r] leads and has applied every entry committed before its term. *)
-let is_leader_now r = Raft.serving r.r_raft
-
 (* The guard at the head of every leaseholder evaluation: the replica must
-   still own [key] — a split, merge or drop may have moved it while the
-   request was in flight — and must still lead its range. *)
+   still [owns] [key] and lead its range. *)
 let guard r ~key eval =
-  if r.r_range.rg_dropped || not (in_span r.r_range key) then `Range_mismatch
+  if not (owns r key) then `Range_mismatch
   else if not (is_leader_now r) then `Not_leader
   else eval ()
 
@@ -700,7 +749,7 @@ let admits r (op : Replica_state.op) =
   | Op_put { key; _ } | Op_prevent { key; _ } | Op_txn { tkey = key; _ } ->
       ok key
   | Op_resolve { keys; _ } -> List.for_all ok keys
-  | Op_split _ -> true
+  | Op_split _ | Op_merge _ -> true
 
 (* Propose [op] through [r]'s Raft log, carrying the range's closed
    timestamp target, ratcheted first even when the proposal is refused;
@@ -762,71 +811,24 @@ let split_range t rid ~at =
           Some right)
   | Some _ | None -> None
 
-(* Whether every replica of [rg] has applied its last split trigger (one
-   that has not would replay pre-split entries onto absorbed state) and
-   every peer of [raft]'s group holds a replica (none awaits its fork). *)
-let settled rg raft =
-  every_raft rg (fun p -> Raft.applied_index p >= rg.rg_split_index)
-  && List.for_all (fun (n, _) -> Hashtbl.mem rg.rg_replicas n) (Raft.peers raft)
-
 (* Merge [rid] with its right-hand neighbor (the range starting exactly at
-   its end key), subsuming the neighbor. Requires structurally equal zone
-   configs and policies and a live leaseholder on both sides. Also runs
-   synchronously:
-
-   - MVCC state: the right leaseholder's store — complete for every
-     committed right-span write — is absorbed into every left replica.
-   - Timestamp cache: the left cache's low water ratchets over the right
-     cache's maximum read, so writes admitted after the merge cannot
-     invalidate reads the right leaseholder served.
-   - Closed timestamps: the merged target is the max of both sides; new
-     writes are pushed above it, so an old left closed timestamp never
-     exposes a torn view of the absorbed span.
-   - The right leaseholder's locks move to the left leaseholder replica;
-     every waiter parked on the dying range is woken and re-resolves.
-   - In-flight right-range proposals die with the group: never committed,
-     never acked, and their transactions retry against the merged range.
-
-   Returns [false] (leaving the ranges untouched) when the neighbor is
-   missing or incompatible, either side lacks a serving leaseholder, or the
-   left range is not [settled]. *)
+   its end key) by proposing a merge trigger through its log (see
+   [capture_merge]). [true] iff proposed: the neighbor has the same zone
+   and policy, and [rid] a serving leaseholder with no split in flight. *)
 let merge_range t rid =
   match range_opt t rid with
   | None -> false
   | Some rg -> (
-      let s, e = rg.rg_span in
-      match Option.map (range t) (Smap.find_opt e t.routing) with
+      match Option.map (range t) (Smap.find_opt (snd rg.rg_span) t.routing) with
       | Some right
         when rg.rg_zone = right.rg_zone && rg.rg_policy = right.rg_policy -> (
-          match (leader_replica t rid, leader_replica t right.rg_id) with
-          | Some ll, Some rl
-            when is_leader_now ll && is_leader_now rl && settled rg ll.r_raft ->
-              let _, re = right.rg_span in
-              Hashtbl.iter
-                (fun _ lrep ->
-                  Mvcc.absorb lrep.r_sm.store rl.r_sm.store;
-                  Txnrec.absorb lrep.r_sm.txns ~from:rl.r_sm.txns)
-                rg.rg_replicas;
-              Lock_table.absorb ll.r_sm.locks ~from:rl.r_sm.locks;
-              Hashtbl.iter
-                (fun _ rrep -> Lock_table.wake_all rrep.r_sm.locks)
-                right.rg_replicas;
-              Tscache.bump_low_water rg.rg_tscache
-                (Tscache.max_read_span right.rg_tscache ~for_txn:None
-                   ~start_key:e ~end_key:re);
-              rg.rg_closed_target <-
-                Ts.max rg.rg_closed_target right.rg_closed_target;
-              drop_range t right.rg_id;
-              rg.rg_span <- (s, re);
-              Events.log (Obs.events t.obs) ~node:ll.r_node ~range:rid
-                ~attrs:[ ("subsumed", string_of_int right.rg_id) ]
-                Events.Merge;
-              true
-          | (Some _ | None), (Some _ | None) -> false)
+          match leader_replica t rid with
+          | Some lr when is_leader_now lr && latch lr = None ->
+              let cell = Ivar.create () in
+              propose t lr (Op_merge { right = right.rg_id; cell }) <> None
+          | Some _ | None -> false)
       | Some _ | None -> false)
 
-(* A reasonable split point: the median live key of the leaseholder's
-   store, or [None] when the range holds too few keys to split. *)
 let split_point t rid =
   match range_opt t rid with
   | None -> None
@@ -845,18 +847,11 @@ let split_point t rid =
             let s, _ = rg.rg_span in
             if String.compare at s > 0 then Some at else None)
 
-(* Live size of a range: key + latest live value bytes of the leaseholder
-   store. [None] when the range has no live leader. *)
 let live_bytes t rid =
   match leader_replica t rid with
   | None -> None
   | Some lr -> Some (Mvcc.live_bytes lr.r_sm.store)
 
-(* Load-based split point: the weighted median of the recently sampled
-   request keys (duplicates retained, so the median is the key that splits
-   recent *traffic* in half, not the keyspace). Falls back to the
-   median-live-key [split_point] when the sample is too thin, and always
-   returns a key strictly inside the span so the split cannot degenerate. *)
 let load_split_point t rid =
   match range_opt t rid with
   | None -> None
@@ -1290,27 +1285,16 @@ let eval_query_intent t r ~op ~txn ~key ~ts =
           if Mvcc.is_prevented r.r_sm.store ~key ~txn_id:txn then `Done `Missing
           else `Done `Found)
 
-(* QueryIntent with prevention (parallel-commit recovery, CRDB §3): did the
-   staged transaction's declared write on [key] replicate? The probe goes
-   through the key's own Raft log, so it is totally ordered against the
-   Op_put it races: [`Found] means the write landed (or already resolved),
-   [`Missing] means it had not — and now never will, the apply barred it.
-   Routing or proposal failures are [`Unknown]: recovery must stay
-   inconclusive rather than abort on indeterminate evidence. *)
+(* QueryIntent with prevention (parallel-commit recovery, CRDB §3); see the
+   interface for its verdicts. *)
 let query_intent t ~gateway ?op ~txn ~key ~ts () =
   with_leaseholder t ~gateway ?op ~name:"kv.query_intent" ~key
     ~on_fail:(fun _ -> `Unknown)
     (fun r op -> eval_query_intent t r ~op ~txn ~key ~ts)
 
-(* Commit-status recovery against someone else's STAGING record. Verify
-   every declared in-flight write; all present ⇒ the commit implicitly
-   succeeded, finalize Committed; any proven missing ⇒ it cannot have been
-   acked, finalize Aborted (the probe also bars the write from landing
-   late). Either finalization races the coordinator's own transition, so
-   the applied record — not our proposal — is the verdict we report.
-   Returns [Some commit] (finalized; resolve intents with [commit]) or
-   [None] (inconclusive: a probe or the finalization was indeterminate —
-   the pusher just keeps waiting). *)
+(* Commit-status recovery against someone else's STAGING record (see the
+   interface). Either finalization races the coordinator's own transition,
+   so the applied record — not our proposal — is the verdict we report. *)
 let recover_txn t ~gateway ?(op = Op.nil) ~txn ~anchor_key ~ts
     ~inflight () =
   Op.scope op Phase.Recovery @@ fun op ->
@@ -1504,11 +1488,7 @@ let wait_on_conflict t r ~op ~key ~blocker ~waiter ~waiter_pri ~fate =
       match Proc.await_timeout t.sim iv ~timeout:slice with
       | Some () -> finish Lock_table.Acquired
       | None ->
-          if
-            r.r_range.rg_dropped
-            || (not (is_leader_now r))
-            || not (in_span r.r_range key)
-          then
+          if not (owns r key && is_leader_now r) then
             (* Routing moved while we were parked; force a re-evaluation,
                which redirects to the current leaseholder. *)
             finish Lock_table.Acquired
@@ -1692,11 +1672,8 @@ let follower_fragment t ~op ~at ~rid ~name ~timeout ~key ~max_ts serve =
   let eval r =
     (* A split or merge may land between resolution and evaluation;
        redirect to the gateway path, which re-resolves the key. *)
-    if
-      r.r_range.rg_dropped
-      || (not (in_span r.r_range key))
-      || not Ts.(Replica_state.closed r.r_sm >= max_ts)
-    then `Redirect
+    if not (owns r key && Ts.(Replica_state.closed r.r_sm >= max_ts)) then
+      `Redirect
     else serve r
   in
   let res =
@@ -2186,6 +2163,5 @@ let negotiate t ~at ~keys =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let storage_of t rid node =
-  let rg = range t rid in
-  Option.map (fun r -> r.r_sm.store) (replica_at rg node)
+let state_of t rid node =
+  Option.map (fun r -> r.r_sm) (replica_at (range t rid) node)

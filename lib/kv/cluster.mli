@@ -140,12 +140,14 @@ val split_range : t -> range_id -> at:string -> range_id option
 
 val merge_range : t -> range_id -> bool
 (** Merge the range with its right-hand neighbor (the range starting
-    exactly at its end key), subsuming the neighbor: MVCC state is
-    absorbed, the timestamp cache low water and closed timestamp ratchet
-    over the subsumed range's, and its parked waiters retry here. [false]
-    (and no effect) when there is no adjacent neighbor, the zone configs or
-    policies differ, either side lacks a serving leaseholder, or a replica
-    has yet to apply, or be created by, the range's last split trigger. *)
+    exactly at its end key) by proposing a merge trigger through its Raft
+    log. [true] iff proposed: the neighbor has an equal zone config and
+    policy, and the range a serving leaseholder with no split in flight.
+    The first replica to apply the trigger subsumes the neighbor if it
+    still adjoins and has a serving leaseholder, capturing that replica's
+    state, which every replica absorbs at the trigger; else it is a no-op.
+    The timestamp cache low water and closed timestamp ratchet over the
+    subsumed range's, and its parked waiters retry here. *)
 
 val split_point : t -> range_id -> string option
 (** The median live key of the range (a reasonable split point), or [None]
@@ -564,7 +566,8 @@ val recover_txn :
 
 (** {2 Introspection for tests and benchmarks} *)
 
-val storage_of : t -> range_id -> Crdb_net.Topology.node_id -> Crdb_storage.Mvcc.t option
+val state_of :
+  t -> range_id -> Crdb_net.Topology.node_id -> Replica_state.t option
 
 val leader_peers :
   t -> range_id -> (Crdb_net.Topology.node_id * Crdb_raft.Raft.peer_kind) list

@@ -120,7 +120,3 @@ let split_move t ~into ~at =
       | Some q' -> q' := !q @ !q'
       | None -> Hashtbl.replace into.queues k q)
     moved_queues
-
-let absorb t ~from =
-  Hashtbl.iter (fun k l -> Hashtbl.replace t.locks k l) from.locks;
-  Hashtbl.reset from.locks

@@ -99,6 +99,3 @@ val wake_all : t -> unit
 
 val split_move : t -> into:t -> at:string -> unit
 (** Move locks and waiters on keys [>= at] to the right-hand table. *)
-
-val absorb : t -> from:t -> unit
-(** Merge: copy the right-hand leader's locks into the left table. *)

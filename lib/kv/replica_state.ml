@@ -2,6 +2,8 @@ module Ivar = Crdb_sim.Ivar
 module Ts = Crdb_hlc.Timestamp
 module Mvcc = Crdb_storage.Mvcc
 
+type snap = { snap_store : Mvcc.t; snap_closed : Ts.t; snap_txns : Txnrec.t }
+
 type op =
   | Op_put of {
       txn : int;
@@ -23,6 +25,8 @@ type op =
          ordered against the Op_put it races by going through the same log *)
   | Op_split of { right : int; at : string }
       (* split trigger: each replica forks [at, end) into range [right] *)
+  | Op_merge of { right : int; cell : snap Ivar.t }
+      (* merge trigger: each replica absorbs [cell], once filled *)
 
 type write_ack = [ `Applied | `Prevented | `Dropped ]
 
@@ -33,8 +37,6 @@ type cmd = {
   op : op;
   done_ : write_ack Ivar.t;
 }
-
-type snap = { snap_store : Mvcc.t; snap_closed : Ts.t; snap_txns : Txnrec.t }
 
 type t = {
   store : Mvcc.t;
@@ -79,6 +81,10 @@ let add_side s ~applied ~lai ts =
   else s.pending_side <- (lai, ts) :: s.pending_side;
   promote_side s ~applied
 
+let absorb s snap =
+  Mvcc.absorb s.store snap.snap_store;
+  Txnrec.absorb s.txns ~from:snap.snap_txns
+
 let apply s ~applied cmd =
   s.applied_closed <- Ts.max s.applied_closed cmd.closed;
   promote_side s ~applied;
@@ -121,14 +127,16 @@ let apply s ~applied cmd =
         (Mvcc.prevent s.store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ]);
       `Applied
   | Op_split _ -> `Applied
+  | Op_merge { cell; _ } ->
+      Option.iter (absorb s) (Ivar.peek cell);
+      `Applied
 
 let write_ts = function
   | Op_put { ts; _ }
   | Op_resolve { commit = Some ts; _ }
   | Op_txn { upd = Txnrec.U_commit { ts } | Txnrec.U_stage { ts; _ }; _ } ->
       Some ts
-  | Op_resolve { commit = None; _ } | Op_txn _ | Op_prevent _ | Op_split _ ->
-      None
+  | Op_resolve _ | Op_txn _ | Op_prevent _ | Op_split _ | Op_merge _ -> None
 
 let take_snapshot s =
   {

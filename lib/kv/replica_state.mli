@@ -10,6 +10,10 @@
 
 module Ts = Crdb_hlc.Timestamp
 
+type snap
+(** A Raft snapshot: the store, the records and the applied closed
+    timestamp. *)
+
 (** One replicated command. *)
 type op =
   | Op_put of {
@@ -29,6 +33,10 @@ type op =
       (** QueryIntent with prevention (parallel-commit recovery) *)
   | Op_split of { right : int; at : string }
       (** split trigger: each replica forks [\[at, end)] into range [right] *)
+  | Op_merge of { right : int; cell : snap Crdb_sim.Ivar.t }
+      (** merge trigger: the first replica to apply it fills [cell] with
+          range [right]'s state if the merge holds; each replica {!absorb}s
+          it, and an empty [cell] makes the trigger a no-op *)
 
 type write_ack = [ `Applied | `Prevented | `Dropped ]
 (** What became of a proposal: applied; applied as a write that
@@ -46,10 +54,6 @@ type cmd = {
           with [`Dropped] when its copy is discarded *)
 }
 
-type snap
-(** A Raft snapshot: the store, the records and the applied closed
-    timestamp. *)
-
 type t = private {
   store : Crdb_storage.Mvcc.t;
   locks : Lock_table.t;  (** leaseholder-local, never snapshotted *)
@@ -66,7 +70,7 @@ val create : unit -> t
 val apply : t -> applied:int -> cmd -> [ `Applied | `Prevented ]
 (** Apply the committed entry at index [applied]. [`Prevented] when it is a
     write that commit-status recovery barred. Splits fork nothing here: see
-    {!split_off}.
+    {!split_off}; a merge trigger {!absorb}s its cell.
     @raise Invalid_argument when a write meets another transaction's
     intent, which only a diverged replica can see. *)
 
@@ -84,6 +88,12 @@ val write_ts : op -> Ts.t option
 
 val take_snapshot : t -> snap
 val install_snapshot : t -> snap -> unit
+
+val absorb : t -> snap -> unit
+(** A merge: add the subsumed range's store and records, which win for its
+    span. Locks stay (they mirror intents the store carries, as after
+    {!install_snapshot}), as does the closed timestamp: the range's target
+    already ratcheted over the subsumed one's. *)
 
 val split_off : t -> at:string -> t
 (** Move the store, locks, waiters and records at keys [>= at] into a new

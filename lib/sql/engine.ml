@@ -959,7 +959,9 @@ let partition_ranges db table =
 let leaseholder_store db rid =
   match Cluster.leaseholder db.d_engine.cl rid with
   | None -> None
-  | Some node -> Cluster.storage_of db.d_engine.cl rid node
+  | Some node ->
+      Option.map (fun (s : Crdb_kv.Replica_state.t) -> s.store)
+        (Cluster.state_of db.d_engine.cl rid node)
 
 let row_count db table =
   let pt = phys_table db table in

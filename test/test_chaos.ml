@@ -611,7 +611,7 @@ let test_leader_peers_hold_replicas () =
         (fun rid ->
           List.iter
             (fun (node, _) ->
-              if !first_missing = None && Cluster.storage_of cl rid node = None
+              if !first_missing = None && Cluster.state_of cl rid node = None
               then first_missing := Some (Sim.now (Cluster.sim cl), rid, node))
             (Cluster.leader_peers cl rid))
         (Cluster.ranges cl);

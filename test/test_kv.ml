@@ -778,7 +778,7 @@ let test_bulk_load_visible () =
 
 let replica_stores cl rid =
   List.map
-    (fun (node, _) -> Option.get (Cluster.storage_of cl rid node))
+    (fun (node, _) -> (Option.get (Cluster.state_of cl rid node)).store)
     (Cluster.replica_nodes cl rid)
 
 let latest_values store =
@@ -876,7 +876,8 @@ let test_resolve_awaits_anchor_range () =
   let gw = node_in cl home 0 in
   let has_intent rid key =
     let lh = Option.get (Cluster.leaseholder cl rid) in
-    Crdb_storage.Mvcc.intent_on (Option.get (Cluster.storage_of cl rid lh)) ~key
+    Crdb_storage.Mvcc.intent_on (Option.get (Cluster.state_of cl rid lh)).store
+      ~key
     <> None
   in
   Cluster.run cl (fun () ->
@@ -912,6 +913,10 @@ let sm_keys = [| "a"; "b"; "c"; "d" |]
 let sm_txns = [ 1; 2; 3; 4 ]
 let sm_anchor txn = sm_keys.(txn mod Array.length sm_keys)
 
+(* The span a merge trigger absorbs: one transaction per key, anchored
+   there. *)
+let sm_right = [| ("x", 5); ("y", 6) |]
+
 let pp_op = function
   | Replica_state.Op_put { txn; key; anchor; _ } ->
       Printf.sprintf "put t%d %s (anchor %s)" txn key anchor
@@ -933,11 +938,33 @@ let pp_op = function
   | Op_prevent { txn; key; ts } ->
       Printf.sprintf "prevent t%d %s @%s" txn key (Ts.to_string ts)
   | Op_split { at; _ } -> "split " ^ at
+  | Op_merge _ -> "merge"
+
+let sm_cmd i op =
+  { Replica_state.closed = Ts.of_wall i; proposer = 0; proposed_at = i; op;
+    done_ = Crdb_sim.Ivar.create () }
+
+(* A merge trigger whose cell already holds the subsumed range's state at
+   entry [i]: [key]'s transaction wrote it and, if [commit], committed. *)
+let sm_merge i (key, txn) commit =
+  let right = Replica_state.create () in
+  let ts = Ts.of_wall i in
+  List.iteri
+    (fun k op ->
+      ignore (Replica_state.apply right ~applied:(k + 1) (sm_cmd i op)
+        : [ `Applied | `Prevented ]))
+    (Replica_state.Op_put
+       { txn; ts; key; value = Some (string_of_int i); pri = ts; anchor = key }
+    :: (if commit then [ Op_resolve { txn; keys = [ key ]; commit = Some ts } ]
+        else []));
+  let cell = Crdb_sim.Ivar.create () in
+  Crdb_sim.Ivar.fill cell (Replica_state.take_snapshot right);
+  Replica_state.Op_merge { right = 1; cell }
 
 (* A random well-formed log: entry [i] proposes at time [i] and writes at
    timestamp [i], and a put never meets another transaction's intent — the
    generator resolves the holder first — since that only happens on a
-   diverged replica. *)
+   diverged replica. Merge triggers absorb keys outside [sm_keys]. *)
 let gen_sm_log =
   let open QCheck.Gen in
   let* n = int_range 1 40 in
@@ -949,7 +976,7 @@ let gen_sm_log =
       let* key = oneofa sm_keys in
       let* commit = oneofl [ Some ts; None ] in
       let* hb = int_range 0 n in
-      let* kind = int_range 0 5 in
+      let* kind = int_range 0 6 in
       let resolve txn =
         ( Replica_state.Op_resolve { txn; keys = [ key ]; commit },
           List.filter (fun h -> h <> (key, txn)) holders )
@@ -969,6 +996,9 @@ let gen_sm_log =
         | 3 ->
             let+ at = int_range 1 i in
             (Replica_state.Op_prevent { txn; key; ts = Ts.of_wall at }, holders)
+        | 6 ->
+            let+ right = oneofa sm_right in
+            (sm_merge i right (commit <> None), holders)
         | _ ->
             let+ upd =
               oneofl
@@ -986,36 +1016,40 @@ let gen_sm_log =
             in
             (Replica_state.Op_txn { txn; tkey = sm_anchor txn; upd }, holders)
       in
-      let cmd =
-        { Replica_state.closed = ts; proposer = 0; proposed_at = i; op;
-          done_ = Crdb_sim.Ivar.create () }
-      in
-      go (i + 1) holders (cmd :: acc)
+      go (i + 1) holders (sm_cmd i op :: acc)
   in
   let* log = go 1 [] [] in
   let* k = int_range 0 n in
   let+ j = int_range 0 k in
   (log, k, j)
 
-(* Everything a reader can see of a state: every key's reads at every
-   timestamp of the log, its intent and preventions, every record, and the
-   closed timestamp. *)
-let observe_sm n (s : Replica_state.t) =
+(* What a reader can see of a state: each of [keys]' reads at each of
+   [tss], its intent and its preventions of [txns], and each of [txns]'
+   records. *)
+let observe ~keys ~tss ~txns (s : Replica_state.t) =
   let per_key key =
-    ( List.init (n + 2) (fun w ->
-          let ts = Ts.of_wall w in
-          Mvcc.read s.store ~key ~ts ~max_ts:ts ~for_txn:None),
+    ( List.map (fun ts -> Mvcc.read s.store ~key ~ts ~max_ts:ts ~for_txn:None) tss,
       Mvcc.intent_on s.store ~key,
-      List.map (fun txn -> Mvcc.is_prevented s.store ~key ~txn_id:txn) sm_txns )
+      List.map (fun txn -> Mvcc.is_prevented s.store ~key ~txn_id:txn) txns )
   in
-  ( Array.map per_key sm_keys,
-    List.map (fun txn -> Txnrec.find s.txns ~txn) sm_txns,
+  (List.map per_key keys, List.map (fun txn -> Txnrec.find s.txns ~txn) txns)
+
+(* Everything a reader can see of a state after a log of [n] entries:
+   every key, timestamp and record the log can reach, and the closed
+   timestamp. *)
+let observe_sm n s =
+  let right = Array.to_list sm_right in
+  ( observe
+      ~keys:(Array.to_list sm_keys @ List.map fst right)
+      ~tss:(List.init (n + 2) Ts.of_wall)
+      ~txns:(sm_txns @ List.map snd right) s,
     Replica_state.closed s )
 
 (* A snapshot taken at any index [k], installed over a replica that had
    applied the first [j <= k] entries, plus the entries after [k], gives
    the state of applying the whole log — while the snapshot's source keeps
-   applying. *)
+   applying, and whether the merge triggers it absorbs come before the
+   snapshot, after it or on both sides. *)
 let prop_snapshot_plus_suffix =
   let print (log, k, j) =
     Printf.sprintf "snapshot at %d over %d:\n%s" k j

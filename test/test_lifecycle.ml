@@ -131,6 +131,7 @@ let test_merge_subsumes_right () =
   check Alcotest.int "two ranges before merge" 2
     (List.length (Cluster.ranges cl));
   check Alcotest.bool "merge succeeds" true (Cluster.merge_range cl rid);
+  Cluster.run_for cl 1_000_000;
   check Alcotest.int "one range after merge" 1 (List.length (Cluster.ranges cl));
   check
     Alcotest.(pair string string)
@@ -312,7 +313,7 @@ let test_split_reaches_revived_replica () =
   Cluster.run_for cl 20_000_000;
   let right = Cluster.range_of_key cl "orange" in
   check Alcotest.bool "orange moved to the right range" true (right <> rid);
-  let store n = Option.get (Cluster.storage_of cl right n) in
+  let store n = (Option.get (Cluster.state_of cl right n)).store in
   let serving = Option.get (Cluster.leaseholder cl right) in
   let want = Mvcc.latest_ts (store serving) ~key:"orange" in
   List.iter
@@ -333,11 +334,12 @@ let test_split_reaches_revived_replica () =
       check Alcotest.(option string) "the revived node serves v2" (Some "v2")
         (get cl ~gateway:down "orange"))
 
-(* A merge waits until every left replica has applied the left range's last
-   split trigger: one that has not would replay pre-split entries onto the
-   state it absorbed. A voter down at the split holds the merge off until it
-   revives and catches up. *)
-let test_merge_waits_for_split_trigger () =
+(* A merge does not wait for a left replica that lags behind the range's
+   last split trigger: a voter down at both triggers applies them from the
+   left log in order when it revives, with no snapshot. Its fork finds the
+   right range gone, and it absorbs the state the merge trigger captured,
+   so it ends up with what every other replica holds. *)
+let test_merge_does_not_wait_for_lagging_replica () =
   let cl, rid = one_range () in
   let lh = Option.get (Cluster.leaseholder cl rid) in
   let down = other_voter cl rid lh in
@@ -354,22 +356,104 @@ let test_merge_waits_for_split_trigger () =
   in
   await_lease 40;
   check Alcotest.bool "the right range has a leaseholder" true (leased ());
-  Cluster.run cl (fun () ->
-      ignore (put cl ~gateway:lh ~txn:1 "apple" "red");
-      ignore (put cl ~gateway:lh ~txn:2 "orange" "juicy"));
-  check Alcotest.bool "merge refused while a voter lacks the trigger" false
-    (Cluster.merge_range cl rid);
-  Cluster.restart_node cl down;
-  Cluster.run_for cl 20_000_000;
-  check Alcotest.bool "merge succeeds once every voter applied it" true
-    (Cluster.merge_range cl rid);
+  let tss =
+    Cluster.run cl (fun () ->
+        let t1 = put cl ~gateway:lh ~txn:1 "apple" "red" in
+        let t2 = put cl ~gateway:lh ~txn:2 "orange" "juicy" in
+        (* Txn 3 stays open: its intent and record move with the merge. *)
+        let t3 =
+          ok_ts
+            (Cluster.write cl ~gateway:lh ~txn:3 ~anchor:"pear" ~key:"pear"
+               ~value:(Some "green") ~ts:(Cluster.now_ts cl lh) ())
+        in
+        [ Ts.zero; t1; t2; t3; Cluster.now_ts cl lh ])
+  in
+  check Alcotest.bool "merge proposed while a voter lacks the split trigger"
+    true (Cluster.merge_range cl rid);
+  Cluster.run_for cl 1_000_000;
   check Alcotest.int "right keys route to the merged range" rid
     (Cluster.range_of_key cl "orange");
+  check Alcotest.bool "the right range is gone" false
+    (List.mem right (Cluster.ranges cl));
+  Cluster.restart_node cl down;
+  Cluster.run_for cl 20_000_000;
+  check Alcotest.int "the revived voter caught up from the log" 0
+    (Crdb_obs.Metrics.total
+       (Crdb_obs.Obs.metrics (Cluster.obs cl))
+       "raft.snapshots_sent");
+  let observe n =
+    Test_kv.observe ~keys:[ "apple"; "orange"; "pear" ] ~tss ~txns:[ 1; 2; 3 ]
+      (Option.get (Cluster.state_of cl rid n))
+  in
+  let want = observe lh in
+  List.iter
+    (fun (n, _) ->
+      check Alcotest.bool
+        (Printf.sprintf "n%d holds what the leaseholder holds" n)
+        true
+        (observe n = want))
+    (Cluster.replica_nodes cl rid);
+  check Alcotest.bool "the revived node holds a replica" true
+    (List.mem_assoc down (Cluster.replica_nodes cl rid));
+  Cluster.transfer_lease cl rid ~target:down;
+  Cluster.run_for cl 5_000_000;
+  check Alcotest.(option int) "the revived node holds the lease" (Some down)
+    (Cluster.leaseholder cl rid);
   Cluster.run cl (fun () ->
       check Alcotest.(option string) "left write survives the merge"
-        (Some "red") (get cl ~gateway:lh "apple");
-      check Alcotest.(option string) "right write survives the merge"
-        (Some "juicy") (get cl ~gateway:lh "orange"))
+        (Some "red") (get cl ~gateway:down "apple");
+      check Alcotest.(option string) "the revived node serves absorbed data"
+        (Some "juicy") (get cl ~gateway:down "orange"))
+
+(* A replica that has not applied its range's last merge trigger answers
+   for no key: its range already spans the absorbed keys, but it lacks
+   their data. A follower cut off before the trigger applies must redirect
+   a read of an absorbed key below its closed timestamp, not miss the
+   value; once it catches up it serves it. *)
+let test_lagging_follower_redirects_absorbed_keys () =
+  let cl, rid = one_range () in
+  let net = Cluster.net cl in
+  ignore (Option.get (Cluster.split_range cl rid ~at:"m"));
+  Cluster.run_for cl 3_000_000;
+  let gw = node_in cl home 0 in
+  let written =
+    Cluster.run cl (fun () -> put cl ~gateway:gw ~txn:1 "orange" "juicy")
+  in
+  Cluster.run_for cl 5_000_000;
+  let far, _ =
+    List.find
+      (fun (n, _) -> Topology.region_of (Cluster.topology cl) n <> home)
+      (Cluster.replica_nodes cl rid)
+  in
+  let far_region = Topology.region_of (Cluster.topology cl) far in
+  Transport.partition_regions net home far_region;
+  check Alcotest.bool "merge proposed" true (Cluster.merge_range cl rid);
+  Cluster.run_for cl 1_000_000;
+  check Alcotest.int "the absorbed key routes to the merged range" rid
+    (Cluster.range_of_key cl "orange");
+  let follower_read () =
+    let ts = Cluster.local_closed cl ~at:far rid in
+    check Alcotest.bool "the follower closed the write" true
+      (Ts.compare ts written >= 0);
+    Cluster.run cl (fun () ->
+        Cluster.read_follower cl ~at:far ~txn:None ~key:"orange" ~ts ~max_ts:ts
+          ())
+  in
+  (match follower_read () with
+  | `Redirect -> ()
+  | `Ok v ->
+      Alcotest.failf "a follower without the merge served %s"
+        (Option.value v ~default:"nothing")
+  | `Uncertain _ | `Wounded _ | `Err _ ->
+      Alcotest.fail "expected a redirect");
+  Transport.heal_partition net home far_region;
+  Cluster.run_for cl 5_000_000;
+  match follower_read () with
+  | `Ok v ->
+      check Alcotest.(option string) "the caught-up follower serves it"
+        (Some "juicy") v
+  | `Redirect | `Uncertain _ | `Wounded _ | `Err _ ->
+      Alcotest.fail "the caught-up follower must serve the absorbed key"
 
 (* A transaction record's heartbeat is part of the replicated state: the
    registering write stamps its proposal time, not each replica's apply
@@ -437,6 +521,7 @@ let test_live_bytes_through_split_merge () =
   check Alcotest.(option int) "right half carries the rest" (Some 11)
     (Cluster.live_bytes cl right);
   check Alcotest.bool "merge back" true (Cluster.merge_range cl rid);
+  Cluster.run_for cl 1_000_000;
   check Alcotest.(option int) "merge restores the total" (Some 19)
     (Cluster.live_bytes cl rid);
   (* A deletion tombstones the key: it stops counting entirely. *)
@@ -674,8 +759,10 @@ let suite =
       test_split_reaches_revived_replica;
     Alcotest.test_case "abandon reaches a late follower" `Quick
       test_abandon_reaches_late_follower;
-    Alcotest.test_case "merge waits for the split trigger" `Quick
-      test_merge_waits_for_split_trigger;
+    Alcotest.test_case "merge does not wait for a lagging replica" `Quick
+      test_merge_does_not_wait_for_lagging_replica;
+    Alcotest.test_case "lagging follower redirects absorbed keys" `Quick
+      test_lagging_follower_redirects_absorbed_keys;
     Alcotest.test_case "live bytes through split and merge" `Quick
       test_live_bytes_through_split_merge;
     Alcotest.test_case "load split point tracks traffic" `Quick

@@ -261,13 +261,11 @@ let test_committed_record_resolves_intent () =
 (* Lock table against a reference model                                *)
 
 (* Operations on a pair of tables (a range and its right-hand neighbour):
-   [Split_move] moves [tbl]'s keys [>= at] into the other table, [Absorb]
-   merges the other table into [tbl]. *)
+   [Split_move] moves [tbl]'s keys [>= at] into the other table. *)
 type lt_op =
   | Acquire of { tbl : int; key : string; txn : int; ts : int }
   | Release of { tbl : int; key : string; txn : int }
   | Split_move of { tbl : int; at : string }
-  | Absorb of { tbl : int }
   | Clear_locks of { tbl : int }
 
 let lt_keys = [ "a"; "b"; "c"; "d"; "e" ]
@@ -278,7 +276,6 @@ let pp_lt_op = function
       Printf.sprintf "acquire t%d %s txn%d @%d" tbl key txn ts
   | Release { tbl; key; txn } -> Printf.sprintf "release t%d %s txn%d" tbl key txn
   | Split_move { tbl; at } -> Printf.sprintf "split_move t%d at %s" tbl at
-  | Absorb { tbl } -> Printf.sprintf "absorb into t%d" tbl
   | Clear_locks { tbl } -> Printf.sprintf "clear_locks t%d" tbl
 
 let lt_op_gen =
@@ -292,7 +289,6 @@ let lt_op_gen =
           tbl key txn (int_range 1 3) );
       (4, map3 (fun tbl key txn -> Release { tbl; key; txn }) tbl key txn);
       (1, map2 (fun tbl at -> Split_move { tbl; at }) tbl key);
-      (1, map (fun tbl -> Absorb { tbl }) tbl);
       (1, map (fun tbl -> Clear_locks { tbl }) tbl);
     ]
 
@@ -383,12 +379,6 @@ let lt_step tables model op =
       let moved, kept = Smap.partition (fun k _ -> k >= at) model.(tbl) in
       model.(tbl) <- kept;
       model.(other tbl) <- Smap.union (fun _ m _ -> Some m) moved model.(other tbl);
-      true
-  | Absorb { tbl } ->
-      Lock_table.absorb tables.(tbl) ~from:tables.(other tbl);
-      model.(tbl) <-
-        Smap.union (fun _ m _ -> Some m) model.(other tbl) model.(tbl);
-      model.(other tbl) <- Smap.empty;
       true
   | Clear_locks { tbl } ->
       Lock_table.clear_locks tables.(tbl);

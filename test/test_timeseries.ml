@@ -342,7 +342,8 @@ let run_workload () =
       (* A split + merge so the event log has lifecycle entries. *)
       ignore (Cluster.split_range cl rid ~at:"k2" : int option);
       Crdb_sim.Proc.sleep (Cluster.sim cl) 500_000;
-      ignore (Cluster.merge_range cl rid : bool));
+      ignore (Cluster.merge_range cl rid : bool);
+      Crdb_sim.Proc.sleep (Cluster.sim cl) 500_000);
   cl
 
 let test_workload_phases () =
