@@ -250,7 +250,8 @@ diff "$tmprep/ts1.json" "$tmprep/ts2.json" || {
 # workloads at --scale 0.2 (a few seconds together). Each line of
 # test/perf_digests.txt is a workload and one digest per instance. A change
 # that alters simulated behaviour on purpose re-records the line. The same
-# runs' peak heap must stay within 10% of its pin in test/perf_heap.txt.
+# runs' peak heap must stay within 10% of its pin in test/perf_heap.txt,
+# above or below: a pin far above the measured peak guards an old level.
 echo "== bench/perf digest and heap pins (test/perf_digests.txt, test/perf_heap.txt)"
 digests_ok=1
 while read -r workload want; do
@@ -275,6 +276,9 @@ while read -r workload want; do
     digests_ok=0
   elif ! awk -v got="$heap" -v pin="$heap_pin" 'BEGIN { exit !(got <= pin * 1.10) }'; then
     echo "peak heap grew: bench/perf $workload (pinned $heap_pin MB, got $heap MB, bound +10%)"
+    digests_ok=0
+  elif ! awk -v got="$heap" -v pin="$heap_pin" 'BEGIN { exit !(got >= pin * 0.90) }'; then
+    echo "peak heap fell: bench/perf $workload (pinned $heap_pin MB, got $heap MB, more than 10% below): re-record its line in test/perf_heap.txt"
     digests_ok=0
   fi
 done <test/perf_digests.txt

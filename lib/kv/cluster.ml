@@ -78,6 +78,8 @@ and range = {
   mutable rg_dropped : bool;
   mutable rg_split_index : int; (* log index of the last split trigger *)
   mutable rg_merge_index : int; (* log index of the last merge trigger *)
+  rg_shared : Replica_state.shared;
+      (* the store effects of entries some live replica has yet to apply *)
   mutable rg_walk : Allocator.placement option; (* target of [walk] *)
   rg_samples : key_samples;
       (* bounded ring of recently served request keys — the autopilot split
@@ -317,6 +319,7 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
       rg_dropped = false;
       rg_split_index = 0;
       rg_merge_index = 0;
+      rg_shared = Replica_state.shared ();
       rg_walk = None;
       rg_samples = { ring = Array.make sample_cap ""; seen = 0 };
     }
@@ -358,6 +361,17 @@ let drop_replica t rg node =
       rg.rg_at.(node) <- None;
       t.load.(node) <- max 0 (t.load.(node) - 1))
     (replica_at rg node)
+
+(* Forget the shared store effects every live replica of [rg] has applied. *)
+let forget_applied t rg =
+  let through = ref max_int in
+  for node = 0 to Array.length rg.rg_at - 1 do
+    match rg.rg_at.(node) with
+    | Some r when Transport.is_alive t.net node ->
+        through := Int.min !through (Raft.applied_index r.r_raft)
+    | Some _ | None -> ()
+  done;
+  if !through < max_int then Replica_state.forget rg.rg_shared ~through:!through
 
 (* Create [node]'s replica of [rg], a member of its own Raft group over
    [peers]. The group draws its RNG stream from the cluster's, so callers
@@ -411,13 +425,16 @@ and raft_callbacks t rg node sm r =
             capture_merge t rg ~node ~index ~right cell
         | Op_merge _ | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _
         | Op_split _ -> ());
-        let ack = Replica_state.apply sm ~applied:index cmd in
+        let ack =
+          Replica_state.apply ~shared:rg.rg_shared sm ~applied:index cmd
+        in
         if cmd.proposer = node then
           ignore (Ivar.try_fill cmd.done_ (ack :> write_ack) : bool);
-        match cmd.op with
+        (match cmd.op with
         | Op_split { right; at } ->
             apply_split t (Lazy.force r) ~index ~right ~at cmd
         | Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ | Op_merge _ -> ());
+        forget_applied t rg);
     on_role =
       (fun role ->
         match role with
@@ -502,7 +519,9 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
       Events.Split;
     note_range_count t
   end;
-  let sm = Replica_state.split_off r.r_sm ~at in
+  let sm =
+    Replica_state.split_off ~shared:rg.rg_shared r.r_sm ~applied:index ~at
+  in
   match range_opt t right with
   | Some rrg
     when replica_at rrg r.r_node = None
@@ -2162,6 +2181,13 @@ let negotiate t ~at ~keys =
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
+
+let shared_effects t rid = Replica_state.held (range t rid).rg_shared
+
+let applied_index t rid node =
+  Option.map
+    (fun r -> Raft.applied_index r.r_raft)
+    (replica_at (range t rid) node)
 
 let state_of t rid node =
   Option.map (fun r -> r.r_sm) (replica_at (range t rid) node)

@@ -569,6 +569,13 @@ val recover_txn :
 val state_of :
   t -> range_id -> Crdb_net.Topology.node_id -> Replica_state.t option
 
+val shared_effects : t -> range_id -> int
+(** The number of log indexes whose store effects the range still holds for
+    live replicas that have not applied them (see {!Replica_state.shared}). *)
+
+val applied_index : t -> range_id -> Crdb_net.Topology.node_id -> int option
+(** The log index the node's replica of the range has applied through. *)
+
 val leader_peers :
   t -> range_id -> (Crdb_net.Topology.node_id * Crdb_raft.Raft.peer_kind) list
 (** The applied peers of the range's live Raft leader; [[]] if none. *)

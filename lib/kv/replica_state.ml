@@ -81,23 +81,12 @@ let add_side s ~applied ~lai ts =
   else s.pending_side <- (lai, ts) :: s.pending_side;
   promote_side s ~applied
 
-let absorb s snap =
-  Mvcc.absorb s.store snap.snap_store;
-  Txnrec.absorb s.txns ~from:snap.snap_txns
-
-let apply s ~applied cmd =
-  s.applied_closed <- Ts.max s.applied_closed cmd.closed;
-  promote_side s ~applied;
-  match cmd.op with
+(* The store effect of [op], a function of the map and [op] alone. *)
+let write store ~applied op =
+  match op with
   | Op_put { txn; ts; key; value; pri; anchor } -> (
-      (* The transaction record rides the first (anchor) write: every
-         replica of the anchor range learns of the transaction when the
-         write applies, with no extra consensus round. *)
-      if String.equal key anchor then
-        Txnrec.apply s.txns ~txn ~key
-          (Txnrec.U_register { pri; hb = cmd.proposed_at });
       match
-        Mvcc.put_intent s.store ~pri ~anchor ~key ~txn_id:txn ~ts ~value ()
+        Mvcc.put_intent store ~pri ~anchor ~key ~txn_id:txn ~ts ~value ()
       with
       | Mvcc.Written -> `Applied
       | Mvcc.Write_prevented ->
@@ -114,22 +103,105 @@ let apply s ~applied cmd =
                applied txn key i.Mvcc.txn_id))
   | Op_resolve { txn; keys; commit } ->
       List.iter
-        (fun key ->
-          Mvcc.resolve_intent s.store ~key ~txn_id:txn ~commit;
-          Lock_table.release s.locks ~key ~txn)
+        (fun key -> Mvcc.resolve_intent store ~key ~txn_id:txn ~commit)
         keys;
-      `Applied
-  | Op_txn { txn; tkey; upd } ->
-      Txnrec.apply s.txns ~txn ~key:tkey upd;
       `Applied
   | Op_prevent { txn; key; ts } ->
       ignore
-        (Mvcc.prevent s.store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ]);
+        (Mvcc.prevent store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ]);
       `Applied
-  | Op_split _ -> `Applied
   | Op_merge { cell; _ } ->
-      Option.iter (absorb s) (Ivar.peek cell);
+      Option.iter
+        (fun snap -> Mvcc.absorb store snap.snap_store)
+        (Ivar.peek cell);
       `Applied
+  | Op_txn _ | Op_split _ -> `Applied
+
+(* The replicas of a range reach each entry from the same map as long as
+   they started from one and took the same entries and snapshots. So the
+   first to apply an entry records the map it started from and the map it
+   produced, and a later replica that still holds that starting map adopts
+   the result. A recorded effect matches by the physical identity of its
+   starting map and its input; a replica that matches none computes, and
+   records its own. Both recorded maps are copies: no live store owns a
+   record in them, so neither changes after it is recorded. *)
+type recorded =
+  | Wrote of {
+      op : op;
+      before : Mvcc.t;
+      after : Mvcc.t;
+      ack : [ `Applied | `Prevented ];
+    }
+  | Split of { at : string; before : Mvcc.t; left : Mvcc.t; right : Mvcc.t }
+
+type shared = {
+  effects : (int, recorded list) Hashtbl.t; (* by log index *)
+  mutable forgotten : int; (* every index up to this one is forgotten *)
+  mutable newest : int; (* the highest index recorded *)
+}
+
+let shared () = { effects = Hashtbl.create 16; forgotten = 0; newest = 0 }
+
+let recorded sh ~applied =
+  match Hashtbl.find sh.effects applied with
+  | rs -> rs
+  | exception Not_found -> []
+
+let record sh ~applied r =
+  Hashtbl.replace sh.effects applied (r :: recorded sh ~applied);
+  sh.newest <- Int.max sh.newest applied
+
+let forget sh ~through =
+  for i = sh.forgotten + 1 to Int.min through sh.newest do
+    Hashtbl.remove sh.effects i
+  done;
+  sh.forgotten <- Int.max sh.forgotten through
+
+let held sh = Hashtbl.length sh.effects
+
+(* Adopt the write recorded for [op] on [store]'s map, if there is one. *)
+let rec adopt_write store op = function
+  | Wrote w :: _ when w.op == op && Mvcc.shares_map store w.before ->
+      Mvcc.replace_with store w.after;
+      Some w.ack
+  | (Wrote _ | Split _) :: rs -> adopt_write store op rs
+  | [] -> None
+
+let apply ?shared s ~applied cmd =
+  s.applied_closed <- Ts.max s.applied_closed cmd.closed;
+  promote_side s ~applied;
+  let op = cmd.op in
+  let ack =
+    match (shared, op) with
+    | Some sh, (Op_put _ | Op_resolve _ | Op_prevent _ | Op_merge _) -> (
+        match adopt_write s.store op (recorded sh ~applied) with
+        | Some ack -> ack
+        | None when applied <= sh.forgotten -> write s.store ~applied op
+        | None ->
+            let before = Mvcc.copy s.store in
+            let ack = write s.store ~applied op in
+            record sh ~applied
+              (Wrote { op; before; after = Mvcc.copy s.store; ack });
+            ack)
+    | (Some _ | None), _ -> write s.store ~applied op
+  in
+  (* The effects on this replica's own records and locks. *)
+  (match op with
+  | Op_put { txn; key; pri; anchor; _ } when String.equal key anchor ->
+      (* The transaction record rides the first (anchor) write: every
+         replica of the anchor range learns of the transaction when the
+         write applies, with no extra consensus round. *)
+      Txnrec.apply s.txns ~txn ~key
+        (Txnrec.U_register { pri; hb = cmd.proposed_at })
+  | Op_resolve { txn; keys; _ } ->
+      List.iter (fun key -> Lock_table.release s.locks ~key ~txn) keys
+  | Op_txn { txn; tkey; upd } -> Txnrec.apply s.txns ~txn ~key:tkey upd
+  | Op_merge { cell; _ } ->
+      Option.iter
+        (fun snap -> Txnrec.absorb s.txns ~from:snap.snap_txns)
+        (Ivar.peek cell)
+  | Op_put _ | Op_prevent _ | Op_split _ -> ());
+  ack
 
 let write_ts = function
   | Op_put { ts; _ }
@@ -151,8 +223,33 @@ let install_snapshot s snap =
   Mvcc.replace_with s.store snap.snap_store;
   Txnrec.replace_with s.txns snap.snap_txns
 
-let split_off s ~at =
-  let right = of_store (Mvcc.split_off s.store ~key:at) in
+(* Adopt the split at [at] recorded on [store]'s map, if there is one:
+   the right-hand store. *)
+let rec adopt_split store at = function
+  | Split sp :: _ when String.equal sp.at at && Mvcc.shares_map store sp.before
+    ->
+      Mvcc.replace_with store sp.left;
+      Some (Mvcc.copy sp.right)
+  | (Wrote _ | Split _) :: rs -> adopt_split store at rs
+  | [] -> None
+
+let split_off ?shared s ~applied ~at =
+  let store =
+    match shared with
+    | None -> Mvcc.split_off s.store ~key:at
+    | Some sh -> (
+        match adopt_split s.store at (recorded sh ~applied) with
+        | Some right -> right
+        | None when applied <= sh.forgotten -> Mvcc.split_off s.store ~key:at
+        | None ->
+            let before = Mvcc.copy s.store in
+            let right = Mvcc.split_off s.store ~key:at in
+            record sh ~applied
+              (Split
+                 { at; before; left = Mvcc.copy s.store; right = Mvcc.copy right });
+            right)
+  in
+  let right = of_store store in
   right.applied_closed <- s.applied_closed;
   Lock_table.split_move s.locks ~into:right.locks ~at;
   Txnrec.split_move s.txns ~into:right.txns ~at;

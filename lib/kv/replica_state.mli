@@ -35,8 +35,8 @@ type op =
       (** split trigger: each replica forks [\[at, end)] into range [right] *)
   | Op_merge of { right : int; cell : snap Crdb_sim.Ivar.t }
       (** merge trigger: the first replica to apply it fills [cell] with
-          range [right]'s state if the merge holds; each replica {!absorb}s
-          it, and an empty [cell] makes the trigger a no-op *)
+          range [right]'s state if the merge holds; each replica adds it,
+          and an empty [cell] makes the trigger a no-op *)
 
 type write_ack = [ `Applied | `Prevented | `Dropped ]
 (** What became of a proposal: applied; applied as a write that
@@ -67,12 +67,46 @@ type t = private {
 val create : unit -> t
 (** An empty state: no data, records or closed timestamps. *)
 
-val apply : t -> applied:int -> cmd -> [ `Applied | `Prevented ]
-(** Apply the committed entry at index [applied]. [`Prevented] when it is a
-    write that commit-status recovery barred. Splits fork nothing here: see
-    {!split_off}; a merge trigger {!absorb}s its cell.
+type shared
+(** The store effects of one range's recent log entries, kept for the
+    replicas that have not applied them yet.
+
+    The sharing contract: a command's store effect is a function of the
+    store's map and the command alone, so the first replica to apply an
+    entry records the map it started from and the map it produced, and a
+    later replica that still holds {e physically} that starting map adopts
+    the result with {!Crdb_storage.Mvcc.replace_with} instead of computing
+    it again. A replica that holds another map computes, as it would alone,
+    and records its own result. What is not a function of the map — the
+    closed timestamps, the lock release of a resolve, the transaction
+    records — runs on every replica. Adopting is exact: a replica reads the
+    same, and returns the same ack, as if it had computed the entry
+    itself. *)
+
+val shared : unit -> shared
+(** An empty table, one per range. *)
+
+val apply :
+  ?shared:shared -> t -> applied:int -> cmd -> [ `Applied | `Prevented ]
+(** Apply the committed entry at index [applied], sharing its store effect
+    through [shared] when given. [`Prevented] when it is a write that
+    commit-status recovery barred. Splits fork nothing here: see
+    {!split_off}; a merge trigger adds its cell's store and records, which
+    win for the subsumed span (locks stay, as after {!install_snapshot}, as
+    does the closed timestamp: the range's target already ratcheted over
+    the subsumed one's).
     @raise Invalid_argument when a write meets another transaction's
     intent, which only a diverged replica can see. *)
+
+val forget : shared -> through:int -> unit
+(** Drop the effects of the entries at indexes up to [through]: the range
+    calls it with the lowest applied index among its live replicas, so a
+    dead, removed or snapshot-seeded replica holds none back. An entry
+    once forgotten is not recorded again; a replica that applies it later
+    computes it. *)
+
+val held : shared -> int
+(** The number of log indexes whose effects [shared] still holds. *)
 
 val closed : t -> Ts.t
 (** The closed timestamp: the applied one or the adopted side-channel one. *)
@@ -89,15 +123,12 @@ val write_ts : op -> Ts.t option
 val take_snapshot : t -> snap
 val install_snapshot : t -> snap -> unit
 
-val absorb : t -> snap -> unit
-(** A merge: add the subsumed range's store and records, which win for its
-    span. Locks stay (they mirror intents the store carries, as after
-    {!install_snapshot}), as does the closed timestamp: the range's target
-    already ratcheted over the subsumed one's. *)
-
-val split_off : t -> at:string -> t
-(** Move the store, locks, waiters and records at keys [>= at] into a new
-    state, which starts at this one's applied closed timestamp. *)
+val split_off : ?shared:shared -> t -> applied:int -> at:string -> t
+(** Apply the split trigger at index [applied]: move the store, locks,
+    waiters and records at keys [>= at] into a new state, which starts at
+    this one's applied closed timestamp. The two stores are shared through
+    [shared] as {!apply} shares a write, so the right-hand replicas of a
+    range that shared one store share one too. *)
 
 val restart : t -> unit
 (** A process restart: drop the locks (waking their waiters) and the

@@ -1082,6 +1082,88 @@ let prop_snapshot_plus_suffix =
       let want = observe_sm n whole in
       want = observe_sm n source && want = observe_sm n follower)
 
+(* [n] replicas step through one log in a random interleaving. A step
+   [(r, kind)] applies replica [r]'s next entry (kinds 0-6), installs on [r]
+   a snapshot of the replica furthest ahead (7), or forgets the entries the
+   replicas taken as live have applied: all of them (9), or all but [r],
+   taken as dead (8). *)
+let gen_shared_run =
+  let open QCheck.Gen in
+  let* log, _, _ = gen_sm_log in
+  let* n = int_range 2 4 in
+  let+ steps =
+    list_size
+      (int_range 0 (3 * n * List.length log))
+      (pair (int_range 0 (n - 1)) (int_range 0 9))
+  in
+  (log, n, steps)
+
+(* Replicas that share store effects through one table read the same, and
+   ack the same, as replicas that apply alone: the stepping replica after
+   each step of a random interleaving with lagging replicas, snapshots and
+   forgotten entries, and every replica once all have applied the whole
+   log. *)
+let prop_shared_apply =
+  let print (log, n, steps) =
+    Printf.sprintf "%d replicas, steps %s:\n%s" n
+      (String.concat " "
+         (List.map (fun (r, kind) -> Printf.sprintf "%d:%d" r kind) steps))
+      (String.concat "\n"
+         (List.mapi
+            (fun i cmd ->
+              Printf.sprintf "%d: %s" (i + 1) (pp_op cmd.Replica_state.op))
+            log))
+  in
+  QCheck.Test.make ~name:"shared apply equals independent apply" ~count:300
+    (QCheck.make ~print gen_shared_run) (fun (log, n, steps) ->
+      let log = Array.of_list log in
+      let len = Array.length log in
+      let table = Replica_state.shared () in
+      let shared = Array.init n (fun _ -> Replica_state.create ()) in
+      let alone = Array.init n (fun _ -> Replica_state.create ()) in
+      let pos = Array.make n 0 in
+      let acks_agree = ref true in
+      let apply r =
+        let applied = pos.(r) + 1 and cmd = log.(pos.(r)) in
+        let ack = Replica_state.apply ~shared:table shared.(r) ~applied cmd in
+        acks_agree :=
+          !acks_agree && ack = Replica_state.apply alone.(r) ~applied cmd;
+        pos.(r) <- applied
+      in
+      let agrees r = observe_sm len shared.(r) = observe_sm len alone.(r) in
+      let step (r, kind) =
+        (match kind with
+        | 7 ->
+            let src = ref r in
+            Array.iteri (fun q p -> if p > pos.(!src) then src := q) pos;
+            let src = !src in
+            if src <> r then begin
+              let install reps =
+                Replica_state.install_snapshot reps.(r)
+                  (Replica_state.take_snapshot reps.(src))
+              in
+              install shared;
+              install alone;
+              pos.(r) <- pos.(src)
+            end
+        | 8 | 9 ->
+            let through = ref max_int in
+            Array.iteri
+              (fun q p -> if kind = 9 || q <> r then through := min !through p)
+              pos;
+            Replica_state.forget table ~through:!through
+        | _ -> if pos.(r) < len then apply r);
+        agrees r
+      in
+      let stepped = List.for_all step steps in
+      Array.iteri
+        (fun r _ ->
+          while pos.(r) < len do
+            apply r
+          done)
+        pos;
+      stepped && !acks_agree && List.for_all agrees (List.init n Fun.id))
+
 let suite =
   [
     Alcotest.test_case "zone survival config" `Quick test_zone_survival_config;
@@ -1123,4 +1205,5 @@ let suite =
     Alcotest.test_case "resolve awaits the anchor range" `Quick
       test_resolve_awaits_anchor_range;
       QCheck_alcotest.to_alcotest prop_snapshot_plus_suffix;
+    QCheck_alcotest.to_alcotest prop_shared_apply;
   ]

@@ -405,6 +405,103 @@ let test_merge_does_not_wait_for_lagging_replica () =
       check Alcotest.(option string) "the revived node serves absorbed data"
         (Some "juicy") (get cl ~gateway:down "orange"))
 
+(* Replicas at the same log index share one store. After fault-free runs
+   of writes, around a split and a merge, every replica of each range holds
+   its leaseholder's map and the range holds no shared effect. A node down
+   through a run of writes holds none back: the range keeps at most its
+   live replicas' apply lag. Revived, the node catches up from the log and
+   reads what the others read. *)
+let test_replicas_share_applied_writes () =
+  let cl, rid = one_range () in
+  let net = Cluster.net cl in
+  let gw = node_in cl home 0 in
+  let keys = List.init 12 (Printf.sprintf "k%02d") in
+  let txns = ref [] and tss = ref [ Ts.zero ] in
+  let write_all ?(each = ignore) () =
+    Cluster.run cl (fun () ->
+        List.iter
+          (fun key ->
+            let txn = List.length !txns + 1 in
+            txns := txn :: !txns;
+            tss := put cl ~gateway:gw ~txn key (string_of_int txn) :: !tss;
+            each ())
+          keys);
+    Cluster.run_for cl 1_000_000
+  in
+  let store rid n = (Option.get (Cluster.state_of cl rid n)).store in
+  let check_shared what =
+    List.iter
+      (fun rid ->
+        let lh = Option.get (Cluster.leaseholder cl rid) in
+        List.iter
+          (fun (n, _) ->
+            check Alcotest.bool
+              (Printf.sprintf "%s: n%d shares r%d's leaseholder store" what n rid)
+              true
+              (Mvcc.shares_map (store rid n) (store rid lh)))
+          (Cluster.replica_nodes cl rid);
+        check Alcotest.int
+          (Printf.sprintf "%s: r%d holds no shared effect" what rid)
+          0
+          (Cluster.shared_effects cl rid))
+      (Cluster.ranges cl)
+  in
+  write_all ();
+  check_shared "writes";
+  ignore (Option.get (Cluster.split_range cl rid ~at:"k06") : Cluster.range_id);
+  Cluster.run_for cl 3_000_000;
+  write_all ();
+  check_shared "split";
+  check Alcotest.bool "merge proposed" true (Cluster.merge_range cl rid);
+  Cluster.run_for cl 1_000_000;
+  check Alcotest.(list int) "merged" [ rid ] (Cluster.ranges cl);
+  write_all ();
+  check_shared "merge";
+  let lh = Option.get (Cluster.leaseholder cl rid) in
+  let down = other_voter cl rid lh in
+  Transport.kill_node net down;
+  let live_lag () =
+    let applied =
+      List.filter_map
+        (fun (n, _) ->
+          if Transport.is_alive net n then Cluster.applied_index cl rid n
+          else None)
+        (Cluster.replica_nodes cl rid)
+    in
+    List.fold_left max 0 applied - List.fold_left min max_int applied
+  in
+  let worst = ref 0 in
+  let bounded () =
+    let held = Cluster.shared_effects cl rid and lag = live_lag () in
+    worst := max !worst held;
+    if held > lag then
+      Alcotest.failf "%d shared effects held over a live apply lag of %d" held
+        lag
+  in
+  write_all ~each:bounded ();
+  write_all ~each:bounded ();
+  check Alcotest.bool "effects were shared while the node was down" true
+    (!worst > 0);
+  check Alcotest.int "a dead replica holds no effect back" 0
+    (Cluster.shared_effects cl rid);
+  Cluster.restart_node cl down;
+  Cluster.run_for cl 5_000_000;
+  write_all ();
+  let observe n =
+    Test_kv.observe ~keys ~tss:!tss ~txns:!txns
+      (Option.get (Cluster.state_of cl rid n))
+  in
+  let want = observe lh in
+  List.iter
+    (fun (n, _) ->
+      check Alcotest.bool
+        (Printf.sprintf "n%d reads what the leaseholder reads" n)
+        true
+        (observe n = want))
+    (Cluster.replica_nodes cl rid);
+  check Alcotest.int "caught up, the range holds no shared effect" 0
+    (Cluster.shared_effects cl rid)
+
 (* A replica that has not applied its range's last merge trigger answers
    for no key: its range already spans the absorbed keys, but it lacks
    their data. A follower cut off before the trigger applies must redirect
@@ -761,6 +858,8 @@ let suite =
       test_abandon_reaches_late_follower;
     Alcotest.test_case "merge does not wait for a lagging replica" `Quick
       test_merge_does_not_wait_for_lagging_replica;
+    Alcotest.test_case "replicas share applied writes" `Quick
+      test_replicas_share_applied_writes;
     Alcotest.test_case "lagging follower redirects absorbed keys" `Quick
       test_lagging_follower_redirects_absorbed_keys;
     Alcotest.test_case "live bytes through split and merge" `Quick
