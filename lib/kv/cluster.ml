@@ -362,12 +362,23 @@ let drop_replica t rg node =
       t.load.(node) <- max 0 (t.load.(node) - 1))
     (replica_at rg node)
 
-(* Forget the shared store effects every live replica of [rg] has applied. *)
+(* Forget the shared store effects every replica of [rg] that the log still
+   reaches has applied: one on a dead node, or cut off from the leaseholder
+   by a partition, holds none back. With no leaseholder, every live replica
+   counts. *)
 let forget_applied t rg =
+  let lh = ref (-1) in
+  for node = 0 to Array.length rg.rg_at - 1 do
+    match rg.rg_at.(node) with
+    | Some r when !lh < 0 && lease_valid t r -> lh := node
+    | Some _ | None -> ()
+  done;
   let through = ref max_int in
   for node = 0 to Array.length rg.rg_at - 1 do
     match rg.rg_at.(node) with
-    | Some r when Transport.is_alive t.net node ->
+    | Some r
+      when if !lh < 0 then Transport.is_alive t.net node
+           else Transport.reachable t.net !lh node ->
         through := Int.min !through (Raft.applied_index r.r_raft)
     | Some _ | None -> ()
   done;
@@ -520,7 +531,7 @@ and apply_split t r ~index ~right ~at { proposer; _ } =
     note_range_count t
   end;
   let sm =
-    Replica_state.split_off ~shared:rg.rg_shared r.r_sm ~applied:index ~at
+    Replica_state.split_off rg.rg_shared r.r_sm ~applied:index ~at
   in
   match range_opt t right with
   | Some rrg

@@ -571,7 +571,8 @@ val state_of :
 
 val shared_effects : t -> range_id -> int
 (** The number of log indexes whose store effects the range still holds for
-    live replicas that have not applied them (see {!Replica_state.shared}). *)
+    replicas that have not applied them: live ones, and with a leaseholder
+    only those it can reach (see {!Replica_state.shared}). *)
 
 val applied_index : t -> range_id -> Crdb_net.Topology.node_id -> int option
 (** The log index the node's replica of the range has applied through. *)

@@ -155,6 +155,8 @@ let forget sh ~through =
   for i = sh.forgotten + 1 to Int.min through sh.newest do
     Hashtbl.remove sh.effects i
   done;
+  (* [remove] never shrinks the buckets a long lag grew. *)
+  if Hashtbl.length sh.effects = 0 then Hashtbl.reset sh.effects;
   sh.forgotten <- Int.max sh.forgotten through
 
 let held sh = Hashtbl.length sh.effects
@@ -233,21 +235,17 @@ let rec adopt_split store at = function
   | (Wrote _ | Split _) :: rs -> adopt_split store at rs
   | [] -> None
 
-let split_off ?shared s ~applied ~at =
+let split_off sh s ~applied ~at =
   let store =
-    match shared with
-    | None -> Mvcc.split_off s.store ~key:at
-    | Some sh -> (
-        match adopt_split s.store at (recorded sh ~applied) with
-        | Some right -> right
-        | None when applied <= sh.forgotten -> Mvcc.split_off s.store ~key:at
-        | None ->
-            let before = Mvcc.copy s.store in
-            let right = Mvcc.split_off s.store ~key:at in
-            record sh ~applied
-              (Split
-                 { at; before; left = Mvcc.copy s.store; right = Mvcc.copy right });
-            right)
+    match adopt_split s.store at (recorded sh ~applied) with
+    | Some right -> right
+    | None when applied <= sh.forgotten -> Mvcc.split_off s.store ~key:at
+    | None ->
+        let before = Mvcc.copy s.store in
+        let right = Mvcc.split_off s.store ~key:at in
+        record sh ~applied
+          (Split { at; before; left = Mvcc.copy s.store; right = Mvcc.copy right });
+        right
   in
   let right = of_store store in
   right.applied_closed <- s.applied_closed;

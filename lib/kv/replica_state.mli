@@ -100,10 +100,12 @@ val apply :
 
 val forget : shared -> through:int -> unit
 (** Drop the effects of the entries at indexes up to [through]: the range
-    calls it with the lowest applied index among its live replicas, so a
-    dead, removed or snapshot-seeded replica holds none back. An entry
-    once forgotten is not recorded again; a replica that applies it later
-    computes it. *)
+    calls it with the lowest applied index among the replicas its log
+    still reaches (live, and not cut off from the leaseholder by a
+    partition), so a dead, removed, partitioned or snapshot-seeded replica
+    holds none back. An entry once forgotten is not recorded again; a
+    replica that applies it later (a revived node, or one whose partition
+    healed) computes it, and keeps its own map until a snapshot. *)
 
 val held : shared -> int
 (** The number of log indexes whose effects [shared] still holds. *)
@@ -123,12 +125,12 @@ val write_ts : op -> Ts.t option
 val take_snapshot : t -> snap
 val install_snapshot : t -> snap -> unit
 
-val split_off : ?shared:shared -> t -> applied:int -> at:string -> t
+val split_off : shared -> t -> applied:int -> at:string -> t
 (** Apply the split trigger at index [applied]: move the store, locks,
     waiters and records at keys [>= at] into a new state, which starts at
     this one's applied closed timestamp. The two stores are shared through
-    [shared] as {!apply} shares a write, so the right-hand replicas of a
-    range that shared one store share one too. *)
+    the range's table as {!apply} shares a write, so the right-hand
+    replicas of a range that shared one store share one too. *)
 
 val restart : t -> unit
 (** A process restart: drop the locks (waking their waiters) and the

@@ -103,6 +103,9 @@ let cross_region t src dst = t.region.(src) <> t.region.(dst)
 let partitioned t src dst =
   t.cut.((t.region.(src) * t.nregions) + t.region.(dst))
 
+let reachable t src dst =
+  is_alive t src && is_alive t dst && not (partitioned t src dst)
+
 let send t ~src ~dst handler payload =
   if is_alive t src && not (partitioned t src dst) then begin
     Metrics.inc t.c_sent.(src);

@@ -67,6 +67,11 @@ val kill_node : t -> Topology.node_id -> unit
 
 val revive_node : t -> Topology.node_id -> unit
 val is_alive : t -> Topology.node_id -> bool
+
+val reachable : t -> Topology.node_id -> Topology.node_id -> bool
+(** [reachable t src dst]: both nodes are alive and no partition cuts
+    [src] off from [dst], so a message sent now would be delivered. *)
+
 val kill_region : t -> string -> unit
 val revive_region : t -> string -> unit
 val kill_zone : t -> region:string -> zone:string -> unit

@@ -410,7 +410,8 @@ let test_merge_does_not_wait_for_lagging_replica () =
    its leaseholder's map and the range holds no shared effect. A node down
    through a run of writes holds none back: the range keeps at most its
    live replicas' apply lag. Revived, the node catches up from the log and
-   reads what the others read. *)
+   reads what the others read. The same holds for a replica a partition
+   cuts off from the leaseholder. *)
 let test_replicas_share_applied_writes () =
   let cl, rid = one_range () in
   let net = Cluster.net cl in
@@ -460,12 +461,17 @@ let test_replicas_share_applied_writes () =
   let lh = Option.get (Cluster.leaseholder cl rid) in
   let down = other_voter cl rid lh in
   Transport.kill_node net down;
+  (* The replicas the log reaches: live, and not cut off from the
+     leaseholder. *)
+  let fed n =
+    match Cluster.leaseholder cl rid with
+    | Some lh -> Transport.reachable net lh n
+    | None -> Transport.is_alive net n
+  in
   let live_lag () =
     let applied =
       List.filter_map
-        (fun (n, _) ->
-          if Transport.is_alive net n then Cluster.applied_index cl rid n
-          else None)
+        (fun (n, _) -> if fed n then Cluster.applied_index cl rid n else None)
         (Cluster.replica_nodes cl rid)
     in
     List.fold_left max 0 applied - List.fold_left min max_int applied
@@ -491,16 +497,44 @@ let test_replicas_share_applied_writes () =
     Test_kv.observe ~keys ~tss:!tss ~txns:!txns
       (Option.get (Cluster.state_of cl rid n))
   in
-  let want = observe lh in
-  List.iter
-    (fun (n, _) ->
-      check Alcotest.bool
-        (Printf.sprintf "n%d reads what the leaseholder reads" n)
-        true
-        (observe n = want))
-    (Cluster.replica_nodes cl rid);
-  check Alcotest.int "caught up, the range holds no shared effect" 0
-    (Cluster.shared_effects cl rid)
+  let agree what =
+    let want = observe (Option.get (Cluster.leaseholder cl rid)) in
+    List.iter
+      (fun (n, _) ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: n%d reads what the leaseholder reads" what n)
+          true
+          (observe n = want))
+      (Cluster.replica_nodes cl rid);
+    check Alcotest.int
+      (Printf.sprintf "%s: the range holds no shared effect" what)
+      0
+      (Cluster.shared_effects cl rid)
+  in
+  agree "revived";
+  (* A partition cutting a non-voter's region off from the leaseholder's
+     holds nothing back either, for as long as it lasts. *)
+  let topo = Cluster.topology cl in
+  let far =
+    List.find_map
+      (fun (n, _) ->
+        let region = Topology.region_of topo n in
+        if region <> home then Some region else None)
+      (Cluster.replica_nodes cl rid)
+    |> Option.get
+  in
+  Transport.partition_regions net home far;
+  worst := 0;
+  write_all ~each:bounded ();
+  write_all ~each:bounded ();
+  check Alcotest.bool "effects were shared during the partition" true
+    (!worst > 0);
+  check Alcotest.int "a partitioned replica holds no effect back" 0
+    (Cluster.shared_effects cl rid);
+  Transport.heal_partitions net;
+  Cluster.run_for cl 5_000_000;
+  write_all ();
+  agree "healed"
 
 (* A replica that has not applied its range's last merge trigger answers
    for no key: its range already spans the absorbed keys, but it lacks
