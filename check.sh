@@ -72,12 +72,23 @@ if [ -z "$merged" ] || [ "$merged" = 0 ] || [ "$merged" != "$applied" ]; then
 fi
 
 # Merge window: merges and splits race node kills, partitions and lease
-# transfers; a merge trigger must apply the same way on every replica,
-# however late. Every run must check out clean.
-echo "== merge chaos window (seeds 801-804)"
-dune exec bin/crdb_sim.exe -- chaos --seed 801 --seeds 4 --survival region \
-  --checker serializability \
-  --faults split-range,merge-range,kill-node,partition,lease-transfer
+# transfers; a merge trigger, which absorbs the subsumed range's store and
+# transaction records, must apply the same way on every replica, however
+# late. Every run must check out clean, and the window must inject at
+# least one merge (a merge needs a split pair first, hence the short
+# fault interval).
+echo "== merge chaos window (seeds 801-808)"
+status=0
+out=$(dune exec bin/crdb_sim.exe -- chaos --seed 801 --seeds 8 \
+  --survival region --fault-interval 1000 --checker serializability \
+  --faults split-range,merge-range,kill-node,partition,lease-transfer 2>&1) \
+  || status=$?
+echo "$out"
+[ "$status" = 0 ] || exit "$status"
+echo "$out" | grep -q "inject merge_range" || {
+  echo "merge chaos window: the fault logs show no merge_range"
+  exit 1
+}
 
 # Serializability gate: multi-key transactions spanning several ranges race
 # the full fault mix (kills, partitions, clock jumps, lease transfers and

@@ -79,7 +79,7 @@ and range = {
   mutable rg_split_index : int; (* log index of the last split trigger *)
   mutable rg_merge_index : int; (* log index of the last merge trigger *)
   rg_shared : Replica_state.shared;
-      (* the store effects of entries some live replica has yet to apply *)
+      (* the effects of entries some live replica has yet to apply *)
   mutable rg_walk : Allocator.placement option; (* target of [walk] *)
   rg_samples : key_samples;
       (* bounded ring of recently served request keys — the autopilot split
@@ -362,7 +362,7 @@ let drop_replica t rg node =
       t.load.(node) <- max 0 (t.load.(node) - 1))
     (replica_at rg node)
 
-(* Forget the shared store effects every replica of [rg] that the log still
+(* Forget the shared effects every replica of [rg] that the log still
    reaches has applied: one on a dead node, or cut off from the leaseholder
    by a partition, holds none back. With no leaseholder, every live replica
    counts. *)

@@ -570,7 +570,7 @@ val state_of :
   t -> range_id -> Crdb_net.Topology.node_id -> Replica_state.t option
 
 val shared_effects : t -> range_id -> int
-(** The number of log indexes whose store effects the range still holds for
+(** The number of log indexes whose effects the range still holds for
     replicas that have not applied them: live ones, and with a leaseholder
     only those it can reach (see {!Replica_state.shared}). *)
 

@@ -2,7 +2,10 @@ module Ivar = Crdb_sim.Ivar
 module Ts = Crdb_hlc.Timestamp
 module Mvcc = Crdb_storage.Mvcc
 
-type snap = { snap_store : Mvcc.t; snap_closed : Ts.t; snap_txns : Txnrec.t }
+(* The replicated data of a state as values that no apply changes: a Raft
+   snapshot, a merge trigger's cell, and the states the shared table
+   records around an entry. *)
+type snap = { snap_store : Mvcc.t; snap_txns : Txnrec.t; snap_closed : Ts.t }
 
 type op =
   | Op_put of {
@@ -47,17 +50,15 @@ type t = {
   mutable pending_side : (int * Ts.t) list;
 }
 
-let of_store store =
+let create () =
   {
-    store;
+    store = Mvcc.create ();
     locks = Lock_table.create ();
     txns = Txnrec.create ();
     applied_closed = Ts.zero;
     side_closed = Ts.zero;
     pending_side = [];
   }
-
-let create () = of_store (Mvcc.create ())
 
 let closed s = Ts.max s.applied_closed s.side_closed
 
@@ -81,58 +82,88 @@ let add_side s ~applied ~lai ts =
   else s.pending_side <- (lai, ts) :: s.pending_side;
   promote_side s ~applied
 
-(* The store effect of [op], a function of the map and [op] alone. *)
-let write store ~applied op =
-  match op with
-  | Op_put { txn; ts; key; value; pri; anchor } -> (
-      match
-        Mvcc.put_intent store ~pri ~anchor ~key ~txn_id:txn ~ts ~value ()
-      with
-      | Mvcc.Written -> `Applied
-      | Mvcc.Write_prevented ->
-          (* Commit-status recovery barred this write while it was in the
-             log; the ack must tell the gateway its commit lost. *)
-          `Prevented
-      | Mvcc.Write_blocked i ->
-          (* A serving leaseholder's lock table serializes writers over
-             every earlier entry: a foreign intent means divergence. *)
-          invalid_arg
-            (Printf.sprintf
-               "Replica_state.apply: entry %d: txn %d's write to %S blocked \
-                by txn %d's intent"
-               applied txn key i.Mvcc.txn_id))
+(* The effect of [cmd] on the store and the records: a function of their
+   two maps and [cmd] alone. *)
+let write s ~applied cmd =
+  match cmd.op with
+  | Op_put { txn; ts; key; value; pri; anchor } ->
+      let ack =
+        match
+          Mvcc.put_intent s.store ~pri ~anchor ~key ~txn_id:txn ~ts ~value ()
+        with
+        | Mvcc.Written -> `Applied
+        | Mvcc.Write_prevented ->
+            (* Commit-status recovery barred this write while it was in the
+               log; the ack must tell the gateway its commit lost. *)
+            `Prevented
+        | Mvcc.Write_blocked i ->
+            (* A serving leaseholder's lock table serializes writers over
+               every earlier entry: a foreign intent means divergence. *)
+            invalid_arg
+              (Printf.sprintf
+                 "Replica_state.apply: entry %d: txn %d's write to %S blocked \
+                  by txn %d's intent"
+                 applied txn key i.Mvcc.txn_id)
+      in
+      (* The transaction record rides the first (anchor) write: the anchor
+         range learns of the transaction when the write applies, with no
+         extra consensus round. *)
+      if String.equal key anchor then
+        Txnrec.apply s.txns ~txn ~key
+          (Txnrec.U_register { pri; hb = cmd.proposed_at });
+      ack
   | Op_resolve { txn; keys; commit } ->
       List.iter
-        (fun key -> Mvcc.resolve_intent store ~key ~txn_id:txn ~commit)
+        (fun key -> Mvcc.resolve_intent s.store ~key ~txn_id:txn ~commit)
         keys;
+      `Applied
+  | Op_txn { txn; tkey; upd } ->
+      Txnrec.apply s.txns ~txn ~key:tkey upd;
       `Applied
   | Op_prevent { txn; key; ts } ->
       ignore
-        (Mvcc.prevent store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ]);
+        (Mvcc.prevent s.store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ]);
       `Applied
   | Op_merge { cell; _ } ->
       Option.iter
-        (fun snap -> Mvcc.absorb store snap.snap_store)
+        (fun snap ->
+          Mvcc.absorb s.store snap.snap_store;
+          Txnrec.absorb s.txns ~from:snap.snap_txns)
         (Ivar.peek cell);
       `Applied
-  | Op_txn _ | Op_split _ -> `Applied
+  | Op_split _ -> `Applied
 
-(* The replicas of a range reach each entry from the same map as long as
-   they started from one and took the same entries and snapshots. So the
-   first to apply an entry records the map it started from and the map it
-   produced, and a later replica that still holds that starting map adopts
-   the result. A recorded effect matches by the physical identity of its
-   starting map and its input; a replica that matches none computes, and
-   records its own. Both recorded maps are copies: no live store owns a
-   record in them, so neither changes after it is recorded. *)
+let take_snapshot s =
+  {
+    snap_store = Mvcc.copy s.store;
+    snap_txns = Txnrec.copy s.txns;
+    snap_closed = s.applied_closed;
+  }
+
+let holds s snap =
+  Mvcc.shares_map s.store snap.snap_store
+  && Txnrec.shares s.txns snap.snap_txns
+
+let adopt s snap =
+  Mvcc.replace_with s.store snap.snap_store;
+  Txnrec.replace_with s.txns snap.snap_txns
+
+(* The replicas of a range reach each entry from the same maps as long as
+   they started from the same ones and took the same entries and
+   snapshots. So the first to apply an entry records a snapshot of the
+   state it started from and one of the state it produced, and a later
+   replica that still holds the first adopts the second. A recorded effect
+   matches by the physical identity of its command and of both maps of its
+   starting snapshot; a replica that matches none computes, and records
+   its own. A recorded snapshot's closed timestamp is never adopted. *)
 type recorded =
   | Wrote of {
-      op : op;
-      before : Mvcc.t;
-      after : Mvcc.t;
+      cmd : cmd;
+      before : snap;
+      after : snap;
       ack : [ `Applied | `Prevented ];
     }
-  | Split of { at : string; before : Mvcc.t; left : Mvcc.t; right : Mvcc.t }
+  | Split of { at : string; before : snap; left : snap; right : snap }
 
 type shared = {
   effects : (int, recorded list) Hashtbl.t; (* by log index *)
@@ -161,48 +192,37 @@ let forget sh ~through =
 
 let held sh = Hashtbl.length sh.effects
 
-(* Adopt the write recorded for [op] on [store]'s map, if there is one. *)
-let rec adopt_write store op = function
-  | Wrote w :: _ when w.op == op && Mvcc.shares_map store w.before ->
-      Mvcc.replace_with store w.after;
+(* Adopt the effect recorded for [cmd] on [s]'s maps, if there is one. *)
+let rec adopt_write s cmd = function
+  | Wrote w :: _ when w.cmd == cmd && holds s w.before ->
+      adopt s w.after;
       Some w.ack
-  | (Wrote _ | Split _) :: rs -> adopt_write store op rs
+  | (Wrote _ | Split _) :: rs -> adopt_write s cmd rs
   | [] -> None
 
 let apply ?shared s ~applied cmd =
   s.applied_closed <- Ts.max s.applied_closed cmd.closed;
   promote_side s ~applied;
-  let op = cmd.op in
   let ack =
-    match (shared, op) with
-    | Some sh, (Op_put _ | Op_resolve _ | Op_prevent _ | Op_merge _) -> (
-        match adopt_write s.store op (recorded sh ~applied) with
+    match (shared, cmd.op) with
+    | Some sh, (Op_put _ | Op_resolve _ | Op_txn _ | Op_prevent _ | Op_merge _)
+      -> (
+        match adopt_write s cmd (recorded sh ~applied) with
         | Some ack -> ack
-        | None when applied <= sh.forgotten -> write s.store ~applied op
+        | None when applied <= sh.forgotten -> write s ~applied cmd
         | None ->
-            let before = Mvcc.copy s.store in
-            let ack = write s.store ~applied op in
-            record sh ~applied
-              (Wrote { op; before; after = Mvcc.copy s.store; ack });
+            let before = take_snapshot s in
+            let ack = write s ~applied cmd in
+            let after = take_snapshot s in
+            record sh ~applied (Wrote { cmd; before; after; ack });
             ack)
-    | (Some _ | None), _ -> write s.store ~applied op
+    | (Some _ | None), _ -> write s ~applied cmd
   in
-  (* The effects on this replica's own records and locks. *)
-  (match op with
-  | Op_put { txn; key; pri; anchor; _ } when String.equal key anchor ->
-      (* The transaction record rides the first (anchor) write: every
-         replica of the anchor range learns of the transaction when the
-         write applies, with no extra consensus round. *)
-      Txnrec.apply s.txns ~txn ~key
-        (Txnrec.U_register { pri; hb = cmd.proposed_at })
+  (* A resolve's lock release is this replica's own. *)
+  (match cmd.op with
   | Op_resolve { txn; keys; _ } ->
       List.iter (fun key -> Lock_table.release s.locks ~key ~txn) keys
-  | Op_txn { txn; tkey; upd } -> Txnrec.apply s.txns ~txn ~key:tkey upd
-  | Op_merge { cell; _ } ->
-      Option.iter
-        (fun snap -> Txnrec.absorb s.txns ~from:snap.snap_txns)
-        (Ivar.peek cell)
-  | Op_put _ | Op_prevent _ | Op_split _ -> ());
+  | Op_put _ | Op_txn _ | Op_prevent _ | Op_split _ | Op_merge _ -> ());
   ack
 
 let write_ts = function
@@ -212,45 +232,44 @@ let write_ts = function
       Some ts
   | Op_resolve _ | Op_txn _ | Op_prevent _ | Op_split _ | Op_merge _ -> None
 
-let take_snapshot s =
-  {
-    snap_store = Mvcc.copy s.store;
-    snap_closed = s.applied_closed;
-    snap_txns = Txnrec.copy s.txns;
-  }
-
 let install_snapshot s snap =
   Lock_table.clear_locks s.locks;
   s.applied_closed <- Ts.max s.applied_closed snap.snap_closed;
-  Mvcc.replace_with s.store snap.snap_store;
-  Txnrec.replace_with s.txns snap.snap_txns
+  adopt s snap
 
-(* Adopt the split at [at] recorded on [store]'s map, if there is one:
-   the right-hand store. *)
-let rec adopt_split store at = function
-  | Split sp :: _ when String.equal sp.at at && Mvcc.shares_map store sp.before
-    ->
-      Mvcc.replace_with store sp.left;
-      Some (Mvcc.copy sp.right)
-  | (Wrote _ | Split _) :: rs -> adopt_split store at rs
+(* Split [s]'s store and records at [at]: the right-hand side. *)
+let cut s ~at =
+  {
+    snap_store = Mvcc.split_off s.store ~key:at;
+    snap_txns = Txnrec.split_off s.txns ~at;
+    snap_closed = s.applied_closed;
+  }
+
+(* Adopt the split at [at] recorded on [s]'s maps, if there is one: the
+   right-hand side. *)
+let rec adopt_split s at = function
+  | Split sp :: _ when String.equal sp.at at && holds s sp.before ->
+      adopt s sp.left;
+      Some sp.right
+  | (Wrote _ | Split _) :: rs -> adopt_split s at rs
   | [] -> None
 
 let split_off sh s ~applied ~at =
-  let store =
-    match adopt_split s.store at (recorded sh ~applied) with
+  let snap =
+    match adopt_split s at (recorded sh ~applied) with
     | Some right -> right
-    | None when applied <= sh.forgotten -> Mvcc.split_off s.store ~key:at
+    | None when applied <= sh.forgotten -> cut s ~at
     | None ->
-        let before = Mvcc.copy s.store in
-        let right = Mvcc.split_off s.store ~key:at in
-        record sh ~applied
-          (Split { at; before; left = Mvcc.copy s.store; right = Mvcc.copy right });
+        let before = take_snapshot s in
+        let right = cut s ~at in
+        let left = take_snapshot s in
+        record sh ~applied (Split { at; before; left; right });
         right
   in
-  let right = of_store store in
+  let right = create () in
+  adopt right snap;
   right.applied_closed <- s.applied_closed;
   Lock_table.split_move s.locks ~into:right.locks ~at;
-  Txnrec.split_move s.txns ~into:right.txns ~at;
   right
 
 let restart s =

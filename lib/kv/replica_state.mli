@@ -11,8 +11,9 @@
 module Ts = Crdb_hlc.Timestamp
 
 type snap
-(** A Raft snapshot: the store, the records and the applied closed
-    timestamp. *)
+(** The store, the records and the applied closed timestamp as values that
+    no apply changes, sharing the state's maps: a Raft snapshot, a merge
+    trigger's cell, and what {!shared} records around an entry. *)
 
 (** One replicated command. *)
 type op =
@@ -68,27 +69,26 @@ val create : unit -> t
 (** An empty state: no data, records or closed timestamps. *)
 
 type shared
-(** The store effects of one range's recent log entries, kept for the
-    replicas that have not applied them yet.
+(** The effects of one range's recent log entries, kept for the replicas
+    that have not applied them yet.
 
-    The sharing contract: a command's store effect is a function of the
-    store's map and the command alone, so the first replica to apply an
-    entry records the map it started from and the map it produced, and a
-    later replica that still holds {e physically} that starting map adopts
-    the result with {!Crdb_storage.Mvcc.replace_with} instead of computing
-    it again. A replica that holds another map computes, as it would alone,
-    and records its own result. What is not a function of the map — the
-    closed timestamps, the lock release of a resolve, the transaction
-    records — runs on every replica. Adopting is exact: a replica reads the
-    same, and returns the same ack, as if it had computed the entry
-    itself. *)
+    The sharing contract: a command's effect on the store and the
+    transaction records is a function of their two maps and the command
+    alone, so the first replica to apply an entry records a {!snap} of the
+    state it started from and one of the state it produced, and a later
+    replica that still holds {e physically} both starting maps adopts the
+    result instead of computing it again. A replica that holds other maps
+    computes, as it would alone, and records its own result. Only the
+    closed timestamps and the lock table are per replica. Adopting is
+    exact: a replica reads the same, and returns the same ack, as if it had
+    computed the entry itself. *)
 
 val shared : unit -> shared
 (** An empty table, one per range. *)
 
 val apply :
   ?shared:shared -> t -> applied:int -> cmd -> [ `Applied | `Prevented ]
-(** Apply the committed entry at index [applied], sharing its store effect
+(** Apply the committed entry at index [applied], sharing its effect
     through [shared] when given. [`Prevented] when it is a write that
     commit-status recovery barred. Splits fork nothing here: see
     {!split_off}; a merge trigger adds its cell's store and records, which
@@ -128,9 +128,10 @@ val install_snapshot : t -> snap -> unit
 val split_off : shared -> t -> applied:int -> at:string -> t
 (** Apply the split trigger at index [applied]: move the store, locks,
     waiters and records at keys [>= at] into a new state, which starts at
-    this one's applied closed timestamp. The two stores are shared through
-    the range's table as {!apply} shares a write, so the right-hand
-    replicas of a range that shared one store share one too. *)
+    this one's applied closed timestamp. The store and records of both
+    sides are shared through the range's table as {!apply} shares a write,
+    so the right-hand replicas of a range that shared one state share one
+    too. *)
 
 val restart : t -> unit
 (** A process restart: drop the locks (waking their waiters) and the

@@ -10,8 +10,8 @@ type record = {
   tr_id : int;
   tr_key : string;
   tr_pri : Ts.t;
-  mutable tr_status : status;
-  mutable tr_hb : int;
+  tr_status : status;
+  tr_hb : int;
 }
 
 type update =
@@ -24,71 +24,71 @@ type update =
   | U_recover_abort of { reason : string }
   | U_coord_abort of { reason : string }
 
-type t = { tbl : (int, record) Hashtbl.t }
+module Imap = Map.Make (Int)
 
-let create () = { tbl = Hashtbl.create 16 }
-let find t ~txn = Hashtbl.find_opt t.tbl txn
+(* Immutable records in an immutable map, like an [Mvcc] store: tables
+   share maps, and a transition installs a new record in a new map. *)
+type t = { mutable tbl : record Imap.t }
 
-let ensure t ~txn ~key ~pri ~hb =
-  match Hashtbl.find_opt t.tbl txn with
-  | Some r -> r
-  | None ->
-      let r =
-        { tr_id = txn; tr_key = key; tr_pri = pri; tr_status = Pending;
-          tr_hb = hb }
-      in
-      Hashtbl.replace t.tbl txn r;
-      r
+let create () = { tbl = Imap.empty }
+let find t ~txn = Imap.find_opt txn t.tbl
+let set t r = t.tbl <- Imap.add r.tr_id r t.tbl
+
+let pending ~txn ~key ~pri ~hb =
+  { tr_id = txn; tr_key = key; tr_pri = pri; tr_status = Pending; tr_hb = hb }
+
+(* [txn]'s record, or a new Pending one that is not yet in [t]. *)
+let get t ~txn ~key ~pri ~hb =
+  match find t ~txn with Some r -> r | None -> pending ~txn ~key ~pri ~hb
 
 (* First decision wins: Committed and Aborted are terminal. Every guard
    below re-checks the applied state, so an update that lost the log-order
    race degrades to a no-op rather than overwriting the winner. *)
 let apply t ~txn ~key upd =
   match upd with
-  | U_register { pri; hb } -> ignore (ensure t ~txn ~key ~pri ~hb : record)
+  | U_register { pri; hb } ->
+      if not (Imap.mem txn t.tbl) then set t (pending ~txn ~key ~pri ~hb)
   | U_heartbeat { hb } -> (
       match find t ~txn with
       | Some ({ tr_status = Pending | Staging _; _ } as r) ->
-          r.tr_hb <- max r.tr_hb hb
+          set t { r with tr_hb = max r.tr_hb hb }
       | Some _ | None -> ())
   | U_stage { pri; ts; inflight; hb } -> (
-      let r = ensure t ~txn ~key ~pri ~hb in
+      let r = get t ~txn ~key ~pri ~hb in
       match r.tr_status with
       | Pending | Staging _ ->
-          r.tr_status <- Staging { ts; inflight };
-          r.tr_hb <- max r.tr_hb hb
+          let tr_hb = max r.tr_hb hb in
+          set t { r with tr_status = Staging { ts; inflight }; tr_hb }
       | Committed _ | Aborted _ -> ())
   | U_commit { ts } -> (
-      match find t ~txn with
-      | Some ({ tr_status = Pending | Staging _; _ } as r) ->
-          r.tr_status <- Committed ts
-      | Some _ -> ()
-      | None ->
-          (* A commit decision for a record this table never saw (the
-             record was cleaned up, or the finalize raced a lifecycle
-             event): persist the decision so later pushes resolve the
-             intents instead of declaring the transaction abandoned. *)
-          let r = ensure t ~txn ~key ~pri:Ts.zero ~hb:0 in
-          r.tr_status <- Committed ts)
+      (* A commit decision for a record this table never saw (the record
+         was cleaned up, or the finalize raced a lifecycle event) is
+         persisted too, so later pushes resolve the intents instead of
+         declaring the transaction abandoned. *)
+      let r = get t ~txn ~key ~pri:Ts.zero ~hb:0 in
+      match r.tr_status with
+      | Pending | Staging _ -> set t { r with tr_status = Committed ts }
+      | Committed _ | Aborted _ -> ())
   | U_wound { reason } -> (
       match find t ~txn with
       | Some ({ tr_status = Pending; _ } as r) ->
-          r.tr_status <- Aborted { reason; wound = true }
+          set t { r with tr_status = Aborted { reason; wound = true } }
       | Some _ | None -> ())
   | U_abandon { reason; if_hb_before } -> (
       match find t ~txn with
       | Some ({ tr_status = Pending; _ } as r) when r.tr_hb <= if_hb_before ->
-          r.tr_status <- Aborted { reason; wound = false }
+          set t { r with tr_status = Aborted { reason; wound = false } }
       | Some _ | None -> ())
   | U_recover_abort { reason } -> (
       match find t ~txn with
       | Some ({ tr_status = Staging _; _ } as r) ->
-          r.tr_status <- Aborted { reason; wound = true }
+          set t { r with tr_status = Aborted { reason; wound = true } }
       | Some _ | None -> ())
   | U_coord_abort { reason } -> (
-      let r = ensure t ~txn ~key ~pri:Ts.zero ~hb:0 in
+      let r = get t ~txn ~key ~pri:Ts.zero ~hb:0 in
       match r.tr_status with
-      | Pending | Staging _ -> r.tr_status <- Aborted { reason; wound = false }
+      | Pending | Staging _ ->
+          set t { r with tr_status = Aborted { reason; wound = false } }
       | Committed _ | Aborted _ -> ())
 
 let status t ~txn =
@@ -97,30 +97,13 @@ let status t ~txn =
 let older (a_ts, a_id) (b_ts, b_id) =
   Ts.(a_ts < b_ts) || (Ts.equal a_ts b_ts && a_id < b_id)
 
-let copy_record r =
-  { tr_id = r.tr_id; tr_key = r.tr_key; tr_pri = r.tr_pri;
-    tr_status = r.tr_status; tr_hb = r.tr_hb }
+let copy t = { tbl = t.tbl }
+let replace_with t src = t.tbl <- src.tbl
+let shares t u = t.tbl == u.tbl
 
-let copy t =
-  let dst = create () in
-  Hashtbl.iter (fun id r -> Hashtbl.replace dst.tbl id (copy_record r)) t.tbl;
-  dst
+let split_off t ~at =
+  let right, left = Imap.partition (fun _ r -> r.tr_key >= at) t.tbl in
+  t.tbl <- left;
+  { tbl = right }
 
-let replace_with t src =
-  Hashtbl.reset t.tbl;
-  Hashtbl.iter (fun id r -> Hashtbl.replace t.tbl id (copy_record r)) src.tbl
-
-let split_move t ~into ~at =
-  let moved =
-    Hashtbl.fold
-      (fun id r acc -> if r.tr_key >= at then (id, r) :: acc else acc)
-      t.tbl []
-  in
-  List.iter
-    (fun (id, r) ->
-      Hashtbl.remove t.tbl id;
-      Hashtbl.replace into.tbl id r)
-    moved
-
-let absorb t ~from =
-  Hashtbl.iter (fun id r -> Hashtbl.replace t.tbl id (copy_record r)) from.tbl
+let absorb t ~from = t.tbl <- Imap.union (fun _ _ r -> Some r) t.tbl from.tbl

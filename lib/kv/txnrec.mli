@@ -7,13 +7,14 @@
     and restarts, like the MVCC store itself.
 
     Records are {e replicated state}: every transition is proposed into the
-    range's Raft log (as an [Op_txn] command) and applied here, on every
-    replica, through {!apply}. Transitions are first-decision-wins — once a
-    record is [Committed] or [Aborted] no later update moves it — and the
-    apply order of the anchor range's log is the total order that decides
-    commit-vs-wound races. Callers (the anchor leaseholder's push/commit
-    RPCs) propose an update, await its local apply, then re-read the record
-    to learn which decision actually won.
+    range's Raft log (as an [Op_txn] command) and applied here through
+    {!apply}, once per range: the replicas that hold the same map share the
+    result ({!Replica_state.shared}). Transitions are first-decision-wins —
+    once a record is [Committed] or [Aborted] no later update moves it — and
+    the apply order of the anchor range's log is the total order that
+    decides commit-vs-wound races. Callers (the anchor leaseholder's
+    push/commit RPCs) propose an update, await its local apply, then re-read
+    the record to learn which decision actually won.
 
     The [Staging] status implements parallel commits (§3 of the paper, after
     CRDB): the coordinator writes the record as [Staging] with its commit
@@ -41,8 +42,8 @@ type record = {
   tr_id : int;
   tr_key : string;  (** anchor key: the record lives where this key lives *)
   tr_pri : Ts.t;  (** wound-wait priority (first-attempt start timestamp) *)
-  mutable tr_status : status;
-  mutable tr_hb : int;  (** last coordinator heartbeat, simulated micros *)
+  tr_status : status;
+  tr_hb : int;  (** last coordinator heartbeat, simulated micros *)
 }
 
 (** One record transition, carried inside the anchor range's Raft log and
@@ -71,6 +72,11 @@ type update =
           stub if no record exists, so late writes stay rejected *)
 
 type t
+(** A table: one mutable reference to an immutable map of immutable
+    records. Tables share their maps, as {!Crdb_storage.Mvcc} stores do:
+    {!copy}, {!replace_with}, {!split_off} and {!absorb} copy no record,
+    and a transition installs a new record in a new map, so it never shows
+    in another table. *)
 
 val create : unit -> t
 
@@ -89,13 +95,20 @@ val older : Ts.t * int -> Ts.t * int -> bool
     their anchor key. *)
 
 val copy : t -> t
-(** Deep copy (Raft snapshot transfer). *)
+(** A table with [t]'s records, sharing its map in O(1) (Raft snapshot
+    transfer). *)
 
 val replace_with : t -> t -> unit
-(** Snapshot install: make [t]'s contents a deep copy of the source. *)
+(** Snapshot install: give [t] the source's records by sharing its map in
+    O(1). *)
 
-val split_move : t -> into:t -> at:string -> unit
-(** Move records anchored at keys [>= at] into the right-hand table. *)
+val split_off : t -> at:string -> t
+(** [split_off t ~at] removes the records anchored at keys [>= at] from [t]
+    and returns them as the right-hand table (range split). *)
 
 val absorb : t -> from:t -> unit
-(** Merge: deep-copy the subsumed right-hand table's records into [t]. *)
+(** Merge: add the subsumed right-hand table's records to [t]. *)
+
+val shares : t -> t -> bool
+(** True iff the two tables hold physically the same map, and so the same
+    records. *)

@@ -21,45 +21,24 @@ type write_outcome = Written | Write_blocked of intent | Write_prevented
 (* A key's committed versions, newest first: one block per version. *)
 type 'a versions = Nil | V of { ts : ts; value : 'a; older : 'a versions }
 
-(* A store's identity for record ownership: compared physically, and
-   allocated fresh whenever a store starts sharing its map. *)
-type token = unit ref
-
-(* [prevented] holds transaction ids whose future intent writes on this
-   key were barred by commit-status recovery (the QueryIntent "prevention"
-   of parallel commits). [owner] is the token of the one store allowed to
-   change the record in place. *)
+(* A key's record. [prevented] holds transaction ids whose future intent
+   writes on this key were barred by commit-status recovery (the
+   QueryIntent "prevention" of parallel commits). *)
 type record = {
-  mutable versions : string option versions;
-  mutable intent : intent option;
-  mutable prevented : int list;
-  owner : token;
+  versions : string option versions;
+  intent : intent option;
+  prevented : int list;
 }
 
-(* Stores share [records] maps, and so records: a store changes a record in
-   place only when it holds the record's [owner] token, and otherwise first
-   installs its own copy. Every operation that leaves two stores sharing a
-   map gives each of them a fresh token, so no record a store owns is
-   visible to any other live store. *)
-type t = { mutable records : record Smap.t; mutable token : token }
+(* Records are immutable and a store's map is an immutable [Smap], so
+   stores share maps freely: a write installs a new record with one
+   [Smap.add], and no other store holding the old map sees it. *)
+type t = { mutable records : record Smap.t }
 
-let create () = { records = Smap.empty; token = ref () }
-
+let create () = { records = Smap.empty }
+let empty = { versions = Nil; intent = None; prevented = [] }
 let find t key = Smap.find_opt key t.records
-
-let install t key r =
-  t.records <- Smap.add key r t.records;
-  r
-
-(* [t]'s own record for [key], given [found], the record [t] holds for it:
-   that record when [t] owns it, else a copy (or a new empty record) that
-   [t] installs and owns. *)
-let own t key found =
-  match found with
-  | Some r when r.owner == t.token -> r
-  | Some r -> install t key { r with owner = t.token }
-  | None ->
-      install t key { versions = Nil; intent = None; prevented = []; owner = t.token }
+let install t key r = t.records <- Smap.add key r t.records
 
 (* A newest-first chain stays sorted when a new version goes before the
    first version at or below its timestamp: where a stable newest-first
@@ -119,7 +98,8 @@ let put_intent t ?(pri = Ts.zero) ?(anchor = "") ~key ~txn_id ~ts ~value () =
   | Some r when List.mem txn_id r.prevented -> Write_prevented
   | Some { intent = Some i; _ } when i.txn_id <> txn_id -> Write_blocked i
   | found ->
-      (own t key found).intent <- Some { txn_id; ts; value; pri; anchor };
+      let r = Option.value found ~default:empty in
+      install t key { r with intent = Some { txn_id; ts; value; pri; anchor } };
       Written
 
 (* The transaction's intent is on [r], or a version committed at [ts]. *)
@@ -132,8 +112,8 @@ let prevent t ~key ~txn_id ~ts =
   | Some r when intent_or_commit r ~txn_id ~ts -> `Found
   | Some r when List.mem txn_id r.prevented -> `Prevented
   | found ->
-      let record = own t key found in
-      record.prevented <- txn_id :: record.prevented;
+      let r = Option.value found ~default:empty in
+      install t key { r with prevented = txn_id :: r.prevented };
       `Prevented
 
 let is_prevented t ~key ~txn_id =
@@ -143,13 +123,13 @@ let is_prevented t ~key ~txn_id =
 
 let resolve_intent t ~key ~txn_id ~commit =
   match find t key with
-  | Some { intent = Some i; _ } as found when i.txn_id = txn_id -> (
-      let record = own t key found in
-      record.intent <- None;
-      match commit with
-      | Some commit_ts ->
-          record.versions <- insert_version commit_ts i.value record.versions
-      | None -> ())
+  | Some ({ intent = Some i; _ } as r) when i.txn_id = txn_id ->
+      let versions =
+        match commit with
+        | Some commit_ts -> insert_version commit_ts i.value r.versions
+        | None -> r.versions
+      in
+      install t key { r with intent = None; versions }
   | Some _ | None -> ()
 
 let intent_on t ~key =
@@ -220,33 +200,20 @@ let fold_latest t ~init ~f =
       | V { value = None; _ } | Nil -> acc)
     t.records init
 
-(* The sharing operations hand over the immutable map and re-token every
-   store left holding records another live store can see. *)
-let copy t =
-  t.token <- ref ();
-  { records = t.records; token = ref () }
+let copy t = { records = t.records }
 
-(* The records of the right side stay owned by [t]'s token, which no other
-   store holds, and [t]'s map no longer reaches them: the new store copies
-   each before its first write. *)
 let split_off t ~key =
   let left, at, right = Smap.split key t.records in
   let right = match at with None -> right | Some r -> Smap.add key r right in
   t.records <- left;
-  { records = right; token = ref () }
+  { records = right }
 
 let absorb t src =
-  t.records <- Smap.union (fun _ _ r -> Some r) t.records src.records;
-  t.token <- ref ();
-  src.token <- ref ()
+  t.records <- Smap.union (fun _ _ r -> Some r) t.records src.records
 
-let replace_with t src =
-  t.records <- src.records;
-  t.token <- ref ();
-  src.token <- ref ()
-
+let replace_with t src = t.records <- src.records
 let shares_map t u = t.records == u.records
 
 let put_version t ~key ~ts ~value =
-  let record = own t key (find t key) in
-  record.versions <- insert_version ts value record.versions
+  let r = Option.value (find t key) ~default:empty in
+  install t key { r with versions = insert_version ts value r.versions }

@@ -46,12 +46,11 @@ type write_outcome =
           writer's commit must fail. *)
 
 type t
-(** A store. Stores share their key maps: {!copy}, {!replace_with},
+(** A store: one mutable reference to an immutable map of immutable
+    records. Stores share their maps: {!copy}, {!replace_with},
     {!split_off} and {!absorb} hand a map over instead of copying its
-    records. Each record belongs to the one store allowed to change it in
-    place; a store writing a record it does not own first installs its own
-    copy. Whenever two stores come to share a map, both lose ownership of
-    every record in it, so a write to one store never shows in another. *)
+    records, and a write installs a new record in a new map, so a write to
+    one store never shows in another. *)
 
 val create : unit -> t
 
@@ -143,15 +142,14 @@ val copy : t -> t
 
 val split_off : t -> key:string -> t
 (** [split_off t ~key] removes every record with key [>= key] from [t] and
-    returns them as a new store in O(log n). Records are moved, not copied;
-    the new store copies a record before its first write to it (range
-    split). *)
+    returns them as a new store in O(log n), without copying a record
+    (range split). *)
 
 val absorb : t -> t -> unit
 (** [absorb t src] adds every record of [src] to [t], replacing any record
     [t] already holds for the same key (range merge: the subsumed
-    right-hand store wins for its own span). The two stores then share
-    those records; later writes to either do not show in the other. *)
+    right-hand store wins for its own span). Later writes to either store
+    do not show in the other. *)
 
 val replace_with : t -> t -> unit
 (** [replace_with t src] gives [t] [src]'s contents by sharing [src]'s map

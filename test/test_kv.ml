@@ -917,24 +917,24 @@ let sm_anchor txn = sm_keys.(txn mod Array.length sm_keys)
    there. *)
 let sm_right = [| ("x", 5); ("y", 6) |]
 
+let pp_update = function
+  | Txnrec.U_register { hb; _ } -> Printf.sprintf "register hb=%d" hb
+  | U_heartbeat { hb } -> Printf.sprintf "heartbeat hb=%d" hb
+  | U_stage { hb; _ } -> Printf.sprintf "stage hb=%d" hb
+  | U_commit _ -> "commit"
+  | U_wound _ -> "wound"
+  | U_abandon { if_hb_before; _ } ->
+      Printf.sprintf "abandon if_hb_before=%d" if_hb_before
+  | U_recover_abort _ -> "recover_abort"
+  | U_coord_abort _ -> "coord_abort"
+
 let pp_op = function
   | Replica_state.Op_put { txn; key; anchor; _ } ->
       Printf.sprintf "put t%d %s (anchor %s)" txn key anchor
   | Op_resolve { txn; keys; commit } ->
       Printf.sprintf "resolve t%d [%s] %s" txn (String.concat ";" keys)
         (if commit = None then "abort" else "commit")
-  | Op_txn { txn; upd; _ } ->
-      Printf.sprintf "txn t%d %s" txn
-        (match upd with
-        | Txnrec.U_register { hb; _ } -> Printf.sprintf "register hb=%d" hb
-        | U_heartbeat { hb } -> Printf.sprintf "heartbeat hb=%d" hb
-        | U_stage { hb; _ } -> Printf.sprintf "stage hb=%d" hb
-        | U_commit _ -> "commit"
-        | U_wound _ -> "wound"
-        | U_abandon { if_hb_before; _ } ->
-            Printf.sprintf "abandon if_hb_before=%d" if_hb_before
-        | U_recover_abort _ -> "recover_abort"
-        | U_coord_abort _ -> "coord_abort")
+  | Op_txn { txn; upd; _ } -> Printf.sprintf "txn t%d %s" txn (pp_update upd)
   | Op_prevent { txn; key; ts } ->
       Printf.sprintf "prevent t%d %s @%s" txn key (Ts.to_string ts)
   | Op_split { at; _ } -> "split " ^ at

@@ -41,12 +41,26 @@ let one_range ?survival ?home () =
 let node_in cl region i =
   Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
-let put cl ~gateway ~txn key value =
+(* Write [key] and commit: a writer with an [anchor] registers a
+   transaction record there and commits it before resolving. *)
+let put ?anchor cl ~gateway ~txn key value =
   let ts = Cluster.now_ts cl gateway in
-  match Cluster.write cl ~gateway ~txn ~key ~value:(Some value) ~ts () with
+  match
+    Cluster.write cl ?anchor ~gateway ~txn ~key ~value:(Some value) ~ts ()
+  with
   | `Wounded e | `Err e ->
       Alcotest.failf "write failed: %s" e
   | `Ok commit_ts ->
+      Option.iter
+        (fun key ->
+          match
+            Cluster.txn_update cl ~gateway ~name:"kv.txn_commit" ~txn ~key
+              (Crdb_kv.Txnrec.U_commit { ts = commit_ts })
+          with
+          | Some (Crdb_kv.Txnrec.Committed _) -> ()
+          | Some _ | None ->
+              Alcotest.failf "txn %d's record did not commit" txn)
+        anchor;
       Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts)
         ~keys:[ key ] ();
       commit_ts
@@ -405,9 +419,10 @@ let test_merge_does_not_wait_for_lagging_replica () =
       check Alcotest.(option string) "the revived node serves absorbed data"
         (Some "juicy") (get cl ~gateway:down "orange"))
 
-(* Replicas at the same log index share one store. After fault-free runs
-   of writes, around a split and a merge, every replica of each range holds
-   its leaseholder's map and the range holds no shared effect. A node down
+(* Replicas at the same log index share one store and one record table.
+   After fault-free runs of writes, around a split and a merge, every
+   replica of each range holds its leaseholder's two maps and the range
+   holds no shared effect. A node down
    through a run of writes holds none back: the range keeps at most its
    live replicas' apply lag. Revived, the node catches up from the log and
    reads what the others read. The same holds for a replica a partition
@@ -424,22 +439,29 @@ let test_replicas_share_applied_writes () =
           (fun key ->
             let txn = List.length !txns + 1 in
             txns := txn :: !txns;
-            tss := put cl ~gateway:gw ~txn key (string_of_int txn) :: !tss;
+            tss :=
+              put cl ~gateway:gw ~txn ~anchor:key key (string_of_int txn)
+              :: !tss;
             each ())
           keys);
     Cluster.run_for cl 1_000_000
   in
-  let store rid n = (Option.get (Cluster.state_of cl rid n)).store in
+  let state rid n = Option.get (Cluster.state_of cl rid n) in
   let check_shared what =
     List.iter
       (fun rid ->
-        let lh = Option.get (Cluster.leaseholder cl rid) in
+        let lh = state rid (Option.get (Cluster.leaseholder cl rid)) in
         List.iter
           (fun (n, _) ->
             check Alcotest.bool
               (Printf.sprintf "%s: n%d shares r%d's leaseholder store" what n rid)
               true
-              (Mvcc.shares_map (store rid n) (store rid lh)))
+              (Mvcc.shares_map (state rid n).store lh.store);
+            check Alcotest.bool
+              (Printf.sprintf "%s: n%d shares r%d's leaseholder records" what n
+                 rid)
+              true
+              (Crdb_kv.Txnrec.shares (state rid n).txns lh.txns))
           (Cluster.replica_nodes cl rid);
         check Alcotest.int
           (Printf.sprintf "%s: r%d holds no shared effect" what rid)

@@ -430,9 +430,8 @@ let same_store m o =
 (* A pool of four stores takes random intent, prevention and version
    writes and random copies, snapshot installs, splits and merges between
    them; after every step each store reads as the deep-copying oracle's.
-   A write that goes through a record its store does not own, or a copy
-   that leaves its source able to write records the copy shares, shows
-   here as one store's write appearing in another. *)
+   A write that changed a record or map another store shares shows here as
+   one store's write appearing in another. *)
 let prop_sharing_matches_deep_copies =
   let pool = 4 in
   let key = QCheck.Gen.oneofl model_keys
@@ -510,8 +509,8 @@ let prop_sharing_matches_deep_copies =
 
 (* Each way two stores come to share records, followed by a write to each
    side: neither write shows in the other store. The split cases hand the
-   right side back to the store it came from, whose token still owns the
-   records it wrote before the split. *)
+   right side back to the store it came from, which wrote its records
+   before the split. *)
 let test_sharing_isolates_writes () =
   let latest s key = read_value s ~key ~at:100 in
   let seeded () =

@@ -493,6 +493,228 @@ let test_staged_event_per_applied_stage () =
         (List.map staged !old_ids));
   no_conflict_timeouts cl
 
+(* ------------------------------------------------------------------ *)
+(* Tables share maps                                                   *)
+
+(* A copy and an install share the source's map; a transition gives its
+   table a new map and leaves the others as they were, and a no-op one
+   keeps the map it had. *)
+let test_tables_share_maps () =
+  let pri = Ts.of_wall 1 in
+  let hb t = Option.map (fun r -> r.Txnrec.tr_hb) (Txnrec.find t ~txn:1) in
+  let t = Txnrec.create () in
+  Txnrec.apply t ~txn:1 ~key:"a" (Txnrec.U_register { pri; hb = 0 });
+  let c = Txnrec.copy t in
+  check Alcotest.bool "a copy shares" true (Txnrec.shares c t);
+  Txnrec.apply c ~txn:1 ~key:"a" (Txnrec.U_register { pri; hb = 9 });
+  check Alcotest.bool "a no-op transition keeps sharing" true
+    (Txnrec.shares c t);
+  Txnrec.apply c ~txn:1 ~key:"a" (Txnrec.U_heartbeat { hb = 5 });
+  check Alcotest.bool "a transition stops sharing" false (Txnrec.shares c t);
+  check Alcotest.(option int) "the source is unchanged" (Some 0) (hb t);
+  check Alcotest.(option int) "the copy moved" (Some 5) (hb c);
+  let u = Txnrec.create () in
+  Txnrec.replace_with u c;
+  check Alcotest.bool "an install shares" true (Txnrec.shares u c);
+  Txnrec.apply u ~txn:1 ~key:"a" (Txnrec.U_wound { reason = "w" });
+  check Alcotest.bool "the installed source is unchanged" true
+    (Txnrec.status c ~txn:1 = Some Txnrec.Pending)
+
+(* The table as it was before tables shared maps: mutable records in a
+   [Hashtbl], deep-copied by every copy, install and merge. The oracle of
+   the property below. *)
+module Deep = struct
+  type record = {
+    id : int;
+    key : string;
+    pri : Ts.t;
+    mutable status : Txnrec.status;
+    mutable hb : int;
+  }
+
+  let create () : (int, record) Hashtbl.t = Hashtbl.create 8
+
+  let ensure t ~txn ~key ~pri ~hb =
+    match Hashtbl.find_opt t txn with
+    | Some r -> r
+    | None ->
+        let r = { id = txn; key; pri; status = Txnrec.Pending; hb } in
+        Hashtbl.replace t txn r;
+        r
+
+  let apply t ~txn ~key upd =
+    let find () = Hashtbl.find_opt t txn in
+    match (upd : Txnrec.update) with
+    | U_register { pri; hb } -> ignore (ensure t ~txn ~key ~pri ~hb : record)
+    | U_heartbeat { hb } -> (
+        match find () with
+        | Some ({ status = Pending | Staging _; _ } as r) -> r.hb <- max r.hb hb
+        | Some _ | None -> ())
+    | U_stage { pri; ts; inflight; hb } -> (
+        let r = ensure t ~txn ~key ~pri ~hb in
+        match r.status with
+        | Pending | Staging _ ->
+            r.status <- Staging { ts; inflight };
+            r.hb <- max r.hb hb
+        | Committed _ | Aborted _ -> ())
+    | U_commit { ts } -> (
+        match find () with
+        | Some ({ status = Pending | Staging _; _ } as r) ->
+            r.status <- Committed ts
+        | Some _ -> ()
+        | None ->
+            (ensure t ~txn ~key ~pri:Ts.zero ~hb:0).status <- Committed ts)
+    | U_wound { reason } -> (
+        match find () with
+        | Some ({ status = Pending; _ } as r) ->
+            r.status <- Aborted { reason; wound = true }
+        | Some _ | None -> ())
+    | U_abandon { reason; if_hb_before } -> (
+        match find () with
+        | Some ({ status = Pending; _ } as r) when r.hb <= if_hb_before ->
+            r.status <- Aborted { reason; wound = false }
+        | Some _ | None -> ())
+    | U_recover_abort { reason } -> (
+        match find () with
+        | Some ({ status = Staging _; _ } as r) ->
+            r.status <- Aborted { reason; wound = true }
+        | Some _ | None -> ())
+    | U_coord_abort { reason } -> (
+        let r = ensure t ~txn ~key ~pri:Ts.zero ~hb:0 in
+        match r.status with
+        | Pending | Staging _ -> r.status <- Aborted { reason; wound = false }
+        | Committed _ | Aborted _ -> ())
+
+  let add_copies t src =
+    Hashtbl.iter (fun id r -> Hashtbl.replace t id { r with id }) src
+
+  let copy src =
+    let t = create () in
+    add_copies t src;
+    t
+
+  let replace_with t src =
+    Hashtbl.reset t;
+    add_copies t src
+
+  let split_off t ~at =
+    let right = create () in
+    Hashtbl.iter (fun id r -> if r.key >= at then Hashtbl.replace right id r) t;
+    Hashtbl.iter (fun id _ -> Hashtbl.remove t id) right;
+    right
+
+  let absorb t ~from = add_copies t from
+
+  let find t ~txn =
+    Option.map
+      (fun r -> (r.id, r.key, r.pri, r.status, r.hb))
+      (Hashtbl.find_opt t txn)
+end
+
+type table_op =
+  | Apply of int * int * Txnrec.update
+  | Copy of int * int
+  | Replace_with of int * int
+  | Split_off of int * int * string
+  | Absorb of int * int
+
+let table_keys = [| "a"; "b"; "c"; "d"; "e" |]
+let table_txns = List.init 6 (fun i -> i + 1)
+let table_anchor txn = table_keys.(txn mod Array.length table_keys)
+
+let pp_table_op = function
+  | Apply (t, txn, upd) ->
+      Printf.sprintf "apply(%d, t%d, %s)" t txn (Test_kv.pp_update upd)
+  | Copy (d, s) -> Printf.sprintf "copy(%d <- %d)" d s
+  | Replace_with (d, s) -> Printf.sprintf "replace_with(%d <- %d)" d s
+  | Split_off (d, s, at) -> Printf.sprintf "split_off(%d <- %d @ %s)" d s at
+  | Absorb (d, s) -> Printf.sprintf "absorb(%d <- %d)" d s
+
+(* Three tables take random transitions and random copies, installs,
+   splits and merges between them; after every step each table holds the
+   records of the deep-copying oracle's. A transition that changed a map
+   another table shares shows here as one table's update appearing in
+   another. *)
+let prop_tables_match_deep_copies =
+  let pool = 3 in
+  let table = QCheck.Gen.int_bound (pool - 1) in
+  let two_tables =
+    QCheck.Gen.(
+      table >>= fun d ->
+      map (fun s -> (d, (d + 1 + s) mod pool)) (int_bound (pool - 2)))
+  in
+  let upd =
+    QCheck.Gen.(
+      let* w = int_range 1 10 and* hb = int_range 0 10 in
+      let ts = Ts.of_wall w in
+      oneofl
+        Txnrec.
+          [
+            U_register { pri = ts; hb };
+            U_heartbeat { hb };
+            U_stage { pri = ts; ts; inflight = [ "a" ]; hb };
+            U_commit { ts };
+            U_wound { reason = "w" };
+            U_abandon { reason = "a"; if_hb_before = hb };
+            U_recover_abort { reason = "r" };
+            U_coord_abort { reason = "c" };
+          ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 8,
+            map2
+              (fun (t, txn) upd -> Apply (t, txn, upd))
+              (pair table (oneofl table_txns)) upd );
+          (2, map (fun (d, s) -> Copy (d, s)) two_tables);
+          (2, map (fun (d, s) -> Replace_with (d, s)) two_tables);
+          ( 2,
+            map2
+              (fun (d, s) at -> Split_off (d, s, at))
+              two_tables (oneofl [ "a"; "b"; "bb"; "c"; "e"; "f" ]) );
+          (2, map (fun (d, s) -> Absorb (d, s)) two_tables);
+        ])
+  in
+  let print ops = String.concat " " (List.map pp_table_op ops) in
+  QCheck.Test.make ~name:"record tables match deep copies" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (int_bound 40) op))
+    (fun ops ->
+      let ts = Array.init pool (fun _ -> Txnrec.create ())
+      and os = Array.init pool (fun _ -> Deep.create ()) in
+      let same i =
+        List.for_all
+          (fun txn ->
+            Option.map
+              (fun r ->
+                Txnrec.(r.tr_id, r.tr_key, r.tr_pri, r.tr_status, r.tr_hb))
+              (Txnrec.find ts.(i) ~txn)
+            = Deep.find os.(i) ~txn)
+          table_txns
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Apply (t, txn, upd) ->
+              let key = table_anchor txn in
+              Txnrec.apply ts.(t) ~txn ~key upd;
+              Deep.apply os.(t) ~txn ~key upd
+          | Copy (d, s) ->
+              ts.(d) <- Txnrec.copy ts.(s);
+              os.(d) <- Deep.copy os.(s)
+          | Replace_with (d, s) ->
+              Txnrec.replace_with ts.(d) ts.(s);
+              Deep.replace_with os.(d) os.(s)
+          | Split_off (d, s, at) ->
+              ts.(d) <- Txnrec.split_off ts.(s) ~at;
+              os.(d) <- Deep.split_off os.(s) ~at
+          | Absorb (d, s) ->
+              Txnrec.absorb ts.(d) ~from:ts.(s);
+              Deep.absorb os.(d) ~from:os.(s));
+          List.for_all same (List.init pool Fun.id))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "record state machine, first decision wins" `Quick
@@ -515,4 +737,6 @@ let suite =
       test_commit_vs_wound_race;
     Alcotest.test_case "one staged event per applied stage" `Quick
       test_staged_event_per_applied_stage;
+    Alcotest.test_case "tables share maps" `Quick test_tables_share_maps;
+    QCheck_alcotest.to_alcotest prop_tables_match_deep_copies;
   ]
