@@ -80,6 +80,8 @@ and range = {
   mutable rg_merge_index : int; (* log index of the last merge trigger *)
   rg_shared : Replica_state.shared;
       (* the effects of entries some live replica has yet to apply *)
+  rg_log : Replica_state.cmd Raft.committed;
+      (* the committed Raft log, held once for every replica *)
   mutable rg_walk : Allocator.placement option; (* target of [walk] *)
   rg_samples : key_samples;
       (* bounded ring of recently served request keys — the autopilot split
@@ -320,6 +322,7 @@ let new_range t rid ~span ~zone ~policy ~closed ~low_water =
       rg_split_index = 0;
       rg_merge_index = 0;
       rg_shared = Replica_state.shared ();
+      rg_log = Raft.committed ();
       rg_walk = None;
       rg_samples = { ring = Array.make sample_cap ""; seen = 0 };
     }
@@ -397,7 +400,7 @@ let rec make_replica ?(sm = Replica_state.create ()) t rg node ~peers ?boundary
         r_raft =
           Raft.create ~sim:t.sim ~rng:(Rng.split t.rng) ~id:node ~peers
             ~callbacks:(raft_callbacks t rg node sm r) ~obs:t.obs
-            ~range:rg.rg_id ?boundary ();
+            ~range:rg.rg_id ?boundary ~shared:rg.rg_log ();
         r_sm = sm;
         r_latch = None;
       }
@@ -1106,6 +1109,10 @@ let publish t node =
       match replica_at rg node with
       | Some r when Raft.is_leader r.r_raft ->
           let target = next_closed_target t rg node in
+          (* Every write lands above [target], so reads at or below it push
+             none: forget them once the cache has doubled. *)
+          if Tscache.prune_due rg.rg_tscache then
+            Tscache.prune rg.rg_tscache ~closed:target;
           let lai = Raft.last_index r.r_raft in
           List.iter
             (fun (peer, _) -> if peer <> node then add peer (rg, lai, target))

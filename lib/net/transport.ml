@@ -31,7 +31,6 @@ type t = {
   c_rpcs : Metrics.counter array;
   c_wan_msgs : Metrics.counter array;
   c_wan_rpcs : Metrics.counter array;
-  h_delay : Crdb_stats.Hist.t;
 }
 
 let region_index topology r =
@@ -62,7 +61,6 @@ let create ?(jitter = 0.05) ?rng ?(obs = Obs.null) ~sim ~topology ~latency () =
     c_rpcs = Array.init n (fun i -> Metrics.counter m ~node:i "net.rpcs");
     c_wan_msgs = Array.init n (fun i -> Metrics.counter m ~node:i "net.wan_msgs");
     c_wan_rpcs = Array.init n (fun i -> Metrics.counter m ~node:i "net.wan_rpcs");
-    h_delay = Metrics.histogram m "net.delay";
   }
 
 let sim t = t.sim
@@ -111,7 +109,6 @@ let send t ~src ~dst handler payload =
     Metrics.inc t.c_sent.(src);
     if cross_region t src dst then Metrics.inc t.c_wan_msgs.(src);
     let d = delay t src dst in
-    Crdb_stats.Hist.add t.h_delay d;
     Sim.schedule t.sim ~after:d (fun () ->
         (* Re-check at delivery time: the destination may have died, or a
            partition may have formed, while the message was in flight. *)

@@ -21,9 +21,8 @@ val create :
   t
 (** [jitter] (default [0.05]) adds a uniform [0, jitter × delay) component to
     each one-way delay; pass [0.] for fully deterministic delays. [obs]
-    (default {!Crdb_obs.Obs.null}) receives per-node [net.*] counters, the
-    sampled-delay histogram, and — when tracing is enabled — send/drop
-    events and rpc spans. *)
+    (default {!Crdb_obs.Obs.null}) receives per-node [net.*] counters and,
+    when tracing is enabled, rpc spans. *)
 
 val sim : t -> Crdb_sim.Sim.t
 val topology : t -> Topology.t

@@ -51,6 +51,25 @@ type ('cmd, 'snap) callbacks = {
   on_discard : 'cmd -> unit;
 }
 
+(* The committed prefix of a group's log, one per range: entry [first + i]
+   at slot [i]. Append-only, since a committed entry never changes. *)
+type 'cmd committed = { entries : 'cmd entry Vec.t; mutable first : int }
+
+let committed () = { entries = Vec.create (); first = 0 }
+let committed_count c = Vec.length c.entries
+
+(* Record that [e] committed. Every replica commits the very record the
+   leader appended, since followers push the leader's own entries, so an
+   index already held must hold [e] itself. *)
+let store_committed c e =
+  let n = Vec.length c.entries in
+  if n = 0 then c.first <- e.index;
+  let i = e.index - c.first in
+  if i = n then Vec.push c.entries e
+  else if not (i >= 0 && i < n && Vec.get c.entries i == e) then
+    invalid_arg
+      (Printf.sprintf "Raft: entry %d committed out of order or twice" e.index)
+
 (* A leader's view of one peer's replication, like etcd's [Progress]. *)
 type progress = {
   mutable next : int; (* the next index to send; [0] while untracked *)
@@ -86,8 +105,10 @@ type ('cmd, 'snap) t = {
   mutable term : int;
   mutable voted_for : int option;
   (* The log proper starts at [first_index]; entries before it have been
-     folded into the snapshot boundary (snap_index, snap_term). *)
-  log : 'cmd entry Vec.t;
+     folded into the snapshot boundary (snap_index, snap_term). Entries up
+     to [commit] live in the group's [store]; [tail] holds the ones after. *)
+  store : 'cmd committed;
+  tail : 'cmd entry Vec.t;
   mutable snap_index : int;
   mutable snap_term : int;
   mutable commit : int;
@@ -138,7 +159,7 @@ let set_peers t peers =
   t.match_buf <- Array.make (Array.length t.voters) 0
 
 let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
-    ?(boundary = (0, 0)) () =
+    ?(boundary = (0, 0)) ?(shared = committed ()) () =
   if not (List.mem_assoc id peers) then
     invalid_arg "Raft.create: id must be among peers";
   let snap_index, snap_term = boundary in
@@ -155,7 +176,8 @@ let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
       match_buf = [||];
       term = 0;
       voted_for = None;
-      log = Vec.create ();
+      store = shared;
+      tail = Vec.create ();
       snap_index;
       snap_term;
       commit = snap_index;
@@ -176,13 +198,13 @@ let create ~sim ~rng ~id ~peers ~callbacks ?(obs = Obs.null) ?range
       stopped = false;
       obs;
       range;
-      c_elections = Metrics.counter m ~node:id ?range "raft.elections";
-      c_leader_elected = Metrics.counter m ~node:id ?range "raft.leader_elected";
-      c_stepdowns = Metrics.counter m ~node:id ?range "raft.stepdowns";
-      c_appends_sent = Metrics.counter m ~node:id ?range "raft.appends_sent";
-      c_snapshots_sent = Metrics.counter m ~node:id ?range "raft.snapshots_sent";
-      c_quiesces = Metrics.counter m ~node:id ?range "raft.quiesces";
-      h_commit_latency = Metrics.histogram m ~node:id ?range "raft.commit_latency";
+      c_elections = Metrics.counter m ~node:id "raft.elections";
+      c_leader_elected = Metrics.counter m ~node:id "raft.leader_elected";
+      c_stepdowns = Metrics.counter m ~node:id "raft.stepdowns";
+      c_appends_sent = Metrics.counter m ~node:id "raft.appends_sent";
+      c_snapshots_sent = Metrics.counter m ~node:id "raft.snapshots_sent";
+      c_quiesces = Metrics.counter m ~node:id "raft.quiesces";
+      h_commit_latency = Metrics.histogram m ~node:id "raft.commit_latency";
       pending_propose = Hashtbl.create 8;
       election_span = Trace.nil;
     }
@@ -202,18 +224,40 @@ let last_quorum_contact t = t.last_quorum_contact
 
 let is_voter t node = Array.mem node t.voters
 let first_index t = t.snap_index + 1
-let last_index t = t.snap_index + Vec.length t.log
+let last_index t = t.commit + Vec.length t.tail
+let tail_length t = Vec.length t.tail
+let stored t i = Vec.get t.store.entries (i - t.store.first)
 
 let entry_at t i =
   if i < first_index t || i > last_index t then None
-  else Some (Vec.get t.log (i - first_index t))
+  else if i <= t.commit then Some (stored t i)
+  else Some (Vec.get t.tail (i - t.commit - 1))
 
 let term_at t i =
   if i = t.snap_index then Some t.snap_term
   else match entry_at t i with Some e -> Some e.term | None -> None
 
 let last_term t =
-  match Vec.last t.log with Some e -> e.term | None -> t.snap_term
+  match Vec.last t.tail with
+  | Some e -> e.term
+  | None -> if t.commit > t.snap_index then (stored t t.commit).term else t.snap_term
+
+(* The entries from index [i] ([first_index t] or later) to the last. *)
+let entries_from t i =
+  let rec from_store j acc =
+    if j < i then acc else from_store (j - 1) (stored t j :: acc)
+  in
+  from_store t.commit (Vec.sub_list t.tail ~pos:(i - t.commit - 1))
+
+(* Advance the commit index to [n], moving the newly committed prefix of the
+   tail into the group's store. *)
+let commit_through t n =
+  let k = n - t.commit in
+  for i = 0 to k - 1 do
+    store_committed t.store (Vec.get t.tail i)
+  done;
+  Vec.drop_prefix t.tail k;
+  t.commit <- n
 
 let untracked sent_commit =
   { next = 0; matched = 0; inflight = 0; probing = false; sent_commit }
@@ -387,7 +431,7 @@ and heartbeat_tick t =
         List.for_all (fun p -> (progress t p).matched = last_index t) t.others
         && t.commit = last_index t
       in
-      if all_caught_up && not (Vec.is_empty t.log) then begin
+      if all_caught_up && last_index t > t.snap_index then begin
         (* Quiesce: tell followers to stop expecting heartbeats. *)
         Metrics.inc t.c_quiesces;
         t.quiesced <- true;
@@ -408,7 +452,7 @@ and heartbeat_tick t =
 
 and append_local t payload =
   let e = { term = t.term; index = last_index t + 1; payload } in
-  Vec.push t.log e;
+  Vec.push t.tail e;
   e.index
 
 and broadcast t = List.iter (replicate_to t) t.others
@@ -450,7 +494,7 @@ and replicate_to_now t peer pr =
     let prev_term =
       match term_at t prev_index with Some tt -> tt | None -> 0
     in
-    let entries = Vec.sub_list t.log ~pos:(next - first_index t) in
+    let entries = entries_from t next in
     Metrics.inc t.c_appends_sent;
     pr.sent_commit <- t.commit;
     (* Optimistically advance next_index past the entries just sent, so a
@@ -484,7 +528,7 @@ and maybe_advance_commit t =
               Hashtbl.remove t.pending_propose i
           | None -> ()
         done;
-        t.commit <- n;
+        commit_through t n;
         apply_committed t;
         (* Push the new commit index to followers promptly so closed
            timestamps and follower reads advance with low latency. *)
@@ -615,10 +659,12 @@ let discard_entries t ~from_index =
   done
 
 let truncate_from t index =
-  (* Drop local entries at [index] and beyond. *)
+  (* Drop local entries at [index] and beyond, all uncommitted. *)
+  if index <= t.commit then
+    invalid_arg (Printf.sprintf "Raft: truncating committed entry %d" index);
   if index <= last_index t then begin
     discard_entries t ~from_index:index;
-    Vec.truncate t.log (index - first_index t)
+    Vec.truncate t.tail (index - t.commit - 1)
   end
 
 let handle_append t ~from ~aterm ~prev_index ~prev_term ~entries ~commit =
@@ -650,9 +696,9 @@ let handle_append t ~from ~aterm ~prev_index ~prev_term ~entries ~commit =
             | Some tt when tt = e.term -> ()
             | Some _ ->
                 truncate_from t e.index;
-                Vec.push t.log e
+                Vec.push t.tail e
             | None ->
-                if e.index = last_index t + 1 then Vec.push t.log e)
+                if e.index = last_index t + 1 then Vec.push t.tail e)
         entries;
       let last_new =
         match entries with
@@ -661,7 +707,7 @@ let handle_append t ~from ~aterm ~prev_index ~prev_term ~entries ~commit =
       in
       let new_commit = min commit (max last_new t.commit) in
       if new_commit > t.commit then begin
-        t.commit <- new_commit;
+        commit_through t new_commit;
         apply_committed t
       end;
       t.cb.send from
@@ -719,7 +765,12 @@ let handle_install_snapshot t ~from ~sterm ~slast_index ~slast_term ~speers ~sna
       (* Tail entries beyond both the snapshot boundary and the local
          commit index die uncommitted with the log. *)
       discard_entries t ~from_index:(max slast_index t.commit + 1);
-      Vec.clear t.log;
+      Vec.clear t.tail;
+      (* A range's store holds every index any replica committed, so only a
+         replica's private store can end before the boundary: it restarts
+         after it, with no gap. *)
+      if slast_index >= t.store.first + Vec.length t.store.entries then
+        Vec.clear t.store.entries;
       t.snap_index <- slast_index;
       t.snap_term <- slast_term;
       t.commit <- slast_index;
@@ -739,7 +790,7 @@ let handle_quiesce t ~from ~qterm ~commit =
     t.quiesce_epoch <- t.cb.node_epoch from;
     let new_commit = min commit (last_index t) in
     if new_commit > t.commit then begin
-      t.commit <- new_commit;
+      commit_through t new_commit;
       apply_committed t
     end
   end
@@ -796,7 +847,7 @@ let change_config t node peers =
     List.exists
       (fun e ->
         match e.payload with Config _ -> true | Command _ | Noop -> false)
-      (Vec.sub_list t.log ~pos:(t.applied - t.snap_index))
+      (entries_from t (t.applied + 1))
   in
   match t.role with
   | Leader

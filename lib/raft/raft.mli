@@ -98,6 +98,17 @@ type ('cmd, 'snap) callbacks = {
 
 type ('cmd, 'snap) t
 
+type 'cmd committed
+(** The committed entries of one group's log, held once for all its
+    replicas: each replica keeps only the entries after its own commit
+    index and moves each newly committed prefix here. Append-only. *)
+
+val committed : unit -> 'cmd committed
+(** An empty store, for the replicas of one group. *)
+
+val committed_count : _ committed -> int
+(** Entries the store holds. *)
+
 val create :
   sim:Crdb_sim.Sim.t ->
   rng:Crdb_stdx.Rng.t ->
@@ -107,20 +118,26 @@ val create :
   ?obs:Crdb_obs.Obs.t ->
   ?range:int ->
   ?boundary:int * int ->
+  ?shared:'cmd committed ->
   unit ->
   ('cmd, 'snap) t
 (** [peers] must include [id] itself. Timers: election 3s (randomized up
     to 2x), heartbeat 1s. [obs] receives
     [raft.*] counters (elections, leadership changes, append/snapshot
-    rounds, quiescence) scoped to this node and [range], plus election
-    spans and leadership-change events when tracing is enabled.
+    rounds, quiescence) and the commit-latency histogram, scoped to this
+    node and shared by its replicas of every range, plus election spans
+    (scoped to [range] too) when tracing is enabled.
     [boundary] is an [(index, term)] snapshot boundary the log starts
     after (default [(0, 0)]): replicas of a group whose initial state was
     installed out-of-band (e.g. the right half of a range split) are
     created with a non-zero boundary so that replicas added later are
     seeded with a state snapshot instead of replaying a log that does not
     contain that initial state. All initial replicas of a group must use
-    the same boundary. *)
+    the same boundary. [shared] is the group's committed store, made once
+    with {!committed} and passed to every replica of the group (default: a
+    store private to this replica).
+    @raise Invalid_argument when a replica commits, at an index [shared]
+    already holds, an entry other than the one held there. *)
 
 val is_leader : _ t -> bool
 
@@ -132,6 +149,10 @@ val term : _ t -> int
 val commit_index : _ t -> int
 val last_index : _ t -> int
 val applied_index : _ t -> int
+
+val tail_length : _ t -> int
+(** Entries this replica holds itself: those after its commit index. *)
+
 val peers : _ t -> config_change
 val quiesced : _ t -> bool
 

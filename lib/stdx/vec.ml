@@ -45,6 +45,20 @@ let truncate t n =
     t.len <- n
   end
 
+(* [drop_prefix] keeps the backing array, so a queue that drains and refills
+   allocates nothing: the kept elements move to the front and only the [n]
+   slots this vacates are overwritten, with the first kept element, or with
+   the last dropped one when none is kept. *)
+let drop_prefix t n =
+  if n < 0 || n > t.len then
+    invalid_arg (Printf.sprintf "Vec.drop_prefix: %d out of bounds (len %d)" n t.len);
+  if n > 0 then begin
+    let kept = t.len - n in
+    Array.blit t.arr n t.arr 0 kept;
+    Array.fill t.arr kept n (if kept > 0 then t.arr.(0) else t.arr.(t.len - 1));
+    t.len <- kept
+  end
+
 let to_list t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.arr.(i) :: acc) in
   loop (t.len - 1) []

@@ -15,6 +15,13 @@ val truncate : 'a t -> int -> unit
 (** [truncate t n] keeps the first [n] elements; the dropped ones are no
     longer reachable from [t]. *)
 
+val drop_prefix : 'a t -> int -> unit
+(** [drop_prefix t n] removes the first [n] elements and keeps the backing
+    array. Unlike {!truncate} it clears only the slots it vacates, so a
+    dropped element may stay reachable from the spare capacity: use it for
+    elements that stay reachable elsewhere.
+    @raise Invalid_argument unless [0 <= n <= length t]. *)
+
 val clear : 'a t -> unit
 (** Drops every element and the backing array. *)
 

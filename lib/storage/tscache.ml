@@ -12,9 +12,13 @@ type t = {
   mutable low : ts;
   points : (string, entry * entry option) Hashtbl.t;
   mutable spans : (string * string * entry) list;
+  mutable prune_at : int; (* point entries that make a prune due *)
 }
 
-let create ~low_water = { low = low_water; points = Hashtbl.create 64; spans = [] }
+let min_prune = 64
+
+let create ~low_water =
+  { low = low_water; points = Hashtbl.create 64; spans = []; prune_at = min_prune }
 let bump_low_water t ts = if Ts.(ts > t.low) then t.low <- ts
 
 let same_owner a b =
@@ -112,3 +116,12 @@ let max_read_span t ~for_txn ~start_key ~end_key =
       t.points Ts.zero
   in
   Ts.max t.low (Ts.max spans_max points_max)
+
+let prune_due t = Hashtbl.length t.points >= t.prune_at
+
+(* A key's freshest read is [best]; [second] is older. *)
+let prune t ~closed =
+  Hashtbl.filter_map_inplace
+    (fun _ ((best, _) as e) -> if Ts.(best.e_ts <= closed) then None else Some e)
+    t.points;
+  t.prune_at <- max min_prune (2 * Hashtbl.length t.points)

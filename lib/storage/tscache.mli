@@ -28,3 +28,15 @@ val record_read_span :
 (** Record a scan over [\[start_key, end_key)]. *)
 
 val max_read_span : t -> for_txn:int option -> start_key:string -> end_key:string -> ts
+
+val prune : t -> closed:ts -> unit
+(** Drop every key whose reads are all at or below [closed]. Exact for a
+    range whose writes all land above its closed timestamp [closed]: such a
+    write is pushed above [closed] already, so those reads could only push
+    it to where it already is. Also exact for {!max_read_span} when its
+    result only bounds writes above [closed] (a split's right range starts
+    from the left's closed timestamp, a merge keeps the greater). *)
+
+val prune_due : t -> bool
+(** Whether the point entries have doubled since the last {!prune} (or
+    reached 64 before the first). *)

@@ -121,20 +121,20 @@ let scenario ?(opts = Txn.Options.default) () =
 
 let test_golden_digest () =
   check Alcotest.string "metrics + trace digest"
-    "4da41571dcbd3b710d2143425a841b58" (scenario ())
+    "53f4d4c1b309c63e7227ce89bf27351a" (scenario ())
 
 (* The same scenario on the two commit paths the default options skip:
    sequential commits with and without write pipelining. *)
 let test_sequential_digest () =
   check Alcotest.string "metrics + trace digest"
-    "def06a0319692f12d09f74a013de5727"
+    "8b9d3a4fc1f7d2ff27264285762077b2"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = false; parallel_commits = false }
        ())
 
 let test_pipelined_digest () =
   check Alcotest.string "metrics + trace digest"
-    "008a0324087a3debd17eca1b1d1cc5b2"
+    "6ab28ef896cfef71539b3f5af5f4b5e5"
     (scenario
        ~opts:{ Txn.Options.pipelined_writes = true; parallel_commits = false }
        ())
@@ -183,7 +183,7 @@ let heartbeat_scenario () =
 
 let test_heartbeat_digest () =
   check Alcotest.string "metrics + trace digest"
-    "c60298ab8a94930289199d3be7119921" (heartbeat_scenario ())
+    "6a2b7c5248c437d7fa6da845d01074c4" (heartbeat_scenario ())
 
 let suite =
   [

@@ -86,8 +86,33 @@ let test_workload_metrics () =
   check Alcotest.bool "raft.appends_sent > 0" true
     (Metrics.total m "raft.appends_sent" > 0);
   check Alcotest.int "one commit-wait sample per commit" 4
-    (Crdb_stats.Hist.count (Metrics.merged_hist m "txn.commit_wait"));
-  check Alcotest.bool "names include net.delay" true
+    (Crdb_stats.Hist.count (Metrics.merged_hist m "txn.commit_wait"))
+
+(* The registry after the ten-region TPC-C DDL, whose layout rebuild drops
+   ranges: Raft keeps its seven metrics per node, whatever ranges come and
+   go, and the transport no histogram of message delays. *)
+let test_registry_per_node () =
+  let regions =
+    [
+      "us-east1"; "us-east4"; "us-central1"; "us-west1"; "europe-west1";
+      "europe-west2"; "europe-west3"; "asia-east1"; "asia-northeast1";
+      "asia-southeast1";
+    ]
+  in
+  let t = Crdb.start ~regions () in
+  Crdb.exec_all t
+    (Crdb_workload.Tpcc.ddl ~db:"tpcc" ~regions ~warehouses_per_region:1);
+  let m = Obs.metrics (Cluster.obs (Crdb.cluster t)) in
+  let raft_scopes =
+    String.split_on_char '\n' (Metrics.to_json m)
+    |> List.filter (contains ~needle:{|"name":"raft.|})
+  in
+  let nodes = Topology.num_nodes (Cluster.topology (Crdb.cluster t)) in
+  check Alcotest.int "seven raft.* scopes per node" (nodes * 7)
+    (List.length raft_scopes);
+  check Alcotest.bool "no raft.* scope names a range" false
+    (List.exists (contains ~needle:{|"range":|}) raft_scopes);
+  check Alcotest.bool "no net.delay" false
     (List.mem "net.delay" (Metrics.names m))
 
 let test_disabled_tracing_is_noop () =
@@ -154,6 +179,8 @@ let suite =
     Alcotest.test_case "span tree covers all layers" `Quick
       test_span_tree_covers_layers;
     Alcotest.test_case "workload metrics" `Quick test_workload_metrics;
+    Alcotest.test_case "raft metrics per node after a tpcc ddl" `Quick
+      test_registry_per_node;
     Alcotest.test_case "disabled tracing is a no-op" `Quick
       test_disabled_tracing_is_noop;
     Alcotest.test_case "synthetic trace export" `Quick

@@ -13,6 +13,7 @@ type node = {
   id : int;
   mutable raft : (string, string list) Raft.t option;
   mutable applied : string list; (* newest first *)
+  mutable discarded : string list; (* newest first *)
   mutable alive : bool;
 }
 
@@ -21,10 +22,19 @@ type harness = {
   nodes : node array;
   mutable blocked : (int * int) list; (* directed pairs *)
   delay : int;
+  store : string Raft.committed option; (* the group's, when shared *)
+  mutable sent : (int * int * (string, string list) Raft.message) list;
+      (* newest first *)
+  mutable drop_pct : int; (* share of messages lost in flight *)
+  drop_rng : Rng.t;
 }
 
 let deliver h src dst msg =
-  let blocked = List.mem (src, dst) h.blocked in
+  h.sent <- (src, dst, msg) :: h.sent;
+  let blocked =
+    List.mem (src, dst) h.blocked
+    || (h.drop_pct > 0 && Rng.int h.drop_rng 100 < h.drop_pct)
+  in
   if h.nodes.(src).alive && not blocked then
     Sim.schedule h.sim ~after:h.delay (fun () ->
         let n = h.nodes.(dst) in
@@ -43,19 +53,35 @@ let node_callbacks h node =
     install_snapshot = (fun apps -> node.applied <- apps);
     is_node_live = (fun peer -> h.nodes.(peer).alive);
     node_epoch = (fun _ -> 0);
-    on_discard = (fun _ -> ());
+    on_discard = (fun cmd -> node.discarded <- cmd :: node.discarded);
   }
 
+(* [id]'s replica over [peers], on the group's store when it has one. *)
+let create_replica h ~rng ~id ~peers ?boundary () =
+  let node = h.nodes.(id) in
+  node.raft <-
+    Some
+      (Raft.create ~sim:h.sim ~rng ~id ~peers
+         ~callbacks:(node_callbacks h node) ?boundary ?shared:h.store ())
+
+(* [shared] gives the group one committed store, as the KV layer does; by
+   default each replica keeps its own. *)
 let make_harness ?(delay = 1_000) ?(seed = 7) ?boundary ?(spare_nodes = [])
-    ~voters ~learners () =
+    ?(shared = false) ~voters ~learners () =
   let ids = voters @ learners in
   let n = List.fold_left max 0 (ids @ spare_nodes) + 1 in
   let h =
     {
       sim = Sim.create ();
-      nodes = Array.init n (fun id -> { id; raft = None; applied = []; alive = true });
+      nodes =
+        Array.init n (fun id ->
+            { id; raft = None; applied = []; discarded = []; alive = true });
       blocked = [];
       delay;
+      store = (if shared then Some (Raft.committed ()) else None);
+      sent = [];
+      drop_pct = 0;
+      drop_rng = Rng.create ~seed:(seed + 2);
     }
   in
   let peers =
@@ -64,12 +90,7 @@ let make_harness ?(delay = 1_000) ?(seed = 7) ?boundary ?(spare_nodes = [])
   in
   let rng = Rng.create ~seed in
   List.iter
-    (fun id ->
-      let node = h.nodes.(id) in
-      node.raft <-
-        Some
-          (Raft.create ~sim:h.sim ~rng:(Rng.split rng) ~id ~peers
-             ~callbacks:(node_callbacks h node) ?boundary ()))
+    (fun id -> create_replica h ~rng:(Rng.split rng) ~id ~peers ?boundary ())
     ids;
   List.iter (fun id -> Raft.start (Option.get h.nodes.(id).raft)) ids;
   h
@@ -446,6 +467,142 @@ let prop_commit_target =
       Raft.commit_target ~commit ~last ~term_start matched
       = commit_by_loop ~commit ~last ~term ~terms matched)
 
+(* One random schedule over a five-voter group with a learner, born at a
+   snapshot boundary: proposals at every node that believes it leads (an
+   isolated leader's become a conflicting uncommitted suffix), partitions,
+   crashes and restarts, lossy links, and a learner added late and seeded
+   by snapshot. Returns every replica's applied commands and every message
+   sent, in order. *)
+let run_schedule ~shared seed =
+  let h =
+    make_harness ~seed ~shared ~boundary:(2, 0) ~voters:[ 0; 1; 2; 3; 4 ]
+      ~learners:[ 5 ] ~spare_nodes:[ 6 ] ()
+  in
+  let rng = Rng.create ~seed:(seed + 1) in
+  let revive v =
+    if not h.nodes.(v).alive then begin
+      h.nodes.(v).alive <- true;
+      Raft.restart (raft h v)
+    end
+  in
+  (* A victim is the leader half the time. *)
+  let victim () =
+    match leaders h with
+    | l :: _ when Rng.int rng 2 = 0 -> l
+    | _ -> Rng.int rng 6
+  in
+  run_ms h 500;
+  for i = 1 to 60 do
+    (match Rng.int rng 9 with
+    | 0 | 1 | 2 ->
+        List.iter
+          (fun l -> ignore (Raft.propose (raft h l) (Printf.sprintf "c%d" i)))
+          (leaders h)
+    | 3 ->
+        let v = victim () in
+        h.blocked <-
+          List.concat_map
+            (fun o -> if o = v then [] else [ (v, o); (o, v) ])
+            [ 0; 1; 2; 3; 4; 5; 6 ]
+    | 4 -> h.blocked <- []
+    | 5 ->
+        let v = victim () in
+        if h.nodes.(v).alive then begin
+          h.nodes.(v).alive <- false;
+          Sim.schedule h.sim ~after:(Rng.int rng 8_000_000) (fun () -> revive v)
+        end
+    | 6 -> h.drop_pct <- [| 0; 10; 30 |].(Rng.int rng 3)
+    | 7 -> (
+        match leaders h with
+        | l :: _ when h.nodes.(6).raft = None -> (
+            match Raft.set_peer (raft h l) 6 Raft.Learner with
+            | Some _ ->
+                create_replica h ~rng:(Rng.create ~seed:99) ~id:6
+                  ~peers:(Raft.peers (raft h l) @ [ (6, Raft.Learner) ])
+                  ();
+                Raft.start ~preferred:l (raft h 6)
+            | None -> ())
+        | _ -> ())
+    | _ -> ());
+    run_ms h (Rng.int rng 1_500)
+  done;
+  h.blocked <- [];
+  h.drop_pct <- 0;
+  List.iter revive [ 0; 1; 2; 3; 4; 5 ];
+  run_ms h 60_000;
+  (Array.to_list (Array.map (fun n -> List.rev n.applied) h.nodes), List.rev h.sent)
+
+(* Property: a group whose replicas share one committed store behaves
+   exactly like one whose replicas each keep their own log. *)
+let prop_shared_store_matches_private =
+  QCheck.Test.make ~name:"shared committed store matches private logs"
+    ~count:30 (QCheck.int_bound 10_000) (fun seed ->
+      let applied, sent = run_schedule ~shared:true seed in
+      let applied', sent' = run_schedule ~shared:false seed in
+      applied = applied' && sent = sent')
+
+(* A follower holding an uncommitted entry from a deposed leader replaces it
+   with the new leader's: truncation touches only its tail, never the
+   group's committed store. *)
+let test_follower_truncates_conflicting_suffix () =
+  let h = make_harness ~shared:true ~voters:[ 0; 1; 2; 3; 4 ] ~learners:[] () in
+  run_ms h 500;
+  check Alcotest.int "node 0 leads" 0 (find_leader h);
+  ignore (Raft.propose (raft h 0) "a");
+  run_ms h 500;
+  (* Nodes 0 and 1 are cut off from the majority: "x" reaches node 1 only. *)
+  let minority = [ 0; 1 ] and majority = [ 2; 3; 4 ] in
+  h.blocked <-
+    List.concat_map
+      (fun m -> List.concat_map (fun o -> [ (m, o); (o, m) ]) majority)
+      minority;
+  ignore (Raft.propose (raft h 0) "x");
+  run_ms h 500;
+  check Alcotest.int "node 1 holds x uncommitted" 1 (Raft.tail_length (raft h 1));
+  run_ms h 15_000;
+  let l2 =
+    match List.filter (fun l -> List.mem l majority) (leaders h) with
+    | [ l ] -> l
+    | _ -> Alcotest.fail "the majority did not elect"
+  in
+  ignore (Raft.propose (raft h l2) "y");
+  run_ms h 1_000;
+  h.blocked <- [];
+  run_ms h 10_000;
+  check Alcotest.(list string) "node 1 dropped x" [ "x" ] h.nodes.(1).discarded;
+  List.iter
+    (fun id ->
+      check Alcotest.(list string) "x never applied" [ "a"; "y" ] (applied h id);
+      check Alcotest.int "nothing left uncommitted" 0
+        (Raft.tail_length (raft h id)))
+    [ 0; 1; 2; 3; 4 ]
+
+(* Replicas of a group with a shared store hold each committed entry once:
+   in the store, never in their own tails. *)
+let test_shared_store_holds_entries_once () =
+  let h =
+    make_harness ~shared:true ~voters:[ 0; 1; 2 ] ~learners:[ 3; 4 ] ()
+  in
+  run_ms h 500;
+  let l = find_leader h in
+  for i = 1 to 100 do
+    ignore (Raft.propose (raft h l) (string_of_int i));
+    run_ms h 10
+  done;
+  run_ms h 2_000;
+  let last = Raft.last_index (raft h l) in
+  check Alcotest.int "every entry stored once" last
+    (Raft.committed_count (Option.get h.store));
+  List.iter
+    (fun id ->
+      check Alcotest.int "replica committed everything" last
+        (Raft.commit_index (raft h id));
+      check Alcotest.int "replica holds no entry itself" 0
+        (Raft.tail_length (raft h id));
+      check Alcotest.int "replica applied everything" 100
+        (List.length (applied h id)))
+    [ 0; 1; 2; 3; 4 ]
+
 let suite =
   [
     Alcotest.test_case "initial election" `Quick test_initial_election;
@@ -469,4 +626,9 @@ let suite =
       test_snapshot_boundary_excludes_uncommitted_tail;
     qcheck prop_applied_prefix_consistent;
     qcheck prop_commit_target;
+    qcheck prop_shared_store_matches_private;
+    Alcotest.test_case "follower truncates a conflicting suffix" `Quick
+      test_follower_truncates_conflicting_suffix;
+    Alcotest.test_case "shared store holds entries once" `Quick
+      test_shared_store_holds_entries_once;
   ]

@@ -21,7 +21,16 @@ let test_vec () =
   check Alcotest.int "truncate" 10 (Vec.length v);
   Alcotest.check_raises "oob"
     (Invalid_argument "Vec.get: index 10 out of bounds (len 10)") (fun () ->
-      ignore (Vec.get v 10))
+      ignore (Vec.get v 10));
+  Vec.drop_prefix v 3;
+  check Alcotest.(list int) "drop_prefix" [ 3; 4; 5; 6; 7; 8; 9 ] (Vec.to_list v);
+  Vec.drop_prefix v 7;
+  check Alcotest.int "drop_prefix drains" 0 (Vec.length v);
+  Vec.push v 5;
+  check Alcotest.(list int) "push after draining" [ 5 ] (Vec.to_list v);
+  Alcotest.check_raises "drop_prefix past the end"
+    (Invalid_argument "Vec.drop_prefix: 2 out of bounds (len 1)") (fun () ->
+      Vec.drop_prefix v 2)
 
 (* Dropped elements are released: a cleared vec reaches a few words, and
    a truncated one reaches only what it keeps (and its array). *)

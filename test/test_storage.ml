@@ -598,6 +598,71 @@ let test_tscache_self_exclusion () =
   check Alcotest.bool "foreign span seen" true
     (Ts.equal (Tscache.max_read c ~for_txn:(Some 9) ~key:"m") (ts 200))
 
+(* Pruning at the closed timestamp changes no write timestamp: a write is
+   pushed above its own reads' cache entries and above the closed
+   timestamp, so entries at or below the closed timestamp never decide. *)
+type tsc_op =
+  | Read of int * int * int option (* key, ts, txn *)
+  | Read_span of int * int * int * int option
+  | Close of int (* ratchet the closed timestamp by this much *)
+  | Write of int * int * int option (* key, requested ts, txn *)
+  | Prune
+
+let prop_tscache_prune_exact =
+  let open QCheck.Gen in
+  let txn = opt (int_range 1 3) in
+  let op =
+    frequency
+      [
+        (4, map3 (fun k t x -> Read (k, t, x)) (int_bound 7) (int_range 1 1_000) txn);
+        ( 1,
+          map3
+            (fun (a, b) t x -> Read_span (min a b, max a b + 1, t, x))
+            (pair (int_bound 7) (int_bound 7))
+            (int_range 1 1_000) txn );
+        (2, map (fun d -> Close d) (int_range 0 150));
+        (4, map3 (fun k t x -> Write (k, t, x)) (int_bound 7) (int_range 1 1_000) txn);
+        (1, return Prune);
+      ]
+  in
+  QCheck.Test.make ~name:"tscache prune keeps write timestamps" ~count:500
+    (QCheck.make (list_size (int_range 1 200) op))
+    (fun ops ->
+      let key k = String.make 1 (Char.chr (Char.code 'a' + k)) in
+      let full = Tscache.create ~low_water:(ts 5)
+      and pruned = Tscache.create ~low_water:(ts 5) in
+      let closed = ref Ts.zero in
+      let write c ~key ~ts:want ~txn =
+        Ts.max want
+          (Ts.max (Ts.next (Tscache.max_read c ~for_txn:txn ~key)) (Ts.next !closed))
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Read (k, t, txn) ->
+              List.iter
+                (fun c -> Tscache.record_read c ~txn ~key:(key k) ~ts:(ts t))
+                [ full; pruned ];
+              true
+          | Read_span (a, b, t, txn) ->
+              List.iter
+                (fun c ->
+                  Tscache.record_read_span c ~txn ~start_key:(key a)
+                    ~end_key:(key b) ~ts:(ts t))
+                [ full; pruned ];
+              true
+          | Close d ->
+              closed := Ts.add_wall !closed d;
+              true
+          | Write (k, t, txn) ->
+              Ts.equal
+                (write full ~key:(key k) ~ts:(ts t) ~txn)
+                (write pruned ~key:(key k) ~ts:(ts t) ~txn)
+          | Prune ->
+              Tscache.prune pruned ~closed:!closed;
+              true)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "basic versions" `Quick test_basic_versions;
@@ -614,4 +679,5 @@ let suite =
     Alcotest.test_case "sharing isolates writes" `Quick test_sharing_isolates_writes;
     Alcotest.test_case "tscache" `Quick test_tscache;
     Alcotest.test_case "tscache self exclusion" `Quick test_tscache_self_exclusion;
+    qcheck prop_tscache_prune_exact;
   ]
