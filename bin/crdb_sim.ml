@@ -775,8 +775,8 @@ let run_splits target_ranges n_keys ops trace metrics =
             Cluster.write_and_commit cl ~gateway:gw ~txn:(1000 + i) ~key:k
               ~value:(Some ("w" ^ string_of_int i)) ~ts ()
           with
-          | Ok _ -> ()
-          | Error _ -> incr errors
+          | `Ok _ -> ()
+          | `Wounded _ | `Err _ -> incr errors
         end
         else
           let ts = Cluster.now_ts cl gw in

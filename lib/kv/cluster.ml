@@ -264,6 +264,13 @@ type fate = [ `Live | `Wounded of string | `Aborted ]
 
 let live_fate : unit -> fate = fun () -> `Live
 
+(* Evaluate [live] unless the transaction was wounded or aborted meanwhile. *)
+let when_live ~fate live =
+  match (fate () : fate) with
+  | `Wounded reason -> `Done (`Wounded reason)
+  | `Aborted -> `Done (`Err "transaction aborted")
+  | `Live -> live ()
+
 (* ------------------------------------------------------------------ *)
 (* Replica construction and Raft wiring                                *)
 
@@ -821,6 +828,16 @@ let await_applied t ?(op = Op.nil) (cmd : Replica_state.cmd) =
   Op.add op Phase.Replication (Sim.now t.sim - t0);
   res
 
+(* Propose [req] through [r]'s log and await its local apply: the ack, or
+   [`Not_leader] when [propose] refuses it, [`Lost] past the wait. *)
+let replicate t r ?op req =
+  match propose t r ?op req with
+  | None -> `Not_leader
+  | Some cmd -> (
+      match await_applied t ?op cmd with
+      | Some (#write_ack as ack) -> ack
+      | None -> `Lost)
+
 (* ------------------------------------------------------------------ *)
 (* Range lifecycle: splits, merges, rebalancing                        *)
 
@@ -862,23 +879,24 @@ let merge_range t rid =
           | Some _ | None -> false)
       | Some _ | None -> false)
 
+(* The median of [keys] in their order; [None] for fewer than two. *)
+let median keys =
+  let n = List.length keys in
+  if n < 2 then None else Some (List.nth keys (n / 2))
+
 let split_point t rid =
   match range_opt t rid with
   | None -> None
   | Some rg -> (
       match leader_replica t rid with
       | None -> None
-      | Some lr ->
+      | Some lr -> (
           let keys =
             Mvcc.fold_latest lr.r_sm.store ~init:[] ~f:(fun acc k _ -> k :: acc)
           in
-          let keys = List.rev keys in
-          let n = List.length keys in
-          if n < 2 then None
-          else
-            let at = List.nth keys (n / 2) in
-            let s, _ = rg.rg_span in
-            if String.compare at s > 0 then Some at else None)
+          match median (List.rev keys) with
+          | Some at when String.compare at (fst rg.rg_span) > 0 -> Some at
+          | Some _ | None -> None))
 
 let live_bytes t rid =
   match leader_replica t rid with
@@ -894,17 +912,15 @@ let load_split_point t rid =
         sampled_keys t rid |> List.filter (in_span rg)
         |> List.sort String.compare
       in
-      let n = List.length keys in
-      if n < 2 then split_point t rid
-      else
-        let at = List.nth keys (n / 2) in
-        if String.compare at s > 0 then Some at
-        else
+      match median keys with
+      | None -> split_point t rid
+      | Some at when String.compare at s > 0 -> Some at
+      | Some _ -> (
           (* The median equals the span start (one key dominates the
              sample): split just after it if any other key was seen. *)
           match List.find_opt (fun k -> String.compare k s > 0) keys with
           | Some at -> Some at
-          | None -> split_point t rid)
+          | None -> split_point t rid))
 
 let ranges_in_span t ~start_key ~end_key =
   Smap.fold
@@ -1206,6 +1222,31 @@ let note_range_op t rid ~start =
 let rpc_timeout = 8_000_000
 let op_deadline = 120_000_000
 
+(* How a server answers a {!call}: [spawned] evaluates in a process of its
+   own, which may wait; [at_once] evaluates on receipt and must not wait. *)
+let spawned t eval r server out =
+  Proc.spawn t.sim (fun () -> ignore (Ivar.try_fill out (eval r server) : bool))
+
+let at_once _ eval r server out = Ivar.fill out (eval r server)
+
+(* One RPC to [r]'s node, whose server [answer]s with [eval r server] under
+   [server], a one-branch fork of [op]: await the reply for up to [timeout]
+   ([None] past it) and join the branch. The rest of the wait is routing. *)
+let call t ~op ~src ~timeout answer eval r =
+  let server = Op.fork op in
+  let reply =
+    Transport.rpc ~op:server t.net ~src ~dst:r.r_node (fun out ->
+        answer t eval r server out)
+  in
+  let res = Proc.await_timeout t.sim reply ~timeout in
+  Op.join_rpc op server;
+  res
+
+(* Wait [d] for a leaseholder, charged to [op] as lease_wait. The wait joins
+   [op] as it ends, so concurrent requests of one operation count once. *)
+let lease_wait t op d =
+  Op.scope op Phase.Lease_wait (fun _ -> Proc.sleep t.sim d)
+
 (* Route [op] for [key] to the current leaseholder of the key's range. The
    key → range binding is re-resolved on every attempt, never cached, so an
    operation survives splits, merges, and rebalances landing while it is
@@ -1227,9 +1268,6 @@ let with_leaseholder t ~gateway ?(op = Op.nil) ~name ~key
   in
   let sp = Op.span op in
   let op_start = Sim.now t.sim in
-  (* Each wait joins the caller's operation as it ends, so concurrent
-     requests of one operation count once. *)
-  let lease_wait d = Op.scope op Phase.Lease_wait (fun _ -> Proc.sleep t.sim d) in
   let deadline = Sim.now t.sim + op_deadline in
   let rec go () =
     if Sim.now t.sim > deadline then begin
@@ -1246,22 +1284,12 @@ let with_leaseholder t ~gateway ?(op = Op.nil) ~name ~key
       | rid -> (
           match lease_replica t rid with
           | None ->
-              lease_wait 250_000;
+              lease_wait t op 250_000;
               go ()
           | Some r -> (
-              (* The server evaluates under a one-branch fork; the rest of
-                 the gateway's wait — request/response travel and
-                 queueing — is routing. *)
-              let server = Op.fork op in
-              let reply =
-                Transport.rpc ~op:server t.net ~src:gateway ~dst:r.r_node
-                  (fun out ->
-                    Proc.spawn t.sim (fun () ->
-                        ignore (Ivar.try_fill out (eval r server) : bool)))
-              in
-              let res = Proc.await_timeout t.sim reply ~timeout:rpc_timeout in
-              Op.join_rpc op server;
-              match res with
+              match
+                call t ~op ~src:gateway ~timeout:rpc_timeout spawned eval r
+              with
               | Some (`Done res) ->
                   Op.annotate op;
                   Trace.finish tr sp;
@@ -1273,7 +1301,7 @@ let with_leaseholder t ~gateway ?(op = Op.nil) ~name ~key
                      request was in flight; re-resolve and retry now. *)
                   go ()
               | Some `Not_leader ->
-                  lease_wait 100_000;
+                  lease_wait t op 100_000;
                   go ()
               | None -> go ()))
   in
@@ -1282,20 +1310,13 @@ let with_leaseholder t ~gateway ?(op = Op.nil) ~name ~key
 (* ------------------------------------------------------------------ *)
 (* Transaction-record transitions, pushes, commit-status recovery      *)
 
-(* Propose one record transition through this replica's Raft log and await
-   its local apply. First-decision-wins is enforced at apply time, so the
-   caller must re-read the applied record to learn which decision actually
-   won — its own proposal may have lost the race. *)
-let propose_txn_update t r ?op ~txn ~key upd =
-  match propose t r ?op (Op_txn { txn; tkey = key; upd }) with
-  | None -> `Not_leader
-  | Some cmd -> (
-      match await_applied t ?op cmd with Some _ -> `Applied | None -> `Lost)
-
+(* Replicate one record transition and answer the applied status.
+   First-decision-wins is enforced at apply time, so the applied record, not
+   the proposal, tells which decision won. *)
 let eval_txn_update t r ~op ~txn ~key upd =
   guard r ~key @@ fun () ->
-  match propose_txn_update t r ~op ~txn ~key upd with
-  | `Applied -> `Done (Txnrec.status r.r_sm.txns ~txn)
+  match replicate t r ~op (Op_txn { txn; tkey = key; upd }) with
+  | #write_ack -> `Done (Txnrec.status r.r_sm.txns ~txn)
   | `Lost -> `Done None
   | `Not_leader -> `Not_leader
 
@@ -1313,14 +1334,12 @@ let txn_status t ?op ~gateway ~txn ~key () =
 
 let eval_query_intent t r ~op ~txn ~key ~ts =
   guard r ~key @@ fun () ->
-  match propose t r ~op (Op_prevent { txn; key; ts }) with
-  | None -> `Not_leader
-  | Some cmd -> (
-      match await_applied t ~op cmd with
-      | None -> `Done `Unknown
-      | Some _ ->
-          if Mvcc.is_prevented r.r_sm.store ~key ~txn_id:txn then `Done `Missing
-          else `Done `Found)
+  match replicate t r ~op (Op_prevent { txn; key; ts }) with
+  | `Not_leader -> `Not_leader
+  | `Lost -> `Done `Unknown
+  | #write_ack ->
+      if Mvcc.is_prevented r.r_sm.store ~key ~txn_id:txn then `Done `Missing
+      else `Done `Found
 
 (* QueryIntent with prevention (parallel-commit recovery, CRDB §3); see the
    interface for its verdicts. *)
@@ -1395,8 +1414,8 @@ let eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher =
   let liveness = 3 * txn_heartbeat_interval in
   let propose_record upd =
     ignore
-      (propose_txn_update t r ~txn:blocker ~key:anchor_key upd
-        : [ `Applied | `Lost | `Not_leader ])
+      (replicate t r (Op_txn { txn = blocker; tkey = anchor_key; upd })
+        : [ write_ack | `Not_leader | `Lost ])
   in
   match Txnrec.find r.r_sm.txns ~txn:blocker with
   | None ->
@@ -1455,23 +1474,20 @@ let push_once t ~src ~blocker ~anchor_key ~blocker_pri ~pusher =
   | exception Not_found -> Push_wait
   | None -> Push_wait
   | Some r -> (
-      let reply =
-        Transport.rpc t.net ~src ~dst:r.r_node (fun out ->
-            Proc.spawn t.sim (fun () ->
-                ignore
-                  (Ivar.try_fill out
-                     (eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher)
-                    : bool)))
-      in
-      match Proc.await_timeout t.sim reply ~timeout:push_rpc_timeout with
+      match
+        call t ~op:Op.nil ~src ~timeout:push_rpc_timeout spawned
+          (fun r _ -> eval_push t r ~blocker ~anchor_key ~blocker_pri ~pusher)
+          r
+      with
       | Some (`Done v) -> v
       | Some (`Not_leader | `Range_mismatch) | None -> Push_wait)
 
 (* Park on the conflicting key and periodically push the blocker's record
    at its anchor range — a genuine RPC now that records live with their
    anchor key rather than in a cluster-global table. The wait ends when the
-   key's waiters are woken (intent resolved / lock released), when routing
-   moves, or when a push verdict lets this waiter clean up the blocker. *)
+   key's waiters are woken (intent resolved / lock released) or routing
+   moves, answering [`Acquired] to re-evaluate, or with the request's own
+   reply once its transaction is no longer live or the backstop expires. *)
 let wait_on_conflict t r ~op ~key ~blocker ~waiter ~waiter_pri ~fate =
   let blocker, blocker_pri, blocker_anchor =
     match blocker with
@@ -1494,16 +1510,6 @@ let wait_on_conflict t r ~op ~key ~blocker ~waiter ~waiter_pri ~fate =
   let progressed () =
     deadline := Sim.now t.sim + conflict_wait_timeout
   in
-  let finish outcome =
-    Lock_table.unpark r.r_sm.locks ~key iv;
-    t.waiting <- t.waiting - 1;
-    Metrics.set t.g_waiters t.waiting;
-    (match outcome with
-    | Lock_table.Timed_out -> Metrics.inc t.c_conflict_timeout.(r.r_node)
-    | Lock_table.Acquired | Lock_table.Wounded _ | Lock_table.Pusher_aborted ->
-        ());
-    outcome
-  in
   (* Fire-and-forget resolution of a finished (wounded / aborted /
      committed / abandoned) blocker's intent on [key]. Its apply both
      removes the intent and wakes the key's waiters, so the pusher simply
@@ -1519,89 +1525,83 @@ let wait_on_conflict t r ~op ~key ~blocker ~waiter ~waiter_pri ~fate =
   in
   let rec loop () =
     let now = Sim.now t.sim in
-    if now >= !deadline then finish Lock_table.Timed_out
+    if now >= !deadline then begin
+      (* The last-resort backstop. *)
+      Metrics.inc t.c_conflict_timeout.(r.r_node);
+      `Done (`Err "conflict timeout")
+    end
     else
       let slice = min t.cfg.push_delay (!deadline - now) in
       match Proc.await_timeout t.sim iv ~timeout:slice with
-      | Some () -> finish Lock_table.Acquired
+      | Some () -> `Acquired
       | None ->
           if not (owns r key && is_leader_now r) then
             (* Routing moved while we were parked; force a re-evaluation,
                which redirects to the current leaseholder. *)
-            finish Lock_table.Acquired
-          else begin
-            match (fate () : fate) with
-            | `Wounded reason -> finish (Lock_table.Wounded reason)
-            | `Aborted -> finish Lock_table.Pusher_aborted
-            | `Live -> (
-                Metrics.inc t.c_push.(r.r_node);
-                match
-                  push_once t ~src:r.r_node ~blocker ~anchor_key ~blocker_pri
-                    ~pusher
-                with
-                | Push_wait -> loop ()
-                | Push_wound _reason ->
-                    progressed ();
+            `Acquired
+          else
+            when_live ~fate @@ fun () ->
+            Metrics.inc t.c_push.(r.r_node);
+            match
+              push_once t ~src:r.r_node ~blocker ~anchor_key ~blocker_pri
+                ~pusher
+            with
+            | Push_wait -> loop ()
+            | Push_wound _reason ->
+                progressed ();
+                Events.log (Obs.events t.obs) ~node:r.r_node
+                  ~range:r.r_range.rg_id ~txn:blocker
+                  ~attrs:
+                    [
+                      ("blocker", string_of_int blocker);
+                      ("key", key);
+                      ( "pusher",
+                        match waiter with
+                        | Some w -> string_of_int w
+                        | None -> "-" );
+                    ]
+                  Events.Wound;
+                cleanup None;
+                loop ()
+            | Push_cleanup commit ->
+                progressed ();
+                (match commit with
+                | None ->
                     Events.log (Obs.events t.obs) ~node:r.r_node
                       ~range:r.r_range.rg_id ~txn:blocker
-                      ~attrs:
-                        [
-                          ("blocker", string_of_int blocker);
-                          ("key", key);
-                          ( "pusher",
-                            match waiter with
-                            | Some w -> string_of_int w
-                            | None -> "-" );
-                        ]
-                      Events.Wound;
-                    cleanup None;
-                    loop ()
-                | Push_cleanup commit ->
-                    progressed ();
-                    (match commit with
-                    | None ->
-                        Events.log (Obs.events t.obs) ~node:r.r_node
-                          ~range:r.r_range.rg_id ~txn:blocker
-                          ~attrs:[ ("key", key) ]
-                          Events.Abandoned_cleanup
-                    | Some _ -> ());
+                      ~attrs:[ ("key", key) ]
+                      Events.Abandoned_cleanup
+                | Some _ -> ());
+                cleanup commit;
+                loop ()
+            | Push_recover { ts; inflight } -> (
+                progressed ();
+                match
+                  recover_txn t ~gateway:r.r_node ~op ~txn:blocker
+                    ~anchor_key ~ts ~inflight ()
+                with
+                | Some commit ->
                     cleanup commit;
                     loop ()
-                | Push_recover { ts; inflight } -> (
-                    progressed ();
-                    match
-                      recover_txn t ~gateway:r.r_node ~op ~txn:blocker
-                        ~anchor_key ~ts ~inflight ()
-                    with
-                    | Some commit ->
-                        cleanup commit;
-                        loop ()
-                    | None -> loop ()))
-          end
+                | None -> loop ())
   in
-  loop ()
-
-(* Evaluate [live] unless the transaction was wounded or aborted meanwhile. *)
-let when_live ~fate live =
-  match (fate () : fate) with
-  | `Wounded reason -> `Done (`Wounded reason)
-  | `Aborted -> `Done (`Err "transaction aborted")
-  | `Live -> live ()
+  let outcome = loop () in
+  Lock_table.unpark r.r_sm.locks ~key iv;
+  t.waiting <- t.waiting - 1;
+  Metrics.set t.g_waiters t.waiting;
+  outcome
 
 (* Park on [blocker] (a lock or intent on [key]), charging the wait to the
    operation's lock_wait phase, and [retry] the evaluation once the key is
    free or routing moved. *)
 let conflict_wait t r ~op ~key ~txn ~pri ~fate ~retry blocker =
-  let outcome =
+  match
     Op.scope op Phase.Lock_wait (fun op ->
         wait_on_conflict t r ~op ~key ~blocker ~waiter:txn ~waiter_pri:pri
           ~fate)
-  in
-  match outcome with
-  | Lock_table.Acquired -> retry ()
-  | Lock_table.Wounded reason -> `Done (`Wounded reason)
-  | Lock_table.Pusher_aborted -> `Done (`Err "transaction aborted")
-  | Lock_table.Timed_out -> `Done (`Err "conflict timeout")
+  with
+  | `Acquired -> retry ()
+  | `Done _ as reply -> reply
 
 (* The lock or foreign intent a writer of [key] must wait on. *)
 let write_blocker r ~key ~txn =
@@ -1659,7 +1659,7 @@ let read t ?(inline_bump = false) ?op ?pri ?(fate = live_fate) ~gateway ~txn
 
 (* The follower path (§5): serve [eval] at [at]'s own replica of [rg] —
    after [local_sleep], the cost of the local storage access — or else at
-   the live replica nearest to [at], over a routed RPC traced under and
+   the live replica nearest to [at], over a {!call} traced under and
    charged to [op], bounded by [rpc_timeout]. *)
 let follower_serve t rg ~at ?local_sleep ?(op = Op.nil) eval =
   match replica_at rg at with
@@ -1667,7 +1667,7 @@ let follower_serve t rg ~at ?local_sleep ?(op = Op.nil) eval =
       Option.iter
         (fun d -> Op.scope op Phase.Routing (fun _ -> Proc.sleep t.sim d))
         local_sleep;
-      `Served (eval r)
+      `Served (eval r op)
   | None -> (
       let from_region = Topology.region_of t.topo at in
       let score node =
@@ -1679,22 +1679,14 @@ let follower_serve t rg ~at ?local_sleep ?(op = Op.nil) eval =
         Hashtbl.fold
           (fun node r acc ->
             match acc with
-            | None -> if score node < max_int then Some (node, r) else None
-            | Some (b, _) ->
-                if score node < score b then Some (node, r) else acc)
+            | Some b when score b.r_node <= score node -> acc
+            | Some _ | None -> if score node < max_int then Some r else acc)
           rg.rg_replicas None
       in
       match nearest with
       | None -> `No_replica
-      | Some (node, r) -> (
-          let server = Op.fork op in
-          let reply =
-            Transport.rpc ~op:server t.net ~src:at ~dst:node (fun out ->
-                Ivar.fill out (eval r))
-          in
-          let res = Proc.await_timeout t.sim reply ~timeout:rpc_timeout in
-          Op.join_rpc op server;
-          match res with
+      | Some r -> (
+          match call t ~op ~src:at ~timeout:rpc_timeout at_once eval r with
           | Some res -> `Served res
           | None -> `Timed_out))
 
@@ -1706,7 +1698,7 @@ let follower_fragment t ~op ~at ~rid ~name ~timeout ~key ~max_ts serve =
   let tr = Obs.trace t.obs in
   let op = Op.child tr op ~node:at ~range:rid name in
   let sp = Op.span op in
-  let eval r =
+  let eval r _op =
     (* A split or merge may land between resolution and evaluation;
        redirect to the gateway path, which re-resolves the key. *)
     if not (owns r key && Ts.(Replica_state.closed r.r_sm >= max_ts)) then
@@ -1987,25 +1979,22 @@ let eval_write_and_commit t r ~gateway ~op ~txn ~key ~value ~ts =
     eval_write t r ~applied:(Some (Ivar.create ())) ~op ~gateway ~txn
       ~pri:None ~anchor:"" ~fate:live_fate ~key ~value ~ts
   with
-  | (`Not_leader | `Range_mismatch) as other -> other
-  | `Done (`Wounded reason) -> `Done (Error reason)
-  | `Done (`Err e) -> `Done (Error e)
   | `Done (`Ok final_ts) -> (
       match
-        propose t r ~op
+        replicate t r ~op
           (Op_resolve { txn; keys = [ key ]; commit = Some final_ts })
       with
-      | None ->
+      | `Not_leader ->
           Lock_table.release r.r_sm.locks ~key ~txn;
           `Not_leader
-      | Some cmd -> (
-          match await_applied t ~op cmd with
-          | Some _ -> `Done (Ok final_ts)
-          | None -> `Done (Error "proposal lost (leader gone)")))
+      | #write_ack -> `Done (`Ok final_ts)
+      | `Lost -> `Done (`Err "proposal lost (leader gone)"))
+  | (`Not_leader | `Range_mismatch | `Done (`Wounded _ | `Err _)) as other ->
+      other
 
 let write_and_commit t ?op ~gateway ~txn ~key ~value ~ts () =
   with_leaseholder t ~gateway ?op ~name:"kv.write_1pc" ~key
-    ~on_fail:(fun msg -> Error msg)
+    ~on_fail:(fun msg -> `Err msg)
     (fun r op -> eval_write_and_commit t r ~gateway ~op ~txn ~key ~value ~ts)
 
 let write t ?applied ?op ?pri ?(anchor = "") ?(fate = live_fate) ~gateway ~txn
@@ -2047,14 +2036,11 @@ let eval_resolve t r ~op ~txn ~keys ~commit =
     if mine = [] then `Range_mismatch
     else if not (is_leader_now r) then `Not_leader
     else
-      match
-        propose t r ~op (Op_resolve { txn; keys = mine; commit })
-      with
-      | None -> `Not_leader
-      | Some cmd ->
+      match replicate t r ~op (Op_resolve { txn; keys = mine; commit }) with
+      | `Not_leader -> `Not_leader
+      | `Lost | #write_ack ->
           (* Resolution has no error channel: on a lost proposal, give up
              and let readers clean up the orphaned intents lazily. *)
-          ignore (await_applied t ~op cmd : write_ack option);
           `Done leftover
 
 let resolve t ?(op = Op.nil) ~gateway ~txn ~commit ~keys () =
@@ -2177,7 +2163,7 @@ let negotiate t ~at ~keys =
   (* Query the nearest replica of each range the keys touch. *)
   List.fold_left
     (fun acc (rid, ks) ->
-      let eval r =
+      let eval r _op =
         (* A valid leaseholder can serve any timestamp up to the present;
            followers are bounded by their closed timestamp. *)
         let base =

@@ -411,7 +411,7 @@ val write_and_commit :
   value:string option ->
   ts:Ts.t ->
   unit ->
-  (Ts.t, string) result
+  Ts.t reply
 (** One-phase commit (CRDB's 1PC fast path): lay the intent and resolve it
     as committed in one consensus round; the intermediate lock is never
     observable. Only valid for transactions whose entire effect is this

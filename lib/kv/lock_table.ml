@@ -1,8 +1,6 @@
 module Ivar = Crdb_sim.Ivar
 module Ts = Crdb_hlc.Timestamp
 
-type outcome = Acquired | Wounded of string | Pusher_aborted | Timed_out
-
 type lock = {
   lk_txn : int;
   mutable lk_ts : Ts.t;

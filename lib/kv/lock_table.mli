@@ -14,22 +14,10 @@
     protocol.
 
     The table is pure bookkeeping: pushing, wounding and timeouts live in
-    [Cluster.wait_on_conflict]; the typed [outcome] every conflicting
-    evaluation receives is defined here so all layers share it. *)
+    [Cluster.wait_on_conflict]. *)
 
 module Ivar = Crdb_sim.Ivar
 module Ts = Crdb_hlc.Timestamp
-
-type outcome =
-  | Acquired
-      (** the conflict cleared (or routing changed) — re-evaluate the op *)
-  | Wounded of string
-      (** the *waiting* transaction was wounded by an older pusher while
-          parked: restartable, surfaced as [Txn.Wounded] *)
-  | Pusher_aborted
-      (** the waiting transaction was aborted for another reason (e.g.
-          abandonment) while parked *)
-  | Timed_out  (** last-resort backstop: [conflict_wait_timeout] elapsed *)
 
 type lock
 

@@ -58,16 +58,19 @@ let span_max t ~for_txn key =
       else acc)
     Ts.zero t.spans
 
+(* The freshest read of a key's entries that [for_txn] does not own. *)
+let point_max ~for_txn (best, second) =
+  if not (excluded ~for_txn best) then best.e_ts
+  else
+    match second with
+    | Some s when not (excluded ~for_txn s) -> s.e_ts
+    | Some _ | None -> Ts.zero
+
 let max_read t ~for_txn ~key =
   let point =
     match Hashtbl.find_opt t.points key with
     | None -> Ts.zero
-    | Some (best, second) ->
-        if not (excluded ~for_txn best) then best.e_ts
-        else (
-          match second with
-          | Some s when not (excluded ~for_txn s) -> s.e_ts
-          | Some _ | None -> Ts.zero)
+    | Some entries -> point_max ~for_txn entries
   in
   Ts.max t.low (Ts.max point (span_max t ~for_txn key))
 
@@ -100,18 +103,9 @@ let max_read_span t ~for_txn ~start_key ~end_key =
   in
   let points_max =
     Hashtbl.fold
-      (fun key (best, second) acc ->
+      (fun key entries acc ->
         if String.compare key start_key >= 0 && String.compare key end_key < 0
-        then begin
-          let c =
-            if not (excluded ~for_txn best) then best.e_ts
-            else
-              match second with
-              | Some s when not (excluded ~for_txn s) -> s.e_ts
-              | Some _ | None -> Ts.zero
-          in
-          Ts.max acc c
-        end
+        then Ts.max acc (point_max ~for_txn entries)
         else acc)
       t.points Ts.zero
   in

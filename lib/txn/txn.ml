@@ -809,13 +809,13 @@ let run_blind_put mgr ~gateway ?(max_attempts = 25) ?op key value =
       Cluster.write_and_commit mgr.cl ~op:aop ~gateway ~txn:id ~key
         ~value:(Some value) ~ts ()
     with
-    | Ok commit_ts ->
+    | `Ok commit_ts ->
         ignore
           (commit_wait mgr ~op:aop ~gw:gateway ~txn:id commit_ts : int);
         Metrics.inc mgr.c_commits.(gateway);
         Trace.finish tr (Op.span aop);
         Ok ()
-    | Error reason ->
+    | `Wounded reason | `Err reason ->
         if
           note_restart mgr ~gateway ~max_attempts ~wounded:false aop n reason
         then attempt (n + 1)
