@@ -117,6 +117,25 @@ let merge hists =
   List.iter (fun src -> Hist.merge_into ~dst:h src) hists;
   h
 
+(* Fail [experiment] after its output when a check it makes is [broken]:
+   print each broken check on a line of its own, then exit nonzero. *)
+let fail_if_broken experiment broken =
+  List.iter (printf "  !! %s@.") broken;
+  if broken <> [] then failwith (experiment ^ ": a checked claim does not hold")
+
+(* The regions of [per_region] whose samples' [p]th percentile is [bound]
+   microseconds or more, each as a line naming [what]. *)
+let at_or_above ~what ~p ~bound per_region =
+  List.filter_map
+    (fun (region, h) ->
+      let v = Hist.percentile h p in
+      if Hist.is_empty h || v < bound then None
+      else
+        Some
+          (Printf.sprintf "%s @ %s: p%g %d us is not under %d us" what region p
+             v bound))
+    per_region
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: inter-region round-trip times                              *)
 
@@ -158,21 +177,30 @@ let run_fig3 () =
       ("Regional (Stale)", Ycsb.Regional_table, Ycsb.Bounded_stale 10_000_000);
     ]
   in
-  List.iter
-    (fun (label, variant, read_mode) ->
-      let t, db = Ycsb.setup ~regions:regions5 variant ~keyspace in
-      let r =
-        Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
-          ~workload:Ycsb.A ~keyspace ~read_mode ()
-      in
-      let rp, rn, wp, wn = split_primary r ~primary:"us-east1" in
-      subsection label;
-      box "  read  / primary region" rp;
-      box "  read  / non-primary" rn;
-      box "  write / primary region" wp;
-      box "  write / non-primary" wn;
-      if r.Ycsb.errors > 0 then printf "  (%d errors)@." r.Ycsb.errors)
-    configs
+  let broken =
+    List.concat_map
+      (fun (label, variant, read_mode) ->
+        let t, db = Ycsb.setup ~regions:regions5 variant ~keyspace in
+        let r =
+          Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
+            ~workload:Ycsb.A ~keyspace ~read_mode ()
+        in
+        let rp, rn, wp, wn = split_primary r ~primary:"us-east1" in
+        subsection label;
+        box "  read  / primary region" rp;
+        box "  read  / non-primary" rn;
+        box "  write / primary region" wp;
+        box "  write / non-primary" wn;
+        if r.Ycsb.errors > 0 then printf "  (%d errors)@." r.Ycsb.errors;
+        (* The paper's claim: GLOBAL reads take under 3 ms at p75 in every
+           region. *)
+        if variant = Ycsb.Global_table then
+          at_or_above ~what:"GLOBAL read" ~p:75.0 ~bound:3_000
+            r.Ycsb.by_region_read
+        else [])
+      configs
+  in
+  fail_if_broken "fig3" broken
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 4a: locality optimized search and automatic rehoming           *)
@@ -225,29 +253,49 @@ let run_fig4b () =
      same as Baseline); Default pays one point lookup per remote region@.\
      (latency spikes at the inter-region RTTs).@.";
   let keyspace = 3_000 and ops = 100 in
+  let computed = "Computed (region from key)" in
   let variants =
     [
-      ("Computed (region from key)", Ycsb.Rbr_computed);
+      (computed, Ycsb.Rbr_computed);
       ("Default (gateway region)", Ycsb.Rbr_default);
       ("Baseline (manual partitioning)", Ycsb.Rbr_computed);
     ]
   in
-  List.iter
-    (fun (label, variant) ->
-      let t, db = Ycsb.setup ~regions:regions3 variant ~keyspace in
-      let r =
-        Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
-          ~distribution:`Uniform ~locality:1.0 ~workload:Ycsb.D ~keyspace ()
-      in
-      subsection label;
-      row "  INSERT (all regions)" r.Ycsb.write_local;
-      List.iter
-        (fun (region, h) ->
-          if not (Hist.is_empty h) then
-            row (Printf.sprintf "  INSERT @ %s" region) h)
-        r.Ycsb.by_region_write;
-      row "  SELECT" (Ycsb.reads r))
-    variants
+  (* The paper's claim: Computed inserts stay region-local, so no region's
+     p99 reaches the nearest other region. *)
+  let nearest_rtt =
+    List.fold_left min max_int
+      (List.concat_map
+         (fun a ->
+           List.filter_map
+             (fun b ->
+               if a = b then None else Some (Latency.rtt Latency.table1 a b))
+             regions3)
+         regions3)
+  in
+  let broken =
+    List.concat_map
+      (fun (label, variant) ->
+        let t, db = Ycsb.setup ~regions:regions3 variant ~keyspace in
+        let r =
+          Ycsb.run t db ~clients_per_region:10 ~ops_per_client:ops
+            ~distribution:`Uniform ~locality:1.0 ~workload:Ycsb.D ~keyspace ()
+        in
+        subsection label;
+        row "  INSERT (all regions)" r.Ycsb.write_local;
+        List.iter
+          (fun (region, h) ->
+            if not (Hist.is_empty h) then
+              row (Printf.sprintf "  INSERT @ %s" region) h)
+          r.Ycsb.by_region_write;
+        row "  SELECT" (Ycsb.reads r);
+        if String.equal label computed then
+          at_or_above ~what:"Computed INSERT" ~p:99.0 ~bound:nearest_rtt
+            r.Ycsb.by_region_write
+        else [])
+      variants
+  in
+  fail_if_broken "fig4b" broken
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 4c: auto-rehoming under contention                             *)
@@ -411,13 +459,23 @@ let run_table2 () =
       ("Dropping a region", Movr.Drop_region "europe-west2");
     ]
   in
-  printf "@.%-36s %8s %8s@." "movr" "Before" "After";
-  List.iter
-    (fun (label, op) ->
-      printf "%-36s %8d %8d@." label
-        (Ddl.count (Movr.legacy_ddl ~db:"movr" ~regions:movr_regions op))
-        (Ddl.count (Movr.ddl ~db:"movr" ~regions:movr_regions op)))
-    ops;
+  (* Print one schema's table and answer its "After" counts. *)
+  let table schema ~before ~after =
+    printf "@.%-36s %8s %8s@." schema "Before" "After";
+    List.map
+      (fun (label, op) ->
+        let n = after op in
+        printf "%-36s %8d %8d@." label (before op) n;
+        n)
+      ops
+  in
+  let movr =
+    table "movr"
+      ~before:(fun op ->
+        Ddl.count (Movr.legacy_ddl ~db:"movr" ~regions:movr_regions op))
+      ~after:(fun op ->
+        Ddl.count (Movr.ddl ~db:"movr" ~regions:movr_regions op))
+  in
   let tpcc_tables = Tpcc.tables ~regions:movr_regions ~warehouses_per_region:10 in
   let tpcc_after = function
     | Movr.New_schema ->
@@ -425,32 +483,45 @@ let run_table2 () =
     | Movr.Convert_schema -> 1 + 2 + 9 + 8 (* SET PRIMARY + 2 ADD REGION + 9 SET LOCALITY + 8 computed *)
     | Movr.Add_region _ | Movr.Drop_region _ -> 1
   in
-  printf "@.%-36s %8s %8s@." "TPC-C" "Before" "After";
-  List.iter
-    (fun (label, op) ->
-      printf "%-36s %8d %8d@." label
-        (Ddl.count
-           (Crdb.Legacy.statements ~db:"tpcc" ~regions:movr_regions
-              ~tables:tpcc_tables op))
-        (tpcc_after op))
-    ops;
+  let tpcc =
+    table "TPC-C"
+      ~before:(fun op ->
+        Ddl.count
+          (Crdb.Legacy.statements ~db:"tpcc" ~regions:movr_regions
+             ~tables:tpcc_tables op))
+      ~after:tpcc_after
+  in
   let ycsb_tables = [ Ycsb.schema Ycsb.Rbr_default ~regions:movr_regions ] in
-  printf "@.%-36s %8s %8s@." "YCSB" "Before" "After";
-  List.iter
-    (fun (label, op) ->
-      printf "%-36s %8d %8d@." label
-        (Ddl.count
-           (Crdb.Legacy.statements ~db:"ycsb" ~regions:movr_regions
-              ~tables:ycsb_tables op))
-        1)
-    ops;
+  let ycsb =
+    table "YCSB"
+      ~before:(fun op ->
+        Ddl.count
+          (Crdb.Legacy.statements ~db:"ycsb" ~regions:movr_regions
+             ~tables:ycsb_tables op))
+      ~after:(fun _ -> 1)
+  in
   printf "@.Sample of the legacy statements replaced by a single ALTER:@.";
   let sample =
     Crdb.Legacy.statements ~db:"movr" ~regions:movr_regions
       ~tables:(Movr.tables ~regions:movr_regions)
       (Crdb.Legacy.Add_region "asia-northeast1")
   in
-  List.iteri (fun i stmt -> if i < 4 then printf "  %s@." (Ddl.to_sql stmt)) sample
+  List.iteri (fun i stmt -> if i < 4 then printf "  %s@." (Ddl.to_sql stmt)) sample;
+  (* The paper's claim: the "After" counts of its Table 2. *)
+  let counts l = String.concat "/" (List.map string_of_int l) in
+  fail_if_broken "table2"
+    (List.filter_map
+       (fun (schema, got, paper) ->
+         if got = paper then None
+         else
+           Some
+             (Printf.sprintf "%s: After counts %s, the paper's %s" schema
+                (counts got) (counts paper)))
+       [
+         ("movr", movr, [ 12; 14; 1; 1 ]);
+         ("TPC-C", tpcc, [ 18; 20; 1; 1 ]);
+         ("YCSB", ycsb, [ 1; 1; 1; 1 ]);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -721,8 +792,7 @@ let run_latency_audit () =
             record (Printf.sprintf "phase %s %s" cls (Crdb.Phase.name ph)) h)
         Crdb.Phase.all_phases)
     predicted;
-  List.iter (printf "  !! %s@.") failures;
-  if failures <> [] then failwith "latency-audit: the breakdown does not match"
+  fail_if_broken "latency-audit" failures
 
 (* ------------------------------------------------------------------ *)
 (* Commit path: sequential vs pipelined writes vs parallel commits     *)

@@ -13,6 +13,7 @@ module Crdb = Crdb_core.Crdb
 module Autopilot = Crdb_autopilot.Autopilot
 module Obs = Crdb_obs.Obs
 module Events = Crdb_obs.Events
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -44,26 +45,6 @@ let make ?(survival = Zoneconfig.Zone) spans =
 let one_range ?survival () =
   let cl, rids = make ?survival [ ("a", "z") ] in
   (cl, List.hd rids)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
-
-let get cl ~gateway key =
-  let ts = Cluster.now_ts cl gateway in
-  let max_ts = Ts.add_wall ts (Cluster.config cl).Cluster.max_offset in
-  let rec go ts attempts =
-    match
-      Cluster.read cl ~inline_bump:true ~gateway ~txn:None ~key ~ts ~max_ts ()
-    with
-    | `Ok value -> value
-    | `Uncertain value_ts when attempts < 10 ->
-        go value_ts (attempts + 1)
-    | `Uncertain _ -> Alcotest.fail "uncertainty loop"
-    | `Redirect -> Alcotest.fail "unexpected redirect"
-    | `Wounded e | `Err e ->
-        Alcotest.failf "read error: %s" e
-  in
-  go ts 0
 
 let key i = Printf.sprintf "k%02d" i
 let n_keys = 20

@@ -13,6 +13,7 @@ module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -25,9 +26,6 @@ let make () =
       ()
   in
   (cl, Txn.create_manager cl)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let metric cl name = Metrics.total (Obs.metrics (Cluster.obs cl)) name
 

@@ -16,6 +16,7 @@ module Zoneconfig = Crdb_kv.Zoneconfig
 module Cluster = Crdb_kv.Cluster
 module Txn = Crdb_txn.Txn
 module Crdb = Crdb_core.Crdb
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -25,9 +26,6 @@ let make ~policy =
       ~survival:Zoneconfig.Zone ~ranges:[ (("a", "z"), policy) ] ()
   in
   (cl, Txn.create_manager cl)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let expect_ok = function
   | Ok v -> v

@@ -17,6 +17,7 @@ module Trace = Crdb_obs.Trace
 module Metrics = Crdb_obs.Metrics
 module Events = Crdb_obs.Events
 module Crdb = Crdb_core.Crdb
+open Support
 
 let check = Alcotest.check
 let regions = [ "us-east1"; "us-west1"; "europe-west2" ]
@@ -25,9 +26,6 @@ let home = "us-east1"
 let expect_ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "txn failed: %a" Txn.pp_error e
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 (* The MD5 of the metrics registry and the Chrome trace export. *)
 let digest obs =

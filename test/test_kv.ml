@@ -13,6 +13,7 @@ module Cluster = Crdb_kv.Cluster
 module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -342,37 +343,6 @@ let one_range ?(survival = Zoneconfig.Zone) ?(policy = Cluster.Lag)
       ()
   in
   (cl, List.hd rids)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
-
-(* Write then commit a single key as one mini transaction. *)
-let put cl ~gateway ~txn key value =
-  let ts = Cluster.now_ts cl gateway in
-  match Cluster.write cl ~gateway ~txn ~key ~value:(Some value) ~ts () with
-  | `Wounded e | `Err e ->
-      Alcotest.failf "write failed: %s" e
-  | `Ok commit_ts ->
-      Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts)
-        ~keys:[ key ] ();
-      commit_ts
-
-let get cl ~gateway ?txn key =
-  (* Minimal read loop: ratchet the timestamp on uncertainty like a real
-     transaction would (the fixed upper bound never changes, §6.1). *)
-  let ts = Cluster.now_ts cl gateway in
-  let max_ts = Ts.add_wall ts (Cluster.config cl).Cluster.max_offset in
-  let rec go ts attempts =
-    match Cluster.read cl ~inline_bump:true ~gateway ~txn ~key ~ts ~max_ts () with
-    | `Ok value -> value
-    | `Uncertain value_ts when attempts < 10 ->
-        go value_ts (attempts + 1)
-    | `Uncertain _ -> Alcotest.fail "uncertainty loop"
-    | `Redirect -> Alcotest.fail "unexpected redirect"
-    | `Wounded e | `Err e ->
-        Alcotest.failf "read error: %s" e
-  in
-  go ts 0
 
 let test_cluster_basic_write_read () =
   let cl, rid = one_range () in

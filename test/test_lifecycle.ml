@@ -14,6 +14,7 @@ module Zoneconfig = Crdb_kv.Zoneconfig
 module Allocator = Crdb_kv.Allocator
 module Cluster = Crdb_kv.Cluster
 module Crdb = Crdb_core.Crdb
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -37,48 +38,6 @@ let make ?(survival = Zoneconfig.Zone) ?(home = home) spans =
 let one_range ?survival ?home () =
   let cl, rids = make ?survival ?home [ ("a", "z") ] in
   (cl, List.hd rids)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
-
-(* Write [key] and commit: a writer with an [anchor] registers a
-   transaction record there and commits it before resolving. *)
-let put ?anchor cl ~gateway ~txn key value =
-  let ts = Cluster.now_ts cl gateway in
-  match
-    Cluster.write cl ?anchor ~gateway ~txn ~key ~value:(Some value) ~ts ()
-  with
-  | `Wounded e | `Err e ->
-      Alcotest.failf "write failed: %s" e
-  | `Ok commit_ts ->
-      Option.iter
-        (fun key ->
-          match
-            Cluster.txn_update cl ~gateway ~name:"kv.txn_commit" ~txn ~key
-              (Crdb_kv.Txnrec.U_commit { ts = commit_ts })
-          with
-          | Some (Crdb_kv.Txnrec.Committed _) -> ()
-          | Some _ | None ->
-              Alcotest.failf "txn %d's record did not commit" txn)
-        anchor;
-      Cluster.resolve cl ~gateway ~txn ~commit:(Some commit_ts)
-        ~keys:[ key ] ();
-      commit_ts
-
-let get cl ~gateway ?txn key =
-  let ts = Cluster.now_ts cl gateway in
-  let max_ts = Ts.add_wall ts (Cluster.config cl).Cluster.max_offset in
-  let rec go ts attempts =
-    match Cluster.read cl ~inline_bump:true ~gateway ~txn ~key ~ts ~max_ts () with
-    | `Ok value -> value
-    | `Uncertain value_ts when attempts < 10 ->
-        go value_ts (attempts + 1)
-    | `Uncertain _ -> Alcotest.fail "uncertainty loop"
-    | `Redirect -> Alcotest.fail "unexpected redirect"
-    | `Wounded e | `Err e ->
-        Alcotest.failf "read error: %s" e
-  in
-  go ts 0
 
 let scan_keys cl ~gateway ~start_key ~end_key =
   let ts = Cluster.now_ts cl gateway in

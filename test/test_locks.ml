@@ -17,6 +17,7 @@ module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
 module Events = Crdb_obs.Events
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -33,9 +34,6 @@ let make ?(two_ranges = false) () =
       ()
   in
   (cl, Txn.create_manager cl)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let total cl name = Metrics.total (Obs.metrics (Cluster.obs cl)) name
 

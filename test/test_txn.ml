@@ -15,6 +15,7 @@ module Metrics = Crdb_obs.Metrics
 module Phase = Crdb_obs.Phase
 module Op = Crdb_obs.Op
 module Hist = Crdb_stats.Hist
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -26,9 +27,6 @@ let make ?(policy = Cluster.Lag) ?(survival = Zoneconfig.Zone) () =
       ()
   in
   (cl, Txn.create_manager cl)
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let expect_ok = function
   | Ok v -> v

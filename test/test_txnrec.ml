@@ -18,6 +18,7 @@ module Crdb = Crdb_core.Crdb
 module Obs = Crdb_obs.Obs
 module Metrics = Crdb_obs.Metrics
 module Events = Crdb_obs.Events
+open Support
 
 let check = Alcotest.check
 let regions5 = Latency.table1_regions
@@ -33,9 +34,6 @@ let make ?config ?(two_ranges = false) () =
       ()
   in
   cl
-
-let node_in cl region i =
-  Topology.gateway (Cluster.topology cl) ~region ~index:i ()
 
 let no_conflict_timeouts cl =
   check Alcotest.int "no conflict timeouts" 0
