@@ -384,6 +384,36 @@ let test_snapshot_boundary_excludes_uncommitted_tail () =
   check Alcotest.bool "uncommitted-at-snapshot entry reached the new peer" true
     (List.mem "c" (applied h 3))
 
+let test_stale_snapshot_ignored () =
+  (* A snapshot delayed in flight can reach a follower that has applied
+     past it. Installing it would roll the follower's state back and apply
+     the entries after it a second time; it must be ignored. *)
+  let h = make_harness ~voters:[ 0; 1; 2 ] ~learners:[] () in
+  run_ms h 500;
+  let l = find_leader h in
+  for i = 1 to 5 do
+    ignore (Raft.propose (raft h l) (Printf.sprintf "w%d" i))
+  done;
+  run_ms h 500;
+  let f = (l + 1) mod 3 in
+  let n = Raft.applied_index (raft h f) and before = applied h f in
+  check Alcotest.int "follower applied the five writes" 5 (List.length before);
+  Raft.handle (raft h f) ~from:l
+    (Raft.Install_snapshot
+       {
+         term = Raft.term (raft h l);
+         last_index = n - 2;
+         last_term = Raft.term (raft h l);
+         peers = Raft.peers (raft h l);
+         snap = [ "delayed snapshot" ];
+       });
+  check Alcotest.int "applied index stays" n (Raft.applied_index (raft h f));
+  check Alcotest.(list string) "state not rolled back" before (applied h f);
+  ignore (Raft.propose (raft h l) "w6");
+  run_ms h 500;
+  check Alcotest.(list string) "no entry applied twice" (applied h l)
+    (applied h f)
+
 (* Property: random workloads with a lossy, slow network never violate the
    prefix-consistency of applied logs. *)
 let prop_applied_prefix_consistent =
@@ -624,6 +654,8 @@ let suite =
     Alcotest.test_case "snapshot catch up" `Quick test_snapshot_catch_up;
     Alcotest.test_case "snapshot boundary excludes uncommitted tail" `Quick
       test_snapshot_boundary_excludes_uncommitted_tail;
+    Alcotest.test_case "stale snapshot ignored" `Quick
+      test_stale_snapshot_ignored;
     qcheck prop_applied_prefix_consistent;
     qcheck prop_commit_target;
     qcheck prop_shared_store_matches_private;
