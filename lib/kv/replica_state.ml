@@ -31,14 +31,14 @@ type op =
   | Op_merge of { right : int; cell : snap Ivar.t }
       (* merge trigger: each replica absorbs [cell], once filled *)
 
-type write_ack = [ `Applied | `Prevented | `Dropped ]
+type outcome = [ `Applied | `Prevented | `Lost ]
 
 type cmd = {
   closed : Ts.t;
   proposer : int;
   proposed_at : int;
   op : op;
-  done_ : write_ack Ivar.t;
+  done_ : outcome Ivar.t;
 }
 
 type t = {
@@ -120,10 +120,10 @@ let write s ~applied cmd =
   | Op_txn { txn; tkey; upd } ->
       Txnrec.apply s.txns ~txn ~key:tkey upd;
       `Applied
-  | Op_prevent { txn; key; ts } ->
-      ignore
-        (Mvcc.prevent s.store ~key ~txn_id:txn ~ts : [ `Found | `Prevented ]);
-      `Applied
+  | Op_prevent { txn; key; ts } -> (
+      match Mvcc.prevent s.store ~key ~txn_id:txn ~ts with
+      | `Found -> `Applied
+      | `Prevented -> `Prevented)
   | Op_merge { cell; _ } ->
       Option.iter
         (fun snap ->

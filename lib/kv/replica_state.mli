@@ -39,9 +39,9 @@ type op =
           range [right]'s state if the merge holds; each replica adds it,
           and an empty [cell] makes the trigger a no-op *)
 
-type write_ack = [ `Applied | `Prevented | `Dropped ]
-(** What became of a proposal: applied; applied as a write that
-    commit-status recovery had barred; or discarded from the log. *)
+type outcome = [ `Applied | `Prevented | `Lost ]
+(** What became of a proposal: applied; applied as a barred write or as a
+    prevention that barred one; or lost, discarded or not applied in time. *)
 
 type cmd = {
   closed : Ts.t;  (** the closed timestamp the entry carries *)
@@ -50,9 +50,9 @@ type cmd = {
       (** the proposer's simulated time, in micros: the heartbeat a
           registering write stamps on the new transaction record *)
   op : op;
-  done_ : write_ack Crdb_sim.Ivar.t;
-      (** filled by the proposer alone, with the ack of its own {!apply} or
-          with [`Dropped] when its copy is discarded *)
+  done_ : outcome Crdb_sim.Ivar.t;
+      (** filled by the proposer alone, with the verdict of its own {!apply}
+          or with [`Lost] when its copy is discarded *)
 }
 
 type t = private {
@@ -80,7 +80,7 @@ type shared
     result instead of computing it again. A replica that holds other maps
     computes, as it would alone, and records its own result. Only the
     closed timestamps and the lock table are per replica. Adopting is
-    exact: a replica reads the same, and returns the same ack, as if it had
+    exact: a replica reads the same, and returns the same verdict, as if it had
     computed the entry itself. *)
 
 val shared : unit -> shared
@@ -90,7 +90,8 @@ val apply :
   ?shared:shared -> t -> applied:int -> cmd -> [ `Applied | `Prevented ]
 (** Apply the committed entry at index [applied], sharing its effect
     through [shared] when given. [`Prevented] when it is a write that
-    commit-status recovery barred. Splits fork nothing here: see
+    commit-status recovery barred, or a prevention that barred its write;
+    a prevention that found the intent or its commit is [`Applied]. Splits fork nothing here: see
     {!split_off}; a merge trigger adds its cell's store and records, which
     win for the subsumed span (locks stay, as after {!install_snapshot}, as
     does the closed timestamp: the range's target already ratcheted over
