@@ -39,7 +39,7 @@ let get cl ~gateway ?txn key =
   let max_ts = Ts.add_wall ts (Cluster.config cl).Cluster.max_offset in
   let rec go ts attempts =
     match Cluster.read cl ~inline_bump:true ~gateway ~txn ~key ~ts ~max_ts () with
-    | `Ok value -> value
+    | `Ok (value, _) -> value
     | `Uncertain value_ts when attempts < 10 ->
         go value_ts (attempts + 1)
     | `Uncertain _ -> Alcotest.fail "uncertainty loop"

@@ -247,7 +247,7 @@ let test_committed_record_resolves_intent () =
          Cluster.read cl ~gateway:gw ~txn:None ~key:"k" ~ts:read_ts
            ~max_ts:read_ts ()
        with
-      | `Ok value ->
+      | `Ok (value, _) ->
           check Alcotest.(option string) "committed value visible"
             (Some "orphan") value
       | _ -> Alcotest.fail "reader must see the committed value");
