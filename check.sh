@@ -225,6 +225,19 @@ dune exec bin/crdb_sim.exe -- chaos --seed 174 --faults "$all_faults" \
 dune exec bin/crdb_sim.exe -- chaos --seed 322 --faults "$all_faults" \
   --checker serializability --autopilot --survival zone --regions 5
 
+# Read-timestamp and proposal-outcome seeds, under all nine fault kinds and
+# the autopilot. Seed 242 --global once returned a GLOBAL value read at a
+# bumped timestamp without the reader commit-wait, and a later read missed
+# it. Seed 266's schedule drops a pipelined write at a leader change and then
+# the recovery probe for it; a discarded probe that answered Found let
+# recovery commit the transaction and destroy bank money. Both must check
+# out clean.
+echo "== proposal-outcome seeds (242 --global, 266)"
+dune exec bin/crdb_sim.exe -- chaos --seed 242 --faults "$all_faults" \
+  --checker serializability --autopilot --global
+dune exec bin/crdb_sim.exe -- chaos --seed 266 --faults "$all_faults" \
+  --checker serializability --autopilot
+
 # Off-vs-on convergence evidence (p99 + ranges / hottest-range share over
 # time) lands in BENCH_results.json; the bench exits nonzero on any error.
 echo "== bench autopilot (off vs on)"
